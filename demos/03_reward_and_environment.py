@@ -7,11 +7,13 @@ through one episode and prints the reward decomposition at every step.
 from sceneplan import (
     BandwidthSpec,
     ClusterEnv,
+    EnvConfig,
     RewardWeights,
     SceneSpec,
     Stratum,
     TransformParams,
     generate_scene,
+    rollout,
 )
 from sceneplan.rl_env import KEEP, MERGE
 
@@ -25,10 +27,8 @@ weights = RewardWeights(alpha=2.0, beta=0.2, gamma=1.0, delta=0.4,
                         n_min=2, n_max=4, d_m=0.05)
 env = ClusterEnv(
     generate_scene(spec),
-    weights=weights,
-    transform=TransformParams(0.5),
-    bandwidth=BandwidthSpec("fixed", 0.16),
-    n_pad=8,
+    EnvConfig(weights=weights, transform=TransformParams(0.5),
+              bandwidth=BandwidthSpec("fixed", 0.16), n_pad=8),
     t_max=10,
 )
 
@@ -37,19 +37,23 @@ print(f"initial clusters: {env.config.count} "
       f"(target band [{weights.n_min}, {weights.n_max}])")
 print(f"state vector: length {len(state)} "
       f"(5 features x 8 slots + normalized count)")
+
+
+def merge_down(state, mask, rng):
+    """Merge while over the count band, then keep."""
+    return MERGE if env.config.count > weights.n_max else KEEP
+
+
+# rollout restarts from the same MeanShift clustering and runs t_max steps
+final, trace = rollout(env, merge_down)
+
 print()
 print("step  action  N   R1(tight)  R2(areavar)  R3(count)  R4(close)  reward")
-done = False
-t = 0
-while not done:
-    action = MERGE if env.config.count > weights.n_max else KEEP
-    out = env.step(action)
+for t, out in enumerate(trace):
     r1, r2, r3, r4 = out.components
     name = out.info["applied"]
     print(f"{t + 1:4d}  {name:6s} {out.info['n']:2d}   {r1:9.4f}  {r2:11.6f}"
           f"  {r3:9.1f}  {r4:9.1f}  {out.reward:7.3f}")
-    done = out.done
-    t += 1
 
-print(f"\nfinal N = {env.config.count}; merging stopped once the count "
+print(f"\nfinal N = {final.count}; merging stopped once the count "
       "penalty R3 hit zero")

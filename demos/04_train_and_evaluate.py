@@ -12,6 +12,7 @@ import numpy as np
 
 from sceneplan import (
     BandwidthSpec,
+    ClusterEnv,
     EnvConfig,
     Hyperparams,
     RewardWeights,
@@ -22,11 +23,10 @@ from sceneplan import (
     greedy_policy,
     keep_policy,
     random_policy,
-    run_episode,
+    rollout,
     sampler_from_spec,
     train,
 )
-from sceneplan.ppo import make_env
 
 spec = SceneSpec(
     width_px=1280, height_px=1280, count_min=14, count_max=20,
@@ -54,8 +54,8 @@ held_out = [(10_000 + k, generate_scene(spec.with_seed(10_000 + k)))
 def evaluate(name, policy_fn):
     finals, ns = [], []
     for seed, frame in held_out:
-        env = make_env(frame, env_cfg, hyper.t_max)
-        final, trace = run_episode(env, policy_fn, np.random.default_rng(seed))
+        env = ClusterEnv(frame, env_cfg, hyper.t_max)
+        final, trace = rollout(env, policy_fn, np.random.default_rng(seed))
         finals.append(trace[-1].reward)
         ns.append(final.count)
     finals, ns = np.array(finals), np.array(ns)

@@ -1,91 +1,43 @@
 """RL-driven non-uniform partitioning of detection scenes, latency-budgeted
-detector assignment, and parallel edge-schedule simulation."""
+detector assignment, and parallel edge-schedule simulation.
 
-from .core import (
-    Cluster,
-    ClusterConfig,
-    DetectionBox,
-    Frame,
-    bounding_block,
-    cluster_stats,
-    iou,
-    make_cluster,
-    nms,
-    validate_partition,
-)
+The package namespace carries the names the demos use; everything else is
+imported from its module (``sceneplan.ppo``, ``sceneplan.offload``, ...).
+"""
+
 from .scene import (
     SceneSpec,
     Stratum,
-    TileGrid,
     aggregate_tiles,
-    coarse_detect,
     generate_scene,
-    load_detections,
-    load_scene_spec,
     observe_tiles,
-    save_detections,
     tile_frame,
 )
 from .clustering import (
     BandwidthSpec,
     TransformParams,
-    estimate_bandwidth,
     initial_clusters,
-    inverse_transform_y,
-    kmeans_1d,
-    meanshift,
     merge_clusters,
     select_merge_pair,
     split_cluster,
     transform_y,
 )
-from .rl_env import (
-    ClusterEnv,
-    RewardWeights,
-    StepOutcome,
-    action_mask,
-    apply_action,
-    encode_state,
-    reward,
-    reset,
-    step,
-)
+from .rl_env import ClusterEnv, EnvConfig, RewardWeights
 from .ppo import (
-    CheckpointError,
-    EnvConfig,
     Hyperparams,
-    MlpParams,
-    PolicyCheckpoint,
-    TrajectoryBatch,
-    compute_returns_advantages,
     greedy_policy,
-    infer_clusters,
-    init_mlp,
     keep_policy,
-    load_checkpoint,
-    mlp_forward,
-    policy_sample,
-    ppo_update,
     random_policy,
-    run_episode,
+    rollout,
     sampler_from_spec,
-    save_checkpoint,
     train,
 )
 from .offload import (
     InfeasiblePlanError,
-    ModelProfile,
-    OffloadPlan,
-    PartitionDescriptor,
-    ServerSchedule,
     assign_servers,
     default_profiles,
     dp_plan,
-    load_profiles,
-    partition_precision,
     partitions_from_config,
-    precision_lookup,
-    scale_area,
     simulate,
 )
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import Frame
+from .core import Frame, atomic_write, bounding_block
 from .offload import (
     InfeasiblePlanError,
     PartitionDescriptor,
@@ -33,19 +33,18 @@ from .offload import (
 )
 from .ppo import (
     CheckpointError,
-    EnvConfig,
     Hyperparams,
     greedy_policy,
     keep_policy,
     load_checkpoint,
-    make_env,
+    policy_env,
     random_policy,
-    run_episode,
+    rollout,
     sampler_from_spec,
     save_checkpoint,
     train,
 )
-from .rl_env import RewardWeights
+from .rl_env import EnvConfig, RewardWeights
 from .scene import (
     coarse_detect,
     generate_scene,
@@ -123,25 +122,12 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _weights(cfg: dict) -> RewardWeights:
-    return RewardWeights(**cfg["reward"])
-
-
-def _transform(cfg: dict) -> TransformParams:
-    return TransformParams(cfg["transform_alpha"])
-
-
-def _bandwidth(cfg: dict) -> BandwidthSpec:
-    return BandwidthSpec(cfg["bandwidth_mode"], cfg["bandwidth_value"])
-
-
-def _hyper(cfg: dict) -> Hyperparams:
-    return Hyperparams(seed=cfg["seed"], t_max=cfg["t_max"], **cfg["train"])
-
-
 def _env_config(cfg: dict) -> EnvConfig:
-    return EnvConfig(weights=_weights(cfg), transform=_transform(cfg),
-                     bandwidth=_bandwidth(cfg), n_pad=cfg["n_pad"])
+    return EnvConfig(
+        weights=RewardWeights(**cfg["reward"]),
+        transform=TransformParams(cfg["transform_alpha"]),
+        bandwidth=BandwidthSpec(cfg["bandwidth_mode"], cfg["bandwidth_value"]),
+        n_pad=cfg["n_pad"])
 
 
 def _scene_spec(cfg: dict):
@@ -160,18 +146,9 @@ def _profiles(cfg: dict):
 
 
 def write_text(path, text: str) -> None:
-    path = str(path)
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(str(path)) or ".", exist_ok=True)
+    with atomic_write(path) as f:
+        f.write(text)
 
 
 def dump_json(obj, path) -> None:
@@ -179,8 +156,6 @@ def dump_json(obj, path) -> None:
 
 
 def write_csv(path, fieldnames, rows) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
@@ -192,24 +167,29 @@ def write_csv(path, fieldnames, rows) -> None:
 # pipeline pieces shared by partition / pipeline / eval
 # ---------------------------------------------------------------------------
 
-def _policy_fn(cfg: dict, n_pad_hint: int):
-    """Resolve the policy mode; returns (policy_fn, n_pad, t_max, weights)."""
+def _policy_env(frame: Frame, cfg: dict):
+    """Resolve the policy mode into (choose, env) over ``frame``. A trained
+    policy's environment takes n_pad, reward weights and include_count from
+    its checkpoint."""
     mode = cfg["policy"]
+    ckpt = None
     if mode == "trained":
         if cfg["checkpoint"] is None:
             raise ValueError("trained policy requested but no checkpoint configured")
         ckpt = load_checkpoint(cfg["checkpoint"])
-        return greedy_policy(ckpt), ckpt.n_pad, ckpt.weights
-    if mode == "keep":
-        return keep_policy(), n_pad_hint, _weights(cfg)
-    if mode == "random":
-        return random_policy(), n_pad_hint, _weights(cfg)
-    raise ValueError(f"unknown policy mode {mode!r}")
+        choose = greedy_policy(ckpt)
+    elif mode == "keep":
+        choose = keep_policy()
+    elif mode == "random":
+        choose = random_policy()
+    else:
+        raise ValueError(f"unknown policy mode {mode!r}")
+    return choose, policy_env(frame, _env_config(cfg), cfg["t_max"], ckpt)
 
 
-def _partition_frame(frame: Frame, cfg: dict, scene_seed: int) -> dict:
-    """Coarse-detect, refine clusters with the configured policy, and build
-    the clusters report for one frame."""
+def _partition_frame(frame: Frame, cfg: dict, scene_seed: int):
+    """Coarse-detect and refine the clusters of one frame with the
+    configured policy; returns the clusters report and the partitions."""
     if len(frame.detections) == 0:
         raise ValueError("empty scene")
     coarse = coarse_detect(
@@ -220,31 +200,20 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int) -> dict:
     )
     if len(coarse.detections) == 0:
         raise ValueError("empty scene after coarse detection")
-    policy_fn, n_pad, weights = _policy_fn(cfg, cfg["n_pad"])
-    env = make_env(coarse, EnvConfig(weights=weights, transform=_transform(cfg),
-                                     bandwidth=_bandwidth(cfg), n_pad=n_pad),
-                   cfg["t_max"])
-    rng = np.random.default_rng(scene_seed + 1)
-    final, trace = run_episode(env, policy_fn, rng)
-    from .core import bounding_block
-
-    clusters = []
-    for cid, cluster in enumerate(final.clusters):
-        x0, y0, x1, y1 = bounding_block(cluster, final.detections,
-                                        cfg["block_margin"], coarse)
-        areas = [final.detections[i].w * coarse.width_px *
-                 final.detections[i].h * coarse.height_px
-                 for i in cluster.members]
-        clusters.append({
-            "id": cid,
-            "members": list(cluster.members),
-            "size": cluster.size,
-            "centroid": [cluster.mu_x, cluster.mu_y],
-            "mean_wh": [cluster.mu_w, cluster.mu_h],
-            "block_px": [x0, y0, x1, y1],
-            "member_areas_px2": areas,
-        })
-    return {
+    choose, env = _policy_env(coarse, cfg)
+    final, trace = rollout(env, choose, np.random.default_rng(scene_seed + 1))
+    parts = partitions_from_config(final, coarse, cfg["block_margin"])
+    clusters = [{
+        "id": part.id,
+        "members": list(cluster.members),
+        "size": cluster.size,
+        "centroid": [cluster.mu_x, cluster.mu_y],
+        "mean_wh": [cluster.mu_w, cluster.mu_h],
+        "block_px": list(bounding_block(cluster, final.detections,
+                                        cfg["block_margin"], coarse)),
+        "member_areas_px2": list(part.areas_px2),
+    } for part, cluster in zip(parts, final.clusters)]
+    report = {
         "scene_seed": scene_seed,
         "width_px": coarse.width_px,
         "height_px": coarse.height_px,
@@ -260,6 +229,7 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int) -> dict:
         ],
         "clusters": clusters,
     }
+    return report, parts
 
 
 def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
@@ -333,8 +303,8 @@ def cmd_train(args) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "policy.ckpt")
     log_path = os.path.join(out_dir, "training_log.csv")
-    ckpt = train(sampler_from_spec(spec), _env_config(cfg), _hyper(cfg),
-                 log_path=log_path)
+    hyper = Hyperparams(seed=cfg["seed"], t_max=cfg["t_max"], **cfg["train"])
+    ckpt = train(sampler_from_spec(spec), _env_config(cfg), hyper, log_path=log_path)
     save_checkpoint(ckpt, ckpt_path)
     print(f"wrote {ckpt_path} (final mean return "
           f"{ckpt.meta.get('final_mean_return')})")
@@ -345,7 +315,7 @@ def cmd_partition(args) -> None:
     if cfg["detections"] is None:
         raise ValueError("no detections file configured")
     frame = load_detections(cfg["detections"])
-    report = _partition_frame(frame, cfg, cfg["seed"])
+    report, _ = _partition_frame(frame, cfg, cfg["seed"])
     out = args.out or os.path.join(cfg["out_dir"], "clusters.json")
     dump_json(report, out)
     print(f"wrote {out} ({report['n_final']} clusters)")
@@ -374,11 +344,7 @@ def cmd_pipeline(args) -> None:
     scenes = []
     rows = []
     for scene_seed, frame in frames:
-        clusters = _partition_frame(frame, cfg, scene_seed)
-        parts = [PartitionDescriptor(
-            c["id"], c["block_px"][2] - c["block_px"][0],
-            c["block_px"][3] - c["block_px"][1], tuple(c["member_areas_px2"]))
-            for c in clusters["clusters"]]
+        clusters, parts = _partition_frame(frame, cfg, scene_seed)
         plan = _plan_payload(parts, profiles, cfg["d_max"], cfg["e"])
         last = clusters["trace"][-1]
         r1, r2, r3, r4 = last["components"]
@@ -415,14 +381,12 @@ def cmd_eval(args) -> None:
         ("random", random_policy()),
         ("keep", keep_policy()),
     ]
-    env_cfg = EnvConfig(weights=ckpt.weights, transform=_transform(cfg),
-                        bandwidth=_bandwidth(cfg), n_pad=ckpt.n_pad)
+    env_config = _env_config(cfg)
     rows = []
-    for name, policy_fn in policies:
+    for name, choose in policies:
         for scene_seed, frame in frames:
-            env = make_env(frame, env_cfg, cfg["t_max"])
-            rng = np.random.default_rng(scene_seed)
-            final, trace = run_episode(env, policy_fn, rng)
+            env = policy_env(frame, env_config, cfg["t_max"], ckpt)
+            final, trace = rollout(env, choose, np.random.default_rng(scene_seed))
             in_range = ckpt.weights.n_min <= final.count <= ckpt.weights.n_max
             rows.append({
                 "policy": name,

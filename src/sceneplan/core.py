@@ -1,13 +1,47 @@
-"""Geometry primitives, detection-box operations, and cluster statistics.
+"""Geometry primitives, detection-box operations, cluster statistics, and
+the atomic file writer every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
-All operations here are pure functions over immutable values.
+All operations here except ``atomic_write`` are pure functions over
+immutable values.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
+
+
+class atomic_write:
+    """``with atomic_write(path) as f:`` yields a file that replaces
+    ``path`` only once the block succeeds.
+
+    Writes go to a temp file in the same directory, which is renamed over
+    ``path`` at the end; on any failure the temp file is removed and
+    ``path`` keeps its old content. Text mode is UTF-8 with no newline
+    translation.
+    """
+
+    def __init__(self, path, mode: str = "w"):
+        self.path = str(path)
+        fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".",
+                                        suffix=".tmp")
+        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+        self.file = os.fdopen(fd, mode, **text)
+
+    def __enter__(self):
+        return self.file
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.file.close()
+            if exc_type is None:
+                os.replace(self.tmp, self.path)
+        finally:
+            if os.path.exists(self.tmp):
+                os.unlink(self.tmp)
 
 
 @dataclass(frozen=True)

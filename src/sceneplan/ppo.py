@@ -1,29 +1,30 @@
-"""Policy/critic networks, clipped-surrogate training, greedy inference,
-and checkpoint persistence.
+"""Policy/critic networks, the episode rollout, clipped-surrogate training,
+greedy inference, and checkpoint persistence.
 
 Both networks are plain two-hidden-layer MLPs (128 units, rectifier)
 implemented directly in numpy with exact backpropagation; updates are the
 plain gradient steps of the training algorithm (ascent on the clipped
 surrogate for the policy, descent on the value MSE for the critic).
-Everything is deterministic for a fixed seed.
+Training, inference and the command line all roll episodes through one
+loop, ``rollout``, over an environment from ``policy_env``. Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import struct
-import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import ClusterConfig, Frame
+from .core import ClusterConfig, Frame, atomic_write
 from .rl_env import (
     KEEP,
     ClusterEnv,
+    EnvConfig,
     RewardWeights,
     StepOutcome,
     n_actions,
@@ -276,18 +277,6 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnvConfig:
-    """Environment construction parameters shared across episodes."""
-
-    weights: RewardWeights = RewardWeights()
-    transform: TransformParams = TransformParams()
-    bandwidth: BandwidthSpec = BandwidthSpec()
-    n_pad: int = 30
-    transformed_rewards: bool = True
-    include_count: bool = True
-
-
 @dataclass
 class PolicyCheckpoint:
     """Trained (or freshly initialized) networks plus their context."""
@@ -310,34 +299,41 @@ class PolicyCheckpoint:
         return n_actions(self.n_pad)
 
 
-def make_env(frame: Frame, env_config: EnvConfig, t_max: int) -> ClusterEnv:
-    return ClusterEnv(
-        frame,
-        weights=env_config.weights,
-        transform=env_config.transform,
-        bandwidth=env_config.bandwidth,
-        n_pad=env_config.n_pad,
-        t_max=t_max,
-        transformed_rewards=env_config.transformed_rewards,
-        include_count=env_config.include_count,
-    )
+def policy_env(frame: Frame, env_config: EnvConfig, t_max: int,
+               ckpt: PolicyCheckpoint | None = None) -> ClusterEnv:
+    """The environment over ``frame``. A checkpoint, when given, supplies
+    n_pad, the reward weights and include_count, so its policy sees the
+    state layout it was trained on."""
+    if ckpt is not None:
+        env_config = replace(env_config, weights=ckpt.weights, n_pad=ckpt.n_pad,
+                             include_count=ckpt.include_count)
+    return ClusterEnv(frame, env_config, t_max)
 
 
-def _collect_episode(env: ClusterEnv, policy: MlpParams, rng: np.random.Generator):
-    states, actions, logps, rewards, masks = [], [], [], [], []
+def rollout(env: ClusterEnv, choose, rng: np.random.Generator | None = None,
+            ) -> tuple[ClusterConfig, list[StepOutcome]]:
+    """Roll one fixed-length episode from the MeanShift start, taking
+    ``choose(state, mask, rng)`` at every step; returns the final
+    configuration and the per-step trace."""
     s = env.reset()
+    trace = []
     for _ in range(env.t_max):
-        mask = env.mask()
-        logits = mlp_forward(policy, s)
-        a, logp = policy_sample(logits, mask, rng)
-        out = env.step(a)
-        states.append(s)
-        actions.append(a)
-        logps.append(logp)
-        rewards.append(out.reward)
-        masks.append(mask)
+        out = env.step(choose(s, env.mask(), rng))
+        trace.append(out)
         s = out.state
-    return states, actions, logps, rewards, masks, env.config.count
+    return env.config, trace
+
+
+def sampling_policy(policy: MlpParams, record: list):
+    """Samples from the masked softmax of the policy net and appends each
+    step's (state, action, log-prob, mask) to ``record``."""
+
+    def choose(state, mask, rng) -> int:
+        action, logp = policy_sample(mlp_forward(policy, state), mask, rng)
+        record.append((state, action, logp, mask))
+        return action
+
+    return choose
 
 
 def sampler_from_spec(spec):
@@ -364,22 +360,22 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
     log_rows = []
     mean_return = float("nan")
     for it in range(hyper.iterations):
-        states, actions, logps, advantages, returns, masks = [], [], [], [], [], []
+        steps, advantages, returns = [], [], []
         ep_returns, finals = [], []
         for _ in range(hyper.episodes_per_iter):
             frame = scene_sampler(int(rng.integers(0, 2 ** 31 - 1)))
-            env = make_env(frame, env_config, hyper.t_max)
-            s, a, lp, r, m, n_final = _collect_episode(env, policy, rng)
-            values = mlp_forward(critic, np.array(s))[:, 0]
+            episode = []
+            final, trace = rollout(policy_env(frame, env_config, hyper.t_max),
+                                   sampling_policy(policy, episode), rng)
+            steps.extend(episode)
+            r = [out.reward for out in trace]
+            values = mlp_forward(critic, np.array([st[0] for st in episode]))[:, 0]
             g, adv = compute_returns_advantages(r, hyper.gamma, values)
-            states.extend(s)
-            actions.extend(a)
-            logps.extend(lp)
             advantages.extend(adv)
             returns.extend(g)
-            masks.extend(m)
             ep_returns.append(float(np.sum(r)))
-            finals.append(n_final)
+            finals.append(final.count)
+        states, actions, logps, masks = zip(*steps)
         batch = TrajectoryBatch(
             states=np.array(states),
             actions=np.array(actions, dtype=int),
@@ -406,16 +402,12 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
             "mean_N_final": float(np.mean(finals)),
         })
     if log_path is not None:
-        log_path = str(log_path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(log_path) or ".",
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+        with atomic_write(log_path) as f:
             writer = csv.DictWriter(f, fieldnames=[
                 "iteration", "mean_return", "policy_loss", "value_loss",
                 "mean_N_final"])
             writer.writeheader()
             writer.writerows(log_rows)
-        os.replace(tmp, log_path)
     return PolicyCheckpoint(
         n_pad=env_config.n_pad,
         include_count=env_config.include_count,
@@ -457,58 +449,23 @@ def random_policy():
     return choose
 
 
-def run_episode(env: ClusterEnv, policy_fn,
-                rng: np.random.Generator | None = None,
-                ) -> tuple[ClusterConfig, list[StepOutcome]]:
-    """Roll one fixed-length episode; returns the final configuration and
-    the per-step trace."""
-    s = env.reset()
-    trace = []
-    for _ in range(env.t_max):
-        out = env.step(policy_fn(s, env.mask(), rng))
-        trace.append(out)
-        s = out.state
-    return env.config, trace
-
-
 def infer_clusters(
     frame: Frame,
     ckpt: PolicyCheckpoint,
-    transform: TransformParams | None = None,
-    bandwidth: BandwidthSpec | None = None,
+    transform: TransformParams = TransformParams(),
+    bandwidth: BandwidthSpec = BandwidthSpec(),
     t_max: int | None = None,
     n_pad: int | None = None,
-    keep_streak_stop: int | None = None,
 ) -> ClusterConfig:
     """Greedy refinement: MeanShift reset, then exactly t_max masked-argmax
-    steps. Deterministic.
-
-    ``keep_streak_stop`` optionally ends the loop early once that many
-    consecutive keeps occur; it is off by default so the loop always runs
-    its full fixed length.
-    """
+    steps (the checkpoint's own t_max by default). Deterministic."""
     if n_pad is not None and n_pad != ckpt.n_pad:
         raise CheckpointError(
             f"checkpoint built for n_pad={ckpt.n_pad}, requested {n_pad}")
-    env = ClusterEnv(
-        frame,
-        weights=ckpt.weights,
-        transform=transform if transform is not None else TransformParams(),
-        bandwidth=bandwidth if bandwidth is not None else BandwidthSpec(),
-        n_pad=ckpt.n_pad,
-        t_max=t_max if t_max is not None else ckpt.hyper.t_max,
-        include_count=ckpt.include_count,
-    )
-    policy_fn = greedy_policy(ckpt)
-    s = env.reset()
-    streak = 0
-    for _ in range(env.t_max):
-        out = env.step(policy_fn(s, env.mask()))
-        s = out.state
-        streak = streak + 1 if out.info["action"] == KEEP else 0
-        if keep_streak_stop is not None and streak >= keep_streak_stop:
-            break
-    return env.config
+    env = policy_env(frame, EnvConfig(transform=transform, bandwidth=bandwidth),
+                     ckpt.hyper.t_max if t_max is None else t_max, ckpt)
+    final, _ = rollout(env, greedy_policy(ckpt))
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +505,12 @@ def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
         "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = str(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-            f.write(blob)
-            for _, a in arrays:
-                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        f.write(blob)
+        for _, a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> PolicyCheckpoint:

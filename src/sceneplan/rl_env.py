@@ -1,5 +1,6 @@
 """Cluster-refinement environment: state encoding, keep/merge/split actions,
-and the composite clustering-quality reward.
+the composite clustering-quality reward, and ``ClusterEnv``, which is
+built from a frame, an ``EnvConfig`` and the horizon t_max.
 
 Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
@@ -202,64 +203,55 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
     )
 
 
-def reset(frame: Frame, transform: TransformParams = TransformParams(),
-          bandwidth: BandwidthSpec = BandwidthSpec()) -> ClusterConfig:
-    """Initial configuration: MeanShift over transformed object centers."""
-    return initial_clusters(frame, transform, bandwidth)
+@dataclass(frozen=True)
+class EnvConfig:
+    """Everything an environment needs besides its frame and horizon.
+
+    The transform sets both the MeanShift space and the geometry of the
+    reward, merge and split.
+    """
+
+    weights: RewardWeights = RewardWeights()
+    transform: TransformParams = TransformParams()
+    bandwidth: BandwidthSpec = BandwidthSpec()
+    n_pad: int = 30
+    include_count: bool = True
 
 
 class ClusterEnv:
     """Stateful wrapper bundling the pure functions into a gym-style loop.
 
-    One instance per worker; instances share nothing. Episodes run exactly
-    t_max steps (Algorithm-style fixed horizon), after which ``done`` turns
-    True.
+    Built from a frame, an EnvConfig and the horizon t_max; one instance
+    per worker, and instances share nothing. ``reset`` starts from the
+    MeanShift clustering, and episodes run exactly t_max steps, after which
+    ``done`` turns True. ``ppo.rollout`` drives an episode with a policy.
     """
 
-    def __init__(
-        self,
-        frame: Frame,
-        weights: RewardWeights = RewardWeights(),
-        transform: TransformParams = TransformParams(),
-        bandwidth: BandwidthSpec = BandwidthSpec(),
-        n_pad: int = 30,
-        t_max: int = 30,
-        transformed_rewards: bool = True,
-        include_count: bool = True,
-    ):
+    def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):
         self.frame = frame
-        self.weights = weights
-        self.transform = transform
-        self.bandwidth = bandwidth
-        self.n_pad = n_pad
+        self.env_config = env_config
         self.t_max = t_max
-        self.include_count = include_count
-        # reward/merge/split geometry follows the clustering space unless
-        # raw-y mode is requested
-        self.geometry = transform if transformed_rewards else None
         self.config: ClusterConfig | None = None
         self.t = 0
 
-    @property
-    def total_detections(self) -> int:
-        return len(self.frame.detections)
-
     def reset(self) -> np.ndarray:
-        self.config = reset(self.frame, self.transform, self.bandwidth)
+        ec = self.env_config
+        self.config = initial_clusters(self.frame, ec.transform, ec.bandwidth)
         self.t = 0
-        return encode_state(self.config, self.n_pad, self.total_detections,
-                            self.include_count)
+        return encode_state(self.config, ec.n_pad, len(self.frame.detections),
+                            ec.include_count)
 
     def mask(self) -> np.ndarray:
         if self.config is None:
             raise RuntimeError("reset() before mask()")
-        return action_mask(self.config, self.n_pad)
+        return action_mask(self.config, self.env_config.n_pad)
 
     def step(self, action: int) -> StepOutcome:
         if self.config is None:
             raise RuntimeError("reset() before step()")
-        out = step(self.config, action, self.weights, self.n_pad,
-                   self.total_detections, self.geometry, self.include_count)
+        ec = self.env_config
+        out = step(self.config, action, ec.weights, ec.n_pad,
+                   len(self.frame.detections), ec.transform, ec.include_count)
         self.config = out.config
         self.t += 1
         out.done = self.t >= self.t_max

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionBox, Frame, nms
+from .core import DetectionBox, Frame, atomic_write, nms
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 
@@ -166,7 +166,8 @@ def load_detections(path, fmt: str | None = None,
 
 
 def save_detections(frame: Frame, path, fmt: str | None = None) -> None:
-    """Write a Frame in the JSON (default) or CSV detection format."""
+    """Write a Frame in the JSON (default) or CSV detection format,
+    atomically."""
     path = str(path)
     if fmt is None:
         fmt = "csv" if path.endswith(".csv") else "json"
@@ -180,11 +181,11 @@ def save_detections(frame: Frame, path, fmt: str | None = None) -> None:
                 for d in frame.detections
             ],
         }
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
     elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with atomic_write(path) as f:
             writer = csv.writer(f)
             writer.writerow(CSV_HEADER)
             for d in frame.detections:

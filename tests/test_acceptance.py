@@ -39,17 +39,16 @@ from sceneplan.ppo import (
     init_mlp,
     keep_policy,
     load_checkpoint,
-    make_env,
     masked_log_softmax,
     mlp_forward,
     policy_sample,
     random_policy,
-    run_episode,
+    rollout,
     sampler_from_spec,
     save_checkpoint,
     train,
 )
-from sceneplan.rl_env import RewardWeights, n_actions, reward, state_dim
+from sceneplan.rl_env import ClusterEnv, RewardWeights, n_actions, reward, state_dim
 from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 from oracles import (
@@ -288,9 +287,8 @@ def test_07_training_efficacy():
     def evaluate(policy_fn):
         finals, ns = [], []
         for seed, frame in frames:
-            env = make_env(frame, DESK_ENV, DESK_HYPER.t_max)
-            final, trace = run_episode(env, policy_fn,
-                                       np.random.default_rng(seed))
+            env = ClusterEnv(frame, DESK_ENV, DESK_HYPER.t_max)
+            final, trace = rollout(env, policy_fn, np.random.default_rng(seed))
             finals.append(trace[-1].reward)
             ns.append(final.count)
         return np.array(finals), np.array(ns)

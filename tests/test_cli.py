@@ -1,10 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from sceneplan.cli import load_clusters, load_plan, main
-from sceneplan.clustering import BandwidthSpec, TransformParams
-from sceneplan.rl_env import reset
+from sceneplan.clustering import BandwidthSpec, TransformParams, initial_clusters
 from sceneplan.scene import load_detections
 
 SPEC = {
@@ -135,7 +135,7 @@ def test_partition_keep_policy_equals_meanshift(tmp_path):
 
     frame = load_detections(dets)
     coarse = coarse_detect(frame, cfg["n"], cfg["e"], seed=cfg["seed"])
-    expected = reset(coarse, TransformParams(0.5), BandwidthSpec("fixed", 0.14))
+    expected = initial_clusters(coarse, TransformParams(0.5), BandwidthSpec("fixed", 0.14))
     got_members = sorted(tuple(c["members"]) for c in report["clusters"])
     want_members = sorted(c.members for c in expected.clusters)
     assert got_members == want_members
@@ -160,6 +160,50 @@ def test_partition_with_trained_checkpoint(tmp_path):
     report, parts = load_clusters(out)
     assert report["n_final"] >= 1
     assert len(parts) == report["n_final"]
+
+
+def count_driven_checkpoint(n_pad):
+    """A checkpoint trained without the count feature whose greedy policy
+    merges iff that feature is positive, and keeps otherwise."""
+    from sceneplan.ppo import Hyperparams, MlpParams, PolicyCheckpoint
+    from sceneplan.rl_env import MERGE, RewardWeights, n_actions, state_dim
+
+    dim, acts = state_dim(n_pad), n_actions(n_pad)
+    w1, w2 = np.zeros((dim, 1)), np.zeros((1, acts))
+    w1[-1, 0] = 1.0      # the count feature N / n_pad
+    w2[0, MERGE] = 1.0   # drives only the merge logit
+    return PolicyCheckpoint(
+        n_pad=n_pad, include_count=False,
+        policy=MlpParams([w1, w2], [np.zeros(1), np.zeros(acts)]),
+        critic=MlpParams([np.zeros((dim, 1))], [np.zeros(1)]),
+        weights=RewardWeights(alpha=10.0, beta=1.0, gamma=5.0, delta=2.0,
+                              n_min=2, n_max=4, d_m=0.05),
+        hyper=Hyperparams(t_max=4, hidden=(1,)))
+
+
+def test_partition_honours_checkpoint_include_count(tmp_path):
+    # the CLI must build its environment from the checkpoint, as
+    # infer_clusters does: with the count feature off, this policy keeps
+    from sceneplan.ppo import infer_clusters, save_checkpoint
+    from sceneplan.scene import coarse_detect
+
+    ckpt = count_driven_checkpoint(n_pad=6)
+    ckpt_path = tmp_path / "policy.ckpt"
+    save_checkpoint(ckpt, ckpt_path)
+    dets = make_detections(tmp_path)
+    cfg_path, cfg = base_config(tmp_path, detections=str(dets), policy="trained",
+                                checkpoint=str(ckpt_path))
+    out = tmp_path / "clusters.json"
+    assert main(["partition", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report, _ = load_clusters(out)
+
+    coarse = coarse_detect(load_detections(dets), cfg["n"], cfg["e"], seed=cfg["seed"])
+    want = infer_clusters(coarse, ckpt, TransformParams(0.5),
+                          BandwidthSpec("fixed", 0.14), cfg["t_max"])
+    assert want.count >= 2  # a merge was possible at every step
+    assert report["n_final"] == want.count
+    got = [tuple(c["members"]) for c in report["clusters"]]
+    assert got == [c.members for c in want.clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +319,7 @@ def test_eval_baselines(tmp_path):
     for row in by_policy["keep"]:
         seed = int(row[1])
         frame = generate_scene(spec.with_seed(seed))
-        init = reset(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.14))
+        init = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.14))
         assert int(row[3]) == init.count
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sceneplan.clustering import BandwidthSpec, TransformParams
+from sceneplan.clustering import BandwidthSpec, TransformParams, initial_clusters
 from sceneplan.core import DetectionBox, Frame
 from sceneplan.ppo import (
     CheckpointError,
@@ -25,7 +25,7 @@ from sceneplan.ppo import (
     standardize_advantages,
     train,
 )
-from sceneplan.rl_env import RewardWeights, n_actions, reset, state_dim
+from sceneplan.rl_env import RewardWeights, n_actions, state_dim
 
 from oracles import (
     finite_diff_grads,
@@ -382,6 +382,23 @@ def test_train_writes_log(tmp_path):
     assert len(lines) == 4
 
 
+def test_train_log_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    import csv
+
+    log = tmp_path / "log.csv"
+    log.write_text("old\n")
+
+    class BrokenWriter(csv.DictWriter):
+        def writerows(self, rows):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "DictWriter", BrokenWriter)
+    with pytest.raises(OSError, match="disk full"):
+        train(scene_sampler, tiny_env_config(), tiny_hyper(iterations=1), log_path=log)
+    assert log.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -468,7 +485,7 @@ def test_infer_keep_preferring_policy_is_meanshift(rng):
     transform = TransformParams(0.5)
     bandwidth = BandwidthSpec("fixed", 0.2)
     out = infer_clusters(frame, ckpt, transform, bandwidth, t_max=6)
-    assert out == reset(frame, transform, bandwidth)
+    assert out == initial_clusters(frame, transform, bandwidth)
 
 
 def test_infer_single_cluster_scene_safe(rng):

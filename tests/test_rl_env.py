@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from sceneplan.clustering import BandwidthSpec, TransformParams, split_cluster, transform_y
+from sceneplan.clustering import (
+    BandwidthSpec,
+    TransformParams,
+    initial_clusters,
+    split_cluster,
+    transform_y,
+)
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.rl_env import (
     KEEP,
     MERGE,
     SPLIT_BASE,
     ClusterEnv,
+    EnvConfig,
     RewardWeights,
     action_mask,
     apply_action,
     encode_state,
-    reset,
     reward,
     step,
 )
@@ -209,7 +215,7 @@ def test_apply_action_split_invalid_index(rng):
 
 def test_reset_single_detection():
     frame = Frame(100, 100, (DetectionBox(0.4, 0.6, 0.1, 0.1),))
-    cfg = reset(frame)
+    cfg = initial_clusters(frame)
     assert cfg.count == 1
     s = encode_state(cfg, n_pad=4, total_detections=1)
     assert (s[:5] != 0).all() and (s[5:20] == 0).all()
@@ -224,7 +230,7 @@ def test_reset_planted_blobs(rng):
                 float(np.clip(cy + rng.normal(0, 0.005), 0, 1)),
                 0.02, 0.02))
     frame = Frame(1000, 1000, tuple(boxes))
-    cfg = reset(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.1))
+    cfg = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.1))
     assert cfg.count == 3
 
 
@@ -232,14 +238,14 @@ def test_reset_deterministic(rng):
     boxes = tuple(DetectionBox(float(x), float(y), 0.02, 0.02)
                   for x, y in rng.uniform(0.1, 0.9, (20, 2)))
     frame = Frame(500, 500, boxes)
-    a = reset(frame)
-    b = reset(frame)
+    a = initial_clusters(frame)
+    b = initial_clusters(frame)
     assert a == b
 
 
 def test_reset_empty_scene():
     with pytest.raises(ValueError, match="empty scene"):
-        reset(Frame(100, 100, ()))
+        initial_clusters(Frame(100, 100, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +256,17 @@ def make_test_env(rng, t_max=5, n_points=20):
     boxes = tuple(DetectionBox(float(x), float(y), 0.03, 0.03)
                   for x, y in rng.uniform(0.1, 0.9, (n_points, 2)))
     frame = Frame(1000, 1000, boxes)
-    return ClusterEnv(frame, weights=RewardWeights(alpha=5, beta=1, gamma=10,
-                                                   delta=2, n_min=2, n_max=4,
-                                                   d_m=0.05),
-                      bandwidth=BandwidthSpec("fixed", 0.15),
-                      n_pad=8, t_max=t_max)
+    env_config = EnvConfig(weights=RewardWeights(alpha=5, beta=1, gamma=10,
+                                                 delta=2, n_min=2, n_max=4,
+                                                 d_m=0.05),
+                           bandwidth=BandwidthSpec("fixed", 0.15), n_pad=8)
+    return ClusterEnv(frame, env_config, t_max)
 
 
 def test_all_keep_episode_return(rng):
     env = make_test_env(rng, t_max=7)
     env.reset()
-    base = reward(env.config, env.weights, env.geometry)[4]
+    base = reward(env.config, env.env_config.weights, env.env_config.transform)[4]
     total = 0.0
     done = False
     while not done:

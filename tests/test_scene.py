@@ -56,6 +56,22 @@ def test_csv_roundtrip_bitwise(tmp_path, rng):
     assert back.detections == frame.detections
 
 
+def test_save_detections_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "dets.json"
+    save_detections(Frame(640, 480, tuple(random_boxes(np.random.default_rng(2), 3))),
+                    path)
+    old = path.read_bytes()
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_detections(Frame(640, 480, ()), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["dets.json"]
+
+
 def test_csv_bad_value_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("cx,cy,w,h,score,class_id\n0.5,0.5,0.1,0.1,0.9,0\n1.5,0.5,0.1,0.1,0.9,0\n")
