@@ -9,6 +9,7 @@ same transformed space when a transform is passed in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,18 @@ def inverse_transform_y(points, params: TransformParams = TransformParams()):
 BANDWIDTH_FLOOR = 1e-3
 
 
+def _distances(a, b):
+    """Euclidean distances between the rows of ``a`` and of ``b``, (len(a),
+    len(b)), built per coordinate and in place: bitwise equal to the norm
+    of the broadcast (len(a), len(b), 2) difference, without building it."""
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
 def estimate_bandwidth(points, quantile: float = 0.2) -> float:
     """Quantile of the nearest-neighbor distance distribution.
 
@@ -79,8 +92,7 @@ def estimate_bandwidth(points, quantile: float = 0.2) -> float:
     if len(pts) > 1000:
         idx = np.linspace(0, len(pts) - 1, 1000).astype(int)
         pts = pts[idx]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+    dist = _distances(pts, pts)
     np.fill_diagonal(dist, np.inf)
     nn = dist.min(axis=1)
     return max(float(np.quantile(nn, quantile)), BANDWIDTH_FLOOR)
@@ -101,6 +113,13 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     the bandwidth until it moves less than ``tol`` (or ``max_iter`` caps).
     Converged modes closer than bandwidth/2 collapse onto the first-seen
     one, and every point joins its nearest surviving mode.
+
+    Array method: distances are built per coordinate as a (points, active
+    modes) array, so each windowed sum runs over the points in input order;
+    a representative clears every later mode within bandwidth/2 in one
+    vectorised test; labels are renumbered by a running count of the
+    representatives in use. Results equal ``meanshift_reference`` in
+    ``tests/oracles.py``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 1:
@@ -113,27 +132,36 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
         if not active.any():
             break
         sub = modes[active]
-        dist = np.sqrt(((sub[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        within = dist <= bandwidth
-        counts = within.sum(axis=1)
-        new = (within[:, :, None] * pts[None, :, :]).sum(axis=1) / counts[:, None]
+        within = _distances(pts, sub) <= bandwidth
+        counts = within.sum(axis=0)
+        # sums over axis 0 of a (points, modes) array add the points one at
+        # a time in input order, as the broadcast sum this replaced did
+        new = np.stack([(within * pts[:, k:k + 1]).sum(axis=0) for k in (0, 1)],
+                       axis=1) / counts[:, None]
         shift = np.sqrt(((new - sub) ** 2).sum(axis=1))
         modes[active] = new
         still = shift >= tol
         active[np.flatnonzero(active)[~still]] = False
 
     # collapse near-duplicate modes, first-seen representative wins
-    reps: list[np.ndarray] = []
-    for m in modes:
-        if not any(np.linalg.norm(m - r) <= bandwidth / 2.0 for r in reps):
-            reps.append(m)
-    rep_arr = np.array(reps)
-    d = np.sqrt(((pts[:, None, :] - rep_arr[None, :, :]) ** 2).sum(axis=2))
-    labels = d.argmin(axis=1)
+    half = bandwidth / 2.0
+    covered = np.zeros(len(modes), dtype=bool)
+    reps = []
+    for i in range(len(modes)):
+        if covered[i]:
+            continue
+        reps.append(i)
+        diff = modes[i + 1:] - modes[i]
+        dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+        # np.linalg.norm's dot kernel may round the last bit differently
+        # (fused multiply-add); near the cut-off its value decides
+        near = np.flatnonzero(np.abs(dist - half) <= 4.0 * math.ulp(half))
+        dist[near] = [np.linalg.norm(d) for d in diff[near]]
+        covered[i + 1:] |= dist <= half
+    labels = _distances(pts, modes[reps]).argmin(axis=1)
     # drop representatives that attracted no points, keep label order stable
-    used = sorted(set(int(l) for l in labels))
-    remap = {old: new for new, old in enumerate(used)}
-    return np.array([remap[int(l)] for l in labels], dtype=int)
+    used = np.bincount(labels, minlength=len(reps)) > 0
+    return (np.cumsum(used, dtype=int) - 1)[labels]
 
 
 def initial_clusters(

@@ -253,24 +253,38 @@ def observe_tiles(
     a boundary are reported by several tiles; the duplicates are resolved
     later by NMS aggregation. In noisy mode each observation is dropped
     with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
+
+    Array method: each tile's visibility test is one array expression over
+    all boxes; only the visible boxes are visited in Python, drawing from
+    the generator in box order (drop draw, then four jitter draws), so a
+    seed gives the same observations as ``observe_tiles_reference`` in
+    ``tests/oracles.py``.
     """
+    if not (0.0 < min_visible <= 1.0):
+        raise ValueError(f"min_visible {min_visible} outside (0, 1]")
+    if not (0.0 <= drop_prob < 1.0):
+        raise ValueError(f"drop_prob {drop_prob} outside [0, 1)")
+    if not (jitter_sigma >= 0.0):
+        raise ValueError(f"jitter_sigma {jitter_sigma} negative")
     rng = np.random.default_rng(seed)
     w_px, h_px = frame.width_px, frame.height_px
+    dets = frame.detections
+    bx0, by0, bx1, by1 = np.array([d.extent() for d in dets]).reshape(-1, 4).T
+    bx0, bx1 = bx0 * w_px, bx1 * w_px
+    by0, by1 = by0 * h_px, by1 * h_px
+    box_area = (bx1 - bx0) * (by1 - by0)
     per_tile = []
     for (tx0, ty0, tx1, ty1) in grid.tiles:
         tw, th = tx1 - tx0, ty1 - ty0
+        inter = np.maximum(0.0, np.minimum(bx1, tx1) - np.maximum(bx0, tx0)) * \
+            np.maximum(0.0, np.minimum(by1, ty1) - np.maximum(by0, ty0))
+        share = np.divide(inter, box_area, out=np.zeros(len(dets)),
+                          where=box_area > 0.0)
         rows = []
-        for d in frame.detections:
-            bx0, by0, bx1, by1 = d.extent()
-            bx0, bx1 = bx0 * w_px, bx1 * w_px
-            by0, by1 = by0 * h_px, by1 * h_px
-            inter = max(0.0, min(bx1, tx1) - max(bx0, tx0)) * \
-                max(0.0, min(by1, ty1) - max(by0, ty0))
-            box_area = (bx1 - bx0) * (by1 - by0)
-            if box_area <= 0.0 or inter / box_area < min_visible:
-                continue
+        for i in np.flatnonzero(share >= min_visible).tolist():
             if drop_prob > 0.0 and rng.random() < drop_prob:
                 continue
+            d = dets[i]
             # full box in tile-local units; may poke outside [0, 1] locally
             cx = (d.cx * w_px - tx0) / tw
             cy = (d.cy * h_px - ty0) / th

@@ -2,7 +2,10 @@
 
 Everything here is written straight from first principles (plain loops,
 exhaustive enumeration, rasterization, finite differences) and must stay
-independent of the library code paths it checks.
+independent of the library code paths it checks. The ``*_reference`` copies
+of ``meanshift``, ``estimate_bandwidth`` and ``observe_tiles`` are the
+per-element loops the library used before it switched to array code; the
+array versions must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 
 import numpy as np
 
+from sceneplan.clustering import BANDWIDTH_FLOOR
 from sceneplan.core import ClusterConfig, DetectionBox, make_cluster
 
 
@@ -72,6 +76,97 @@ def nms_reference(boxes, threshold: float):
         if ok:
             kept.append(i)
     return [boxes[i] for i in kept]
+
+
+def meanshift_reference(points, bandwidth: float, tol: float = 1e-4,
+                        max_iter: int = 300):
+    """Flat-kernel MeanShift with broadcast (m, n, 2) distances and a
+    per-pair mode collapse."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or len(pts) < 1:
+        raise ValueError("points must be a non-empty (n, 2) array")
+    if bandwidth <= 0.0:
+        raise ValueError(f"bandwidth {bandwidth} must be positive")
+    modes = pts.copy()
+    active = np.ones(len(pts), dtype=bool)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        sub = modes[active]
+        dist = np.sqrt(((sub[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        within = dist <= bandwidth
+        counts = within.sum(axis=1)
+        new = (within[:, :, None] * pts[None, :, :]).sum(axis=1) / counts[:, None]
+        shift = np.sqrt(((new - sub) ** 2).sum(axis=1))
+        modes[active] = new
+        still = shift >= tol
+        active[np.flatnonzero(active)[~still]] = False
+
+    # collapse near-duplicate modes, first-seen representative wins
+    reps: list[np.ndarray] = []
+    for m in modes:
+        if not any(np.linalg.norm(m - r) <= bandwidth / 2.0 for r in reps):
+            reps.append(m)
+    rep_arr = np.array(reps)
+    d = np.sqrt(((pts[:, None, :] - rep_arr[None, :, :]) ** 2).sum(axis=2))
+    labels = d.argmin(axis=1)
+    # drop representatives that attracted no points, keep label order stable
+    used = sorted(set(int(l) for l in labels))
+    remap = {old: new for new, old in enumerate(used)}
+    return np.array([remap[int(l)] for l in labels], dtype=int)
+
+
+def estimate_bandwidth_reference(points, quantile: float = 0.2) -> float:
+    """Nearest-neighbour distance quantile over a broadcast (n, n, 2)
+    difference array."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 points to estimate a bandwidth")
+    if not (0.0 < quantile < 1.0):
+        raise ValueError(f"quantile {quantile} outside (0, 1)")
+    if len(pts) > 1000:
+        idx = np.linspace(0, len(pts) - 1, 1000).astype(int)
+        pts = pts[idx]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    nn = dist.min(axis=1)
+    return max(float(np.quantile(nn, quantile)), BANDWIDTH_FLOOR)
+
+
+def observe_tiles_reference(frame, grid, min_visible: float = 0.25,
+                            drop_prob: float = 0.0, jitter_sigma: float = 0.0,
+                            seed: int | None = None):
+    """Per-tile observation by a loop over every (tile, box) pair."""
+    rng = np.random.default_rng(seed)
+    w_px, h_px = frame.width_px, frame.height_px
+    per_tile = []
+    for (tx0, ty0, tx1, ty1) in grid.tiles:
+        tw, th = tx1 - tx0, ty1 - ty0
+        rows = []
+        for d in frame.detections:
+            bx0, by0, bx1, by1 = d.extent()
+            bx0, bx1 = bx0 * w_px, bx1 * w_px
+            by0, by1 = by0 * h_px, by1 * h_px
+            inter = max(0.0, min(bx1, tx1) - max(bx0, tx0)) * \
+                max(0.0, min(by1, ty1) - max(by0, ty0))
+            box_area = (bx1 - bx0) * (by1 - by0)
+            if box_area <= 0.0 or inter / box_area < min_visible:
+                continue
+            if drop_prob > 0.0 and rng.random() < drop_prob:
+                continue
+            cx = (d.cx * w_px - tx0) / tw
+            cy = (d.cy * h_px - ty0) / th
+            w = d.w * w_px / tw
+            h = d.h * h_px / th
+            if jitter_sigma > 0.0:
+                cx += float(rng.normal(0.0, jitter_sigma))
+                cy += float(rng.normal(0.0, jitter_sigma))
+                w = max(1e-4, w + float(rng.normal(0.0, jitter_sigma)))
+                h = max(1e-4, h + float(rng.normal(0.0, jitter_sigma)))
+            rows.append((cx, cy, w, h, d.score, d.class_id))
+        per_tile.append(rows)
+    return per_tile
 
 
 def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):

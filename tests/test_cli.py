@@ -290,6 +290,14 @@ def test_pipeline_metrics_rows_and_models(tmp_path):
         assert scene["plan"]["total_latency_ms"] <= cfg["d_max"]
 
 
+@pytest.mark.parametrize("key, value", [("min_visible", 1.5), ("drop_prob", 1.5),
+                                        ("jitter_sigma", -0.1)])
+def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, value):
+    cfg_path, _ = base_config(tmp_path, **{key: value})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from sceneplan.core import (
     validate_partition,
 )
 
-from oracles import kmeans_1d_best_cost, labels_cost, random_config
+from oracles import (
+    estimate_bandwidth_reference,
+    kmeans_1d_best_cost,
+    labels_cost,
+    meanshift_reference,
+    random_config,
+)
 
 
 def planted_blobs(rng, centers, sigma=0.01, per_blob=20):
@@ -116,6 +122,17 @@ def test_bandwidth_identical_points_floor():
     assert estimate_bandwidth(pts, 0.5) == 1e-3
 
 
+def test_bandwidth_matches_reference_up_to_1000_points(rng):
+    for n in (2, 3, 17, 250, 999, 1000):
+        pts = rng.uniform(size=(n, 2))
+        # a coarse copy adds coincident points and exact distance ties
+        coarse = np.round(pts * 8) / 8
+        for q in (0.05, 0.2, 0.9):
+            assert estimate_bandwidth(pts, q) == estimate_bandwidth_reference(pts, q)
+            assert estimate_bandwidth(coarse, q) == \
+                estimate_bandwidth_reference(coarse, q)
+
+
 def test_bandwidth_spec_validation():
     with pytest.raises(ValueError):
         BandwidthSpec("quantile", 1.5)
@@ -152,6 +169,33 @@ def test_meanshift_planted_recovery_many_seeds():
         pts, truth = planted_blobs(rng, centers, sigma=0.01, per_blob=15)
         labels = meanshift(pts, 0.1)
         assert same_partition(labels, truth), f"seed {seed}"
+
+
+def test_meanshift_collapses_modes_exactly_half_bandwidth_apart():
+    # the modes converge to x = 0.25, 0.5, 0.75: the middle one sits exactly
+    # bandwidth/2 from the first and collapses onto it
+    pts = np.array([(0.0, 0.5), (0.5, 0.5), (1.0, 0.5)])
+    assert meanshift(pts, 0.5).tolist() == [0, 0, 1]
+
+
+# grid points give coincident points, exact distance ties and modes that
+# sit exactly at bandwidth or bandwidth/2 from each other
+point_lists = st.lists(
+    st.tuples(st.sampled_from([k / 8 for k in range(9)]),
+              st.sampled_from([k / 8 for k in range(9)]))
+    | st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    min_size=1, max_size=60)
+
+
+@given(point_lists, st.lists(st.integers(0, 59), max_size=20),
+       st.sampled_from([0.05, 0.125, 0.2, 0.25, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_meanshift_matches_reference(points, repeats, bandwidth):
+    points = points + [points[i % len(points)] for i in repeats]
+    pts = np.array(points)
+    labels, expected = meanshift(pts, bandwidth), meanshift_reference(pts, bandwidth)
+    assert labels.dtype == expected.dtype
+    assert labels.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

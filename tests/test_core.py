@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -97,6 +98,51 @@ def test_nms_matches_bruteforce_oracle(rng):
     for _ in range(30):
         boxes = random_boxes(rng, 10, classes=2)
         assert nms(boxes, 0.5) == nms_reference(boxes, 0.5)
+
+
+# Centres and sizes on a 1/8 grid put box edges on exact binary fractions,
+# so edges that touch give iw == 0 exactly and IoUs such as 1/2 or 1/3 land
+# on the thresholds; four score levels force ties that position must break.
+GRID = [k / 8 for k in range(1, 8)]
+SIZES = [k / 8 for k in range(1, 5)]
+THRESHOLDS = [0.1, 1 / 3, 0.5, 0.7, 0.9]
+
+
+@st.composite
+def crowded_boxes(draw):
+    classes = draw(st.integers(1, 3))
+    box = st.builds(
+        DetectionBox,
+        cx=st.sampled_from(GRID), cy=st.sampled_from(GRID),
+        w=st.sampled_from(SIZES), h=st.sampled_from(SIZES),
+        score=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        class_id=st.integers(0, classes - 1))
+    distinct = draw(st.lists(box, min_size=1, max_size=100))
+    repeats = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=100))
+    # exact duplicates as new objects, so only their position tells them apart
+    boxes = distinct + [dataclasses.replace(distinct[i]) for i in repeats]
+    return draw(st.permutations(boxes))
+
+
+@given(crowded_boxes(), st.sampled_from(THRESHOLDS))
+@settings(max_examples=150, deadline=None)
+def test_nms_matches_reference_on_ties_duplicates_and_touching_edges(boxes, threshold):
+    assert [id(b) for b in nms(boxes, threshold)] == \
+        [id(b) for b in nms_reference(boxes, threshold)]
+
+
+def test_nms_suppresses_at_exact_threshold():
+    a = DetectionBox(0.5, 0.5, 0.25, 0.125, score=0.9)
+    b = DetectionBox(0.4375, 0.5, 0.125, 0.125, score=0.8)  # half of a
+    assert iou(a, b) == 0.5
+    assert nms([a, b], 0.5) == [a]
+
+
+def test_nms_touching_edges_never_suppress():
+    a = DetectionBox(0.25, 0.5, 0.25, 0.25, score=0.9)
+    b = DetectionBox(0.5, 0.5, 0.25, 0.25, score=0.8)  # shares a's right edge
+    assert iou(a, b) == 0.0
+    assert nms([a, b], 0.01) == [a, b]
 
 
 def test_nms_idempotent(rng):

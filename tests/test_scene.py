@@ -2,7 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sceneplan.clustering import (
+    BandwidthSpec,
+    TransformParams,
+    initial_clusters,
+    transform_y,
+)
 from sceneplan.core import DetectionBox, Frame
 from sceneplan.scene import (
     SceneSpec,
@@ -17,7 +25,13 @@ from sceneplan.scene import (
     tile_frame,
 )
 
-from oracles import random_boxes
+from oracles import (
+    estimate_bandwidth_reference,
+    meanshift_reference,
+    nms_reference,
+    observe_tiles_reference,
+    random_boxes,
+)
 
 
 def two_strata_spec(count=1000, seed=0):
@@ -253,3 +267,82 @@ def test_observe_deterministic(rng):
     a = observe_tiles(frame, grid, drop_prob=0.3, jitter_sigma=0.02, seed=5)
     b = observe_tiles(frame, grid, drop_prob=0.3, jitter_sigma=0.02, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"min_visible": 0.0}, "min_visible"),
+    ({"min_visible": 1.5}, "min_visible"),
+    ({"min_visible": float("nan")}, "min_visible"),
+    ({"drop_prob": -0.1}, "drop_prob"),
+    ({"drop_prob": 1.0}, "drop_prob"),
+    ({"drop_prob": 1.5}, "drop_prob"),
+    ({"jitter_sigma": -0.1}, "jitter_sigma"),
+    ({"jitter_sigma": float("nan")}, "jitter_sigma"),
+])
+def test_observe_rejects_out_of_range_inputs(rng, kwargs, key):
+    frame = Frame(1000, 1000, tuple(random_boxes(rng, 5)))
+    with pytest.raises(ValueError, match=key):
+        observe_tiles(frame, tile_frame(frame, 1, 4), **kwargs)
+    with pytest.raises(ValueError, match=key):
+        coarse_detect(frame, 1, 4, **kwargs)
+
+
+def test_observe_accepts_range_edges(rng):
+    frame = Frame(1000, 1000, tuple(random_boxes(rng, 5)))
+    grid = tile_frame(frame, 1, 1)
+    assert len(observe_tiles(frame, grid, min_visible=1.0, drop_prob=0.0)[0]) == 5
+
+
+observed_frames = st.builds(
+    lambda size, seed, n: Frame(*size, tuple(random_boxes(np.random.default_rng(seed), n, 2))),
+    st.sampled_from([(1000, 1000), (1001, 799), (3840, 2160)]),
+    st.integers(0, 2**32 - 1), st.integers(0, 40))
+
+
+@given(observed_frames, st.sampled_from([(1, 1), (1, 4), (2, 3), (3, 4)]),
+       st.floats(0.01, 1.0), st.floats(0.01, 0.9), st.floats(1e-4, 0.05),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_observe_matches_reference(frame, tiles, min_visible, drop_prob,
+                                   jitter_sigma, seed):
+    grid = tile_frame(frame, *tiles)
+    args = (min_visible, drop_prob, jitter_sigma, seed)
+    assert observe_tiles(frame, grid, *args) == \
+        observe_tiles_reference(frame, grid, *args)
+
+
+def reference_coarse_detect(frame, grid, iou_threshold=0.5):
+    """observe_tiles_reference, the remap of aggregate_tiles, nms_reference."""
+    remapped = []
+    for rows, (tx0, ty0, tx1, ty1) in zip(observe_tiles_reference(frame, grid),
+                                          grid.tiles):
+        tw, th = tx1 - tx0, ty1 - ty0
+        for (cx, cy, w, h, score, cid) in rows:
+            remapped.append(DetectionBox(
+                min(max((tx0 + cx * tw) / frame.width_px, 0.0), 1.0),
+                min(max((ty0 + cy * th) / frame.height_px, 0.0), 1.0),
+                min(max(w * tw / frame.width_px, 1e-6), 1.0),
+                min(max(h * th / frame.height_px, 1e-6), 1.0),
+                min(max(score, 0.0), 1.0), int(cid)))
+    return nms_reference(remapped, iou_threshold)
+
+
+@pytest.mark.parametrize("bandwidth", [BandwidthSpec("fixed", 0.12),
+                                       BandwidthSpec("quantile", 0.2)])
+def test_crowd_frame_matches_reference_path(bandwidth):
+    spec = SceneSpec(3840, 2160, 300, 300, (
+        Stratum(0.05, 0.45, 0.012, 0.03, 0.65),
+        Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=11)
+    frame = generate_scene(spec)
+    coarse = coarse_detect(frame, 1, 4)
+    config = initial_clusters(coarse, TransformParams(0.5), bandwidth)
+
+    boxes = reference_coarse_detect(frame, tile_frame(frame, 1, 4))
+    assert len(boxes) > 250
+    assert coarse.detections == tuple(boxes)
+    pts = transform_y([[b.cx, b.cy] for b in boxes], TransformParams(0.5))
+    bw = bandwidth.value if bandwidth.mode == "fixed" else \
+        estimate_bandwidth_reference(pts, bandwidth.value)
+    labels = meanshift_reference(pts, bw)
+    assert [c.members for c in config.clusters] == \
+        [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1)]
