@@ -151,13 +151,9 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
         if covered[i]:
             continue
         reps.append(i)
-        diff = modes[i + 1:] - modes[i]
-        dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
-        # np.linalg.norm's dot kernel may round the last bit differently
-        # (fused multiply-add); near the cut-off its value decides
-        near = np.flatnonzero(np.abs(dist - half) <= 4.0 * math.ulp(half))
-        dist[near] = [np.linalg.norm(d) for d in diff[near]]
-        covered[i + 1:] |= dist <= half
+        dist = _distances(modes[i:i + 1], modes[i + 1:])
+        _norm_near(dist, modes[i:i + 1], modes[i + 1:], half)
+        covered[i + 1:] |= dist[0] <= half
     labels = _distances(pts, modes[reps]).argmin(axis=1)
     # drop representatives that attracted no points, keep label order stable
     used = np.bincount(labels, minlength=len(reps)) > 0
@@ -214,35 +210,103 @@ def kmeans_1d(values, k: int = 2):
     return labels
 
 
-def _centroids(config: ClusterConfig, transform: TransformParams | None):
+class ClusterGeometry:
+    """One frame's cluster geometry, shared by the reward, merge and split
+    of an episode.
+
+    Every detection's centre in the clustering space ((x, y_t) under a
+    transform, raw (x, y) without one) and its box area are laid out once.
+    Per-cluster statistics are memoised by member tuple: the centroid of
+    the member centres, their mean distance to it, and the population
+    variance of the member areas. A step creates at most two clusters, so
+    it computes statistics for at most two. Build one per episode.
+    """
+
+    def __init__(self, detections, transform: TransformParams | None):
+        self.detections = detections
+        self.transform = transform
+        pts = np.array([[d.cx, d.cy] for d in detections])
+        self.points = pts if transform is None else transform_y(pts, transform)
+        self.areas = np.array([d.area for d in detections])
+        self._stats: dict = {}
+
+    def stats(self, members: tuple[int, ...]) -> tuple[np.ndarray, float, float]:
+        """(centroid, mean member distance to it, area variance), reduced
+        over the gathered members exactly as from per-cluster arrays."""
+        hit = self._stats.get(members)
+        if hit is None:
+            idx = list(members)
+            pts = self.points[idx]
+            centroid = pts.mean(axis=0)
+            hit = self._stats[members] = (
+                centroid,
+                float(np.linalg.norm(pts - centroid, axis=1).mean()),
+                float(self.areas[idx].var()),
+            )
+        return hit
+
+
+def cluster_geometry(config: ClusterConfig, transform: TransformParams | None,
+                     geometry: ClusterGeometry | None = None) -> ClusterGeometry:
+    """``geometry`` if it was built for this frame and transform, else a
+    fresh one whose memo lives only as long as the caller keeps it."""
+    if geometry is None:
+        return ClusterGeometry(config.detections, transform)
+    if geometry.detections is not config.detections or geometry.transform != transform:
+        raise ValueError("geometry was built for another frame or transform")
+    return geometry
+
+
+def _centroids(config: ClusterConfig, transform: TransformParams | None,
+               geometry: ClusterGeometry | None = None):
     """Cluster centroids, in raw space or as means of transformed centers."""
     if transform is None:
         return np.array([[c.mu_x, c.mu_y] for c in config.clusters])
-    cents = []
-    for c in config.clusters:
-        pts = np.array([[config.detections[i].cx, config.detections[i].cy]
-                        for i in c.members])
-        cents.append(transform_y(pts, transform).mean(axis=0))
-    return np.array(cents)
+    geo = cluster_geometry(config, transform, geometry)
+    return np.array([geo.stats(c.members)[0] for c in config.clusters])
+
+
+def _norm_near(dist, a, b, cut: float):
+    """Settle the entries of ``dist = _distances(a, b)`` within 4 ulp of
+    ``cut`` by ``np.linalg.norm(a[i] - b[j])``; returns their (i, j) in
+    row-major order.
+
+    ``np.linalg.norm`` of a 2-vector goes through a dot kernel that may
+    round the last bit differently (fused multiply-add). The two differ by
+    at most one ulp, so only these entries can fall on the other side of
+    ``cut``, and the norm decides them as the per-pair loops did.
+    """
+    cols = dist.shape[1]
+    near = [divmod(int(k), cols)
+            for k in np.flatnonzero(np.abs(dist - cut) <= 4.0 * math.ulp(cut))]
+    for i, j in near:
+        dist[i, j] = np.linalg.norm(a[i] - b[j])
+    return near
 
 
 def select_merge_pair(config: ClusterConfig,
-                      transform: TransformParams | None = None) -> tuple[int, int]:
+                      transform: TransformParams | None = None,
+                      geometry: ClusterGeometry | None = None) -> tuple[int, int]:
     """Indices of the two clusters with minimum centroid distance.
 
     Ties break toward the lexicographically smallest (i, j).
+
+    Array method: centroids come from the episode's ``ClusterGeometry``
+    memo, and all pairwise distances from one ``_distances`` array; the
+    pairs within a few ulp of its minimum are decided by ``np.linalg.norm``,
+    first in (i, j) order. Results equal ``select_merge_pair_reference`` in
+    ``tests/oracles.py``.
     """
     if config.count < 2:
         raise ValueError("merge unavailable: fewer than 2 clusters")
-    cents = _centroids(config, transform)
-    best = (0, 1)
-    best_d = np.inf
-    for i in range(config.count):
-        for j in range(i + 1, config.count):
-            d = float(np.linalg.norm(cents[i] - cents[j]))
-            if d < best_d:
-                best, best_d = (i, j), d
-    return best
+    cents = _centroids(config, transform, geometry)
+    dist = _distances(cents, cents)
+    np.fill_diagonal(dist, np.inf)
+    # argmin, not min: the first min call maps 64 KB of numpy code that desk
+    # training loads nowhere else (peak RSS)
+    near = _norm_near(dist, cents, cents, float(dist.flat[dist.argmin()]))
+    # the array is symmetric; min keeps the first of equals in (i, j) order
+    return min((p for p in near if p[0] < p[1]), key=lambda p: dist[p])
 
 
 def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
@@ -258,23 +322,25 @@ def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
 
 
 def split_cluster(config: ClusterConfig, i: int,
-                  transform: TransformParams | None = None) -> ClusterConfig:
+                  transform: TransformParams | None = None,
+                  geometry: ClusterGeometry | None = None) -> ClusterConfig:
     """Split cluster i in two along its higher-variance center dimension.
 
     Variance is population variance over member centers (transformed y when
     a transform is given; ties go to y since vertical stratification
     dominates). The lower sub-cluster takes the split cluster's slot and
     the upper one is appended.
+
+    Array method: the member centres are gathered from the episode's
+    ``ClusterGeometry`` rather than rebuilt and transformed per call.
+    Results equal ``split_cluster_reference`` in ``tests/oracles.py``.
     """
     if not (0 <= i < config.count):
         raise ValueError(f"cluster index {i} out of range")
     cluster = config.clusters[i]
     if cluster.size < 2:
         raise ValueError("split unavailable: cluster has fewer than 2 members")
-    pts = np.array([[config.detections[m].cx, config.detections[m].cy]
-                    for m in cluster.members])
-    if transform is not None:
-        pts = transform_y(pts, transform)
+    pts = cluster_geometry(config, transform, geometry).points[list(cluster.members)]
     var_x, var_y = pts.var(axis=0)
     coord = pts[:, 0] if var_x > var_y else pts[:, 1]
     labels = kmeans_1d(coord)

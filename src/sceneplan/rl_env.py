@@ -17,12 +17,15 @@ import numpy as np
 
 from .clustering import (
     BandwidthSpec,
+    ClusterGeometry,
     TransformParams,
+    _distances,
+    _norm_near,
+    cluster_geometry,
     initial_clusters,
     merge_clusters,
     select_merge_pair,
     split_cluster,
-    transform_y,
 )
 from .core import ClusterConfig, Frame
 
@@ -100,6 +103,7 @@ def action_mask(config: ClusterConfig, n_pad: int) -> np.ndarray:
 
 def reward(config: ClusterConfig, weights: RewardWeights,
            transform: TransformParams | None = None,
+           geometry: ClusterGeometry | None = None,
            ) -> tuple[float, float, float, float, float]:
     """(R1, R2, R3, R4, R_total) for a configuration.
 
@@ -111,43 +115,41 @@ def reward(config: ClusterConfig, weights: RewardWeights,
     R3: minus the distance of N to the [n_min, n_max] band (0 inside).
     R4: minus the number of unordered centroid pairs closer than d_m.
     R_total = alpha*R1 + beta*R2 + gamma*R3 + delta*R4.
+
+    Memoised-array method: per-cluster statistics come from ``geometry``
+    (the episode's ``ClusterGeometry``; a fresh one when omitted), so only
+    clusters new since the last call are reduced. R4 counts from one
+    ``_distances`` array, with distances within a few ulp of d_m decided by
+    ``np.linalg.norm``. Results equal ``reward_per_cluster_reference`` in
+    ``tests/oracles.py``.
     """
-    dets = config.detections
-    spreads = []
-    area_vars = []
-    centroids = []
-    for c in config.clusters:
-        pts = np.array([[dets[i].cx, dets[i].cy] for i in c.members])
-        if transform is not None:
-            pts = transform_y(pts, transform)
-        centroid = pts.mean(axis=0)
-        centroids.append(centroid)
-        spreads.append(float(np.linalg.norm(pts - centroid, axis=1).mean()))
-        areas = np.array([dets[i].area for i in c.members])
-        area_vars.append(float(areas.var()))
+    n = config.count
+    if n == 0:
+        raise ValueError("reward of an empty configuration: it has no clusters")
+    geo = cluster_geometry(config, transform, geometry)
+    stats = [geo.stats(c.members) for c in config.clusters]
     # fsum keeps the cross-cluster means insensitive to cluster order, so
     # reversing a split restores the reward bit for bit
-    r1 = -math.fsum(spreads) / config.count
-    r2 = -math.fsum(area_vars) / config.count
-    n = config.count
+    r1 = -math.fsum(s[1] for s in stats) / n
+    r2 = -math.fsum(s[2] for s in stats) / n
     if n < weights.n_min:
         r3 = -float(weights.n_min - n)
     elif n > weights.n_max:
         r3 = -float(n - weights.n_max)
     else:
         r3 = 0.0
-    close = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(centroids[i] - centroids[j]) < weights.d_m:
-                close += 1
-    r4 = -float(close)
+    cents = np.array([s[0] for s in stats])
+    dist = _distances(cents, cents)
+    _norm_near(dist, cents, cents, weights.d_m)
+    # the array is symmetric with a zero diagonal: count each pair once
+    r4 = -float((np.count_nonzero(dist < weights.d_m) - n) // 2)
     total = weights.alpha * r1 + weights.beta * r2 + weights.gamma * r3 + weights.delta * r4
     return r1, r2, r3, r4, total
 
 
 def apply_action(config: ClusterConfig, action: int,
                  transform: TransformParams | None = None,
+                 geometry: ClusterGeometry | None = None,
                  ) -> tuple[ClusterConfig, bool, str]:
     """Apply an action id; invalid ones degrade to keep.
 
@@ -158,11 +160,11 @@ def apply_action(config: ClusterConfig, action: int,
     if action == MERGE:
         if config.count < 2:
             return config, False, "keep"
-        i, j = select_merge_pair(config, transform)
+        i, j = select_merge_pair(config, transform, geometry)
         return merge_clusters(config, i, j), True, "merge"
     idx = action - SPLIT_BASE
     if 0 <= idx < config.count and config.clusters[idx].size >= 2:
-        return split_cluster(config, idx, transform), True, "split"
+        return split_cluster(config, idx, transform, geometry), True, "split"
     return config, False, "keep"
 
 
@@ -181,17 +183,19 @@ class StepOutcome:
 def step(config: ClusterConfig, action: int, weights: RewardWeights,
          n_pad: int, total_detections: int,
          transform: TransformParams | None = None,
-         include_count: bool = True) -> StepOutcome:
+         include_count: bool = True,
+         geometry: ClusterGeometry | None = None) -> StepOutcome:
     """One transition: apply the action, then score the new configuration.
 
     The reward is always computed on the post-action configuration. The
     ``done`` flag is left False here; episode length is the caller's
-    business (see ClusterEnv).
+    business (see ClusterEnv). Pass the episode's ``geometry`` to reuse
+    its per-cluster statistics across steps.
     """
     if not (0 <= action < n_actions(n_pad)):
         raise ValueError(f"action {action} out of range")
-    nxt, valid, applied = apply_action(config, action, transform)
-    r1, r2, r3, r4, total = reward(nxt, weights, transform)
+    nxt, valid, applied = apply_action(config, action, transform, geometry)
+    r1, r2, r3, r4, total = reward(nxt, weights, transform, geometry)
     return StepOutcome(
         config=nxt,
         state=encode_state(nxt, n_pad, total_detections, include_count),
@@ -223,8 +227,10 @@ class ClusterEnv:
 
     Built from a frame, an EnvConfig and the horizon t_max; one instance
     per worker, and instances share nothing. ``reset`` starts from the
-    MeanShift clustering, and episodes run exactly t_max steps, after which
-    ``done`` turns True. ``ppo.rollout`` drives an episode with a policy.
+    MeanShift clustering and a fresh ``ClusterGeometry``, so per-cluster
+    statistics are memoised for one episode only. Episodes run exactly
+    t_max steps, after which ``done`` turns True. ``ppo.rollout`` drives an
+    episode with a policy.
     """
 
     def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):
@@ -232,11 +238,13 @@ class ClusterEnv:
         self.env_config = env_config
         self.t_max = t_max
         self.config: ClusterConfig | None = None
+        self.geometry: ClusterGeometry | None = None
         self.t = 0
 
     def reset(self) -> np.ndarray:
         ec = self.env_config
         self.config = initial_clusters(self.frame, ec.transform, ec.bandwidth)
+        self.geometry = ClusterGeometry(self.frame.detections, ec.transform)
         self.t = 0
         return encode_state(self.config, ec.n_pad, len(self.frame.detections),
                             ec.include_count)
@@ -251,7 +259,8 @@ class ClusterEnv:
             raise RuntimeError("reset() before step()")
         ec = self.env_config
         out = step(self.config, action, ec.weights, ec.n_pad,
-                   len(self.frame.detections), ec.transform, ec.include_count)
+                   len(self.frame.detections), ec.transform, ec.include_count,
+                   self.geometry)
         self.config = out.config
         self.t += 1
         out.done = self.t >= self.t_max

@@ -5,7 +5,11 @@ exhaustive enumeration, rasterization, finite differences) and must stay
 independent of the library code paths it checks. The ``*_reference`` copies
 of ``meanshift``, ``estimate_bandwidth`` and ``observe_tiles`` are the
 per-element loops the library used before it switched to array code; the
-array versions must return exactly what these return.
+array versions must return exactly what these return. Likewise
+``reward_per_cluster_reference``, ``select_merge_pair_reference`` and
+``split_cluster_reference`` are the per-cluster loops that rebuilt every
+cluster's centres on every call, before the reward, merge and split read
+memoised per-frame geometry.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 
 import numpy as np
 
-from sceneplan.clustering import BANDWIDTH_FLOOR
+from sceneplan.clustering import BANDWIDTH_FLOOR, kmeans_1d, transform_y
 from sceneplan.core import ClusterConfig, DetectionBox, make_cluster
 
 
@@ -224,6 +228,95 @@ def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):
     return r1, r2, float(r3), float(r4), total
 
 
+def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None):
+    """(R1, R2, R3, R4, R_total) with every cluster's centres rebuilt and
+    transformed on each call, and a per-pair centroid-distance loop."""
+    dets = config.detections
+    spreads = []
+    area_vars = []
+    centroids = []
+    for c in config.clusters:
+        pts = np.array([[dets[i].cx, dets[i].cy] for i in c.members])
+        if transform is not None:
+            pts = transform_y(pts, transform)
+        centroid = pts.mean(axis=0)
+        centroids.append(centroid)
+        spreads.append(float(np.linalg.norm(pts - centroid, axis=1).mean()))
+        areas = np.array([dets[i].area for i in c.members])
+        area_vars.append(float(areas.var()))
+    # fsum keeps the cross-cluster means insensitive to cluster order, so
+    # reversing a split restores the reward bit for bit
+    r1 = -math.fsum(spreads) / config.count
+    r2 = -math.fsum(area_vars) / config.count
+    n = config.count
+    if n < weights.n_min:
+        r3 = -float(weights.n_min - n)
+    elif n > weights.n_max:
+        r3 = -float(n - weights.n_max)
+    else:
+        r3 = 0.0
+    close = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.linalg.norm(centroids[i] - centroids[j]) < weights.d_m:
+                close += 1
+    r4 = -float(close)
+    total = weights.alpha * r1 + weights.beta * r2 + weights.gamma * r3 + weights.delta * r4
+    return r1, r2, r3, r4, total
+
+
+def centroids_reference(config: ClusterConfig, transform=None):
+    """Cluster centroids, in raw space or as means of transformed centers."""
+    if transform is None:
+        return np.array([[c.mu_x, c.mu_y] for c in config.clusters])
+    cents = []
+    for c in config.clusters:
+        pts = np.array([[config.detections[i].cx, config.detections[i].cy]
+                        for i in c.members])
+        cents.append(transform_y(pts, transform).mean(axis=0))
+    return np.array(cents)
+
+
+def select_merge_pair_reference(config: ClusterConfig, transform=None):
+    """Closest centroid pair by a loop over every pair; ties break toward
+    the lexicographically smallest (i, j)."""
+    if config.count < 2:
+        raise ValueError("merge unavailable: fewer than 2 clusters")
+    cents = centroids_reference(config, transform)
+    best = (0, 1)
+    best_d = np.inf
+    for i in range(config.count):
+        for j in range(i + 1, config.count):
+            d = float(np.linalg.norm(cents[i] - cents[j]))
+            if d < best_d:
+                best, best_d = (i, j), d
+    return best
+
+
+def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
+    """Split cluster i along its higher-variance centre dimension, from
+    centres rebuilt and transformed for this cluster alone."""
+    if not (0 <= i < config.count):
+        raise ValueError(f"cluster index {i} out of range")
+    cluster = config.clusters[i]
+    if cluster.size < 2:
+        raise ValueError("split unavailable: cluster has fewer than 2 members")
+    pts = np.array([[config.detections[m].cx, config.detections[m].cy]
+                    for m in cluster.members])
+    if transform is not None:
+        pts = transform_y(pts, transform)
+    var_x, var_y = pts.var(axis=0)
+    coord = pts[:, 0] if var_x > var_y else pts[:, 1]
+    labels = kmeans_1d(coord)
+    members = np.array(cluster.members)
+    low = make_cluster(members[labels == 0].tolist(), config.detections)
+    high = make_cluster(members[labels == 1].tolist(), config.detections)
+    clusters = list(config.clusters)
+    clusters[i] = low
+    clusters.append(high)
+    return ClusterConfig(tuple(clusters), config.detections)
+
+
 def returns_reference(rewards, gamma: float):
     """G_t as the literal forward sum over remaining rewards."""
     n = len(rewards)
@@ -398,4 +491,34 @@ def random_config(rng, n_clusters: int, min_size: int = 1,
         members = order[at:at + s].tolist()
         clusters.append(make_cluster(members, boxes))
         at += s
+    return ClusterConfig(tuple(clusters), tuple(boxes))
+
+
+def tied_config(rng, sizes, grid: int | None = None, copies=()) -> ClusterConfig:
+    """A random configuration with clusters of the given sizes, members in
+    box order.
+
+    With ``grid``, centres and box sides are multiples of 1/grid, so
+    distances and areas tie exactly. Each cluster index in ``copies``
+    (other than 0) repeats the boxes of the cluster before it instead, so
+    the two centroids coincide bit for bit.
+    """
+    boxes: list[DetectionBox] = []
+    clusters = []
+    for k, size in enumerate(sizes):
+        if k in copies and k > 0:
+            new = [boxes[i] for i in clusters[-1].members]
+        else:
+            new = []
+            for _ in range(size):
+                w, h = rng.uniform(0.01, 0.2, size=2)
+                cx = rng.uniform(w / 2, 1 - w / 2)
+                cy = rng.uniform(h / 2, 1 - h / 2)
+                if grid is not None:
+                    cx, cy = round(cx * grid) / grid, round(cy * grid) / grid
+                    w, h = max(1, round(w * grid)) / grid, max(1, round(h * grid)) / grid
+                new.append(DetectionBox(float(cx), float(cy), float(w), float(h)))
+        clusters.append(make_cluster(range(len(boxes), len(boxes) + len(new)),
+                                     boxes + new))
+        boxes += new
     return ClusterConfig(tuple(clusters), tuple(boxes))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sceneplan.clustering import (
     BandwidthSpec,
+    ClusterGeometry,
     TransformParams,
     estimate_bandwidth,
     initial_clusters,
@@ -30,7 +31,19 @@ from oracles import (
     labels_cost,
     meanshift_reference,
     random_config,
+    select_merge_pair_reference,
+    split_cluster_reference,
+    tied_config,
 )
+
+# a tied configuration: a seed, cluster sizes, an optional grid that makes
+# distances tie exactly, and clusters that repeat their predecessor's boxes
+tied_configs = st.builds(
+    lambda seed, sizes, grid, copies: tied_config(np.random.default_rng(seed),
+                                                  sizes, grid, copies),
+    st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3))
+transforms = st.sampled_from([None, TransformParams(0.5)])
 
 
 def planted_blobs(rng, centers, sigma=0.01, per_blob=20):
@@ -178,6 +191,18 @@ def test_meanshift_collapses_modes_exactly_half_bandwidth_apart():
     assert meanshift(pts, 0.5).tolist() == [0, 0, 1]
 
 
+def test_meanshift_collapse_near_half_bandwidth_matches_reference(rng):
+    # with no iterations the modes are the points. (p, q) sits exactly
+    # bandwidth/2 from (0.5, 0.5); (q, p) ties with it in dx*dx + dy*dy, but
+    # np.linalg.norm may round it one ulp to either side of bandwidth/2
+    for _ in range(300):
+        p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
+        pts = np.array([(0.5, 0.5), (p, q), (q, p)])
+        bandwidth = 2.0 * float(np.linalg.norm(pts[1] - pts[0]))
+        assert meanshift(pts, bandwidth, max_iter=0).tolist() == \
+            meanshift_reference(pts, bandwidth, max_iter=0).tolist()
+
+
 # grid points give coincident points, exact distance ties and modes that
 # sit exactly at bandwidth or bandwidth/2 from each other
 point_lists = st.lists(
@@ -270,6 +295,29 @@ def test_select_merge_pair_matches_bruteforce(rng):
         assert select_merge_pair(cfg) == best
 
 
+@given(tied_configs, transforms)
+@settings(max_examples=150, deadline=None)
+def test_select_merge_pair_matches_reference(cfg, transform):
+    if cfg.count < 2:
+        return
+    want = select_merge_pair_reference(cfg, transform)
+    assert select_merge_pair(cfg, transform) == want
+    geometry = ClusterGeometry(cfg.detections, transform)
+    for _ in range(2):  # memo filled, then read
+        assert select_merge_pair(cfg, transform, geometry) == want
+
+
+@pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
+def test_select_merge_pair_swapped_offsets_match_reference(rng, transform):
+    # (0.5, 0.5) + (dx, dy) and + (dy, dx) tie in dx*dx + dy*dy, but the
+    # dot kernel of np.linalg.norm may round the two apart by one ulp
+    for _ in range(300):
+        p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
+        cfg = config_from_centers([(0.5, 0.5), (p, q), (q, p)])
+        assert select_merge_pair(cfg, transform) == \
+            select_merge_pair_reference(cfg, transform)
+
+
 def test_select_merge_pair_needs_two():
     cfg = config_from_centers([(0.5, 0.5)])
     with pytest.raises(ValueError, match="merge unavailable"):
@@ -348,6 +396,26 @@ def test_split_then_merge_restores_members(rng):
     restored_sets = sorted(c.members for c in restored.clusters)
     original_sets = sorted(c.members for c in cfg.clusters)
     assert restored_sets == original_sets
+
+
+@given(tied_configs, transforms)
+@settings(max_examples=100, deadline=None)
+def test_split_cluster_matches_reference(cfg, transform):
+    geometry = ClusterGeometry(cfg.detections, transform)
+    for i, c in enumerate(cfg.clusters):
+        if c.size >= 2:
+            want = split_cluster_reference(cfg, i, transform)
+            assert split_cluster(cfg, i, transform) == want
+            assert split_cluster(cfg, i, transform, geometry) == want
+
+
+def test_geometry_for_another_frame_rejected(rng):
+    cfg = random_config(rng, 3, min_size=2)
+    other = random_config(rng, 3, min_size=2)
+    with pytest.raises(ValueError, match="another frame or transform"):
+        split_cluster(cfg, 0, None, ClusterGeometry(other.detections, None))
+    with pytest.raises(ValueError, match="another frame or transform"):
+        select_merge_pair(cfg, TransformParams(0.5), ClusterGeometry(cfg.detections, None))
 
 
 def test_split_singleton_rejected(rng):

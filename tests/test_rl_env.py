@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.clustering import (
     BandwidthSpec,
+    ClusterGeometry,
     TransformParams,
     initial_clusters,
+    merge_clusters,
     split_cluster,
     transform_y,
 )
@@ -23,7 +29,14 @@ from sceneplan.rl_env import (
     step,
 )
 
-from oracles import random_config, reward_reference
+from oracles import (
+    random_config,
+    reward_per_cluster_reference,
+    reward_reference,
+    select_merge_pair_reference,
+    split_cluster_reference,
+    tied_config,
+)
 
 DESK = RewardWeights(alpha=50.0, beta=1.0, gamma=1e6, delta=5.0,
                      n_min=10, n_max=15, d_m=0.03)
@@ -147,6 +160,66 @@ def test_reward_matches_reference_transformed(rng):
         got = reward(cfg, w, transform=t)
         want = reward_reference(cfg, w, alpha_t=0.5)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def reward_centroids(cfg, transform):
+    """Each cluster's centroid as the reward computes it."""
+    cents = []
+    for c in cfg.clusters:
+        pts = np.array([[cfg.detections[i].cx, cfg.detections[i].cy] for i in c.members])
+        cents.append((pts if transform is None else transform_y(pts, transform)).mean(axis=0))
+    return cents
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3),
+       st.sampled_from([None, 0.5]), st.integers(0, 63), st.sampled_from([-1, 0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_reward_equals_per_cluster_reference(seed, sizes, grid, copies, alpha, pair, ulps):
+    cfg = tied_config(np.random.default_rng(seed), sizes, grid, copies)
+    transform = None if alpha is None else TransformParams(alpha)
+    # d_m at, or one ulp either side of, one pair's centroid distance
+    d_m = 0.2
+    if cfg.count >= 2:
+        i, j = pair % cfg.count, (pair // 8) % cfg.count
+        cents = reward_centroids(cfg, transform)
+        d = float(np.linalg.norm(cents[i] - cents[j]))
+        if d > 0.0:
+            d_m = d if ulps == 0 else math.nextafter(d, ulps * math.inf)
+    w = RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
+                      n_min=2, n_max=4, d_m=d_m)
+    want = reward_per_cluster_reference(cfg, w, transform)
+    assert reward(cfg, w, transform) == want
+    geometry = ClusterGeometry(cfg.detections, transform)
+    for _ in range(2):  # memo filled, then read
+        assert reward(cfg, w, transform, geometry) == want
+
+
+def test_reward_counts_pairs_at_exactly_d_m():
+    # centroid distances 0.125 (exactly d_m, not closer) and 0.0 (coincident)
+    cfg = singleton_config([(0.25, 0.5), (0.375, 0.5), (0.375, 0.5)])
+    w = RewardWeights(d_m=0.125)
+    assert reward(cfg, w)[3] == reward_per_cluster_reference(cfg, w)[3] == -1.0
+    w = RewardWeights(d_m=math.nextafter(0.125, 1.0))
+    assert reward(cfg, w)[3] == reward_per_cluster_reference(cfg, w)[3] == -3.0
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_reward_swapped_offsets_at_d_m_match_reference(rng, alpha):
+    # with d_m the norm of (0.5, 0.5) - (p, q), the pairs to (p, q) and
+    # (q, p) tie in dx*dx + dy*dy but np.linalg.norm may round them apart
+    transform = None if alpha is None else TransformParams(alpha)
+    for _ in range(300):
+        p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
+        cfg = singleton_config([(0.5, 0.5), (p, q), (q, p)])
+        cents = reward_centroids(cfg, transform)
+        w = RewardWeights(d_m=float(np.linalg.norm(cents[0] - cents[1])))
+        assert reward(cfg, w, transform) == reward_per_cluster_reference(cfg, w, transform)
+
+
+def test_reward_empty_configuration_names_it():
+    with pytest.raises(ValueError, match="empty configuration"):
+        reward(ClusterConfig((), ()), DESK)
 
 
 def test_reward_decomposition_identity(rng):
@@ -326,3 +399,48 @@ def test_masked_step_is_noop_on_config(rng):
     before = env.config
     out = env.step(SPLIT_BASE + 0)
     assert out.config is before
+
+
+def reference_step(cfg, action, transform):
+    """The next configuration as apply_action made it from the per-cluster
+    reference loops."""
+    if action == MERGE and cfg.count >= 2:
+        return merge_clusters(cfg, *select_merge_pair_reference(cfg, transform))
+    idx = action - SPLIT_BASE
+    if 0 <= idx < cfg.count and cfg.clusters[idx].size >= 2:
+        return split_cluster_reference(cfg, idx, transform)
+    return cfg
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_rollout_outcomes_equal_reference_chain(alpha, seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 12, size=10).tolist()
+    frame = Frame(3840, 2160, tied_config(rng, sizes, grid=(None, 64)[seed % 2],
+                                          copies={3, 6}).detections)
+    transform = None if alpha is None else TransformParams(alpha)
+    n_pad, n_det = 30, len(frame.detections)
+    cfg = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.06))
+    geometry = ClusterGeometry(frame.detections, transform)
+    env = None
+    if transform is not None:
+        env = ClusterEnv(frame, EnvConfig(weights=DESK, transform=transform,
+                                          bandwidth=BandwidthSpec("fixed", 0.06),
+                                          n_pad=n_pad), t_max=30)
+        env.reset()
+    for _ in range(30):
+        # merges and splits, plus masked ids that degrade to keep
+        action = int(rng.choice([MERGE, SPLIT_BASE + rng.integers(0, min(cfg.count, n_pad)),
+                                 rng.integers(0, SPLIT_BASE + n_pad)], p=[0.4, 0.4, 0.2]))
+        nxt = reference_step(cfg, action, transform)
+        r1, r2, r3, r4, total = reward_per_cluster_reference(nxt, DESK, transform)
+        outs = [step(cfg, action, DESK, n_pad, n_det, transform, geometry=geometry)]
+        if env is not None:
+            outs.append(env.step(action))
+        for out in outs:
+            assert out.config == nxt
+            assert out.reward == total
+            assert out.components == (r1, r2, r3, r4)
+            assert np.array_equal(out.state, encode_state(nxt, n_pad, n_det))
+        cfg = nxt
