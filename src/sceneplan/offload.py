@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -25,12 +25,18 @@ class InfeasiblePlanError(Exception):
 @dataclass(frozen=True)
 class ModelProfile:
     """One detector model: square input side, latency, and an area-binned
-    precision curve of (bin upper edge in resized px^2, mAP) points."""
+    precision curve of (bin upper edge in resized px^2, mAP) points.
+
+    ``centers`` and ``maps`` are the curve as read-only interpolation
+    nodes (bin centres, mAP), built once when the profile is made.
+    """
 
     name: str
     input_size: int
     latency_ms: int
     curve: tuple[tuple[float, float], ...]
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.input_size <= 0:
@@ -44,10 +50,12 @@ class ModelProfile:
             raise ValueError(f"{self.name}: bin edges must be positive and increasing")
         if any(not (0.0 <= m <= 1.0) for _, m in self.curve):
             raise ValueError(f"{self.name}: mAP values must lie in [0, 1]")
-
-    def bin_centers(self) -> np.ndarray:
-        edges = np.array([0.0] + [e for e, _ in self.curve])
-        return (edges[:-1] + edges[1:]) / 2.0
+        edges = np.array([0.0] + edges)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        maps = np.array([m for _, m in self.curve])
+        for name, arr in (("centers", centers), ("maps", maps)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def profile_from_dict(d: dict, enforce_monotone: bool = True) -> ModelProfile:
@@ -117,17 +125,27 @@ def precision_lookup(profile: ModelProfile, area_px2: float) -> float:
     """Piecewise-linear mAP over bin centers, clamped at both ends."""
     if area_px2 <= 0:
         raise ValueError("area must be positive")
-    centers = profile.bin_centers()
-    maps = np.array([m for _, m in profile.curve])
-    return float(np.interp(area_px2, centers, maps))
+    return float(np.interp(area_px2, profile.centers, profile.maps))
 
 
 def partition_precision(part: PartitionDescriptor, profile: ModelProfile) -> float:
-    """Mean per-box precision of the block under one model."""
+    """Mean per-box precision of the block under one model.
+
+    One pass: every member area is scaled by the same operations in the same
+    order as ``scale_area``, one ``np.interp`` looks them all up, and the
+    results are added one by one in member order (neither ``np.sum``, which
+    adds 8 or more values pairwise, nor builtin ``sum``, which compensates
+    from Python 3.12), so the mean equals ``partition_precision_reference``
+    in ``tests/oracles.py``, the per-box ``precision_lookup`` loop, bit for
+    bit.
+    """
+    scaled = np.array(part.areas_px2, dtype=float) * profile.input_size ** 2
+    scaled /= part.width_px * part.height_px
+    if not scaled.all():  # underflow to 0: the only way to lose positivity
+        raise ValueError("area must be positive")
     total = 0.0
-    for a in part.areas_px2:
-        total += precision_lookup(
-            profile, scale_area(a, part.width_px, part.height_px, profile.input_size))
+    for p in np.interp(scaled, profile.centers, profile.maps).tolist():
+        total += p
     return total / part.count
 
 
@@ -169,7 +187,21 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
     latency). Unreachable cells hold -inf as the explicit invalid marker.
     Ties prefer smaller latency, then smaller model input; the optimal
     column is the first t attaining the maximum.
+
+    Method: the table keeps values only, (n+1) rows by
+    ``min(d_max, n * L) + 1`` columns, L the largest latency within the
+    budget. That cap is exact: every row is nondecreasing in t and every
+    assignment fits within n * L, so the first column that reaches the
+    maximum never lies beyond it. Each model folds in as one shifted
+    ``np.add`` and one ``np.fmax`` (which, like the strict ``>`` it
+    replaces, never lets a NaN precision win). Backtracking recomputes the
+    choice at the one column t of each row with the same strict ``>`` over
+    the canonical model order, so every tie settles as in
+    ``dp_plan_reference`` in ``tests/oracles.py``, which keeps a full
+    choice table; the plans are equal.
     """
+    if isinstance(d_max, bool) or not isinstance(d_max, (int, np.integer)):
+        raise ValueError(f"d_max must be an integer number of ms, got {d_max!r}")
     if d_max < 0:
         raise ValueError("latency budget must be >= 0")
     if not partitions:
@@ -180,36 +212,39 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
     # canonical model order realizes the tie-break under strict improvement
     order = sorted(range(len(profiles)),
                    key=lambda j: (profiles[j].latency_ms, profiles[j].input_size))
+    lats = [p.latency_ms for p in profiles]
+    fits = [j for j in order if lats[j] <= d_max]
     prec = np.array([[partition_precision(p, prof) for prof in profiles]
                      for p in partitions])
-    width = d_max + 1
-    prev = np.zeros(width)
-    choice = np.full((n, width), -1, dtype=int)
+    width = min(int(d_max), n * max((lats[j] for j in fits), default=0)) + 1
+    rows = [np.zeros(width)]
+    tmp = np.empty(width)
     for i in range(n):
-        best = np.full(width, -np.inf)
-        for j in order:
-            d = profiles[j].latency_ms
-            if d > d_max:
-                continue
-            cand = np.full(width, -np.inf)
-            cand[d:] = prev[:width - d] + prec[i, j]
-            better = cand > best
-            best[better] = cand[better]
-            choice[i][better] = j
-        prev = best
-    if not np.isfinite(prev).any():
+        prev, best = rows[-1], np.full(width, -np.inf)
+        for j in fits:
+            d = lats[j]
+            np.add(prev[:width - d], prec[i, j], out=tmp[d:])
+            np.fmax(best[d:], tmp[d:], out=best[d:])
+        rows.append(best)
+    last = rows[n]
+    if not np.isfinite(last).any():
         cheapest = sum(min(p.latency_ms for p in profiles) for _ in partitions)
         raise InfeasiblePlanError(
             f"budget {d_max} ms infeasible: cheapest assignment needs "
             f"{cheapest} ms (short by {cheapest - d_max} ms)")
-    opt_t = int(np.argmax(prev))
-    total_precision = float(prev[opt_t])
+    opt_t = int(np.argmax(last))
+    total_precision = float(last[opt_t])
     t = opt_t
     picks = []
     for i in range(n - 1, -1, -1):
-        j = int(choice[i][t])
-        picks.append(j)
-        t -= profiles[j].latency_ms
+        best, pick = -np.inf, -1
+        for j in fits:
+            if lats[j] <= t:
+                cand = rows[i][t - lats[j]] + prec[i, j]
+                if cand > best:
+                    best, pick = cand, j
+        picks.append(pick)
+        t -= lats[pick]
     picks.reverse()
     assignments = tuple(
         (part.id, profiles[j].name, profiles[j].latency_ms, float(prec[i, j]))

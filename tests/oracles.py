@@ -9,7 +9,12 @@ array versions must return exactly what these return. Likewise
 ``reward_per_cluster_reference``, ``select_merge_pair_reference`` and
 ``split_cluster_reference`` are the per-cluster loops that rebuilt every
 cluster's centres on every call, before the reward, merge and split read
-memoised per-frame geometry.
+memoised per-frame geometry. ``partition_precision_reference`` (one scalar
+lookup per box, rebuilding the curve each time) and ``dp_plan_reference``
+(a full-width table with an int choice array) are the planner before it
+went to one precision pass per plan and a value-only table capped at the
+reachable budget; ``generate_scene_reference`` draws each stratum with
+``Generator.choice``. The library must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import math
 import numpy as np
 
 from sceneplan.clustering import BANDWIDTH_FLOOR, kmeans_1d, transform_y
-from sceneplan.core import ClusterConfig, DetectionBox, make_cluster
+from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
+from sceneplan.offload import InfeasiblePlanError, OffloadPlan, scale_area
 
 
 def iou_raster(a: DetectionBox, b: DetectionBox, cells: int = 10_000) -> float:
@@ -315,6 +321,105 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
     clusters[i] = low
     clusters.append(high)
     return ClusterConfig(tuple(clusters), config.detections)
+
+
+def precision_lookup_reference(profile, area_px2: float) -> float:
+    """Piecewise-linear mAP over bin centers, clamped at both ends; the
+    centres and the mAP array are rebuilt on every call."""
+    if area_px2 <= 0:
+        raise ValueError("area must be positive")
+    edges = np.array([0.0] + [e for e, _ in profile.curve])
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    maps = np.array([m for _, m in profile.curve])
+    return float(np.interp(area_px2, centers, maps))
+
+
+def partition_precision_reference(part, profile) -> float:
+    """Mean per-box precision of the block under one model, one scalar
+    lookup per box."""
+    total = 0.0
+    for a in part.areas_px2:
+        total += precision_lookup_reference(
+            profile, scale_area(a, part.width_px, part.height_px, profile.input_size))
+    return total / part.count
+
+
+def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
+    """Multiple-choice knapsack over a full (d_max + 1)-column table with a
+    per-cell choice array; ties prefer smaller latency, then smaller model
+    input, and the optimal column is the first t attaining the maximum."""
+    if d_max < 0:
+        raise ValueError("latency budget must be >= 0")
+    if not partitions:
+        raise ValueError("no partitions to plan")
+    if not profiles:
+        raise ValueError("no model profiles")
+    n = len(partitions)
+    # canonical model order realizes the tie-break under strict improvement
+    order = sorted(range(len(profiles)),
+                   key=lambda j: (profiles[j].latency_ms, profiles[j].input_size))
+    prec = np.array([[partition_precision_reference(p, prof) for prof in profiles]
+                     for p in partitions])
+    width = d_max + 1
+    prev = np.zeros(width)
+    choice = np.full((n, width), -1, dtype=int)
+    for i in range(n):
+        best = np.full(width, -np.inf)
+        for j in order:
+            d = profiles[j].latency_ms
+            if d > d_max:
+                continue
+            cand = np.full(width, -np.inf)
+            cand[d:] = prev[:width - d] + prec[i, j]
+            better = cand > best
+            best[better] = cand[better]
+            choice[i][better] = j
+        prev = best
+    if not np.isfinite(prev).any():
+        cheapest = sum(min(p.latency_ms for p in profiles) for _ in partitions)
+        raise InfeasiblePlanError(
+            f"budget {d_max} ms infeasible: cheapest assignment needs "
+            f"{cheapest} ms (short by {cheapest - d_max} ms)")
+    opt_t = int(np.argmax(prev))
+    total_precision = float(prev[opt_t])
+    t = opt_t
+    picks = []
+    for i in range(n - 1, -1, -1):
+        j = int(choice[i][t])
+        picks.append(j)
+        t -= profiles[j].latency_ms
+    picks.reverse()
+    assignments = tuple(
+        (part.id, profiles[j].name, profiles[j].latency_ms, float(prec[i, j]))
+        for i, (part, j) in enumerate(zip(partitions, picks))
+    )
+    total_latency = sum(lat for _, _, lat, _ in assignments)
+    # invariants asserted on every solve
+    assert len(assignments) == n, "plan must assign exactly one model per partition"
+    assert total_latency <= d_max, "plan exceeds the latency budget"
+    return OffloadPlan(assignments, total_precision, total_latency, opt_t)
+
+
+def generate_scene_reference(spec) -> Frame:
+    """Synthetic frame with each object's stratum drawn by
+    ``rng.choice(len(strata), p=weights)``."""
+    rng = np.random.default_rng(spec.seed)
+    count = int(rng.integers(spec.count_min, spec.count_max + 1))
+    weights = np.array([s.density for s in spec.strata], dtype=float)
+    weights /= weights.sum()
+    boxes = []
+    for _ in range(count):
+        s = spec.strata[int(rng.choice(len(spec.strata), p=weights))]
+        cy = float(rng.uniform(s.y0, s.y1))
+        rel = (cy - s.y0) / (s.y1 - s.y0) if s.y1 > s.y0 else 0.5
+        t = min(1.0, max(0.0, rel + rng.uniform(-0.25, 0.25)))
+        h = s.size_min + (s.size_max - s.size_min) * t
+        w = min(1.0, h * float(rng.uniform(0.6, 1.1)))
+        cx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
+        cy = min(max(cy, h / 2.0), 1.0 - h / 2.0)
+        score = float(rng.uniform(0.3, 1.0))
+        boxes.append(DetectionBox(cx, cy, w, h, score, 0))
+    return Frame(spec.width_px, spec.height_px, tuple(boxes))
 
 
 def returns_reference(rewards, gamma: float):

@@ -247,6 +247,15 @@ def test_plan_infeasible_budget(tmp_path, capsys):
     assert "short by" in payload["reason"]
 
 
+@pytest.mark.parametrize("d_max", [2000.5, True, "2000"])
+def test_plan_non_integer_budget_names_key(tmp_path, capsys, d_max):
+    cfg_path, clusters = make_clusters_report(tmp_path)
+    base_config(tmp_path, detections=str(tmp_path / "dets.json"), d_max=d_max)
+    code = main(["plan", "--config", str(cfg_path), "--clusters", str(clusters)])
+    assert code == 2
+    assert "d_max" in capsys.readouterr().err
+
+
 def test_plan_respects_budget(tmp_path):
     cfg_path, clusters = make_clusters_report(tmp_path)
     _, parts = load_clusters(clusters)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.offload import (
     InfeasiblePlanError,
@@ -19,7 +21,13 @@ from sceneplan.offload import (
     simulate,
 )
 
-from oracles import mckp_enumerate, optimal_makespan, random_config
+from oracles import (
+    dp_plan_reference,
+    mckp_enumerate,
+    optimal_makespan,
+    partition_precision_reference,
+    random_config,
+)
 
 
 def flat_profile(name, size, latency, value):
@@ -235,6 +243,128 @@ def test_dp_generous_budget_picks_best_everywhere(rng):
     for i, part in enumerate(parts):
         best = max(partition_precision(part, p) for p in profs)
         assert plan.assignments[i][3] == pytest.approx(best)
+
+
+# ---------------------------------------------------------------------------
+# planner against the per-box lookup and full-table references
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type and text."""
+    try:
+        return fn(*args)
+    except (ValueError, InfeasiblePlanError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def curves(draw):
+    edges = sorted(draw(st.sets(st.sampled_from([4.0, 16.0, 40.0, 64.0, 160.0,
+                                                 640.0, 4096.0, 65536.0]),
+                                min_size=1, max_size=6)))
+    maps = draw(st.lists(st.sampled_from([k / 8 for k in range(9)])
+                         | st.floats(0, 1), min_size=len(edges), max_size=len(edges)))
+    return [[e, m] for e, m in zip(edges, maps)]
+
+
+@st.composite
+def planning_instances(draw):
+    k = draw(st.integers(1, 5))
+    shared = draw(curves())
+    profiles = []
+    for j in range(k):
+        same = draw(st.booleans())
+        profiles.append(profile_from_dict({
+            "name": f"m{j}",
+            "input_size": draw(st.sampled_from([320, 640, 640, 1280])),
+            "latency_ms": draw(st.sampled_from([7, 7, 12, 30]) | st.integers(1, 90)),
+            "curve": shared if same else draw(curves()),
+        }, enforce_monotone=False))
+    n = draw(st.integers(1, 6))
+    areas = st.sampled_from([1.0, 25.0, 400.0, 2500.0]) | st.floats(1e-3, 1e7)
+    parts = [PartitionDescriptor(i, draw(st.integers(1, 4000)), draw(st.integers(1, 4000)),
+                                 tuple(draw(st.lists(areas, min_size=1, max_size=12))))
+             for i in range(n)]
+    cheapest = n * min(p.latency_ms for p in profiles)
+    widest = n * max(p.latency_ms for p in profiles)
+    d_max = draw(st.sampled_from([-1, 0, cheapest - 1, cheapest, widest + 13,
+                                  min(p.latency_ms for p in profiles) - 1])
+                 | st.integers(0, widest + 20))
+    return parts, profiles, d_max
+
+
+@given(planning_instances())
+@settings(max_examples=150, deadline=None)
+def test_dp_plan_matches_reference(instance):
+    parts, profiles, d_max = instance
+    for part in parts:
+        for prof in profiles:
+            assert partition_precision(part, prof) == \
+                partition_precision_reference(part, prof)
+    assert outcome(dp_plan, parts, profiles, d_max) == \
+        outcome(dp_plan_reference, parts, profiles, d_max)
+
+
+def test_partition_precision_many_members_matches_reference(rng):
+    # 8 or more members is where pairwise summation would first differ
+    profs = default_profiles()
+    for _ in range(60):
+        areas = tuple(float(a) for a in rng.uniform(10, 5e4, int(rng.integers(8, 80))))
+        part = PartitionDescriptor(0, int(rng.integers(50, 4000)),
+                                   int(rng.integers(50, 4000)), areas)
+        for prof in profs:
+            assert partition_precision(part, prof) == \
+                partition_precision_reference(part, prof)
+
+
+def test_partition_precision_underflow_raises_like_reference():
+    prof = flat_profile("tiny", 1, 10, 0.5)
+    part = PartitionDescriptor(0, 4000, 4000, (400.0, 5e-324))
+    assert outcome(partition_precision, part, prof) == \
+        outcome(partition_precision_reference, part, prof)
+    assert outcome(partition_precision, part, prof)[0] is ValueError
+
+
+def test_dp_plan_model_slower_than_budget_matches_reference():
+    profs = make_profiles([40, 500, 25], [0.3, 0.9, 0.3])
+    parts = [one_partition(i) for i in range(3)]
+    for d_max in (0, 74, 75, 120, 499, 500, 1499, 1500, 4000):
+        assert outcome(dp_plan, parts, profs, d_max) == \
+            outcome(dp_plan_reference, parts, profs, d_max)
+
+
+def test_dp_plan_nan_precision_never_wins():
+    # a NaN bin edge passes validation and yields NaN for larger areas; the
+    # reference's strict > never picks such a model, and neither may the table
+    odd = ModelProfile("odd", 640, 30, ((1.0, 0.9), (float("nan"), 0.5), (100.0, 0.1)))
+    good = flat_profile("good", 640, 50, 0.2)
+    parts = [one_partition(0, 640, 640, (50.0,)), one_partition(1, 640, 640, (0.1,))]
+    plan = dp_plan(parts, [odd, good], 200)
+    assert plan == dp_plan_reference(parts, [odd, good], 200)
+    assert plan.as_mapping() == {0: "good", 1: "odd"}
+
+
+def test_dp_plan_huge_budget_equals_reachable_budget(rng):
+    profs = default_profiles()
+    from sceneplan.core import Frame
+
+    for n in (1, 4, 15):
+        parts = partitions_from_config(random_config(rng, n), Frame(3840, 2160))
+        assert dp_plan(parts, profs, 10 ** 9) == dp_plan(parts, profs, n * 400)
+
+
+@pytest.mark.parametrize("d_max", [2000.5, 2000.0, float("nan"), "2000", True,
+                                   np.float64(100.0)])
+def test_dp_plan_rejects_non_integer_budget(d_max):
+    with pytest.raises(ValueError, match="d_max"):
+        dp_plan([one_partition()], make_profiles([10], [0.5]), d_max)
+
+
+def test_dp_plan_accepts_numpy_integer_budget():
+    profs = make_profiles([10, 20], [0.2, 0.5])
+    parts = [one_partition(0), one_partition(1)]
+    assert dp_plan(parts, profs, np.int64(30)) == dp_plan(parts, profs, 30)
+    assert dp_plan(parts, profs, np.int32(30)) == dp_plan_reference(parts, profs, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from oracles import (
     estimate_bandwidth_reference,
     meanshift_reference,
     nms_reference,
+    generate_scene_reference,
     observe_tiles_reference,
     random_boxes,
 )
@@ -142,6 +143,55 @@ def test_generate_size_correlates_with_y():
 def test_generate_zero_strata_rejected():
     with pytest.raises(ValueError):
         SceneSpec(strata=())
+
+
+DENSITY_SETS = {
+    1: [(1.0,), (0.3,)],
+    2: [(0.65, 0.35), (1.0, 1.0), (1e-6, 5.0)],
+    3: [(0.2, 0.5, 0.3), (3.0, 1e-9, 3.0), (1.0, 2.0, 4.0)],
+    4: [(1.0, 1.0, 1.0, 1.0), (0.1, 0.2, 0.3, 0.4), (7.0, 1e-3, 0.5, 100.0)],
+}
+
+
+@pytest.mark.parametrize("n_strata", [1, 2, 3, 4])
+def test_generate_matches_reference(n_strata):
+    bands = np.linspace(0.0, 1.0, n_strata + 1)
+    for densities in DENSITY_SETS[n_strata]:
+        strata = tuple(
+            Stratum(float(bands[k]), float(bands[k + 1]), 0.005 * (k + 1),
+                    0.02 * (k + 1), d)
+            for k, d in enumerate(densities))
+        for seed in range(25):
+            spec = SceneSpec(1280, 1280, 1, 60, strata, seed)
+            assert generate_scene(spec) == generate_scene_reference(spec)
+
+
+def test_generate_draw_on_cdf_boundary_matches_reference():
+    # densities (u, 1 - u) put the cdf's first entry exactly on the first
+    # object's uniform draw u; choice's searchsorted(side="right") then
+    # picks the second stratum
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        rng.integers(3, 6)
+        u = float(rng.random())
+        strata = (Stratum(0.0, 0.5, 0.01, 0.02, u), Stratum(0.5, 1.0, 0.05, 0.1, 1.0 - u))
+        spec = SceneSpec(1280, 1280, 3, 5, strata, seed)
+        frame = generate_scene(spec)
+        assert frame == generate_scene_reference(spec)
+        assert frame.detections[0].cy >= 0.5
+
+
+@pytest.mark.parametrize("density", [float("nan"), float("inf"), -float("inf"),
+                                     0.0, -1.0])
+def test_stratum_rejects_bad_density(density):
+    with pytest.raises(ValueError, match="density"):
+        Stratum(0.0, 1.0, 0.01, 0.02, density)
+
+
+def test_spec_rejects_density_sum_overflow():
+    big = Stratum(0.0, 1.0, 0.01, 0.02, 1e308)
+    with pytest.raises(ValueError, match="density"):
+        SceneSpec(strata=(big, big))
 
 
 def test_spec_from_dict():
