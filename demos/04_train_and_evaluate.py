@@ -67,8 +67,8 @@ def evaluate(name, policy_fn):
 
 print(f"\nheld-out evaluation ({len(held_out)} scenes, identical for all policies):")
 fr_trained = evaluate("trained", greedy_policy(ckpt))
-fr_random = evaluate("random", random_policy())
-fr_keep = evaluate("keep", keep_policy())
+fr_random = evaluate("random", random_policy)
+fr_keep = evaluate("keep", keep_policy)
 
 for name, other in (("random", fr_random), ("keep-only", fr_keep)):
     diff = fr_trained - other

@@ -1,8 +1,9 @@
 """Command-line surface: gen-scene, train, partition, plan, pipeline, eval.
 
-A single JSON config file can drive every command; command-line flags
-override file values, which override built-in defaults. All outputs are
-deterministic under a fixed seed and written atomically (temp + rename).
+gen-scene reads only its scene spec. Every other command reads one JSON
+config file (``--config``); its command-line flags override file values,
+which override built-in defaults. All outputs are deterministic under a
+fixed seed and written atomically (temp + rename).
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/validation,
 3 infeasible plan.
@@ -106,9 +107,9 @@ def load_config(path) -> dict:
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     """Command-line flags beat config-file values."""
-    direct = ["seed", "out_dir", "detections", "checkpoint", "profile",
-              "d_max", "t_max", "n_pad", "num_scenes", "episodes", "policy",
-              "iterations", "n", "e"]
+    direct = ["seed", "out_dir", "scene_spec", "detections", "checkpoint",
+              "profile", "d_max", "t_max", "n_pad", "num_scenes", "episodes",
+              "policy", "iterations", "n", "e"]
     for name in direct:
         value = getattr(args, name, None)
         if value is None:
@@ -117,8 +118,6 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
             cfg["train"]["iterations"] = value
         else:
             cfg[name] = value
-    if getattr(args, "scene_spec", None) is not None:
-        cfg["scene_spec"] = args.scene_spec
     return cfg
 
 
@@ -179,9 +178,9 @@ def _policy_env(frame: Frame, cfg: dict):
         ckpt = load_checkpoint(cfg["checkpoint"])
         choose = greedy_policy(ckpt)
     elif mode == "keep":
-        choose = keep_policy()
+        choose = keep_policy
     elif mode == "random":
-        choose = random_policy()
+        choose = random_policy
     else:
         raise ValueError(f"unknown policy mode {mode!r}")
     return choose, policy_env(frame, _env_config(cfg), cfg["t_max"], ckpt)
@@ -272,22 +271,11 @@ def _plan_payload(parts, profiles, d_max: int, e: int) -> dict:
     }
 
 
-def load_plan(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        plan = json.load(f)
-    for key in ("assignments", "total_precision", "total_latency_ms",
-                "makespan_ms", "servers"):
-        if key not in plan:
-            raise ValueError(f"{path}: plan missing key {key!r}")
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_gen_scene(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
     spec = load_scene_spec(args.spec)
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
@@ -378,8 +366,8 @@ def cmd_eval(args) -> None:
               for k in range(episodes)]
     policies = [
         ("trained", greedy_policy(ckpt)),
-        ("random", random_policy()),
-        ("keep", keep_policy()),
+        ("random", random_policy),
+        ("keep", keep_policy),
     ]
     env_config = _env_config(cfg)
     rows = []
@@ -421,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help="output directory")
 
     p = sub.add_parser("gen-scene", help="generate a synthetic detection file")
-    common(p)
+    p.add_argument("--seed", type=int, help="scene seed (default: the spec's)")
     p.add_argument("--spec", required=True, help="scene spec JSON")
     p.add_argument("--out", required=True, help="output detection JSON")
     p.set_defaults(func=cmd_gen_scene)

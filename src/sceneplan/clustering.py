@@ -55,14 +55,6 @@ def transform_y(points, params: TransformParams = TransformParams()):
     return out
 
 
-def inverse_transform_y(points, params: TransformParams = TransformParams()):
-    """Undo transform_y: y = y_t ** (1 / alpha)."""
-    pts = np.asarray(points, dtype=float)
-    out = pts.copy()
-    out[..., 1] = pts[..., 1] ** (1.0 / params.alpha)
-    return out
-
-
 BANDWIDTH_FLOOR = 1e-3
 
 
@@ -179,15 +171,13 @@ def initial_clusters(
     return ClusterConfig(tuple(clusters), frame.detections)
 
 
-def kmeans_1d(values, k: int = 2):
+def kmeans_1d(values):
     """Optimal 2-way 1D partition by within-cluster sum of squares.
 
     Optimal 1D clusters are contiguous in sorted order, so every one of the
     n-1 sorted split points is scored and the best (first on ties) wins.
     Returns a 0/1 label per input value; 0 marks the lower group.
     """
-    if k != 2:
-        raise ValueError("only k=2 supported")
     vals = np.asarray(values, dtype=float)
     n = len(vals)
     if n < 2:

@@ -124,11 +124,18 @@ class ClusterConfig:
         return len(self.clusters)
 
 
-def cluster_stats(members, detections) -> tuple[float, float, float, float, int]:
-    """Arithmetic means of member centers/sizes plus the member count."""
+def make_cluster(members, detections) -> Cluster:
+    """Build a Cluster from detection indices, stats recomputed from scratch.
+
+    Members are kept sorted and their centers and sizes added one at a time
+    in that order, so identical member sets always yield bitwise identical
+    means regardless of how the set was assembled.
+    """
+    members = tuple(sorted(members))
     if not members:
         raise ValueError("empty cluster")
-    n = len(members)
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate member indices")
     sx = sy = sw = sh = 0.0
     for i in members:
         d = detections[i]
@@ -136,20 +143,8 @@ def cluster_stats(members, detections) -> tuple[float, float, float, float, int]
         sy += d.cy
         sw += d.w
         sh += d.h
-    return sx / n, sy / n, sw / n, sh / n, n
-
-
-def make_cluster(members, detections) -> Cluster:
-    """Build a Cluster from detection indices, stats recomputed from scratch.
-
-    Members are kept sorted so identical member sets always yield bitwise
-    identical statistics regardless of how the set was assembled.
-    """
-    members = tuple(sorted(members))
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate member indices")
-    mx, my, mw, mh, _ = cluster_stats(members, detections)
-    return Cluster(members, mx, my, mw, mh)
+    n = len(members)
+    return Cluster(members, sx / n, sy / n, sw / n, sh / n)
 
 
 def validate_partition(config: ClusterConfig) -> None:
@@ -167,19 +162,6 @@ def validate_partition(config: ClusterConfig) -> None:
         raise ValueError("clusters do not cover all detections")
 
 
-def iou(a: DetectionBox, b: DetectionBox) -> float:
-    """Intersection over union of the two (frame-clamped) rectangles."""
-    ax0, ay0, ax1, ay1 = a.extent()
-    bx0, by0, bx1, by1 = b.extent()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union
-
-
 def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     """Greedy class-wise non-maximum suppression.
 
@@ -190,9 +172,9 @@ def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
 
     Array method: extents, areas and classes are laid out once in visit
     order; each surviving box computes its IoU against the later live boxes
-    of its class in one numpy expression, with the same operations in the
-    same order as ``iou``, and clears those it suppresses. No n x n matrix
-    is built. Results equal ``nms_reference`` in ``tests/oracles.py``.
+    of its class in one numpy expression, with the same operations as
+    ``iou_exact`` in ``tests/oracles.py``, and clears those it suppresses.
+    No n x n matrix is built. Results equal ``nms_reference`` there.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1)")
@@ -220,8 +202,8 @@ def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
 def bounding_block(
     cluster: Cluster,
     detections,
-    margin: float = 0.0,
-    frame: Frame | None = None,
+    margin: float,
+    frame: Frame,
 ) -> tuple[int, int, int, int]:
     """Pixel rectangle (x0, y0, x1, y1) covering all member boxes.
 
@@ -231,8 +213,6 @@ def bounding_block(
     """
     if margin < 0.0:
         raise ValueError(f"margin {margin} negative")
-    if frame is None:
-        raise ValueError("frame required for pixel conversion")
     if cluster.size < 1:
         raise ValueError("empty cluster")
     x0 = y0 = 1.0

@@ -46,8 +46,10 @@ class ModelProfile:
         if len(self.curve) == 0:
             raise ValueError(f"{self.name}: empty precision curve")
         edges = [e for e, _ in self.curve]
-        if any(b <= a for a, b in zip(edges, edges[1:])) or edges[0] <= 0:
-            raise ValueError(f"{self.name}: bin edges must be positive and increasing")
+        if (not all(map(math.isfinite, edges)) or edges[0] <= 0
+                or any(b <= a for a, b in zip(edges, edges[1:]))):
+            raise ValueError(
+                f"{self.name}: bin edges must be finite, positive and increasing")
         if any(not (0.0 <= m <= 1.0) for _, m in self.curve):
             raise ValueError(f"{self.name}: mAP values must lie in [0, 1]")
         edges = np.array([0.0] + edges)
@@ -58,14 +60,13 @@ class ModelProfile:
             object.__setattr__(self, name, arr)
 
 
-def profile_from_dict(d: dict, enforce_monotone: bool = True) -> ModelProfile:
-    """Build a profile from its JSON form; fractional latencies round up."""
+def profile_from_dict(d: dict) -> ModelProfile:
+    """Build a profile from its JSON form; fractional latencies round up and
+    the precision curve must not decrease with area."""
     curve = tuple((float(e), float(m)) for e, m in d["curve"])
     maps = [m for _, m in curve]
-    if enforce_monotone and any(b < a for a, b in zip(maps, maps[1:])):
-        raise ValueError(
-            f"{d.get('name', '?')}: precision curve decreases with area; "
-            "pass enforce_monotone=False to accept measured curves verbatim")
+    if any(b < a for a, b in zip(maps, maps[1:])):
+        raise ValueError(f"{d.get('name', '?')}: precision curve decreases with area")
     return ModelProfile(
         name=str(d["name"]),
         input_size=int(d["input_size"]),
@@ -74,13 +75,13 @@ def profile_from_dict(d: dict, enforce_monotone: bool = True) -> ModelProfile:
     )
 
 
-def load_profiles(path, enforce_monotone: bool = True) -> list[ModelProfile]:
+def load_profiles(path) -> list[ModelProfile]:
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     models = data["models"] if isinstance(data, dict) else data
     if not models:
         raise ValueError(f"{path}: no models in profile file")
-    return [profile_from_dict(m, enforce_monotone) for m in models]
+    return [profile_from_dict(m) for m in models]
 
 
 def default_profiles() -> list[ModelProfile]:
@@ -105,8 +106,8 @@ class PartitionDescriptor:
             raise ValueError(f"partition {self.id}: size must be positive")
         if len(self.areas_px2) == 0:
             raise ValueError(f"partition {self.id}: needs at least one box")
-        if any(a <= 0 for a in self.areas_px2):
-            raise ValueError(f"partition {self.id}: areas must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in self.areas_px2):
+            raise ValueError(f"partition {self.id}: areas must be positive and finite")
 
     @property
     def count(self) -> int:
@@ -121,23 +122,17 @@ def scale_area(area_px2: float, width_px: float, height_px: float,
     return area_px2 * input_size ** 2 / (width_px * height_px)
 
 
-def precision_lookup(profile: ModelProfile, area_px2: float) -> float:
-    """Piecewise-linear mAP over bin centers, clamped at both ends."""
-    if area_px2 <= 0:
-        raise ValueError("area must be positive")
-    return float(np.interp(area_px2, profile.centers, profile.maps))
-
-
 def partition_precision(part: PartitionDescriptor, profile: ModelProfile) -> float:
-    """Mean per-box precision of the block under one model.
+    """Mean per-box precision of the block under one model: each box's
+    piecewise-linear mAP over the bin centres, clamped at both ends.
 
     One pass: every member area is scaled by the same operations in the same
     order as ``scale_area``, one ``np.interp`` looks them all up, and the
     results are added one by one in member order (neither ``np.sum``, which
     adds 8 or more values pairwise, nor builtin ``sum``, which compensates
     from Python 3.12), so the mean equals ``partition_precision_reference``
-    in ``tests/oracles.py``, the per-box ``precision_lookup`` loop, bit for
-    bit.
+    in ``tests/oracles.py``, the loop over ``precision_lookup_reference``,
+    bit for bit.
     """
     scaled = np.array(part.areas_px2, dtype=float) * profile.input_size ** 2
     scaled /= part.width_px * part.height_px
@@ -172,9 +167,6 @@ class OffloadPlan:
     total_precision: float
     total_latency_ms: int
     opt_t: int
-
-    def as_mapping(self) -> dict[int, str]:
-        return {pid: model for pid, model, _, _ in self.assignments}
 
 
 def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:

@@ -288,15 +288,6 @@ class PolicyCheckpoint:
     weights: RewardWeights
     hyper: Hyperparams
     meta: dict = field(default_factory=dict)
-    version: int = 1
-
-    @property
-    def state_dim(self) -> int:
-        return state_dim(self.n_pad)
-
-    @property
-    def n_actions(self) -> int:
-        return n_actions(self.n_pad)
 
 
 def policy_env(frame: Frame, env_config: EnvConfig, t_max: int,
@@ -426,27 +417,21 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
 def greedy_policy(ckpt: PolicyCheckpoint):
     """Masked-argmax action chooser over the checkpoint's policy net."""
 
-    def choose(state, mask, rng=None) -> int:
+    def choose(state, mask, rng) -> int:
         return greedy_action(mlp_forward(ckpt.policy, state), mask)
 
     return choose
 
 
-def keep_policy():
-    def choose(state, mask, rng=None) -> int:
-        return KEEP
-
-    return choose
+def keep_policy(state, mask, rng) -> int:
+    """Action chooser that always keeps the configuration."""
+    return KEEP
 
 
-def random_policy():
-    """Uniform over the currently valid actions; needs the caller's rng."""
-
-    def choose(state, mask, rng) -> int:
-        valid = np.flatnonzero(mask)
-        return int(rng.choice(valid))
-
-    return choose
+def random_policy(state, mask, rng) -> int:
+    """Action chooser uniform over the currently valid actions; needs the
+    caller's rng."""
+    return int(rng.choice(np.flatnonzero(mask)))
 
 
 def infer_clusters(
@@ -497,8 +482,8 @@ def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
     header = {
         "n_pad": ckpt.n_pad,
         "include_count": ckpt.include_count,
-        "state_dim": ckpt.state_dim,
-        "n_actions": ckpt.n_actions,
+        "state_dim": state_dim(ckpt.n_pad),
+        "n_actions": n_actions(ckpt.n_pad),
         "weights": asdict(ckpt.weights),
         "hyper": asdict(ckpt.hyper),
         "meta": ckpt.meta,
@@ -587,5 +572,4 @@ def load_checkpoint(path) -> PolicyCheckpoint:
         weights=weights,
         hyper=hyper,
         meta=meta,
-        version=version,
     )

@@ -19,6 +19,7 @@ import numpy as np
 from .core import DetectionBox, Frame, atomic_write, nms
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
+CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
 
 
 @dataclass(frozen=True)
@@ -144,65 +145,55 @@ def _box_from_row(row: dict, where: str) -> DetectionBox:
         raise ValueError(f"{where}: {e}") from None
 
 
-def load_detections(path, fmt: str | None = None,
-                    width_px: int = 3840, height_px: int = 2160) -> Frame:
-    """Read a detection file (JSON or CSV) into a validated Frame.
+def load_detections(path) -> Frame:
+    """Read a detection file into a validated Frame: CSV when the path ends
+    in ``.csv``, JSON otherwise.
 
-    Invalid rows are rejected with their position in the file. The CSV
-    format carries no frame size, so ``width_px``/``height_px`` apply;
-    JSON files embed their own size.
+    Invalid rows are rejected with their position in the file. JSON files
+    embed their frame size; the CSV format carries none, so a CSV file is
+    read as a ``CSV_FRAME_PX`` frame.
     """
     path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "json"
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown detection format {fmt!r}")
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        try:
-            width, height = int(data["width_px"]), int(data["height_px"])
-            rows = data["detections"]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{path}: missing field {e}") from None
-        boxes = [_box_from_row(r, f"detection {i}") for i, r in enumerate(rows)]
-        return Frame(width, height, tuple(boxes))
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(f"{path}: CSV header must be exactly {','.join(CSV_HEADER)}")
-        boxes = [_box_from_row(r, f"row {i}") for i, r in enumerate(reader, start=2)]
-    return Frame(width_px, height_px, tuple(boxes))
+    if path.endswith(".csv"):
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames != CSV_HEADER:
+                raise ValueError(f"{path}: CSV header must be exactly {','.join(CSV_HEADER)}")
+            boxes = [_box_from_row(r, f"row {i}") for i, r in enumerate(reader, start=2)]
+        return Frame(*CSV_FRAME_PX, tuple(boxes))
+    with open(path, "r", encoding="utf-8") as f:
+        data = json.load(f)
+    try:
+        width, height = int(data["width_px"]), int(data["height_px"])
+        rows = data["detections"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: missing field {e}") from None
+    boxes = [_box_from_row(r, f"detection {i}") for i, r in enumerate(rows)]
+    return Frame(width, height, tuple(boxes))
 
 
-def save_detections(frame: Frame, path, fmt: str | None = None) -> None:
-    """Write a Frame in the JSON (default) or CSV detection format,
-    atomically."""
+def save_detections(frame: Frame, path) -> None:
+    """Write a Frame atomically in the CSV detection format when the path
+    ends in ``.csv``, in the JSON one otherwise."""
     path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "json"
-    if fmt == "json":
-        payload = {
-            "width_px": frame.width_px,
-            "height_px": frame.height_px,
-            "detections": [
-                {"cx": d.cx, "cy": d.cy, "w": d.w, "h": d.h,
-                 "score": d.score, "class_id": d.class_id}
-                for d in frame.detections
-            ],
-        }
-        with atomic_write(path) as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-    elif fmt == "csv":
-        with atomic_write(path) as f:
+    with atomic_write(path) as f:
+        if path.endswith(".csv"):
             writer = csv.writer(f)
             writer.writerow(CSV_HEADER)
             for d in frame.detections:
                 writer.writerow([repr(d.cx), repr(d.cy), repr(d.w), repr(d.h),
                                  repr(d.score), d.class_id])
-    else:
-        raise ValueError(f"unknown detection format {fmt!r}")
+        else:
+            json.dump({
+                "width_px": frame.width_px,
+                "height_px": frame.height_px,
+                "detections": [
+                    {"cx": d.cx, "cy": d.cy, "w": d.w, "h": d.h,
+                     "score": d.score, "class_id": d.class_id}
+                    for d in frame.detections
+                ],
+            }, f, indent=2, sort_keys=True)
+            f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +204,6 @@ def save_detections(frame: Frame, path, fmt: str | None = None) -> None:
 class TileGrid:
     """n*E equal tiles covering the frame, arranged near-square."""
 
-    n: int
-    e: int
     rows: int
     cols: int
     width_px: int
@@ -244,7 +233,7 @@ def tile_frame(frame: Frame, n: int, e: int) -> TileGrid:
         for r in range(rows)
         for c in range(cols)
     )
-    return TileGrid(n, e, rows, cols, frame.width_px, frame.height_px, tiles)
+    return TileGrid(rows, cols, frame.width_px, frame.height_px, tiles)
 
 
 def observe_tiles(

@@ -2,10 +2,14 @@
 
 Everything here is written straight from first principles (plain loops,
 exhaustive enumeration, rasterization, finite differences) and must stay
-independent of the library code paths it checks. The ``*_reference`` copies
-of ``meanshift``, ``estimate_bandwidth`` and ``observe_tiles`` are the
-per-element loops the library used before it switched to array code; the
-array versions must return exactly what these return. Likewise
+independent of the library code paths it checks. ``iou_exact`` is the
+rectangle IoU whose operations ``nms`` repeats in array form, and
+``precision_lookup_reference`` the per-box mAP lookup that
+``partition_precision`` does for all boxes at once; the library keeps no
+scalar copy of either. The ``*_reference`` copies of ``meanshift``,
+``estimate_bandwidth`` and ``observe_tiles`` are the per-element loops the
+library used before it switched to array code; the array versions must
+return exactly what these return. Likewise
 ``reward_per_cluster_reference``, ``select_merge_pair_reference`` and
 ``split_cluster_reference`` are the per-cluster loops that rebuilt every
 cluster's centres on every call, before the reward, merge and split read

@@ -294,8 +294,8 @@ def test_07_training_efficacy():
         return np.array(finals), np.array(ns)
 
     fr_t, n_t = evaluate(greedy_policy(ckpt))
-    fr_r, _ = evaluate(random_policy())
-    fr_k, _ = evaluate(keep_policy())
+    fr_r, _ = evaluate(random_policy)
+    fr_k, _ = evaluate(keep_policy)
     d_rand = fr_t - fr_r
     d_keep = fr_t - fr_k
     se_rand = d_rand.std(ddof=1) / math.sqrt(len(d_rand))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sceneplan.cli import load_clusters, load_plan, main
+from sceneplan.cli import load_clusters, main
 from sceneplan.clustering import BandwidthSpec, TransformParams, initial_clusters
 from sceneplan.scene import load_detections
 
@@ -66,6 +66,17 @@ def test_gen_scene_deterministic(tmp_path):
     assert main(["gen-scene", "--spec", str(spec), "--out", str(a), "--seed", "9"]) == 0
     assert main(["gen-scene", "--spec", str(spec), "--out", str(b), "--seed", "9"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert main(["gen-scene", "--spec", str(spec), "--out", str(b), "--seed", "10"]) == 0
+    assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out-dir"])
+def test_gen_scene_reads_no_config(tmp_path, flag):
+    spec = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-scene", "--spec", str(spec), "--out", str(tmp_path / "d.json"),
+              flag, str(tmp_path / "x")])
+    assert exc.value.code == 2
 
 
 def test_gen_scene_missing_spec(tmp_path, capsys):
@@ -225,7 +236,7 @@ def test_plan_generous_budget(tmp_path):
     out = tmp_path / "plan.json"
     assert main(["plan", "--config", str(cfg_path), "--clusters", str(clusters),
                  "--d-max", "100000", "--out", str(out)]) == 0
-    plan = load_plan(out)
+    plan = json.loads(out.read_text())
     # oracle: with an unconstrained budget every block takes its best model
     _, parts = load_clusters(clusters)
     profs = {p.name: p for p in default_profiles()}
@@ -256,6 +267,19 @@ def test_plan_non_integer_budget_names_key(tmp_path, capsys, d_max):
     assert "d_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("area", [float("nan"), float("inf")])
+def test_plan_non_finite_area_names_partition(tmp_path, capsys, area):
+    cfg_path, clusters = make_clusters_report(tmp_path)
+    report = json.loads(clusters.read_text())
+    bad = report["clusters"][-1]
+    bad["member_areas_px2"][0] = area
+    clusters.write_text(json.dumps(report))
+    code = main(["plan", "--config", str(cfg_path), "--clusters", str(clusters)])
+    assert code == 2
+    assert f"partition {bad['id']}: areas must be positive and finite" in \
+        capsys.readouterr().err
+
+
 def test_plan_respects_budget(tmp_path):
     cfg_path, clusters = make_clusters_report(tmp_path)
     _, parts = load_clusters(clusters)
@@ -263,7 +287,7 @@ def test_plan_respects_budget(tmp_path):
     out = tmp_path / "plan.json"
     assert main(["plan", "--config", str(cfg_path), "--clusters", str(clusters),
                  "--d-max", str(budget), "--out", str(out)]) == 0
-    plan = load_plan(out)
+    plan = json.loads(out.read_text())
     assert plan["total_latency_ms"] <= budget
     lanes = plan["servers"]
     assert max(l["busy_ms"] for l in lanes) == plan["makespan_ms"]
@@ -361,11 +385,8 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 def test_flag_overrides_config(tmp_path):
-    spec = write_spec(tmp_path)
-    out1 = tmp_path / "s1.json"
-    out2 = tmp_path / "s2.json"
-    assert main(["gen-scene", "--spec", str(spec), "--out", str(out1),
-                 "--seed", "1"]) == 0
-    assert main(["gen-scene", "--spec", str(spec), "--out", str(out2),
-                 "--seed", "2"]) == 0
-    assert out1.read_bytes() != out2.read_bytes()
+    cfg_path, cfg = base_config(tmp_path)
+    assert cfg["seed"] == 3
+    assert main(["pipeline", "--config", str(cfg_path), "--seed", "5"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [s["scene_seed"] for s in report["scenes"]] == [5]

