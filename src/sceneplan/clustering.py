@@ -10,11 +10,12 @@ same transformed space when a transform is passed in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, make_cluster
+from .core import ClusterConfig, Frame, expand_ranges, make_cluster
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,12 @@ class TransformParams:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
 
 
+def _check_bandwidth(value) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"bandwidth {value!r} must be a finite positive number")
+
+
 @dataclass(frozen=True)
 class BandwidthSpec:
     """MeanShift bandwidth: a fixed radius or a nearest-neighbor quantile."""
@@ -38,8 +45,7 @@ class BandwidthSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "quantile"):
             raise ValueError(f"bandwidth mode {self.mode!r} not fixed/quantile")
-        if self.value <= 0.0:
-            raise ValueError("bandwidth value must be positive")
+        _check_bandwidth(self.value)
         if self.mode == "quantile" and self.value >= 1.0:
             raise ValueError(f"quantile {self.value} must be below 1")
 
@@ -106,35 +112,66 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     Converged modes closer than bandwidth/2 collapse onto the first-seen
     one, and every point joins its nearest surviving mode.
 
-    Array method: distances are built per coordinate as a (points, active
-    modes) array, so each windowed sum runs over the points in input order;
-    a representative clears every later mode within bandwidth/2 in one
-    vectorised test; labels are renumbered by a running count of the
-    representatives in use. Results equal ``meanshift_reference`` in
-    ``tests/oracles.py``.
+    Point-major candidate pairs: each iteration sorts the active modes by
+    x, and ``searchsorted`` finds for every point, in input order, the
+    modes whose x lies in ``[px - pad, px + pad]``, with ``pad`` slightly
+    above the bandwidth. Only these (point, mode) pairs get a distance,
+    with the operations of ``_distances``; no (points, modes) array is
+    built. The window misses no mode within the bandwidth: such a mode has
+    ``|px - mx| <= bandwidth * (1 + 5 eps) < pad`` (the distance rounds
+    at most a few ulp below the exact ``|dx|``; an ``|dx|`` too small for
+    ``dx*dx`` to stay normal is below the ``2**-500`` in ``pad``), and
+    rounding is monotone, so ``px - pad <= mx`` implies
+    ``fl(px - pad) <= mx``, and likewise on the right. The counts and
+    window sums come from ``np.bincount`` over the in-window pairs, which
+    adds each mode's points one at a time in array order, that is input
+    order, starting from 0.0. The per-mode sequential sum over all points
+    adds the same values in the same order plus one ``0.0 * p`` term per
+    point outside the window, and adding a zero changes a sum at most in
+    the sign of a zero, which no distance sees. Labels equal
+    ``meanshift_reference`` in ``tests/oracles.py``. The mode collapse and
+    the labelling compare each representative with the later modes, and
+    every point with the representatives, as arrays.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 1:
         raise ValueError("points must be a non-empty (n, 2) array")
-    if bandwidth <= 0.0:
-        raise ValueError(f"bandwidth {bandwidth} must be positive")
-    modes = pts.copy()
-    active = np.ones(len(pts), dtype=bool)
+    _check_bandwidth(bandwidth)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    pad = bandwidth * (1.0 + 1e-9) + 2.0 ** -500
+    px, py = pts[:, 0].copy(), pts[:, 1].copy()
+    left, right = px - pad, px + pad
+    mode_x, mode_y = px.copy(), py.copy()
+    active = np.arange(len(pts))
     for _ in range(max_iter):
-        if not active.any():
+        if not len(active):
             break
-        sub = modes[active]
-        within = _distances(pts, sub) <= bandwidth
-        counts = within.sum(axis=0)
-        # sums over axis 0 of a (points, modes) array add the points one at
-        # a time in input order, as the broadcast sum this replaced did
-        new = np.stack([(within * pts[:, k:k + 1]).sum(axis=0) for k in (0, 1)],
-                       axis=1) / counts[:, None]
-        shift = np.sqrt(((new - sub) ** 2).sum(axis=1))
-        modes[active] = new
-        still = shift >= tol
-        active[np.flatnonzero(active)[~still]] = False
+        # active modes in x order, nearly sorted already after the first pass;
+        # stable: the sort kmeans_1d maps anyway, where the default maps more
+        # code (peak RSS of the desk paths)
+        active = active[mode_x[active].argsort(kind="stable")]
+        sub_x, sub_y = mode_x[active], mode_y[active]
+        pos, counts = expand_ranges(sub_x.searchsorted(left),
+                                    sub_x.searchsorted(right, "right"))
+        x, y = np.repeat(px, counts), np.repeat(py, counts)
+        d = x - sub_x[pos]
+        d *= d
+        dy = y - sub_y[pos]
+        dy *= dy
+        d += dy
+        inside = np.sqrt(d, out=d) <= bandwidth
+        pos = pos[inside]
+        k = len(active)
+        # one (modes, 2) division: a 1-D float/int division maps 64 KB of
+        # numpy code that the desk paths load nowhere else (peak RSS)
+        new = np.stack([np.bincount(pos, x[inside], k), np.bincount(pos, y[inside], k)],
+                       axis=1) / np.bincount(pos, minlength=k)[:, None]
+        mode_x[active], mode_y[active] = new[:, 0], new[:, 1]
+        dx, dy = new[:, 0] - sub_x, new[:, 1] - sub_y
+        active = active[np.sqrt(dx * dx + dy * dy) >= tol]
 
+    modes = np.stack([mode_x, mode_y], axis=1)
     # collapse near-duplicate modes, first-seen representative wins
     half = bandwidth / 2.0
     covered = np.zeros(len(modes), dtype=bool)

@@ -162,6 +162,15 @@ def validate_partition(config: ClusterConfig) -> None:
         raise ValueError("clusters do not cover all detections")
 
 
+def expand_ranges(lo, hi):
+    """``(positions, counts)``: the positions ``lo[k] .. hi[k] - 1`` of
+    every range k in turn, and each range's length, so that
+    ``np.repeat(v, counts)`` lines a per-range value up with the positions.
+    Needs ``hi >= lo`` elementwise."""
+    counts = hi - lo
+    return np.arange(counts.sum()) + np.repeat(hi - counts.cumsum(), counts), counts
+
+
 def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     """Greedy class-wise non-maximum suppression.
 
@@ -170,32 +179,49 @@ def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     class stays below the threshold. Output is in visit order, i.e. sorted
     by descending score.
 
-    Array method: extents, areas and classes are laid out once in visit
-    order; each surviving box computes its IoU against the later live boxes
-    of its class in one numpy expression, with the same operations as
-    ``iou_exact`` in ``tests/oracles.py``, and clears those it suppresses.
-    No n x n matrix is built. Results equal ``nms_reference`` there.
+    Sweep-line method: extents are computed as arrays with the operations
+    of ``DetectionBox.extent`` and sorted by ``x0``. Each box is paired
+    with the boxes after it in that order whose ``x0`` lies below its
+    ``x1``, so every unordered pair is built once and no n x n array is.
+    Those are all the pairs that can overlap: for the later box of a pair
+    ``max(x0)`` is its own ``x0``, and ``fl(a - b) > 0`` holds iff
+    ``a > b``, so ``iw > 0`` needs ``x0[later] < x1[earlier]``. Same-class
+    pairs with ``iw > 0`` and ``ih > 0`` get their IoU with the operations
+    of ``iou_exact`` in ``tests/oracles.py``, in its order. The greedy pass
+    then walks only the suppressing pairs, ordered by the earlier box p in
+    visit order, and clears q whenever p is still alive: by the time p's
+    pairs come up, every box before p in visit order has been settled.
+    Results equal ``nms_reference`` there.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1)")
-    if len(boxes) == 0:
+    n = len(boxes)
+    if n == 0:
         return []
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    order = sorted(range(n), key=lambda i: (-boxes[i].score, i))
     visit = [boxes[i] for i in order]
-    x0, y0, x1, y1 = np.array([b.extent() for b in visit]).T
+    cx, cy, w, h = np.array([(b.cx, b.cy, b.w, b.h) for b in visit]).T
+    x0, y0 = np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0)
+    x1, y1 = np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0)
     area = (x1 - x0) * (y1 - y0)
     cls = np.array([b.class_id for b in visit])
-    alive = np.ones(len(visit), dtype=bool)
-    for p in range(len(visit)):
-        if not alive[p]:
-            continue
-        later = np.flatnonzero(alive[p + 1:] & (cls[p + 1:] == cls[p])) + (p + 1)
-        iw = np.minimum(x1[later], x1[p]) - np.maximum(x0[later], x0[p])
-        ih = np.minimum(y1[later], y1[p]) - np.maximum(y0[later], y0[p])
-        hit = (iw > 0.0) & (ih > 0.0)
-        later, inter = later[hit], iw[hit] * ih[hit]
-        overlap = inter / (area[later] + area[p] - inter)
-        alive[later[overlap >= iou_threshold]] = False
+
+    by_x = x0.argsort(kind="stable")  # the sort kmeans_1d maps (peak RSS)
+    x0_sorted = x0[by_x]
+    after = np.arange(1, n + 1)
+    # a box whose width rounds to 0 (x0 == x1) may end its range before it
+    pos, counts = expand_ranges(after, np.maximum(x0_sorted.searchsorted(x1[by_x]), after))
+    i, j = np.repeat(by_x, counts), by_x[pos]
+    iw = np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j])
+    ih = np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j])
+    hit = (iw > 0.0) & (ih > 0.0) & (cls[i] == cls[j])
+    i, j, inter = i[hit], j[hit], iw[hit] * ih[hit]
+    hit = inter / (area[i] + area[j] - inter) >= iou_threshold
+    i, j = i[hit], j[hit]
+    alive = [True] * n
+    for p, q in sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())):
+        if alive[p]:
+            alive[q] = False
     return [b for b, keep in zip(visit, alive) if keep]
 
 

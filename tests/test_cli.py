@@ -331,6 +331,13 @@ def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, val
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.14"])
+def test_pipeline_bad_bandwidth_names_it(tmp_path, capsys, value):
+    cfg_path, _ = base_config(tmp_path, bandwidth_value=value)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "bandwidth" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

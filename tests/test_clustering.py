@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneplan.clustering import (
+    BANDWIDTH_FLOOR,
     BandwidthSpec,
     ClusterGeometry,
     TransformParams,
@@ -221,6 +222,37 @@ def test_meanshift_matches_reference(points, repeats, bandwidth):
     labels, expected = meanshift(pts, bandwidth), meanshift_reference(pts, bandwidth)
     assert labels.dtype == expected.dtype
     assert labels.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("bandwidth", [BANDWIDTH_FLOOR, 1e-9, 0.125, 0.1])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_meanshift_window_edges_match_reference(bandwidth, axis, ulps):
+    # a row of points one bandwidth apart along one axis, the second moved
+    # by an ulp: its distance to the first (and, exactly, to the third) lands
+    # on, inside or outside the window's edge, and on the x axis the
+    # searchsorted bounds do too
+    row = [k * bandwidth for k in range(6)]
+    row[1] = float(np.nextafter(row[1], ulps * np.inf)) if ulps else row[1]
+    pts = np.full((6, 2), 0.4)
+    pts[:, axis] = row
+    for max_iter in (0, 1, 300):
+        assert meanshift(pts, bandwidth, max_iter=max_iter).tolist() == \
+            meanshift_reference(pts, bandwidth, max_iter=max_iter).tolist()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1, "0.2", True])
+def test_bandwidth_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="bandwidth"):
+        BandwidthSpec("fixed", bad)
+    with pytest.raises(ValueError, match="bandwidth"):
+        meanshift(np.array([[0.2, 0.3], [0.4, 0.5]]), bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_meanshift_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        meanshift(np.array([[0.2, 0.3], [bad, 0.5]]), 0.1)
 
 
 # ---------------------------------------------------------------------------

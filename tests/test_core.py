@@ -129,6 +129,60 @@ def test_nms_matches_reference_on_ties_duplicates_and_touching_edges(boxes, thre
         [id(b) for b in nms_reference(boxes, threshold)]
 
 
+# Edges on a 1/16 grid touch exactly; a coordinate moved one ulp down or up
+# makes touching edges overlap or miss by about an ulp. Centres at 0 and 1
+# clamp extents to the frame, a size of 2**-60 rounds away against most
+# centres (x0 == x1), and a shared column gives many equal x0.
+EDGE_GRID = [k / 16 for k in range(17)]
+EDGE_SIZES = [2.0 ** -60] + [k / 16 for k in range(1, 9)] + [1.0]
+
+
+def ulp_nudged(values, lo, hi):
+    """A grid value, or the float one ulp below or above it, kept in [lo, hi]."""
+    def nudge(drawn):
+        value, step = drawn
+        return min(hi, max(lo, float(np.nextafter(value, step * np.inf)))) if step else value
+    return st.tuples(st.sampled_from(values), st.sampled_from([-1, 0, 0, 1])).map(nudge)
+
+
+@st.composite
+def swept_boxes(draw):
+    classes = draw(st.integers(1, 3))
+    centre = ulp_nudged(EDGE_GRID, 0.0, 1.0)
+    size = ulp_nudged(EDGE_SIZES, 5e-324, 1.0)
+    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    cls = st.integers(0, classes - 1)
+    boxes = draw(st.lists(st.builds(DetectionBox, centre, centre, size, size, score, cls),
+                          min_size=1, max_size=60))
+    column_cx, column_w = draw(centre), draw(size)
+    boxes += draw(st.lists(st.builds(DetectionBox, st.just(column_cx), centre,
+                                     st.just(column_w), size, score, cls), max_size=20))
+    return draw(st.permutations(boxes))
+
+
+@given(swept_boxes(), st.sampled_from([1e-9, 1e-6, 0.1, 1 / 3, 0.5, 0.9])
+       | st.floats(1e-9, 0.999))
+@settings(max_examples=120, deadline=None)
+def test_nms_sweep_matches_reference_on_touching_and_ulp_edges(boxes, threshold):
+    assert [id(b) for b in nms(boxes, threshold)] == \
+        [id(b) for b in nms_reference(boxes, threshold)]
+
+
+def test_nms_matches_reference_on_600_boxes_in_two_classes():
+    rng = np.random.default_rng(7)
+    boxes = []
+    for _ in range(640):
+        w, h = (float(v) for v in rng.uniform(0.005, 0.06, size=2))
+        cx, cy = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
+        boxes.append(DetectionBox(cx, cy, w, h, float(rng.uniform()), int(rng.integers(2))))
+    # near-duplicates, as overlapping tiles report them
+    for b in boxes[:160]:
+        boxes.append(dataclasses.replace(b, cx=min(1.0, b.cx + 0.1 * b.w), score=b.score / 2))
+    kept = nms(boxes, 0.3)
+    assert 300 < len(kept) < len(boxes)
+    assert [id(b) for b in kept] == [id(b) for b in nms_reference(boxes, 0.3)]
+
+
 def test_nms_suppresses_at_exact_threshold():
     a = DetectionBox(0.5, 0.5, 0.25, 0.125, score=0.9)
     b = DetectionBox(0.4375, 0.5, 0.125, 0.125, score=0.8)  # half of a

@@ -396,3 +396,16 @@ def test_crowd_frame_matches_reference_path(bandwidth):
     labels = meanshift_reference(pts, bw)
     assert [c.members for c in config.clusters] == \
         [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1)]
+
+
+def test_crowd_frame_of_500_detections_matches_reference_clustering():
+    spec = SceneSpec(3840, 2160, 520, 520, (
+        Stratum(0.05, 0.45, 0.012, 0.03, 0.65),
+        Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=5)
+    frame = generate_scene(spec)
+    config = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.12))
+    pts = transform_y([[b.cx, b.cy] for b in frame.detections], TransformParams(0.5))
+    labels = meanshift_reference(pts, 0.12)
+    assert config.count > 10
+    assert [c.members for c in config.clusters] == \
+        [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1)]
