@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -90,17 +91,53 @@ DEFAULTS = {
 }
 
 
+def _check_value(key: str, default, value) -> None:
+    """Raise ValueError naming ``key`` unless ``value`` has the type of its
+    default: a non-bool int for integer keys, a finite non-bool real for
+    float keys, a string for string keys. Keys defaulting to None are
+    paths, so they take None or a string; ``scene_spec`` may also be an
+    inline spec object."""
+    if default is None:
+        inline = key == "scene_spec"
+        ok = value is None or isinstance(value, str) or (inline and isinstance(value, dict))
+        want = "a path" + (" or a scene spec object" if inline else "")
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        want = "an integer"
+    elif isinstance(default, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+        want = "a finite number"
+    else:
+        ok = isinstance(value, str)
+        want = "a string"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def load_config(path) -> dict:
+    """DEFAULTS overlaid with the JSON file at ``path`` (when given); every
+    key of the file, and of its ``reward`` and ``train`` blocks, must be
+    known and typed like its default."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
             user = json.load(f)
+        if not isinstance(user, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, value in user.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict) and isinstance(value, dict):
+            if isinstance(cfg[key], dict):
+                if not isinstance(value, dict):
+                    raise ValueError(f"config key {key!r} must be an object")
+                for sub, v in value.items():
+                    if sub not in cfg[key]:
+                        raise ValueError(f"unknown config key {key + '.' + sub!r}")
+                    _check_value(f"{key}.{sub}", cfg[key][sub], v)
                 cfg[key].update(value)
             else:
+                _check_value(key, cfg[key], value)
                 cfg[key] = value
     return cfg
 

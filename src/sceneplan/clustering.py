@@ -255,21 +255,54 @@ class ClusterGeometry:
         pts = np.array([[d.cx, d.cy] for d in detections])
         self.points = pts if transform is None else transform_y(pts, transform)
         self.areas = np.array([d.area for d in detections])
+        self._x, self._y = self.points.T.tolist() if len(detections) else ([], [])
+        self._area = self.areas.tolist()
         self._stats: dict = {}
 
-    def stats(self, members: tuple[int, ...]) -> tuple[np.ndarray, float, float]:
-        """(centroid, mean member distance to it, area variance), reduced
-        over the gathered members exactly as from per-cluster arrays."""
+    def stats(self, members: tuple[int, ...]) -> tuple[tuple[float, float], float, float]:
+        """((centroid x, y), mean member distance to it, area variance).
+
+        Up to 7 members the sums are Python floats added one at a time
+        from 0.0, each then divided by the member count: the centroid, the
+        mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass population
+        variance (mean first, then the mean of the squared deviations).
+        numpy's ``add.reduce`` adds fewer than 8 elements in exactly this
+        sequence (pairwise summation starts at 8), so the results equal
+        numpy's ``mean``, ``linalg.norm(axis=1).mean()`` and ``var`` over
+        the gathered member arrays; from 8 members on those numpy calls
+        run. Results equal ``geometry_stats_reference`` in
+        ``tests/oracles.py``.
+        """
         hit = self._stats.get(members)
-        if hit is None:
+        if hit is not None:
+            return hit
+        k = len(members)
+        if k >= 8:
             idx = list(members)
             pts = self.points[idx]
             centroid = pts.mean(axis=0)
-            hit = self._stats[members] = (
-                centroid,
+            hit = (
+                (float(centroid[0]), float(centroid[1])),
                 float(np.linalg.norm(pts - centroid, axis=1).mean()),
                 float(self.areas[idx].var()),
             )
+        else:
+            xs, ys, areas = self._x, self._y, self._area
+            # no builtin sum (compensated from Python 3.12) nor math.fsum
+            sx = sy = sa = 0.0
+            for i in members:
+                sx += xs[i]
+                sy += ys[i]
+                sa += areas[i]
+            cx, cy, mean_area = sx / k, sy / k, sa / k
+            spread = dev = 0.0
+            for i in members:
+                dx, dy = xs[i] - cx, ys[i] - cy
+                spread += math.sqrt(dx * dx + dy * dy)
+                d = areas[i] - mean_area
+                dev += d * d
+            hit = ((cx, cy), spread / k, dev / k)
+        self._stats[members] = hit
         return hit
 
 

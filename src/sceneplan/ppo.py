@@ -32,6 +32,10 @@ from .rl_env import (
 )
 
 
+# ``Generator.choice``'s tolerance on the sum of its probabilities
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
 class CheckpointError(ValueError):
     """Raised for unreadable, corrupt, or dimensionally incompatible checkpoints."""
 
@@ -144,11 +148,24 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def policy_sample(logits, mask, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw an action from the masked softmax; never picks an invalid id."""
+    """Draw an action from the masked softmax; never picks an invalid id.
+
+    The draw is ``Generator.choice``'s own method without its per-call
+    set-up: the normalised cumulative probabilities are searched for one
+    ``rng.random()`` (``side="right"``), so actions and generator state
+    equal ``policy_sample_reference`` in ``tests/oracles.py``, which calls
+    ``rng.choice(len(p), p=p)``. As in ``choice``, probabilities that are
+    NaN or do not sum to 1 within sqrt(eps) raise ``ValueError``.
+    """
     logp = masked_log_softmax(logits, mask)
     p = np.exp(logp)
     p = p / p.sum()
-    action = int(rng.choice(len(p), p=p))
+    cdf = p.cumsum()
+    total = float(cdf[-1])
+    if not abs(total - 1.0) <= _CHOICE_ATOL:  # also true for NaN
+        raise ValueError(f"action probabilities sum to {total}, not 1")
+    cdf /= cdf[-1]
+    action = int(cdf.searchsorted(rng.random(), side="right"))
     return action, float(logp[action])
 
 

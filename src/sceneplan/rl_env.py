@@ -75,30 +75,34 @@ def encode_state(config: ClusterConfig, n_pad: int, total_detections: int,
     order, zero-padded (or truncated) to n_pad slots, then the normalized
     cluster count N / n_pad clipped to 1 (zeroed if ``include_count`` is
     off; the vector length never changes).
+
+    The features are laid out in one Python list and converted by one
+    ``np.array``; the vector equals ``encode_state_reference`` in
+    ``tests/oracles.py``, which writes each slot into a zero array.
     """
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
-    s = np.zeros(state_dim(n_pad))
-    for slot, c in enumerate(config.clusters[:n_pad]):
-        base = slot * FEATURES_PER_CLUSTER
-        s[base:base + FEATURES_PER_CLUSTER] = (
-            c.mu_x, c.mu_y, c.mu_w, c.mu_h,
-            c.size / total_detections if total_detections else 0.0,
-        )
-    if include_count:
-        s[-1] = min(config.count / n_pad, 1.0)
-    return s
+    feats = []
+    for c in config.clusters[:n_pad]:
+        feats += (c.mu_x, c.mu_y, c.mu_w, c.mu_h,
+                  c.size / total_detections if total_detections else 0.0)
+    feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
+    feats.append(min(config.count / n_pad, 1.0) if include_count else 0.0)
+    return np.array(feats, dtype=float)
 
 
 def action_mask(config: ClusterConfig, n_pad: int) -> np.ndarray:
     """Validity per action id: keep always, merge iff N >= 2, split i iff
-    cluster i exists and has at least 2 members."""
-    mask = np.zeros(n_actions(n_pad), dtype=bool)
-    mask[KEEP] = True
-    mask[MERGE] = config.count >= 2
-    for i, c in enumerate(config.clusters[:n_pad]):
-        mask[SPLIT_BASE + i] = c.size >= 2
-    return mask
+    cluster i exists and has at least 2 members.
+
+    One Python list converted by one ``np.array``; the mask equals
+    ``action_mask_reference`` in ``tests/oracles.py``.
+    """
+    shown = config.clusters[:n_pad]
+    mask = [True, config.count >= 2]  # KEEP, MERGE; SPLIT_BASE + i follow
+    mask += [c.size >= 2 for c in shown]
+    mask += [False] * (n_pad - len(shown))
+    return np.array(mask, dtype=bool)
 
 
 def reward(config: ClusterConfig, weights: RewardWeights,

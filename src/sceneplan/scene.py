@@ -95,6 +95,11 @@ def load_scene_spec(path) -> SceneSpec:
         return scene_spec_from_dict(json.load(f))
 
 
+def _uniform(low: float, high: float, u: float) -> float:
+    """``Generator.uniform(low, high)``'s value for the double ``u``."""
+    return low + (high - low) * u
+
+
 def generate_scene(spec: SceneSpec) -> Frame:
     """Draw a synthetic frame from the spec; deterministic per seed.
 
@@ -103,10 +108,14 @@ def generate_scene(spec: SceneSpec) -> Frame:
     the band (plus jitter), so box size correlates with cy across and
     within strata.
 
-    The stratum draw is ``Generator.choice``'s own method, with the
-    cumulative weights built once per scene instead of once per object: one
-    ``rng.random()`` searched in the normalised cdf, so frames equal
-    ``generate_scene_reference`` in ``tests/oracles.py`` draw for draw.
+    One batched ``rng.random`` call per scene gives each object's six
+    uniforms in the per-call order of ``generate_scene_reference`` in
+    ``tests/oracles.py`` (a batched draw yields the same doubles as single
+    calls). The stratum draw is ``Generator.choice``'s own method: the
+    first uniform is searched in the normalised cdf of the weights, built
+    once per scene. The other five become ``rng.uniform(low, high)``'s
+    value ``low + (high - low) * u`` in Python floats, so frames equal the
+    reference's draw for draw.
     """
     rng = np.random.default_rng(spec.seed)
     count = int(rng.integers(spec.count_min, spec.count_max + 1))
@@ -114,17 +123,19 @@ def generate_scene(spec: SceneSpec) -> Frame:
     weights /= weights.sum()
     cdf = weights.cumsum()
     cdf /= cdf[-1]
+    draws = rng.random((count, 6))  # the 6 * count doubles of 6 draws per object
+    picks = cdf.searchsorted(draws[:, 0], side="right").tolist()
     boxes = []
-    for _ in range(count):
-        s = spec.strata[int(cdf.searchsorted(rng.random(), side="right"))]
-        cy = float(rng.uniform(s.y0, s.y1))
+    for pick, (_, u_y, u_t, u_w, u_x, u_score) in zip(picks, draws.tolist()):
+        s = spec.strata[pick]
+        cy = _uniform(s.y0, s.y1, u_y)
         rel = (cy - s.y0) / (s.y1 - s.y0) if s.y1 > s.y0 else 0.5
-        t = min(1.0, max(0.0, rel + rng.uniform(-0.25, 0.25)))
+        t = min(1.0, max(0.0, rel + _uniform(-0.25, 0.25, u_t)))
         h = s.size_min + (s.size_max - s.size_min) * t
-        w = min(1.0, h * float(rng.uniform(0.6, 1.1)))
-        cx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
+        w = min(1.0, h * _uniform(0.6, 1.1, u_w))
+        cx = _uniform(w / 2.0, 1.0 - w / 2.0, u_x)
         cy = min(max(cy, h / 2.0), 1.0 - h / 2.0)
-        score = float(rng.uniform(0.3, 1.0))
+        score = _uniform(0.3, 1.0, u_score)
         boxes.append(DetectionBox(cx, cy, w, h, score, 0))
     return Frame(spec.width_px, spec.height_px, tuple(boxes))
 

@@ -18,7 +18,12 @@ lookup per box, rebuilding the curve each time) and ``dp_plan_reference``
 (a full-width table with an int choice array) are the planner before it
 went to one precision pass per plan and a value-only table capped at the
 reachable budget; ``generate_scene_reference`` draws each stratum with
-``Generator.choice``. The library must return exactly what these return.
+``Generator.choice`` and each uniform with ``Generator.uniform``.
+``geometry_stats_reference`` (numpy reductions over the gathered
+members), ``policy_sample_reference`` (``Generator.choice``),
+``encode_state_reference`` and ``action_mask_reference`` (slot writes
+into zero arrays) are the training step before it went to Python floats.
+The library must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -31,6 +36,15 @@ import numpy as np
 from sceneplan.clustering import BANDWIDTH_FLOOR, kmeans_1d, transform_y
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.offload import InfeasiblePlanError, OffloadPlan, scale_area
+from sceneplan.ppo import masked_log_softmax
+from sceneplan.rl_env import (
+    FEATURES_PER_CLUSTER,
+    KEEP,
+    MERGE,
+    SPLIT_BASE,
+    n_actions,
+    state_dim,
+)
 
 
 def iou_raster(a: DetectionBox, b: DetectionBox, cells: int = 10_000) -> float:
@@ -325,6 +339,55 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
     clusters[i] = low
     clusters.append(high)
     return ClusterConfig(tuple(clusters), config.detections)
+
+
+def geometry_stats_reference(geometry, members):
+    """A ``ClusterGeometry``'s (centroid, mean member distance, area
+    variance) by numpy reductions over the gathered member arrays."""
+    idx = list(members)
+    pts = geometry.points[idx]
+    centroid = pts.mean(axis=0)
+    return (
+        centroid,
+        float(np.linalg.norm(pts - centroid, axis=1).mean()),
+        float(geometry.areas[idx].var()),
+    )
+
+
+def encode_state_reference(config: ClusterConfig, n_pad: int, total_detections: int,
+                           include_count: bool = True) -> np.ndarray:
+    """The state vector written slot by slot into a zero array."""
+    if n_pad < 1:
+        raise ValueError("n_pad must be >= 1")
+    s = np.zeros(state_dim(n_pad))
+    for slot, c in enumerate(config.clusters[:n_pad]):
+        base = slot * FEATURES_PER_CLUSTER
+        s[base:base + FEATURES_PER_CLUSTER] = (
+            c.mu_x, c.mu_y, c.mu_w, c.mu_h,
+            c.size / total_detections if total_detections else 0.0,
+        )
+    if include_count:
+        s[-1] = min(config.count / n_pad, 1.0)
+    return s
+
+
+def action_mask_reference(config: ClusterConfig, n_pad: int) -> np.ndarray:
+    """The action mask written entry by entry into a zero array."""
+    mask = np.zeros(n_actions(n_pad), dtype=bool)
+    mask[KEEP] = True
+    mask[MERGE] = config.count >= 2
+    for i, c in enumerate(config.clusters[:n_pad]):
+        mask[SPLIT_BASE + i] = c.size >= 2
+    return mask
+
+
+def policy_sample_reference(logits, mask, rng):
+    """A masked-softmax action drawn by ``rng.choice(len(p), p=p)``."""
+    logp = masked_log_softmax(logits, mask)
+    p = np.exp(logp)
+    p = p / p.sum()
+    action = int(rng.choice(len(p), p=p))
+    return action, float(logp[action])
 
 
 def precision_lookup_reference(profile, area_px2: float) -> float:

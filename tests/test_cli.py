@@ -391,6 +391,33 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_max", "5"), ("n_pad", 2.5), ("e", float("inf")), ("t_max", float("nan")),
+    ("seed", "1"), ("num_scenes", "2"), ("min_visible", "0.3"), ("episodes", True),
+    ("reward.n_min", 2.0), ("reward.d_m", float("nan")), ("reward.alpha", "10"),
+    ("train.iterations", True), ("train.lr_policy", float("inf")),
+    ("train.hidden", [64, 64]), ("train.seed", 1), ("reward.nmin", 2),
+    ("profile", 5), ("scene_spec", 5), ("checkpoint", ["a"]), ("out_dir", 1),
+])
+def test_pipeline_mistyped_config_value_names_key(tmp_path, capsys, key, value):
+    block, _, sub = key.partition(".")
+    if sub:
+        _, cfg = base_config(tmp_path)
+        overrides = {block: {**cfg[block], sub: value}}
+    else:
+        overrides = {key: value}
+    cfg_path, _ = base_config(tmp_path, **overrides)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_file_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"seed": 1}]))
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_flag_overrides_config(tmp_path):
     cfg_path, cfg = base_config(tmp_path)
     assert cfg["seed"] == 3

@@ -15,6 +15,7 @@ from sceneplan.clustering import (
     transform_y,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
+from sceneplan.ppo import init_mlp, mlp_forward, rollout, sampling_policy
 from sceneplan.rl_env import (
     KEEP,
     MERGE,
@@ -25,11 +26,17 @@ from sceneplan.rl_env import (
     action_mask,
     apply_action,
     encode_state,
+    n_actions,
     reward,
+    state_dim,
     step,
 )
+from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 from oracles import (
+    action_mask_reference,
+    encode_state_reference,
+    policy_sample_reference,
     random_config,
     reward_per_cluster_reference,
     reward_reference,
@@ -444,3 +451,36 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
             assert out.components == (r1, r2, r3, r4)
             assert np.array_equal(out.state, encode_state(nxt, n_pad, n_det))
         cfg = nxt
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_rollout_equals_reference_chain(seed):
+    # desk scenes; n_pad 8 truncates the state and mask of larger configurations
+    strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+    frame = generate_scene(SceneSpec(1280, 1280, 14, 20, strata, seed))
+    transform, n_pad, n_det = TransformParams(0.5), 8, len(frame.detections)
+    env_config = EnvConfig(weights=DESK, transform=transform,
+                           bandwidth=BandwidthSpec("fixed", 0.06), n_pad=n_pad)
+    policy = init_mlp(np.random.default_rng(100 + seed),
+                      [state_dim(n_pad), 16, n_actions(n_pad)])
+    record, roll_rng = [], np.random.default_rng(seed)
+    final, trace = rollout(ClusterEnv(frame, env_config, t_max=30),
+                           sampling_policy(policy, record), roll_rng)
+    assert len(record) == len(trace) == 30
+
+    rng = np.random.default_rng(seed)
+    cfg = initial_clusters(frame, transform, env_config.bandwidth)
+    for (state, action, logp, mask), out in zip(record, trace):
+        ref_state = encode_state_reference(cfg, n_pad, n_det)
+        ref_mask = action_mask_reference(cfg, n_pad)
+        ref_action, ref_logp = policy_sample_reference(
+            mlp_forward(policy, ref_state), ref_mask, rng)
+        assert np.array_equal(state, ref_state) and state.dtype == ref_state.dtype
+        assert np.array_equal(mask, ref_mask) and mask.dtype == ref_mask.dtype
+        assert (action, logp) == (ref_action, ref_logp)
+        cfg = reference_step(cfg, action, transform)
+        assert out.config == cfg
+        assert out.reward == reward_per_cluster_reference(cfg, DESK, transform)[4]
+    assert np.array_equal(trace[-1].state, encode_state_reference(cfg, n_pad, n_det))
+    assert final == cfg
+    assert roll_rng.random() == rng.random()  # same draws from one stream

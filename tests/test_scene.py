@@ -166,6 +166,18 @@ def test_generate_matches_reference(n_strata):
             assert generate_scene(spec) == generate_scene_reference(spec)
 
 
+@pytest.mark.parametrize("count", [1, 700])
+def test_generate_matches_reference_on_bench_strata(count):
+    # the benchmark's desk strata, with one object and with a crowd
+    strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65),
+              Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+    for seed in range(10):
+        spec = SceneSpec(3840, 2160, count, count, strata, seed)
+        frame = generate_scene(spec)
+        assert len(frame.detections) == count
+        assert frame == generate_scene_reference(spec)
+
+
 def test_generate_draw_on_cdf_boundary_matches_reference():
     # densities (u, 1 - u) put the cdf's first entry exactly on the first
     # object's uniform draw u; choice's searchsorted(side="right") then
