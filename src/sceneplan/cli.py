@@ -15,14 +15,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import Frame, atomic_write, bounding_block
+from .core import Frame, atomic_write, bounding_block, check_number
 from .offload import (
     InfeasiblePlanError,
     PartitionDescriptor,
@@ -97,17 +96,13 @@ def _check_value(key: str, default, value) -> None:
     float keys, a string for string keys. Keys defaulting to None are
     paths, so they take None or a string; ``scene_spec`` may also be an
     inline spec object."""
+    if isinstance(default, (int, float)):
+        check_number(value, f"config key {key!r}", isinstance(default, int))
+        return
     if default is None:
         inline = key == "scene_spec"
         ok = value is None or isinstance(value, str) or (inline and isinstance(value, dict))
         want = "a path" + (" or a scene spec object" if inline else "")
-    elif isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        want = "an integer"
-    elif isinstance(default, float):
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-        want = "a finite number"
     else:
         ok = isinstance(value, str)
         want = "a string"

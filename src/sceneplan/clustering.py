@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,26 +113,48 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     Converged modes closer than bandwidth/2 collapse onto the first-seen
     one, and every point joins its nearest surviving mode.
 
-    Point-major candidate pairs: each iteration sorts the active modes by
-    x, and ``searchsorted`` finds for every point, in input order, the
-    modes whose x lies in ``[px - pad, px + pad]``, with ``pad`` slightly
-    above the bandwidth. Only these (point, mode) pairs get a distance,
-    with the operations of ``_distances``; no (points, modes) array is
-    built. The window misses no mode within the bandwidth: such a mode has
-    ``|px - mx| <= bandwidth * (1 + 5 eps) < pad`` (the distance rounds
-    at most a few ulp below the exact ``|dx|``; an ``|dx|`` too small for
-    ``dx*dx`` to stay normal is below the ``2**-500`` in ``pad``), and
-    rounding is monotone, so ``px - pad <= mx`` implies
-    ``fl(px - pad) <= mx``, and likewise on the right. The counts and
-    window sums come from ``np.bincount`` over the in-window pairs, which
-    adds each mode's points one at a time in array order, that is input
-    order, starting from 0.0. The per-mode sequential sum over all points
-    adds the same values in the same order plus one ``0.0 * p`` term per
-    point outside the window, and adding a zero changes a sum at most in
-    the sign of a zero, which no distance sees. Labels equal
-    ``meanshift_reference`` in ``tests/oracles.py``. The mode collapse and
-    the labelling compare each representative with the later modes, and
-    every point with the representatives, as arrays.
+    Candidate pairs from y-bands: the frame is cut into horizontal bands of
+    height ``pad`` (slightly above the bandwidth) from the lowest point,
+    taller where more bands than points would be needed, and ``row(v)``
+    counts the band edges at or below ``v``. Each iteration stable-sorts
+    the active modes by the key ``row(y) + off(x)``, where ``off`` scales
+    ``x`` minus the lowest x by a power of two and clips it to [0, 1/2], so
+    the bands' keys are disjoint and increase with x inside a band. Every
+    point asks, once per call, for the bands from ``row(fl(py - pad))`` to
+    ``row(fl(py + pad))``, and in each for the keys from
+    ``off(fl(px - pad))`` to ``off(fl(px + pad))``; two ``searchsorted``
+    calls with the queries sorted once per call give every query's range of
+    modes. Only these (point, mode) pairs get a distance, with the
+    operations of ``_distances``; no (points, modes) array is built.
+
+    The queries miss no mode within the bandwidth: such a mode has
+    ``|px - mx| <= bandwidth * (1 + 5 eps) < pad`` and likewise in y (the
+    distance rounds at most a few ulp below the exact ``|dx|``; an ``|dx|``
+    too small for ``dx*dx`` to stay normal is below the ``2**-500`` in
+    ``pad``). Rounding is monotone, so ``px - pad <= mx`` implies
+    ``fl(px - pad) <= mx``; ``row``, ``off`` and ``fl(r + .)`` are monotone
+    too, so the mode's key lies in the query range of its own band. No
+    mode is paired twice with a point, as each lies in one band and the
+    bands' keys do not overlap. No inf or NaN reaches a key, whatever the
+    coordinates and bandwidth: the extents are taken in halves, which
+    cannot overflow, the band edges are ordered, and an infinite query
+    bound only lands on the first or last band or clips to an offset's end.
+
+    The queries are point-major, bands ascending within a point, so the
+    pairs are too. The counts and window sums come from ``np.bincount``
+    over the in-window pairs, which adds each mode's points one at a time
+    in array order, that is input order, starting from 0.0. The per-mode
+    sequential sum over all points adds the same values in the same order
+    plus one ``0.0 * p`` term per point outside the window, and adding a
+    zero changes a sum at most in the sign of a zero, which no distance
+    sees. Labels equal ``meanshift_reference`` in ``tests/oracles.py``.
+
+    The mode collapse runs over the distinct converged modes only, taken
+    in first-seen order: one distance array between them, then the
+    first-seen loop over its rows. This is exact, as a copy of a mode lies
+    at distance 0 (at most bandwidth/2) from it and at the same distance
+    from every other mode, so it is covered exactly when the mode is.
+    Every point then joins its nearest representative, as one array.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 1:
@@ -141,20 +164,44 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
         raise ValueError("points must be finite")
     pad = bandwidth * (1.0 + 1e-9) + 2.0 ** -500
     px, py = pts[:, 0].copy(), pts[:, 1].copy()
-    left, right = px - pad, px + pad
+    (x_lo, y_lo), (x_hi, y_hi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    # halved extents cannot overflow; a band is pad high (capped to stay
+    # finite), or taller where one band per point would not cover the extent
+    half_span = y_hi * 0.5 - y_lo * 0.5
+    half_height = max(min(pad, sys.float_info.max) * 0.5, half_span / len(pts))
+    edges = (y_lo * 0.5 + half_height * np.arange(1, int(half_span / half_height) + 1)) * 2.0
+    shift = -math.frexp(x_hi * 0.5 - x_lo * 0.5)[1] - 2  # 2**-shift > 2 * x extent
+
+    def offset(x):
+        off = np.ldexp(x - x_lo, shift)
+        np.maximum(off, 0.0, out=off)
+        return np.minimum(off, 0.5, out=off)
+
+    with np.errstate(over="ignore"):  # far window ends may reach +-inf, which clip
+        rows, per_point = expand_ranges(edges.searchsorted(py - pad, "right"),
+                                        edges.searchsorted(py + pad, "right") + 1)
+        q_left = offset(px - pad).repeat(per_point) + rows
+        q_right = offset(px + pad).repeat(per_point) + rows
+    qx, qy = px.repeat(per_point), py.repeat(per_point)
+    left_order = q_left.argsort(kind="stable")
+    right_order = q_right.argsort(kind="stable")
+    q_left, q_right = q_left[left_order], q_right[right_order]
+    left, right = np.empty(len(rows), dtype=np.intp), np.empty(len(rows), dtype=np.intp)
     mode_x, mode_y = px.copy(), py.copy()
     active = np.arange(len(pts))
     for _ in range(max_iter):
         if not len(active):
             break
-        # active modes in x order, nearly sorted already after the first pass;
+        sub_x, sub_y = mode_x[active], mode_y[active]
+        key = offset(sub_x) + edges.searchsorted(sub_y, "right")
         # stable: the sort kmeans_1d maps anyway, where the default maps more
         # code (peak RSS of the desk paths)
-        active = active[mode_x[active].argsort(kind="stable")]
-        sub_x, sub_y = mode_x[active], mode_y[active]
-        pos, counts = expand_ranges(sub_x.searchsorted(left),
-                                    sub_x.searchsorted(right, "right"))
-        x, y = np.repeat(px, counts), np.repeat(py, counts)
+        order = key.argsort(kind="stable")
+        active, sub_x, sub_y, key = active[order], sub_x[order], sub_y[order], key[order]
+        left[left_order] = key.searchsorted(q_left)
+        right[right_order] = key.searchsorted(q_right, "right")
+        pos, counts = expand_ranges(left, right)
+        x, y = qx.repeat(counts), qy.repeat(counts)
         d = x - sub_x[pos]
         d *= d
         dy = y - sub_y[pos]
@@ -171,18 +218,22 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
         dx, dy = new[:, 0] - sub_x, new[:, 1] - sub_y
         active = active[np.sqrt(dx * dx + dy * dy) >= tol]
 
-    modes = np.stack([mode_x, mode_y], axis=1)
+    # distinct modes in first-seen order (the reversed dict keeps each
+    # mode's first index); float keys, so -0.0 and 0.0 are one mode
+    keys = list(zip(mode_x.tolist(), mode_y.tolist()))
+    first = sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
+    modes = np.stack([mode_x[first], mode_y[first]], axis=1)
     # collapse near-duplicate modes, first-seen representative wins
     half = bandwidth / 2.0
+    near = _distances(modes, modes)
+    _norm_near(near, modes, modes, half)
+    near = near <= half  # drops the float array before the labelling's
     covered = np.zeros(len(modes), dtype=bool)
     reps = []
     for i in range(len(modes)):
-        if covered[i]:
-            continue
-        reps.append(i)
-        dist = _distances(modes[i:i + 1], modes[i + 1:])
-        _norm_near(dist, modes[i:i + 1], modes[i + 1:], half)
-        covered[i + 1:] |= dist[0] <= half
+        if not covered[i]:
+            reps.append(i)
+            covered |= near[i]
     labels = _distances(pts, modes[reps]).argmin(axis=1)
     # drop representatives that attracted no points, keep label order stable
     used = np.bincount(labels, minlength=len(reps)) > 0
@@ -337,8 +388,9 @@ def _norm_near(dist, a, b, cut: float):
     ``cut``, and the norm decides them as the per-pair loops did.
     """
     cols = dist.shape[1]
+    gap = dist - cut
     near = [divmod(int(k), cols)
-            for k in np.flatnonzero(np.abs(dist - cut) <= 4.0 * math.ulp(cut))]
+            for k in np.flatnonzero(np.abs(gap, out=gap) <= 4.0 * math.ulp(cut))]
     for i, j in near:
         dist[i, j] = np.linalg.norm(a[i] - b[j])
     return near

@@ -10,10 +10,25 @@ immutable values.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_number(value, where: str, integer: bool = False):
+    """``value`` when it is a non-bool int, or (unless ``integer``) a finite
+    non-bool real; otherwise a ValueError naming ``where``."""
+    if integer:
+        ok, want = isinstance(value, int), "an integer"
+    else:
+        # an int past the float range overflows float(), so it is not finite here
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        want = "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{where} must be {want}, got {value!r}")
+    return value
 
 
 class atomic_write:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionBox, Frame, atomic_write, nms
+from .core import DetectionBox, Frame, atomic_write, check_number, nms
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -74,19 +74,45 @@ class SceneSpec:
                          self.count_max, self.strata, seed)
 
 
+def _spec_pair(value, where: str, integer: bool):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{where} must be a pair of numbers, got {value!r}")
+    return [check_number(v, where, integer) for v in value]
+
+
 def scene_spec_from_dict(d: dict) -> SceneSpec:
-    strata = tuple(
-        Stratum(s["y_band"][0], s["y_band"][1], s["size_range"][0],
-                s["size_range"][1], s.get("density", 1.0))
-        for s in d.get("strata", [])
-    )
+    """The SceneSpec of a JSON scene spec object.
+
+    Frame size, count range and seed must be non-bool ints, and stratum
+    bounds and densities finite non-bool reals; anything else raises a
+    ValueError naming the field, e.g. ``scene_spec.strata[0].y_band``.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"scene_spec must be an object, got {d!r}")
+    strata = d.get("strata", [])
+    if not isinstance(strata, list):
+        raise ValueError(f"scene_spec.strata must be a list, got {strata!r}")
+    parsed = []
+    for k, s in enumerate(strata):
+        where = f"scene_spec.strata[{k}]"
+        if not isinstance(s, dict):
+            raise ValueError(f"{where} must be an object, got {s!r}")
+        y0, y1 = _spec_pair(s.get("y_band"), where + ".y_band", False)
+        size_min, size_max = _spec_pair(s.get("size_range"), where + ".size_range", False)
+        density = check_number(s.get("density", 1.0), where + ".density", False)
+        try:
+            parsed.append(Stratum(y0, y1, size_min, size_max, density))
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+    count_min, count_max = _spec_pair(d.get("count_range", [20, 40]),
+                                      "scene_spec.count_range", True)
     return SceneSpec(
-        width_px=int(d.get("width_px", 3840)),
-        height_px=int(d.get("height_px", 2160)),
-        count_min=int(d.get("count_range", [20, 40])[0]),
-        count_max=int(d.get("count_range", [20, 40])[1]),
-        strata=strata,
-        seed=int(d.get("seed", 0)),
+        width_px=check_number(d.get("width_px", 3840), "scene_spec.width_px", True),
+        height_px=check_number(d.get("height_px", 2160), "scene_spec.height_px", True),
+        count_min=count_min,
+        count_max=count_max,
+        strata=tuple(parsed),
+        seed=check_number(d.get("seed", 0), "scene_spec.seed", True),
     )
 
 
@@ -264,11 +290,12 @@ def observe_tiles(
     later by NMS aggregation. In noisy mode each observation is dropped
     with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
 
-    Array method: each tile's visibility test is one array expression over
-    all boxes; only the visible boxes are visited in Python, drawing from
-    the generator in box order (drop draw, then four jitter draws), so a
-    seed gives the same observations as ``observe_tiles_reference`` in
-    ``tests/oracles.py``.
+    Array method: the box extents are one array computed with the
+    operations of ``DetectionBox.extent``, and each tile's visibility test
+    and tile-local coordinates are array expressions over all boxes; only
+    the visible boxes are visited in Python, drawing from the generator in
+    box order (drop draw, then four jitter draws), so a seed gives the same
+    observations as ``observe_tiles_reference`` in ``tests/oracles.py``.
     """
     if not (0.0 < min_visible <= 1.0):
         raise ValueError(f"min_visible {min_visible} outside (0, 1]")
@@ -279,10 +306,16 @@ def observe_tiles(
     rng = np.random.default_rng(seed)
     w_px, h_px = frame.width_px, frame.height_px
     dets = frame.detections
-    bx0, by0, bx1, by1 = np.array([d.extent() for d in dets]).reshape(-1, 4).T
-    bx0, bx1 = bx0 * w_px, bx1 * w_px
-    by0, by1 = by0 * h_px, by1 * h_px
+    cx, cy, w, h = np.array([(d.cx, d.cy, d.w, d.h) for d in dets]).reshape(-1, 4).T
+    # extent(): max(0.0, v) gives 0.0 unless v > 0.0, min(1.0, v) 1.0 unless v < 1.0
+    bx0, by0 = cx - w / 2.0, cy - h / 2.0
+    bx1, by1 = cx + w / 2.0, cy + h / 2.0
+    bx0 = np.where(bx0 > 0.0, bx0, 0.0) * w_px
+    by0 = np.where(by0 > 0.0, by0, 0.0) * h_px
+    bx1 = np.where(bx1 < 1.0, bx1, 1.0) * w_px
+    by1 = np.where(by1 < 1.0, by1, 1.0) * h_px
     box_area = (bx1 - bx0) * (by1 - by0)
+    cx_px, cy_px, bw_px, bh_px = cx * w_px, cy * h_px, w * w_px, h * h_px
     per_tile = []
     for (tx0, ty0, tx1, ty1) in grid.tiles:
         tw, th = tx1 - tx0, ty1 - ty0
@@ -290,47 +323,56 @@ def observe_tiles(
             np.maximum(0.0, np.minimum(by1, ty1) - np.maximum(by0, ty0))
         share = np.divide(inter, box_area, out=np.zeros(len(dets)),
                           where=box_area > 0.0)
+        visible = np.flatnonzero(share >= min_visible)
+        # full boxes in tile-local units; they may poke outside [0, 1] locally
+        local = zip(visible.tolist(), ((cx_px[visible] - tx0) / tw).tolist(),
+                    ((cy_px[visible] - ty0) / th).tolist(), (bw_px[visible] / tw).tolist(),
+                    (bh_px[visible] / th).tolist())
         rows = []
-        for i in np.flatnonzero(share >= min_visible).tolist():
+        for i, cx_t, cy_t, w_t, h_t in local:
             if drop_prob > 0.0 and rng.random() < drop_prob:
                 continue
-            d = dets[i]
-            # full box in tile-local units; may poke outside [0, 1] locally
-            cx = (d.cx * w_px - tx0) / tw
-            cy = (d.cy * h_px - ty0) / th
-            w = d.w * w_px / tw
-            h = d.h * h_px / th
             if jitter_sigma > 0.0:
-                cx += float(rng.normal(0.0, jitter_sigma))
-                cy += float(rng.normal(0.0, jitter_sigma))
-                w = max(1e-4, w + float(rng.normal(0.0, jitter_sigma)))
-                h = max(1e-4, h + float(rng.normal(0.0, jitter_sigma)))
-            rows.append((cx, cy, w, h, d.score, d.class_id))
+                cx_t += float(rng.normal(0.0, jitter_sigma))
+                cy_t += float(rng.normal(0.0, jitter_sigma))
+                w_t = max(1e-4, w_t + float(rng.normal(0.0, jitter_sigma)))
+                h_t = max(1e-4, h_t + float(rng.normal(0.0, jitter_sigma)))
+            rows.append((cx_t, cy_t, w_t, h_t, dets[i].score, dets[i].class_id))
         per_tile.append(rows)
     return per_tile
 
 
 def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> list[DetectionBox]:
-    """Map tile-local observations to frame coordinates and run global NMS."""
+    """Map tile-local observations to frame coordinates and run global NMS.
+
+    Array method: all observations are remapped as arrays, with Python's
+    clamps written out (``max(v, lo)`` keeps ``v`` unless ``v < lo``, so a
+    ``-0.0`` score stays ``-0.0``), and each box is built from the plain
+    values. Results equal ``aggregate_tiles_reference`` in
+    ``tests/oracles.py``.
+    """
     if len(per_tile) != len(grid.tiles):
         raise ValueError(f"{len(per_tile)} tile lists for {len(grid.tiles)} tiles")
+    flat = [row for rows in per_tile for row in rows]
+    cx, cy, w, h, score, cids = list(zip(*flat)) or [()] * 6
+    cx, cy, w, h, score = (np.array(col, dtype=float) for col in (cx, cy, w, h, score))
+    counts = [len(rows) for rows in per_tile]
+    tx0, ty0, tx1, ty1 = (np.repeat(col, counts) for col in zip(*grid.tiles))
+    tw, th = tx1 - tx0, ty1 - ty0
     w_px, h_px = grid.width_px, grid.height_px
-    remapped = []
-    for rows, (tx0, ty0, tx1, ty1) in zip(per_tile, grid.tiles):
-        tw, th = tx1 - tx0, ty1 - ty0
-        for (cx, cy, w, h, score, cid) in rows:
-            gx = (tx0 + cx * tw) / w_px
-            gy = (ty0 + cy * th) / h_px
-            gw = w * tw / w_px
-            gh = h * th / h_px
-            # jittered straddlers can poke out of frame; clamp back in
-            gw = min(max(gw, 1e-6), 1.0)
-            gh = min(max(gh, 1e-6), 1.0)
-            gx = min(max(gx, 0.0), 1.0)
-            gy = min(max(gy, 0.0), 1.0)
-            score = min(max(score, 0.0), 1.0)
-            remapped.append(DetectionBox(gx, gy, gw, gh, score, int(cid)))
-    return nms(remapped, iou_threshold)
+
+    def clamp(v, lo, hi):  # min(max(v, lo), hi)
+        v = np.where(v < lo, lo, v)
+        return np.where(v > hi, hi, v)
+
+    # jittered straddlers can poke out of frame; clamp back in
+    remapped = zip(clamp((tx0 + cx * tw) / w_px, 0.0, 1.0).tolist(),
+                   clamp((ty0 + cy * th) / h_px, 0.0, 1.0).tolist(),
+                   clamp(w * tw / w_px, 1e-6, 1.0).tolist(),
+                   clamp(h * th / h_px, 1e-6, 1.0).tolist(),
+                   clamp(score, 0.0, 1.0).tolist(), cids)
+    return nms([DetectionBox(gx, gy, gw, gh, s, int(cid))
+                for gx, gy, gw, gh, s, cid in remapped], iou_threshold)
 
 
 def coarse_detect(

@@ -7,9 +7,10 @@ rectangle IoU whose operations ``nms`` repeats in array form, and
 ``precision_lookup_reference`` the per-box mAP lookup that
 ``partition_precision`` does for all boxes at once; the library keeps no
 scalar copy of either. The ``*_reference`` copies of ``meanshift``,
-``estimate_bandwidth`` and ``observe_tiles`` are the per-element loops the
-library used before it switched to array code; the array versions must
-return exactly what these return. Likewise
+``estimate_bandwidth``, ``observe_tiles`` and ``aggregate_tiles`` are the
+per-element loops the library used before it switched to array code
+(``aggregate_tiles_reference`` ends in ``nms_reference``); the array
+versions must return exactly what these return. Likewise
 ``reward_per_cluster_reference``, ``select_merge_pair_reference`` and
 ``split_cluster_reference`` are the per-cluster loops that rebuilt every
 cluster's centres on every call, before the reward, merge and split read
@@ -195,6 +196,30 @@ def observe_tiles_reference(frame, grid, min_visible: float = 0.25,
             rows.append((cx, cy, w, h, d.score, d.class_id))
         per_tile.append(rows)
     return per_tile
+
+
+def aggregate_tiles_reference(per_tile, grid, iou_threshold: float = 0.5):
+    """Per-observation remap to frame coordinates with Python clamps, then
+    ``nms_reference``."""
+    if len(per_tile) != len(grid.tiles):
+        raise ValueError(f"{len(per_tile)} tile lists for {len(grid.tiles)} tiles")
+    w_px, h_px = grid.width_px, grid.height_px
+    remapped = []
+    for rows, (tx0, ty0, tx1, ty1) in zip(per_tile, grid.tiles):
+        tw, th = tx1 - tx0, ty1 - ty0
+        for (cx, cy, w, h, score, cid) in rows:
+            gx = (tx0 + cx * tw) / w_px
+            gy = (ty0 + cy * th) / h_px
+            gw = w * tw / w_px
+            gh = h * th / h_px
+            # jittered straddlers can poke out of frame; clamp back in
+            gw = min(max(gw, 1e-6), 1.0)
+            gh = min(max(gh, 1e-6), 1.0)
+            gx = min(max(gx, 0.0), 1.0)
+            gy = min(max(gy, 0.0), 1.0)
+            score = min(max(score, 0.0), 1.0)
+            remapped.append(DetectionBox(gx, gy, gw, gh, score, int(cid)))
+    return nms_reference(remapped, iou_threshold)
 
 
 def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):

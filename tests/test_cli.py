@@ -398,6 +398,7 @@ def test_unknown_config_key(tmp_path, capsys):
     ("train.iterations", True), ("train.lr_policy", float("inf")),
     ("train.hidden", [64, 64]), ("train.seed", 1), ("reward.nmin", 2),
     ("profile", 5), ("scene_spec", 5), ("checkpoint", ["a"]), ("out_dir", 1),
+    pytest.param("reward.alpha", 10 ** 400, id="reward.alpha-int_past_float_range"),
 ])
 def test_pipeline_mistyped_config_value_names_key(tmp_path, capsys, key, value):
     block, _, sub = key.partition(".")
@@ -409,6 +410,31 @@ def test_pipeline_mistyped_config_value_names_key(tmp_path, capsys, key, value):
     cfg_path, _ = base_config(tmp_path, **overrides)
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def stratum(**fields):
+    return [{**SPEC["strata"][0], **fields}, SPEC["strata"][1]]
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("width_px", 1280.9, "scene_spec.width_px"),
+    ("height_px", "1280", "scene_spec.height_px"),
+    ("count_range", [14.7, 20.2], "scene_spec.count_range"),
+    ("count_range", [14], "scene_spec.count_range"),
+    ("seed", True, "scene_spec.seed"),
+    ("strata", stratum(y_band=["0.1", 0.9]), "scene_spec.strata[0].y_band"),
+    ("strata", stratum(y_band=0.5), "scene_spec.strata[0].y_band"),
+    ("strata", stratum(size_range=[0.01, float("inf")]), "scene_spec.strata[0].size_range"),
+    ("strata", stratum(density=float("nan")), "scene_spec.strata[0].density"),
+    ("strata", stratum(density=False), "scene_spec.strata[0].density"),
+    ("strata", stratum(density=-10 ** 400), "scene_spec.strata[0].density"),
+    ("strata", stratum(y_band=[0.9, 0.1]), "scene_spec.strata[0]"),
+    ("strata", [5], "scene_spec.strata[0]"),
+])
+def test_pipeline_bad_scene_spec_field_names_it(tmp_path, capsys, field, value, where):
+    cfg_path, _ = base_config(tmp_path, scene_spec={**SPEC, field: value})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_config_file_not_an_object(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,26 +207,6 @@ def test_meanshift_collapse_near_half_bandwidth_matches_reference(rng):
             meanshift_reference(pts, bandwidth, max_iter=0).tolist()
 
 
-# grid points give coincident points, exact distance ties and modes that
-# sit exactly at bandwidth or bandwidth/2 from each other
-point_lists = st.lists(
-    st.tuples(st.sampled_from([k / 8 for k in range(9)]),
-              st.sampled_from([k / 8 for k in range(9)]))
-    | st.tuples(st.floats(0, 1), st.floats(0, 1)),
-    min_size=1, max_size=60)
-
-
-@given(point_lists, st.lists(st.integers(0, 59), max_size=20),
-       st.sampled_from([0.05, 0.125, 0.2, 0.25, 0.5, 1.0]))
-@settings(max_examples=150, deadline=None)
-def test_meanshift_matches_reference(points, repeats, bandwidth):
-    points = points + [points[i % len(points)] for i in repeats]
-    pts = np.array(points)
-    labels, expected = meanshift(pts, bandwidth), meanshift_reference(pts, bandwidth)
-    assert labels.dtype == expected.dtype
-    assert labels.tolist() == expected.tolist()
-
-
 @pytest.mark.parametrize("bandwidth", [BANDWIDTH_FLOOR, 1e-9, 0.125, 0.1])
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
@@ -239,6 +222,68 @@ def test_meanshift_window_edges_match_reference(bandwidth, axis, ulps):
     for max_iter in (0, 1, 300):
         assert meanshift(pts, bandwidth, max_iter=max_iter).tolist() == \
             meanshift_reference(pts, bandwidth, max_iter=max_iter).tolist()
+
+
+def meanshift_equals_reference(pts, bandwidth, max_iters=(0, 1, 300)):
+    # squared differences of far-apart coordinates overflow to inf in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        for max_iter in max_iters:
+            labels = meanshift(pts, bandwidth, max_iter=max_iter)
+            assert labels.tolist() == \
+                meanshift_reference(pts, bandwidth, max_iter=max_iter).tolist()
+    return labels
+
+
+@pytest.mark.parametrize("bandwidth", [1e-300, 1e308, sys.float_info.max])
+def test_meanshift_extreme_bandwidths_match_reference(rng, bandwidth):
+    pts = np.concatenate([rng.uniform(0.0, 1.0, (30, 2)), np.full((4, 2), 0.25)])
+    labels = meanshift_equals_reference(pts, bandwidth)
+    assert labels.max() + 1 == (1 if bandwidth > 1.0 else 31)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-300, 0.1, 1e299, 1e308, sys.float_info.max])
+def test_meanshift_coordinates_near_1e300_match_reference(rng, bandwidth):
+    # extents of 2e300 in both axes, points at the extremes and near zero
+    pts = np.concatenate([rng.uniform(-1e300, 1e300, (12, 2)), rng.uniform(0.0, 1.0, (6, 2)),
+                          [(-1e300, -1e300), (1e300, 1e300), (-1e300, 1e300), (0.5, 0.5)]])
+    meanshift_equals_reference(pts, bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [BANDWIDTH_FLOOR, 0.05, 0.125, 0.3])
+def test_meanshift_points_on_band_edges_match_reference(bandwidth):
+    # y = y_lo + k * pad puts points on (or an ulp from) the bands' edges,
+    # with x steps of pad / 2 along each band
+    pad = bandwidth * (1.0 + 1e-9) + 2.0 ** -500
+    y_lo = 0.2
+    pts = [(0.1 + j * pad / 2.0, y_lo + k * pad) for k in range(6) for j in range(3)]
+    pts += [(0.1, float(np.nextafter(y_lo + k * pad, s * np.inf))) for k in range(1, 5)
+            for s in (-1, 1)]
+    meanshift_equals_reference(np.array(pts), bandwidth)
+    # a column far narrower than the window: x queries clip at both ends
+    column = [(0.1 + j * pad / 8.0, y_lo + k * pad / 2.0) for k in range(9) for j in range(2)]
+    meanshift_equals_reference(np.array(column), bandwidth)
+
+
+@pytest.mark.parametrize("points, bandwidth", [
+    ([(0.0, 0.0), (1e-310, 0.0)], 0.1),        # window ends far beyond a tiny x extent
+    ([(0.2, 0.3), (0.4, 0.5)], 1e308),
+    ([(0.2, 0.3), (0.4, 0.5)], sys.float_info.max),
+    ([(0.3, -1e308)], 1e308),                   # a y window end past -max
+])
+def test_meanshift_far_window_ends_raise_no_float_warning(points, bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert meanshift(np.array(points), bandwidth).tolist() == [0] * len(points)
+
+
+def test_meanshift_duplicated_modes_and_signed_zeros_match_reference(rng):
+    # copies converge to bit-identical modes; -0.0 and 0.0 are one mode
+    base = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.05, 0.0),
+                     (0.5, 0.5), (0.52, 0.5), (1.0, -0.0)])
+    pts = np.concatenate([base, base[rng.integers(0, len(base), 20)]])
+    for bandwidth in (0.01, 0.05, 0.1, 0.5):
+        meanshift_equals_reference(pts, bandwidth)
+    assert meanshift(pts, 0.05).max() + 1 == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1, "0.2", True])

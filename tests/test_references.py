@@ -1,35 +1,47 @@
-"""One registry of (function, reference, strategy) triples: each library
-function must return exactly what its reference in ``oracles.py`` returns
-(``==`` on plain values) on every drawn input."""
+"""One registry of (function, reference, strategy, examples) entries: each
+library function must return exactly what its reference in ``oracles.py``
+returns (``==`` on plain values) on every drawn input."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan.clustering import ClusterGeometry, TransformParams
-from sceneplan.core import DetectionBox
+from sceneplan.clustering import ClusterGeometry, TransformParams, meanshift
+from sceneplan.core import DetectionBox, Frame
 from sceneplan.ppo import masked_log_softmax, policy_sample
 from sceneplan.rl_env import action_mask, encode_state
+from sceneplan.scene import aggregate_tiles, observe_tiles, tile_frame
 
 from oracles import (
     action_mask_reference,
+    aggregate_tiles_reference,
     encode_state_reference,
     geometry_stats_reference,
+    meanshift_reference,
+    observe_tiles_reference,
     policy_sample_reference,
+    random_boxes,
     random_config,
 )
 
 
 def plain(value):
-    """Arrays, tuples and lists as nested lists of Python scalars; an
+    """Arrays, dataclasses, tuples and lists as nested lists of Python
+    scalars, each float beside its sign (so -0.0 differs from 0.0); an
     array keeps its dtype and shape beside its values."""
     if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.shape, value.tolist())
+        return ("ndarray", value.dtype.str, value.shape, plain(value.tolist()))
+    if dataclasses.is_dataclass(value):
+        return plain(dataclasses.astuple(value))
     if isinstance(value, (tuple, list)):
         return [plain(v) for v in value]
+    if isinstance(value, float):
+        return (value, math.copysign(1.0, value))
     return value
 
 
@@ -110,20 +122,82 @@ def seeded(sample):
     return run
 
 
+# --- meanshift --------------------------------------------------------------------
+
+# grid points give coincident points, exact distance ties and modes that
+# sit exactly at bandwidth or bandwidth/2 from each other; signed zeros
+# give modes that are equal as floats but differ in sign
+GRID = st.sampled_from([k / 8 for k in range(9)])
+POINT = (st.tuples(GRID, GRID) | st.tuples(st.floats(0, 1), st.floats(0, 1))
+         | st.tuples(st.sampled_from([0.0, -0.0, 1.0]), st.sampled_from([0.0, -0.0, 0.5])))
+
+
+@st.composite
+def meanshift_args(draw):
+    """1-60 points plus up to 20 repeats, and a bandwidth."""
+    points = draw(st.lists(POINT, min_size=1, max_size=60))
+    repeats = draw(st.lists(st.integers(0, 59), max_size=20))
+    points = points + [points[i % len(points)] for i in repeats]
+    bandwidth = draw(st.sampled_from([0.05, 0.125, 0.2, 0.25, 0.5, 1.0])
+                     | st.sampled_from([1e-300, 1e308, sys.float_info.max]))
+    return np.array(points), bandwidth
+
+
+# --- observe_tiles and aggregate_tiles ------------------------------------------
+
+FRAMES = st.builds(
+    lambda size, seed, n: Frame(*size, tuple(random_boxes(np.random.default_rng(seed), n, 2))),
+    st.sampled_from([(1000, 1000), (1001, 799), (3840, 2160)]),
+    st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
+TILES = st.sampled_from([(1, 1), (1, 4), (2, 3), (3, 4)])
+
+
+@st.composite
+def observe_args(draw):
+    """Frames of 0-40 boxes of two classes, a grid, and the observation
+    settings, noise off or on."""
+    frame = draw(FRAMES)
+    return (frame, tile_frame(frame, *draw(TILES)), draw(st.floats(0.01, 1.0)),
+            draw(st.just(0.0) | st.floats(0.01, 0.9)),
+            draw(st.just(0.0) | st.floats(1e-4, 0.05)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# tile-local rows past the frame's edges, sides to clamp, signed zeros
+EDGE_COORD = st.sampled_from([-0.0, 0.0, 1.0, -0.25, 1.5]) | st.floats(-0.5, 1.5)
+EDGE_SIDE = st.sampled_from([1e-9, 1.0, 4.0]) | st.floats(1e-4, 2.0)
+EDGE_SCORE = st.sampled_from([-0.0, 0.0, 1.0, -0.3, 1.7]) | st.floats(-0.5, 1.5)
+EDGE_ROW = st.tuples(EDGE_COORD, EDGE_COORD, EDGE_SIDE, EDGE_SIDE, EDGE_SCORE,
+                     st.integers(0, 1))
+
+
+@st.composite
+def aggregate_args(draw):
+    """A grid's observations (noisy, so jittered boxes poke out of the
+    frame) plus up to 3 edge rows per tile, and an IoU threshold."""
+    frame, grid, *settings_ = draw(observe_args())
+    per_tile = observe_tiles_reference(frame, grid, *settings_)
+    for rows in per_tile:
+        rows.extend(draw(st.lists(EDGE_ROW, max_size=3)))
+    return per_tile, grid, draw(st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.95))
+
+
 REGISTRY = [
-    ("geometry_stats", stats_new, stats_reference, geometry_args()),
-    ("encode_state", encode_state, encode_state_reference, state_args()),
-    ("action_mask", action_mask, action_mask_reference, config_args()),
+    ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
+    ("encode_state", encode_state, encode_state_reference, state_args(), 200),
+    ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_reference),
-     sample_args()),
+     sample_args(), 200),
+    ("meanshift", meanshift, meanshift_reference, meanshift_args(), 150),
+    ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
+    ("aggregate_tiles", aggregate_tiles, aggregate_tiles_reference, aggregate_args(), 100),
 ]
 
 
-@pytest.mark.parametrize("function, reference, strategy",
+@pytest.mark.parametrize("function, reference, strategy, examples",
                          [entry[1:] for entry in REGISTRY],
                          ids=[entry[0] for entry in REGISTRY])
-def test_function_equals_reference(function, reference, strategy):
-    @settings(max_examples=200, deadline=None)
+def test_function_equals_reference(function, reference, strategy, examples):
+    @settings(max_examples=examples, deadline=None)
     @given(strategy)
     def check(args):
         assert plain(function(*args)) == plain(reference(*args))
