@@ -377,10 +377,12 @@ def _centroids(config: ClusterConfig, transform: TransformParams | None,
     return np.array([geo.stats(c.members)[0] for c in config.clusters])
 
 
-def _norm_near(dist, a, b, cut: float):
+def _norm_near(dist, a, b, cut: float, upper: bool = False):
     """Settle the entries of ``dist = _distances(a, b)`` within 4 ulp of
     ``cut`` by ``np.linalg.norm(a[i] - b[j])``; returns their (i, j) in
-    row-major order.
+    row-major order. With ``upper``, only the entries with i < j are
+    settled and returned, for a caller that reads one triangle of a
+    symmetric ``dist``.
 
     ``np.linalg.norm`` of a 2-vector goes through a dot kernel that may
     round the last bit differently (fused multiply-add). The two differ by
@@ -391,6 +393,8 @@ def _norm_near(dist, a, b, cut: float):
     gap = dist - cut
     near = [divmod(int(k), cols)
             for k in np.flatnonzero(np.abs(gap, out=gap) <= 4.0 * math.ulp(cut))]
+    if upper:
+        near = [(i, j) for i, j in near if i < j]
     for i, j in near:
         dist[i, j] = np.linalg.norm(a[i] - b[j])
     return near
@@ -404,10 +408,10 @@ def select_merge_pair(config: ClusterConfig,
     Ties break toward the lexicographically smallest (i, j).
 
     Array method: centroids come from the episode's ``ClusterGeometry``
-    memo, and all pairwise distances from one ``_distances`` array; the
-    pairs within a few ulp of its minimum are decided by ``np.linalg.norm``,
-    first in (i, j) order. Results equal ``select_merge_pair_reference`` in
-    ``tests/oracles.py``.
+    memo, and all pairwise distances from one ``_distances`` array, which
+    is symmetric; the pairs i < j within a few ulp of its minimum are
+    decided by ``np.linalg.norm``, first in (i, j) order. Results equal
+    ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     if config.count < 2:
         raise ValueError("merge unavailable: fewer than 2 clusters")
@@ -416,9 +420,9 @@ def select_merge_pair(config: ClusterConfig,
     np.fill_diagonal(dist, np.inf)
     # argmin, not min: the first min call maps 64 KB of numpy code that desk
     # training loads nowhere else (peak RSS)
-    near = _norm_near(dist, cents, cents, float(dist.flat[dist.argmin()]))
-    # the array is symmetric; min keeps the first of equals in (i, j) order
-    return min((p for p in near if p[0] < p[1]), key=lambda p: dist[p])
+    near = _norm_near(dist, cents, cents, float(dist.flat[dist.argmin()]), upper=True)
+    # min keeps the first of equals in (i, j) order
+    return min(near, key=lambda p: dist[p])
 
 
 def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:

@@ -122,26 +122,44 @@ def scale_area(area_px2: float, width_px: float, height_px: float,
     return area_px2 * input_size ** 2 / (width_px * height_px)
 
 
-def partition_precision(part: PartitionDescriptor, profile: ModelProfile) -> float:
-    """Mean per-box precision of the block under one model: each box's
-    piecewise-linear mAP over the bin centres, clamped at both ends.
+def precision_table(partitions, profiles) -> np.ndarray:
+    """(partitions x profiles) mean per-box precision: each box's
+    piecewise-linear mAP over the profile's bin centres, clamped at both
+    ends, averaged over the block's boxes.
 
-    One pass: every member area is scaled by the same operations in the same
-    order as ``scale_area``, one ``np.interp`` looks them all up, and the
-    results are added one by one in member order (neither ``np.sum``, which
-    adds 8 or more values pairwise, nor builtin ``sum``, which compensates
-    from Python 3.12), so the mean equals ``partition_precision_reference``
-    in ``tests/oracles.py``, the loop over ``precision_lookup_reference``,
-    bit for bit.
+    One pass per profile: every member area of every block is scaled by
+    the same operations in the same order as ``scale_area`` (each block's
+    pixel count enters as a float, as Python's division converts it), one
+    ``np.interp`` looks them all up, and each block's values are added one
+    by one in member order (neither ``np.sum``, which adds 8 or more values
+    pairwise, nor builtin ``sum``, which compensates from Python 3.12), so
+    every cell equals ``partition_precision_reference`` in
+    ``tests/oracles.py``, the loop over ``precision_lookup_reference``, bit
+    for bit.
     """
-    scaled = np.array(part.areas_px2, dtype=float) * profile.input_size ** 2
-    scaled /= part.width_px * part.height_px
-    if not scaled.all():  # underflow to 0: the only way to lose positivity
-        raise ValueError("area must be positive")
-    total = 0.0
-    for p in np.interp(scaled, profile.centers, profile.maps).tolist():
-        total += p
-    return total / part.count
+    counts = [part.count for part in partitions]
+    areas = np.array([a for part in partitions for a in part.areas_px2], dtype=float)
+    pixels = np.repeat(np.array([part.width_px * part.height_px for part in partitions],
+                                dtype=float), counts)
+    table = np.empty((len(partitions), len(profiles)))
+    for j, profile in enumerate(profiles):
+        scaled = areas * profile.input_size ** 2
+        scaled /= pixels
+        if not scaled.all():  # underflow to 0: the only way to lose positivity
+            raise ValueError("area must be positive")
+        values = iter(np.interp(scaled, profile.centers, profile.maps).tolist())
+        for i, count in enumerate(counts):
+            total = 0.0
+            for _ in range(count):
+                total += next(values)
+            table[i, j] = total / count
+    return table
+
+
+def partition_precision(part: PartitionDescriptor, profile: ModelProfile) -> float:
+    """Mean per-box precision of one block under one model: the one-cell
+    ``precision_table``."""
+    return float(precision_table([part], [profile])[0, 0])
 
 
 def partitions_from_config(config: ClusterConfig, frame: Frame,
@@ -206,8 +224,7 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
                    key=lambda j: (profiles[j].latency_ms, profiles[j].input_size))
     lats = [p.latency_ms for p in profiles]
     fits = [j for j in order if lats[j] <= d_max]
-    prec = np.array([[partition_precision(p, prof) for prof in profiles]
-                     for p in partitions])
+    prec = precision_table(partitions, profiles)
     width = min(int(d_max), n * max((lats[j] for j in fits), default=0)) + 1
     rows = [np.zeros(width)]
     tmp = np.empty(width)

@@ -6,6 +6,11 @@ Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
 Invalid (masked) actions degrade to keep so episodes always run their full
 length; sampling-time masking makes that a safety net rather than the rule.
+
+A step does not score its configuration: ``StepOutcome.reward`` and
+``.components`` call ``reward`` the first time either is read, and keep the
+result. Training reads every step's reward; greedy inference reads none and
+so computes none.
 """
 
 from __future__ import annotations
@@ -174,14 +179,35 @@ def apply_action(config: ClusterConfig, action: int,
 
 @dataclass
 class StepOutcome:
-    """Everything observable after one environment step."""
+    """Everything observable after one environment step.
+
+    ``reward`` (R_total) and ``components`` (R1-R4) score ``config`` with
+    ``reward`` the first time either is read; the result is kept, so later
+    reads cost nothing. ``reward`` is a pure function of the configuration
+    (the geometry memo only caches), so a late read returns the floats an
+    eager one would have.
+    """
 
     config: ClusterConfig
     state: np.ndarray
-    reward: float
-    components: tuple[float, float, float, float]
     done: bool
-    info: dict = field(default_factory=dict)
+    info: dict
+    # reward's arguments after the configuration: (weights, transform, geometry)
+    scoring: tuple = field(repr=False, compare=False)
+    _scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _score(self) -> tuple[float, float, float, float, float]:
+        if self._scored is None:
+            self._scored = reward(self.config, *self.scoring)
+        return self._scored
+
+    @property
+    def reward(self) -> float:
+        return self._score()[4]
+
+    @property
+    def components(self) -> tuple[float, float, float, float]:
+        return self._score()[:4]
 
 
 def step(config: ClusterConfig, action: int, weights: RewardWeights,
@@ -189,9 +215,10 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
          transform: TransformParams | None = None,
          include_count: bool = True,
          geometry: ClusterGeometry | None = None) -> StepOutcome:
-    """One transition: apply the action, then score the new configuration.
+    """One transition: apply the action and encode the new configuration.
 
-    The reward is always computed on the post-action configuration. The
+    The reward belongs to the post-action configuration and is computed
+    when the outcome's ``reward`` or ``components`` is first read. The
     ``done`` flag is left False here; episode length is the caller's
     business (see ClusterEnv). Pass the episode's ``geometry`` to reuse
     its per-cluster statistics across steps.
@@ -199,15 +226,13 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
     if not (0 <= action < n_actions(n_pad)):
         raise ValueError(f"action {action} out of range")
     nxt, valid, applied = apply_action(config, action, transform, geometry)
-    r1, r2, r3, r4, total = reward(nxt, weights, transform, geometry)
     return StepOutcome(
         config=nxt,
         state=encode_state(nxt, n_pad, total_detections, include_count),
-        reward=total,
-        components=(r1, r2, r3, r4),
         done=False,
         info={"action": action, "action_valid": valid, "applied": applied,
               "n": nxt.count},
+        scoring=(weights, transform, geometry),
     )
 
 
@@ -229,15 +254,18 @@ class EnvConfig:
 class ClusterEnv:
     """Stateful wrapper bundling the pure functions into a gym-style loop.
 
-    Built from a frame, an EnvConfig and the horizon t_max; one instance
-    per worker, and instances share nothing. ``reset`` starts from the
-    MeanShift clustering and a fresh ``ClusterGeometry``, so per-cluster
-    statistics are memoised for one episode only. Episodes run exactly
+    Built from a frame, an EnvConfig and the horizon t_max (at least 1,
+    so every episode has a last step); one instance per worker, and
+    instances share nothing. ``reset`` starts from the MeanShift
+    clustering and a fresh ``ClusterGeometry``, so per-cluster statistics
+    are memoised for one episode only. Episodes run exactly
     t_max steps, after which ``done`` turns True. ``ppo.rollout`` drives an
     episode with a policy.
     """
 
     def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):
+        if t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {t_max!r}")
         self.frame = frame
         self.env_config = env_config
         self.t_max = t_max

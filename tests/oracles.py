@@ -436,6 +436,12 @@ def partition_precision_reference(part, profile) -> float:
     return total / part.count
 
 
+def precision_table_reference(partitions, profiles) -> np.ndarray:
+    """The (partitions x profiles) table, one reference call per cell."""
+    return np.array([[partition_precision_reference(part, profile) for profile in profiles]
+                     for part in partitions])
+
+
 def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
     """Multiple-choice knapsack over a full (d_max + 1)-column table with a
     per-cell choice array; ties prefer smaller latency, then smaller model

@@ -323,6 +323,42 @@ def test_pipeline_metrics_rows_and_models(tmp_path):
         assert scene["plan"]["total_latency_ms"] <= cfg["d_max"]
 
 
+def test_pipeline_metrics_reward_equals_final_configuration(tmp_path):
+    # r1-r4 and reward are read from the last step's outcome, which scores
+    # its configuration only when read; they must equal rl_env.reward of
+    # the final configuration the report lists
+    from sceneplan.cli import load_config
+    from sceneplan.core import ClusterConfig, make_cluster
+    from sceneplan.rl_env import RewardWeights, reward
+    from sceneplan.scene import coarse_detect, generate_scene, scene_spec_from_dict
+
+    cfg_path, _ = base_config(tmp_path, num_scenes=3, policy="random", t_max=12)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    cfg = load_config(cfg_path)
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    rows = (out / "metrics.csv").read_text().strip().splitlines()
+    header = rows[0].split(",")
+    spec = scene_spec_from_dict(cfg["scene_spec"])
+    applied = set()
+    for scene, line in zip(report["scenes"], rows[1:]):
+        row = dict(zip(header, line.split(",")))
+        seed = scene["scene_seed"]
+        coarse = coarse_detect(
+            generate_scene(spec.with_seed(seed)), cfg["n"], cfg["e"],
+            iou_threshold=cfg["nms_iou"], min_visible=cfg["min_visible"],
+            drop_prob=cfg["drop_prob"], jitter_sigma=cfg["jitter_sigma"], seed=seed)
+        final = ClusterConfig(tuple(make_cluster(c["members"], coarse.detections)
+                                    for c in scene["clusters"]["clusters"]),
+                              coarse.detections)
+        want = reward(final, RewardWeights(**cfg["reward"]),
+                      TransformParams(cfg["transform_alpha"]))
+        got = tuple(float(row[k]) for k in ("r1", "r2", "r3", "r4", "reward"))
+        assert got == want
+        applied |= {step["applied"] for step in scene["clusters"]["trace"]}
+    assert applied >= {"merge", "split"}
+
+
 @pytest.mark.parametrize("key, value", [("min_visible", 1.5), ("drop_prob", 1.5),
                                         ("jitter_sigma", -0.1)])
 def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, value):
@@ -435,6 +471,19 @@ def test_pipeline_bad_scene_spec_field_names_it(tmp_path, capsys, field, value, 
     cfg_path, _ = base_config(tmp_path, scene_spec={**SPEC, field: value})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", [0, -3])
+@pytest.mark.parametrize("command", ["pipeline", "eval"])
+def test_nonpositive_t_max_names_it(tmp_path, capsys, command, t_max):
+    from sceneplan.ppo import save_checkpoint
+
+    ckpt_path = tmp_path / "policy.ckpt"
+    save_checkpoint(count_driven_checkpoint(n_pad=6), ckpt_path)
+    cfg_path, _ = base_config(tmp_path, t_max=t_max, episodes=2,
+                              checkpoint=str(ckpt_path))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert "t_max" in capsys.readouterr().err
 
 
 def test_config_file_not_an_object(tmp_path, capsys):

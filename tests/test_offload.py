@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sceneplan.offload import (
     InfeasiblePlanError,
@@ -24,7 +22,6 @@ from oracles import (
     dp_plan_reference,
     mckp_enumerate,
     optimal_makespan,
-    partition_precision_reference,
     precision_lookup_reference as precision_lookup,
     random_config,
 )
@@ -263,7 +260,8 @@ def test_dp_generous_budget_picks_best_everywhere(rng):
 
 
 # ---------------------------------------------------------------------------
-# planner against the per-box lookup and full-table references
+# planner against the full-table reference (drawn comparisons are in
+# test_references.py)
 # ---------------------------------------------------------------------------
 
 def outcome(fn, *args):
@@ -272,73 +270,6 @@ def outcome(fn, *args):
         return fn(*args)
     except (ValueError, InfeasiblePlanError) as e:
         return type(e), str(e)
-
-
-@st.composite
-def curves(draw):
-    edges = sorted(draw(st.sets(st.sampled_from([4.0, 16.0, 40.0, 64.0, 160.0,
-                                                 640.0, 4096.0, 65536.0]),
-                                min_size=1, max_size=6)))
-    maps = draw(st.lists(st.sampled_from([k / 8 for k in range(9)])
-                         | st.floats(0, 1), min_size=len(edges), max_size=len(edges)))
-    return tuple(zip(edges, maps))
-
-
-@st.composite
-def planning_instances(draw):
-    k = draw(st.integers(1, 5))
-    shared = draw(curves())
-    profiles = []
-    for j in range(k):
-        same = draw(st.booleans())
-        profiles.append(ModelProfile(
-            f"m{j}",
-            draw(st.sampled_from([320, 640, 640, 1280])),
-            draw(st.sampled_from([7, 7, 12, 30]) | st.integers(1, 90)),
-            shared if same else draw(curves())))
-    n = draw(st.integers(1, 6))
-    areas = st.sampled_from([1.0, 25.0, 400.0, 2500.0]) | st.floats(1e-3, 1e7)
-    parts = [PartitionDescriptor(i, draw(st.integers(1, 4000)), draw(st.integers(1, 4000)),
-                                 tuple(draw(st.lists(areas, min_size=1, max_size=12))))
-             for i in range(n)]
-    cheapest = n * min(p.latency_ms for p in profiles)
-    widest = n * max(p.latency_ms for p in profiles)
-    d_max = draw(st.sampled_from([-1, 0, cheapest - 1, cheapest, widest + 13,
-                                  min(p.latency_ms for p in profiles) - 1])
-                 | st.integers(0, widest + 20))
-    return parts, profiles, d_max
-
-
-@given(planning_instances())
-@settings(max_examples=150, deadline=None)
-def test_dp_plan_matches_reference(instance):
-    parts, profiles, d_max = instance
-    for part in parts:
-        for prof in profiles:
-            assert partition_precision(part, prof) == \
-                partition_precision_reference(part, prof)
-    assert outcome(dp_plan, parts, profiles, d_max) == \
-        outcome(dp_plan_reference, parts, profiles, d_max)
-
-
-def test_partition_precision_many_members_matches_reference(rng):
-    # 8 or more members is where pairwise summation would first differ
-    profs = default_profiles()
-    for _ in range(60):
-        areas = tuple(float(a) for a in rng.uniform(10, 5e4, int(rng.integers(8, 80))))
-        part = PartitionDescriptor(0, int(rng.integers(50, 4000)),
-                                   int(rng.integers(50, 4000)), areas)
-        for prof in profs:
-            assert partition_precision(part, prof) == \
-                partition_precision_reference(part, prof)
-
-
-def test_partition_precision_underflow_raises_like_reference():
-    prof = flat_profile("tiny", 1, 10, 0.5)
-    part = PartitionDescriptor(0, 4000, 4000, (400.0, 5e-324))
-    assert outcome(partition_precision, part, prof) == \
-        outcome(partition_precision_reference, part, prof)
-    assert outcome(partition_precision, part, prof)[0] is ValueError
 
 
 def test_dp_plan_model_slower_than_budget_matches_reference():

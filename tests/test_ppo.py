@@ -502,3 +502,24 @@ def test_infer_deterministic(rng):
     a = infer_clusters(frame, ckpt, t_max=5)
     b = infer_clusters(frame, ckpt, t_max=5)
     assert a == b
+
+
+def test_infer_scores_no_step(rng, monkeypatch):
+    # greedy refinement reads no reward, so no step computes one
+    import sceneplan.rl_env as rl_env
+    from sceneplan.rl_env import MERGE
+
+    n_pad = 4
+    ckpt = make_ckpt(rng, n_pad=n_pad)
+    ckpt.policy = MlpParams(
+        [np.zeros((state_dim(n_pad), 8)), np.zeros((8, n_actions(n_pad)))],
+        [np.zeros(8), np.eye(n_actions(n_pad))[MERGE]])  # merge while it can
+    calls = []
+    real_reward, real_step = rl_env.reward, rl_env.step
+    monkeypatch.setattr(rl_env, "reward", lambda *a: calls.append("reward") or real_reward(*a))
+    monkeypatch.setattr(rl_env, "step", lambda *a: calls.append("step") or real_step(*a))
+    frame = small_frame(rng)
+    transform, bandwidth = TransformParams(0.5), BandwidthSpec("fixed", 0.2)
+    out = infer_clusters(frame, ckpt, transform, bandwidth, t_max=6)
+    assert calls == ["step"] * 6
+    assert out.count < initial_clusters(frame, transform, bandwidth).count

@@ -13,6 +13,14 @@ from hypothesis import strategies as st
 
 from sceneplan.clustering import ClusterGeometry, TransformParams, meanshift
 from sceneplan.core import DetectionBox, Frame
+from sceneplan.offload import (
+    InfeasiblePlanError,
+    ModelProfile,
+    PartitionDescriptor,
+    default_profiles,
+    dp_plan,
+    precision_table,
+)
 from sceneplan.ppo import masked_log_softmax, policy_sample
 from sceneplan.rl_env import action_mask, encode_state
 from sceneplan.scene import aggregate_tiles, observe_tiles, tile_frame
@@ -20,11 +28,13 @@ from sceneplan.scene import aggregate_tiles, observe_tiles, tile_frame
 from oracles import (
     action_mask_reference,
     aggregate_tiles_reference,
+    dp_plan_reference,
     encode_state_reference,
     geometry_stats_reference,
     meanshift_reference,
     observe_tiles_reference,
     policy_sample_reference,
+    precision_table_reference,
     random_boxes,
     random_config,
 )
@@ -181,6 +191,86 @@ def aggregate_args(draw):
     return per_tile, grid, draw(st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.95))
 
 
+# --- precision_table and dp_plan ---------------------------------------------------
+
+def caught(function):
+    """The call's result, or its exception's type and text."""
+    def run(*args):
+        try:
+            return function(*args)
+        except (ValueError, InfeasiblePlanError) as e:
+            return type(e), str(e)
+    return run
+
+
+@st.composite
+def curves(draw):
+    edges = sorted(draw(st.sets(st.sampled_from([4.0, 16.0, 40.0, 64.0, 160.0,
+                                                 640.0, 4096.0, 65536.0]),
+                                min_size=1, max_size=6)))
+    maps = draw(st.lists(st.sampled_from([k / 8 for k in range(9)])
+                         | st.floats(0, 1), min_size=len(edges), max_size=len(edges)))
+    return tuple(zip(edges, maps))
+
+
+@st.composite
+def plan_parts(draw):
+    """1-5 profiles, often sharing a curve, and 1-6 blocks of 1-12 boxes
+    whose scaled areas fall past both ends of the curves."""
+    k = draw(st.integers(1, 5))
+    shared = draw(curves())
+    profiles = []
+    for j in range(k):
+        same = draw(st.booleans())
+        profiles.append(ModelProfile(
+            f"m{j}",
+            draw(st.sampled_from([320, 640, 640, 1280])),
+            draw(st.sampled_from([7, 7, 12, 30]) | st.integers(1, 90)),
+            shared if same else draw(curves())))
+    n = draw(st.integers(1, 6))
+    areas = st.sampled_from([1.0, 25.0, 400.0, 2500.0]) | st.floats(1e-3, 1e7)
+    parts = [PartitionDescriptor(i, draw(st.integers(1, 4000)), draw(st.integers(1, 4000)),
+                                 tuple(draw(st.lists(areas, min_size=1, max_size=12))))
+             for i in range(n)]
+    return parts, profiles
+
+
+@st.composite
+def table_args(draw):
+    """Planning blocks, half the time with one more block holding a
+    5e-324 px² box, which scales to a subnormal or, in a 4000 x 4000
+    block, underflows to 0 (a ValueError)."""
+    parts, profiles = draw(plan_parts())
+    side = draw(st.sampled_from([None, None, None, 1, 400, 4000]))
+    if side is not None:
+        parts.append(PartitionDescriptor(len(parts), side, side, (400.0, 5e-324)))
+    return parts, profiles
+
+
+@st.composite
+def many_member_args(draw):
+    """1-3 blocks of 8-80 boxes, where pairwise summation would first
+    differ from adding in order, under the default profiles."""
+    parts = [PartitionDescriptor(i, draw(st.integers(50, 4000)), draw(st.integers(50, 4000)),
+                                 tuple(draw(st.lists(st.floats(10, 5e4), min_size=8,
+                                                     max_size=80))))
+             for i in range(draw(st.integers(1, 3)))]
+    return parts, default_profiles()
+
+
+@st.composite
+def plan_args(draw):
+    """Planning blocks and a budget around the cheapest and the widest plan."""
+    parts, profiles = draw(plan_parts())
+    n = len(parts)
+    cheapest = n * min(p.latency_ms for p in profiles)
+    widest = n * max(p.latency_ms for p in profiles)
+    d_max = draw(st.sampled_from([-1, 0, cheapest - 1, cheapest, widest + 13,
+                                  min(p.latency_ms for p in profiles) - 1])
+                 | st.integers(0, widest + 20))
+    return parts, profiles, d_max
+
+
 REGISTRY = [
     ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
     ("encode_state", encode_state, encode_state_reference, state_args(), 200),
@@ -190,6 +280,11 @@ REGISTRY = [
     ("meanshift", meanshift, meanshift_reference, meanshift_args(), 150),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_tiles, aggregate_tiles_reference, aggregate_args(), 100),
+    ("precision_table", caught(precision_table), caught(precision_table_reference),
+     table_args(), 150),
+    ("precision_table_many_members", precision_table, precision_table_reference,
+     many_member_args(), 60),
+    ("dp_plan", caught(dp_plan), caught(dp_plan_reference), plan_args(), 150),
 ]
 
 
@@ -231,3 +326,12 @@ def test_policy_sample_draw_on_cdf_boundary_matches_reference(seed):
     got = policy_sample(logits, mask, np.random.default_rng(seed))
     assert got == policy_sample_reference(logits, mask, np.random.default_rng(seed))
     assert got[0] == 1
+
+
+def test_precision_table_underflow_raises_like_reference():
+    # a 5e-324 px² box scales to 0 in a 4000 x 4000 block at input 1
+    prof = ModelProfile("tiny", 1, 10, ((100.0, 0.5), (10_000.0, 0.5)))
+    parts = [PartitionDescriptor(0, 4000, 4000, (400.0, 5e-324))]
+    got = caught(precision_table)(parts, [prof])
+    assert got == caught(precision_table_reference)(parts, [prof])
+    assert got[0] is ValueError

@@ -484,3 +484,32 @@ def test_sampled_rollout_equals_reference_chain(seed):
     assert np.array_equal(trace[-1].state, encode_state_reference(cfg, n_pad, n_det))
     assert final == cfg
     assert roll_rng.random() == rng.random()  # same draws from one stream
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
+    import sceneplan.rl_env as rl_env
+    from sceneplan.ppo import random_policy
+
+    strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+    frame = generate_scene(SceneSpec(1280, 1280, 14, 20, strata, seed))
+    transform = TransformParams(0.5)
+    env_config = EnvConfig(weights=DESK, transform=transform,
+                           bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8)
+    calls, original = [], rl_env.reward
+    monkeypatch.setattr(rl_env, "reward", lambda *a: calls.append(a) or original(*a))
+    _, trace = rollout(ClusterEnv(frame, env_config, t_max=30), random_policy,
+                       np.random.default_rng(seed))
+    assert {out.info["applied"] for out in trace} >= {"merge", "split"}
+    assert calls == []  # nothing scored while stepping
+    for k, out in enumerate(trace):
+        r1, r2, r3, r4, total = original(out.config, DESK, transform)
+        if k % 2:
+            assert out.components == (r1, r2, r3, r4)
+            assert out.reward == total
+        else:
+            assert out.reward == total
+            assert out.components == (r1, r2, r3, r4)
+        assert len(calls) == k + 1  # one call per outcome, on its first read
+        assert out.reward == total and out.components == (r1, r2, r3, r4)
+        assert len(calls) == k + 1
