@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import Frame, atomic_write, bounding_block, check_number
+from .core import Frame, atomic_write, bounding_blocks, check_number
 from .offload import (
     InfeasiblePlanError,
     PartitionDescriptor,
@@ -234,16 +234,16 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int):
     choose, env = _policy_env(coarse, cfg)
     final, trace = rollout(env, choose, np.random.default_rng(scene_seed + 1))
     parts = partitions_from_config(final, coarse, cfg["block_margin"])
+    blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     clusters = [{
         "id": part.id,
         "members": list(cluster.members),
         "size": cluster.size,
         "centroid": [cluster.mu_x, cluster.mu_y],
         "mean_wh": [cluster.mu_w, cluster.mu_h],
-        "block_px": list(bounding_block(cluster, final.detections,
-                                        cfg["block_margin"], coarse)),
+        "block_px": list(block),
         "member_areas_px2": list(part.areas_px2),
-    } for part, cluster in zip(parts, final.clusters)]
+    } for part, cluster, block in zip(parts, final.clusters, blocks)]
     report = {
         "scene_seed": scene_seed,
         "width_px": coarse.width_px,

@@ -207,7 +207,8 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
         dy = y - sub_y[pos]
         dy *= dy
         d += dy
-        inside = np.sqrt(d, out=d) <= bandwidth
+        # integer gathers: a boolean-mask gather costs about four times more
+        inside = np.flatnonzero(np.sqrt(d, out=d) <= bandwidth)
         pos = pos[inside]
         k = len(active)
         # one (modes, 2) division: a 1-D float/int division maps 64 KB of
@@ -263,8 +264,16 @@ def kmeans_1d(values):
     """Optimal 2-way 1D partition by within-cluster sum of squares.
 
     Optimal 1D clusters are contiguous in sorted order, so every one of the
-    n-1 sorted split points is scored and the best (first on ties) wins.
+    n-1 sorted split points is scored and the lowest cost wins, the first
+    on ties; a NaN cost wins over any number, as under ``np.argmin``.
     Returns a 0/1 label per input value; 0 marks the lower group.
+
+    Split m costs ``sse(first m) + sse(rest)``, where a part of c values
+    with sum t and sum of squares q has ``sse = q - t * t / c``; t and q
+    come from float64 prefix sums of the sorted values and their squares,
+    the rest's as the total minus the first m's. The scan runs in Python
+    floats, which round each operation as float64 scalars do, so the costs
+    equal ``kmeans_1d_reference`` in ``tests/oracles.py`` bit for bit.
     """
     vals = np.asarray(values, dtype=float)
     n = len(vals)
@@ -272,15 +281,10 @@ def kmeans_1d(values):
         raise ValueError("need at least 2 values to split")
     order = np.argsort(vals, kind="stable")
     s = vals[order]
-    prefix = np.concatenate([[0.0], np.cumsum(s)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(s ** 2)])
-
-    def sse(lo, hi):  # half-open [lo, hi)
-        cnt = hi - lo
-        tot = prefix[hi] - prefix[lo]
-        return (prefix_sq[hi] - prefix_sq[lo]) - tot * tot / cnt
-
-    costs = np.array([sse(0, m) + sse(m, n) for m in range(1, n)])
+    prefix, prefix_sq = np.cumsum(s).tolist(), np.cumsum(s ** 2).tolist()
+    total, total_sq = prefix[-1], prefix_sq[-1]
+    costs = [q - t * t / m + ((total_sq - q) - (total - t) * (total - t) / (n - m))
+             for m, t, q in zip(range(1, n), prefix, prefix_sq)]
     split = int(np.argmin(costs)) + 1
     labels = np.empty(n, dtype=int)
     labels[order[:split]] = 0
@@ -296,8 +300,10 @@ class ClusterGeometry:
     transform, raw (x, y) without one) and its box area are laid out once.
     Per-cluster statistics are memoised by member tuple: the centroid of
     the member centres, their mean distance to it, and the population
-    variance of the member areas. A step creates at most two clusters, so
-    it computes statistics for at most two. Build one per episode.
+    variance of the member areas. The centroid has its own memo, so a
+    merge reads it without the other two reductions. A step creates at
+    most two clusters, so it computes statistics for at most two. Build one
+    per episode.
     """
 
     def __init__(self, detections, transform: TransformParams | None):
@@ -309,6 +315,19 @@ class ClusterGeometry:
         self._x, self._y = self.points.T.tolist() if len(detections) else ([], [])
         self._area = self.areas.tolist()
         self._stats: dict = {}
+        self._centroid: dict = {}
+
+    def centroid(self, members: tuple[int, ...]) -> tuple[float, float]:
+        """(x, y) mean of the member centres, as ``stats(members)[0]``:
+        from ``stats`` below 8 members, else from numpy's ``mean`` over the
+        gathered centres, the reduction ``stats`` reads from here."""
+        hit = self._centroid.get(members)
+        if hit is None:
+            if len(members) < 8:
+                return self.stats(members)[0]
+            hit = tuple(self.points[list(members)].mean(axis=0).tolist())
+            self._centroid[members] = hit
+        return hit
 
     def stats(self, members: tuple[int, ...]) -> tuple[tuple[float, float], float, float]:
         """((centroid x, y), mean member distance to it, area variance).
@@ -330,11 +349,10 @@ class ClusterGeometry:
         k = len(members)
         if k >= 8:
             idx = list(members)
-            pts = self.points[idx]
-            centroid = pts.mean(axis=0)
+            centroid = self.centroid(members)
             hit = (
-                (float(centroid[0]), float(centroid[1])),
-                float(np.linalg.norm(pts - centroid, axis=1).mean()),
+                centroid,
+                float(np.linalg.norm(self.points[idx] - centroid, axis=1).mean()),
                 float(self.areas[idx].var()),
             )
         else:
@@ -353,6 +371,7 @@ class ClusterGeometry:
                 d = areas[i] - mean_area
                 dev += d * d
             hit = ((cx, cy), spread / k, dev / k)
+            self._centroid[members] = hit[0]
         self._stats[members] = hit
         return hit
 
@@ -374,7 +393,7 @@ def _centroids(config: ClusterConfig, transform: TransformParams | None,
     if transform is None:
         return np.array([[c.mu_x, c.mu_y] for c in config.clusters])
     geo = cluster_geometry(config, transform, geometry)
-    return np.array([geo.stats(c.members)[0] for c in config.clusters])
+    return np.array([geo.centroid(c.members) for c in config.clusters])
 
 
 def _norm_near(dist, a, b, cut: float, upper: bool = False):

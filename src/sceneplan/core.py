@@ -240,38 +240,43 @@ def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     return [b for b, keep in zip(visit, alive) if keep]
 
 
-def bounding_block(
-    cluster: Cluster,
-    detections,
-    margin: float,
-    frame: Frame,
-) -> tuple[int, int, int, int]:
-    """Pixel rectangle (x0, y0, x1, y1) covering all member boxes.
+def bounding_blocks(config: ClusterConfig, margin: float,
+                    frame: Frame) -> list[tuple[int, int, int, int]]:
+    """Each cluster's pixel rectangle (x0, y0, x1, y1) covering its member
+    boxes, in cluster order.
 
     The tight normalized rectangle over member extents is padded by
     margin * max(rect width, rect height) on every side, clipped to the
     frame, and converted to integer pixels.
+
+    The extents of all detections are computed once, as arrays, with the
+    operations of ``DetectionBox.extent``; each cluster then takes builtin
+    ``min`` and ``max`` over its members' Python floats. The values are the
+    per-member loop's: every extent lies in [0, 1], so that loop's start
+    values 1.0 and 0.0 never win, and where a tie picks the other sign of a
+    zero, the pixel coordinate rounds to the same integer. Results equal
+    ``bounding_block_reference`` in ``tests/oracles.py`` for every cluster.
     """
     if margin < 0.0:
         raise ValueError(f"margin {margin} negative")
-    if cluster.size < 1:
+    if any(c.size < 1 for c in config.clusters):
         raise ValueError("empty cluster")
-    x0 = y0 = 1.0
-    x1 = y1 = 0.0
-    for i in cluster.members:
-        bx0, by0, bx1, by1 = detections[i].extent()
-        x0, y0 = min(x0, bx0), min(y0, by0)
-        x1, y1 = max(x1, bx1), max(y1, by1)
-    pad = margin * max(x1 - x0, y1 - y0)
-    x0, y0 = max(0.0, x0 - pad), max(0.0, y0 - pad)
-    x1, y1 = min(1.0, x1 + pad), min(1.0, y1 + pad)
-    px0 = int(round(x0 * frame.width_px))
-    py0 = int(round(y0 * frame.height_px))
-    px1 = int(round(x1 * frame.width_px))
-    py1 = int(round(y1 * frame.height_px))
-    # degenerate guard: a block is never thinner than one pixel
-    px0 = min(px0, frame.width_px - 1)
-    py0 = min(py0, frame.height_px - 1)
-    px1 = max(px1, px0 + 1)
-    py1 = max(py1, py0 + 1)
-    return px0, py0, px1, py1
+    cx, cy, w, h = np.array([(d.cx, d.cy, d.w, d.h)
+                             for d in config.detections]).reshape(-1, 4).T
+    ex0, ey0 = np.maximum(0.0, cx - w / 2.0).tolist(), np.maximum(0.0, cy - h / 2.0).tolist()
+    ex1, ey1 = np.minimum(1.0, cx + w / 2.0).tolist(), np.minimum(1.0, cy + h / 2.0).tolist()
+    blocks = []
+    for cluster in config.clusters:
+        m = cluster.members
+        x0, y0 = min([ex0[i] for i in m]), min([ey0[i] for i in m])
+        x1, y1 = max([ex1[i] for i in m]), max([ey1[i] for i in m])
+        pad = margin * max(x1 - x0, y1 - y0)
+        x0, y0 = max(0.0, x0 - pad), max(0.0, y0 - pad)
+        x1, y1 = min(1.0, x1 + pad), min(1.0, y1 + pad)
+        # degenerate guard: a block is never thinner than one pixel
+        px0 = min(int(round(x0 * frame.width_px)), frame.width_px - 1)
+        py0 = min(int(round(y0 * frame.height_px)), frame.height_px - 1)
+        px1 = max(int(round(x1 * frame.width_px)), px0 + 1)
+        py1 = max(int(round(y1 * frame.height_px)), py0 + 1)
+        blocks.append((px0, py0, px1, py1))
+    return blocks

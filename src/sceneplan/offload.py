@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, bounding_block
+from .core import ClusterConfig, Frame, bounding_blocks
 
 
 class InfeasiblePlanError(Exception):
@@ -156,18 +156,12 @@ def precision_table(partitions, profiles) -> np.ndarray:
     return table
 
 
-def partition_precision(part: PartitionDescriptor, profile: ModelProfile) -> float:
-    """Mean per-box precision of one block under one model: the one-cell
-    ``precision_table``."""
-    return float(precision_table([part], [profile])[0, 0])
-
-
 def partitions_from_config(config: ClusterConfig, frame: Frame,
                            margin: float = 0.0) -> list[PartitionDescriptor]:
     """Wrap each cluster in its pixel block and collect member box areas."""
+    blocks = bounding_blocks(config, margin, frame)
     parts = []
-    for pid, cluster in enumerate(config.clusters):
-        x0, y0, x1, y1 = bounding_block(cluster, config.detections, margin, frame)
+    for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks)):
         areas = tuple(
             config.detections[i].w * frame.width_px *
             config.detections[i].h * frame.height_px

@@ -150,8 +150,9 @@ def reward(config: ClusterConfig, weights: RewardWeights,
     cents = np.array([s[0] for s in stats])
     dist = _distances(cents, cents)
     _norm_near(dist, cents, cents, weights.d_m)
-    # the array is symmetric with a zero diagonal: count each pair once
-    r4 = -float((np.count_nonzero(dist < weights.d_m) - n) // 2)
+    # the array is symmetric with a zero diagonal: count each pair once;
+    # negated as an int, so no close pair reads 0.0, not -0.0
+    r4 = float((n - np.count_nonzero(dist < weights.d_m)) // 2)
     total = weights.alpha * r1 + weights.beta * r2 + weights.gamma * r3 + weights.delta * r4
     return r1, r2, r3, r4, total
 

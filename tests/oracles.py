@@ -5,7 +5,7 @@ exhaustive enumeration, rasterization, finite differences) and must stay
 independent of the library code paths it checks. ``iou_exact`` is the
 rectangle IoU whose operations ``nms`` repeats in array form, and
 ``precision_lookup_reference`` the per-box mAP lookup that
-``partition_precision`` does for all boxes at once; the library keeps no
+``precision_table`` does for all boxes at once; the library keeps no
 scalar copy of either. The ``*_reference`` copies of ``meanshift``,
 ``estimate_bandwidth``, ``observe_tiles`` and ``aggregate_tiles`` are the
 per-element loops the library used before it switched to array code
@@ -14,14 +14,19 @@ versions must return exactly what these return. Likewise
 ``reward_per_cluster_reference``, ``select_merge_pair_reference`` and
 ``split_cluster_reference`` are the per-cluster loops that rebuilt every
 cluster's centres on every call, before the reward, merge and split read
-memoised per-frame geometry. ``partition_precision_reference`` (one scalar
+memoised per-frame geometry; the split scores its cuts with
+``kmeans_1d_reference``, the split scan over numpy scalars before it went
+to Python floats. ``bounding_block_reference`` is one cluster's block by
+a loop over its members' extents, before ``bounding_blocks`` computed the
+extents once per frame. ``partition_precision_reference`` (one scalar
 lookup per box, rebuilding the curve each time) and ``dp_plan_reference``
 (a full-width table with an int choice array) are the planner before it
 went to one precision pass per plan and a value-only table capped at the
 reachable budget; ``generate_scene_reference`` draws each stratum with
 ``Generator.choice`` and each uniform with ``Generator.uniform``.
 ``geometry_stats_reference`` (numpy reductions over the gathered
-members), ``policy_sample_reference`` (``Generator.choice``),
+members, also the centroid that ``ClusterGeometry.centroid`` memoises),
+``policy_sample_reference`` (``Generator.choice``),
 ``encode_state_reference`` and ``action_mask_reference`` (slot writes
 into zero arrays) are the training step before it went to Python floats.
 The library must return exactly what these return.
@@ -34,7 +39,7 @@ import math
 
 import numpy as np
 
-from sceneplan.clustering import BANDWIDTH_FLOOR, kmeans_1d, transform_y
+from sceneplan.clustering import BANDWIDTH_FLOOR, transform_y
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.offload import InfeasiblePlanError, OffloadPlan, scale_area
 from sceneplan.ppo import masked_log_softmax
@@ -309,7 +314,7 @@ def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None)
         for j in range(i + 1, n):
             if np.linalg.norm(centroids[i] - centroids[j]) < weights.d_m:
                 close += 1
-    r4 = -float(close)
+    r4 = float(-close)
     total = weights.alpha * r1 + weights.beta * r2 + weights.gamma * r3 + weights.delta * r4
     return r1, r2, r3, r4, total
 
@@ -356,7 +361,7 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
         pts = transform_y(pts, transform)
     var_x, var_y = pts.var(axis=0)
     coord = pts[:, 0] if var_x > var_y else pts[:, 1]
-    labels = kmeans_1d(coord)
+    labels = kmeans_1d_reference(coord)
     members = np.array(cluster.members)
     low = make_cluster(members[labels == 0].tolist(), config.detections)
     high = make_cluster(members[labels == 1].tolist(), config.detections)
@@ -364,6 +369,59 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
     clusters[i] = low
     clusters.append(high)
     return ClusterConfig(tuple(clusters), config.detections)
+
+
+def kmeans_1d_reference(values):
+    """Best 2-way split of the sorted values, every split's cost from
+    float64 prefix sums by a nested ``sse(lo, hi)`` over numpy scalars."""
+    vals = np.asarray(values, dtype=float)
+    n = len(vals)
+    if n < 2:
+        raise ValueError("need at least 2 values to split")
+    order = np.argsort(vals, kind="stable")
+    s = vals[order]
+    prefix = np.concatenate([[0.0], np.cumsum(s)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(s ** 2)])
+
+    def sse(lo, hi):  # half-open [lo, hi)
+        cnt = hi - lo
+        tot = prefix[hi] - prefix[lo]
+        return (prefix_sq[hi] - prefix_sq[lo]) - tot * tot / cnt
+
+    costs = np.array([sse(0, m) + sse(m, n) for m in range(1, n)])
+    split = int(np.argmin(costs)) + 1
+    labels = np.empty(n, dtype=int)
+    labels[order[:split]] = 0
+    labels[order[split:]] = 1
+    return labels
+
+
+def bounding_block_reference(cluster, detections, margin: float, frame):
+    """One cluster's pixel block from a per-member loop over
+    ``DetectionBox.extent``."""
+    if margin < 0.0:
+        raise ValueError(f"margin {margin} negative")
+    if cluster.size < 1:
+        raise ValueError("empty cluster")
+    x0 = y0 = 1.0
+    x1 = y1 = 0.0
+    for i in cluster.members:
+        bx0, by0, bx1, by1 = detections[i].extent()
+        x0, y0 = min(x0, bx0), min(y0, by0)
+        x1, y1 = max(x1, bx1), max(y1, by1)
+    pad = margin * max(x1 - x0, y1 - y0)
+    x0, y0 = max(0.0, x0 - pad), max(0.0, y0 - pad)
+    x1, y1 = min(1.0, x1 + pad), min(1.0, y1 + pad)
+    px0 = int(round(x0 * frame.width_px))
+    py0 = int(round(y0 * frame.height_px))
+    px1 = int(round(x1 * frame.width_px))
+    py1 = int(round(y1 * frame.height_px))
+    # degenerate guard: a block is never thinner than one pixel
+    px0 = min(px0, frame.width_px - 1)
+    py0 = min(py0, frame.height_px - 1)
+    px1 = max(px1, px0 + 1)
+    py1 = max(py1, py0 + 1)
+    return px0, py0, px1, py1
 
 
 def geometry_stats_reference(geometry, members):

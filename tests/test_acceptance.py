@@ -24,7 +24,7 @@ from sceneplan.offload import (
     PartitionDescriptor,
     assign_servers,
     dp_plan,
-    partition_precision,
+    precision_table,
     scale_area,
 )
 from sceneplan.ppo import (
@@ -99,7 +99,7 @@ def test_01_dp_oracle_equivalence():
         lats = [int(l) for l in rng.integers(1, 51, 5)]
         profs = flat_profiles(lats, rng.uniform(0, 1, 5))
         parts = [PartitionDescriptor(i, 1000, 1000, (400.0,)) for i in range(n)]
-        prec = [[partition_precision(p, prof) for prof in profs] for p in parts]
+        prec = precision_table(parts, profs).tolist()
         d_max = int(rng.integers(0, 201))
         best, _ = mckp_enumerate(prec, lats, d_max)
         if best is None:

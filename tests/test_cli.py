@@ -230,7 +230,9 @@ def make_clusters_report(tmp_path):
 
 
 def test_plan_generous_budget(tmp_path):
-    from sceneplan.offload import default_profiles, partition_precision
+    from sceneplan.offload import default_profiles
+
+    from oracles import partition_precision_reference
 
     cfg_path, clusters = make_clusters_report(tmp_path)
     out = tmp_path / "plan.json"
@@ -241,9 +243,9 @@ def test_plan_generous_budget(tmp_path):
     _, parts = load_clusters(clusters)
     profs = {p.name: p for p in default_profiles()}
     for part in parts:
-        best = max(partition_precision(part, p) for p in profs.values())
+        best = max(partition_precision_reference(part, p) for p in profs.values())
         chosen = profs[plan["assignments"][str(part.id)]]
-        assert partition_precision(part, chosen) == pytest.approx(best)
+        assert partition_precision_reference(part, chosen) == pytest.approx(best)
     assert plan["total_latency_ms"] <= 100000
 
 

@@ -11,7 +11,7 @@ from sceneplan.core import (
     ClusterConfig,
     DetectionBox,
     Frame,
-    bounding_block,
+    bounding_blocks,
     make_cluster,
     nms,
     validate_partition,
@@ -279,6 +279,12 @@ def test_validate_partition(rng):
     missing = ClusterConfig((make_cluster([0, 1], boxes),), tuple(boxes))
     with pytest.raises(ValueError):
         validate_partition(missing)
+
+
+def bounding_block(cluster, boxes, margin, frame):
+    """The block of a one-cluster configuration."""
+    [block] = bounding_blocks(ClusterConfig((cluster,), tuple(boxes)), margin, frame)
+    return block
 
 
 def test_bounding_block_direct():

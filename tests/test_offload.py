@@ -11,8 +11,8 @@ from sceneplan.offload import (
     default_profiles,
     dp_plan,
     load_profiles,
-    partition_precision,
     partitions_from_config,
+    precision_table,
     profile_from_dict,
     scale_area,
     simulate,
@@ -86,14 +86,14 @@ def test_partition_precision_single_object():
     p = ModelProfile("m", 640, 100, ((16.0, 0.1), (64.0, 0.2), (256.0, 0.4)))
     part = one_partition(areas=(250.0,))
     scaled = scale_area(250.0, 1000, 1000, 640)
-    assert partition_precision(part, p) == precision_lookup(p, scaled)
+    assert precision_table([part], [p])[0, 0] == precision_lookup(p, scaled)
 
 
 def test_partition_precision_equal_areas():
     p = ModelProfile("m", 640, 100, ((16.0, 0.1), (256.0, 0.4)))
     part = one_partition(areas=(250.0, 250.0, 250.0))
     single = precision_lookup(p, scale_area(250.0, 1000, 1000, 640))
-    assert partition_precision(part, p) == pytest.approx(single)
+    assert precision_table([part], [p])[0, 0] == pytest.approx(single)
 
 
 def test_partition_precision_matches_formula(rng):
@@ -107,7 +107,7 @@ def test_partition_precision_matches_formula(rng):
         expected = sum(
             precision_lookup(p, a * p.input_size ** 2 / (w * h))
             for a in areas) / len(areas)
-        assert partition_precision(part, p) == pytest.approx(expected, abs=1e-12)
+        assert precision_table([part], [p])[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,7 @@ def test_bigger_model_never_worse(rng):
         from sceneplan.core import Frame
 
         parts = partitions_from_config(cfg, Frame(3840, 2160))
-        for part in parts:
-            precs = [partition_precision(part, p) for p in profs]
+        for precs in precision_table(parts, profs).tolist():
             assert all(b >= a - 1e-12 for a, b in zip(precs, precs[1:]))
 
 
@@ -207,7 +206,7 @@ def test_dp_matches_enumeration(rng):
         lats = [int(l) for l in rng.integers(1, 51, 5)]
         profs = make_profiles(lats, rng.uniform(0, 1, 5).round(6))
         parts = [one_partition(i) for i in range(n)]
-        prec = [[partition_precision(p, prof) for prof in profs] for p in parts]
+        prec = precision_table(parts, profs).tolist()
         d_max = int(rng.integers(0, 201))
         best, _ = mckp_enumerate(prec, lats, d_max)
         if best is None:
@@ -254,8 +253,8 @@ def test_dp_generous_budget_picks_best_everywhere(rng):
     parts = [one_partition(i, areas=(float(a),))
              for i, a in enumerate(rng.uniform(100, 1e5, 4))]
     plan = dp_plan(parts, profs, d_max=400 * 4)
-    for i, part in enumerate(parts):
-        best = max(partition_precision(part, p) for p in profs)
+    for i, row in enumerate(precision_table(parts, profs).tolist()):
+        best = max(row)
         assert plan.assignments[i][3] == pytest.approx(best)
 
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan.clustering import ClusterGeometry, TransformParams, meanshift
-from sceneplan.core import DetectionBox, Frame
+from sceneplan.clustering import ClusterGeometry, TransformParams, kmeans_1d, meanshift
+from sceneplan.core import ClusterConfig, DetectionBox, Frame, bounding_blocks, make_cluster
 from sceneplan.offload import (
     InfeasiblePlanError,
     ModelProfile,
@@ -28,9 +28,11 @@ from sceneplan.scene import aggregate_tiles, observe_tiles, tile_frame
 from oracles import (
     action_mask_reference,
     aggregate_tiles_reference,
+    bounding_block_reference,
     dp_plan_reference,
     encode_state_reference,
     geometry_stats_reference,
+    kmeans_1d_reference,
     meanshift_reference,
     observe_tiles_reference,
     policy_sample_reference,
@@ -65,10 +67,11 @@ TRANSFORM = st.sampled_from([None, TransformParams(0.5), TransformParams(0.3)])
 
 
 @st.composite
-def geometry_args(draw):
+def geometry_args(draw, max_members=12):
     """Frames whose boxes repeat a small pool (duplicated centres, zero
-    coordinates), and clusters of 1-12 members, 7 and 8 drawn often."""
-    k = draw(st.one_of(st.sampled_from([7, 8]), st.integers(1, 12)))
+    coordinates), and clusters of 1 to ``max_members`` members, 7 and 8
+    drawn often."""
+    k = draw(st.one_of(st.sampled_from([7, 8]), st.integers(1, max_members)))
     pool = draw(st.lists(BOX, min_size=1, max_size=k))
     dets = tuple(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k + 3)))
     members = tuple(sorted(draw(st.permutations(range(len(dets))))[:k]))
@@ -84,6 +87,79 @@ def stats_reference(dets, transform, members):
     centroid, spread, area_var = geometry_stats_reference(
         ClusterGeometry(dets, transform), members)
     return (float(centroid[0]), float(centroid[1])), spread, area_var
+
+
+def centroid_new(dets, transform, members):
+    # the centroid memo first, then the statistics that read it
+    geometry = ClusterGeometry(dets, transform)
+    return geometry.centroid(members), geometry.stats(members)[0]
+
+
+def centroid_reference(dets, transform, members):
+    centroid = stats_reference(dets, transform, members)[0]
+    return centroid, centroid
+
+
+# --- kmeans_1d ----------------------------------------------------------------------
+
+VALUE = (st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf,
+                          1e154, 1e200, -1e300, sys.float_info.max])
+         | st.floats(-10.0, 10.0) | st.floats(allow_nan=False))
+
+
+def quiet(function):
+    """``function`` with numpy's overflow and invalid warnings off: infinite
+    and huge values give inf and NaN costs on purpose."""
+    def run(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return function(*args)
+    return run
+
+
+@st.composite
+def mirrored_values(draw):
+    """Three groups mirrored about a centre c: the splits that cut off the
+    lower or the upper group cost the same in exact arithmetic, so the
+    rounding of each operation picks the winner."""
+    c, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 3.0))
+    half = ([c - d + e for e in draw(st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=6))]
+            + [c + e for e in draw(st.lists(st.floats(0.0, 0.3), max_size=3))])
+    return half + [2.0 * c - v for v in half] + draw(st.sampled_from([[], [c]]))
+
+
+@st.composite
+def kmeans_args(draw):
+    """2-80 values drawn from a small pool (ties), signed zeros, infinities
+    and values whose squares or sums overflow; or mirrored groups."""
+    pool = draw(st.lists(VALUE, min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool) | VALUE, min_size=2, max_size=80)
+                  | mirrored_values())
+    return (values,)
+
+
+# --- bounding_blocks ------------------------------------------------------------------
+
+@st.composite
+def block_args(draw):
+    """Boxes on and past the frame's edges (centres at 0 or 1, full-frame
+    sides) cut into 0-6 clusters, a margin of 0, above 0 or below 0, and a
+    frame as small as one pixel."""
+    boxes = draw(st.lists(BOX, min_size=1, max_size=20))
+    order = draw(st.permutations(range(len(boxes))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(boxes)), max_size=5)) | {len(boxes)})
+    clusters = tuple(make_cluster(order[a:b], boxes) for a, b in zip([0] + cuts, cuts))
+    config = ClusterConfig(clusters[:draw(st.integers(0, len(clusters)))], tuple(boxes))
+    margin = draw(st.sampled_from([0.0, -0.0, 0.1, 0.5, -0.25]) | st.floats(0.0, 3.0))
+    frame = Frame(*draw(st.sampled_from([(1, 1), (2, 3), (1000, 1000), (1001, 799),
+                                         (3840, 2160)])))
+    return config, margin, frame
+
+
+def blocks_reference(config, margin, frame):
+    if margin < 0.0:  # the reference checks the margin per cluster
+        raise ValueError(f"margin {margin} negative")
+    return [bounding_block_reference(c, config.detections, margin, frame)
+            for c in config.clusters]
 
 
 # --- encode_state and action_mask ----------------------------------------------
@@ -273,6 +349,9 @@ def plan_args(draw):
 
 REGISTRY = [
     ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
+    ("geometry_centroid", centroid_new, centroid_reference, geometry_args(64), 200),
+    ("kmeans_1d", quiet(kmeans_1d), quiet(kmeans_1d_reference), kmeans_args(), 300),
+    ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
     ("encode_state", encode_state, encode_state_reference, state_args(), 200),
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_reference),

@@ -142,6 +142,16 @@ def test_reward_count_band():
     assert reward(n_singletons(17), DESK)[2] == -2.0
 
 
+@pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
+def test_reward_without_close_pairs_is_positive_zero(transform):
+    # R4 and R3 both print 0.0 in reports, never -0.0
+    cfg = singleton_config([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])
+    for r4 in (reward(cfg, DESK, transform)[3],
+               reward_per_cluster_reference(cfg, DESK, transform)[3]):
+        assert r4 == 0.0 and math.copysign(1.0, r4) == 1.0
+        assert str(r4) == "0.0"
+
+
 def test_reward_close_pair_counting():
     cfg = singleton_config([(0.5, 0.5), (0.51, 0.5), (0.9, 0.9)])
     r4 = reward(cfg, DESK)[3]
