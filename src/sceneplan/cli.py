@@ -29,7 +29,7 @@ from .offload import (
     default_profiles,
     dp_plan,
     load_profiles,
-    partitions_from_config,
+    partitions_from_blocks,
     simulate,
 )
 from .ppo import (
@@ -233,8 +233,8 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int):
         raise ValueError("empty scene after coarse detection")
     choose, env = _policy_env(coarse, cfg)
     final, trace = rollout(env, choose, np.random.default_rng(scene_seed + 1))
-    parts = partitions_from_config(final, coarse, cfg["block_margin"])
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
+    parts = partitions_from_blocks(final, coarse, blocks)
     clusters = [{
         "id": part.id,
         "members": list(cluster.members),

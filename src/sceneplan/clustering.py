@@ -111,43 +111,21 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     Each point seeds a mode that iterates to the mean of all points within
     the bandwidth until it moves less than ``tol`` (or ``max_iter`` caps).
     Converged modes closer than bandwidth/2 collapse onto the first-seen
-    one, and every point joins its nearest surviving mode.
+    one, and every point joins its nearest surviving mode. Labels equal
+    ``meanshift_reference`` in ``tests/oracles.py``; the notes beside it show
+    why the y-band candidate pairs and the window sums keep them equal.
 
-    Candidate pairs from y-bands: the frame is cut into horizontal bands of
-    height ``pad`` (slightly above the bandwidth) from the lowest point,
-    taller where more bands than points would be needed, and ``row(v)``
-    counts the band edges at or below ``v``. Each iteration stable-sorts
-    the active modes by the key ``row(y) + off(x)``, where ``off`` scales
-    ``x`` minus the lowest x by a power of two and clips it to [0, 1/2], so
-    the bands' keys are disjoint and increase with x inside a band. Every
-    point asks, once per call, for the bands from ``row(fl(py - pad))`` to
-    ``row(fl(py + pad))``, and in each for the keys from
-    ``off(fl(px - pad))`` to ``off(fl(px + pad))``; two ``searchsorted``
-    calls with the queries sorted once per call give every query's range of
-    modes. Only these (point, mode) pairs get a distance, with the
-    operations of ``_distances``; no (points, modes) array is built.
-
-    The queries miss no mode within the bandwidth: such a mode has
-    ``|px - mx| <= bandwidth * (1 + 5 eps) < pad`` and likewise in y (the
-    distance rounds at most a few ulp below the exact ``|dx|``; an ``|dx|``
-    too small for ``dx*dx`` to stay normal is below the ``2**-500`` in
-    ``pad``). Rounding is monotone, so ``px - pad <= mx`` implies
-    ``fl(px - pad) <= mx``; ``row``, ``off`` and ``fl(r + .)`` are monotone
-    too, so the mode's key lies in the query range of its own band. No
-    mode is paired twice with a point, as each lies in one band and the
-    bands' keys do not overlap. No inf or NaN reaches a key, whatever the
-    coordinates and bandwidth: the extents are taken in halves, which
-    cannot overflow, the band edges are ordered, and an infinite query
-    bound only lands on the first or last band or clips to an offset's end.
-
-    The queries are point-major, bands ascending within a point, so the
-    pairs are too. The counts and window sums come from ``np.bincount``
-    over the in-window pairs, which adds each mode's points one at a time
-    in array order, that is input order, starting from 0.0. The per-mode
-    sequential sum over all points adds the same values in the same order
-    plus one ``0.0 * p`` term per point outside the window, and adding a
-    zero changes a sum at most in the sign of a zero, which no distance
-    sees. Labels equal ``meanshift_reference`` in ``tests/oracles.py``.
+    Modes share trajectories: a mode's next position, the mean of the points
+    in its window, depends on its current position alone (a zero's sign
+    reaches only squared differences). Each position a mode moves on from is
+    recorded with the mode and iteration, keyed by its complex value, which
+    equates -0.0 and 0.0; a mode moving onto a recorded position would walk
+    the recorder's path ``lag`` iterations later, so it stops and follows.
+    At the end a follower takes its chain root's final position and stops at
+    the root's stop plus the chain's lags; past ``max_iter``, the loop runs
+    again without sharing. Nothing is recorded on the last iteration, nor a
+    converged mode's last position (its next step was never taken); a mode
+    whose chain leads back to itself walks on.
 
     The mode collapse runs over the distinct converged modes only, taken
     in first-seen order: one distance array between them, then the
@@ -187,37 +165,76 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     right_order = q_right.argsort(kind="stable")
     q_left, q_right = q_left[left_order], q_right[right_order]
     left, right = np.empty(len(rows), dtype=np.intp), np.empty(len(rows), dtype=np.intp)
-    mode_x, mode_y = px.copy(), py.copy()
-    active = np.arange(len(pts))
-    for _ in range(max_iter):
-        if not len(active):
+    n = len(pts)
+
+    def root(i):  # the end of i's follower chain and its summed lag; compresses it
+        path = []
+        while lead[i] != i:
+            path.append(i)
+            i = lead[i]
+        for v in reversed(path):
+            lead[v], lag[v] = i, lag[v] + lag[lead[v]]
+        return i, lag[path[0]] if path else 0
+
+    for share in (True, False):
+        mode_x, mode_y = px.copy(), py.copy()
+        active, stop = np.arange(n), np.zeros(n, dtype=np.intp)
+        lead, lag, seen = list(range(n)), [0] * n, {}
+        for it in range(1, max_iter + 1):
+            if not len(active):
+                break
+            stop[active] = it
+            sub_x, sub_y = mode_x[active], mode_y[active]
+            key = offset(sub_x) + edges.searchsorted(sub_y, "right")
+            # stable: the sort kmeans_1d maps anyway, where the default maps
+            # more code (peak RSS of the desk paths)
+            order = key.argsort(kind="stable")
+            active, sub_x, sub_y, key = active[order], sub_x[order], sub_y[order], key[order]
+            left[left_order] = key.searchsorted(q_left)
+            right[right_order] = key.searchsorted(q_right, "right")
+            pos, counts = expand_ranges(left, right)
+            x, y = qx.repeat(counts), qy.repeat(counts)
+            d = x - sub_x[pos]
+            d *= d
+            dy = y - sub_y[pos]
+            dy *= dy
+            d += dy
+            # integer gathers: a boolean-mask gather costs about four times more
+            inside = np.flatnonzero(np.sqrt(d, out=d) <= bandwidth)
+            pos = pos[inside]
+            k = len(active)
+            # one (modes, 2) division: a 1-D float/int division maps 64 KB of
+            # numpy code that the desk paths load nowhere else (peak RSS)
+            new = np.stack([np.bincount(pos, x[inside], k), np.bincount(pos, y[inside], k)],
+                           axis=1) / np.bincount(pos, minlength=k)[:, None]
+            mode_x[active], mode_y[active] = new[:, 0], new[:, 1]
+            dx, dy = new[:, 0] - sub_x, new[:, 1] - sub_y
+            moving = np.sqrt(dx * dx + dy * dy) >= tol
+            active = active[moving]
+            if share and it < max_iter:
+                # record each new position as it * n + mode; a mode finding
+                # another's record there follows it
+                base = it * n
+                keys = new.view(np.complex128).ravel()[moving].tolist()
+                codes = (active + base).tolist()
+                found = [k for k, at, code in zip(range(len(codes)), keys, codes)
+                         if seen.setdefault(at, code) != code]
+                if found:
+                    keep = np.ones(len(active), dtype=bool)
+                    for k in found:
+                        i, (t, j) = codes[k] - base, divmod(seen[keys[k]], n)
+                        if lead[j] == j != i or root(j)[0] != i:  # else a cycle
+                            lead[i], lag[i], keep[k] = j, it - t, False
+                    active = active[keep]
+        followers = [i for i in range(n) if lead[i] != i]
+        if not followers:
             break
-        sub_x, sub_y = mode_x[active], mode_y[active]
-        key = offset(sub_x) + edges.searchsorted(sub_y, "right")
-        # stable: the sort kmeans_1d maps anyway, where the default maps more
-        # code (peak RSS of the desk paths)
-        order = key.argsort(kind="stable")
-        active, sub_x, sub_y, key = active[order], sub_x[order], sub_y[order], key[order]
-        left[left_order] = key.searchsorted(q_left)
-        right[right_order] = key.searchsorted(q_right, "right")
-        pos, counts = expand_ranges(left, right)
-        x, y = qx.repeat(counts), qy.repeat(counts)
-        d = x - sub_x[pos]
-        d *= d
-        dy = y - sub_y[pos]
-        dy *= dy
-        d += dy
-        # integer gathers: a boolean-mask gather costs about four times more
-        inside = np.flatnonzero(np.sqrt(d, out=d) <= bandwidth)
-        pos = pos[inside]
-        k = len(active)
-        # one (modes, 2) division: a 1-D float/int division maps 64 KB of
-        # numpy code that the desk paths load nowhere else (peak RSS)
-        new = np.stack([np.bincount(pos, x[inside], k), np.bincount(pos, y[inside], k)],
-                       axis=1) / np.bincount(pos, minlength=k)[:, None]
-        mode_x[active], mode_y[active] = new[:, 0], new[:, 1]
-        dx, dy = new[:, 0] - sub_x, new[:, 1] - sub_y
-        active = active[np.sqrt(dx * dx + dy * dy) >= tol]
+        ends = [root(i) for i in followers]
+        stop = stop.tolist()
+        if all(stop[r] + behind <= max_iter for r, behind in ends):
+            roots = [r for r, _ in ends]
+            mode_x[followers], mode_y[followers] = mode_x[roots], mode_y[roots]
+            break
 
     # distinct modes in first-seen order (the reversed dict keeps each
     # mode's first index); float keys, so -0.0 and 0.0 are one mode
@@ -269,10 +286,7 @@ def kmeans_1d(values):
     Returns a 0/1 label per input value; 0 marks the lower group.
 
     Split m costs ``sse(first m) + sse(rest)``, where a part of c values
-    with sum t and sum of squares q has ``sse = q - t * t / c``; t and q
-    come from float64 prefix sums of the sorted values and their squares,
-    the rest's as the total minus the first m's. The scan runs in Python
-    floats, which round each operation as float64 scalars do, so the costs
+    with sum t and sum of squares q has ``sse = q - t * t / c``. The costs
     equal ``kmeans_1d_reference`` in ``tests/oracles.py`` bit for bit.
     """
     vals = np.asarray(values, dtype=float)
@@ -330,18 +344,10 @@ class ClusterGeometry:
         return hit
 
     def stats(self, members: tuple[int, ...]) -> tuple[tuple[float, float], float, float]:
-        """((centroid x, y), mean member distance to it, area variance).
-
-        Up to 7 members the sums are Python floats added one at a time
-        from 0.0, each then divided by the member count: the centroid, the
-        mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass population
-        variance (mean first, then the mean of the squared deviations).
-        numpy's ``add.reduce`` adds fewer than 8 elements in exactly this
-        sequence (pairwise summation starts at 8), so the results equal
-        numpy's ``mean``, ``linalg.norm(axis=1).mean()`` and ``var`` over
-        the gathered member arrays; from 8 members on those numpy calls
-        run. Results equal ``geometry_stats_reference`` in
-        ``tests/oracles.py``.
+        """((centroid x, y), mean member distance to it, area variance), in
+        Python floats below 8 members and by numpy reductions from 8 on.
+        Results equal ``geometry_stats_reference`` in ``tests/oracles.py``,
+        beside which the argument sits.
         """
         hit = self._stats.get(members)
         if hit is not None:

@@ -187,39 +187,33 @@ def expand_ranges(lo, hi):
 
 
 def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
-    """Greedy class-wise non-maximum suppression.
+    """Greedy class-wise non-maximum suppression: the boxes that
+    ``nms_rows`` keeps, in its order, laid out from the boxes' fields."""
+    columns = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes]).reshape(-1, 5).T
+    return [boxes[k] for k in nms_rows(*columns, [b.class_id for b in boxes], iou_threshold)]
 
-    Boxes are visited by descending score (ties broken by input position);
-    a box survives iff its IoU with every already-kept box of the same
-    class stays below the threshold. Output is in visit order, i.e. sorted
-    by descending score.
 
-    Sweep-line method: extents are computed as arrays with the operations
-    of ``DetectionBox.extent`` and sorted by ``x0``. Each box is paired
-    with the boxes after it in that order whose ``x0`` lies below its
-    ``x1``, so every unordered pair is built once and no n x n array is.
-    Those are all the pairs that can overlap: for the later box of a pair
-    ``max(x0)`` is its own ``x0``, and ``fl(a - b) > 0`` holds iff
-    ``a > b``, so ``iw > 0`` needs ``x0[later] < x1[earlier]``. Same-class
-    pairs with ``iw > 0`` and ``ih > 0`` get their IoU with the operations
-    of ``iou_exact`` in ``tests/oracles.py``, in its order. The greedy pass
-    then walks only the suppressing pairs, ordered by the earlier box p in
-    visit order, and clears q whenever p is still alive: by the time p's
-    pairs come up, every box before p in visit order has been settled.
-    Results equal ``nms_reference`` there.
+def nms_rows(cx, cy, w, h, score, class_ids, iou_threshold: float = 0.5) -> list[int]:
+    """Greedy class-wise non-maximum suppression over box columns: the
+    indices of the kept rows, in visit order (descending score, ties by
+    position). A box survives iff its IoU with every already-kept box of
+    the same class stays below the threshold. Candidate pairs come from a
+    sweep over the boxes sorted by ``x0``, so no n x n array is built;
+    results equal ``nms_reference`` in ``tests/oracles.py``, beside which
+    the sweep's argument sits.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1)")
-    n = len(boxes)
+    n = len(score)
     if n == 0:
         return []
-    order = sorted(range(n), key=lambda i: (-boxes[i].score, i))
-    visit = [boxes[i] for i in order]
-    cx, cy, w, h = np.array([(b.cx, b.cy, b.w, b.h) for b in visit]).T
+    # stable: ties keep their positions; 0.0 - score sorts as -score (peak RSS)
+    order = (0.0 - score).argsort(kind="stable")
+    cx, cy, w, h = cx[order], cy[order], w[order], h[order]
     x0, y0 = np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0)
     x1, y1 = np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0)
     area = (x1 - x0) * (y1 - y0)
-    cls = np.array([b.class_id for b in visit])
+    cls = np.array(class_ids)[order]
 
     by_x = x0.argsort(kind="stable")  # the sort kmeans_1d maps (peak RSS)
     x0_sorted = x0[by_x]
@@ -227,9 +221,11 @@ def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     # a box whose width rounds to 0 (x0 == x1) may end its range before it
     pos, counts = expand_ranges(after, np.maximum(x0_sorted.searchsorted(x1[by_x]), after))
     i, j = np.repeat(by_x, counts), by_x[pos]
-    iw = np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j])
     ih = np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j])
-    hit = (iw > 0.0) & (ih > 0.0) & (cls[i] == cls[j])
+    near = np.flatnonzero(ih > 0.0)  # most pairs that overlap in x lie apart in y
+    i, j, ih = i[near], j[near], ih[near]
+    iw = np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j])
+    hit = (iw > 0.0) & (cls[i] == cls[j])
     i, j, inter = i[hit], j[hit], iw[hit] * ih[hit]
     hit = inter / (area[i] + area[j] - inter) >= iou_threshold
     i, j = i[hit], j[hit]
@@ -237,7 +233,7 @@ def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     for p, q in sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())):
         if alive[p]:
             alive[q] = False
-    return [b for b, keep in zip(visit, alive) if keep]
+    return [k for k, keep in zip(order.tolist(), alive) if keep]
 
 
 def bounding_blocks(config: ClusterConfig, margin: float,
@@ -249,13 +245,8 @@ def bounding_blocks(config: ClusterConfig, margin: float,
     margin * max(rect width, rect height) on every side, clipped to the
     frame, and converted to integer pixels.
 
-    The extents of all detections are computed once, as arrays, with the
-    operations of ``DetectionBox.extent``; each cluster then takes builtin
-    ``min`` and ``max`` over its members' Python floats. The values are the
-    per-member loop's: every extent lies in [0, 1], so that loop's start
-    values 1.0 and 0.0 never win, and where a tie picks the other sign of a
-    zero, the pixel coordinate rounds to the same integer. Results equal
-    ``bounding_block_reference`` in ``tests/oracles.py`` for every cluster.
+    Results equal ``bounding_block_reference`` in ``tests/oracles.py`` for
+    every cluster; the argument sits beside it.
     """
     if margin < 0.0:
         raise ValueError(f"margin {margin} negative")

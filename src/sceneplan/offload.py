@@ -159,7 +159,12 @@ def precision_table(partitions, profiles) -> np.ndarray:
 def partitions_from_config(config: ClusterConfig, frame: Frame,
                            margin: float = 0.0) -> list[PartitionDescriptor]:
     """Wrap each cluster in its pixel block and collect member box areas."""
-    blocks = bounding_blocks(config, margin, frame)
+    return partitions_from_blocks(config, frame, bounding_blocks(config, margin, frame))
+
+
+def partitions_from_blocks(config: ClusterConfig, frame: Frame,
+                           blocks) -> list[PartitionDescriptor]:
+    """Each cluster's partition, cut as its pixel block in ``blocks``."""
     parts = []
     for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks)):
         areas = tuple(
@@ -192,17 +197,9 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
     Ties prefer smaller latency, then smaller model input; the optimal
     column is the first t attaining the maximum.
 
-    Method: the table keeps values only, (n+1) rows by
-    ``min(d_max, n * L) + 1`` columns, L the largest latency within the
-    budget. That cap is exact: every row is nondecreasing in t and every
-    assignment fits within n * L, so the first column that reaches the
-    maximum never lies beyond it. Each model folds in as one shifted
-    ``np.add`` and one ``np.fmax`` (which, like the strict ``>`` it
-    replaces, never lets a NaN precision win). Backtracking recomputes the
-    choice at the one column t of each row with the same strict ``>`` over
-    the canonical model order, so every tie settles as in
-    ``dp_plan_reference`` in ``tests/oracles.py``, which keeps a full
-    choice table; the plans are equal.
+    The table keeps values only, capped at ``min(d_max, n * L) + 1``
+    columns (L the largest latency within the budget). Plans equal
+    ``dp_plan_reference`` in ``tests/oracles.py``; the argument sits there.
     """
     if isinstance(d_max, bool) or not isinstance(d_max, (int, np.integer)):
         raise ValueError(f"d_max must be an integer number of ms, got {d_max!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionBox, Frame, atomic_write, check_number, nms
+from .core import DetectionBox, Frame, atomic_write, check_number, nms_rows
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -347,9 +347,11 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> lis
 
     Array method: all observations are remapped as arrays, with Python's
     clamps written out (``max(v, lo)`` keeps ``v`` unless ``v < lo``, so a
-    ``-0.0`` score stays ``-0.0``), and each box is built from the plain
-    values. Results equal ``aggregate_tiles_reference`` in
-    ``tests/oracles.py``.
+    ``-0.0`` score stays ``-0.0``), and suppressed by ``nms_rows``; only
+    the kept rows become boxes. Every row is first checked in observation
+    order as its box would be: its class id goes through ``int``, and after
+    the clamps it fails ``DetectionBox``'s checks iff it holds a NaN.
+    Results equal ``aggregate_tiles_reference`` in ``tests/oracles.py``.
     """
     if len(per_tile) != len(grid.tiles):
         raise ValueError(f"{len(per_tile)} tile lists for {len(grid.tiles)} tiles")
@@ -366,13 +368,16 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> lis
         return np.where(v > hi, hi, v)
 
     # jittered straddlers can poke out of frame; clamp back in
-    remapped = zip(clamp((tx0 + cx * tw) / w_px, 0.0, 1.0).tolist(),
-                   clamp((ty0 + cy * th) / h_px, 0.0, 1.0).tolist(),
-                   clamp(w * tw / w_px, 1e-6, 1.0).tolist(),
-                   clamp(h * th / h_px, 1e-6, 1.0).tolist(),
-                   clamp(score, 0.0, 1.0).tolist(), cids)
-    return nms([DetectionBox(gx, gy, gw, gh, s, int(cid))
-                for gx, gy, gw, gh, s, cid in remapped], iou_threshold)
+    boxes = np.stack([clamp((tx0 + cx * tw) / w_px, 0.0, 1.0),
+                      clamp((ty0 + cy * th) / h_px, 0.0, 1.0),
+                      clamp(w * tw / w_px, 1e-6, 1.0), clamp(h * th / h_px, 1e-6, 1.0),
+                      clamp(score, 0.0, 1.0)])
+    bad = np.flatnonzero(np.isnan(boxes).any(axis=0)).tolist()
+    class_ids = [int(cid) for cid in cids[:bad[0] + 1 if bad else len(cids)]]
+    if bad:  # raises the box's own error for the first bad row
+        DetectionBox(*boxes[:, bad[0]].tolist(), class_ids[-1])
+    keep = nms_rows(*boxes, class_ids, iou_threshold)
+    return [DetectionBox(*row, class_ids[k]) for row, k in zip(boxes[:, keep].T.tolist(), keep)]
 
 
 def coarse_detect(

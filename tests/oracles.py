@@ -3,7 +3,7 @@
 Everything here is written straight from first principles (plain loops,
 exhaustive enumeration, rasterization, finite differences) and must stay
 independent of the library code paths it checks. ``iou_exact`` is the
-rectangle IoU whose operations ``nms`` repeats in array form, and
+rectangle IoU whose operations ``nms_rows`` repeats in array form, and
 ``precision_lookup_reference`` the per-box mAP lookup that
 ``precision_table`` does for all boxes at once; the library keeps no
 scalar copy of either. The ``*_reference`` copies of ``meanshift``,
@@ -96,6 +96,19 @@ def iou_exact(a: DetectionBox, b: DetectionBox) -> float:
     return inter / (area_a + area_b - inter) if inter > 0 else 0.0
 
 
+# ``nms_rows`` sorts the boxes' extents, computed as arrays with the
+# operations of ``DetectionBox.extent``, by ``x0``. Each box is paired with
+# the boxes after it in that order whose ``x0`` lies below its ``x1``, so
+# every unordered pair is built once and no n x n array is. Those are all the
+# pairs that can overlap: for the later box of a pair ``max(x0)`` is its own
+# ``x0``, and ``fl(a - b) > 0`` holds iff ``a > b``, so ``iw > 0`` needs
+# ``x0[later] < x1[earlier]``. Pairs with ``ih > 0`` (tested first, as most
+# pairs that overlap in x lie apart in y), ``iw > 0`` and the same class get
+# their IoU with the operations of ``iou_exact``, in its order. The greedy
+# pass then walks only the suppressing pairs, ordered by the earlier box p in
+# visit order, and clears q whenever p is still alive: by the time p's pairs
+# come up, every box before p in visit order has been settled, as in the loop
+# below.
 def nms_reference(boxes, threshold: float):
     """O(n^2) suppression by explicit pairwise checks."""
     idx = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
@@ -112,6 +125,42 @@ def nms_reference(boxes, threshold: float):
     return [boxes[i] for i in kept]
 
 
+# ``meanshift``'s candidate pairs come from y-bands. The frame is cut into
+# horizontal bands of height ``pad`` (slightly above the bandwidth) from the
+# lowest point, taller where more bands than points would be needed, and
+# ``row(v)`` counts the band edges at or below ``v``. Each iteration
+# stable-sorts the active modes by the key ``row(y) + off(x)``, where ``off``
+# scales ``x`` minus the lowest x by a power of two and clips it to
+# [0, 1/2], so the bands' keys are disjoint and increase with x inside a
+# band. Every point asks, once per call, for the bands from
+# ``row(fl(py - pad))`` to ``row(fl(py + pad))``, and in each for the keys
+# from ``off(fl(px - pad))`` to ``off(fl(px + pad))``; two ``searchsorted``
+# calls with the queries sorted once per call give every query's range of
+# modes. Only these (point, mode) pairs get a distance, with the operations
+# of ``_distances``; no (points, modes) array is built.
+#
+# The queries miss no mode within the bandwidth: such a mode has
+# ``|px - mx| <= bandwidth * (1 + 5 eps) < pad`` and likewise in y (the
+# distance rounds at most a few ulp below the exact ``|dx|``; an ``|dx|`` too
+# small for ``dx*dx`` to stay normal is below the ``2**-500`` in ``pad``).
+# Rounding is monotone, so ``px - pad <= mx`` implies ``fl(px - pad) <= mx``;
+# ``row``, ``off`` and ``fl(r + .)`` are monotone too, so the mode's key lies
+# in the query range of its own band. No mode is paired twice with a point,
+# as each lies in one band and the bands' keys do not overlap. No inf or NaN
+# reaches a key, whatever the coordinates and bandwidth: the extents are
+# taken in halves, which cannot overflow, the band edges are ordered, and an
+# infinite query bound only lands on the first or last band or clips to an
+# offset's end.
+#
+# The queries are point-major, bands ascending within a point, so the pairs
+# are too. The counts and window sums come from ``np.bincount`` over the
+# in-window pairs, which adds each mode's points one at a time in array
+# order, that is input order, starting from 0.0. The per-mode sequential sum
+# below over all points adds the same values in the same order plus one
+# ``0.0 * p`` term per point outside the window, and adding a zero changes a
+# sum at most in the sign of a zero, which no distance sees. So a mode's next
+# position depends on its current one alone, which is what lets
+# ``meanshift`` share the trajectories of modes that meet.
 def meanshift_reference(points, bandwidth: float, tol: float = 1e-4,
                         max_iter: int = 300):
     """Flat-kernel MeanShift with broadcast (m, n, 2) distances and a
@@ -371,6 +420,10 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
     return ClusterConfig(tuple(clusters), config.detections)
 
 
+# ``kmeans_1d`` takes t and q from float64 prefix sums of the sorted values
+# and their squares, the rest's as the total minus the first m's, and scans
+# the splits in Python floats, which round each operation as the numpy
+# float64 scalars below do.
 def kmeans_1d_reference(values):
     """Best 2-way split of the sorted values, every split's cost from
     float64 prefix sums by a nested ``sse(lo, hi)`` over numpy scalars."""
@@ -396,6 +449,12 @@ def kmeans_1d_reference(values):
     return labels
 
 
+# ``bounding_blocks`` computes the extents of all detections once, as
+# arrays, with the operations of ``DetectionBox.extent``; each cluster then
+# takes builtin ``min`` and ``max`` over its members' Python floats. The
+# values are the loop's below: every extent lies in [0, 1], so its start
+# values 1.0 and 0.0 never win, and where a tie picks the other sign of a
+# zero, the pixel coordinate rounds to the same integer.
 def bounding_block_reference(cluster, detections, margin: float, frame):
     """One cluster's pixel block from a per-member loop over
     ``DetectionBox.extent``."""
@@ -424,6 +483,14 @@ def bounding_block_reference(cluster, detections, margin: float, frame):
     return px0, py0, px1, py1
 
 
+# Up to 7 members ``ClusterGeometry.stats`` adds Python floats one at a time
+# from 0.0, each sum then divided by the member count: the centroid, the
+# mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass population variance
+# (mean first, then the mean of the squared deviations). numpy's
+# ``add.reduce`` adds fewer than 8 elements in exactly this sequence
+# (pairwise summation starts at 8), so the results equal numpy's ``mean``,
+# ``linalg.norm(axis=1).mean()`` and ``var`` below; from 8 members on those
+# numpy calls run.
 def geometry_stats_reference(geometry, members):
     """A ``ClusterGeometry``'s (centroid, mean member distance, area
     variance) by numpy reductions over the gathered member arrays."""
@@ -500,6 +567,15 @@ def precision_table_reference(partitions, profiles) -> np.ndarray:
                      for part in partitions])
 
 
+# ``dp_plan``'s table keeps values only, (n+1) rows by ``min(d_max, n * L) + 1``
+# columns, L the largest latency within the budget. That cap is exact: every
+# row is nondecreasing in t and every assignment fits within n * L, so the
+# first column that reaches the maximum never lies beyond it. Each model
+# folds in as one shifted ``np.add`` and one ``np.fmax``, which, like the
+# strict ``>`` below, never lets a NaN precision win. Backtracking recomputes
+# the choice at the one column t of each row with the same strict ``>`` over
+# the canonical model order, so every tie settles as in the full choice
+# table below.
 def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
     """Multiple-choice knapsack over a full (d_max + 1)-column table with a
     per-cell choice array; ties prefer smaller latency, then smaller model

@@ -286,6 +286,21 @@ def test_meanshift_duplicated_modes_and_signed_zeros_match_reference(rng):
     assert meanshift(pts, 0.05).max() + 1 == 3
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_meanshift_shared_paths_on_a_density_ramp_match_reference(seed):
+    # modes drift along a ramp of 40 points (x = u**2 on y = 0) and move onto
+    # positions other modes moved on from iterations earlier, often onto
+    # followers' paths; caps of 0-8 iterations stop them mid-path, where a
+    # follower's stop overruns the cap, and tol 0.03 stops modes off a fixed
+    # point
+    pts = np.zeros((40, 2))
+    pts[:, 0] = np.random.default_rng(seed).uniform(0.0, 1.0, 40) ** 2
+    for tol in (1e-4, 0.03):
+        for max_iter in [*range(9), 300]:
+            assert meanshift(pts, 0.25, tol, max_iter).tolist() == \
+                meanshift_reference(pts, 0.25, tol, max_iter).tolist()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1, "0.2", True])
 def test_bandwidth_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="bandwidth"):

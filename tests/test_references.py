@@ -218,15 +218,45 @@ POINT = (st.tuples(GRID, GRID) | st.tuples(st.floats(0, 1), st.floats(0, 1))
          | st.tuples(st.sampled_from([0.0, -0.0, 1.0]), st.sampled_from([0.0, -0.0, 0.5])))
 
 
+SIGNED_ZERO = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+# caps that stop modes mid-path, where a follower's stop can overrun the cap,
+# and tolerances that stop them off a fixed point
+MAX_ITER = st.integers(1, 8) | st.sampled_from([0, 300])
+TOL = st.sampled_from([0.01, 0.03, 1e-4])
+
+
 @st.composite
-def meanshift_args(draw):
-    """1-60 points plus up to 20 repeats, and a bandwidth."""
-    points = draw(st.lists(POINT, min_size=1, max_size=60))
+def shared_path_points(draw):
+    """5-60 points whose modes move onto positions other modes moved on
+    from, often iterations later, and onto followers' paths: a density ramp
+    (uniform ** 2 or ** 3) along the line y = 0 or in the plane, along which
+    modes drift far, or normal blobs. Free or snapped to a grid, plus up to
+    4 signed zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, layout = int(rng.integers(5, 61)), draw(st.sampled_from(["line", "plane", "blobs"]))
+    if layout == "blobs":
+        centres = rng.uniform(0.0, 1.0, (int(rng.integers(1, 5)), 2))
+        points = centres[rng.integers(0, len(centres), n)] + \
+            rng.normal(0.0, rng.choice([0.02, 0.06, 0.15]), (n, 2))
+    else:
+        points = rng.uniform(0.0, 1.0, (n, 2)) ** rng.choice([2, 3])
+        points[:, 1] *= layout == "plane"
+    step = draw(st.sampled_from([0.0, 1 / 64, 1 / 16]))
+    if step:
+        points = np.round(points / step) * step
+    return points.tolist() + draw(st.lists(SIGNED_ZERO, max_size=4))
+
+
+@st.composite
+def meanshift_args(draw, points=st.lists(POINT, min_size=1, max_size=60) | shared_path_points(),
+                   bandwidth=st.sampled_from([0.05, 0.125, 0.2, 0.25, 0.5, 1.0])
+                   | st.sampled_from([1e-300, 1e308, sys.float_info.max])):
+    """Points plus up to 20 repeats, a bandwidth, a tolerance and an
+    iteration cap."""
+    points = draw(points)
     repeats = draw(st.lists(st.integers(0, 59), max_size=20))
     points = points + [points[i % len(points)] for i in repeats]
-    bandwidth = draw(st.sampled_from([0.05, 0.125, 0.2, 0.25, 0.5, 1.0])
-                     | st.sampled_from([1e-300, 1e308, sys.float_info.max]))
-    return np.array(points), bandwidth
+    return np.array(points), draw(bandwidth), draw(TOL), draw(MAX_ITER)
 
 
 # --- observe_tiles and aggregate_tiles ------------------------------------------
@@ -357,6 +387,8 @@ REGISTRY = [
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_reference),
      sample_args(), 200),
     ("meanshift", meanshift, meanshift_reference, meanshift_args(), 150),
+    ("meanshift_shared_paths", meanshift, meanshift_reference,
+     meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_tiles, aggregate_tiles_reference, aggregate_args(), 100),
     ("precision_table", caught(precision_table), caught(precision_table_reference),

@@ -352,6 +352,52 @@ def test_aggregate_signed_zeros_and_clamps_match_reference():
     assert any(b.w == 1e-6 for b in got) and any(b.h == 1.0 for b in got)
 
 
+def aggregate_error(aggregate, per_tile, grid):
+    with pytest.raises(ValueError) as info:
+        aggregate(per_tile, grid)
+    return str(info.value)
+
+
+NAN = float("nan")
+BOX = (0.5, 0.5, 0.2, 0.2, 0.9, 0)
+
+
+def test_aggregate_nan_row_raises_even_where_nms_would_drop_it():
+    # the second row repeats the first's box at a NaN score: NMS visits it
+    # last and the first box suppresses it, but it must fail as a box would
+    per_tile = [[BOX, (0.5, 0.5, 0.2, 0.2, NAN, 0)]]
+    grid = tile_frame(Frame(1000, 1000), 1, 1)
+    message = aggregate_error(aggregate_tiles, per_tile, grid)
+    assert message == "score nan outside [0, 1]"
+    assert message == aggregate_error(aggregate_tiles_reference, per_tile, grid)
+
+
+@pytest.mark.parametrize("per_tile, message", [
+    # tile-major order: tile 0's NaN score comes before tile 1's NaN centre
+    ([[BOX, (0.5, 0.5, 0.2, 0.2, NAN, 0)], [(NAN, 0.5, 0.2, 0.2, 0.9, 0), BOX]],
+     "score nan outside [0, 1]"),
+    ([[BOX, (NAN, 0.5, 0.2, 0.2, 0.9, 0)], [(0.5, 0.5, 0.2, 0.2, NAN, 0)]],
+     "center (nan, 0.5) outside [0, 1]"),
+    # a class id goes through int() before its row's values are checked
+    ([[(0.5, 0.5, NAN, 0.2, 0.9, NAN), (0.5, 0.5, 0.2, NAN, 0.9, 0)], []],
+     "cannot convert float NaN to integer"),
+    ([[(0.5, 0.5, 0.2, NAN, 0.9, 0), (0.5, 0.5, 0.2, 0.2, 0.9, NAN)], []],
+     "size (0.1, nan) outside (0, 1]"),
+])
+def test_aggregate_reports_the_first_bad_row(per_tile, message):
+    grid = tile_frame(Frame(1000, 1000), 1, 2)
+    assert aggregate_error(aggregate_tiles, per_tile, grid) == message
+    assert aggregate_error(aggregate_tiles_reference, per_tile, grid) == message
+
+
+def test_aggregate_kept_boxes_carry_int_class_ids():
+    # the third row repeats the first's box in class int(True) == 1
+    per_tile = [[(0.5, 0.5, 0.2, 0.2, 0.9, 1.0), (0.2, 0.2, 0.1, 0.1, 0.8, np.int64(2)),
+                 (0.5, 0.5, 0.2, 0.2, 0.7, True)]]
+    kept = aggregate_tiles(per_tile, tile_frame(Frame(1000, 1000), 1, 1))
+    assert [(b.class_id, type(b.class_id)) for b in kept] == [(1, int), (2, int)]
+
+
 def reference_coarse_detect(frame, grid, iou_threshold=0.5):
     """observe_tiles_reference, then aggregate_tiles_reference."""
     return aggregate_tiles_reference(observe_tiles_reference(frame, grid), grid,
