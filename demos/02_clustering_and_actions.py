@@ -8,6 +8,7 @@ import numpy as np
 
 from sceneplan import (
     BandwidthSpec,
+    ClusterGeometry,
     SceneSpec,
     Stratum,
     TransformParams,
@@ -27,6 +28,7 @@ spec = SceneSpec(
 )
 frame = generate_scene(spec)
 transform = TransformParams(alpha=0.5)
+geometry = ClusterGeometry(frame.detections, transform)  # the frame's clustering space
 
 pts = np.array([[d.cx, d.cy] for d in frame.detections])
 pts_t = transform_y(pts, transform)
@@ -35,11 +37,11 @@ print("y-transform stretches the crowded top band:")
 print(f"  raw y span (top strata):         {np.ptp(pts[top, 1]):.3f}")
 print(f"  transformed y span (top strata): {np.ptp(pts_t[top, 1]):.3f}")
 
-config = initial_clusters(frame, transform, BandwidthSpec("fixed", 0.16))
+config = initial_clusters(geometry, BandwidthSpec("fixed", 0.16))
 print(f"\nMeanShift initial clustering: {config.count} clusters, "
       f"sizes {[c.size for c in config.clusters]}")
 
-i, j = select_merge_pair(config, transform)
+i, j = select_merge_pair(config, geometry)
 ci, cj = config.clusters[i], config.clusters[j]
 d = np.hypot(ci.mu_x - cj.mu_x, ci.mu_y - cj.mu_y)
 print(f"\nclosest centroid pair: clusters {i} and {j} "
@@ -50,7 +52,7 @@ print(f"after merge: {merged.count} clusters, sizes {[c.size for c in merged.clu
 
 # split the biggest cluster back apart
 big = max(range(merged.count), key=lambda k: merged.clusters[k].size)
-split = split_cluster(merged, big, transform)
+split = split_cluster(merged, big, geometry)
 a, b = split.clusters[big], split.clusters[-1]
 print(f"\nsplit cluster {big} (size {merged.clusters[big].size}) along its "
       f"wider-variance dimension:")

@@ -7,6 +7,7 @@ chosen plan out on four server lanes.
 
 from sceneplan import (
     BandwidthSpec,
+    ClusterGeometry,
     InfeasiblePlanError,
     SceneSpec,
     Stratum,
@@ -27,7 +28,8 @@ spec = SceneSpec(
     seed=21,
 )
 frame = generate_scene(spec)
-config = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.2))
+config = initial_clusters(ClusterGeometry(frame.detections, TransformParams(0.5)),
+                          BandwidthSpec("fixed", 0.2))
 parts = partitions_from_config(config, frame)
 profiles = default_profiles()
 

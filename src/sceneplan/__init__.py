@@ -15,6 +15,7 @@ from .scene import (
 )
 from .clustering import (
     BandwidthSpec,
+    ClusterGeometry,
     TransformParams,
     initial_clusters,
     merge_clusters,

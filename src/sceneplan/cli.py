@@ -153,6 +153,13 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _positive(cfg: dict, key: str) -> int:
+    """``cfg[key]``, a count that must be at least 1."""
+    if cfg[key] < 1:
+        raise ValueError(f"config key {key!r} must be >= 1, got {cfg[key]!r}")
+    return cfg[key]
+
+
 def _env_config(cfg: dict) -> EnvConfig:
     return EnvConfig(
         weights=RewardWeights(**cfg["reward"]),
@@ -360,7 +367,7 @@ def cmd_pipeline(args) -> None:
     else:
         spec = _scene_spec(cfg)
         frames = [(cfg["seed"] + k, generate_scene(spec.with_seed(cfg["seed"] + k)))
-                  for k in range(cfg["num_scenes"])]
+                  for k in range(_positive(cfg, "num_scenes"))]
     scenes = []
     rows = []
     for scene_seed, frame in frames:
@@ -392,10 +399,9 @@ def cmd_eval(args) -> None:
         raise ValueError("eval needs a trained checkpoint")
     ckpt = load_checkpoint(cfg["checkpoint"])
     spec = _scene_spec(cfg)
-    episodes = cfg["episodes"]
     base = cfg["seed"] + 10_000
     frames = [(base + k, generate_scene(spec.with_seed(base + k)))
-              for k in range(episodes)]
+              for k in range(_positive(cfg, "episodes"))]
     policies = [
         ("trained", greedy_policy(ckpt)),
         ("random", random_policy),

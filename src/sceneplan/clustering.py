@@ -3,8 +3,9 @@
 Object centers are clustered in (x, y**alpha) space: raising the normalized
 y-coordinate to a power below one stretches the top of the frame (small,
 densely packed objects) and compresses the bottom (large, sparse objects),
-so one bandwidth works across the whole frame. Split decisions reuse the
-same transformed space when a transform is passed in.
+so one bandwidth works across the whole frame. A frame's clustering space
+is one ``ClusterGeometry``: MeanShift seeds the clusters in it, and every
+merge and split of the refinement is judged in it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, expand_ranges, make_cluster
+from .core import ClusterConfig, expand_ranges, make_cluster
 
 
 @dataclass(frozen=True)
@@ -258,23 +259,18 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     return (np.cumsum(used, dtype=int) - 1)[labels]
 
 
-def initial_clusters(
-    frame: Frame,
-    transform: TransformParams = TransformParams(),
-    bandwidth: BandwidthSpec = BandwidthSpec(),
-) -> ClusterConfig:
-    """MeanShift over transformed object centers; the starting configuration."""
-    if len(frame.detections) == 0:
+def initial_clusters(geometry: ClusterGeometry,
+                     bandwidth: BandwidthSpec = BandwidthSpec()) -> ClusterConfig:
+    """MeanShift over the geometry's object centres; the starting configuration."""
+    detections = geometry.detections
+    if len(detections) == 0:
         raise ValueError("empty scene")
-    raw = np.array([[d.cx, d.cy] for d in frame.detections])
-    pts = transform_y(raw, transform)
-    bw = resolve_bandwidth(bandwidth, pts)
-    labels = meanshift(pts, bw)
+    labels = meanshift(geometry.points, resolve_bandwidth(bandwidth, geometry.points))
     clusters = []
     for lbl in range(labels.max() + 1):
         members = np.flatnonzero(labels == lbl)
-        clusters.append(make_cluster(members.tolist(), frame.detections))
-    return ClusterConfig(tuple(clusters), frame.detections)
+        clusters.append(make_cluster(members.tolist(), detections))
+    return ClusterConfig(tuple(clusters), detections)
 
 
 def kmeans_1d(values):
@@ -307,29 +303,35 @@ def kmeans_1d(values):
 
 
 class ClusterGeometry:
-    """One frame's cluster geometry, shared by the reward, merge and split
-    of an episode.
+    """One frame's clustering space, shared by the MeanShift start and the
+    reward, merge and split of an episode.
 
-    Every detection's centre in the clustering space ((x, y_t) under a
-    transform, raw (x, y) without one) and its box area are laid out once.
-    Per-cluster statistics are memoised by member tuple: the centroid of
-    the member centres, their mean distance to it, and the population
-    variance of the member areas. The centroid has its own memo, so a
-    merge reads it without the other two reductions. A step creates at
-    most two clusters, so it computes statistics for at most two. Build one
-    per episode.
+    Every detection's centre in that space ((x, y**alpha) under a
+    transform, raw (x, y) without one) and its box area are laid out once;
+    every function that reads a frame's space takes it from here, and
+    rejects a geometry built for another frame. Per-cluster statistics are
+    memoised by member tuple: the centroid of the member centres, their
+    mean distance to it, and the population variance of the member areas.
+    The centroid has its own memo, so a merge reads it without the other
+    two reductions. A step creates at most two clusters, so it computes
+    statistics for at most two. Build one per episode.
     """
 
     def __init__(self, detections, transform: TransformParams | None):
         self.detections = detections
         self.transform = transform
-        pts = np.array([[d.cx, d.cy] for d in detections])
+        pts = np.array([[d.cx, d.cy] for d in detections]).reshape(-1, 2)
         self.points = pts if transform is None else transform_y(pts, transform)
         self.areas = np.array([d.area for d in detections])
-        self._x, self._y = self.points.T.tolist() if len(detections) else ([], [])
+        self._x, self._y = self.points.T.tolist()
         self._area = self.areas.tolist()
         self._stats: dict = {}
         self._centroid: dict = {}
+
+    def check(self, config: ClusterConfig) -> None:
+        """Raise unless this geometry was built for ``config``'s frame."""
+        if self.detections is not config.detections:
+            raise ValueError("geometry was built for another frame")
 
     def centroid(self, members: tuple[int, ...]) -> tuple[float, float]:
         """(x, y) mean of the member centres, as ``stats(members)[0]``:
@@ -382,37 +384,13 @@ class ClusterGeometry:
         return hit
 
 
-def cluster_geometry(config: ClusterConfig, transform: TransformParams | None,
-                     geometry: ClusterGeometry | None = None) -> ClusterGeometry:
-    """``geometry`` if it was built for this frame and transform, else a
-    fresh one whose memo lives only as long as the caller keeps it."""
-    if geometry is None:
-        return ClusterGeometry(config.detections, transform)
-    if geometry.detections is not config.detections or geometry.transform != transform:
-        raise ValueError("geometry was built for another frame or transform")
-    return geometry
-
-
-def _centroids(config: ClusterConfig, transform: TransformParams | None,
-               geometry: ClusterGeometry | None = None):
-    """Cluster centroids, in raw space or as means of transformed centers."""
-    if transform is None:
-        return np.array([[c.mu_x, c.mu_y] for c in config.clusters])
-    geo = cluster_geometry(config, transform, geometry)
-    return np.array([geo.centroid(c.members) for c in config.clusters])
-
-
 def _norm_near(dist, a, b, cut: float, upper: bool = False):
     """Settle the entries of ``dist = _distances(a, b)`` within 4 ulp of
     ``cut`` by ``np.linalg.norm(a[i] - b[j])``; returns their (i, j) in
     row-major order. With ``upper``, only the entries with i < j are
     settled and returned, for a caller that reads one triangle of a
-    symmetric ``dist``.
-
-    ``np.linalg.norm`` of a 2-vector goes through a dot kernel that may
-    round the last bit differently (fused multiply-add). The two differ by
-    at most one ulp, so only these entries can fall on the other side of
-    ``cut``, and the norm decides them as the per-pair loops did.
+    symmetric ``dist``. Why this equals the per-pair norms of
+    ``reward_per_cluster_reference`` in ``tests/oracles.py`` sits beside it.
     """
     cols = dist.shape[1]
     gap = dist - cut
@@ -425,22 +403,27 @@ def _norm_near(dist, a, b, cut: float, upper: bool = False):
     return near
 
 
-def select_merge_pair(config: ClusterConfig,
-                      transform: TransformParams | None = None,
-                      geometry: ClusterGeometry | None = None) -> tuple[int, int]:
-    """Indices of the two clusters with minimum centroid distance.
+def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple[int, int]:
+    """Indices of the two clusters with minimum centroid distance in the
+    geometry's space.
 
     Ties break toward the lexicographically smallest (i, j).
 
-    Array method: centroids come from the episode's ``ClusterGeometry``
-    memo, and all pairwise distances from one ``_distances`` array, which
-    is symmetric; the pairs i < j within a few ulp of its minimum are
-    decided by ``np.linalg.norm``, first in (i, j) order. Results equal
-    ``select_merge_pair_reference`` in ``tests/oracles.py``.
+    Array method: under a transform, centroids come from the episode's
+    ``ClusterGeometry`` memo; in raw space they are the clusters' own
+    ``mu_x, mu_y``, which the geometry's means can miss in the last bit
+    from 8 members on. All pairwise distances come from one ``_distances``
+    array, which is symmetric; the pairs i < j within a few ulp of its
+    minimum are decided by ``np.linalg.norm``, first in (i, j) order.
+    Results equal ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
+    geometry.check(config)
     if config.count < 2:
         raise ValueError("merge unavailable: fewer than 2 clusters")
-    cents = _centroids(config, transform, geometry)
+    if geometry.transform is None:
+        cents = np.array([[c.mu_x, c.mu_y] for c in config.clusters])
+    else:
+        cents = np.array([geometry.centroid(c.members) for c in config.clusters])
     dist = _distances(cents, cents)
     np.fill_diagonal(dist, np.inf)
     # argmin, not min: the first min call maps 64 KB of numpy code that desk
@@ -462,13 +445,11 @@ def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
     return ClusterConfig(rest + (merged,), config.detections)
 
 
-def split_cluster(config: ClusterConfig, i: int,
-                  transform: TransformParams | None = None,
-                  geometry: ClusterGeometry | None = None) -> ClusterConfig:
+def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> ClusterConfig:
     """Split cluster i in two along its higher-variance center dimension.
 
-    Variance is population variance over member centers (transformed y when
-    a transform is given; ties go to y since vertical stratification
+    Variance is population variance over the member centres in the
+    geometry's space (ties go to y since vertical stratification
     dominates). The lower sub-cluster takes the split cluster's slot and
     the upper one is appended.
 
@@ -476,12 +457,13 @@ def split_cluster(config: ClusterConfig, i: int,
     ``ClusterGeometry`` rather than rebuilt and transformed per call.
     Results equal ``split_cluster_reference`` in ``tests/oracles.py``.
     """
+    geometry.check(config)
     if not (0 <= i < config.count):
         raise ValueError(f"cluster index {i} out of range")
     cluster = config.clusters[i]
     if cluster.size < 2:
         raise ValueError("split unavailable: cluster has fewer than 2 members")
-    pts = cluster_geometry(config, transform, geometry).points[list(cluster.members)]
+    pts = geometry.points[list(cluster.members)]
     var_x, var_y = pts.var(axis=0)
     coord = pts[:, 0] if var_x > var_y else pts[:, 1]
     labels = kmeans_1d(coord)

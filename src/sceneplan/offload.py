@@ -127,15 +127,9 @@ def precision_table(partitions, profiles) -> np.ndarray:
     piecewise-linear mAP over the profile's bin centres, clamped at both
     ends, averaged over the block's boxes.
 
-    One pass per profile: every member area of every block is scaled by
-    the same operations in the same order as ``scale_area`` (each block's
-    pixel count enters as a float, as Python's division converts it), one
-    ``np.interp`` looks them all up, and each block's values are added one
-    by one in member order (neither ``np.sum``, which adds 8 or more values
-    pairwise, nor builtin ``sum``, which compensates from Python 3.12), so
-    every cell equals ``partition_precision_reference`` in
-    ``tests/oracles.py``, the loop over ``precision_lookup_reference``, bit
-    for bit.
+    One ``np.interp`` per profile looks up every member area of every
+    block. Every cell equals ``partition_precision_reference`` in
+    ``tests/oracles.py`` bit for bit, beside which the argument sits.
     """
     counts = [part.count for part in partitions]
     areas = np.array([a for part in partitions for a in part.areas_px2], dtype=float)
@@ -156,10 +150,9 @@ def precision_table(partitions, profiles) -> np.ndarray:
     return table
 
 
-def partitions_from_config(config: ClusterConfig, frame: Frame,
-                           margin: float = 0.0) -> list[PartitionDescriptor]:
-    """Wrap each cluster in its pixel block and collect member box areas."""
-    return partitions_from_blocks(config, frame, bounding_blocks(config, margin, frame))
+def partitions_from_config(config: ClusterConfig, frame: Frame) -> list[PartitionDescriptor]:
+    """Wrap each cluster in its tight pixel block and collect member box areas."""
+    return partitions_from_blocks(config, frame, bounding_blocks(config, 0.0, frame))
 
 
 def partitions_from_blocks(config: ClusterConfig, frame: Frame,

@@ -2,6 +2,11 @@
 the composite clustering-quality reward, and ``ClusterEnv``, which is
 built from a frame, an ``EnvConfig`` and the horizon t_max.
 
+A frame's clustering space is its ``ClusterGeometry``: ``apply_action`` and
+``step`` take it and read the transform and the detection count from it,
+and an episode's MeanShift start, merges, splits and rewards all use the
+one geometry its ``reset`` builds.
+
 Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
 Invalid (masked) actions degrade to keep so episodes always run their full
@@ -26,7 +31,6 @@ from .clustering import (
     TransformParams,
     _distances,
     _norm_near,
-    cluster_geometry,
     initial_clusters,
     merge_clusters,
     select_merge_pair,
@@ -126,17 +130,22 @@ def reward(config: ClusterConfig, weights: RewardWeights,
     R_total = alpha*R1 + beta*R2 + gamma*R3 + delta*R4.
 
     Memoised-array method: per-cluster statistics come from ``geometry``
-    (the episode's ``ClusterGeometry``; a fresh one when omitted), so only
-    clusters new since the last call are reduced. R4 counts from one
-    ``_distances`` array, with distances within a few ulp of d_m decided by
+    (the episode's ``ClusterGeometry``, which must be built for this frame
+    and ``transform``; a fresh one when omitted), so only clusters new
+    since the last call are reduced. R4 counts from one ``_distances``
+    array, with distances within a few ulp of d_m decided by
     ``np.linalg.norm``. Results equal ``reward_per_cluster_reference`` in
     ``tests/oracles.py``.
     """
     n = config.count
     if n == 0:
         raise ValueError("reward of an empty configuration: it has no clusters")
-    geo = cluster_geometry(config, transform, geometry)
-    stats = [geo.stats(c.members) for c in config.clusters]
+    if geometry is None:
+        geometry = ClusterGeometry(config.detections, transform)
+    elif geometry.transform != transform:
+        raise ValueError("geometry was built for another transform")
+    geometry.check(config)
+    stats = [geometry.stats(c.members) for c in config.clusters]
     # fsum keeps the cross-cluster means insensitive to cluster order, so
     # reversing a split restores the reward bit for bit
     r1 = -math.fsum(s[1] for s in stats) / n
@@ -158,23 +167,23 @@ def reward(config: ClusterConfig, weights: RewardWeights,
 
 
 def apply_action(config: ClusterConfig, action: int,
-                 transform: TransformParams | None = None,
-                 geometry: ClusterGeometry | None = None,
-                 ) -> tuple[ClusterConfig, bool, str]:
-    """Apply an action id; invalid ones degrade to keep.
+                 geometry: ClusterGeometry) -> tuple[ClusterConfig, bool, str]:
+    """Apply an action id in the geometry's space; invalid ones degrade to
+    keep.
 
     Returns (next config, whether the action was valid, what ran).
     """
+    geometry.check(config)
     if action == KEEP:
         return config, True, "keep"
     if action == MERGE:
         if config.count < 2:
             return config, False, "keep"
-        i, j = select_merge_pair(config, transform, geometry)
+        i, j = select_merge_pair(config, geometry)
         return merge_clusters(config, i, j), True, "merge"
     idx = action - SPLIT_BASE
     if 0 <= idx < config.count and config.clusters[idx].size >= 2:
-        return split_cluster(config, idx, transform, geometry), True, "split"
+        return split_cluster(config, idx, geometry), True, "split"
     return config, False, "keep"
 
 
@@ -191,7 +200,6 @@ class StepOutcome:
 
     config: ClusterConfig
     state: np.ndarray
-    done: bool
     info: dict
     # reward's arguments after the configuration: (weights, transform, geometry)
     scoring: tuple = field(repr=False, compare=False)
@@ -212,28 +220,23 @@ class StepOutcome:
 
 
 def step(config: ClusterConfig, action: int, weights: RewardWeights,
-         n_pad: int, total_detections: int,
-         transform: TransformParams | None = None,
-         include_count: bool = True,
-         geometry: ClusterGeometry | None = None) -> StepOutcome:
+         n_pad: int, include_count: bool, geometry: ClusterGeometry) -> StepOutcome:
     """One transition: apply the action and encode the new configuration.
 
     The reward belongs to the post-action configuration and is computed
-    when the outcome's ``reward`` or ``components`` is first read. The
-    ``done`` flag is left False here; episode length is the caller's
-    business (see ClusterEnv). Pass the episode's ``geometry`` to reuse
-    its per-cluster statistics across steps.
+    when the outcome's ``reward`` or ``components`` is first read, in the
+    geometry's space and from its memo. Episode length is the caller's
+    business (see ``ppo.rollout``).
     """
     if not (0 <= action < n_actions(n_pad)):
         raise ValueError(f"action {action} out of range")
-    nxt, valid, applied = apply_action(config, action, transform, geometry)
+    nxt, valid, applied = apply_action(config, action, geometry)
     return StepOutcome(
         config=nxt,
-        state=encode_state(nxt, n_pad, total_detections, include_count),
-        done=False,
+        state=encode_state(nxt, n_pad, len(geometry.detections), include_count),
         info={"action": action, "action_valid": valid, "applied": applied,
               "n": nxt.count},
-        scoring=(weights, transform, geometry),
+        scoring=(weights, geometry.transform, geometry),
     )
 
 
@@ -241,8 +244,8 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
 class EnvConfig:
     """Everything an environment needs besides its frame and horizon.
 
-    The transform sets both the MeanShift space and the geometry of the
-    reward, merge and split.
+    The transform sets the frame's clustering space, the ``ClusterGeometry``
+    that the MeanShift start, the reward, merge and split all read.
     """
 
     weights: RewardWeights = RewardWeights()
@@ -257,11 +260,11 @@ class ClusterEnv:
 
     Built from a frame, an EnvConfig and the horizon t_max (at least 1,
     so every episode has a last step); one instance per worker, and
-    instances share nothing. ``reset`` starts from the MeanShift
-    clustering and a fresh ``ClusterGeometry``, so per-cluster statistics
-    are memoised for one episode only. Episodes run exactly
-    t_max steps, after which ``done`` turns True. ``ppo.rollout`` drives an
-    episode with a policy.
+    instances share nothing. ``reset`` builds the episode's one
+    ``ClusterGeometry`` and starts from the MeanShift clustering in it;
+    every step then merges, splits and scores in that geometry, so
+    per-cluster statistics are memoised for one episode only.
+    ``ppo.rollout`` drives an episode of exactly t_max steps with a policy.
     """
 
     def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):
@@ -272,13 +275,11 @@ class ClusterEnv:
         self.t_max = t_max
         self.config: ClusterConfig | None = None
         self.geometry: ClusterGeometry | None = None
-        self.t = 0
 
     def reset(self) -> np.ndarray:
         ec = self.env_config
-        self.config = initial_clusters(self.frame, ec.transform, ec.bandwidth)
         self.geometry = ClusterGeometry(self.frame.detections, ec.transform)
-        self.t = 0
+        self.config = initial_clusters(self.geometry, ec.bandwidth)
         return encode_state(self.config, ec.n_pad, len(self.frame.detections),
                             ec.include_count)
 
@@ -291,11 +292,7 @@ class ClusterEnv:
         if self.config is None:
             raise RuntimeError("reset() before step()")
         ec = self.env_config
-        out = step(self.config, action, ec.weights, ec.n_pad,
-                   len(self.frame.detections), ec.transform, ec.include_count,
+        out = step(self.config, action, ec.weights, ec.n_pad, ec.include_count,
                    self.geometry)
         self.config = out.config
-        self.t += 1
-        out.done = self.t >= self.t_max
-        out.info["t"] = self.t
         return out

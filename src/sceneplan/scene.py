@@ -134,14 +134,8 @@ def generate_scene(spec: SceneSpec) -> Frame:
     the band (plus jitter), so box size correlates with cy across and
     within strata.
 
-    One batched ``rng.random`` call per scene gives each object's six
-    uniforms in the per-call order of ``generate_scene_reference`` in
-    ``tests/oracles.py`` (a batched draw yields the same doubles as single
-    calls). The stratum draw is ``Generator.choice``'s own method: the
-    first uniform is searched in the normalised cdf of the weights, built
-    once per scene. The other five become ``rng.uniform(low, high)``'s
-    value ``low + (high - low) * u`` in Python floats, so frames equal the
-    reference's draw for draw.
+    Frames equal ``generate_scene_reference`` in ``tests/oracles.py`` draw
+    for draw, beside which the argument sits.
     """
     rng = np.random.default_rng(spec.seed)
     count = int(rng.integers(spec.count_min, spec.count_max + 1))
@@ -290,12 +284,8 @@ def observe_tiles(
     later by NMS aggregation. In noisy mode each observation is dropped
     with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
 
-    Array method: the box extents are one array computed with the
-    operations of ``DetectionBox.extent``, and each tile's visibility test
-    and tile-local coordinates are array expressions over all boxes; only
-    the visible boxes are visited in Python, drawing from the generator in
-    box order (drop draw, then four jitter draws), so a seed gives the same
-    observations as ``observe_tiles_reference`` in ``tests/oracles.py``.
+    A seed gives the same observations as ``observe_tiles_reference`` in
+    ``tests/oracles.py``, beside which the argument sits.
     """
     if not (0.0 < min_visible <= 1.0):
         raise ValueError(f"min_visible {min_visible} outside (0, 1]")

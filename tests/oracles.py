@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from sceneplan.clustering import BANDWIDTH_FLOOR, transform_y
+from sceneplan.clustering import BANDWIDTH_FLOOR, ClusterGeometry, transform_y
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.offload import InfeasiblePlanError, OffloadPlan, scale_area
 from sceneplan.ppo import masked_log_softmax
@@ -217,6 +217,11 @@ def estimate_bandwidth_reference(points, quantile: float = 0.2) -> float:
     return max(float(np.quantile(nn, quantile)), BANDWIDTH_FLOOR)
 
 
+# ``observe_tiles`` computes the box extents as one array with the operations
+# of ``DetectionBox.extent``, and each tile's visibility test and tile-local
+# coordinates as array expressions over all boxes. Only the visible boxes are
+# visited in Python, drawing from the generator in box order (drop draw, then
+# four jitter draws), so a seed gives the observations of the loop below.
 def observe_tiles_reference(frame, grid, min_visible: float = 0.25,
                             drop_prob: float = 0.0, jitter_sigma: float = 0.0,
                             seed: int | None = None):
@@ -331,6 +336,13 @@ def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):
     return r1, r2, float(r3), float(r4), total
 
 
+# ``reward`` and ``select_merge_pair`` take all centroid distances from one
+# ``_distances`` array. ``np.linalg.norm`` of a 2-vector, as below, goes
+# through a dot kernel that may round the last bit differently (fused
+# multiply-add). The two differ by at most one ulp, so only entries within a
+# few ulp of the cut (``d_m``, or the smallest distance) can fall on its
+# other side; ``_norm_near`` settles those by ``np.linalg.norm``, as the
+# per-pair loops below do.
 def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None):
     """(R1, R2, R3, R4, R_total) with every cluster's centres rebuilt and
     transformed on each call, and a per-pair centroid-distance loop."""
@@ -551,6 +563,13 @@ def precision_lookup_reference(profile, area_px2: float) -> float:
     return float(np.interp(area_px2, centers, maps))
 
 
+# ``precision_table`` makes one pass per profile. Every member area of every
+# block is scaled by the operations of ``scale_area`` in their order (each
+# block's pixel count enters as a float, as Python's division converts it),
+# one ``np.interp`` looks them all up, and each block's values are added one
+# by one in member order: neither ``np.sum``, which adds 8 or more values
+# pairwise, nor builtin ``sum``, which compensates from Python 3.12. So every
+# cell equals the loop below over ``precision_lookup_reference`` bit for bit.
 def partition_precision_reference(part, profile) -> float:
     """Mean per-box precision of the block under one model, one scalar
     lookup per box."""
@@ -632,6 +651,13 @@ def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
     return OffloadPlan(assignments, total_precision, total_latency, opt_t)
 
 
+# ``generate_scene`` makes one batched ``rng.random`` call per scene, which
+# gives each object's six uniforms in the per-call order below (a batched
+# draw yields the same doubles as single calls). The stratum draw is
+# ``Generator.choice``'s own method: the first uniform is searched in the
+# normalised cdf of the weights, built once per scene. The other five become
+# ``rng.uniform(low, high)``'s value ``low + (high - low) * u`` in Python
+# floats, so frames equal this one draw for draw.
 def generate_scene_reference(spec) -> Frame:
     """Synthetic frame with each object's stratum drawn by
     ``rng.choice(len(strata), p=weights)``."""
@@ -829,6 +855,11 @@ def random_config(rng, n_clusters: int, min_size: int = 1,
         clusters.append(make_cluster(members, boxes))
         at += s
     return ClusterConfig(tuple(clusters), tuple(boxes))
+
+
+def geometry_of(config: ClusterConfig, transform=None) -> ClusterGeometry:
+    """The clustering space of ``config``'s frame; raw (x, y) by default."""
+    return ClusterGeometry(config.detections, transform)
 
 
 def tied_config(rng, sizes, grid: int | None = None, copies=()) -> ClusterConfig:

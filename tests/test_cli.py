@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sceneplan.cli import load_clusters, main
-from sceneplan.clustering import BandwidthSpec, TransformParams, initial_clusters
+from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters
 from sceneplan.scene import load_detections
 
 SPEC = {
@@ -146,7 +146,8 @@ def test_partition_keep_policy_equals_meanshift(tmp_path):
 
     frame = load_detections(dets)
     coarse = coarse_detect(frame, cfg["n"], cfg["e"], seed=cfg["seed"])
-    expected = initial_clusters(coarse, TransformParams(0.5), BandwidthSpec("fixed", 0.14))
+    expected = initial_clusters(ClusterGeometry(coarse.detections, TransformParams(0.5)),
+                                BandwidthSpec("fixed", 0.14))
     got_members = sorted(tuple(c["members"]) for c in report["clusters"])
     want_members = sorted(c.members for c in expected.clusters)
     assert got_members == want_members
@@ -405,7 +406,8 @@ def test_eval_baselines(tmp_path):
     for row in by_policy["keep"]:
         seed = int(row[1])
         frame = generate_scene(spec.with_seed(seed))
-        init = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.14))
+        init = initial_clusters(ClusterGeometry(frame.detections, TransformParams(0.5)),
+                                BandwidthSpec("fixed", 0.14))
         assert int(row[3]) == init.count
 
 
@@ -486,6 +488,24 @@ def test_nonpositive_t_max_names_it(tmp_path, capsys, command, t_max):
                               checkpoint=str(ckpt_path))
     assert main([command, "--config", str(cfg_path)]) == 2
     assert "t_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("source", ["file", "flag"])
+@pytest.mark.parametrize("command, key", [("pipeline", "num_scenes"), ("eval", "episodes")])
+def test_nonpositive_count_names_it(tmp_path, capsys, command, key, source, value):
+    from sceneplan.ppo import save_checkpoint
+
+    ckpt_path = tmp_path / "policy.ckpt"
+    save_checkpoint(count_driven_checkpoint(n_pad=6), ckpt_path)
+    cfg_path, _ = base_config(tmp_path, checkpoint=str(ckpt_path),
+                              **({key: value} if source == "file" else {}))
+    argv = [command, "--config", str(cfg_path)]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main(argv) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_not_an_object(tmp_path, capsys):

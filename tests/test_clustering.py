@@ -23,30 +23,20 @@ from sceneplan.clustering import (
 from sceneplan.core import (
     ClusterConfig,
     DetectionBox,
-    Frame,
     make_cluster,
     validate_partition,
 )
+from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, reward, step
 
 from oracles import (
     estimate_bandwidth_reference,
+    geometry_of,
     kmeans_1d_best_cost,
     labels_cost,
     meanshift_reference,
     random_config,
     select_merge_pair_reference,
-    split_cluster_reference,
-    tied_config,
 )
-
-# a tied configuration: a seed, cluster sizes, an optional grid that makes
-# distances tie exactly, and clusters that repeat their predecessor's boxes
-tied_configs = st.builds(
-    lambda seed, sizes, grid, copies: tied_config(np.random.default_rng(seed),
-                                                  sizes, grid, copies),
-    st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8),
-    st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3))
-transforms = st.sampled_from([None, TransformParams(0.5)])
 
 
 def planted_blobs(rng, centers, sigma=0.01, per_blob=20):
@@ -363,13 +353,13 @@ def config_from_centers(centers, detections=None):
 
 def test_select_merge_pair_unique_minimum():
     cfg = config_from_centers([(0.0, 0.0), (0.1, 0.0), (1.0, 1.0)])
-    assert select_merge_pair(cfg) == (0, 1)
+    assert select_merge_pair(cfg, geometry_of(cfg)) == (0, 1)
 
 
 def test_select_merge_pair_tie_break():
     # pairwise-tied distances (0,1) and (0,2); lexicographic winner
     cfg = config_from_centers([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    assert select_merge_pair(cfg) == (0, 1)
+    assert select_merge_pair(cfg, geometry_of(cfg)) == (0, 1)
 
 
 def test_select_merge_pair_matches_bruteforce(rng):
@@ -384,19 +374,7 @@ def test_select_merge_pair_matches_bruteforce(rng):
                              centers[i][1] - centers[j][1])
                 if d < best_d:
                     best, best_d = (i, j), d
-        assert select_merge_pair(cfg) == best
-
-
-@given(tied_configs, transforms)
-@settings(max_examples=150, deadline=None)
-def test_select_merge_pair_matches_reference(cfg, transform):
-    if cfg.count < 2:
-        return
-    want = select_merge_pair_reference(cfg, transform)
-    assert select_merge_pair(cfg, transform) == want
-    geometry = ClusterGeometry(cfg.detections, transform)
-    for _ in range(2):  # memo filled, then read
-        assert select_merge_pair(cfg, transform, geometry) == want
+        assert select_merge_pair(cfg, geometry_of(cfg)) == best
 
 
 @pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
@@ -406,14 +384,14 @@ def test_select_merge_pair_swapped_offsets_match_reference(rng, transform):
     for _ in range(300):
         p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
         cfg = config_from_centers([(0.5, 0.5), (p, q), (q, p)])
-        assert select_merge_pair(cfg, transform) == \
+        assert select_merge_pair(cfg, geometry_of(cfg, transform)) == \
             select_merge_pair_reference(cfg, transform)
 
 
 def test_select_merge_pair_needs_two():
     cfg = config_from_centers([(0.5, 0.5)])
     with pytest.raises(ValueError, match="merge unavailable"):
-        select_merge_pair(cfg)
+        select_merge_pair(cfg, geometry_of(cfg))
 
 
 def test_merge_two_singletons():
@@ -459,7 +437,7 @@ def test_merge_rejects_bad_indices(rng):
 def test_split_along_x():
     boxes = [DetectionBox(x, 0.5, 0.05, 0.05) for x in (0.0, 0.05, 0.9, 0.95)]
     cfg = ClusterConfig((make_cluster([0, 1, 2, 3], boxes),), tuple(boxes))
-    out = split_cluster(cfg, 0)
+    out = split_cluster(cfg, 0, geometry_of(cfg))
     assert out.count == 2
     assert out.clusters[0].members == (0, 1)
     assert out.clusters[1].members == (2, 3)
@@ -468,14 +446,14 @@ def test_split_along_x():
 def test_split_forced_pair():
     boxes = [DetectionBox(0.2, 0.5, 0.05, 0.05), DetectionBox(0.8, 0.5, 0.05, 0.05)]
     cfg = ClusterConfig((make_cluster([0, 1], boxes),), tuple(boxes))
-    out = split_cluster(cfg, 0)
+    out = split_cluster(cfg, 0, geometry_of(cfg))
     assert [c.size for c in out.clusters] == [1, 1]
 
 
 def test_split_conserves_partition(rng):
     for _ in range(10):
         cfg = random_config(rng, 3, min_size=2, max_size=8)
-        out = split_cluster(cfg, 1)
+        out = split_cluster(cfg, 1, geometry_of(cfg))
         assert out.count == cfg.count + 1
         assert sum(c.size for c in out.clusters) == len(cfg.detections)
         validate_partition(out)
@@ -483,44 +461,40 @@ def test_split_conserves_partition(rng):
 
 def test_split_then_merge_restores_members(rng):
     cfg = random_config(rng, 2, min_size=3, max_size=8)
-    out = split_cluster(cfg, 0)
+    out = split_cluster(cfg, 0, geometry_of(cfg))
     restored = merge_clusters(out, 0, out.count - 1)
     restored_sets = sorted(c.members for c in restored.clusters)
     original_sets = sorted(c.members for c in cfg.clusters)
     assert restored_sets == original_sets
 
 
-@given(tied_configs, transforms)
-@settings(max_examples=100, deadline=None)
-def test_split_cluster_matches_reference(cfg, transform):
-    geometry = ClusterGeometry(cfg.detections, transform)
-    for i, c in enumerate(cfg.clusters):
-        if c.size >= 2:
-            want = split_cluster_reference(cfg, i, transform)
-            assert split_cluster(cfg, i, transform) == want
-            assert split_cluster(cfg, i, transform, geometry) == want
-
-
 def test_geometry_for_another_frame_rejected(rng):
     cfg = random_config(rng, 3, min_size=2)
-    other = random_config(rng, 3, min_size=2)
-    with pytest.raises(ValueError, match="another frame or transform"):
-        split_cluster(cfg, 0, None, ClusterGeometry(other.detections, None))
-    with pytest.raises(ValueError, match="another frame or transform"):
-        select_merge_pair(cfg, TransformParams(0.5), ClusterGeometry(cfg.detections, None))
+    other = geometry_of(random_config(rng, 3, min_size=2))
+    with pytest.raises(ValueError, match="another frame"):
+        select_merge_pair(cfg, other)
+    with pytest.raises(ValueError, match="another frame"):
+        split_cluster(cfg, 0, other)
+    for action in (KEEP, MERGE, SPLIT_BASE):
+        with pytest.raises(ValueError, match="another frame"):
+            apply_action(cfg, action, other)
+        with pytest.raises(ValueError, match="another frame"):
+            step(cfg, action, RewardWeights(), 4, True, other)
+    with pytest.raises(ValueError, match="another transform"):
+        reward(cfg, RewardWeights(), TransformParams(0.5), geometry_of(cfg))
 
 
 def test_split_singleton_rejected(rng):
     cfg = config_from_centers([(0.5, 0.5), (0.2, 0.2)])
     with pytest.raises(ValueError, match="split unavailable"):
-        split_cluster(cfg, 0)
+        split_cluster(cfg, 0, geometry_of(cfg))
 
 
 def test_split_ties_go_to_y():
     # four points on a perfect square: var x == var y, split must use y
     boxes = [DetectionBox(c, r, 0.05, 0.05) for r in (0.2, 0.8) for c in (0.2, 0.8)]
     cfg = ClusterConfig((make_cluster([0, 1, 2, 3], boxes),), tuple(boxes))
-    out = split_cluster(cfg, 0)
+    out = split_cluster(cfg, 0, geometry_of(cfg))
     assert out.clusters[0].members == (0, 1)
     assert out.clusters[1].members == (2, 3)
 
@@ -533,12 +507,12 @@ def test_initial_clusters_planted_scene(rng):
     centers = [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]
     pts, _ = planted_blobs(rng, centers, sigma=0.005, per_blob=10)
     boxes = tuple(DetectionBox(float(x), float(y), 0.02, 0.02) for x, y in pts)
-    frame = Frame(1000, 1000, boxes)
-    cfg = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.1))
+    cfg = initial_clusters(ClusterGeometry(boxes, TransformParams(0.5)),
+                           BandwidthSpec("fixed", 0.1))
     assert cfg.count == 3
     validate_partition(cfg)
 
 
 def test_initial_clusters_empty_scene():
     with pytest.raises(ValueError, match="empty scene"):
-        initial_clusters(Frame(100, 100, ()))
+        initial_clusters(ClusterGeometry((), TransformParams()))

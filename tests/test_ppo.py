@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sceneplan.clustering import BandwidthSpec, TransformParams, initial_clusters
+from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters
 from sceneplan.core import DetectionBox, Frame
 from sceneplan.ppo import (
     CheckpointError,
@@ -485,7 +485,7 @@ def test_infer_keep_preferring_policy_is_meanshift(rng):
     transform = TransformParams(0.5)
     bandwidth = BandwidthSpec("fixed", 0.2)
     out = infer_clusters(frame, ckpt, transform, bandwidth, t_max=6)
-    assert out == initial_clusters(frame, transform, bandwidth)
+    assert out == initial_clusters(ClusterGeometry(frame.detections, transform), bandwidth)
 
 
 def test_infer_single_cluster_scene_safe(rng):
@@ -522,4 +522,5 @@ def test_infer_scores_no_step(rng, monkeypatch):
     transform, bandwidth = TransformParams(0.5), BandwidthSpec("fixed", 0.2)
     out = infer_clusters(frame, ckpt, transform, bandwidth, t_max=6)
     assert calls == ["step"] * 6
-    assert out.count < initial_clusters(frame, transform, bandwidth).count
+    start = initial_clusters(ClusterGeometry(frame.detections, transform), bandwidth)
+    assert out.count < start.count

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan.clustering import ClusterGeometry, TransformParams, kmeans_1d, meanshift
+from sceneplan.clustering import (
+    ClusterGeometry,
+    TransformParams,
+    kmeans_1d,
+    meanshift,
+    select_merge_pair,
+    split_cluster,
+)
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, bounding_blocks, make_cluster
 from sceneplan.offload import (
     InfeasiblePlanError,
@@ -39,6 +46,9 @@ from oracles import (
     precision_table_reference,
     random_boxes,
     random_config,
+    select_merge_pair_reference,
+    split_cluster_reference,
+    tied_config,
 )
 
 
@@ -98,6 +108,48 @@ def centroid_new(dets, transform, members):
 def centroid_reference(dets, transform, members):
     centroid = stats_reference(dets, transform, members)[0]
     return centroid, centroid
+
+
+# --- select_merge_pair and split_cluster -------------------------------------
+
+# a tied configuration: a seed, cluster sizes, an optional grid that makes
+# distances tie exactly, and clusters that repeat their predecessor's boxes
+tied_configs = st.builds(
+    lambda seed, sizes, grid, copies: tied_config(np.random.default_rng(seed),
+                                                  sizes, grid, copies),
+    st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3))
+transforms = st.sampled_from([None, TransformParams(0.5)])
+
+
+def geometries(config, transform):
+    """A fresh geometry of ``config``'s frame, and one whose memo already
+    holds every cluster's statistics."""
+    fresh, filled = (ClusterGeometry(config.detections, transform) for _ in range(2))
+    for c in config.clusters:
+        filled.stats(c.members)
+    return fresh, filled
+
+
+def merge_pair_new(config, transform):
+    return [select_merge_pair(config, g) for g in geometries(config, transform)]
+
+
+def merge_pair_reference(config, transform):
+    return [select_merge_pair_reference(config, transform)] * 2
+
+
+def splittable(config):
+    return [i for i, c in enumerate(config.clusters) if c.size >= 2]
+
+
+def splits_new(config, transform):
+    return [[split_cluster(config, i, g) for i in splittable(config)]
+            for g in geometries(config, transform)]
+
+
+def splits_reference(config, transform):
+    return [[split_cluster_reference(config, i, transform) for i in splittable(config)]] * 2
 
 
 # --- kmeans_1d ----------------------------------------------------------------------
@@ -380,6 +432,9 @@ def plan_args(draw):
 REGISTRY = [
     ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
     ("geometry_centroid", centroid_new, centroid_reference, geometry_args(64), 200),
+    ("select_merge_pair", caught(merge_pair_new), caught(merge_pair_reference),
+     st.tuples(tied_configs, transforms), 150),
+    ("split_cluster", splits_new, splits_reference, st.tuples(tied_configs, transforms), 100),
     ("kmeans_1d", quiet(kmeans_1d), quiet(kmeans_1d_reference), kmeans_args(), 300),
     ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
     ("encode_state", encode_state, encode_state_reference, state_args(), 200),

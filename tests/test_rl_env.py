@@ -15,7 +15,7 @@ from sceneplan.clustering import (
     transform_y,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
-from sceneplan.ppo import init_mlp, mlp_forward, rollout, sampling_policy
+from sceneplan.ppo import init_mlp, keep_policy, mlp_forward, rollout, sampling_policy
 from sceneplan.rl_env import (
     KEEP,
     MERGE,
@@ -36,6 +36,7 @@ from sceneplan.scene import SceneSpec, Stratum, generate_scene
 from oracles import (
     action_mask_reference,
     encode_state_reference,
+    geometry_of,
     policy_sample_reference,
     random_config,
     reward_per_cluster_reference,
@@ -257,28 +258,28 @@ def test_reward_decomposition_identity(rng):
 
 def test_step_keep_is_identity(rng):
     cfg = random_config(rng, 3)
-    out = step(cfg, KEEP, DESK, n_pad=8, total_detections=len(cfg.detections))
+    out = step(cfg, KEEP, DESK, 8, True, geometry_of(cfg))
     assert out.config is cfg
     assert out.info["action_valid"] and out.info["applied"] == "keep"
 
 
 def test_step_merge_decrements(rng):
     cfg = random_config(rng, 2)
-    out = step(cfg, MERGE, DESK, n_pad=8, total_detections=len(cfg.detections))
+    out = step(cfg, MERGE, DESK, 8, True, geometry_of(cfg))
     assert out.config.count == 1
     assert out.info["applied"] == "merge"
 
 
 def test_step_split_conserves(rng):
     cfg = random_config(rng, 2, min_size=4, max_size=4)
-    out = step(cfg, SPLIT_BASE + 0, DESK, n_pad=8, total_detections=8)
+    out = step(cfg, SPLIT_BASE + 0, DESK, 8, True, geometry_of(cfg))
     assert out.config.count == 3
     assert sum(c.size for c in out.config.clusters) == 8
 
 
 def test_step_masked_action_degrades_to_keep():
     cfg = singleton_config([(0.5, 0.5)])
-    out = step(cfg, MERGE, DESK, n_pad=4, total_detections=1)
+    out = step(cfg, MERGE, DESK, 4, True, geometry_of(cfg))
     assert out.config is cfg
     assert not out.info["action_valid"]
     assert out.info["applied"] == "keep"
@@ -286,7 +287,7 @@ def test_step_masked_action_degrades_to_keep():
 
 def test_step_reward_is_post_action(rng):
     cfg = random_config(rng, 3, min_size=2, max_size=4)
-    out = step(cfg, MERGE, DESK, n_pad=8, total_detections=len(cfg.detections))
+    out = step(cfg, MERGE, DESK, 8, True, geometry_of(cfg))
     assert out.reward == pytest.approx(
         reward(out.config, DESK, transform=None)[4], abs=1e-12)
 
@@ -294,18 +295,18 @@ def test_step_reward_is_post_action(rng):
 def test_step_rejects_out_of_range_action(rng):
     cfg = random_config(rng, 2)
     with pytest.raises(ValueError):
-        step(cfg, 99, DESK, n_pad=4, total_detections=len(cfg.detections))
+        step(cfg, 99, DESK, 4, True, geometry_of(cfg))
 
 
 def test_apply_action_split_invalid_index(rng):
     cfg = random_config(rng, 2, min_size=1, max_size=1)
-    nxt, valid, applied = apply_action(cfg, SPLIT_BASE + 5)
+    nxt, valid, applied = apply_action(cfg, SPLIT_BASE + 5, geometry_of(cfg))
     assert nxt is cfg and not valid and applied == "keep"
 
 
 def test_reset_single_detection():
-    frame = Frame(100, 100, (DetectionBox(0.4, 0.6, 0.1, 0.1),))
-    cfg = initial_clusters(frame)
+    cfg = initial_clusters(ClusterGeometry((DetectionBox(0.4, 0.6, 0.1, 0.1),),
+                                           TransformParams()))
     assert cfg.count == 1
     s = encode_state(cfg, n_pad=4, total_detections=1)
     assert (s[:5] != 0).all() and (s[5:20] == 0).all()
@@ -319,23 +320,22 @@ def test_reset_planted_blobs(rng):
                 float(np.clip(cx + rng.normal(0, 0.005), 0, 1)),
                 float(np.clip(cy + rng.normal(0, 0.005), 0, 1)),
                 0.02, 0.02))
-    frame = Frame(1000, 1000, tuple(boxes))
-    cfg = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.1))
+    cfg = initial_clusters(ClusterGeometry(tuple(boxes), TransformParams(0.5)),
+                           BandwidthSpec("fixed", 0.1))
     assert cfg.count == 3
 
 
 def test_reset_deterministic(rng):
     boxes = tuple(DetectionBox(float(x), float(y), 0.02, 0.02)
                   for x, y in rng.uniform(0.1, 0.9, (20, 2)))
-    frame = Frame(500, 500, boxes)
-    a = initial_clusters(frame)
-    b = initial_clusters(frame)
+    a = initial_clusters(ClusterGeometry(boxes, TransformParams()))
+    b = initial_clusters(ClusterGeometry(boxes, TransformParams()))
     assert a == b
 
 
 def test_reset_empty_scene():
     with pytest.raises(ValueError, match="empty scene"):
-        initial_clusters(Frame(100, 100, ()))
+        initial_clusters(ClusterGeometry((), TransformParams()))
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +357,9 @@ def test_all_keep_episode_return(rng):
     env = make_test_env(rng, t_max=7)
     env.reset()
     base = reward(env.config, env.env_config.weights, env.env_config.transform)[4]
-    total = 0.0
-    done = False
-    while not done:
-        out = env.step(KEEP)
-        total += out.reward
-        done = out.done
-    assert env.t == 7
-    assert total == pytest.approx(7 * base, abs=1e-9)
-
-
-def test_done_after_t_max(rng):
-    env = make_test_env(rng, t_max=3)
-    env.reset()
-    flags = [env.step(KEEP).done for _ in range(3)]
-    assert flags == [False, False, True]
+    _, trace = rollout(env, keep_policy)
+    assert len(trace) == 7
+    assert sum(out.reward for out in trace) == pytest.approx(7 * base, abs=1e-9)
 
 
 def test_split_then_merge_restores_reward(rng):
@@ -379,7 +367,7 @@ def test_split_then_merge_restores_reward(rng):
     for _ in range(10):
         cfg = random_config(rng, 3, min_size=2, max_size=6)
         before = reward(cfg, w)
-        split = split_cluster(cfg, 1)
+        split = split_cluster(cfg, 1, geometry_of(cfg))
         restored = (split, True)
         merged = None
         from sceneplan.clustering import merge_clusters
@@ -396,7 +384,7 @@ def test_split_never_worsens_cluster_spread(rng):
         pts = np.array([[cfg.detections[i].cx, cfg.detections[i].cy]
                         for i in cluster.members])
         orig = np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean()
-        out = split_cluster(cfg, 0)
+        out = split_cluster(cfg, 0, geometry_of(cfg))
         weighted = 0.0
         for c in out.clusters:
             sub = np.array([[cfg.detections[i].cx, cfg.detections[i].cy]
@@ -438,7 +426,8 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
                                           copies={3, 6}).detections)
     transform = None if alpha is None else TransformParams(alpha)
     n_pad, n_det = 30, len(frame.detections)
-    cfg = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.06))
+    cfg = initial_clusters(ClusterGeometry(frame.detections, TransformParams(0.5)),
+                           BandwidthSpec("fixed", 0.06))
     geometry = ClusterGeometry(frame.detections, transform)
     env = None
     if transform is not None:
@@ -452,7 +441,7 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
                                  rng.integers(0, SPLIT_BASE + n_pad)], p=[0.4, 0.4, 0.2]))
         nxt = reference_step(cfg, action, transform)
         r1, r2, r3, r4, total = reward_per_cluster_reference(nxt, DESK, transform)
-        outs = [step(cfg, action, DESK, n_pad, n_det, transform, geometry=geometry)]
+        outs = [step(cfg, action, DESK, n_pad, True, geometry)]
         if env is not None:
             outs.append(env.step(action))
         for out in outs:
@@ -479,7 +468,7 @@ def test_sampled_rollout_equals_reference_chain(seed):
     assert len(record) == len(trace) == 30
 
     rng = np.random.default_rng(seed)
-    cfg = initial_clusters(frame, transform, env_config.bandwidth)
+    cfg = initial_clusters(ClusterGeometry(frame.detections, transform), env_config.bandwidth)
     for (state, action, logp, mask), out in zip(record, trace):
         ref_state = encode_state_reference(cfg, n_pad, n_det)
         ref_mask = action_mask_reference(cfg, n_pad)

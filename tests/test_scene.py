@@ -7,6 +7,7 @@ import pytest
 
 from sceneplan.clustering import (
     BandwidthSpec,
+    ClusterGeometry,
     TransformParams,
     initial_clusters,
     transform_y,
@@ -412,7 +413,7 @@ def test_crowd_frame_matches_reference_path(bandwidth):
         Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=11)
     frame = generate_scene(spec)
     coarse = coarse_detect(frame, 1, 4)
-    config = initial_clusters(coarse, TransformParams(0.5), bandwidth)
+    config = initial_clusters(ClusterGeometry(coarse.detections, TransformParams(0.5)), bandwidth)
 
     boxes = reference_coarse_detect(frame, tile_frame(frame, 1, 4))
     assert len(boxes) > 250
@@ -430,7 +431,8 @@ def test_crowd_frame_of_500_detections_matches_reference_clustering():
         Stratum(0.05, 0.45, 0.012, 0.03, 0.65),
         Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=5)
     frame = generate_scene(spec)
-    config = initial_clusters(frame, TransformParams(0.5), BandwidthSpec("fixed", 0.12))
+    config = initial_clusters(ClusterGeometry(frame.detections, TransformParams(0.5)),
+                              BandwidthSpec("fixed", 0.12))
     pts = transform_y([[b.cx, b.cy] for b in frame.detections], TransformParams(0.5))
     labels = meanshift_reference(pts, 0.12)
     assert config.count > 10
