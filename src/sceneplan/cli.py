@@ -205,29 +205,23 @@ def write_csv(path, fieldnames, rows) -> None:
 # pipeline pieces shared by partition / pipeline / eval
 # ---------------------------------------------------------------------------
 
-def _policy_env(frame: Frame, cfg: dict):
-    """Resolve the policy mode into (choose, env) over ``frame``. A trained
-    policy's environment takes n_pad, reward weights and include_count from
-    its checkpoint."""
+def _policy(cfg: dict):
+    """(choose, checkpoint) for the policy mode, the checkpoint None unless
+    the policy is trained; a command loads it once, for all its frames."""
     mode = cfg["policy"]
-    ckpt = None
     if mode == "trained":
         if cfg["checkpoint"] is None:
             raise ValueError("trained policy requested but no checkpoint configured")
         ckpt = load_checkpoint(cfg["checkpoint"])
-        choose = greedy_policy(ckpt)
-    elif mode == "keep":
-        choose = keep_policy
-    elif mode == "random":
-        choose = random_policy
-    else:
+        return greedy_policy(ckpt), ckpt
+    if mode not in ("keep", "random"):
         raise ValueError(f"unknown policy mode {mode!r}")
-    return choose, policy_env(frame, _env_config(cfg), cfg["t_max"], ckpt)
+    return (keep_policy if mode == "keep" else random_policy), None
 
 
-def _partition_frame(frame: Frame, cfg: dict, scene_seed: int):
-    """Coarse-detect and refine the clusters of one frame with the
-    configured policy; returns the clusters report and the partitions."""
+def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
+    """Coarse-detect and refine one frame's clusters with a ``_policy``
+    pair; returns the clusters report and the partitions."""
     if len(frame.detections) == 0:
         raise ValueError("empty scene")
     coarse = coarse_detect(
@@ -238,7 +232,8 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int):
     )
     if len(coarse.detections) == 0:
         raise ValueError("empty scene after coarse detection")
-    choose, env = _policy_env(coarse, cfg)
+    choose, ckpt = policy
+    env = policy_env(coarse, _env_config(cfg), cfg["t_max"], ckpt)
     final, trace = rollout(env, choose, np.random.default_rng(scene_seed + 1))
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     parts = partitions_from_blocks(final, coarse, blocks)
@@ -342,7 +337,7 @@ def cmd_partition(args) -> None:
     if cfg["detections"] is None:
         raise ValueError("no detections file configured")
     frame = load_detections(cfg["detections"])
-    report, _ = _partition_frame(frame, cfg, cfg["seed"])
+    report, _ = _partition_frame(frame, cfg, cfg["seed"], _policy(cfg))
     out = args.out or os.path.join(cfg["out_dir"], "clusters.json")
     dump_json(report, out)
     print(f"wrote {out} ({report['n_final']} clusters)")
@@ -368,10 +363,11 @@ def cmd_pipeline(args) -> None:
         spec = _scene_spec(cfg)
         frames = [(cfg["seed"] + k, generate_scene(spec.with_seed(cfg["seed"] + k)))
                   for k in range(_positive(cfg, "num_scenes"))]
+    policy = _policy(cfg)
     scenes = []
     rows = []
     for scene_seed, frame in frames:
-        clusters, parts = _partition_frame(frame, cfg, scene_seed)
+        clusters, parts = _partition_frame(frame, cfg, scene_seed, policy)
         plan = _plan_payload(parts, profiles, cfg["d_max"], cfg["e"])
         last = clusters["trace"][-1]
         r1, r2, r3, r4 = last["components"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterConfig, expand_ranges, make_cluster
+from .core import ClusterConfig, box_columns, expand_ranges, make_cluster
 
 
 @dataclass(frozen=True)
@@ -266,11 +266,11 @@ def initial_clusters(geometry: ClusterGeometry,
     if len(detections) == 0:
         raise ValueError("empty scene")
     labels = meanshift(geometry.points, resolve_bandwidth(bandwidth, geometry.points))
-    clusters = []
-    for lbl in range(labels.max() + 1):
-        members = np.flatnonzero(labels == lbl)
-        clusters.append(make_cluster(members.tolist(), detections))
-    return ClusterConfig(tuple(clusters), detections)
+    # stable: each label's members stay in index order (every label is used)
+    order = labels.argsort(kind="stable").tolist()
+    ends = np.bincount(labels).cumsum().tolist()
+    return ClusterConfig(tuple(make_cluster(order[a:b], detections)
+                               for a, b in zip([0] + ends, ends)), detections)
 
 
 def kmeans_1d(values):
@@ -307,8 +307,8 @@ class ClusterGeometry:
     reward, merge and split of an episode.
 
     Every detection's centre in that space ((x, y**alpha) under a
-    transform, raw (x, y) without one) and its box area are laid out once;
-    every function that reads a frame's space takes it from here, and
+    transform, raw (x, y) without one) and its box area are laid out once
+    from their columns; every function reading the space takes it from here, and
     rejects a geometry built for another frame. Per-cluster statistics are
     memoised by member tuple: the centroid of the member centres, their
     mean distance to it, and the population variance of the member areas.
@@ -320,9 +320,10 @@ class ClusterGeometry:
     def __init__(self, detections, transform: TransformParams | None):
         self.detections = detections
         self.transform = transform
-        pts = np.array([[d.cx, d.cy] for d in detections]).reshape(-1, 2)
-        self.points = pts if transform is None else transform_y(pts, transform)
-        self.areas = np.array([d.area for d in detections])
+        columns = box_columns(detections)
+        pts = columns[:, :2]  # copied to C order: axis-0 means add row by row
+        self.points = pts.copy() if transform is None else transform_y(pts, transform)
+        self.areas = columns[:, 2] * columns[:, 3]
         self._x, self._y = self.points.T.tolist()
         self._area = self.areas.tolist()
         self._stats: dict = {}

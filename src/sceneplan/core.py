@@ -3,8 +3,10 @@ the atomic file writer every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
-All operations here except ``atomic_write`` are pure functions over
-immutable values.
+The geometry, blocks and partitions read a frame's (cx, cy, w, h)
+columns: a coarse frame's ``Boxes`` carry the kept NMS rows', any other
+detections are laid out from the boxes per call. All operations here
+except ``atomic_write`` are pure functions over immutable values.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class atomic_write:
                 os.unlink(self.tmp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionBox:
     """One detected object: normalized center/size, confidence, class."""
 
@@ -94,6 +96,43 @@ class DetectionBox:
         )
 
 
+class _KeptBoxes(list):
+    """``_kept_boxes``' boxes, with their rows' ``columns``."""
+
+
+def _kept_boxes(rows: np.ndarray, class_ids) -> list[DetectionBox]:
+    """The boxes of ``aggregate_tiles``' (5, k) kept rows, set slot by slot,
+    and their first four rows as ``columns``. ``__post_init__`` is skipped: a
+    clamped row fails it only by a NaN, where ``aggregate_tiles`` raised first."""
+    set_cx, set_cy, set_w, set_h, set_score, set_class_id = (
+        getattr(DetectionBox, f).__set__ for f in ("cx", "cy", "w", "h", "score", "class_id"))
+    boxes = _KeptBoxes()
+    for (cx, cy, w, h, score), class_id in zip(rows.T.tolist(), class_ids):
+        box = object.__new__(DetectionBox)
+        set_cx(box, cx), set_cy(box, cy), set_w(box, w), set_h(box, h)
+        set_score(box, score), set_class_id(box, class_id)
+        boxes.append(box)
+    boxes.columns = rows[:4].T.copy()
+    boxes.columns.setflags(write=False)
+    return boxes
+
+
+class Boxes(tuple):
+    """A coarse frame's detections: a tuple of ``DetectionBox`` carrying the
+    kept NMS rows' (cx, cy, w, h) as a read-only (n, 4) float64 array."""
+
+    columns: np.ndarray | None = None
+
+
+def box_columns(detections) -> np.ndarray:
+    """``detections``' (n, 4) cx, cy, w, h columns: those they carry, else
+    laid out from the boxes on every call."""
+    columns = getattr(detections, "columns", None)
+    if columns is None:
+        columns = np.array([(d.cx, d.cy, d.w, d.h) for d in detections], dtype=float).reshape(-1, 4)
+    return columns
+
+
 @dataclass(frozen=True)
 class Frame:
     """A frame's pixel size plus its list of detections."""
@@ -105,7 +144,8 @@ class Frame:
     def __post_init__(self) -> None:
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError(f"frame size {self.width_px}x{self.height_px} not positive")
-        object.__setattr__(self, "detections", tuple(self.detections))
+        if not isinstance(self.detections, Boxes):  # a tuple, keeping a coarse frame's columns
+            object.__setattr__(self, "detections", tuple(self.detections))
 
 
 @dataclass(frozen=True)
@@ -250,17 +290,18 @@ def bounding_blocks(config: ClusterConfig, margin: float,
     """
     if margin < 0.0:
         raise ValueError(f"margin {margin} negative")
-    if any(c.size < 1 for c in config.clusters):
+    sizes = [c.size for c in config.clusters]
+    if 0 in sizes:
         raise ValueError("empty cluster")
-    cx, cy, w, h = np.array([(d.cx, d.cy, d.w, d.h)
-                             for d in config.detections]).reshape(-1, 4).T
-    ex0, ey0 = np.maximum(0.0, cx - w / 2.0).tolist(), np.maximum(0.0, cy - h / 2.0).tolist()
-    ex1, ey1 = np.minimum(1.0, cx + w / 2.0).tolist(), np.minimum(1.0, cy + h / 2.0).tolist()
+    cx, cy, w, h = box_columns(config.detections).T
+    extents = np.stack([np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0),
+                        np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0)])
+    extents = extents[:, [i for c in config.clusters for i in c.members]]
+    starts = np.cumsum([0] + sizes)[:-1]
+    lows = np.minimum.reduceat(extents[:2], starts, axis=1).T.tolist()
+    highs = np.maximum.reduceat(extents[2:], starts, axis=1).T.tolist()
     blocks = []
-    for cluster in config.clusters:
-        m = cluster.members
-        x0, y0 = min([ex0[i] for i in m]), min([ey0[i] for i in m])
-        x1, y1 = max([ex1[i] for i in m]), max([ey1[i] for i in m])
+    for (x0, y0), (x1, y1) in zip(lows, highs):
         pad = margin * max(x1 - x0, y1 - y0)
         x0, y0 = max(0.0, x0 - pad), max(0.0, y0 - pad)
         x1, y1 = min(1.0, x1 + pad), min(1.0, y1 + pad)

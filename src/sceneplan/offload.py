@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, bounding_blocks
+from .core import ClusterConfig, Frame, box_columns, bounding_blocks
 
 
 class InfeasiblePlanError(Exception):
@@ -158,15 +158,10 @@ def partitions_from_config(config: ClusterConfig, frame: Frame) -> list[Partitio
 def partitions_from_blocks(config: ClusterConfig, frame: Frame,
                            blocks) -> list[PartitionDescriptor]:
     """Each cluster's partition, cut as its pixel block in ``blocks``."""
-    parts = []
-    for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks)):
-        areas = tuple(
-            config.detections[i].w * frame.width_px *
-            config.detections[i].h * frame.height_px
-            for i in cluster.members
-        )
-        parts.append(PartitionDescriptor(pid, x1 - x0, y1 - y0, areas))
-    return parts
+    _, _, w, h = box_columns(config.detections).T
+    areas = (w * frame.width_px * h * frame.height_px).tolist()
+    return [PartitionDescriptor(pid, x1 - x0, y1 - y0, tuple([areas[i] for i in cluster.members]))
+            for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks))]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ Real detector inference is out of scope: scenes come either from detection
 files (JSON/CSV) or from a stratified synthetic generator, and the per-tile
 "detector" simply observes ground-truth boxes, optionally dropping and
 jittering them to mimic a low-confidence, high-recall first pass.
+A coarse frame's boxes carry the columns of the rows NMS kept; generated
+and loaded frames are plain tuples, laid out by each op that reads them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectionBox, Frame, atomic_write, check_number, nms_rows
+from .core import Boxes, DetectionBox, Frame, _kept_boxes, atomic_write, check_number, nms_rows
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -340,7 +342,8 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> lis
     ``-0.0`` score stays ``-0.0``), and suppressed by ``nms_rows``; only
     the kept rows become boxes. Every row is first checked in observation
     order as its box would be: its class id goes through ``int``, and after
-    the clamps it fails ``DetectionBox``'s checks iff it holds a NaN.
+    the clamps it fails ``DetectionBox``'s checks iff it holds a NaN, so
+    the kept boxes skip them and carry their rows' columns.
     Results equal ``aggregate_tiles_reference`` in ``tests/oracles.py``.
     """
     if len(per_tile) != len(grid.tiles):
@@ -367,7 +370,7 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> lis
     if bad:  # raises the box's own error for the first bad row
         DetectionBox(*boxes[:, bad[0]].tolist(), class_ids[-1])
     keep = nms_rows(*boxes, class_ids, iou_threshold)
-    return [DetectionBox(*row, class_ids[k]) for row, k in zip(boxes[:, keep].T.tolist(), keep)]
+    return _kept_boxes(boxes[:, keep], [class_ids[k] for k in keep])
 
 
 def coarse_detect(
@@ -384,4 +387,6 @@ def coarse_detect(
     grid = tile_frame(frame, n, e)
     per_tile = observe_tiles(frame, grid, min_visible, drop_prob, jitter_sigma, seed)
     boxes = aggregate_tiles(per_tile, grid, iou_threshold)
-    return Frame(frame.width_px, frame.height_px, tuple(boxes))
+    detections = Boxes(boxes)
+    detections.columns = boxes.columns
+    return Frame(frame.width_px, frame.height_px, detections)

@@ -18,11 +18,13 @@ memoised per-frame geometry; the split scores its cuts with
 ``kmeans_1d_reference``, the split scan over numpy scalars before it went
 to Python floats. ``bounding_block_reference`` is one cluster's block by
 a loop over its members' extents, before ``bounding_blocks`` computed the
-extents once per frame. ``partition_precision_reference`` (one scalar
-lookup per box, rebuilding the curve each time) and ``dp_plan_reference``
-(a full-width table with an int choice array) are the planner before it
-went to one precision pass per plan and a value-only table capped at the
-reachable budget; ``generate_scene_reference`` draws each stratum with
+extents once per frame, and ``partitions_from_blocks_reference`` reads
+each member box's fields, before the partitions read the frame's
+columns. ``partition_precision_reference`` (one scalar lookup per box,
+rebuilding the curve each time) and ``dp_plan_reference`` (a full-width
+table with an int choice array) are the planner before it went to one
+precision pass per plan and a value-only table capped at the reachable
+budget; ``generate_scene_reference`` draws each stratum with
 ``Generator.choice`` and each uniform with ``Generator.uniform``.
 ``geometry_stats_reference`` (numpy reductions over the gathered
 members, also the centroid that ``ClusterGeometry.centroid`` memoises),
@@ -41,7 +43,7 @@ import numpy as np
 
 from sceneplan.clustering import BANDWIDTH_FLOOR, ClusterGeometry, transform_y
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
-from sceneplan.offload import InfeasiblePlanError, OffloadPlan, scale_area
+from sceneplan.offload import InfeasiblePlanError, OffloadPlan, PartitionDescriptor, scale_area
 from sceneplan.ppo import masked_log_softmax
 from sceneplan.rl_env import (
     FEATURES_PER_CLUSTER,
@@ -493,6 +495,20 @@ def bounding_block_reference(cluster, detections, margin: float, frame):
     px1 = max(px1, px0 + 1)
     py1 = max(py1, py0 + 1)
     return px0, py0, px1, py1
+
+
+def partitions_from_blocks_reference(config: ClusterConfig, frame: Frame,
+                                     blocks) -> list[PartitionDescriptor]:
+    """Each cluster's partition, cut as its pixel block in ``blocks``."""
+    parts = []
+    for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks)):
+        areas = tuple(
+            config.detections[i].w * frame.width_px *
+            config.detections[i].h * frame.height_px
+            for i in cluster.members
+        )
+        parts.append(PartitionDescriptor(pid, x1 - x0, y1 - y0, areas))
+    return parts
 
 
 # Up to 7 members ``ClusterGeometry.stats`` adds Python floats one at a time

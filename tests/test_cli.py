@@ -311,6 +311,22 @@ def test_pipeline_deterministic_bytes(tmp_path):
     assert (out / "metrics.csv").read_bytes() == metrics1
 
 
+def test_pipeline_loads_the_checkpoint_once(tmp_path, monkeypatch):
+    from sceneplan import cli
+    from sceneplan.ppo import save_checkpoint
+
+    ckpt_path = tmp_path / "policy.ckpt"
+    save_checkpoint(count_driven_checkpoint(n_pad=6), ckpt_path)
+    cfg_path, _ = base_config(tmp_path, checkpoint=str(ckpt_path))
+    real, calls = cli.load_checkpoint, []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: calls.append(path) or real(path))
+    assert main(["pipeline", "--config", str(cfg_path), "--policy", "trained",
+                 "--num-scenes", "3"]) == 0
+    assert calls == [str(ckpt_path)]
+    rows = (tmp_path / "out" / "metrics.csv").read_text().strip().splitlines()
+    assert len(rows) == 4  # header + three scenes, all refined by the one policy
+
+
 def test_pipeline_metrics_rows_and_models(tmp_path):
     from sceneplan.offload import default_profiles
 

@@ -11,13 +11,14 @@ from sceneplan.core import (
     ClusterConfig,
     DetectionBox,
     Frame,
+    _kept_boxes,
     bounding_blocks,
     make_cluster,
     nms,
     validate_partition,
 )
 
-from oracles import iou_exact, iou_raster, nms_reference, random_boxes
+from oracles import iou_exact, iou_raster, random_boxes
 
 
 def test_box_validation():
@@ -92,95 +93,32 @@ def test_nms_classwise():
     assert nms([a, b], 0.5) == [a, b]
 
 
-def test_nms_matches_bruteforce_oracle(rng):
-    for _ in range(30):
-        boxes = random_boxes(rng, 10, classes=2)
-        assert nms(boxes, 0.5) == nms_reference(boxes, 0.5)
+# rows as aggregate_tiles keeps them: clamped into range, zeros of both signs
+KEPT_COORD = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+KEPT_SIDE = st.sampled_from([1e-6, 1.0]) | st.floats(1e-6, 1.0)
+KEPT_ROW = st.tuples(KEPT_COORD, KEPT_COORD, KEPT_SIDE, KEPT_SIDE,
+                     st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 3))
 
 
-# Centres and sizes on a 1/8 grid put box edges on exact binary fractions,
-# so edges that touch give iw == 0 exactly and IoUs such as 1/2 or 1/3 land
-# on the thresholds; four score levels force ties that position must break.
-GRID = [k / 8 for k in range(1, 8)]
-SIZES = [k / 8 for k in range(1, 5)]
-THRESHOLDS = [0.1, 1 / 3, 0.5, 0.7, 0.9]
-
-
-@st.composite
-def crowded_boxes(draw):
-    classes = draw(st.integers(1, 3))
-    box = st.builds(
-        DetectionBox,
-        cx=st.sampled_from(GRID), cy=st.sampled_from(GRID),
-        w=st.sampled_from(SIZES), h=st.sampled_from(SIZES),
-        score=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
-        class_id=st.integers(0, classes - 1))
-    distinct = draw(st.lists(box, min_size=1, max_size=100))
-    repeats = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=100))
-    # exact duplicates as new objects, so only their position tells them apart
-    boxes = distinct + [dataclasses.replace(distinct[i]) for i in repeats]
-    return draw(st.permutations(boxes))
-
-
-@given(crowded_boxes(), st.sampled_from(THRESHOLDS))
-@settings(max_examples=150, deadline=None)
-def test_nms_matches_reference_on_ties_duplicates_and_touching_edges(boxes, threshold):
-    assert [id(b) for b in nms(boxes, threshold)] == \
-        [id(b) for b in nms_reference(boxes, threshold)]
-
-
-# Edges on a 1/16 grid touch exactly; a coordinate moved one ulp down or up
-# makes touching edges overlap or miss by about an ulp. Centres at 0 and 1
-# clamp extents to the frame, a size of 2**-60 rounds away against most
-# centres (x0 == x1), and a shared column gives many equal x0.
-EDGE_GRID = [k / 16 for k in range(17)]
-EDGE_SIZES = [2.0 ** -60] + [k / 16 for k in range(1, 9)] + [1.0]
-
-
-def ulp_nudged(values, lo, hi):
-    """A grid value, or the float one ulp below or above it, kept in [lo, hi]."""
-    def nudge(drawn):
-        value, step = drawn
-        return min(hi, max(lo, float(np.nextafter(value, step * np.inf)))) if step else value
-    return st.tuples(st.sampled_from(values), st.sampled_from([-1, 0, 0, 1])).map(nudge)
-
-
-@st.composite
-def swept_boxes(draw):
-    classes = draw(st.integers(1, 3))
-    centre = ulp_nudged(EDGE_GRID, 0.0, 1.0)
-    size = ulp_nudged(EDGE_SIZES, 5e-324, 1.0)
-    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
-    cls = st.integers(0, classes - 1)
-    boxes = draw(st.lists(st.builds(DetectionBox, centre, centre, size, size, score, cls),
-                          min_size=1, max_size=60))
-    column_cx, column_w = draw(centre), draw(size)
-    boxes += draw(st.lists(st.builds(DetectionBox, st.just(column_cx), centre,
-                                     st.just(column_w), size, score, cls), max_size=20))
-    return draw(st.permutations(boxes))
-
-
-@given(swept_boxes(), st.sampled_from([1e-9, 1e-6, 0.1, 1 / 3, 0.5, 0.9])
-       | st.floats(1e-9, 0.999))
-@settings(max_examples=120, deadline=None)
-def test_nms_sweep_matches_reference_on_touching_and_ulp_edges(boxes, threshold):
-    assert [id(b) for b in nms(boxes, threshold)] == \
-        [id(b) for b in nms_reference(boxes, threshold)]
-
-
-def test_nms_matches_reference_on_600_boxes_in_two_classes():
-    rng = np.random.default_rng(7)
-    boxes = []
-    for _ in range(640):
-        w, h = (float(v) for v in rng.uniform(0.005, 0.06, size=2))
-        cx, cy = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
-        boxes.append(DetectionBox(cx, cy, w, h, float(rng.uniform()), int(rng.integers(2))))
-    # near-duplicates, as overlapping tiles report them
-    for b in boxes[:160]:
-        boxes.append(dataclasses.replace(b, cx=min(1.0, b.cx + 0.1 * b.w), score=b.score / 2))
-    kept = nms(boxes, 0.3)
-    assert 300 < len(kept) < len(boxes)
-    assert [id(b) for b in kept] == [id(b) for b in nms_reference(boxes, 0.3)]
+@given(st.lists(KEPT_ROW, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_kept_boxes_equal_validated_boxes(rows):
+    kept = _kept_boxes(np.array([row[:5] for row in rows]).reshape(-1, 5).T,
+                       [row[5] for row in rows])
+    assert len(kept) == len(rows)
+    for box, row in zip(kept, rows):
+        want = DetectionBox(*row)
+        assert type(box) is DetectionBox
+        assert box == want and hash(box) == hash(want)
+        # repr tells -0.0 from 0.0, and each field's type apart
+        assert repr(box) == repr(want)
+        assert [type(v) for v in dataclasses.astuple(box)] == \
+            [type(v) for v in dataclasses.astuple(want)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.cx = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del box.score
+    assert kept.columns.shape == (len(rows), 4) and not kept.columns.flags.writeable
 
 
 def test_nms_suppresses_at_exact_threshold():

@@ -19,13 +19,21 @@ from sceneplan.clustering import (
     select_merge_pair,
     split_cluster,
 )
-from sceneplan.core import ClusterConfig, DetectionBox, Frame, bounding_blocks, make_cluster
+from sceneplan.core import (
+    ClusterConfig,
+    DetectionBox,
+    Frame,
+    bounding_blocks,
+    make_cluster,
+    nms,
+)
 from sceneplan.offload import (
     InfeasiblePlanError,
     ModelProfile,
     PartitionDescriptor,
     default_profiles,
     dp_plan,
+    partitions_from_blocks,
     precision_table,
 )
 from sceneplan.ppo import masked_log_softmax, policy_sample
@@ -41,7 +49,9 @@ from oracles import (
     geometry_stats_reference,
     kmeans_1d_reference,
     meanshift_reference,
+    nms_reference,
     observe_tiles_reference,
+    partitions_from_blocks_reference,
     policy_sample_reference,
     precision_table_reference,
     random_boxes,
@@ -214,6 +224,14 @@ def blocks_reference(config, margin, frame):
             for c in config.clusters]
 
 
+@st.composite
+def partition_args(draw):
+    """``block_args``' clusters and frames, cut at their blocks for a
+    margin of 0 or above."""
+    config, margin, frame = draw(block_args())
+    return config, frame, bounding_blocks(config, abs(margin), frame)
+
+
 # --- encode_state and action_mask ----------------------------------------------
 
 @st.composite
@@ -349,6 +367,86 @@ def aggregate_args(draw):
     return per_tile, grid, draw(st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.95))
 
 
+# --- nms ---------------------------------------------------------------------------
+
+def kept_ids(suppress):
+    """``suppress``'s kept boxes by identity, so that equal boxes at
+    different positions count as different boxes."""
+    return lambda boxes, threshold: [id(b) for b in suppress(boxes, threshold)]
+
+
+RANDOM_BOXES = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_boxes(np.random.default_rng(seed), 10, classes=2))
+
+# Centres and sizes on a 1/8 grid put box edges on exact binary fractions,
+# so edges that touch give iw == 0 exactly and IoUs such as 1/2 or 1/3 land
+# on the thresholds; four score levels force ties that position must break.
+GRID = [k / 8 for k in range(1, 8)]
+SIZES = [k / 8 for k in range(1, 5)]
+THRESHOLDS = [0.1, 1 / 3, 0.5, 0.7, 0.9]
+
+
+@st.composite
+def crowded_boxes(draw):
+    classes = draw(st.integers(1, 3))
+    box = st.builds(
+        DetectionBox,
+        cx=st.sampled_from(GRID), cy=st.sampled_from(GRID),
+        w=st.sampled_from(SIZES), h=st.sampled_from(SIZES),
+        score=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        class_id=st.integers(0, classes - 1))
+    distinct = draw(st.lists(box, min_size=1, max_size=100))
+    repeats = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=100))
+    # exact duplicates as new objects, so only their position tells them apart
+    boxes = distinct + [dataclasses.replace(distinct[i]) for i in repeats]
+    return draw(st.permutations(boxes))
+
+
+# Edges on a 1/16 grid touch exactly; a coordinate moved one ulp down or up
+# makes touching edges overlap or miss by about an ulp. Centres at 0 and 1
+# clamp extents to the frame, a size of 2**-60 rounds away against most
+# centres (x0 == x1), and a shared column gives many equal x0.
+EDGE_GRID = [k / 16 for k in range(17)]
+EDGE_SIZES = [2.0 ** -60] + [k / 16 for k in range(1, 9)] + [1.0]
+
+
+def ulp_nudged(values, lo, hi):
+    """A grid value, or the float one ulp below or above it, kept in [lo, hi]."""
+    def nudge(drawn):
+        value, step = drawn
+        return min(hi, max(lo, float(np.nextafter(value, step * np.inf)))) if step else value
+    return st.tuples(st.sampled_from(values), st.sampled_from([-1, 0, 0, 1])).map(nudge)
+
+
+@st.composite
+def swept_boxes(draw):
+    classes = draw(st.integers(1, 3))
+    centre = ulp_nudged(EDGE_GRID, 0.0, 1.0)
+    size = ulp_nudged(EDGE_SIZES, 5e-324, 1.0)
+    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    cls = st.integers(0, classes - 1)
+    boxes = draw(st.lists(st.builds(DetectionBox, centre, centre, size, size, score, cls),
+                          min_size=1, max_size=60))
+    column_cx, column_w = draw(centre), draw(size)
+    boxes += draw(st.lists(st.builds(DetectionBox, st.just(column_cx), centre,
+                                     st.just(column_w), size, score, cls), max_size=20))
+    return draw(st.permutations(boxes))
+
+
+def crowd_with_duplicates(seed):
+    """640 boxes of two classes, then near-duplicates of the first 160 at
+    half their score, as overlapping tiles report them."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(640):
+        w, h = (float(v) for v in rng.uniform(0.005, 0.06, size=2))
+        cx, cy = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
+        boxes.append(DetectionBox(cx, cy, w, h, float(rng.uniform()), int(rng.integers(2))))
+    for b in boxes[:160]:
+        boxes.append(dataclasses.replace(b, cx=min(1.0, b.cx + 0.1 * b.w), score=b.score / 2))
+    return boxes
+
+
 # --- precision_table and dp_plan ---------------------------------------------------
 
 def caught(function):
@@ -437,6 +535,8 @@ REGISTRY = [
     ("split_cluster", splits_new, splits_reference, st.tuples(tied_configs, transforms), 100),
     ("kmeans_1d", quiet(kmeans_1d), quiet(kmeans_1d_reference), kmeans_args(), 300),
     ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
+    ("partitions_from_blocks", caught(partitions_from_blocks),
+     caught(partitions_from_blocks_reference), partition_args(), 200),
     ("encode_state", encode_state, encode_state_reference, state_args(), 200),
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_reference),
@@ -446,6 +546,15 @@ REGISTRY = [
      meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_tiles, aggregate_tiles_reference, aggregate_args(), 100),
+    ("nms_random_boxes", kept_ids(nms), kept_ids(nms_reference),
+     st.tuples(RANDOM_BOXES, st.just(0.5)), 30),
+    ("nms_ties_duplicates_and_touching_edges", kept_ids(nms), kept_ids(nms_reference),
+     st.tuples(crowded_boxes(), st.sampled_from(THRESHOLDS)), 150),
+    ("nms_sweep_touching_and_ulp_edges", kept_ids(nms), kept_ids(nms_reference),
+     st.tuples(swept_boxes(), st.sampled_from([1e-9, 1e-6, 0.1, 1 / 3, 0.5, 0.9])
+               | st.floats(1e-9, 0.999)), 120),
+    ("nms_600_boxes_in_two_classes", kept_ids(nms), kept_ids(nms_reference),
+     st.tuples(st.just(7).map(crowd_with_duplicates), st.just(0.3)), 1),
     ("precision_table", caught(precision_table), caught(precision_table_reference),
      table_args(), 150),
     ("precision_table_many_members", precision_table, precision_table_reference,

@@ -12,7 +12,7 @@ from sceneplan.clustering import (
     initial_clusters,
     transform_y,
 )
-from sceneplan.core import DetectionBox, Frame
+from sceneplan.core import DetectionBox, Frame, box_columns
 from sceneplan.scene import (
     SceneSpec,
     Stratum,
@@ -438,3 +438,66 @@ def test_crowd_frame_of_500_detections_matches_reference_clustering():
     assert config.count > 10
     assert [c.members for c in config.clusters] == \
         [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1)]
+
+
+# ---------------------------------------------------------------------------
+# box columns
+# ---------------------------------------------------------------------------
+
+CROWD_STRATA = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+
+
+def field_bits(boxes):
+    """Each box's (cx, cy, w, h) as reprs, which tell -0.0 from 0.0."""
+    return [tuple(repr(v) for v in (b.cx, b.cy, b.w, b.h)) for b in boxes]
+
+
+def column_bits(columns):
+    """A coarse frame's columns as reprs, checking their layout first."""
+    assert columns.dtype == np.float64 and columns.shape == (len(columns), 4)
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    return [tuple(repr(v) for v in row) for row in columns.tolist()]
+
+
+@pytest.mark.parametrize("noise", [{}, {"drop_prob": 0.2, "jitter_sigma": 0.03, "seed": 4}])
+def test_coarse_frame_columns_are_its_boxes_fields(noise):
+    # jittered straddlers clamp onto the frame's edges
+    frame = generate_scene(SceneSpec(3840, 2160, 600, 600, CROWD_STRATA, seed=3))
+    coarse = coarse_detect(frame, 2, 4, **noise)
+    assert len(coarse.detections) > 400
+    assert column_bits(coarse.detections.columns) == field_bits(coarse.detections)
+
+
+@pytest.mark.parametrize("name", ["dets.json", "dets.csv"])
+def test_other_frames_lay_out_their_columns_per_call(tmp_path, name):
+    boxes = (DetectionBox(-0.0, 0.0, 1.0, 0.5, 0.9), DetectionBox(1.0, -0.0, 1e-6, 1.0, -0.0),
+             DetectionBox(0.25, 0.75, 0.125, 0.5, 0.5, 2))
+    frames = [Frame(3840, 2160, boxes), generate_scene(SceneSpec(seed=2, strata=CROWD_STRATA))]
+    save_detections(frames[0], tmp_path / name)
+    frames.append(load_detections(tmp_path / name))
+    assert field_bits(frames[2].detections) == field_bits(boxes)
+    for frame in frames:
+        assert type(frame.detections) is tuple  # nothing laid out at construction
+        columns = box_columns(frame.detections)
+        assert columns.dtype == np.float64 and columns.shape == (len(frame.detections), 4)
+        assert [tuple(map(repr, row)) for row in columns.tolist()] == \
+            field_bits(frame.detections)
+        assert box_columns(frame.detections) is not columns  # and none kept
+
+
+@pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
+def test_geometry_of_a_coarse_frame_equals_one_of_its_plain_boxes(transform):
+    frame = generate_scene(SceneSpec(3840, 2160, 600, 600, CROWD_STRATA, seed=8))
+    coarse = coarse_detect(frame, 1, 4, drop_prob=0.1, jitter_sigma=0.02, seed=1)
+    laid_out = ClusterGeometry(coarse.detections, transform)
+    walked = ClusterGeometry(tuple(coarse.detections), transform)
+    for got, want in ((laid_out.points, walked.points), (laid_out.areas, walked.areas)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    config = initial_clusters(laid_out, BandwidthSpec("fixed", 0.12))
+    assert config.count > 10
+    assert config.clusters == initial_clusters(walked, BandwidthSpec("fixed", 0.12)).clusters
+    members = [c.members for c in config.clusters] + [tuple(range(k)) for k in (1, 7, 8, 64)]
+    for m in members:
+        assert repr(laid_out.stats(m)) == repr(walked.stats(m))
