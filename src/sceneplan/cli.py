@@ -137,8 +137,9 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Command-line flags beat config-file values."""
+def _config(args: argparse.Namespace) -> dict:
+    """Flags over file values over defaults, out-of-range values named by key."""
+    cfg = load_config(args.config)
     direct = ["seed", "out_dir", "scene_spec", "detections", "checkpoint",
               "profile", "d_max", "t_max", "n_pad", "num_scenes", "episodes",
               "policy", "iterations", "n", "e"]
@@ -150,6 +151,20 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
             cfg["train"]["iterations"] = value
         else:
             cfg[name] = value
+    bandwidth, reward = cfg["bandwidth_value"], cfg["reward"]
+    top = 1.0 if cfg["bandwidth_mode"] == "quantile" else float("inf")  # quantiles below 1
+    for key, ok, want in (
+            ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
+            ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
+            ("transform_alpha", 0.0 < cfg["transform_alpha"] < 1.0, "in (0, 1)"),
+            ("d_max", cfg["d_max"] >= 0, ">= 0"),
+            ("bandwidth_value", 0.0 < bandwidth < top, f"in (0, {top})"),
+            ("reward.n_min", reward["n_min"] >= 1, ">= 1"),
+            ("reward.n_max", reward["n_max"] >= reward["n_min"], ">= reward.n_min")):
+        if not ok:
+            block, _, sub = key.rpartition(".")
+            raise ValueError(f"config key {key!r} must be {want}, "
+                             f"got {cfg[block][sub] if block else cfg[key]!r}")
     return cfg
 
 
@@ -319,7 +334,7 @@ def cmd_gen_scene(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     spec = _scene_spec(cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -333,7 +348,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_partition(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     if cfg["detections"] is None:
         raise ValueError("no detections file configured")
     frame = load_detections(cfg["detections"])
@@ -344,7 +359,7 @@ def cmd_partition(args) -> None:
 
 
 def cmd_plan(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     _, parts = load_clusters(args.clusters)
     payload = _plan_payload(parts, _profiles(cfg), cfg["d_max"], cfg["e"])
     out = args.out or os.path.join(cfg["out_dir"], "plan.json")
@@ -354,7 +369,7 @@ def cmd_plan(args) -> None:
 
 
 def cmd_pipeline(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     out_dir = cfg["out_dir"]
     profiles = _profiles(cfg)
     if cfg["detections"] is not None:
@@ -390,7 +405,7 @@ def cmd_pipeline(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _config(args)
     if cfg["checkpoint"] is None:
         raise ValueError("eval needs a trained checkpoint")
     ckpt = load_checkpoint(cfg["checkpoint"])

@@ -114,7 +114,7 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     Converged modes closer than bandwidth/2 collapse onto the first-seen
     one, and every point joins its nearest surviving mode. Labels equal
     ``meanshift_reference`` in ``tests/oracles.py``; the notes beside it show
-    why the y-band candidate pairs and the window sums keep them equal.
+    why the y-band pairs, squared-distance windows and window sums keep them equal.
 
     Modes share trajectories: a mode's next position, the mean of the points
     in its window, depends on its current position alone (a zero's sign
@@ -123,7 +123,8 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     equates -0.0 and 0.0; a mode moving onto a recorded position would walk
     the recorder's path ``lag`` iterations later, so it stops and follows.
     At the end a follower takes its chain root's final position and stops at
-    the root's stop plus the chain's lags; past ``max_iter``, the loop runs
+    the root's stop plus the chain's lags, both found for all followers at
+    once by pointer jumping; past ``max_iter``, the loop runs
     again without sharing. Nothing is recorded on the last iteration, nor a
     converged mode's last position (its next step was never taken); a mode
     whose chain leads back to itself walks on.
@@ -142,6 +143,11 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     pad = bandwidth * (1.0 + 1e-9) + 2.0 ** -500
+    within = bandwidth * bandwidth  # stepped to the largest d with sqrt(d) <= bandwidth
+    while math.sqrt(within) > bandwidth:
+        within = math.nextafter(within, 0.0)
+    while math.sqrt(math.nextafter(within, math.inf)) <= bandwidth:
+        within = math.nextafter(within, math.inf)
     px, py = pts[:, 0].copy(), pts[:, 1].copy()
     (x_lo, y_lo), (x_hi, y_hi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
     # halved extents cannot overflow; a band is pad high (capped to stay
@@ -168,15 +174,6 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     left, right = np.empty(len(rows), dtype=np.intp), np.empty(len(rows), dtype=np.intp)
     n = len(pts)
 
-    def root(i):  # the end of i's follower chain and its summed lag; compresses it
-        path = []
-        while lead[i] != i:
-            path.append(i)
-            i = lead[i]
-        for v in reversed(path):
-            lead[v], lag[v] = i, lag[v] + lag[lead[v]]
-        return i, lag[path[0]] if path else 0
-
     for share in (True, False):
         mode_x, mode_y = px.copy(), py.copy()
         active, stop = np.arange(n), np.zeros(n, dtype=np.intp)
@@ -201,7 +198,7 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
             dy *= dy
             d += dy
             # integer gathers: a boolean-mask gather costs about four times more
-            inside = np.flatnonzero(np.sqrt(d, out=d) <= bandwidth)
+            inside = np.flatnonzero(d <= within)
             pos = pos[inside]
             k = len(active)
             # one (modes, 2) division: a 1-D float/int division maps 64 KB of
@@ -224,16 +221,22 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
                     keep = np.ones(len(active), dtype=bool)
                     for k in found:
                         i, (t, j) = codes[k] - base, divmod(seen[keys[k]], n)
-                        if lead[j] == j != i or root(j)[0] != i:  # else a cycle
+                        end = j
+                        while lead[end] != end:  # i at the end of j's chain: a cycle
+                            end = lead[end]
+                        if end != i:
                             lead[i], lag[i], keep[k] = j, it - t, False
                     active = active[keep]
         followers = [i for i in range(n) if lead[i] != i]
         if not followers:
             break
-        ends = [root(i) for i in followers]
-        stop = stop.tolist()
-        if all(stop[r] + behind <= max_iter for r, behind in ends):
-            roots = [r for r, _ in ends]
+        lead, lag = np.array(lead), np.array(lag)
+        jump = lead[lead]
+        while (jump != lead).any():  # pointer jumping, summing the lags on the way
+            lag += lag[lead]
+            lead, jump = jump, jump[jump]
+        roots = lead[followers]
+        if (stop[roots] + lag[followers] <= max_iter).all():
             mode_x[followers], mode_y[followers] = mode_x[roots], mode_y[roots]
             break
 

@@ -3,9 +3,9 @@ the atomic file writer every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
-The geometry, blocks and partitions read a frame's (cx, cy, w, h)
-columns: a coarse frame's ``Boxes`` carry the kept NMS rows', any other
-detections are laid out from the boxes per call. All operations here
+A coarse frame's ``Boxes`` hold the rows NMS kept as columns and build a
+box only where one is read, which no op does; any other detections
+(generated, loaded, plain tuples) are read box by box. All operations here
 except ``atomic_write`` are pure functions over immutable values.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,32 +97,33 @@ class DetectionBox:
         )
 
 
-class _KeptBoxes(list):
-    """``_kept_boxes``' boxes, with their rows' ``columns``."""
+class Boxes(Sequence):
+    """A coarse frame's detections, read-only: NMS's kept (5, n) rows of cx,
+    cy, w, h and score, each passing ``DetectionBox``'s checks, as float
+    lists in ``fields``, their int ``class_ids``, and their read-only (n, 4)
+    cx, cy, w, h ``columns``. A box is built only when an element is read;
+    ``len``, indexing, iteration, ``==`` and ``hash`` are the box tuple's."""
 
+    __slots__ = ("columns", "fields", "class_ids")
 
-def _kept_boxes(rows: np.ndarray, class_ids) -> list[DetectionBox]:
-    """The boxes of ``aggregate_tiles``' (5, k) kept rows, set slot by slot,
-    and their first four rows as ``columns``. ``__post_init__`` is skipped: a
-    clamped row fails it only by a NaN, where ``aggregate_tiles`` raised first."""
-    set_cx, set_cy, set_w, set_h, set_score, set_class_id = (
-        getattr(DetectionBox, f).__set__ for f in ("cx", "cy", "w", "h", "score", "class_id"))
-    boxes = _KeptBoxes()
-    for (cx, cy, w, h, score), class_id in zip(rows.T.tolist(), class_ids):
-        box = object.__new__(DetectionBox)
-        set_cx(box, cx), set_cy(box, cy), set_w(box, w), set_h(box, h)
-        set_score(box, score), set_class_id(box, class_id)
-        boxes.append(box)
-    boxes.columns = rows[:4].T.copy()
-    boxes.columns.setflags(write=False)
-    return boxes
+    def __init__(self, rows: np.ndarray, class_ids: list[int]):
+        self.fields, self.class_ids = rows.tolist(), class_ids
+        self.columns = rows[:4].T.copy()
+        self.columns.setflags(write=False)
 
+    def __len__(self) -> int:
+        return len(self.class_ids)
 
-class Boxes(tuple):
-    """A coarse frame's detections: a tuple of ``DetectionBox`` carrying the
-    kept NMS rows' (cx, cy, w, h) as a read-only (n, 4) float64 array."""
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        return DetectionBox(*(f[k] for f in self.fields), self.class_ids[k])
 
-    columns: np.ndarray | None = None
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, Boxes) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def box_columns(detections) -> np.ndarray:
@@ -182,9 +184,9 @@ class ClusterConfig:
 def make_cluster(members, detections) -> Cluster:
     """Build a Cluster from detection indices, stats recomputed from scratch.
 
-    Members are kept sorted and their centers and sizes added one at a time
-    in that order, so identical member sets always yield bitwise identical
-    means regardless of how the set was assembled.
+    Members are kept sorted and their centers and sizes (a coarse frame's
+    from its ``Boxes.fields``) added one at a time in that order, so equal
+    member sets give bitwise equal means however the set was assembled.
     """
     members = tuple(sorted(members))
     if not members:
@@ -192,12 +194,20 @@ def make_cluster(members, detections) -> Cluster:
     if len(set(members)) != len(members):
         raise ValueError("duplicate member indices")
     sx = sy = sw = sh = 0.0
-    for i in members:
-        d = detections[i]
-        sx += d.cx
-        sy += d.cy
-        sw += d.w
-        sh += d.h
+    if isinstance(detections, Boxes):  # the lists a coarse frame lays out once
+        xs, ys, ws, hs, _ = detections.fields
+        for i in members:
+            sx += xs[i]
+            sy += ys[i]
+            sw += ws[i]
+            sh += hs[i]
+    else:
+        for i in members:
+            d = detections[i]
+            sx += d.cx
+            sy += d.cy
+            sw += d.w
+            sh += d.h
     n = len(members)
     return Cluster(members, sx / n, sy / n, sw / n, sh / n)
 

@@ -5,8 +5,8 @@ Real detector inference is out of scope: scenes come either from detection
 files (JSON/CSV) or from a stratified synthetic generator, and the per-tile
 "detector" simply observes ground-truth boxes, optionally dropping and
 jittering them to mimic a low-confidence, high-recall first pass.
-A coarse frame's boxes carry the columns of the rows NMS kept; generated
-and loaded frames are plain tuples, laid out by each op that reads them.
+Tile observations stay arrays in ``TileRows`` and the rows NMS keeps stay
+columns in ``Boxes``: a row's tuple or box is built only when it is read.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boxes, DetectionBox, Frame, _kept_boxes, atomic_write, check_number, nms_rows
+from .core import Boxes, DetectionBox, Frame, atomic_write, check_number, nms_rows
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -269,6 +270,24 @@ def tile_frame(frame: Frame, n: int, e: int) -> TileGrid:
     return TileGrid(rows, cols, frame.width_px, frame.height_px, tiles)
 
 
+class TileRows(Sequence):
+    """One tile's observations, read-only: its k boxes' tile-local cx, cy, w,
+    h and score as (5, k) ``columns``, and their ``class_ids``. A row's tuple
+    is built only when read; ``==`` is that of the list of its tuples."""
+
+    def __init__(self, columns: np.ndarray, class_ids: list):
+        self.columns, self.class_ids = columns, class_ids
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def __getitem__(self, k: int):
+        return (*self.columns[:, k].tolist(), self.class_ids[k])
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, TileRows) else other)
+
+
 def observe_tiles(
     frame: Frame,
     grid: TileGrid,
@@ -276,15 +295,15 @@ def observe_tiles(
     drop_prob: float = 0.0,
     jitter_sigma: float = 0.0,
     seed: int | None = None,
-):
+) -> list[TileRows]:
     """Emulate per-tile coarse detection against ground-truth boxes.
 
     Every tile reports each box whose intersection with the tile covers at
     least ``min_visible`` of the box area, as a raw (cx, cy, w, h, score,
-    class_id) tuple in tile-local normalized coordinates. Boxes straddling
-    a boundary are reported by several tiles; the duplicates are resolved
-    later by NMS aggregation. In noisy mode each observation is dropped
-    with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
+    class_id) row of its ``TileRows``, in tile-local normalized coordinates.
+    Boxes straddling a boundary are reported by several tiles; NMS
+    aggregation resolves the duplicates. In noisy mode each observation is
+    dropped with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
 
     A seed gives the same observations as ``observe_tiles_reference`` in
     ``tests/oracles.py``, beside which the argument sits.
@@ -298,7 +317,8 @@ def observe_tiles(
     rng = np.random.default_rng(seed)
     w_px, h_px = frame.width_px, frame.height_px
     dets = frame.detections
-    cx, cy, w, h = np.array([(d.cx, d.cy, d.w, d.h) for d in dets]).reshape(-1, 4).T
+    cx, cy, w, h, score = np.array([(d.cx, d.cy, d.w, d.h, d.score) for d in dets]).reshape(-1, 5).T
+    class_ids = [d.class_id for d in dets]
     # extent(): max(0.0, v) gives 0.0 unless v > 0.0, min(1.0, v) 1.0 unless v < 1.0
     bx0, by0 = cx - w / 2.0, cy - h / 2.0
     bx1, by1 = cx + w / 2.0, cy + h / 2.0
@@ -316,42 +336,47 @@ def observe_tiles(
         share = np.divide(inter, box_area, out=np.zeros(len(dets)),
                           where=box_area > 0.0)
         visible = np.flatnonzero(share >= min_visible)
+        noise = []
+        if drop_prob > 0.0 or jitter_sigma > 0.0:  # draws in observation order
+            kept = []
+            for k in range(len(visible)):
+                if drop_prob > 0.0 and rng.random() < drop_prob:
+                    continue
+                kept.append(k)
+                if jitter_sigma > 0.0:
+                    noise.append([float(rng.normal(0.0, jitter_sigma)) for _ in range(4)])
+            visible = visible[kept]
         # full boxes in tile-local units; they may poke outside [0, 1] locally
-        local = zip(visible.tolist(), ((cx_px[visible] - tx0) / tw).tolist(),
-                    ((cy_px[visible] - ty0) / th).tolist(), (bw_px[visible] / tw).tolist(),
-                    (bh_px[visible] / th).tolist())
-        rows = []
-        for i, cx_t, cy_t, w_t, h_t in local:
-            if drop_prob > 0.0 and rng.random() < drop_prob:
-                continue
-            if jitter_sigma > 0.0:
-                cx_t += float(rng.normal(0.0, jitter_sigma))
-                cy_t += float(rng.normal(0.0, jitter_sigma))
-                w_t = max(1e-4, w_t + float(rng.normal(0.0, jitter_sigma)))
-                h_t = max(1e-4, h_t + float(rng.normal(0.0, jitter_sigma)))
-            rows.append((cx_t, cy_t, w_t, h_t, dets[i].score, dets[i].class_id))
-        per_tile.append(rows)
+        rows = np.stack([(cx_px[visible] - tx0) / tw, (cy_px[visible] - ty0) / th,
+                         bw_px[visible] / tw, bh_px[visible] / th, score[visible]])
+        if noise:  # max(1e-4, v) gives 1e-4 unless v > 1e-4
+            rows[:4] += np.array(noise).T
+            rows[2:4] = np.where(rows[2:4] > 1e-4, rows[2:4], 1e-4)
+        per_tile.append(TileRows(rows, [class_ids[i] for i in visible.tolist()]))
     return per_tile
 
 
-def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> list[DetectionBox]:
+def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> Boxes:
     """Map tile-local observations to frame coordinates and run global NMS.
 
     Array method: all observations are remapped as arrays, with Python's
     clamps written out (``max(v, lo)`` keeps ``v`` unless ``v < lo``, so a
-    ``-0.0`` score stays ``-0.0``), and suppressed by ``nms_rows``; only
-    the kept rows become boxes. Every row is first checked in observation
-    order as its box would be: its class id goes through ``int``, and after
-    the clamps it fails ``DetectionBox``'s checks iff it holds a NaN, so
-    the kept boxes skip them and carry their rows' columns.
+    ``-0.0`` score stays ``-0.0``), and suppressed by ``nms_rows``. Every
+    row is first checked in observation order as its box would be: its
+    class id goes through ``int``, and after the clamps it fails
+    ``DetectionBox``'s checks iff it holds a NaN. The kept rows become a
+    ``Boxes``, which builds a box only when one is read.
     Results equal ``aggregate_tiles_reference`` in ``tests/oracles.py``.
     """
     if len(per_tile) != len(grid.tiles):
         raise ValueError(f"{len(per_tile)} tile lists for {len(grid.tiles)} tiles")
-    flat = [row for rows in per_tile for row in rows]
-    cx, cy, w, h, score, cids = list(zip(*flat)) or [()] * 6
-    cx, cy, w, h, score = (np.array(col, dtype=float) for col in (cx, cy, w, h, score))
-    counts = [len(rows) for rows in per_tile]
+    # a tile's carried arrays, or its plain tuples laid out on every call
+    tiles = [rows if isinstance(rows, TileRows) else TileRows(
+        np.array([row[:5] for row in rows], dtype=float).reshape(-1, 5).T,
+        [row[5] for row in rows]) for rows in per_tile]
+    cx, cy, w, h, score = np.concatenate([t.columns for t in tiles], axis=1)
+    cids = [cid for t in tiles for cid in t.class_ids]
+    counts = [len(t) for t in tiles]
     tx0, ty0, tx1, ty1 = (np.repeat(col, counts) for col in zip(*grid.tiles))
     tw, th = tx1 - tx0, ty1 - ty0
     w_px, h_px = grid.width_px, grid.height_px
@@ -370,7 +395,7 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> lis
     if bad:  # raises the box's own error for the first bad row
         DetectionBox(*boxes[:, bad[0]].tolist(), class_ids[-1])
     keep = nms_rows(*boxes, class_ids, iou_threshold)
-    return _kept_boxes(boxes[:, keep], [class_ids[k] for k in keep])
+    return Boxes(boxes[:, keep], [class_ids[k] for k in keep])
 
 
 def coarse_detect(
@@ -386,7 +411,4 @@ def coarse_detect(
     """Full coarse-detection emulation: tile, observe per tile, aggregate."""
     grid = tile_frame(frame, n, e)
     per_tile = observe_tiles(frame, grid, min_visible, drop_prob, jitter_sigma, seed)
-    boxes = aggregate_tiles(per_tile, grid, iou_threshold)
-    detections = Boxes(boxes)
-    detections.columns = boxes.columns
-    return Frame(frame.width_px, frame.height_px, detections)
+    return Frame(frame.width_px, frame.height_px, aggregate_tiles(per_tile, grid, iou_threshold))

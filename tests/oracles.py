@@ -31,6 +31,8 @@ members, also the centroid that ``ClusterGeometry.centroid`` memoises),
 ``policy_sample_reference`` (``Generator.choice``),
 ``encode_state_reference`` and ``action_mask_reference`` (slot writes
 into zero arrays) are the training step before it went to Python floats.
+``make_cluster_reference`` walks each member box's fields, before a coarse
+frame's cluster means read the lists its ``Boxes`` lays out once.
 The library must return exactly what these return.
 """
 
@@ -42,7 +44,7 @@ import math
 import numpy as np
 
 from sceneplan.clustering import BANDWIDTH_FLOOR, ClusterGeometry, transform_y
-from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
+from sceneplan.core import Cluster, ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.offload import InfeasiblePlanError, OffloadPlan, PartitionDescriptor, scale_area
 from sceneplan.ppo import masked_log_softmax
 from sceneplan.rl_env import (
@@ -153,6 +155,16 @@ def nms_reference(boxes, threshold: float):
 # taken in halves, which cannot overflow, the band edges are ordered, and an
 # infinite query bound only lands on the first or last band or clips to an
 # offset's end.
+#
+# A pair is in its window when its squared distance ``d`` (the sum below, before
+# its ``sqrt``) is at most ``within``, the largest double whose square root is
+# at most the bandwidth, found by ``nextafter`` steps from ``bandwidth**2``. The
+# correctly rounded square root is monotone, so ``d <= within`` exactly when
+# ``sqrt(d) <= bandwidth``: if ``d <= within`` then ``sqrt(d) <= sqrt(within)``,
+# and a larger ``d`` has a root past the bandwidth, or ``within`` was not the
+# largest. Where ``bandwidth**2`` overflows the steps start from inf and stop at
+# the largest finite double; where it underflows they stay at 0.0 or a
+# subnormal, and an infinite ``d`` is never within.
 #
 # The queries are point-major, bands ascending within a point, so the pairs
 # are too. The counts and window sums come from ``np.bincount`` over the
@@ -461,6 +473,24 @@ def kmeans_1d_reference(values):
     labels[order[:split]] = 0
     labels[order[split:]] = 1
     return labels
+
+
+def make_cluster_reference(members, detections) -> Cluster:
+    """A Cluster from detection indices by a walk over the member boxes."""
+    members = tuple(sorted(members))
+    if not members:
+        raise ValueError("empty cluster")
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate member indices")
+    sx = sy = sw = sh = 0.0
+    for i in members:
+        d = detections[i]
+        sx += d.cx
+        sy += d.cy
+        sw += d.w
+        sh += d.h
+    n = len(members)
+    return Cluster(members, sx / n, sy / n, sw / n, sh / n)
 
 
 # ``bounding_blocks`` computes the extents of all detections once, as

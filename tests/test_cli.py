@@ -379,9 +379,16 @@ def test_pipeline_metrics_reward_equals_final_configuration(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("min_visible", 1.5), ("drop_prob", 1.5),
-                                        ("jitter_sigma", -0.1)])
+                                        ("jitter_sigma", -0.1), ("nms_iou", 1.5),
+                                        ("block_margin", -1.0), ("transform_alpha", 1.5),
+                                        ("d_max", -5), ("bandwidth_value", 0.0),
+                                        ("reward.n_min", 0)])
 def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, value):
-    cfg_path, _ = base_config(tmp_path, **{key: value})
+    block, _, sub = key.rpartition(".")
+    overrides = {key: value}
+    if block:  # a key of the reward block: the base config's block with one value changed
+        overrides = {block: {**base_config(tmp_path)[1][block], sub: value}}
+    cfg_path, _ = base_config(tmp_path, **overrides)
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert key in capsys.readouterr().err
 

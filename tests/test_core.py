@@ -11,7 +11,7 @@ from sceneplan.core import (
     ClusterConfig,
     DetectionBox,
     Frame,
-    _kept_boxes,
+    Boxes,
     bounding_blocks,
     make_cluster,
     nms,
@@ -100,24 +100,36 @@ KEPT_ROW = st.tuples(KEPT_COORD, KEPT_COORD, KEPT_SIDE, KEPT_SIDE,
                      st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 3))
 
 
-@given(st.lists(KEPT_ROW, max_size=12))
+@given(st.lists(KEPT_ROW, max_size=12), st.data())
 @settings(max_examples=200, deadline=None)
-def test_kept_boxes_equal_validated_boxes(rows):
-    kept = _kept_boxes(np.array([row[:5] for row in rows]).reshape(-1, 5).T,
-                       [row[5] for row in rows])
+def test_kept_boxes_equal_validated_boxes(rows, data):
+    kept = Boxes(np.array([row[:5] for row in rows]).reshape(-1, 5).T,
+                 [row[5] for row in rows])
+    boxes = tuple(DetectionBox(*row) for row in rows)
     assert len(kept) == len(rows)
-    for box, row in zip(kept, rows):
-        want = DetectionBox(*row)
-        assert type(box) is DetectionBox
-        assert box == want and hash(box) == hash(want)
-        # repr tells -0.0 from 0.0, and each field's type apart
-        assert repr(box) == repr(want)
-        assert [type(v) for v in dataclasses.astuple(box)] == \
-            [type(v) for v in dataclasses.astuple(want)]
+    for k, want in enumerate(boxes):
+        # read by index (negative too) and by iteration, each a new box
+        for box in (kept[k], kept[k - len(rows)], list(kept)[k]):
+            assert type(box) is DetectionBox
+            assert box == want and hash(box) == hash(want)
+            # repr tells -0.0 from 0.0, and each field's type apart
+            assert repr(box) == repr(want)
+            assert [type(v) for v in dataclasses.astuple(box)] == \
+                [type(v) for v in dataclasses.astuple(want)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             box.cx = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             del box.score
+    for k in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            kept[k]
+    cut = slice(*data.draw(st.tuples(*[st.none() | st.integers(-14, 14)] * 2)),
+                data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+    assert repr(kept[cut]) == repr(boxes[cut])
+    assert kept == boxes and boxes == kept and hash(kept) == hash(boxes)
+    assert kept == Boxes(np.array([row[:5] for row in rows]).reshape(-1, 5).T,
+                         [row[5] for row in rows])
+    assert kept != list(boxes) and (not rows or kept != boxes[1:])
     assert kept.columns.shape == (len(rows), 4) and not kept.columns.flags.writeable
 
 

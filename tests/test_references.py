@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from sceneplan.clustering import (
     ClusterGeometry,
     TransformParams,
+    estimate_bandwidth,
     kmeans_1d,
     meanshift,
     select_merge_pair,
     split_cluster,
 )
 from sceneplan.core import (
+    Boxes,
     ClusterConfig,
     DetectionBox,
     Frame,
@@ -38,7 +40,7 @@ from sceneplan.offload import (
 )
 from sceneplan.ppo import masked_log_softmax, policy_sample
 from sceneplan.rl_env import action_mask, encode_state
-from sceneplan.scene import aggregate_tiles, observe_tiles, tile_frame
+from sceneplan.scene import TileRows, aggregate_tiles, coarse_detect, observe_tiles, tile_frame
 
 from oracles import (
     action_mask_reference,
@@ -46,8 +48,10 @@ from oracles import (
     bounding_block_reference,
     dp_plan_reference,
     encode_state_reference,
+    estimate_bandwidth_reference,
     geometry_stats_reference,
     kmeans_1d_reference,
+    make_cluster_reference,
     meanshift_reference,
     nms_reference,
     observe_tiles_reference,
@@ -63,14 +67,15 @@ from oracles import (
 
 
 def plain(value):
-    """Arrays, dataclasses, tuples and lists as nested lists of Python
-    scalars, each float beside its sign (so -0.0 differs from 0.0); an
-    array keeps its dtype and shape beside its values."""
+    """Arrays, dataclasses, tuples, lists and the library's row sequences
+    (``Boxes``, ``TileRows``) as nested lists of Python scalars, each float
+    beside its sign (so -0.0 differs from 0.0); an array keeps its dtype
+    and shape beside its values."""
     if isinstance(value, np.ndarray):
         return ("ndarray", value.dtype.str, value.shape, plain(value.tolist()))
     if dataclasses.is_dataclass(value):
         return plain(dataclasses.astuple(value))
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list, Boxes, TileRows)):
         return [plain(v) for v in value]
     if isinstance(value, float):
         return (value, math.copysign(1.0, value))
@@ -338,14 +343,18 @@ FRAMES = st.builds(
 TILES = st.sampled_from([(1, 1), (1, 4), (2, 3), (3, 4)])
 
 
+# the observation settings: min_visible, drop_prob and jitter_sigma (noise
+# off or on) and a seed
+OBSERVING = (st.floats(0.01, 1.0), st.just(0.0) | st.floats(0.01, 0.9),
+             st.just(0.0) | st.floats(1e-4, 0.05), st.integers(0, 2 ** 32 - 1))
+
+
 @st.composite
 def observe_args(draw):
     """Frames of 0-40 boxes of two classes, a grid, and the observation
-    settings, noise off or on."""
+    settings."""
     frame = draw(FRAMES)
-    return (frame, tile_frame(frame, *draw(TILES)), draw(st.floats(0.01, 1.0)),
-            draw(st.just(0.0) | st.floats(0.01, 0.9)),
-            draw(st.just(0.0) | st.floats(1e-4, 0.05)), draw(st.integers(0, 2 ** 32 - 1)))
+    return (frame, tile_frame(frame, *draw(TILES)), *draw(st.tuples(*OBSERVING)))
 
 
 # tile-local rows past the frame's edges, sides to clamp, signed zeros
@@ -365,6 +374,52 @@ def aggregate_args(draw):
     for rows in per_tile:
         rows.extend(draw(st.lists(EDGE_ROW, max_size=3)))
     return per_tile, grid, draw(st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.95))
+
+
+def coarse_new(frame, tiles, iou_threshold, *settings_):
+    return coarse_detect(frame, *tiles, iou_threshold, *settings_).detections
+
+
+def coarse_reference(frame, tiles, iou_threshold, *settings_):
+    grid = tile_frame(frame, *tiles)
+    return aggregate_tiles_reference(observe_tiles_reference(frame, grid, *settings_), grid,
+                                     iou_threshold)
+
+
+coarse_args = st.tuples(FRAMES, TILES, st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.95),
+                        *OBSERVING)
+
+
+# --- make_cluster -------------------------------------------------------------------
+
+@st.composite
+def cluster_args(draw):
+    """Members of a coarse frame (noisy, so some boxes clamp onto the
+    frame's edges) or of the same boxes as a plain tuple: in any order,
+    sometimes with duplicates, or none."""
+    detections = coarse_new(*draw(coarse_args))
+    if draw(st.booleans()):
+        detections = tuple(detections)
+    n = len(detections)
+    members = draw(st.lists(st.integers(0, n - 1), unique=draw(st.booleans()),
+                            max_size=n + 2)) if n else []
+    return members, detections
+
+
+# --- estimate_bandwidth -------------------------------------------------------------
+
+@st.composite
+def bandwidth_points(draw):
+    """2 to 1,000 uniform points in the unit square (1,000 is the most that
+    is not subsampled), or their copies on a 1/8 grid, which add coincident
+    points and exact distance ties."""
+    n = draw(st.sampled_from([2, 3, 17, 250, 999, 1000]))
+    pts = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(size=(n, 2))
+    return (np.round(pts * 8) / 8 if draw(st.booleans()) else pts,)
+
+
+def at_quantiles(estimate):
+    return lambda points: [estimate(points, q) for q in (0.05, 0.2, 0.9)]
 
 
 # --- nms ---------------------------------------------------------------------------
@@ -546,6 +601,10 @@ REGISTRY = [
      meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_tiles, aggregate_tiles_reference, aggregate_args(), 100),
+    ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),
+    ("make_cluster", caught(make_cluster), caught(make_cluster_reference), cluster_args(), 200),
+    ("estimate_bandwidth", at_quantiles(estimate_bandwidth),
+     at_quantiles(estimate_bandwidth_reference), bandwidth_points(), 24),
     ("nms_random_boxes", kept_ids(nms), kept_ids(nms_reference),
      st.tuples(RANDOM_BOXES, st.just(0.5)), 30),
     ("nms_ties_duplicates_and_touching_edges", kept_ids(nms), kept_ids(nms_reference),

@@ -466,6 +466,13 @@ def test_coarse_frame_columns_are_its_boxes_fields(noise):
     coarse = coarse_detect(frame, 2, 4, **noise)
     assert len(coarse.detections) > 400
     assert column_bits(coarse.detections.columns) == field_bits(coarse.detections)
+    # each box is built from its row on reading, as a validated DetectionBox
+    boxes = coarse.detections
+    want = tuple(DetectionBox(*row, score, cid) for row, score, cid in
+                 zip(boxes.columns.tolist(), boxes.fields[4], boxes.class_ids))
+    assert [(type(b), repr(b)) for b in boxes] == [(type(b), repr(b)) for b in want]
+    assert boxes == want and hash(boxes) == hash(want) and len(boxes) == len(want)
+    assert boxes[5:-3:7] == want[5:-3:7] and boxes[-1] == want[-1]
 
 
 @pytest.mark.parametrize("name", ["dets.json", "dets.csv"])
