@@ -39,13 +39,15 @@ print(f"state vector: length {len(state)} "
       f"(5 features x 8 slots + normalized count)")
 
 
-def merge_down(state, mask, rng):
-    """Merge while over the count band, then keep."""
-    return MERGE if env.config.count > weights.n_max else KEEP
+def merge_down(states, masks, rng):
+    """Merge while over the count band, then keep (one action per row of
+    the stacked states; here the one episode's)."""
+    return [MERGE if env.config.count > weights.n_max else KEEP]
 
 
 # rollout restarts from the same MeanShift clustering and runs t_max steps
-final, trace = rollout(env, merge_down)
+trace = rollout([env], merge_down).traces[0]
+final = trace[-1].config
 
 print()
 print("step  action  N   R1(tight)  R2(areavar)  R3(count)  R4(close)  reward")

@@ -55,9 +55,9 @@ def evaluate(name, policy_fn):
     finals, ns = [], []
     for seed, frame in held_out:
         env = ClusterEnv(frame, env_cfg, hyper.t_max)
-        final, trace = rollout(env, policy_fn, np.random.default_rng(seed))
+        trace = rollout([env], policy_fn, np.random.default_rng(seed)).traces[0]
         finals.append(trace[-1].reward)
-        ns.append(final.count)
+        ns.append(trace[-1].config.count)
     finals, ns = np.array(finals), np.array(ns)
     in_band = np.mean((ns >= weights.n_min) & (ns <= weights.n_max))
     print(f"  {name:8s} mean final reward {finals.mean():8.3f}   "

@@ -249,7 +249,8 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
         raise ValueError("empty scene after coarse detection")
     choose, ckpt = policy
     env = policy_env(coarse, _env_config(cfg), cfg["t_max"], ckpt)
-    final, trace = rollout(env, choose, np.random.default_rng(scene_seed + 1))
+    trace = rollout([env], choose, np.random.default_rng(scene_seed + 1)).traces[0]
+    final = trace[-1].config
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     parts = partitions_from_blocks(final, coarse, blocks)
     clusters = [{
@@ -423,7 +424,8 @@ def cmd_eval(args) -> None:
     for name, choose in policies:
         for scene_seed, frame in frames:
             env = policy_env(frame, env_config, cfg["t_max"], ckpt)
-            final, trace = rollout(env, choose, np.random.default_rng(scene_seed))
+            trace = rollout([env], choose, np.random.default_rng(scene_seed)).traces[0]
+            final = trace[-1].config
             in_range = ckpt.weights.n_min <= final.count <= ckpt.weights.n_max
             rows.append({
                 "policy": name,

@@ -1,13 +1,17 @@
-"""Policy/critic networks, the episode rollout, clipped-surrogate training,
-greedy inference, and checkpoint persistence.
+"""Policy/critic networks, the lockstep episode rollout, clipped-surrogate
+training, greedy inference, and checkpoint persistence.
 
 Both networks are plain two-hidden-layer MLPs (128 units, rectifier)
 implemented directly in numpy with exact backpropagation; updates are the
 plain gradient steps of the training algorithm (ascent on the clipped
 surrogate for the policy, descent on the value MSE for the critic).
 Training, inference and the command line all roll episodes through one
-loop, ``rollout``, over an environment from ``policy_env``. Everything is
-deterministic for a fixed seed.
+loop, ``rollout``, over environments from ``policy_env``. It steps its
+environments in lockstep: each step stacks their states and masks into one
+batch, so one policy call chooses every episode's action, and each
+environment then steps on its own. Training rolls an iteration's
+``episodes_per_iter`` episodes together (``collect``); inference and the
+command line roll one. Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -147,47 +151,55 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return shifted - lse
 
 
-def policy_sample(logits, mask, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw an action from the masked softmax; never picks an invalid id.
+def policy_sample(logits, masks, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one action per row of (B, A) logits from the row's masked
+    softmax; returns the B actions and their log-probabilities, and never
+    picks an invalid id.
 
-    The draw is ``Generator.choice``'s own method without its per-call
-    set-up: the normalised cumulative probabilities are searched for one
-    ``rng.random()`` (``side="right"``), so actions and generator state
-    equal ``policy_sample_reference`` in ``tests/oracles.py``, which calls
-    ``rng.choice(len(p), p=p)``. As in ``choice``, probabilities that are
-    NaN or do not sum to 1 within sqrt(eps) raise ``ValueError``.
+    Each row is drawn by ``Generator.choice``'s own method without its
+    per-call set-up: the row's normalised cumulative probabilities are
+    searched for one uniform (``side="right"``). The B uniforms come from
+    one ``rng.random(B)``, which equals B successive ``rng.random()`` draws,
+    so actions and generator state equal ``policy_sample_reference`` in
+    ``tests/oracles.py``, which calls ``rng.choice(len(p), p=p)``, run on
+    the rows in order on the same stream. As in ``choice``, a row whose
+    probabilities are NaN or do not sum to 1 within sqrt(eps) raises
+    ``ValueError``; then nothing is drawn.
     """
-    logp = masked_log_softmax(logits, mask)
+    logp = masked_log_softmax(logits, masks)
     p = np.exp(logp)
-    p = p / p.sum()
-    cdf = p.cumsum()
-    total = float(cdf[-1])
-    if not abs(total - 1.0) <= _CHOICE_ATOL:  # also true for NaN
-        raise ValueError(f"action probabilities sum to {total}, not 1")
-    cdf /= cdf[-1]
-    action = int(cdf.searchsorted(rng.random(), side="right"))
-    return action, float(logp[action])
+    p /= p.sum(axis=1, keepdims=True)
+    cdf = p.cumsum(axis=1)
+    total = cdf[:, -1:].copy()
+    off = ~(np.abs(total - 1.0) <= _CHOICE_ATOL)  # also true for NaN
+    if off.any():
+        raise ValueError(f"action probabilities sum to {total[off][0]}, not 1")
+    cdf /= total
+    # searchsorted(side="right") on a non-decreasing row counts entries <= u
+    actions = (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+    return actions, logp[np.arange(len(actions)), actions]
 
 
-def greedy_action(logits, mask) -> int:
-    """Masked argmax; ties resolve to the lowest action id."""
-    masked = np.where(np.asarray(mask, dtype=bool), logits, -np.inf)
-    return int(np.argmax(masked))
+def greedy_action(logits, masks) -> np.ndarray:
+    """Masked argmax over the last axis; ties resolve to the lowest action id."""
+    return np.where(np.asarray(masks, dtype=bool), logits, -np.inf).argmax(axis=-1)
 
 
 def compute_returns_advantages(rewards, gamma: float, values):
-    """Discounted returns by backward recursion and raw advantages G - V.
+    """Discounted returns by backward recursion over the last axis (one
+    episode per row) and raw advantages G - V.
 
     Standardization is applied later, across a whole collection batch; the
     per-episode values returned here are untouched.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    g = np.zeros(len(rewards))
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        g[t] = acc
+    g = np.zeros(rewards.shape)
+    acc = np.zeros(rewards.shape[:-1])
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        acc = rewards[..., t] + gamma * acc
+        g[..., t] = acc
     return g, g - values
 
 
@@ -220,8 +232,11 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
                            hyper: Hyperparams):
     """Clipped-surrogate value and its exact gradient (ascent direction).
 
-    The reported surrogate excludes the entropy bonus; the gradient
-    includes it.
+    The first value is a dict: the surrogate ``policy_loss`` (without the
+    entropy bonus, which the gradient includes), the ``approx_kl`` of the
+    behaviour policy from the current one (the mean of (r - 1) - log r),
+    the ``clip_frac`` of samples with |r - 1| > clip_eps, and the mean
+    ``entropy`` of the masked policy.
     """
     b = len(batch)
     acts, pre = _forward_cache(policy, batch.states)
@@ -231,8 +246,8 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
     # -inf log-probs of masked actions would poison products; zero them out
     safe_logp = np.where(batch.masks, logp_all, 0.0)
     rows = np.arange(b)
-    logp = logp_all[rows, batch.actions]
-    ratio = np.exp(logp - batch.old_logp)
+    log_ratio = logp_all[rows, batch.actions] - batch.old_logp
+    ratio = np.exp(log_ratio)
     adv = batch.advantages
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - hyper.clip_eps, 1.0 + hyper.clip_eps) * adv
@@ -245,12 +260,18 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
     onehot = np.zeros_like(p)
     onehot[rows, batch.actions] = 1.0
     dlogits = dlogp[:, None] * (onehot - p)
+    entropy = -(p * safe_logp).sum(axis=1)
     if hyper.entropy_coef > 0.0:
-        entropy = -(p * safe_logp).sum(axis=1)
         dent = -p * (safe_logp + entropy[:, None])
         dlogits = dlogits + hyper.entropy_coef * dent / b
     dws, dbs = _backward(policy, acts, pre, dlogits)
-    return l_clip, dws, dbs
+    terms = {
+        "policy_loss": l_clip,
+        "approx_kl": float(((ratio - 1.0) - log_ratio).mean()),
+        "clip_frac": float((np.abs(ratio - 1.0) > hyper.clip_eps).mean()),
+        "entropy": float(entropy.mean()),
+    }
+    return terms, dws, dbs
 
 
 def _critic_loss_grad(critic: MlpParams, batch: TrajectoryBatch):
@@ -266,15 +287,18 @@ def _critic_loss_grad(critic: MlpParams, batch: TrajectoryBatch):
 
 
 def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
-               hyper: Hyperparams) -> tuple[MlpParams, MlpParams, float, float]:
+               hyper: Hyperparams) -> tuple[MlpParams, MlpParams, dict]:
     """One plain gradient step on each network over the given batch.
 
     Policy ascends the clipped surrogate (plus entropy bonus), critic
-    descends the value MSE. Raises FloatingPointError on non-finite loss.
+    descends the value MSE. Returns the new networks and the step's
+    figures, taken before it: ``value_loss`` and the terms of
+    ``_policy_objective_grad``. Raises FloatingPointError on non-finite loss.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    l_clip, pdw, pdb = _policy_objective_grad(policy, batch, hyper)
+    terms, pdw, pdb = _policy_objective_grad(policy, batch, hyper)
+    l_clip = terms["policy_loss"]
     l_value, cdw, cdb = _critic_loss_grad(critic, batch)
     if not (np.isfinite(l_clip) and np.isfinite(l_value)):
         raise FloatingPointError(
@@ -287,7 +311,7 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
         [w - hyper.lr_critic * dw for w, dw in zip(critic.weights, cdw)],
         [b - hyper.lr_critic * db for b, db in zip(critic.biases, cdb)],
     )
-    return new_policy, new_critic, l_clip, l_value
+    return new_policy, new_critic, {**terms, "value_loss": l_value}
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +342,94 @@ def policy_env(frame: Frame, env_config: EnvConfig, t_max: int,
     return ClusterEnv(frame, env_config, t_max)
 
 
-def rollout(env: ClusterEnv, choose, rng: np.random.Generator | None = None,
-            ) -> tuple[ClusterConfig, list[StepOutcome]]:
-    """Roll one fixed-length episode from the MeanShift start, taking
-    ``choose(state, mask, rng)`` at every step; returns the final
-    configuration and the per-step trace."""
-    s = env.reset()
-    trace = []
-    for _ in range(env.t_max):
-        out = env.step(choose(s, env.mask(), rng))
-        trace.append(out)
-        s = out.state
-    return env.config, trace
+@dataclass
+class Episodes:
+    """Episodes rolled in lockstep. Entry [e, t] of each array belongs to
+    step t of episode e: the state and mask its action was chosen in, and
+    the action; ``traces[e][t]`` is that step's outcome."""
+
+    traces: list[list[StepOutcome]]
+    states: np.ndarray   # (E, T, state_dim)
+    masks: np.ndarray    # (E, T, n_actions) bool
+    actions: np.ndarray  # (E, T) int
 
 
-def sampling_policy(policy: MlpParams, record: list):
-    """Samples from the masked softmax of the policy net and appends each
-    step's (state, action, log-prob, mask) to ``record``."""
+def rollout(envs: list[ClusterEnv], choose,
+            rng: np.random.Generator | None = None) -> Episodes:
+    """Roll one fixed-length episode per environment, each from its
+    MeanShift start, in lockstep.
 
-    def choose(state, mask, rng) -> int:
-        action, logp = policy_sample(mlp_forward(policy, state), mask, rng)
-        record.append((state, action, logp, mask))
-        return action
+    At every step ``choose(states, masks, rng)`` gets the E states and
+    masks as (E, state_dim) and (E, n_actions) arrays and returns the E
+    actions; then each environment steps on its own, in order. The
+    environments share t_max and n_pad.
+    """
+    t_max, n_pad = envs[0].t_max, envs[0].env_config.n_pad
+    if any((env.t_max, env.env_config.n_pad) != (t_max, n_pad) for env in envs):
+        raise ValueError("environments rolled together must share t_max and n_pad")
+    n = len(envs)
+    states = np.empty((n, t_max, state_dim(n_pad)))
+    masks = np.empty((n, t_max, n_actions(n_pad)), dtype=bool)
+    actions = np.empty((n, t_max), dtype=int)
+    traces = [[] for _ in envs]
+    for e, env in enumerate(envs):
+        states[e, 0] = env.reset()
+        masks[e, 0] = env.mask()
+    for t in range(t_max):
+        actions[:, t] = choose(states[:, t], masks[:, t], rng)
+        for e, env in enumerate(envs):
+            out = env.step(int(actions[e, t]))
+            traces[e].append(out)
+            if t + 1 < t_max:
+                states[e, t + 1] = out.state
+                masks[e, t + 1] = env.mask()
+    return Episodes(traces, states, masks, actions)
 
-    return choose
+
+def collect(policy: MlpParams, critic: MlpParams, envs: list[ClusterEnv],
+            gamma: float, rng: np.random.Generator
+            ) -> tuple[TrajectoryBatch, Episodes, dict]:
+    """Roll ``envs`` in lockstep under the policy, each step's actions drawn
+    by one ``policy_sample`` over the batched logits, and lay the
+    transitions out episode-major for the update.
+
+    Returns are discounted per episode; the advantages take one critic pass
+    over all E·T states and are standardised over the batch. Also returns
+    the episodes and the collection's training-log figures: the mean
+    episode return, the mean final cluster count, and the critic's
+    explained variance of the returns (NaN when the returns do not vary).
+    """
+    logps = []
+
+    def sample(states, masks, rng):
+        actions, logp = policy_sample(mlp_forward(policy, states), masks, rng)
+        logps.append(logp)
+        return actions
+
+    episodes = rollout(envs, sample, rng)
+    n = episodes.actions.size
+    states = episodes.states.reshape(n, -1)
+    rewards = np.array([[out.reward for out in trace] for trace in episodes.traces])
+    values = mlp_forward(critic, states)[:, 0]
+    returns, advantages = compute_returns_advantages(
+        rewards, gamma, values.reshape(rewards.shape))
+    returns = returns.ravel()
+    batch = TrajectoryBatch(
+        states=states,
+        actions=episodes.actions.ravel(),
+        old_logp=np.stack(logps, axis=1).ravel(),
+        advantages=standardize_advantages(advantages.ravel()),
+        returns=returns,
+        masks=episodes.masks.reshape(n, -1),
+    )
+    spread = returns.var()
+    return batch, episodes, {
+        "mean_return": float(rewards.sum(axis=1).mean()),
+        "mean_N_final": float(np.mean([trace[-1].config.count
+                                       for trace in episodes.traces])),
+        "explained_variance": (float(1.0 - (returns - values).var() / spread)
+                               if spread > 0 else float("nan")),
+    }
 
 
 def sampler_from_spec(spec):
@@ -354,11 +442,28 @@ def sampler_from_spec(spec):
     return sample
 
 
+TRAINING_LOG_COLUMNS = ("iteration", "mean_return", "policy_loss", "value_loss",
+                        "mean_N_final", "approx_kl", "clip_frac", "entropy",
+                        "explained_variance")
+
+
 def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
           log_path=None) -> PolicyCheckpoint:
     """Iterate exploration (fresh scenes, sampled actions) and optimization
     (minibatch clipped-surrogate / value-MSE steps); returns the final
     checkpoint. Fully deterministic for a fixed hyper.seed.
+
+    Each iteration samples its ``episodes_per_iter`` scenes before its first
+    step, then rolls their episodes in lockstep (``collect``). The one
+    generator, seeded with hyper.seed, is read in this order: the policy's
+    and then the critic's initial weights; then, per iteration, the E scene
+    seeds (one ``rng.integers``), the E uniforms of each step's action draw
+    (one ``rng.random(E)`` per step, t_max steps), and one permutation per
+    epoch.
+
+    ``log_path`` receives one CSV row per iteration (TRAINING_LOG_COLUMNS):
+    the collection's figures from ``collect``, and the means over the
+    iteration's minibatch steps of the figures ``ppo_update`` returns.
     """
     rng = np.random.default_rng(hyper.seed)
     dim = state_dim(env_config.n_pad)
@@ -368,52 +473,23 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
     log_rows = []
     mean_return = float("nan")
     for it in range(hyper.iterations):
-        steps, advantages, returns = [], [], []
-        ep_returns, finals = [], []
-        for _ in range(hyper.episodes_per_iter):
-            frame = scene_sampler(int(rng.integers(0, 2 ** 31 - 1)))
-            episode = []
-            final, trace = rollout(policy_env(frame, env_config, hyper.t_max),
-                                   sampling_policy(policy, episode), rng)
-            steps.extend(episode)
-            r = [out.reward for out in trace]
-            values = mlp_forward(critic, np.array([st[0] for st in episode]))[:, 0]
-            g, adv = compute_returns_advantages(r, hyper.gamma, values)
-            advantages.extend(adv)
-            returns.extend(g)
-            ep_returns.append(float(np.sum(r)))
-            finals.append(final.count)
-        states, actions, logps, masks = zip(*steps)
-        batch = TrajectoryBatch(
-            states=np.array(states),
-            actions=np.array(actions, dtype=int),
-            old_logp=np.array(logps),
-            advantages=standardize_advantages(np.array(advantages)),
-            returns=np.array(returns),
-            masks=np.array(masks, dtype=bool),
-        )
-        clip_losses, value_losses = [], []
-        total = len(batch)
+        seeds = rng.integers(0, 2 ** 31 - 1, size=hyper.episodes_per_iter)
+        envs = [policy_env(scene_sampler(int(seed)), env_config, hyper.t_max)
+                for seed in seeds]
+        batch, _, figures = collect(policy, critic, envs, hyper.gamma, rng)
+        steps = []
         for _ in range(hyper.epochs):
-            perm = rng.permutation(total)
-            for lo in range(0, total, hyper.batch_size):
+            perm = rng.permutation(len(batch))
+            for lo in range(0, len(batch), hyper.batch_size):
                 mb = batch.take(perm[lo:lo + hyper.batch_size])
-                policy, critic, lc, lv = ppo_update(policy, critic, mb, hyper)
-                clip_losses.append(lc)
-                value_losses.append(lv)
-        mean_return = float(np.mean(ep_returns))
-        log_rows.append({
-            "iteration": it,
-            "mean_return": mean_return,
-            "policy_loss": float(np.mean(clip_losses)),
-            "value_loss": float(np.mean(value_losses)),
-            "mean_N_final": float(np.mean(finals)),
-        })
+                policy, critic, step_figures = ppo_update(policy, critic, mb, hyper)
+                steps.append(step_figures)
+        mean_return = figures["mean_return"]
+        log_rows.append({"iteration": it, **figures,
+                         **{k: float(np.mean([f[k] for f in steps])) for k in steps[0]}})
     if log_path is not None:
         with atomic_write(log_path) as f:
-            writer = csv.DictWriter(f, fieldnames=[
-                "iteration", "mean_return", "policy_loss", "value_loss",
-                "mean_N_final"])
+            writer = csv.DictWriter(f, fieldnames=TRAINING_LOG_COLUMNS)
             writer.writeheader()
             writer.writerows(log_rows)
     return PolicyCheckpoint(
@@ -434,21 +510,21 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
 def greedy_policy(ckpt: PolicyCheckpoint):
     """Masked-argmax action chooser over the checkpoint's policy net."""
 
-    def choose(state, mask, rng) -> int:
-        return greedy_action(mlp_forward(ckpt.policy, state), mask)
+    def choose(states, masks, rng) -> np.ndarray:
+        return greedy_action(mlp_forward(ckpt.policy, states), masks)
 
     return choose
 
 
-def keep_policy(state, mask, rng) -> int:
+def keep_policy(states, masks, rng) -> np.ndarray:
     """Action chooser that always keeps the configuration."""
-    return KEEP
+    return np.full(len(states), KEEP)
 
 
-def random_policy(state, mask, rng) -> int:
-    """Action chooser uniform over the currently valid actions; needs the
-    caller's rng."""
-    return int(rng.choice(np.flatnonzero(mask)))
+def random_policy(states, masks, rng) -> list[int]:
+    """Action chooser uniform over each row's valid actions, one
+    ``rng.choice`` per row in order; needs the caller's rng."""
+    return [int(rng.choice(np.flatnonzero(mask))) for mask in masks]
 
 
 def infer_clusters(
@@ -466,8 +542,7 @@ def infer_clusters(
             f"checkpoint built for n_pad={ckpt.n_pad}, requested {n_pad}")
     env = policy_env(frame, EnvConfig(transform=transform, bandwidth=bandwidth),
                      ckpt.hyper.t_max if t_max is None else t_max, ckpt)
-    final, _ = rollout(env, greedy_policy(ckpt))
-    return final
+    return rollout([env], greedy_policy(ckpt)).traces[0][-1].config
 
 
 # ---------------------------------------------------------------------------

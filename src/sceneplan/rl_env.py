@@ -264,7 +264,8 @@ class ClusterEnv:
     ``ClusterGeometry`` and starts from the MeanShift clustering in it;
     every step then merges, splits and scores in that geometry, so
     per-cluster statistics are memoised for one episode only.
-    ``ppo.rollout`` drives an episode of exactly t_max steps with a policy.
+    ``ppo.rollout`` drives episodes of exactly t_max steps with a policy,
+    stepping several environments in lockstep.
     """
 
     def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):

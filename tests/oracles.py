@@ -30,7 +30,9 @@ budget; ``generate_scene_reference`` draws each stratum with
 members, also the centroid that ``ClusterGeometry.centroid`` memoises),
 ``policy_sample_reference`` (``Generator.choice``),
 ``encode_state_reference`` and ``action_mask_reference`` (slot writes
-into zero arrays) are the training step before it went to Python floats.
+into zero arrays) are the training step before it went to Python floats;
+``policy_sample_rows_reference`` draws a batch row by row on one stream,
+as sampling went before the episodes of an iteration stepped together.
 ``make_cluster_reference`` walks each member box's fields, before a coarse
 frame's cluster means read the lists its ``Boxes`` lays out once.
 The library must return exactly what these return.
@@ -596,6 +598,13 @@ def policy_sample_reference(logits, mask, rng):
     p = p / p.sum()
     action = int(rng.choice(len(p), p=p))
     return action, float(logp[action])
+
+
+def policy_sample_rows_reference(logits, masks, rng):
+    """``policy_sample_reference`` on each row in order, from one stream;
+    the actions and log-probabilities as arrays."""
+    draws = [policy_sample_reference(row, mask, rng) for row, mask in zip(logits, masks)]
+    return np.array([a for a, _ in draws]), np.array([lp for _, lp in draws])
 
 
 def precision_lookup_reference(profile, area_px2: float) -> float:

@@ -203,13 +203,8 @@ def test_04_gradient_correctness():
             states = rng.uniform(0, 1, (5, dim))
             masks = np.ones((5, acts), dtype=bool)
             masks[:, 2:] = rng.random((5, acts - 2)) < 0.5
-            logits = mlp_forward(behavior, states)
-            actions, logps = [], []
-            for k in range(5):
-                a, lp = policy_sample(logits[k], masks[k], rng)
-                actions.append(a)
-                logps.append(lp)
-            batch = TrajectoryBatch(states, np.array(actions), np.array(logps),
+            actions, logps = policy_sample(mlp_forward(behavior, states), masks, rng)
+            batch = TrajectoryBatch(states, actions, logps,
                                     rng.normal(size=5), rng.normal(size=5),
                                     masks)
             kink = min(
@@ -288,9 +283,9 @@ def test_07_training_efficacy():
         finals, ns = [], []
         for seed, frame in frames:
             env = ClusterEnv(frame, DESK_ENV, DESK_HYPER.t_max)
-            final, trace = rollout(env, policy_fn, np.random.default_rng(seed))
+            trace = rollout([env], policy_fn, np.random.default_rng(seed)).traces[0]
             finals.append(trace[-1].reward)
-            ns.append(final.count)
+            ns.append(trace[-1].config.count)
         return np.array(finals), np.array(ns)
 
     fr_t, n_t = evaluate(greedy_policy(ckpt))

@@ -104,8 +104,8 @@ def test_forward_dim_mismatch(rng):
 def test_sample_single_valid_action(rng):
     logits = np.array([5.0, -1.0, 3.0])
     mask = np.array([False, True, False])
-    action, logp = policy_sample(logits, mask, rng)
-    assert action == 1 and logp == 0.0
+    actions, logps = policy_sample(logits[None], mask[None], rng)
+    assert actions.tolist() == [1] and logps.tolist() == [0.0]
 
 
 def test_sample_uniform_frequencies():
@@ -113,10 +113,8 @@ def test_sample_uniform_frequencies():
     logits = np.zeros(6)
     mask = np.array([True, True, True, True, False, False])
     n = 100_000
-    counts = np.zeros(6)
-    for _ in range(n):
-        a, _ = policy_sample(logits, mask, rng)
-        counts[a] += 1
+    actions, _ = policy_sample(np.tile(logits, (n, 1)), np.tile(mask, (n, 1)), rng)
+    counts = np.bincount(actions, minlength=6)
     freqs = counts / n
     sigma = math.sqrt(0.25 * 0.75 / n)
     for k in range(4):
@@ -127,9 +125,8 @@ def test_sample_uniform_frequencies():
 def test_sample_never_masked(rng):
     logits = np.array([0.0, 100.0, 0.0])
     mask = np.array([True, False, True])
-    for _ in range(1000):
-        a, _ = policy_sample(logits, mask, rng)
-        assert a != 1
+    actions, _ = policy_sample(np.tile(logits, (1000, 1)), np.tile(mask, (1000, 1)), rng)
+    assert (actions != 1).all()
 
 
 def test_masked_probabilities_sum_to_one(rng):
@@ -196,18 +193,11 @@ def make_batch(rng, policy, n=12, n_act=4, ratio=None, adv=None):
     states = rng.normal(size=(n, dim))
     masks = np.ones((n, n_act), dtype=bool)
     masks[:, -1] = rng.random(n) < 0.5
-    logits = mlp_forward(policy, states)
-    actions = []
-    logps = []
-    for k in range(n):
-        a, lp = policy_sample(logits[k], masks[k], rng)
-        actions.append(a)
-        logps.append(lp)
-    old_logp = np.array(logps)
+    actions, old_logp = policy_sample(mlp_forward(policy, states), masks, rng)
     if ratio is not None:
         old_logp = old_logp - math.log(ratio)
     advantages = adv if adv is not None else rng.normal(size=n)
-    return TrajectoryBatch(states, np.array(actions), old_logp,
+    return TrajectoryBatch(states, actions, old_logp,
                            np.asarray(advantages, dtype=float),
                            rng.normal(size=n), masks)
 
@@ -216,8 +206,11 @@ def test_update_identity_ratio_surrogate(rng):
     policy = init_mlp(rng, [6, 8, 8, 4])
     critic = init_mlp(rng, [6, 8, 8, 1])
     batch = make_batch(rng, policy)
-    _, _, l_clip, _ = ppo_update(policy, critic, batch, tiny_hyper())
-    assert l_clip == pytest.approx(float(batch.advantages.mean()), abs=1e-12)
+    _, _, figures = ppo_update(policy, critic, batch, tiny_hyper())
+    assert figures["policy_loss"] == pytest.approx(float(batch.advantages.mean()), abs=1e-12)
+    # behaviour and current policy are one: ratio 1, nothing clipped
+    assert figures["approx_kl"] == pytest.approx(0.0, abs=1e-12)
+    assert figures["clip_frac"] == 0.0
 
 
 def test_update_clip_region_flat(rng):
@@ -227,14 +220,14 @@ def test_update_clip_region_flat(rng):
     hyper = tiny_hyper(entropy_coef=0.0)
     pos = [ppo_update(policy, critic,
                       make_batch(np.random.default_rng(3), policy, ratio=r,
-                                 adv=np.ones(12)), hyper)[2]
+                                 adv=np.ones(12)), hyper)[2]["policy_loss"]
            for r in (1.3, 1.7, 2.5)]
     assert pos[0] == pytest.approx(1.2, abs=1e-9)
     assert pos[0] == pytest.approx(pos[1], abs=1e-12)
     assert pos[1] == pytest.approx(pos[2], abs=1e-12)
     neg = [ppo_update(policy, critic,
                       make_batch(np.random.default_rng(4), policy, ratio=r,
-                                 adv=-np.ones(12)), hyper)[2]
+                                 adv=-np.ones(12)), hyper)[2]["policy_loss"]
            for r in (0.7, 0.4, 0.1)]
     assert neg[0] == pytest.approx(-0.8, abs=1e-9)
     assert neg[0] == pytest.approx(neg[1], abs=1e-12)
@@ -247,8 +240,10 @@ def test_update_inside_clip_region_tracks_ratio(rng):
     hyper = tiny_hyper(entropy_coef=0.0)
     r = 1.1
     batch = make_batch(np.random.default_rng(5), policy, ratio=r, adv=np.ones(12))
-    _, _, l_clip, _ = ppo_update(policy, critic, batch, hyper)
-    assert l_clip == pytest.approx(r, rel=1e-9)
+    _, _, figures = ppo_update(policy, critic, batch, hyper)
+    assert figures["policy_loss"] == pytest.approx(r, rel=1e-9)
+    assert figures["clip_frac"] == 0.0
+    assert figures["approx_kl"] == pytest.approx((r - 1) - math.log(r), rel=1e-9)
 
 
 def test_update_rejects_empty(rng):
@@ -378,8 +373,14 @@ def test_train_writes_log(tmp_path):
     log = tmp_path / "log.csv"
     train(scene_sampler, tiny_env_config(), tiny_hyper(iterations=3), log_path=log)
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "iteration,mean_return,policy_loss,value_loss,mean_N_final"
+    assert lines[0] == ("iteration,mean_return,policy_loss,value_loss,mean_N_final,"
+                        "approx_kl,clip_frac,entropy,explained_variance")
     assert len(lines) == 4
+    for line in lines[1:]:
+        row = dict(zip(lines[0].split(","), map(float, line.split(","))))
+        assert row["approx_kl"] >= 0.0 and 0.0 <= row["clip_frac"] <= 1.0
+        assert 0.0 <= row["entropy"] <= math.log(6)  # six actions at n_pad 4
+        assert row["explained_variance"] <= 1.0
 
 
 def test_train_log_failure_leaves_no_temp_file(tmp_path, monkeypatch):

@@ -56,7 +56,7 @@ from oracles import (
     nms_reference,
     observe_tiles_reference,
     partitions_from_blocks_reference,
-    policy_sample_reference,
+    policy_sample_rows_reference,
     precision_table_reference,
     random_boxes,
     random_config,
@@ -263,16 +263,18 @@ LOGIT = st.one_of(st.sampled_from([0.0, 700.0, -700.0, 800.0]), st.floats(-50.0,
 
 @st.composite
 def sample_args(draw):
-    """Logits up to 1,500 apart (zero probabilities), masks with one or
-    more valid actions, and a generator seed."""
-    n = draw(st.integers(1, 12))
-    logits = np.array(draw(st.lists(LOGIT, min_size=n, max_size=n)))
-    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    mask[draw(st.integers(0, n - 1))] = True
-    if draw(st.booleans()):  # a single valid action
-        mask[:] = False
+    """One to six rows of logits up to 1,500 apart (zero probabilities),
+    masks with one or more valid actions per row, and a generator seed."""
+    n, rows = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    logits = np.array([draw(st.lists(LOGIT, min_size=n, max_size=n)) for _ in range(rows)])
+    masks = np.array([draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                      for _ in range(rows)])
+    for mask in masks:
         mask[draw(st.integers(0, n - 1))] = True
-    return logits, mask, draw(st.integers(0, 2 ** 32 - 1))
+        if draw(st.booleans()):  # a single valid action
+            mask[:] = False
+            mask[draw(st.integers(0, n - 1))] = True
+    return logits, masks, draw(st.integers(0, 2 ** 32 - 1))
 
 
 def seeded(sample):
@@ -594,7 +596,7 @@ REGISTRY = [
      caught(partitions_from_blocks_reference), partition_args(), 200),
     ("encode_state", encode_state, encode_state_reference, state_args(), 200),
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
-    ("policy_sample", seeded(policy_sample), seeded(policy_sample_reference),
+    ("policy_sample", seeded(policy_sample), seeded(policy_sample_rows_reference),
      sample_args(), 200),
     ("meanshift", meanshift, meanshift_reference, meanshift_args(), 150),
     ("meanshift_shared_paths", meanshift, meanshift_reference,
@@ -634,18 +636,28 @@ def test_function_equals_reference(function, reference, strategy, examples):
     check()
 
 
-@pytest.mark.parametrize("sample", [policy_sample, policy_sample_reference])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_batch_of_uniforms_equals_successive_draws(seed):
+    # policy_sample draws a batch's uniforms at once, the reference row by row
+    rng = np.random.default_rng(seed)
+    batch = np.random.default_rng(seed).random(7)
+    assert batch.tolist() == [rng.random() for _ in range(7)]
+
+
+@pytest.mark.parametrize("sample", [policy_sample, policy_sample_rows_reference],
+                         ids=["policy_sample", "policy_sample_reference"])
 def test_policy_sample_nan_logit_raises(sample):
-    logits = np.array([0.0, float("nan"), 1.0])
+    logits = np.array([[0.0, 1.0, 2.0], [0.0, float("nan"), 1.0]])
+    masks = np.array([[True, True, True], [True, True, False]])
     with pytest.raises(ValueError):
-        sample(logits, np.array([True, True, False]), np.random.default_rng(0))
+        sample(logits, masks, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4])
 def test_policy_sample_draw_on_cdf_boundary_matches_reference(seed):
-    # logits (0, l) whose normalised cdf starts exactly at the generator's
-    # next double u; choice's searchsorted(side="right") then picks action 1
-    u = np.random.default_rng(seed).random()
+    # rows of logits (0, l) whose normalised cdf starts exactly at the
+    # generator's next double for that row; choice's searchsorted(side="right")
+    # then picks action 1
     mask = np.array([True, True])
 
     def first_cdf(l):
@@ -653,13 +665,17 @@ def test_policy_sample_draw_on_cdf_boundary_matches_reference(seed):
         cdf = (p / p.sum()).cumsum()
         return cdf[0] / cdf[-1]
 
-    lo = hi = math.log((1.0 - u) / u)
-    while first_cdf(lo) != u and first_cdf(hi) != u:
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    logits = np.array([0.0, lo if first_cdf(lo) == u else hi])
-    got = policy_sample(logits, mask, np.random.default_rng(seed))
-    assert got == policy_sample_reference(logits, mask, np.random.default_rng(seed))
-    assert got[0] == 1
+    rows = []
+    for u in np.random.default_rng(seed).random(3):
+        lo = hi = math.log((1.0 - u) / u)
+        while first_cdf(lo) != u and first_cdf(hi) != u:
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        rows.append([0.0, lo if first_cdf(lo) == u else hi])
+    logits, masks = np.array(rows), np.tile(mask, (3, 1))
+    got = policy_sample(logits, masks, np.random.default_rng(seed))
+    want = policy_sample_rows_reference(logits, masks, np.random.default_rng(seed))
+    assert plain(got) == plain(want)
+    assert got[0].tolist() == [1, 1, 1]
 
 
 def test_precision_table_underflow_raises_like_reference():

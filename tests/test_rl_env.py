@@ -15,7 +15,7 @@ from sceneplan.clustering import (
     transform_y,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
-from sceneplan.ppo import init_mlp, keep_policy, mlp_forward, rollout, sampling_policy
+from sceneplan.ppo import collect, init_mlp, keep_policy, mlp_forward, rollout
 from sceneplan.rl_env import (
     KEEP,
     MERGE,
@@ -357,9 +357,14 @@ def test_all_keep_episode_return(rng):
     env = make_test_env(rng, t_max=7)
     env.reset()
     base = reward(env.config, env.env_config.weights, env.env_config.transform)[4]
-    _, trace = rollout(env, keep_policy)
+    (trace,) = rollout([env], keep_policy).traces
     assert len(trace) == 7
     assert sum(out.reward for out in trace) == pytest.approx(7 * base, abs=1e-9)
+
+
+def test_rollout_rejects_environments_of_other_horizons(rng):
+    with pytest.raises(ValueError, match="t_max"):
+        rollout([make_test_env(rng, t_max=5), make_test_env(rng, t_max=7)], keep_policy)
 
 
 def test_split_then_merge_restores_reward(rng):
@@ -454,34 +459,50 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sampled_rollout_equals_reference_chain(seed):
-    # desk scenes; n_pad 8 truncates the state and mask of larger configurations
+    # three desk episodes collected together; n_pad 8 truncates the state
+    # and mask of larger configurations
     strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
-    frame = generate_scene(SceneSpec(1280, 1280, 14, 20, strata, seed))
-    transform, n_pad, n_det = TransformParams(0.5), 8, len(frame.detections)
+    frames = [generate_scene(SceneSpec(1280, 1280, 14, 20, strata, seed + 10 * e))
+              for e in range(3)]
+    transform, n_pad, t_max = TransformParams(0.5), 8, 30
     env_config = EnvConfig(weights=DESK, transform=transform,
                            bandwidth=BandwidthSpec("fixed", 0.06), n_pad=n_pad)
     policy = init_mlp(np.random.default_rng(100 + seed),
                       [state_dim(n_pad), 16, n_actions(n_pad)])
-    record, roll_rng = [], np.random.default_rng(seed)
-    final, trace = rollout(ClusterEnv(frame, env_config, t_max=30),
-                           sampling_policy(policy, record), roll_rng)
-    assert len(record) == len(trace) == 30
+    critic = init_mlp(np.random.default_rng(200 + seed), [state_dim(n_pad), 16, 1])
+    roll_rng = np.random.default_rng(seed)
+    batch, episodes, _ = collect(policy, critic,
+                                 [ClusterEnv(frame, env_config, t_max) for frame in frames],
+                                 0.9, roll_rng)
+    assert len(batch) == 3 * t_max
+    assert [len(trace) for trace in episodes.traces] == [t_max] * 3
 
+    # the reference chain, driven by each episode's recorded actions; the
+    # draws go in (step, episode) order, from the rows of one batched forward
     rng = np.random.default_rng(seed)
-    cfg = initial_clusters(ClusterGeometry(frame.detections, transform), env_config.bandwidth)
-    for (state, action, logp, mask), out in zip(record, trace):
-        ref_state = encode_state_reference(cfg, n_pad, n_det)
-        ref_mask = action_mask_reference(cfg, n_pad)
-        ref_action, ref_logp = policy_sample_reference(
-            mlp_forward(policy, ref_state), ref_mask, rng)
-        assert np.array_equal(state, ref_state) and state.dtype == ref_state.dtype
-        assert np.array_equal(mask, ref_mask) and mask.dtype == ref_mask.dtype
-        assert (action, logp) == (ref_action, ref_logp)
-        cfg = reference_step(cfg, action, transform)
-        assert out.config == cfg
-        assert out.reward == reward_per_cluster_reference(cfg, DESK, transform)[4]
-    assert np.array_equal(trace[-1].state, encode_state_reference(cfg, n_pad, n_det))
-    assert final == cfg
+    cfgs = [initial_clusters(ClusterGeometry(frame.detections, transform),
+                             env_config.bandwidth) for frame in frames]
+    for t in range(t_max):
+        ref_states = [encode_state_reference(cfg, n_pad, len(cfg.detections)) for cfg in cfgs]
+        ref_masks = [action_mask_reference(cfg, n_pad) for cfg in cfgs]
+        logits = mlp_forward(policy, np.array(ref_states))
+        for e, frame in enumerate(frames):
+            row = e * t_max + t  # episode-major
+            state, mask = batch.states[row], batch.masks[row]
+            action, logp = int(batch.actions[row]), float(batch.old_logp[row])
+            assert episodes.actions[e, t] == action
+            ref_action, ref_logp = policy_sample_reference(logits[e], ref_masks[e], rng)
+            assert np.array_equal(state, ref_states[e]) and state.dtype == ref_states[e].dtype
+            assert np.array_equal(mask, ref_masks[e]) and mask.dtype == ref_masks[e].dtype
+            assert (action, logp) == (ref_action, ref_logp)
+            cfgs[e] = reference_step(cfgs[e], action, transform)
+            out = episodes.traces[e][t]
+            assert out.config == cfgs[e]
+            assert out.reward == reward_per_cluster_reference(cfgs[e], DESK, transform)[4]
+    for trace, cfg in zip(episodes.traces, cfgs):
+        assert np.array_equal(trace[-1].state,
+                              encode_state_reference(cfg, n_pad, len(cfg.detections)))
+        assert trace[-1].config == cfg
     assert roll_rng.random() == rng.random()  # same draws from one stream
 
 
@@ -497,8 +518,8 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
                            bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8)
     calls, original = [], rl_env.reward
     monkeypatch.setattr(rl_env, "reward", lambda *a: calls.append(a) or original(*a))
-    _, trace = rollout(ClusterEnv(frame, env_config, t_max=30), random_policy,
-                       np.random.default_rng(seed))
+    (trace,) = rollout([ClusterEnv(frame, env_config, t_max=30)], random_policy,
+                       np.random.default_rng(seed)).traces
     assert {out.info["applied"] for out in trace} >= {"merge", "split"}
     assert calls == []  # nothing scored while stepping
     for k, out in enumerate(trace):
