@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .scene import (
     load_scene_spec,
 )
 
+# keys filling a dataclass field read its default; coarse keys mirror coarse_detect
 DEFAULTS = {
     "seed": 0,
     "out_dir": "out",
@@ -64,12 +66,12 @@ DEFAULTS = {
     "checkpoint": None,
     "n": 1,
     "e": 4,
-    "t_max": 30,
-    "n_pad": 30,
+    "t_max": Hyperparams.t_max,
+    "n_pad": EnvConfig.n_pad,
     "d_max": 2000,
-    "transform_alpha": 0.5,
-    "bandwidth_mode": "quantile",
-    "bandwidth_value": 0.2,
+    "transform_alpha": TransformParams.alpha,
+    "bandwidth_mode": BandwidthSpec.mode,
+    "bandwidth_value": BandwidthSpec.value,
     "nms_iou": 0.5,
     "block_margin": 0.0,
     "min_visible": 0.25,
@@ -78,15 +80,9 @@ DEFAULTS = {
     "num_scenes": 1,
     "episodes": 100,
     "policy": "trained",
-    "reward": {
-        "alpha": 50.0, "beta": 1.0, "gamma": 1000000.0, "delta": 5.0,
-        "n_min": 10, "n_max": 15, "d_m": 0.03,
-    },
-    "train": {
-        "gamma": 0.99, "clip_eps": 0.2, "lr_policy": 3e-4, "lr_critic": 1e-3,
-        "batch_size": 64, "iterations": 50, "episodes_per_iter": 16,
-        "epochs": 4, "entropy_coef": 0.01,
-    },
+    "reward": asdict(RewardWeights()),
+    "train": {f.name: f.default for f in fields(Hyperparams)
+              if f.name not in ("seed", "t_max", "hidden")},
 }
 
 
@@ -140,17 +136,9 @@ def load_config(path) -> dict:
 def _config(args: argparse.Namespace) -> dict:
     """Flags over file values over defaults, out-of-range values named by key."""
     cfg = load_config(args.config)
-    direct = ["seed", "out_dir", "scene_spec", "detections", "checkpoint",
-              "profile", "d_max", "t_max", "n_pad", "num_scenes", "episodes",
-              "policy", "iterations", "n", "e"]
-    for name in direct:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name == "iterations":
-            cfg["train"]["iterations"] = value
-        else:
-            cfg[name] = value
+    for key, value in vars(args).items():
+        if value is not None and (key in cfg or key == "iterations"):
+            (cfg["train"] if key == "iterations" else cfg)[key] = value
     bandwidth, reward = cfg["bandwidth_value"], cfg["reward"]
     top = 1.0 if cfg["bandwidth_mode"] == "quantile" else float("inf")  # quantiles below 1
     for key, ok, want in (
@@ -286,11 +274,14 @@ def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
     with open(path, "r", encoding="utf-8") as f:
         report = json.load(f)
     parts = []
-    for c in report["clusters"]:
-        x0, y0, x1, y1 = c["block_px"]
-        parts.append(PartitionDescriptor(
-            int(c["id"]), int(x1 - x0), int(y1 - y0),
-            tuple(float(a) for a in c["member_areas_px2"])))
+    try:
+        for c in report["clusters"]:
+            x0, y0, x1, y1 = c["block_px"]
+            parts.append(PartitionDescriptor(
+                int(c["id"]), int(x1 - x0), int(y1 - y0),
+                tuple(float(a) for a in c["member_areas_px2"])))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: malformed clusters report ({e})") from None
     return report, parts
 
 

@@ -76,20 +76,20 @@ def profile_from_dict(d: dict) -> ModelProfile:
 
 
 def load_profiles(path) -> list[ModelProfile]:
+    """The models of a ``{"models": [...]}`` profile file; errors name the file."""
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
-    models = data["models"] if isinstance(data, dict) else data
-    if not models:
-        raise ValueError(f"{path}: no models in profile file")
-    return [profile_from_dict(m) for m in models]
+    if not isinstance(data, dict) or not data.get("models"):
+        raise ValueError(f'{path}: a profile file must hold a non-empty "models" list')
+    try:
+        return [profile_from_dict(m) for m in data["models"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: malformed model entry ({e})") from None
 
 
 def default_profiles() -> list[ModelProfile]:
     """The bundled five-model table (illustrative defaults, not measurements)."""
-    ref = resources.files("sceneplan").joinpath("data/default_profiles.json")
-    with ref.open("r", encoding="utf-8") as f:
-        data = json.load(f)
-    return [profile_from_dict(m) for m in data["models"]]
+    return load_profiles(resources.files("sceneplan") / "data" / "default_profiles.json")
 
 
 @dataclass(frozen=True)

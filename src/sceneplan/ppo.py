@@ -51,10 +51,6 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -112,16 +108,11 @@ def _forward_cache(params: MlpParams, x: np.ndarray):
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Affine + rectifier composition; accepts one vector or a batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != params.weights[0].shape[0]:
-        raise ValueError(
-            f"input dim {batch.shape[1]} != expected {params.weights[0].shape[0]}")
-    acts, _ = _forward_cache(params, batch)
-    out = acts[-1]
-    return out[0] if single else out
+    """Affine + rectifier composition over a (B, fan_in) batch."""
+    x, fan_in = np.asarray(x, dtype=float), params.weights[0].shape[0]
+    if x.ndim != 2 or x.shape[1] != fan_in:
+        raise ValueError(f"input shape {x.shape} is not (B, {fan_in})")
+    return _forward_cache(params, x)[0][-1]
 
 
 def _backward(params: MlpParams, acts, pre, dout):
@@ -634,7 +625,7 @@ def load_checkpoint(path) -> PolicyCheckpoint:
     if off != len(data):
         raise CheckpointError("trailing bytes after final array")
 
-    def collect(net_name: str) -> MlpParams:
+    def network(net_name: str) -> MlpParams:
         ws, bs = [], []
         for k in range(len(manifest)):
             if f"{net_name}.w{k}" not in arrays:
@@ -645,8 +636,8 @@ def load_checkpoint(path) -> PolicyCheckpoint:
             raise CheckpointError(f"no {net_name} arrays in checkpoint")
         return MlpParams(ws, bs)
 
-    policy = collect("policy")
-    critic = collect("critic")
+    policy = network("policy")
+    critic = network("critic")
     expected_dim = state_dim(n_pad)
     if policy.weights[0].shape[0] != expected_dim:
         raise CheckpointError(

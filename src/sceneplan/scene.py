@@ -200,8 +200,10 @@ def load_detections(path) -> Frame:
     try:
         width, height = int(data["width_px"]), int(data["height_px"])
         rows = data["detections"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: missing field {e}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: missing or malformed field ({e})") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: \"detections\" must be a list, got {rows!r}")
     boxes = [_box_from_row(r, f"detection {i}") for i, r in enumerate(rows)]
     return Frame(width, height, tuple(boxes))
 
@@ -357,7 +359,7 @@ def observe_tiles(
 
 
 def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> Boxes:
-    """Map tile-local observations to frame coordinates and run global NMS.
+    """Map each tile's ``TileRows`` to frame coordinates and run global NMS.
 
     Array method: all observations are remapped as arrays, with Python's
     clamps written out (``max(v, lo)`` keeps ``v`` unless ``v < lo``, so a
@@ -370,13 +372,9 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> Box
     """
     if len(per_tile) != len(grid.tiles):
         raise ValueError(f"{len(per_tile)} tile lists for {len(grid.tiles)} tiles")
-    # a tile's carried arrays, or its plain tuples laid out on every call
-    tiles = [rows if isinstance(rows, TileRows) else TileRows(
-        np.array([row[:5] for row in rows], dtype=float).reshape(-1, 5).T,
-        [row[5] for row in rows]) for rows in per_tile]
-    cx, cy, w, h, score = np.concatenate([t.columns for t in tiles], axis=1)
-    cids = [cid for t in tiles for cid in t.class_ids]
-    counts = [len(t) for t in tiles]
+    cx, cy, w, h, score = np.concatenate([t.columns for t in per_tile], axis=1)
+    cids = [cid for t in per_tile for cid in t.class_ids]
+    counts = [len(t) for t in per_tile]
     tx0, ty0, tx1, ty1 = (np.repeat(col, counts) for col in zip(*grid.tiles))
     tw, th = tx1 - tx0, ty1 - ty0
     w_px, h_px = grid.width_px, grid.height_px

@@ -57,6 +57,7 @@ from sceneplan.rl_env import (
     n_actions,
     state_dim,
 )
+from sceneplan.scene import TileRows
 
 
 def iou_raster(a: DetectionBox, b: DetectionBox, cells: int = 10_000) -> float:
@@ -271,6 +272,13 @@ def observe_tiles_reference(frame, grid, min_visible: float = 0.25,
             rows.append((cx, cy, w, h, d.score, d.class_id))
         per_tile.append(rows)
     return per_tile
+
+
+def tile_rows(rows) -> TileRows:
+    """One tile's plain (cx, cy, w, h, score, class_id) rows, as the
+    ``TileRows`` that ``aggregate_tiles`` takes."""
+    return TileRows(np.array([row[:5] for row in rows], dtype=float).reshape(-1, 5).T,
+                    [row[5] for row in rows])
 
 
 def aggregate_tiles_reference(per_tile, grid, iou_threshold: float = 0.5):

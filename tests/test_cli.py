@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from sceneplan.cli import load_clusters, main
+from sceneplan.cli import DEFAULTS, _config, build_parser, load_clusters, main
 from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters
 from sceneplan.scene import load_detections
 
@@ -296,6 +297,40 @@ def test_plan_respects_budget(tmp_path):
     assert max(l["busy_ms"] for l in lanes) == plan["makespan_ms"]
 
 
+CLUSTERS = {"clusters": [{"id": 0, "block_px": [0, 0, 100, 100],
+                          "member_areas_px2": [400.0]}]}
+MODEL = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], [64, 0.3]]}
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("plan", "--clusters", [CLUSTERS]),
+    ("plan", "--clusters", {"clusters": 5}),
+    ("plan", "--clusters", {"clusters": [{"id": 0}]}),
+    ("plan", "--profile", [MODEL]),
+    ("plan", "--profile", {"models": [{k: v for k, v in MODEL.items() if k != "curve"}]}),
+    ("plan", "--clusters", {"clusters": [{**CLUSTERS["clusters"][0],
+                                          "block_px": [0, 0, float("inf"), 100]}]}),
+    ("plan", "--profile", {"models": [{**MODEL, "input_size": float("inf")}]}),
+    ("partition", "--detections", {"width_px": 100, "height_px": 100, "detections": 7}),
+    ("partition", "--detections", {"width_px": "wide", "height_px": 100, "detections": []}),
+    ("partition", "--detections", {"width_px": float("inf"), "height_px": 100,
+                                   "detections": []}),
+], ids=["clusters-list", "clusters-number", "cluster-without-block", "profile-list",
+        "model-without-curve", "cluster-infinite-block", "model-infinite-size",
+        "detections-number", "detections-text-width", "detections-infinite-width"])
+def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, content):
+    cfg_path, _ = base_config(tmp_path)
+    clusters, bad = tmp_path / "clusters.json", tmp_path / "bad.json"
+    clusters.write_text(json.dumps(CLUSTERS))
+    bad.write_text(json.dumps(content))
+    # a repeated flag keeps its last value, so a bad --clusters replaces the good one
+    required = ["--clusters", str(clusters)] if command == "plan" else []
+    assert main([command, "--config", str(cfg_path), *required, flag, str(bad),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -544,3 +579,37 @@ def test_flag_overrides_config(tmp_path):
     assert main(["pipeline", "--config", str(cfg_path), "--seed", "5"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [s["scene_seed"] for s in report["scenes"]] == [5]
+
+
+def config_flags():
+    """(command, flag, key) for every parser flag whose dest is a config
+    key; ``--iterations`` sets ``train.iterations``."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, sub in commands.choices.items() if command != "gen-scene"
+            for action in sub._actions
+            if action.dest in DEFAULTS or action.dest == "iterations"]
+
+
+CONFIG_FLAGS = config_flags()
+
+
+@pytest.mark.parametrize("command, flag, key", CONFIG_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag, _ in CONFIG_FLAGS])
+def test_every_config_flag_beats_the_file(tmp_path, command, flag, key):
+    block = "train" if key == "iterations" else None
+    default = DEFAULTS[block][key] if block else DEFAULTS[key]
+    if key == "policy":
+        file_value, flag_value = "keep", "random"
+    elif isinstance(default, int):
+        file_value, flag_value = 3, 5
+    else:
+        file_value, flag_value = "from-file", "from-flag"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({block: {key: file_value}} if block else {key: file_value}))
+    required = ["--clusters", "clusters.json"] if command == "plan" else []
+    args = build_parser().parse_args(
+        [command, "--config", str(path), *required, flag, str(flag_value)])
+    cfg = _config(args)
+    assert (cfg[block] if block else cfg)[key] == flag_value

@@ -66,23 +66,23 @@ def test_forward_zero_params_zero_output():
     params = MlpParams(
         [np.zeros((3, 4)), np.zeros((4, 2))],
         [np.zeros(4), np.zeros(2)])
-    assert (mlp_forward(params, np.ones(3)) == 0).all()
+    assert (mlp_forward(params, np.ones((1, 3))) == 0).all()
 
 
 def test_forward_single_layer_hand_computed():
     params = MlpParams([np.array([[1.0, -2.0], [0.5, 3.0]])],
                        [np.array([0.1, -0.2])])
-    out = mlp_forward(params, np.array([2.0, 1.0]))
+    out = mlp_forward(params, np.array([[2.0, 1.0]]))
     # output layer is affine, no rectifier: [2+0.5+0.1, -4+3-0.2]
-    assert out == pytest.approx([2.6, -1.2])
+    assert out[0] == pytest.approx([2.6, -1.2])
 
 
 def test_forward_matches_reference(rng):
     params = init_mlp(rng, [5, 16, 16, 3])
     for _ in range(10):
-        x = rng.normal(size=5)
-        assert mlp_forward(params, x) == pytest.approx(
-            mlp_reference(params, x), abs=1e-6)
+        x = rng.normal(size=(1, 5))
+        assert mlp_forward(params, x)[0] == pytest.approx(
+            mlp_reference(params, x[0]), abs=1e-6)
 
 
 def test_forward_batch_shape(rng):
@@ -93,8 +93,9 @@ def test_forward_batch_shape(rng):
 
 def test_forward_dim_mismatch(rng):
     params = init_mlp(rng, [5, 8, 2])
-    with pytest.raises(ValueError):
-        mlp_forward(params, np.ones(4))
+    for x in (np.ones((3, 4)), np.ones(5), np.ones((1, 1, 5))):
+        with pytest.raises(ValueError, match="input shape"):
+            mlp_forward(params, x)
 
 
 # ---------------------------------------------------------------------------

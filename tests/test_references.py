@@ -63,6 +63,7 @@ from oracles import (
     select_merge_pair_reference,
     split_cluster_reference,
     tied_config,
+    tile_rows,
 )
 
 
@@ -378,6 +379,10 @@ def aggregate_args(draw):
     return per_tile, grid, draw(st.sampled_from([0.3, 0.5]) | st.floats(0.05, 0.95))
 
 
+def aggregate_new(per_tile, grid, iou_threshold):
+    return aggregate_tiles([tile_rows(rows) for rows in per_tile], grid, iou_threshold)
+
+
 def coarse_new(frame, tiles, iou_threshold, *settings_):
     return coarse_detect(frame, *tiles, iou_threshold, *settings_).detections
 
@@ -602,7 +607,7 @@ REGISTRY = [
     ("meanshift_shared_paths", meanshift, meanshift_reference,
      meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
-    ("aggregate_tiles", aggregate_tiles, aggregate_tiles_reference, aggregate_args(), 100),
+    ("aggregate_tiles", aggregate_new, aggregate_tiles_reference, aggregate_args(), 100),
     ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),
     ("make_cluster", caught(make_cluster), caught(make_cluster_reference), cluster_args(), 200),
     ("estimate_bandwidth", at_quantiles(estimate_bandwidth),

@@ -33,6 +33,7 @@ from oracles import (
     generate_scene_reference,
     observe_tiles_reference,
     random_boxes,
+    tile_rows,
 )
 
 
@@ -344,13 +345,18 @@ def test_aggregate_signed_zeros_and_clamps_match_reference():
                  (-0.4, 1.3, 1e-9, 5.0, 1.4, 0), (1.0, 0.0, 4.0, 1e-9, -0.2, 1),
                  (0.5, 0.5, 0.2, 0.2, 1.0, 2)]
     per_tile = [list(edge_rows) for _ in grid.tiles]
-    got = aggregate_tiles(per_tile, grid)
+    got = aggregate_rows(per_tile, grid)
     want = aggregate_tiles_reference(per_tile, grid)
     assert [tuple(map(repr, astuple(b))) for b in got] == \
         [tuple(map(repr, astuple(b))) for b in want]
     assert any(math.copysign(1.0, b.score) < 0.0 for b in got)
     assert {b.score for b in got} <= {0.0, 1.0}
     assert any(b.w == 1e-6 for b in got) and any(b.h == 1.0 for b in got)
+
+
+def aggregate_rows(per_tile, grid):
+    """``aggregate_tiles`` on each tile's plain rows."""
+    return aggregate_tiles([tile_rows(rows) for rows in per_tile], grid)
 
 
 def aggregate_error(aggregate, per_tile, grid):
@@ -368,7 +374,7 @@ def test_aggregate_nan_row_raises_even_where_nms_would_drop_it():
     # last and the first box suppresses it, but it must fail as a box would
     per_tile = [[BOX, (0.5, 0.5, 0.2, 0.2, NAN, 0)]]
     grid = tile_frame(Frame(1000, 1000), 1, 1)
-    message = aggregate_error(aggregate_tiles, per_tile, grid)
+    message = aggregate_error(aggregate_rows, per_tile, grid)
     assert message == "score nan outside [0, 1]"
     assert message == aggregate_error(aggregate_tiles_reference, per_tile, grid)
 
@@ -387,7 +393,7 @@ def test_aggregate_nan_row_raises_even_where_nms_would_drop_it():
 ])
 def test_aggregate_reports_the_first_bad_row(per_tile, message):
     grid = tile_frame(Frame(1000, 1000), 1, 2)
-    assert aggregate_error(aggregate_tiles, per_tile, grid) == message
+    assert aggregate_error(aggregate_rows, per_tile, grid) == message
     assert aggregate_error(aggregate_tiles_reference, per_tile, grid) == message
 
 
@@ -395,7 +401,7 @@ def test_aggregate_kept_boxes_carry_int_class_ids():
     # the third row repeats the first's box in class int(True) == 1
     per_tile = [[(0.5, 0.5, 0.2, 0.2, 0.9, 1.0), (0.2, 0.2, 0.1, 0.1, 0.8, np.int64(2)),
                  (0.5, 0.5, 0.2, 0.2, 0.7, True)]]
-    kept = aggregate_tiles(per_tile, tile_frame(Frame(1000, 1000), 1, 1))
+    kept = aggregate_rows(per_tile, tile_frame(Frame(1000, 1000), 1, 1))
     assert [(b.class_id, type(b.class_id)) for b in kept] == [(1, int), (2, int)]
 
 
