@@ -5,15 +5,13 @@ config file (``--config``); its command-line flags override file values,
 which override built-in defaults. All outputs are deterministic under a
 fixed seed and written atomically (temp + rename).
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/validation,
-3 infeasible plan.
+Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/validation or a
+file that cannot be read or written (named in the message), 3 infeasible plan.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -22,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import Frame, atomic_write, bounding_blocks, check_number
+from .core import Frame, bounding_blocks, check_number, read_json, write_csv, write_json
 from .offload import (
     InfeasiblePlanError,
     PartitionDescriptor,
@@ -34,7 +32,6 @@ from .offload import (
     simulate,
 )
 from .ppo import (
-    CheckpointError,
     Hyperparams,
     greedy_policy,
     keep_policy,
@@ -112,10 +109,9 @@ def load_config(path) -> dict:
     known and typed like its default."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            user = json.load(f)
+        user = read_json(path)
         if not isinstance(user, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{path}: config file must hold a JSON object")
         for key, value in user.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r}")
@@ -142,6 +138,8 @@ def _config(args: argparse.Namespace) -> dict:
     bandwidth, reward = cfg["bandwidth_value"], cfg["reward"]
     top = 1.0 if cfg["bandwidth_mode"] == "quantile" else float("inf")  # quantiles below 1
     for key, ok, want in (
+            ("seed", cfg["seed"] >= 0, ">= 0"),
+            ("n_pad", cfg["n_pad"] >= 1, ">= 1"),
             ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
             ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
             ("transform_alpha", 0.0 < cfg["transform_alpha"] < 1.0, "in (0, 1)"),
@@ -184,24 +182,6 @@ def _profiles(cfg: dict):
     if cfg["profile"] is None:
         return default_profiles()
     return load_profiles(cfg["profile"])
-
-
-def write_text(path, text: str) -> None:
-    os.makedirs(os.path.dirname(str(path)) or ".", exist_ok=True)
-    with atomic_write(path) as f:
-        f.write(text)
-
-
-def dump_json(obj, path) -> None:
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def write_csv(path, fieldnames, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
-    writer.writeheader()
-    writer.writerows(rows)
-    write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +251,7 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
 
 def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
     """Re-read a clusters report and rebuild its partition descriptors."""
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
+    report = read_json(path)
     parts = []
     try:
         for c in report["clusters"]:
@@ -282,6 +261,8 @@ def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
                 tuple(float(a) for a in c["member_areas_px2"])))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: malformed clusters report ({e})") from None
+    if len({part.id for part in parts}) < len(parts):
+        raise ValueError(f"{path}: clusters report repeats a cluster id")
     return report, parts
 
 
@@ -346,7 +327,7 @@ def cmd_partition(args) -> None:
     frame = load_detections(cfg["detections"])
     report, _ = _partition_frame(frame, cfg, cfg["seed"], _policy(cfg))
     out = args.out or os.path.join(cfg["out_dir"], "clusters.json")
-    dump_json(report, out)
+    write_json(out, report)
     print(f"wrote {out} ({report['n_final']} clusters)")
 
 
@@ -355,7 +336,7 @@ def cmd_plan(args) -> None:
     _, parts = load_clusters(args.clusters)
     payload = _plan_payload(parts, _profiles(cfg), cfg["d_max"], cfg["e"])
     out = args.out or os.path.join(cfg["out_dir"], "plan.json")
-    dump_json(payload, out)
+    write_json(out, payload)
     print(f"wrote {out} (precision {payload['total_precision']:.4f}, "
           f"latency {payload['total_latency_ms']} ms)")
 
@@ -388,7 +369,7 @@ def cmd_pipeline(args) -> None:
             "sum_latency_ms": plan["total_latency_ms"],
             "makespan_ms": plan["makespan_ms"],
         })
-    dump_json({"scenes": scenes}, os.path.join(out_dir, "report.json"))
+    write_json(os.path.join(out_dir, "report.json"), {"scenes": scenes})
     write_csv(os.path.join(out_dir, "metrics.csv"),
               ["scene_id", "n_final", "r1", "r2", "r3", "r4", "reward",
                "plan_precision", "sum_latency_ms", "makespan_ms"], rows)
@@ -514,8 +495,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "infeasible", "reason": str(e)}),
               file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, CheckpointError) as e:
+    except (ValueError, KeyError, OSError) as e:  # CheckpointError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FloatingPointError as e:

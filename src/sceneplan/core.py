@@ -1,16 +1,19 @@
 """Geometry primitives, detection-box operations, cluster statistics, and
-the atomic file writer every output goes through.
+the file layer every input JSON and every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
 A coarse frame's ``Boxes`` hold the rows NMS kept as columns and build a
 box only where one is read, which no op does; any other detections
 (generated, loaded, plain tuples) are read box by box. All operations here
-except ``atomic_write`` are pure functions over immutable values.
+but the file layer's are pure functions over immutable values.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 import sys
 import tempfile
@@ -34,34 +37,47 @@ def check_number(value, where: str, integer: bool = False):
     return value
 
 
-class atomic_write:
-    """``with atomic_write(path) as f:`` yields a file that replaces
-    ``path`` only once the block succeeds.
+def write_file(path, data) -> None:
+    """Replace ``path`` with ``data``, a str written as UTF-8 or bytes.
 
-    Writes go to a temp file in the same directory, which is renamed over
-    ``path`` at the end; on any failure the temp file is removed and
-    ``path`` keeps its old content. Text mode is UTF-8 with no newline
-    translation.
+    The directory is made, ``data`` goes to a temp file beside ``path``,
+    which is renamed over it; on any failure the temp file is removed and
+    ``path`` keeps its old content.
     """
+    folder = os.path.dirname(str(path)) or "."
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
-    def __init__(self, path, mode: str = "w"):
-        self.path = str(path)
-        fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".",
-                                        suffix=".tmp")
-        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
-        self.file = os.fdopen(fd, mode, **text)
 
-    def __enter__(self):
-        return self.file
+def write_json(path, value) -> None:
+    """``value`` as JSON, indented, keys sorted, with a final newline."""
+    write_file(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+
+def write_csv(path, fieldnames, rows) -> None:
+    """A header line of ``fieldnames``, then one line per dict in ``rows``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    write_file(path, buf.getvalue())
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that is not UTF-8
+    JSON raises a ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as f:
         try:
-            self.file.close()
-            if exc_type is None:
-                os.replace(self.tmp, self.path)
-        finally:
-            if os.path.exists(self.tmp):
-                os.unlink(self.tmp)
+            return json.load(f)
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError among them
+            raise ValueError(f"{path}: not a UTF-8 JSON file ({e})") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,14 +8,13 @@ reported so either budget can be inspected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, box_columns, bounding_blocks
+from .core import ClusterConfig, Frame, box_columns, bounding_blocks, read_json
 
 
 class InfeasiblePlanError(Exception):
@@ -77,8 +76,7 @@ def profile_from_dict(d: dict) -> ModelProfile:
 
 def load_profiles(path) -> list[ModelProfile]:
     """The models of a ``{"models": [...]}`` profile file; errors name the file."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     if not isinstance(data, dict) or not data.get("models"):
         raise ValueError(f'{path}: a profile file must hold a non-empty "models" list')
     try:

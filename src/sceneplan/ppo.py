@@ -16,7 +16,6 @@ command line roll one. Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from dataclasses import dataclass, field, asdict, replace
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import ClusterConfig, Frame, atomic_write
+from .core import ClusterConfig, Frame, write_csv, write_file
 from .rl_env import (
     KEEP,
     ClusterEnv,
@@ -479,10 +478,7 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
         log_rows.append({"iteration": it, **figures,
                          **{k: float(np.mean([f[k] for f in steps])) for k in steps[0]}})
     if log_path is not None:
-        with atomic_write(log_path) as f:
-            writer = csv.DictWriter(f, fieldnames=TRAINING_LOG_COLUMNS)
-            writer.writeheader()
-            writer.writerows(log_rows)
+        write_csv(log_path, TRAINING_LOG_COLUMNS, log_rows)
     return PolicyCheckpoint(
         n_pad=env_config.n_pad,
         include_count=env_config.include_count,
@@ -573,21 +569,24 @@ def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
         "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for _, a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays]
+    write_file(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> PolicyCheckpoint:
-    """Read and validate a checkpoint; any inconsistency raises CheckpointError."""
+    """Read and validate a checkpoint; any fault raises a CheckpointError naming the file."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return _parse_checkpoint(f.read())
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint: {e}") from None
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+
+
+def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
+    """The checkpoint a file holds; any inconsistency raises CheckpointError."""
     if len(data) < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError("checkpoint truncated before header")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:

@@ -12,14 +12,14 @@ columns in ``Boxes``: a row's tuple or box is built only when it is read.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boxes, DetectionBox, Frame, atomic_write, check_number, nms_rows
+from .core import (Boxes, DetectionBox, Frame, check_number, nms_rows, read_json,
+                   write_csv, write_json)
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -70,6 +70,8 @@ class SceneSpec:
             raise ValueError("scene spec needs at least one stratum")
         if not math.isfinite(sum(s.density for s in self.strata)):
             raise ValueError("stratum density values must have a finite sum")
+        if self.seed < 0:
+            raise ValueError(f"scene seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "strata", tuple(self.strata))
 
     def with_seed(self, seed: int) -> "SceneSpec":
@@ -120,8 +122,7 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return scene_spec_from_dict(json.load(f))
+    return scene_spec_from_dict(read_json(path))
 
 
 def _uniform(low: float, high: float, u: float) -> float:
@@ -190,13 +191,15 @@ def load_detections(path) -> Frame:
     path = str(path)
     if path.endswith(".csv"):
         with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != CSV_HEADER:
-                raise ValueError(f"{path}: CSV header must be exactly {','.join(CSV_HEADER)}")
-            boxes = [_box_from_row(r, f"row {i}") for i, r in enumerate(reader, start=2)]
+            try:
+                reader = csv.DictReader(f)
+                if reader.fieldnames != CSV_HEADER:
+                    raise ValueError(f"CSV header must be exactly {','.join(CSV_HEADER)}")
+                boxes = [_box_from_row(r, f"row {i}") for i, r in enumerate(reader, start=2)]
+            except (ValueError, csv.Error) as e:  # a bad row, header or encoding
+                raise ValueError(f"{path}: {e}") from None
         return Frame(*CSV_FRAME_PX, tuple(boxes))
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     try:
         width, height = int(data["width_px"]), int(data["height_px"])
         rows = data["detections"]
@@ -204,32 +207,20 @@ def load_detections(path) -> Frame:
         raise ValueError(f"{path}: missing or malformed field ({e})") from None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: \"detections\" must be a list, got {rows!r}")
-    boxes = [_box_from_row(r, f"detection {i}") for i, r in enumerate(rows)]
+    boxes = [_box_from_row(r, f"{path}: detection {i}") for i, r in enumerate(rows)]
     return Frame(width, height, tuple(boxes))
 
 
 def save_detections(frame: Frame, path) -> None:
     """Write a Frame atomically in the CSV detection format when the path
     ends in ``.csv``, in the JSON one otherwise."""
-    path = str(path)
-    with atomic_write(path) as f:
-        if path.endswith(".csv"):
-            writer = csv.writer(f)
-            writer.writerow(CSV_HEADER)
-            for d in frame.detections:
-                writer.writerow([repr(d.cx), repr(d.cy), repr(d.w), repr(d.h),
-                                 repr(d.score), d.class_id])
-        else:
-            json.dump({
-                "width_px": frame.width_px,
-                "height_px": frame.height_px,
-                "detections": [
-                    {"cx": d.cx, "cy": d.cy, "w": d.w, "h": d.h,
-                     "score": d.score, "class_id": d.class_id}
-                    for d in frame.detections
-                ],
-            }, f, indent=2, sort_keys=True)
-            f.write("\n")
+    rows = [{"cx": d.cx, "cy": d.cy, "w": d.w, "h": d.h, "score": d.score,
+             "class_id": d.class_id} for d in frame.detections]
+    if str(path).endswith(".csv"):
+        write_csv(path, CSV_HEADER, rows)
+    else:
+        write_json(path, {"width_px": frame.width_px, "height_px": frame.height_px,
+                          "detections": rows})
 
 
 # ---------------------------------------------------------------------------

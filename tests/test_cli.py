@@ -80,6 +80,23 @@ def test_gen_scene_reads_no_config(tmp_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_gen_scene_negative_seed_names_it(tmp_path, capsys, where):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "seed": -1} if where == "spec" else SPEC))
+    flag = ["--seed", "-1"] if where == "flag" else []
+    assert main(["gen-scene", "--spec", str(spec), *flag, "--out", str(tmp_path / "d.json")]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_gen_scene_output_under_regular_file_exits_2_naming_it(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("a regular file\n")
+    assert main(["gen-scene", "--spec", str(write_spec(tmp_path)),
+                 "--out", str(plain / "dets.json")]) == 2
+    assert str(plain) in capsys.readouterr().err
+
+
 def test_gen_scene_missing_spec(tmp_path, capsys):
     out = tmp_path / "dets.json"
     code = main(["gen-scene", "--spec", str(tmp_path / "nope.json"),
@@ -315,9 +332,11 @@ MODEL = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], 
     ("partition", "--detections", {"width_px": "wide", "height_px": 100, "detections": []}),
     ("partition", "--detections", {"width_px": float("inf"), "height_px": 100,
                                    "detections": []}),
+    ("plan", "--clusters", {"clusters": CLUSTERS["clusters"] * 2}),
 ], ids=["clusters-list", "clusters-number", "cluster-without-block", "profile-list",
         "model-without-curve", "cluster-infinite-block", "model-infinite-size",
-        "detections-number", "detections-text-width", "detections-infinite-width"])
+        "detections-number", "detections-text-width", "detections-infinite-width",
+        "clusters-repeated-id"])
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, content):
     cfg_path, _ = base_config(tmp_path)
     clusters, bad = tmp_path / "clusters.json", tmp_path / "bad.json"
@@ -329,6 +348,42 @@ def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, conte
                  "--out", str(tmp_path / "out.json")]) == 2
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+NOT_JSON, NOT_UTF8 = b"{seed: 1}", b'{"seed": "\xff"}'
+CSV_HEADER = b"cx,cy,w,h,score,class_id\n"
+
+
+@pytest.mark.parametrize("command, flag, name, content", [
+    ("pipeline", "--config", "bad.json", NOT_JSON),
+    ("pipeline", "--config", "bad.json", NOT_UTF8),
+    ("pipeline", "--scene-spec", "bad.json", NOT_JSON),
+    ("pipeline", "--scene-spec", "bad.json", NOT_UTF8),
+    ("partition", "--detections", "bad.json", NOT_JSON),
+    ("partition", "--detections", "bad.json", NOT_UTF8),
+    ("partition", "--detections", "bad.csv", CSV_HEADER + b"\xff,0.5,0.1,0.1,0.9,0\n"),
+    ("partition", "--detections", "bad.csv", CSV_HEADER + b"1.5,0.5,0.1,0.1,0.9,0\n"),
+    ("plan", "--clusters", "bad.json", NOT_JSON),
+    ("plan", "--clusters", "bad.json", NOT_UTF8),
+    ("plan", "--profile", "bad.json", NOT_JSON),
+    ("plan", "--profile", "bad.json", NOT_UTF8),
+    ("pipeline", "--checkpoint", "bad.ckpt", b"not a checkpoint file at all"),
+    ("partition", "--detections", "plain/bad.json", None),
+], ids=["config-not-json", "config-not-utf8", "spec-not-json", "spec-not-utf8",
+        "detections-not-json", "detections-not-utf8", "csv-not-utf8", "csv-bad-row",
+        "clusters-not-json", "clusters-not-utf8", "profile-not-json", "profile-not-utf8",
+        "checkpoint-corrupt", "path-under-regular-file"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, name, content):
+    cfg_path, _ = base_config(tmp_path)
+    clusters, bad = tmp_path / "clusters.json", tmp_path / name
+    clusters.write_text(json.dumps(CLUSTERS))
+    (tmp_path / "plain").write_text("a regular file\n")
+    if content is not None:
+        bad.write_bytes(content)
+    required = ["--clusters", str(clusters)] if command == "plan" else []
+    policy = ["--policy", "trained"] if flag == "--checkpoint" else []
+    assert main([command, "--config", str(cfg_path), *required, *policy, flag, str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +472,7 @@ def test_pipeline_metrics_reward_equals_final_configuration(tmp_path):
                                         ("jitter_sigma", -0.1), ("nms_iou", 1.5),
                                         ("block_margin", -1.0), ("transform_alpha", 1.5),
                                         ("d_max", -5), ("bandwidth_value", 0.0),
-                                        ("reward.n_min", 0)])
+                                        ("reward.n_min", 0), ("seed", -1), ("n_pad", -3)])
 def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, value):
     block, _, sub = key.rpartition(".")
     overrides = {key: value}

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -385,20 +386,25 @@ def test_train_writes_log(tmp_path):
 
 
 def test_train_log_failure_leaves_no_temp_file(tmp_path, monkeypatch):
-    import csv
+    # the training log and a checkpoint, each written over an old file
+    # whose rename fails: the old bytes stay and no temp file is left
+    writes = {
+        "log.csv": lambda path: train(scene_sampler, tiny_env_config(),
+                                      tiny_hyper(iterations=1), log_path=path),
+        "policy.ckpt": lambda path: save_checkpoint(make_ckpt(np.random.default_rng(0)), path),
+    }
 
-    log = tmp_path / "log.csv"
-    log.write_text("old\n")
+    def broken_rename(*args, **kwargs):
+        raise OSError("disk full")
 
-    class BrokenWriter(csv.DictWriter):
-        def writerows(self, rows):
-            raise OSError("disk full")
-
-    monkeypatch.setattr(csv, "DictWriter", BrokenWriter)
-    with pytest.raises(OSError, match="disk full"):
-        train(scene_sampler, tiny_env_config(), tiny_hyper(iterations=1), log_path=log)
-    assert log.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+    monkeypatch.setattr(os, "replace", broken_rename)  # the rename that ends every write
+    for name, write in writes.items():
+        path = tmp_path / name
+        path.write_text("old\n")
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+        assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writes)
 
 
 # ---------------------------------------------------------------------------

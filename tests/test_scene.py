@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import astuple
 
 import numpy as np
@@ -79,10 +80,10 @@ def test_save_detections_failure_keeps_old_file(tmp_path, monkeypatch):
                     path)
     old = path.read_bytes()
 
-    def broken_dump(*args, **kwargs):
+    def broken_rename(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", broken_dump)
+    monkeypatch.setattr(os, "replace", broken_rename)  # the rename that ends every write
     with pytest.raises(OSError, match="disk full"):
         save_detections(Frame(640, 480, ()), path)
     assert path.read_bytes() == old
