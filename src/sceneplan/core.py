@@ -42,7 +42,8 @@ def write_file(path, data) -> None:
 
     The directory is made, ``data`` goes to a temp file beside ``path``,
     which is renamed over it; on any failure the temp file is removed and
-    ``path`` keeps its old content.
+    ``path`` keeps its old content. The file gets the mode ``open`` would
+    give a new one under the process's umask (``mkstemp`` makes it 0600).
     """
     folder = os.path.dirname(str(path)) or "."
     os.makedirs(folder, exist_ok=True)
@@ -50,6 +51,9 @@ def write_file(path, data) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        umask = os.umask(0)  # reading the umask sets it: put it back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -6,12 +6,15 @@ implemented directly in numpy with exact backpropagation; updates are the
 plain gradient steps of the training algorithm (ascent on the clipped
 surrogate for the policy, descent on the value MSE for the critic).
 Training, inference and the command line all roll episodes through one
-loop, ``rollout``, over environments from ``policy_env``. It steps its
-environments in lockstep: each step stacks their states and masks into one
-batch, so one policy call chooses every episode's action, and each
-environment then steps on its own. Training rolls an iteration's
-``episodes_per_iter`` episodes together (``collect``); inference and the
-command line roll one. Everything is deterministic for a fixed seed.
+loop, ``rollout``, over environments from ``policy_env``. It resets its
+environments together, their MeanShift starts in one
+``clustering.meanshift_frames`` call, and steps them in lockstep: each step
+stacks their states and masks into one batch, so one policy call chooses
+every episode's action, and each environment then steps on its own.
+Training rolls an iteration's ``episodes_per_iter`` episodes together
+(``collect``) and scores all their steps in one ``rl_env.rewards`` pass;
+inference and the command line roll one. Everything is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .rl_env import (
     RewardWeights,
     StepOutcome,
     n_actions,
+    reset_all,
+    score_steps,
     state_dim,
 )
 
@@ -347,7 +352,7 @@ class Episodes:
 def rollout(envs: list[ClusterEnv], choose,
             rng: np.random.Generator | None = None) -> Episodes:
     """Roll one fixed-length episode per environment, each from its
-    MeanShift start, in lockstep.
+    MeanShift start (all reset by one ``reset_all``), in lockstep.
 
     At every step ``choose(states, masks, rng)`` gets the E states and
     masks as (E, state_dim) and (E, n_actions) arrays and returns the E
@@ -362,8 +367,8 @@ def rollout(envs: list[ClusterEnv], choose,
     masks = np.empty((n, t_max, n_actions(n_pad)), dtype=bool)
     actions = np.empty((n, t_max), dtype=int)
     traces = [[] for _ in envs]
-    for e, env in enumerate(envs):
-        states[e, 0] = env.reset()
+    for e, (env, state) in enumerate(zip(envs, reset_all(envs))):
+        states[e, 0] = state
         masks[e, 0] = env.mask()
     for t in range(t_max):
         actions[:, t] = choose(states[:, t], masks[:, t], rng)
@@ -380,8 +385,9 @@ def collect(policy: MlpParams, critic: MlpParams, envs: list[ClusterEnv],
             gamma: float, rng: np.random.Generator
             ) -> tuple[TrajectoryBatch, Episodes, dict]:
     """Roll ``envs`` in lockstep under the policy, each step's actions drawn
-    by one ``policy_sample`` over the batched logits, and lay the
-    transitions out episode-major for the update.
+    by one ``policy_sample`` over the batched logits, score every step in
+    one ``score_steps`` pass, and lay the transitions out episode-major for
+    the update.
 
     Returns are discounted per episode; the advantages take one critic pass
     over all E·T states and are standardised over the batch. Also returns
@@ -399,6 +405,7 @@ def collect(policy: MlpParams, critic: MlpParams, envs: list[ClusterEnv],
     episodes = rollout(envs, sample, rng)
     n = episodes.actions.size
     states = episodes.states.reshape(n, -1)
+    score_steps(out for trace in episodes.traces for out in trace)
     rewards = np.array([[out.reward for out in trace] for trace in episodes.traces])
     values = mlp_forward(critic, states)[:, 0]
     returns, advantages = compute_returns_advantages(

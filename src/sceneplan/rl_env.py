@@ -5,7 +5,8 @@ built from a frame, an ``EnvConfig`` and the horizon t_max.
 A frame's clustering space is its ``ClusterGeometry``: ``apply_action`` and
 ``step`` take it and read the transform and the detection count from it,
 and an episode's MeanShift start, merges, splits and rewards all use the
-one geometry its ``reset`` builds.
+one geometry its reset builds. ``reset_all`` resets many environments with
+one batched MeanShift; ``ClusterEnv.reset`` is its one-environment case.
 
 Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
@@ -14,8 +15,9 @@ length; sampling-time masking makes that a safety net rather than the rule.
 
 A step does not score its configuration: ``StepOutcome.reward`` and
 ``.components`` call ``reward`` the first time either is read, and keep the
-result. Training reads every step's reward; greedy inference reads none and
-so computes none.
+result. Training scores all steps of an iteration in one ``rewards`` pass
+(``score_steps``); greedy inference reads none and so computes none.
+``reward`` is the one-configuration case of ``rewards``.
 """
 
 from __future__ import annotations
@@ -29,18 +31,17 @@ from .clustering import (
     BandwidthSpec,
     ClusterGeometry,
     TransformParams,
-    _distances,
-    _norm_near,
-    initial_clusters,
+    initial_clusters_frames,
     merge_clusters,
     select_merge_pair,
     split_cluster,
 )
-from .core import ClusterConfig, Frame
+from .core import ClusterConfig, Frame, expand_ranges
 
 KEEP, MERGE = 0, 1
 SPLIT_BASE = 2
 FEATURES_PER_CLUSTER = 5
+REWARD_TERMS = ("alpha", "beta", "gamma", "delta")  # the weights of R1-R4
 
 
 @dataclass(frozen=True)
@@ -118,52 +119,93 @@ def reward(config: ClusterConfig, weights: RewardWeights,
            transform: TransformParams | None = None,
            geometry: ClusterGeometry | None = None,
            ) -> tuple[float, float, float, float, float]:
-    """(R1, R2, R3, R4, R_total) for a configuration.
+    """(R1, R2, R3, R4, R_total) for a configuration: the one-configuration
+    case of ``rewards``.
+
+    ``geometry`` is the episode's ``ClusterGeometry``, which must be built
+    for this frame and ``transform``; a fresh one when omitted.
+    """
+    if geometry is None:
+        geometry = ClusterGeometry(config.detections, transform)
+    elif geometry.transform != transform:
+        raise ValueError("geometry was built for another transform")
+    return rewards([(config, weights, geometry)])[0]
+
+
+def rewards(scored) -> list[tuple[float, float, float, float, float]]:
+    """(R1, R2, R3, R4, R_total) of each (configuration, weights, geometry)
+    in ``scored``, every geometry built for its configuration's frame.
 
     R1: minus the mean over clusters of the mean member-center distance to
-        the cluster centroid. Distances live in (x, y_t) space when a
-        transform is given, matching the clustering geometry.
+        the cluster centroid, in the geometry's space.
     R2: minus the mean over clusters of the population variance of member
         box areas (normalized w*h).
     R3: minus the distance of N to the [n_min, n_max] band (0 inside).
     R4: minus the number of unordered centroid pairs closer than d_m.
     R_total = alpha*R1 + beta*R2 + gamma*R3 + delta*R4.
 
-    Memoised-array method: per-cluster statistics come from ``geometry``
-    (the episode's ``ClusterGeometry``, which must be built for this frame
-    and ``transform``; a fresh one when omitted), so only clusters new
-    since the last call are reduced. R4 counts from one ``_distances``
-    array, with distances within a few ulp of d_m decided by
-    ``np.linalg.norm``. Results equal ``reward_per_cluster_reference`` in
-    ``tests/oracles.py``.
+    Per-cluster statistics come from each geometry's memo, so only
+    clusters new since its last scoring are reduced. R4 counts, for every
+    configuration at once, over one flat array of the centroid pairs
+    (i, j), i < j, within each configuration: the distances take the
+    operations of ``_distances``, and those within a few ulp of d_m are
+    decided by ``np.linalg.norm``. Results equal
+    ``reward_per_cluster_reference`` in ``tests/oracles.py``. A total that
+    is not finite raises ``ValueError`` naming the weights whose terms
+    overflowed, or all four when only their sum did.
     """
-    n = config.count
-    if n == 0:
-        raise ValueError("reward of an empty configuration: it has no clusters")
-    if geometry is None:
-        geometry = ClusterGeometry(config.detections, transform)
-    elif geometry.transform != transform:
-        raise ValueError("geometry was built for another transform")
-    geometry.check(config)
-    stats = [geometry.stats(c.members) for c in config.clusters]
-    # fsum keeps the cross-cluster means insensitive to cluster order, so
-    # reversing a split restores the reward bit for bit
-    r1 = -math.fsum(s[1] for s in stats) / n
-    r2 = -math.fsum(s[2] for s in stats) / n
-    if n < weights.n_min:
-        r3 = -float(weights.n_min - n)
-    elif n > weights.n_max:
-        r3 = -float(n - weights.n_max)
-    else:
-        r3 = 0.0
-    cents = np.array([s[0] for s in stats])
-    dist = _distances(cents, cents)
-    _norm_near(dist, cents, cents, weights.d_m)
-    # the array is symmetric with a zero diagonal: count each pair once;
-    # negated as an int, so no close pair reads 0.0, not -0.0
-    r4 = float((n - np.count_nonzero(dist < weights.d_m)) // 2)
-    total = weights.alpha * r1 + weights.beta * r2 + weights.gamma * r3 + weights.delta * r4
-    return r1, r2, r3, r4, total
+    rows, cents, sizes = [], [], []
+    for config, weights, geometry in scored:
+        n = config.count
+        if n == 0:
+            raise ValueError("reward of an empty configuration: it has no clusters")
+        geometry.check(config)
+        stats = [geometry.stats(c.members) for c in config.clusters]
+        # fsum keeps the cross-cluster means insensitive to cluster order, so
+        # reversing a split restores the reward bit for bit
+        r1 = -math.fsum(s[1] for s in stats) / n
+        r2 = -math.fsum(s[2] for s in stats) / n
+        if n < weights.n_min:
+            r3 = -float(weights.n_min - n)
+        elif n > weights.n_max:
+            r3 = -float(n - weights.n_max)
+        else:
+            r3 = 0.0
+        rows.append((r1, r2, r3, weights))
+        cents += [s[0] for s in stats]
+        sizes.append(n)
+    if not rows:
+        return []
+    cents, sizes = np.array(cents), np.array(sizes)
+    # each cluster's partners: the clusters after it in its configuration
+    ends = sizes.cumsum().repeat(sizes)
+    j, partners = expand_ranges(np.arange(1, len(cents) + 1), ends)
+    i = np.arange(len(cents)).repeat(partners)
+    owner = np.arange(len(rows)).repeat(sizes).repeat(partners)
+    d = cents[i, 0] - cents[j, 0]
+    d *= d
+    dy = cents[i, 1] - cents[j, 1]
+    dy *= dy
+    d += dy
+    np.sqrt(d, out=d)
+    cut = np.array([w.d_m for *_, w in rows])[owner]
+    slack = np.array([4.0 * math.ulp(w.d_m) for *_, w in rows])[owner]
+    for k in np.flatnonzero(np.abs(d - cut) <= slack).tolist():
+        d[k] = np.linalg.norm(cents[i[k]] - cents[j[k]])
+    close = np.bincount(owner[d < cut], minlength=len(rows)).tolist()
+    out = []
+    for (r1, r2, r3, w), pairs in zip(rows, close):
+        r4 = float(-pairs)  # an int, so no close pair reads 0.0, not -0.0
+        terms = (w.alpha * r1, w.beta * r2, w.gamma * r3, w.delta * r4)
+        total = terms[0] + terms[1] + terms[2] + terms[3]
+        if not math.isfinite(total):
+            over = [name for name, term in zip(REWARD_TERMS, terms) if not math.isfinite(term)]
+            what = (("the term", "overflows") if len(over) == 1 else
+                    ("the terms", "overflow") if over else ("the sum of the terms", "overflows"))
+            names = ", ".join(f"reward.{name}" for name in over or REWARD_TERMS)
+            raise ValueError(f"reward is not finite: {what[0]} weighted by {names} {what[1]}")
+        out.append((r1, r2, r3, r4, total))
+    return out
 
 
 def apply_action(config: ClusterConfig, action: int,
@@ -217,6 +259,15 @@ class StepOutcome:
     @property
     def components(self) -> tuple[float, float, float, float]:
         return self._score()[:4]
+
+
+def score_steps(outcomes) -> None:
+    """Score every outcome not yet scored in one ``rewards`` pass; each
+    then reads what its own first read would have computed."""
+    todo = [out for out in outcomes if out._scored is None]
+    scored = rewards([(out.config, out.scoring[0], out.scoring[2]) for out in todo])
+    for out, score in zip(todo, scored):
+        out._scored = score
 
 
 def step(config: ClusterConfig, action: int, weights: RewardWeights,
@@ -278,11 +329,7 @@ class ClusterEnv:
         self.geometry: ClusterGeometry | None = None
 
     def reset(self) -> np.ndarray:
-        ec = self.env_config
-        self.geometry = ClusterGeometry(self.frame.detections, ec.transform)
-        self.config = initial_clusters(self.geometry, ec.bandwidth)
-        return encode_state(self.config, ec.n_pad, len(self.frame.detections),
-                            ec.include_count)
+        return reset_all([self])[0]
 
     def mask(self) -> np.ndarray:
         if self.config is None:
@@ -297,3 +344,19 @@ class ClusterEnv:
                    self.geometry)
         self.config = out.config
         return out
+
+
+def reset_all(envs: list[ClusterEnv]) -> list[np.ndarray]:
+    """Reset every environment: each builds its episode's geometry, and all
+    their MeanShift starts run in one ``initial_clusters_frames`` call.
+    Returns the initial states."""
+    geometries = [ClusterGeometry(env.frame.detections, env.env_config.transform)
+                  for env in envs]
+    configs = initial_clusters_frames(geometries, [env.env_config.bandwidth for env in envs])
+    states = []
+    for env, geometry, config in zip(envs, geometries, configs):
+        ec = env.env_config
+        env.geometry, env.config = geometry, config
+        states.append(encode_state(config, ec.n_pad, len(env.frame.detections),
+                                   ec.include_count))
+    return states

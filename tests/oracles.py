@@ -40,11 +40,14 @@ The library must return exactly what these return.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import sys
 
 import numpy as np
 
+from sceneplan import clustering
 from sceneplan.clustering import BANDWIDTH_FLOOR, ClusterGeometry, transform_y
 from sceneplan.core import Cluster, ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.offload import InfeasiblePlanError, OffloadPlan, PartitionDescriptor, scale_area
@@ -170,9 +173,11 @@ def nms_reference(boxes, threshold: float):
 # subnormal, and an infinite ``d`` is never within.
 #
 # The queries are point-major, bands ascending within a point, so the pairs
-# are too. The counts and window sums come from ``np.bincount`` over the
-# in-window pairs, which adds each mode's points one at a time in array
-# order, that is input order, starting from 0.0. The per-mode sequential sum
+# are too. (The dense loop pairs each mode with every point of its frame,
+# mode-major, so a mode's points also come in input order.) The counts and
+# window sums come from ``np.bincount`` over the in-window pairs, which adds
+# each mode's points one at a time in array order, that is input order,
+# starting from 0.0. The per-mode sequential sum
 # below over all points adds the same values in the same order plus one
 # ``0.0 * p`` term per point outside the window, and adding a zero changes a
 # sum at most in the sign of a zero, which no distance sees. So a mode's next
@@ -360,13 +365,14 @@ def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):
     return r1, r2, float(r3), float(r4), total
 
 
-# ``reward`` and ``select_merge_pair`` take all centroid distances from one
-# ``_distances`` array. ``np.linalg.norm`` of a 2-vector, as below, goes
+# ``select_merge_pair`` takes all centroid distances from one ``_distances``
+# array, and ``rewards`` takes them with its operations over a flat array of
+# each configuration's pairs. ``np.linalg.norm`` of a 2-vector, as below, goes
 # through a dot kernel that may round the last bit differently (fused
 # multiply-add). The two differ by at most one ulp, so only entries within a
 # few ulp of the cut (``d_m``, or the smallest distance) can fall on its
-# other side; ``_norm_near`` settles those by ``np.linalg.norm``, as the
-# per-pair loops below do.
+# other side; both settle those by ``np.linalg.norm``, as the per-pair loops
+# below do.
 def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None):
     """(R1, R2, R3, R4, R_total) with every cluster's centres rebuilt and
     transformed on each call, and a per-pair centroid-distance loop."""
@@ -953,3 +959,19 @@ def tied_config(rng, sizes, grid: int | None = None, copies=()) -> ClusterConfig
                                      boxes + new))
         boxes += new
     return ClusterConfig(tuple(clusters), tuple(boxes))
+
+
+# ``clustering.DENSE_MAX`` values that send every frame through MeanShift's
+# y-band loop, and every frame through its dense loop
+BAND_LOOP, DENSE_LOOP = 0, sys.maxsize
+
+
+@contextlib.contextmanager
+def dense_max(limit: int):
+    """``clustering.DENSE_MAX`` set to ``limit`` inside the block."""
+    saved = clustering.DENSE_MAX
+    clustering.DENSE_MAX = limit
+    try:
+        yield
+    finally:
+        clustering.DENSE_MAX = saved

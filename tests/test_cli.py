@@ -490,6 +490,17 @@ def test_pipeline_bad_bandwidth_names_it(tmp_path, capsys, value):
     assert "bandwidth" in capsys.readouterr().err
 
 
+def test_pipeline_reward_that_overflows_exits_2_naming_the_weight(tmp_path, capsys):
+    # a finite but huge weight: gamma * R3 overflows once N leaves [2, 4]
+    spec = {**SPEC, "width_px": 3840, "height_px": 2160, "count_range": [20, 40]}
+    cfg_path, cfg = base_config(tmp_path, seed=5, d_max=100000, policy="random",
+                                scene_spec=spec)
+    cfg_path.write_text(json.dumps({**cfg, "reward": {**cfg["reward"], "gamma": 1e308}}))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "reward.gamma" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneplan import clustering
 from sceneplan.clustering import (
     BANDWIDTH_FLOOR,
     BandwidthSpec,
@@ -16,6 +17,7 @@ from sceneplan.clustering import (
     initial_clusters,
     kmeans_1d,
     meanshift,
+    meanshift_frames,
     merge_clusters,
     select_merge_pair,
     split_cluster,
@@ -30,6 +32,9 @@ from sceneplan.core import (
 from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, reward, step
 
 from oracles import (
+    BAND_LOOP,
+    DENSE_LOOP,
+    dense_max,
     geometry_of,
     kmeans_1d_best_cost,
     labels_cost,
@@ -198,9 +203,7 @@ def test_meanshift_window_edges_match_reference(bandwidth, axis, ulps):
     row[1] = float(np.nextafter(row[1], ulps * np.inf)) if ulps else row[1]
     pts = np.full((6, 2), 0.4)
     pts[:, axis] = row
-    for max_iter in (0, 1, 300):
-        assert meanshift(pts, bandwidth, max_iter=max_iter).tolist() == \
-            meanshift_reference(pts, bandwidth, max_iter=max_iter).tolist()
+    meanshift_equals_reference(pts, bandwidth)
 
 
 def test_meanshift_window_edge_between_rounded_square_and_last_root_within(rng):
@@ -223,13 +226,18 @@ def test_meanshift_window_edge_between_rounded_square_and_last_root_within(rng):
         assert labels.tolist() == ([0, 0] if inside else [0, 1])
 
 
-def meanshift_equals_reference(pts, bandwidth, max_iters=(0, 1, 300)):
-    # squared differences of far-apart coordinates overflow to inf in both
-    with np.errstate(over="ignore", invalid="ignore"):
-        for max_iter in max_iters:
-            labels = meanshift(pts, bandwidth, max_iter=max_iter)
-            assert labels.tolist() == \
-                meanshift_reference(pts, bandwidth, max_iter=max_iter).tolist()
+def meanshift_equals_reference(pts, bandwidth, max_iters=(0, 1, 300), tol=1e-4):
+    """Labels of the y-band loop and of the dense loop, each equal to the
+    reference's; the last ones."""
+    for max_iter in max_iters:
+        # squared differences of far-apart coordinates overflow to inf in the
+        # reference; meanshift raises no warning for them
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = meanshift_reference(pts, bandwidth, tol, max_iter).tolist()
+        for loop in (BAND_LOOP, DENSE_LOOP):
+            with dense_max(loop):
+                labels = meanshift(pts, bandwidth, tol, max_iter)
+            assert labels.tolist() == want
     return labels
 
 
@@ -245,7 +253,9 @@ def test_meanshift_coordinates_near_1e300_match_reference(rng, bandwidth):
     # extents of 2e300 in both axes, points at the extremes and near zero
     pts = np.concatenate([rng.uniform(-1e300, 1e300, (12, 2)), rng.uniform(0.0, 1.0, (6, 2)),
                           [(-1e300, -1e300), (1e300, 1e300), (-1e300, 1e300), (0.5, 0.5)]])
-    meanshift_equals_reference(pts, bandwidth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        meanshift_equals_reference(pts, bandwidth)
 
 
 @pytest.mark.parametrize("bandwidth", [BANDWIDTH_FLOOR, 0.05, 0.125, 0.3])
@@ -272,7 +282,9 @@ def test_meanshift_points_on_band_edges_match_reference(bandwidth):
 def test_meanshift_far_window_ends_raise_no_float_warning(points, bandwidth):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert meanshift(np.array(points), bandwidth).tolist() == [0] * len(points)
+        for loop in (BAND_LOOP, DENSE_LOOP):
+            with dense_max(loop):
+                assert meanshift(np.array(points), bandwidth).tolist() == [0] * len(points)
 
 
 def test_meanshift_duplicated_modes_and_signed_zeros_match_reference(rng):
@@ -295,9 +307,49 @@ def test_meanshift_shared_paths_on_a_density_ramp_match_reference(seed):
     pts = np.zeros((40, 2))
     pts[:, 0] = np.random.default_rng(seed).uniform(0.0, 1.0, 40) ** 2
     for tol in (1e-4, 0.03):
-        for max_iter in [*range(9), 300]:
-            assert meanshift(pts, 0.25, tol, max_iter).tolist() == \
-                meanshift_reference(pts, 0.25, tol, max_iter).tolist()
+        meanshift_equals_reference(pts, 0.25, [*range(9), 300], tol)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_meanshift_mode_moving_exactly_tol_moves_on(seed):
+    # tol is exactly some modes' first shift, with the reference's operations:
+    # those modes move on (a shift at least tol), on both loops
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.uniform(0.0, 1.0, (12, 2)) ** 2 * 16) / 16
+    bandwidth = 0.25
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    within = dist <= bandwidth
+    new = (within[:, :, None] * pts[None, :, :]).sum(axis=1) / within.sum(axis=1)[:, None]
+    shifts = np.sqrt(((new - pts) ** 2).sum(axis=1))
+    for tol in sorted(set(shifts[shifts > 0.0].tolist()))[:4]:
+        meanshift_equals_reference(pts, bandwidth, (1, 2, 300), tol)
+
+
+def test_meanshift_frames_sends_only_large_frames_through_the_band_loop(rng, monkeypatch):
+    # a batch mixing 20- and 300-point frames: the 300-point ones, and only
+    # they, take the y-band loop, one call each, in batch order
+    assert 20 <= clustering.DENSE_MAX < 300
+    sizes = [20, 300, 20, 20, 300, 20]
+    frames = [rng.uniform(0.0, 1.0, (n, 2)) for n in sizes]
+    bandwidths = [0.1, 0.05, 0.2, 0.1, 0.08, 0.3]
+    calls, band_modes = [], clustering._band_modes
+    monkeypatch.setattr(clustering, "_band_modes",
+                        lambda pts, *args: calls.append(pts) or band_modes(pts, *args))
+    labels = meanshift_frames(frames, bandwidths)
+    assert [len(pts) for pts in calls] == [300, 300]
+    assert calls[0] is not calls[1] and np.array_equal(calls[1], frames[4])
+    want = [meanshift_reference(f, b).tolist() for f, b in zip(frames, bandwidths)]
+    assert [l.tolist() for l in labels] == want
+
+
+def test_meanshift_frames_checks_each_frame():
+    assert meanshift_frames([], []) == []
+    with pytest.raises(ValueError):
+        meanshift_frames([np.zeros((3, 2))], [0.1, 0.2])
+    with pytest.raises(ValueError, match="bandwidth"):
+        meanshift_frames([np.zeros((3, 2)), np.zeros((400, 2))], [0.1, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        meanshift_frames([np.zeros((3, 2)), np.full((2, 2), np.nan)], [0.1, 0.1])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1, "0.2", True])

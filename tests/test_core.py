@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sceneplan.core import (
     make_cluster,
     nms,
     validate_partition,
+    write_file,
 )
 
 from oracles import iou_exact, iou_raster, random_boxes
@@ -271,3 +274,20 @@ def test_bounding_block_empty_cluster_rejected():
     c = Cluster((), 0, 0, 0, 0)
     with pytest.raises(ValueError):
         bounding_block(c, [], 0.0, frame)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_write_file_honours_the_umask(tmp_path, umask, mode):
+    # a new file and a replaced one both get 0o666 & ~umask, as open() gives
+    path = tmp_path / "sub" / "out.txt"
+    saved = os.umask(umask)
+    try:
+        write_file(path, "first")
+        first = stat.S_IMODE(os.stat(path).st_mode)
+        write_file(path, b"second")
+        assert os.umask(umask) == umask  # the umask is left as it was
+    finally:
+        os.umask(saved)
+    assert first == stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert path.read_bytes() == b"second"
+    assert os.listdir(path.parent) == ["out.txt"]

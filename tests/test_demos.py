@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -31,11 +32,18 @@ def test_demo_imports_resolve(demo):
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name[:2])
-def test_fast_demo_runs(demo):
+def test_fast_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    # the demo's temp files (demo 06 keeps its artifacts) go to tmp_path
+    env.update(TMPDIR=str(tmp_path), TEMP=str(tmp_path), TMP=str(tmp_path))
+    system_tmp = pathlib.Path(tempfile.gettempdir())
+    before = set(system_tmp.glob("sceneplan_demo_*"))
     out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+    assert set(system_tmp.glob("sceneplan_demo_*")) <= before
+    if demo.name.startswith("06"):
+        assert len(list(tmp_path.glob("sceneplan_demo_*"))) == 1

@@ -5,6 +5,7 @@ returns (``==`` on plain values) on every drawn input."""
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneplan.clustering import (
+    DENSE_MAX,
     ClusterGeometry,
     TransformParams,
     estimate_bandwidth,
     kmeans_1d,
     meanshift,
+    meanshift_frames,
     select_merge_pair,
     split_cluster,
 )
@@ -39,13 +42,17 @@ from sceneplan.offload import (
     precision_table,
 )
 from sceneplan.ppo import masked_log_softmax, policy_sample
-from sceneplan.rl_env import action_mask, encode_state
+from sceneplan.rl_env import RewardWeights, action_mask, encode_state, rewards
 from sceneplan.scene import TileRows, aggregate_tiles, coarse_detect, observe_tiles, tile_frame
 
 from oracles import (
+    BAND_LOOP,
+    DENSE_LOOP,
     action_mask_reference,
     aggregate_tiles_reference,
     bounding_block_reference,
+    centroids_reference,
+    dense_max,
     dp_plan_reference,
     encode_state_reference,
     estimate_bandwidth_reference,
@@ -60,6 +67,7 @@ from oracles import (
     precision_table_reference,
     random_boxes,
     random_config,
+    reward_per_cluster_reference,
     select_merge_pair_reference,
     split_cluster_reference,
     tied_config,
@@ -166,6 +174,36 @@ def splits_new(config, transform):
 
 def splits_reference(config, transform):
     return [[split_cluster_reference(config, i, transform) for i in splittable(config)]] * 2
+
+
+# --- rewards -----------------------------------------------------------------------
+
+@st.composite
+def scored_args(draw):
+    """1-6 tied configurations, each of its own frame and under its own
+    transform, with a fresh geometry or one whose memo holds every
+    cluster, sometimes scored twice in one batch; each weighted with a d_m
+    at, or an ulp either side of, one of its centroid distances, or 0.2."""
+    scored = []
+    for _ in range(draw(st.integers(1, 6))):
+        config, transform = draw(tied_configs), draw(transforms)
+        d_m, cents = 0.2, centroids_reference(config, transform)
+        if config.count >= 2:
+            i, j = draw(st.permutations(range(config.count)))[:2]
+            d = float(np.linalg.norm(cents[i] - cents[j]))
+            step = draw(st.sampled_from([-1, 0, 1]))
+            if d > 0.0:
+                d_m = d if step == 0 else math.nextafter(d, step * math.inf)
+        weights = RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
+                                n_min=2, n_max=4, d_m=d_m)
+        item = (config, weights, geometries(config, transform)[draw(st.integers(0, 1))])
+        scored += [item] * draw(st.integers(1, 2))
+    return (scored,)
+
+
+def rewards_reference(scored):
+    return [reward_per_cluster_reference(config, weights, geometry.transform)
+            for config, weights, geometry in scored]
 
 
 # --- kmeans_1d ----------------------------------------------------------------------
@@ -335,6 +373,68 @@ def meanshift_args(draw, points=st.lists(POINT, min_size=1, max_size=60) | share
     repeats = draw(st.lists(st.integers(0, 59), max_size=20))
     points = points + [points[i % len(points)] for i in repeats]
     return np.array(points), draw(bandwidth), draw(TOL), draw(MAX_ITER)
+
+
+def on_both_loops(function):
+    """``function``'s results with every MeanShift frame on the y-band loop,
+    then on the dense loop."""
+    def run(*args):
+        results = []
+        for loop in (BAND_LOOP, DENSE_LOOP):
+            with dense_max(loop):
+                results.append(function(*args))
+        return results
+    return run
+
+
+def twice(reference):
+    return lambda *args: [reference(*args)] * 2
+
+
+BANDWIDTH = (st.sampled_from([0.05, 0.125, 0.2, 0.25, 0.5, 1.0])
+             | st.sampled_from([1e-300, 1e308, sys.float_info.max]))
+
+
+@st.composite
+def frame_points(draw):
+    """One frame's points: ``meanshift_args``' sets of at most 80 points,
+    5 to 2 * DENSE_MAX uniform points (free or on a 1/16 grid, often
+    crowded towards a corner), or up to DENSE_MAX + 40 points at
+    coordinates up to 1e300 with a few near the origin."""
+    kind = draw(st.sampled_from(["drawn", "uniform", "uniform", "huge"]))
+    if kind == "drawn":
+        return draw(meanshift_args())[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "huge":
+        n = int(rng.integers(1, DENSE_MAX + 41))
+        return np.concatenate([rng.uniform(-1e300, 1e300, (n, 2)),
+                               rng.uniform(0.0, 1.0, (int(rng.integers(0, 4)), 2))])
+    n = int(rng.choice([int(rng.integers(5, 2 * DENSE_MAX + 1)), DENSE_MAX, DENSE_MAX + 1]))
+    points = rng.uniform(0.0, 1.0, (n, 2)) ** rng.choice([1, 2])
+    return np.round(points * 16) / 16 if draw(st.booleans()) else points
+
+
+@st.composite
+def frames_args(draw):
+    """1-5 frames on both sides of DENSE_MAX, each with its own bandwidth,
+    and a tolerance and iteration cap shared by all."""
+    frames = draw(st.lists(frame_points(), min_size=1, max_size=5))
+    bandwidths = draw(st.lists(BANDWIDTH, min_size=len(frames), max_size=len(frames)))
+    return frames, bandwidths, draw(TOL), draw(MAX_ITER)
+
+
+def warning_free(function):
+    """``function`` with numpy's float warnings raised as errors."""
+    def run(*args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return function(*args)
+    return run
+
+
+def frames_reference(frames, bandwidths, tol, max_iter):
+    return [meanshift_reference(points, bandwidth, tol, max_iter)
+            for points, bandwidth in zip(frames, bandwidths)]
 
 
 # --- observe_tiles and aggregate_tiles ------------------------------------------
@@ -603,9 +703,12 @@ REGISTRY = [
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_rows_reference),
      sample_args(), 200),
-    ("meanshift", meanshift, meanshift_reference, meanshift_args(), 150),
-    ("meanshift_shared_paths", meanshift, meanshift_reference,
+    ("meanshift", on_both_loops(meanshift), twice(meanshift_reference), meanshift_args(), 150),
+    ("meanshift_shared_paths", on_both_loops(meanshift), twice(meanshift_reference),
      meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
+    ("meanshift_frames", warning_free(meanshift_frames), quiet(frames_reference),
+     frames_args(), 60),
+    ("rewards", rewards, rewards_reference, scored_args(), 150),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_new, aggregate_tiles_reference, aggregate_args(), 100),
     ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),

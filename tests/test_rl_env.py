@@ -533,3 +533,18 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
         assert len(calls) == k + 1  # one call per outcome, on its first read
         assert out.reward == total and out.components == (r1, r2, r3, r4)
         assert len(calls) == k + 1
+
+
+@pytest.mark.parametrize("weights, named", [
+    (dict(gamma=1e308), "the term weighted by reward.gamma overflows"),
+    (dict(gamma=1e308, delta=1e308), "the terms weighted by reward.gamma, reward.delta overflow"),
+    # gamma * R3 = -1.4e308 and delta * R4 = -6e307 are finite, their sum is not
+    (dict(gamma=2e307, delta=2e307), "the sum of the terms weighted by reward.alpha, "
+     "reward.beta, reward.gamma, reward.delta overflows"),
+])
+def test_reward_that_overflows_names_its_weights(weights, named):
+    # three coincident singletons: R3 = -7 (N = 3, n_min = 10), R4 = -3
+    cfg = singleton_config([(0.25, 0.5)] * 3)
+    w = RewardWeights(**{"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0, **weights})
+    with pytest.raises(ValueError, match=f"^reward is not finite: {named}$"):
+        reward(cfg, w)
