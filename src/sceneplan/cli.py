@@ -135,9 +135,17 @@ def _config(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if value is not None and (key in cfg or key == "iterations"):
             (cfg["train"] if key == "iterations" else cfg)[key] = value
-    bandwidth, reward = cfg["bandwidth_value"], cfg["reward"]
+    bandwidth, reward, hyper = cfg["bandwidth_value"], cfg["reward"], cfg["train"]
     top = 1.0 if cfg["bandwidth_mode"] == "quantile" else float("inf")  # quantiles below 1
     for key, ok, want in (
+            *((f"reward.{k}", reward[k] >= 0.0, ">= 0")
+              for k in ("alpha", "beta", "gamma", "delta")),
+            ("reward.d_m", reward["d_m"] > 0.0, "> 0"),
+            ("train.gamma", 0.0 < hyper["gamma"] < 1.0, "in (0, 1)"),
+            *((f"train.{k}", hyper[k] > 0, "> 0")
+              for k in ("clip_eps", "lr_policy", "lr_critic", "batch_size",
+                        "episodes_per_iter", "epochs")),
+            ("train.iterations", hyper["iterations"] >= 0, ">= 0"),
             ("seed", cfg["seed"] >= 0, ">= 0"),
             ("n_pad", cfg["n_pad"] >= 1, ">= 1"),
             ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),

@@ -279,8 +279,8 @@ def _band_modes(pts, bandwidth: float, tol: float, max_iter: int):
             stop[active] = it
             sub_x, sub_y = mode_x[active], mode_y[active]
             key = offset(sub_x) + edges.searchsorted(sub_y, "right")
-            # stable: the sort kmeans_1d maps anyway, where the default maps
-            # more code (peak RSS of the desk paths)
+            # stable: the sort nms_rows maps anyway, where the default maps
+            # more code (peak RSS)
             order = key.argsort(kind="stable")
             active, sub_x, sub_y, key = active[order], sub_x[order], sub_y[order], key[order]
             left[left_order] = key.searchsorted(q_left)
@@ -355,7 +355,8 @@ def _collapse_and_label(pts, mode_x, mode_y, bandwidth: float):
     # collapse near-duplicate modes, first-seen representative wins
     half = bandwidth / 2.0
     near = _distances(modes, modes)
-    _norm_near(near, modes, modes, half)
+    for i, j in _near(near, half):
+        near[i, j] = np.linalg.norm(modes[i] - modes[j])
     near = near <= half  # drops the float array before the labelling's
     covered = np.zeros(len(modes), dtype=bool)
     reps = []
@@ -402,28 +403,72 @@ def kmeans_1d(values):
 
     Optimal 1D clusters are contiguous in sorted order, so every one of the
     n-1 sorted split points is scored and the lowest cost wins, the first
-    on ties; a NaN cost wins over any number, as under ``np.argmin``.
-    Returns a 0/1 label per input value; 0 marks the lower group.
+    on ties; a NaN cost (from infinite values) wins over any number, as
+    under ``np.argmin``. NaN values raise ``ValueError``. Returns a 0/1
+    label per input value; 0 marks the lower group. The scan is
+    ``_best_split``'s, shared with ``split_cluster``.
+    """
+    vals = np.asarray(values, dtype=float).tolist()
+    if len(vals) < 2:
+        raise ValueError("need at least 2 values to split")
+    if any(v != v for v in vals):
+        raise ValueError("cannot split NaN values")
+    order, split = _best_split(vals)
+    labels = np.ones(len(vals), dtype=int)
+    labels[order[:split]] = 0
+    return labels
+
+
+def _best_split(vals: list[float]) -> tuple[list[int], int]:
+    """(order, m): the stable sorted order of at least 2 non-NaN floats,
+    and how many of them, in that order, the best 2-way split puts low.
 
     Split m costs ``sse(first m) + sse(rest)``, where a part of c values
-    with sum t and sum of squares q has ``sse = q - t * t / c``. The costs
-    equal ``kmeans_1d_reference`` in ``tests/oracles.py`` bit for bit.
+    with sum t and sum of squares q has ``sse = q - t * t / c``, the rest's
+    t and q being the totals minus the first m's. In Python floats, which
+    round each operation as numpy's float64 does: ``sorted`` is stable as
+    ``argsort(kind="stable")`` is on non-NaN values, the running sums of v
+    and v * v add in ``cumsum``'s order (a start at 0.0 changes only a
+    zero's sign, which reaches nothing but squares), and the scan keeps
+    ``np.argmin``'s first minimum, or first NaN. So the costs and the
+    split equal ``kmeans_1d_reference`` in ``tests/oracles.py`` bit for
+    bit, without numpy's per-call set-up on the few values a split sees.
     """
-    vals = np.asarray(values, dtype=float)
-    n = len(vals)
-    if n < 2:
-        raise ValueError("need at least 2 values to split")
-    order = np.argsort(vals, kind="stable")
-    s = vals[order]
-    prefix, prefix_sq = np.cumsum(s).tolist(), np.cumsum(s ** 2).tolist()
-    total, total_sq = prefix[-1], prefix_sq[-1]
-    costs = [q - t * t / m + ((total_sq - q) - (total - t) * (total - t) / (n - m))
-             for m, t, q in zip(range(1, n), prefix, prefix_sq)]
-    split = int(np.argmin(costs)) + 1
-    labels = np.empty(n, dtype=int)
-    labels[order[:split]] = 0
-    labels[order[split:]] = 1
-    return labels
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    prefix, prefix_sq = [], []
+    t = q = 0.0
+    for k in order:
+        v = vals[k]
+        t += v
+        q += v * v
+        prefix.append(t)
+        prefix_sq.append(q)
+    n, total, total_sq = len(vals), t, q
+    best, split = math.inf, 1
+    for m, t, q in zip(range(1, n), prefix, prefix_sq):
+        cost = q - t * t / m + ((total_sq - q) - (total - t) * (total - t) / (n - m))
+        if cost != cost:
+            return order, m
+        if cost < best:
+            best, split = cost, m
+    return order, split
+
+
+def _variance(vals: list[float]) -> float:
+    """Population variance of ``vals`` as ``np.var`` takes it over an axis-0
+    column of C-order rows: the sum / k, then the sum of squared deviations
+    / k, each added one row at a time in row order (numpy adds such a
+    reduction row by row, so at every length)."""
+    k = len(vals)
+    total = 0.0
+    for v in vals:
+        total += v
+    mean = total / k
+    dev = 0.0
+    for v in vals:
+        d = v - mean
+        dev += d * d
+    return dev / k
 
 
 class ClusterGeometry:
@@ -509,23 +554,19 @@ class ClusterGeometry:
         return hit
 
 
-def _norm_near(dist, a, b, cut: float, upper: bool = False):
-    """Settle the entries of ``dist = _distances(a, b)`` within 4 ulp of
-    ``cut`` by ``np.linalg.norm(a[i] - b[j])``; returns their (i, j) in
-    row-major order. With ``upper``, only the entries with i < j are
-    settled and returned, for a caller that reads one triangle of a
-    symmetric ``dist``. Why this equals the per-pair norms of
-    ``reward_per_cluster_reference`` in ``tests/oracles.py`` sits beside it.
+def _near(dist, cut: float, upper: bool = False) -> list[tuple[int, int]]:
+    """The (i, j) of the entries of ``dist = _distances(a, b)`` within 4 ulp
+    of ``cut``, in row-major order; with ``upper``, those with i < j only,
+    for a caller that reads one triangle of a symmetric ``dist``. Callers
+    settle them by ``np.linalg.norm(a[i] - b[j])``; why this equals the
+    per-pair norms of ``reward_per_cluster_reference`` in
+    ``tests/oracles.py`` sits beside it.
     """
     cols = dist.shape[1]
     gap = dist - cut
     near = [divmod(int(k), cols)
             for k in np.flatnonzero(np.abs(gap, out=gap) <= 4.0 * math.ulp(cut))]
-    if upper:
-        near = [(i, j) for i, j in near if i < j]
-    for i, j in near:
-        dist[i, j] = np.linalg.norm(a[i] - b[j])
-    return near
+    return [(i, j) for i, j in near if i < j] if upper else near
 
 
 def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple[int, int]:
@@ -538,8 +579,9 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     ``ClusterGeometry`` memo; in raw space they are the clusters' own
     ``mu_x, mu_y``, which the geometry's means can miss in the last bit
     from 8 members on. All pairwise distances come from one ``_distances``
-    array, which is symmetric; the pairs i < j within a few ulp of its
-    minimum are decided by ``np.linalg.norm``, first in (i, j) order.
+    array, which is symmetric. When a second pair i < j lies within a few
+    ulp of its minimum, those pairs are decided by ``np.linalg.norm``, first
+    in (i, j) order; a minimum with no such near tie is the pair itself.
     Results equal ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     geometry.check(config)
@@ -553,7 +595,11 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     np.fill_diagonal(dist, np.inf)
     # argmin, not min: the first min call maps 64 KB of numpy code that desk
     # training loads nowhere else (peak RSS)
-    near = _norm_near(dist, cents, cents, float(dist.flat[dist.argmin()]), upper=True)
+    near = _near(dist, float(dist.flat[dist.argmin()]), upper=True)
+    if len(near) == 1:  # the minimum's own pair, with nothing to settle
+        return near[0]
+    for i, j in near:
+        dist[i, j] = np.linalg.norm(cents[i] - cents[j])
     # min keeps the first of equals in (i, j) order
     return min(near, key=lambda p: dist[p])
 
@@ -578,9 +624,12 @@ def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> C
     dominates). The lower sub-cluster takes the split cluster's slot and
     the upper one is appended.
 
-    Array method: the member centres are gathered from the episode's
-    ``ClusterGeometry`` rather than rebuilt and transformed per call.
-    Results equal ``split_cluster_reference`` in ``tests/oracles.py``.
+    The member centres are read from the geometry's lists, and each
+    coordinate's variance is taken by ``_variance`` in member order, as
+    ``np.var(axis=0)`` over the gathered (k, 2) centres takes it; the cut
+    is ``_best_split``'s scan, so no numpy call is set up for the few
+    members a split sees. Results equal ``split_cluster_reference`` in
+    ``tests/oracles.py``.
     """
     geometry.check(config)
     if not (0 <= i < config.count):
@@ -588,13 +637,12 @@ def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> C
     cluster = config.clusters[i]
     if cluster.size < 2:
         raise ValueError("split unavailable: cluster has fewer than 2 members")
-    pts = geometry.points[list(cluster.members)]
-    var_x, var_y = pts.var(axis=0)
-    coord = pts[:, 0] if var_x > var_y else pts[:, 1]
-    labels = kmeans_1d(coord)
-    members = np.array(cluster.members)
-    low = make_cluster(members[labels == 0].tolist(), config.detections)
-    high = make_cluster(members[labels == 1].tolist(), config.detections)
+    members = cluster.members
+    xs = [geometry._x[m] for m in members]
+    ys = [geometry._y[m] for m in members]
+    order, split = _best_split(xs if _variance(xs) > _variance(ys) else ys)
+    low = make_cluster([members[k] for k in order[:split]], config.detections)
+    high = make_cluster([members[k] for k in order[split:]], config.detections)
     clusters = list(config.clusters)
     clusters[i] = low
     clusters.append(high)

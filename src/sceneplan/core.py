@@ -285,7 +285,7 @@ def nms_rows(cx, cy, w, h, score, class_ids, iou_threshold: float = 0.5) -> list
     area = (x1 - x0) * (y1 - y0)
     cls = np.array(class_ids)[order]
 
-    by_x = x0.argsort(kind="stable")  # the sort kmeans_1d maps (peak RSS)
+    by_x = x0.argsort(kind="stable")  # the score order's sort (peak RSS)
     x0_sorted = x0[by_x]
     after = np.arange(1, n + 1)
     # a box whose width rounds to 0 (x0 == x1) may end its range before it

@@ -462,9 +462,10 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
     return ClusterConfig(tuple(clusters), config.detections)
 
 
-# ``kmeans_1d`` takes t and q from float64 prefix sums of the sorted values
-# and their squares, the rest's as the total minus the first m's, and scans
-# the splits in Python floats, which round each operation as the numpy
+# ``kmeans_1d`` and ``split_cluster`` (``clustering._best_split``) sort,
+# sum and scan in Python floats: running sums of the sorted values and of
+# their squares add in ``cumsum``'s order, the rest's t and q are the
+# totals minus the first m's, and each operation rounds as the numpy
 # float64 scalars below do.
 def kmeans_1d_reference(values):
     """Best 2-way split of the sorted values, every split's cost from

@@ -483,6 +483,20 @@ def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, val
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("reward.alpha", -1.0), ("reward.beta", -0.5), ("reward.gamma", -1), ("reward.delta", -1e-9),
+    ("reward.d_m", 0), ("reward.d_m", -0.05), ("train.gamma", 1.5), ("train.gamma", 0.0),
+    ("train.gamma", 1), ("train.clip_eps", 0.0), ("train.lr_policy", 0), ("train.lr_critic", -1e-3),
+    ("train.batch_size", 0), ("train.episodes_per_iter", -2), ("train.epochs", 0),
+    ("train.iterations", -1)])
+def test_train_out_of_range_reward_or_train_value_names_key(tmp_path, capsys, key, value):
+    block, _, sub = key.partition(".")
+    cfg_path, _ = base_config(tmp_path, **{block: {**base_config(tmp_path)[1][block], sub: value}})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.14"])
 def test_pipeline_bad_bandwidth_names_it(tmp_path, capsys, value):
     cfg_path, _ = base_config(tmp_path, bandwidth_value=value)

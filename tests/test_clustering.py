@@ -37,6 +37,7 @@ from oracles import (
     dense_max,
     geometry_of,
     kmeans_1d_best_cost,
+    kmeans_1d_reference,
     labels_cost,
     meanshift_reference,
     random_config,
@@ -400,6 +401,24 @@ def test_kmeans_optimal_property(vals):
 def test_kmeans_needs_two_values():
     with pytest.raises(ValueError):
         kmeans_1d([0.5])
+
+
+@pytest.mark.parametrize("values, labels", [
+    # squares overflow: the split costs start inf, NaN; the NaN beats the inf
+    ([-1e154, -1e154, 1e154, 1e154], [0, 0, 1, 1]),
+    ([1e154, -1e154, 0.0, -1e154, 1e154], [1, 0, 1, 0, 1]),
+])
+def test_kmeans_first_nan_cost_wins(values, labels):
+    assert kmeans_1d(values).tolist() == labels
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert kmeans_1d_reference(values).tolist() == labels
+
+
+@pytest.mark.parametrize("values", [[0.2, float("nan")], [float("nan")] * 3,
+                                    [0.1, 0.9, float("nan"), 0.5]])
+def test_kmeans_rejects_nan_values(values):
+    with pytest.raises(ValueError, match="NaN"):
+        kmeans_1d(values)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def centroid_reference(dets, transform, members):
 tied_configs = st.builds(
     lambda seed, sizes, grid, copies: tied_config(np.random.default_rng(seed),
                                                   sizes, grid, copies),
-    st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 100), min_size=1, max_size=8),
     st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3))
 transforms = st.sampled_from([None, TransformParams(0.5)])
 
@@ -167,13 +167,36 @@ def splittable(config):
     return [i for i, c in enumerate(config.clusters) if c.size >= 2]
 
 
+def split_clusters(config, split):
+    """Each split's clusters, and whether it keeps ``config``'s detections:
+    the boxes are the same object, so comparing them adds nothing but time
+    at 100-member clusters."""
+    return [(out.clusters, out.detections is config.detections)
+            for out in (split(i) for i in splittable(config))]
+
+
 def splits_new(config, transform):
-    return [[split_cluster(config, i, g) for i in splittable(config)]
+    return [split_clusters(config, lambda i: split_cluster(config, i, g))
             for g in geometries(config, transform)]
 
 
 def splits_reference(config, transform):
-    return [[split_cluster_reference(config, i, transform) for i in splittable(config)]] * 2
+    return [split_clusters(config, lambda i: split_cluster_reference(config, i, transform))] * 2
+
+
+@st.composite
+def swapped_axis_args(draw):
+    """One cluster of 2-100 members whose y centres are its x centres in
+    another order, in raw space: exact arithmetic ties the two variances,
+    so the order of each sum picks the split axis; on a grid the sums are
+    exact, the variances tie and y must win."""
+    grid = draw(st.sampled_from([None, 64]))
+    xs = draw(st.lists(st.floats(0.05, 0.95), min_size=2, max_size=100))
+    if grid is not None:
+        xs = [round(x * grid) / grid for x in xs]
+    ys = draw(st.permutations(xs))
+    boxes = tuple(DetectionBox(x, y, 0.02, 0.02) for x, y in zip(xs, ys))
+    return ClusterConfig((make_cluster(range(len(boxes)), boxes),), boxes), None
 
 
 # --- rewards -----------------------------------------------------------------------
@@ -695,6 +718,7 @@ REGISTRY = [
     ("select_merge_pair", caught(merge_pair_new), caught(merge_pair_reference),
      st.tuples(tied_configs, transforms), 150),
     ("split_cluster", splits_new, splits_reference, st.tuples(tied_configs, transforms), 100),
+    ("split_cluster_swapped_axes", splits_new, splits_reference, swapped_axis_args(), 100),
     ("kmeans_1d", quiet(kmeans_1d), quiet(kmeans_1d_reference), kmeans_args(), 300),
     ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
     ("partitions_from_blocks", caught(partitions_from_blocks),
