@@ -456,9 +456,10 @@ def _best_split(vals: list[float]) -> tuple[list[int], int]:
 
 def _variance(vals: list[float]) -> float:
     """Population variance of ``vals`` as ``np.var`` takes it over an axis-0
-    column of C-order rows: the sum / k, then the sum of squared deviations
-    / k, each added one row at a time in row order (numpy adds such a
-    reduction row by row, so at every length)."""
+    column of C-order rows, or over fewer than 8 values in 1-D: the sum /
+    k, then the sum of squared deviations / k, each added one value at a
+    time in order (numpy adds an axis-0 reduction row by row, so at every
+    length, and a 1-D one pairwise from 8 values on)."""
     k = len(vals)
     total = 0.0
     for v in vals:
@@ -481,9 +482,10 @@ class ClusterGeometry:
     rejects a geometry built for another frame. Per-cluster statistics are
     memoised by member tuple: the centroid of the member centres, their
     mean distance to it, and the population variance of the member areas.
-    The centroid has its own memo, so a merge reads it without the other
-    two reductions. A step creates at most two clusters, so it computes
-    statistics for at most two. Build one per episode.
+    The centroid, a row-by-row sum in Python floats at every size, has its
+    own memo, so a merge reads it without the other two reductions, which
+    are numpy's from 8 members on. A step creates at most two clusters, so
+    it computes statistics for at most two. Build one per episode.
     """
 
     def __init__(self, detections, transform: TransformParams | None):
@@ -504,52 +506,49 @@ class ClusterGeometry:
             raise ValueError("geometry was built for another frame")
 
     def centroid(self, members: tuple[int, ...]) -> tuple[float, float]:
-        """(x, y) mean of the member centres, as ``stats(members)[0]``:
-        from ``stats`` below 8 members, else from numpy's ``mean`` over the
-        gathered centres, the reduction ``stats`` reads from here."""
+        """(x, y) mean of the member centres: each coordinate added in
+        member order from 0.0 (no builtin sum, compensated from Python 3.12,
+        nor math.fsum), then divided by the member count. numpy's axis-0
+        ``mean`` over the gathered C-order (k, 2) centres adds them row by
+        row at every size, so the two are equal bit for bit."""
         hit = self._centroid.get(members)
         if hit is None:
-            if len(members) < 8:
-                return self.stats(members)[0]
-            hit = tuple(self.points[list(members)].mean(axis=0).tolist())
-            self._centroid[members] = hit
+            xs, ys = self._x, self._y
+            sx = sy = 0.0
+            for i in members:
+                sx += xs[i]
+                sy += ys[i]
+            k = len(members)
+            hit = self._centroid[members] = (sx / k, sy / k)
         return hit
 
     def stats(self, members: tuple[int, ...]) -> tuple[tuple[float, float], float, float]:
-        """((centroid x, y), mean member distance to it, area variance), in
-        Python floats below 8 members and by numpy reductions from 8 on.
-        Results equal ``geometry_stats_reference`` in ``tests/oracles.py``,
-        beside which the argument sits.
+        """((centroid x, y), mean member distance to it, area variance).
+        The centroid is ``centroid``'s; the spread and the variance, 1-D
+        sums that numpy adds pairwise from 8 values on, are Python floats
+        below 8 members and numpy reductions from 8 on. Results equal
+        ``geometry_stats_reference`` in ``tests/oracles.py``, beside which
+        the argument sits.
         """
         hit = self._stats.get(members)
         if hit is not None:
             return hit
         k = len(members)
+        centroid = cx, cy = self.centroid(members)
         if k >= 8:
             idx = list(members)
-            centroid = self.centroid(members)
             hit = (
                 centroid,
                 float(np.linalg.norm(self.points[idx] - centroid, axis=1).mean()),
                 float(self.areas[idx].var()),
             )
         else:
-            xs, ys, areas = self._x, self._y, self._area
-            # no builtin sum (compensated from Python 3.12) nor math.fsum
-            sx = sy = sa = 0.0
-            for i in members:
-                sx += xs[i]
-                sy += ys[i]
-                sa += areas[i]
-            cx, cy, mean_area = sx / k, sy / k, sa / k
-            spread = dev = 0.0
+            xs, ys = self._x, self._y
+            spread = 0.0
             for i in members:
                 dx, dy = xs[i] - cx, ys[i] - cy
                 spread += math.sqrt(dx * dx + dy * dy)
-                d = areas[i] - mean_area
-                dev += d * d
-            hit = ((cx, cy), spread / k, dev / k)
-            self._centroid[members] = hit[0]
+            hit = (centroid, spread / k, _variance([self._area[i] for i in members]))
         self._stats[members] = hit
         return hit
 
@@ -575,29 +574,31 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
 
     Ties break toward the lexicographically smallest (i, j).
 
-    Array method: under a transform, centroids come from the episode's
-    ``ClusterGeometry`` memo; in raw space they are the clusters' own
-    ``mu_x, mu_y``, which the geometry's means can miss in the last bit
-    from 8 members on. All pairwise distances come from one ``_distances``
-    array, which is symmetric. When a second pair i < j lies within a few
-    ulp of its minimum, those pairs are decided by ``np.linalg.norm``, first
-    in (i, j) order; a minimum with no such near tie is the pair itself.
-    Results equal ``select_merge_pair_reference`` in ``tests/oracles.py``.
+    Array method: the centroids come from the episode's ``ClusterGeometry``
+    memo, in raw space too, where they equal the clusters' own ``mu_x,
+    mu_y`` (both add the member centres in member order). All pairwise
+    distances come from one ``_distances`` array, which is symmetric; one
+    count of the entries within 4 ulp of its minimum tells whether the
+    argmin's pair, found at i < j as the first minimum in row-major order,
+    stands alone. Otherwise the pairs i < j within those ulp are decided by
+    ``np.linalg.norm``, first in (i, j) order. Results equal
+    ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     geometry.check(config)
-    if config.count < 2:
+    n = config.count
+    if n < 2:
         raise ValueError("merge unavailable: fewer than 2 clusters")
-    if geometry.transform is None:
-        cents = np.array([[c.mu_x, c.mu_y] for c in config.clusters])
-    else:
-        cents = np.array([geometry.centroid(c.members) for c in config.clusters])
+    cents = np.array([geometry.centroid(c.members) for c in config.clusters])
     dist = _distances(cents, cents)
-    np.fill_diagonal(dist, np.inf)
+    dist.flat[::n + 1] = np.inf  # the diagonal
     # argmin, not min: the first min call maps 64 KB of numpy code that desk
     # training loads nowhere else (peak RSS)
-    near = _near(dist, float(dist.flat[dist.argmin()]), upper=True)
-    if len(near) == 1:  # the minimum's own pair, with nothing to settle
-        return near[0]
+    k = int(dist.argmin())
+    m = float(dist.flat[k])
+    # every entry is at least m, so this is _near's test; 2 are the pair's own
+    if np.count_nonzero(dist - m <= 4.0 * math.ulp(m)) == 2:
+        return divmod(k, n)
+    near = _near(dist, m, upper=True)
     for i, j in near:
         dist[i, j] = np.linalg.norm(cents[i] - cents[j])
     # min keeps the first of equals in (i, j) order
@@ -610,10 +611,11 @@ def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
         raise ValueError("cannot merge a cluster with itself")
     if not (0 <= i < config.count and 0 <= j < config.count):
         raise ValueError(f"cluster index out of range: ({i}, {j})")
-    merged = make_cluster(config.clusters[i].members + config.clusters[j].members,
-                          config.detections)
-    rest = tuple(c for k, c in enumerate(config.clusters) if k not in (i, j))
-    return ClusterConfig(rest + (merged,), config.detections)
+    i, j = min(i, j), max(i, j)
+    clusters = config.clusters
+    merged = make_cluster(clusters[i].members + clusters[j].members, config.detections)
+    return ClusterConfig(clusters[:i] + clusters[i + 1:j] + clusters[j + 1:] + (merged,),
+                         config.detections)
 
 
 def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> ClusterConfig:

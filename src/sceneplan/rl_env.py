@@ -93,9 +93,9 @@ def encode_state(config: ClusterConfig, n_pad: int, total_detections: int,
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
     feats = []
+    total = total_detections or math.inf  # no detections: every share is 0.0
     for c in config.clusters[:n_pad]:
-        feats += (c.mu_x, c.mu_y, c.mu_w, c.mu_h,
-                  c.size / total_detections if total_detections else 0.0)
+        feats += (c.mu_x, c.mu_y, c.mu_w, c.mu_h, len(c.members) / total)
     feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
     feats.append(min(config.count / n_pad, 1.0) if include_count else 0.0)
     return np.array(feats, dtype=float)
@@ -110,7 +110,7 @@ def action_mask(config: ClusterConfig, n_pad: int) -> np.ndarray:
     """
     shown = config.clusters[:n_pad]
     mask = [True, config.count >= 2]  # KEEP, MERGE; SPLIT_BASE + i follow
-    mask += [c.size >= 2 for c in shown]
+    mask += [len(c.members) >= 2 for c in shown]
     mask += [False] * (n_pad - len(shown))
     return np.array(mask, dtype=bool)
 

@@ -558,12 +558,14 @@ def partitions_from_blocks_reference(config: ClusterConfig, frame: Frame,
     return parts
 
 
-# Up to 7 members ``ClusterGeometry.stats`` adds Python floats one at a time
-# from 0.0, each sum then divided by the member count: the centroid, the
-# mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass population variance
-# (mean first, then the mean of the squared deviations). numpy's
-# ``add.reduce`` adds fewer than 8 elements in exactly this sequence
-# (pairwise summation starts at 8), so the results equal numpy's ``mean``,
+# ``ClusterGeometry.centroid`` adds the member centres in Python floats one
+# at a time from 0.0 and divides by the member count, at every size: the
+# axis-0 ``mean`` below adds the gathered C-order (k, 2) rows one row at a
+# time at every length. Up to 7 members ``ClusterGeometry.stats`` adds the
+# spread, the mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass
+# population variance (mean first, then the mean of the squared deviations)
+# the same way. numpy's 1-D ``add.reduce`` adds fewer than 8 elements in
+# exactly this sequence (pairwise summation starts at 8), so those equal
 # ``linalg.norm(axis=1).mean()`` and ``var`` below; from 8 members on those
 # numpy calls run.
 def geometry_stats_reference(geometry, members):

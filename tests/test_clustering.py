@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -30,6 +31,7 @@ from sceneplan.core import (
     validate_partition,
 )
 from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, reward, step
+from sceneplan.scene import SceneSpec, Stratum, coarse_detect, generate_scene
 
 from oracles import (
     BAND_LOOP,
@@ -42,6 +44,7 @@ from oracles import (
     meanshift_reference,
     random_config,
     select_merge_pair_reference,
+    tied_config,
 )
 
 
@@ -468,6 +471,23 @@ def test_select_merge_pair_swapped_offsets_match_reference(rng, transform):
             select_merge_pair_reference(cfg, transform)
 
 
+@pytest.mark.parametrize("ulps, settled", [(4, True), (5, False)])
+def test_select_merge_pair_settles_a_second_pair_within_4_ulp(monkeypatch, ulps, settled):
+    # pair (0, 1) lies 0.25 apart, pair (0, 2) exactly ``ulps`` ulp of 0.25
+    # further; a unique minimum returns without the near-tie scan
+    calls = []
+
+    def near(*args, **kwargs):
+        calls.append(args[1])
+        return near_scan(*args, **kwargs)
+
+    near_scan = clustering._near
+    monkeypatch.setattr(clustering, "_near", near)
+    cfg = config_from_centers([(0.5, 0.5), (0.75, 0.5), (0.25 - ulps * math.ulp(0.25), 0.5)])
+    assert select_merge_pair(cfg, geometry_of(cfg)) == (0, 1)
+    assert calls == ([0.25] if settled else [])
+
+
 def test_select_merge_pair_needs_two():
     cfg = config_from_centers([(0.5, 0.5)])
     with pytest.raises(ValueError, match="merge unavailable"):
@@ -506,12 +526,38 @@ def test_merge_centroid_weighted_mean(rng):
         assert c.mu_x == pytest.approx((a.mu_x * a.size + b.mu_x * b.size) / ws, abs=1e-9)
 
 
+def test_merge_clusters_either_order_keeps_the_others_in_order(rng):
+    cfg = random_config(rng, 5)
+    for i, j in itertools.combinations(range(cfg.count), 2):
+        merged = merge_clusters(cfg, i, j)
+        assert merge_clusters(cfg, j, i) == merged
+        assert merged.detections is cfg.detections
+        assert merged.clusters == tuple(c for k, c in enumerate(cfg.clusters) if k not in (i, j)) \
+            + (make_cluster(cfg.clusters[i].members + cfg.clusters[j].members, cfg.detections),)
+
+
 def test_merge_rejects_bad_indices(rng):
     cfg = random_config(rng, 3)
     with pytest.raises(ValueError):
         merge_clusters(cfg, 1, 1)
     with pytest.raises(ValueError):
         merge_clusters(cfg, 0, 7)
+
+
+def test_raw_geometry_centroid_is_the_clusters_mean(rng):
+    # both add the member centres in member order, at every cluster size
+    frame = generate_scene(SceneSpec(3840, 2160, 600, 600, (
+        Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=5))
+    boxes = coarse_detect(frame, 2, 4).detections
+    order = rng.permutation(len(boxes)).tolist()
+    ends = [1, 8, 16, 143, 271, 400, len(boxes)]  # 1, 7, 8, 127, 128, 129 and the rest
+    coarse = [make_cluster(order[a:b], boxes) for a, b in zip([0] + ends, ends)]
+    configs = [tied_config(rng, rng.integers(1, 301, size=6).tolist(), grid)
+               for grid in (None, 4, 16, 64) for _ in range(3)]
+    for detections, clusters in [(boxes, coarse)] + [(c.detections, c.clusters) for c in configs]:
+        geometry = ClusterGeometry(detections, None)
+        for c in clusters:
+            assert geometry.centroid(c.members) == (c.mu_x, c.mu_y)
 
 
 def test_split_along_x():

@@ -100,15 +100,23 @@ BOX = st.builds(DetectionBox, COORD, COORD, SIDE, SIDE)
 TRANSFORM = st.sampled_from([None, TransformParams(0.5), TransformParams(0.3)])
 
 
+# numpy's 1-D sums go pairwise from 8 values, in blocks of 128
+FEW_MEMBERS = st.one_of(st.sampled_from([7, 8]), st.integers(1, 12))
+MANY_MEMBERS = st.one_of(st.sampled_from([8, 127, 128, 129]), st.integers(1, 64),
+                         st.integers(1, 1000))
+
+
 @st.composite
-def geometry_args(draw, max_members=12):
+def geometry_args(draw, sizes=FEW_MEMBERS):
     """Frames whose boxes repeat a small pool (duplicated centres, zero
-    coordinates), and clusters of 1 to ``max_members`` members, 7 and 8
-    drawn often."""
-    k = draw(st.one_of(st.sampled_from([7, 8]), st.integers(1, max_members)))
-    pool = draw(st.lists(BOX, min_size=1, max_size=k))
-    dets = tuple(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k + 3)))
-    members = tuple(sorted(draw(st.permutations(range(len(dets))))[:k]))
+    coordinates), and a cluster of a ``sizes`` count of members; a drawn
+    seed lays the pool's boxes out and picks the members, so a frame of
+    1,000 boxes stays a few draws."""
+    k = draw(sizes)
+    pool = draw(st.lists(BOX, min_size=1, max_size=min(k, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dets = tuple(pool[i] for i in rng.integers(len(pool), size=k + draw(st.integers(0, 3))))
+    members = tuple(sorted(rng.permutation(len(dets))[:k].tolist()))
     return dets, draw(TRANSFORM), members
 
 
@@ -714,7 +722,7 @@ def plan_args(draw):
 
 REGISTRY = [
     ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
-    ("geometry_centroid", centroid_new, centroid_reference, geometry_args(64), 200),
+    ("geometry_centroid", centroid_new, centroid_reference, geometry_args(MANY_MEMBERS), 200),
     ("select_merge_pair", caught(merge_pair_new), caught(merge_pair_reference),
      st.tuples(tied_configs, transforms), 150),
     ("split_cluster", splits_new, splits_reference, st.tuples(tied_configs, transforms), 100),
