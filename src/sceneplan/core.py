@@ -3,9 +3,9 @@ the file layer every input JSON and every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
-A coarse frame's ``Boxes`` hold the rows NMS kept as columns and build a
-box only where one is read, which no op does; any other detections
-(generated, loaded, plain tuples) are read box by box. All operations here
+Generated and coarse frames carry their detections as ``Boxes``, columns
+that build a box only where one is read, which no op does; loaded frames
+and plain tuples of boxes are read box by box. All operations here
 but the file layer's are pure functions over immutable values.
 """
 
@@ -118,11 +118,12 @@ class DetectionBox:
 
 
 class Boxes(Sequence):
-    """A coarse frame's detections, read-only: NMS's kept (5, n) rows of cx,
-    cy, w, h and score, each passing ``DetectionBox``'s checks, as float
-    lists in ``fields``, their int ``class_ids``, and their read-only (n, 4)
-    cx, cy, w, h ``columns``. A box is built only when an element is read;
-    ``len``, indexing, iteration, ``==`` and ``hash`` are the box tuple's."""
+    """A generated or coarse frame's detections, read-only: (5, n) rows of
+    cx, cy, w, h and score, each passing ``DetectionBox``'s checks (trusted,
+    not checked here), as float lists in ``fields``, their int
+    ``class_ids``, and their read-only (n, 4) cx, cy, w, h ``columns``. A
+    box is built only when an element is read; ``len``, indexing,
+    iteration, ``==`` and ``hash`` are the box tuple's."""
 
     __slots__ = ("columns", "fields", "class_ids")
 
@@ -157,16 +158,17 @@ def box_columns(detections) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """A frame's pixel size plus its list of detections."""
+    """A frame's pixel size plus its detections: the ``Boxes`` of a
+    generated or coarse frame, else a tuple of boxes."""
 
     width_px: int
     height_px: int
-    detections: tuple[DetectionBox, ...] = ()
+    detections: tuple[DetectionBox, ...] | Boxes = ()
 
     def __post_init__(self) -> None:
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError(f"frame size {self.width_px}x{self.height_px} not positive")
-        if not isinstance(self.detections, Boxes):  # a tuple, keeping a coarse frame's columns
+        if not isinstance(self.detections, Boxes):  # a tuple, keeping a frame's columns
             object.__setattr__(self, "detections", tuple(self.detections))
 
 
@@ -204,8 +206,8 @@ class ClusterConfig:
 def make_cluster(members, detections) -> Cluster:
     """Build a Cluster from detection indices, stats recomputed from scratch.
 
-    Members are kept sorted and their centers and sizes (a coarse frame's
-    from its ``Boxes.fields``) added one at a time in that order, so equal
+    Members are kept sorted and their centers and sizes (from
+    ``Boxes.fields`` for columns) added one at a time in that order, so equal
     member sets give bitwise equal means however the set was assembled.
     """
     members = tuple(sorted(members))
@@ -214,7 +216,7 @@ def make_cluster(members, detections) -> Cluster:
     if len(set(members)) != len(members):
         raise ValueError("duplicate member indices")
     sx = sy = sw = sh = 0.0
-    if isinstance(detections, Boxes):  # the lists a coarse frame lays out once
+    if isinstance(detections, Boxes):  # the lists a generated or coarse frame lays out once
         xs, ys, ws, hs, _ = detections.fields
         for i in members:
             sx += xs[i]

@@ -125,8 +125,9 @@ def load_scene_spec(path) -> SceneSpec:
     return scene_spec_from_dict(read_json(path))
 
 
-def _uniform(low: float, high: float, u: float) -> float:
-    """``Generator.uniform(low, high)``'s value for the double ``u``."""
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)``'s value for the double ``u``, or
+    elementwise for arrays."""
     return low + (high - low) * u
 
 
@@ -138,6 +139,19 @@ def generate_scene(spec: SceneSpec) -> Frame:
     the band (plus jitter), so box size correlates with cy across and
     within strata.
 
+    Array method: the 6 * count doubles of one ``rng.random`` call go
+    through each object's formulas as whole-array operations, each
+    ``_uniform``'s ``high - low`` taken as written (``1.1 - 0.6`` is not
+    0.5), with Python's clamps written out: ``max(0.0, v)`` keeps ``v`` only
+    if ``v > 0.0``, ``min(v, hi)`` keeps ``v`` unless ``hi < v``. The frame's
+    detections are a ``Boxes``, which trusts its rows; under ``Stratum``'s
+    bounds every row passes ``DetectionBox``'s checks. A step ``lo + (hi -
+    lo) * u`` with ``0 <= lo < hi <= 1`` and ``u`` in [0, 1) rounds to a
+    value in [lo, hi] (``cy``, ``cx`` and score). ``h >= size_min > 0`` and
+    rounds to at most ``size_max <= 1``; ``w`` is ``h`` times at least 0.6,
+    which rounds to no less than the smallest subnormal, and is clamped to
+    1. ``cy`` ends between ``max(cy, h / 2) >= 0`` and ``1 - h / 2 <= 1``.
+
     Frames equal ``generate_scene_reference`` in ``tests/oracles.py`` draw
     for draw, beside which the argument sits.
     """
@@ -147,21 +161,23 @@ def generate_scene(spec: SceneSpec) -> Frame:
     weights /= weights.sum()
     cdf = weights.cumsum()
     cdf /= cdf[-1]
-    draws = rng.random((count, 6))  # the 6 * count doubles of 6 draws per object
-    picks = cdf.searchsorted(draws[:, 0], side="right").tolist()
-    boxes = []
-    for pick, (_, u_y, u_t, u_w, u_x, u_score) in zip(picks, draws.tolist()):
-        s = spec.strata[pick]
-        cy = _uniform(s.y0, s.y1, u_y)
-        rel = (cy - s.y0) / (s.y1 - s.y0) if s.y1 > s.y0 else 0.5
-        t = min(1.0, max(0.0, rel + _uniform(-0.25, 0.25, u_t)))
-        h = s.size_min + (s.size_max - s.size_min) * t
-        w = min(1.0, h * _uniform(0.6, 1.1, u_w))
-        cx = _uniform(w / 2.0, 1.0 - w / 2.0, u_x)
-        cy = min(max(cy, h / 2.0), 1.0 - h / 2.0)
-        score = _uniform(0.3, 1.0, u_score)
-        boxes.append(DetectionBox(cx, cy, w, h, score, 0))
-    return Frame(spec.width_px, spec.height_px, tuple(boxes))
+    # the 6 * count doubles of 6 draws per object, one column per draw
+    u_pick, u_y, u_t, u_w, u_x, u_score = rng.random((count, 6)).T
+    bounds = np.array([(s.y0, s.y1, s.size_min, s.size_max) for s in spec.strata], dtype=float)
+    y0, y1, size_min, size_max = bounds[cdf.searchsorted(u_pick, side="right")].T
+    cy = _uniform(y0, y1, u_y)
+    t = (cy - y0) / (y1 - y0) + _uniform(-0.25, 0.25, u_t)
+    t = np.where(t > 0.0, t, 0.0)  # min(1.0, max(0.0, t))
+    t = np.where(t < 1.0, t, 1.0)
+    h = size_min + (size_max - size_min) * t
+    w = h * _uniform(0.6, 1.1, u_w)
+    w = np.where(w < 1.0, w, 1.0)  # min(1.0, w)
+    half = h / 2.0
+    cx = _uniform(w / 2.0, 1.0 - w / 2.0, u_x)
+    cy = np.where(half > cy, half, cy)  # min(max(cy, half), 1.0 - half)
+    cy = np.where(1.0 - half < cy, 1.0 - half, cy)
+    rows = np.stack([cx, cy, w, h, _uniform(0.3, 1.0, u_score)])
+    return Frame(spec.width_px, spec.height_px, Boxes(rows, [0] * count))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +230,12 @@ def load_detections(path) -> Frame:
 def save_detections(frame: Frame, path) -> None:
     """Write a Frame atomically in the CSV detection format when the path
     ends in ``.csv``, in the JSON one otherwise."""
-    rows = [{"cx": d.cx, "cy": d.cy, "w": d.w, "h": d.h, "score": d.score,
-             "class_id": d.class_id} for d in frame.detections]
+    dets = frame.detections
+    if isinstance(dets, Boxes):  # the columns a generated or coarse frame carries
+        values = zip(*dets.fields, dets.class_ids)
+    else:
+        values = ((d.cx, d.cy, d.w, d.h, d.score, d.class_id) for d in dets)
+    rows = [dict(zip(CSV_HEADER, v)) for v in values]
     if str(path).endswith(".csv"):
         write_csv(path, CSV_HEADER, rows)
     else:
@@ -307,11 +327,17 @@ def observe_tiles(
         raise ValueError(f"drop_prob {drop_prob} outside [0, 1)")
     if not (jitter_sigma >= 0.0):
         raise ValueError(f"jitter_sigma {jitter_sigma} negative")
-    rng = np.random.default_rng(seed)
+    noisy = drop_prob > 0.0 or jitter_sigma > 0.0
+    rng = np.random.default_rng(seed) if noisy else None
     w_px, h_px = frame.width_px, frame.height_px
     dets = frame.detections
-    cx, cy, w, h, score = np.array([(d.cx, d.cy, d.w, d.h, d.score) for d in dets]).reshape(-1, 5).T
-    class_ids = [d.class_id for d in dets]
+    if isinstance(dets, Boxes):  # the columns a generated or coarse frame carries
+        (cx, cy, w, h), score = dets.columns.T, np.array(dets.fields[4])
+        class_ids = dets.class_ids
+    else:
+        cx, cy, w, h, score = np.array([(d.cx, d.cy, d.w, d.h, d.score)
+                                        for d in dets]).reshape(-1, 5).T
+        class_ids = [d.class_id for d in dets]
     # extent(): max(0.0, v) gives 0.0 unless v > 0.0, min(1.0, v) 1.0 unless v < 1.0
     bx0, by0 = cx - w / 2.0, cy - h / 2.0
     bx1, by1 = cx + w / 2.0, cy + h / 2.0
@@ -330,7 +356,7 @@ def observe_tiles(
                           where=box_area > 0.0)
         visible = np.flatnonzero(share >= min_visible)
         noise = []
-        if drop_prob > 0.0 or jitter_sigma > 0.0:  # draws in observation order
+        if noisy:  # draws in observation order
             kept = []
             for k in range(len(visible)):
                 if drop_prob > 0.0 and rng.random() < drop_prob:

@@ -33,8 +33,8 @@ members, also the centroid that ``ClusterGeometry.centroid`` memoises),
 into zero arrays) are the training step before it went to Python floats;
 ``policy_sample_rows_reference`` draws a batch row by row on one stream,
 as sampling went before the episodes of an iteration stepped together.
-``make_cluster_reference`` walks each member box's fields, before a coarse
-frame's cluster means read the lists its ``Boxes`` lays out once.
+``make_cluster_reference`` walks each member box's fields, before a generated
+or coarse frame's cluster means read the lists its ``Boxes`` lays out once.
 The library must return exactly what these return.
 """
 
@@ -728,8 +728,9 @@ def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
 # draw yields the same doubles as single calls). The stratum draw is
 # ``Generator.choice``'s own method: the first uniform is searched in the
 # normalised cdf of the weights, built once per scene. The other five become
-# ``rng.uniform(low, high)``'s value ``low + (high - low) * u`` in Python
-# floats, so frames equal this one draw for draw.
+# ``rng.uniform(low, high)``'s value ``low + (high - low) * u``, elementwise
+# over the scene's columns with ``high - low`` taken as written and the
+# clamps as ``np.where``, so frames equal this one draw for draw.
 def generate_scene_reference(spec) -> Frame:
     """Synthetic frame with each object's stratum drawn by
     ``rng.choice(len(strata), p=weights)``."""

@@ -5,7 +5,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sceneplan import scene
 from sceneplan.clustering import (
     BandwidthSpec,
     ClusterGeometry,
@@ -13,7 +16,7 @@ from sceneplan.clustering import (
     initial_clusters,
     transform_y,
 )
-from sceneplan.core import DetectionBox, Frame, box_columns
+from sceneplan.core import Boxes, DetectionBox, Frame, box_columns
 from sceneplan.scene import (
     SceneSpec,
     Stratum,
@@ -194,6 +197,33 @@ def test_generate_draw_on_cdf_boundary_matches_reference():
         frame = generate_scene(spec)
         assert frame == generate_scene_reference(spec)
         assert frame.detections[0].cy >= 0.5
+
+
+UNIT = st.floats(0.0, 1.0)
+SIZE = st.floats(5e-324, 1.0)
+
+
+@st.composite
+def any_stratum(draw):
+    """A stratum with a y band from one ulp wide to [0, 1], sizes from the
+    smallest subnormal to 1, and a density from 1e-9 to 1e3."""
+    y0, y1 = sorted((draw(UNIT), draw(UNIT)))
+    if y0 == y1:  # one ulp wide
+        y0, y1 = (y0, math.nextafter(y0, 2.0)) if y0 < 1.0 else (math.nextafter(1.0, 0.0), 1.0)
+    size_min, size_max = sorted((draw(SIZE), draw(SIZE)))
+    return Stratum(y0, y1, size_min, size_max, draw(st.floats(1e-9, 1e3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(any_stratum(), min_size=1, max_size=4), st.integers(1, 2000),
+       st.integers(0, 2 ** 32))
+def test_generate_matches_reference_on_any_spec(strata, count, seed):
+    spec = SceneSpec(1280, 720, count, count, tuple(strata), seed)
+    frame = generate_scene(spec)
+    assert isinstance(frame.detections, Boxes) and len(frame.detections) == count
+    # reading a box builds and checks it; reprs tell -0.0 from 0.0
+    assert [repr(b) for b in frame.detections] == \
+        [repr(b) for b in generate_scene_reference(spec).detections]
 
 
 @pytest.mark.parametrize("density", [float("nan"), float("inf"), -float("inf"),
@@ -482,14 +512,62 @@ def test_coarse_frame_columns_are_its_boxes_fields(noise):
     assert boxes[5:-3:7] == want[5:-3:7] and boxes[-1] == want[-1]
 
 
+def test_generated_frame_columns_are_its_boxes_fields():
+    boxes = generate_scene(SceneSpec(seed=2, strata=CROWD_STRATA)).detections
+    assert type(boxes) is Boxes and boxes.class_ids == [0] * len(boxes)
+    assert column_bits(boxes.columns) == field_bits(boxes)
+    assert box_columns(boxes) is boxes.columns
+    assert [tuple(map(repr, f)) for f in zip(*boxes.fields)] == \
+        [tuple(map(repr, astuple(b)[:5])) for b in boxes]
+
+
+def box_bits(boxes):
+    """Every field of a ``Boxes`` or ``TileRows`` as reprs, with its class ids."""
+    fields = boxes.fields if isinstance(boxes, Boxes) else boxes.columns.tolist()
+    return [list(map(repr, f)) for f in fields], boxes.class_ids
+
+
+@pytest.mark.parametrize("noise", [{}, {"drop_prob": 0.2, "jitter_sigma": 0.03, "seed": 4}])
+def test_generated_frame_observes_as_its_plain_boxes(noise):
+    frame = generate_scene(SceneSpec(3840, 2160, 600, 600, CROWD_STRATA, seed=6))
+    plain = Frame(frame.width_px, frame.height_px, tuple(frame.detections))
+    assert type(plain.detections) is tuple
+    grid = tile_frame(frame, 2, 4)
+    got, want = observe_tiles(frame, grid, **noise), observe_tiles(plain, grid, **noise)
+    assert list(map(box_bits, got)) == list(map(box_bits, want))
+    got, want = coarse_detect(frame, 2, 4, **noise), coarse_detect(plain, 2, 4, **noise)
+    assert len(got.detections) > 400
+    assert box_bits(got.detections) == box_bits(want.detections)
+
+
+@pytest.mark.parametrize("name", ["dets.json", "dets.csv"])
+def test_generated_frame_saves_as_its_plain_boxes(tmp_path, name):
+    frame = generate_scene(SceneSpec(3840, 2160, 600, 600, CROWD_STRATA, seed=6))
+    save_detections(frame, tmp_path / "columns" / name)
+    save_detections(Frame(frame.width_px, frame.height_px, tuple(frame.detections)),
+                    tmp_path / "boxes" / name)
+    assert (tmp_path / "columns" / name).read_bytes() == (tmp_path / "boxes" / name).read_bytes()
+
+
+def test_noiseless_observation_builds_no_generator(monkeypatch):
+    frame = generate_scene(SceneSpec(3840, 2160, 300, 300, CROWD_STRATA, seed=1))
+    want = reference_coarse_detect(frame, tile_frame(frame, 2, 4))
+
+    def refuse(seed=None):
+        raise AssertionError("a noiseless observation built a generator")
+
+    monkeypatch.setattr(scene.np.random, "default_rng", refuse)
+    assert coarse_detect(frame, 2, 4).detections == tuple(want)
+
+
 @pytest.mark.parametrize("name", ["dets.json", "dets.csv"])
 def test_other_frames_lay_out_their_columns_per_call(tmp_path, name):
     boxes = (DetectionBox(-0.0, 0.0, 1.0, 0.5, 0.9), DetectionBox(1.0, -0.0, 1e-6, 1.0, -0.0),
              DetectionBox(0.25, 0.75, 0.125, 0.5, 0.5, 2))
-    frames = [Frame(3840, 2160, boxes), generate_scene(SceneSpec(seed=2, strata=CROWD_STRATA))]
+    frames = [Frame(3840, 2160, boxes)]
     save_detections(frames[0], tmp_path / name)
     frames.append(load_detections(tmp_path / name))
-    assert field_bits(frames[2].detections) == field_bits(boxes)
+    assert field_bits(frames[1].detections) == field_bits(boxes)
     for frame in frames:
         assert type(frame.detections) is tuple  # nothing laid out at construction
         columns = box_columns(frame.detections)
