@@ -15,6 +15,13 @@ Training rolls an iteration's ``episodes_per_iter`` episodes together
 (``collect``) and scores all their steps in one ``rl_env.rewards`` pass;
 inference and the command line roll one. Everything is deterministic for a
 fixed seed.
+
+A chooser that declares itself ``stationary`` (its actions depend on the
+states and masks alone: ``greedy_policy``'s and ``keep_policy``) lets an
+episode stop stepping once its configuration repeats; the rest of the
+episode replays that cycle, its trace entries the same ``StepOutcome``
+objects. Training's sampler and ``random_policy`` are not stationary and
+step every step.
 """
 
 from __future__ import annotations
@@ -354,11 +361,28 @@ def rollout(envs: list[ClusterEnv], choose,
     """Roll one fixed-length episode per environment, each from its
     MeanShift start (all reset by one ``reset_all``), in lockstep.
 
-    At every step ``choose(states, masks, rng)`` gets the E states and
+    At each step ``choose(states, masks, rng)`` gets the E states and
     masks as (E, state_dim) and (E, n_actions) arrays and returns the E
     actions; then each environment steps on its own, in order. The
-    environments share t_max and n_pad.
+    environments share t_max and n_pad; at least one is needed.
+
+    A chooser with a true ``stationary`` attribute promises that its
+    actions depend on nothing but the states and masks it is given;
+    ``greedy_policy``'s choosers and ``keep_policy`` declare it. A step is a
+    pure function of the ordered configuration, so under such a chooser an
+    episode whose configuration before step ``first + p`` is the one before
+    step ``first`` repeats that cycle to its end: every step ``u`` from
+    ``first + p`` on is step ``first + (u - first) % p`` replayed. Its trace
+    entry is that step's own ``StepOutcome`` object, its state, mask and
+    action are copies, and the environment does not step again. ``choose``
+    still sees every row while any environment steps, so no other
+    episode's actions change, and is not called once all have closed their
+    cycles. Each ``env.config`` ends at its trace's last configuration.
+    Other choosers (training's sampler, ``random_policy``) step all t_max
+    steps.
     """
+    if not envs:
+        raise ValueError("rollout needs at least one environment")
     t_max, n_pad = envs[0].t_max, envs[0].env_config.n_pad
     if any((env.t_max, env.env_config.n_pad) != (t_max, n_pad) for env in envs):
         raise ValueError("environments rolled together must share t_max and n_pad")
@@ -370,15 +394,45 @@ def rollout(envs: list[ClusterEnv], choose,
     for e, (env, state) in enumerate(zip(envs, reset_all(envs))):
         states[e, 0] = state
         masks[e, 0] = env.mask()
+    stationary = getattr(choose, "stationary", False)
+    # per environment, the step at which each configuration was first reached
+    seen = [{_members(env.config): 0} for env in envs] if stationary else None
+    live = range(n)  # environments that have not closed a cycle
     for t in range(t_max):
-        actions[:, t] = choose(states[:, t], masks[:, t], rng)
-        for e, env in enumerate(envs):
+        if not live:
+            break
+        chosen = choose(states[:, t], masks[:, t], rng)
+        stepping = []
+        for e in live:
+            env = envs[e]
+            actions[e, t] = chosen[e]
             out = env.step(int(actions[e, t]))
             traces[e].append(out)
             if t + 1 < t_max:
                 states[e, t + 1] = out.state
                 masks[e, t + 1] = env.mask()
+            first = t + 1
+            if stationary:
+                first = seen[e].setdefault(_members(out.config), first)
+            if first == t + 1:
+                stepping.append(e)
+                continue
+            later = np.arange(t + 1, t_max)
+            src = first + (later - first) % (t + 1 - first)
+            for rows in (states[e], masks[e], actions[e]):
+                rows[later] = rows[src]
+            traces[e] += [traces[e][s] for s in src.tolist()]
+        live = stepping
+    for env, trace in zip(envs, traces):
+        env.config = trace[-1].config
     return Episodes(traces, states, masks, actions)
+
+
+def _members(config: ClusterConfig) -> tuple:
+    """A configuration's key: its clusters' members in order. Every cluster's
+    statistics are a function of its members (``make_cluster``), so equal
+    keys mean equal configurations."""
+    return tuple(c.members for c in config.clusters)
 
 
 def collect(policy: MlpParams, critic: MlpParams, envs: list[ClusterEnv],
@@ -507,12 +561,16 @@ def greedy_policy(ckpt: PolicyCheckpoint):
     def choose(states, masks, rng) -> np.ndarray:
         return greedy_action(mlp_forward(ckpt.policy, states), masks)
 
+    choose.stationary = True  # see ``rollout``
     return choose
 
 
 def keep_policy(states, masks, rng) -> np.ndarray:
     """Action chooser that always keeps the configuration."""
     return np.full(len(states), KEEP)
+
+
+keep_policy.stationary = True  # see ``rollout``
 
 
 def random_policy(states, masks, rng) -> list[int]:
@@ -529,8 +587,9 @@ def infer_clusters(
     t_max: int | None = None,
     n_pad: int | None = None,
 ) -> ClusterConfig:
-    """Greedy refinement: MeanShift reset, then exactly t_max masked-argmax
-    steps (the checkpoint's own t_max by default). Deterministic."""
+    """Greedy refinement: MeanShift reset, then t_max masked-argmax steps
+    (the checkpoint's own t_max by default), stepped until the configuration
+    repeats and then replayed (see ``rollout``). Deterministic."""
     if n_pad is not None and n_pad != ckpt.n_pad:
         raise CheckpointError(
             f"checkpoint built for n_pad={ckpt.n_pad}, requested {n_pad}")

@@ -315,8 +315,10 @@ class ClusterEnv:
     ``ClusterGeometry`` and starts from the MeanShift clustering in it;
     every step then merges, splits and scores in that geometry, so
     per-cluster statistics are memoised for one episode only.
-    ``ppo.rollout`` drives episodes of exactly t_max steps with a policy,
-    stepping several environments in lockstep.
+    ``ppo.rollout`` drives episodes of t_max steps with a policy, stepping
+    several environments in lockstep; under a stationary policy an
+    environment stops stepping once its configuration repeats, and the
+    rest of its episode is replayed.
     """
 
     def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):

@@ -400,11 +400,14 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> Box
         v = np.where(v < lo, lo, v)
         return np.where(v > hi, hi, v)
 
-    # jittered straddlers can poke out of frame; clamp back in
-    boxes = np.stack([clamp((tx0 + cx * tw) / w_px, 0.0, 1.0),
-                      clamp((ty0 + cy * th) / h_px, 0.0, 1.0),
-                      clamp(w * tw / w_px, 1e-6, 1.0), clamp(h * th / h_px, 1e-6, 1.0),
-                      clamp(score, 0.0, 1.0)])
+    # jittered straddlers can poke out of frame; clamp back in. A huge
+    # jitter overflows to +-inf, which the clamps send to the frame's
+    # edges as Python floats do, so the overflow is no fault
+    with np.errstate(over="ignore"):
+        boxes = np.stack([clamp((tx0 + cx * tw) / w_px, 0.0, 1.0),
+                          clamp((ty0 + cy * th) / h_px, 0.0, 1.0),
+                          clamp(w * tw / w_px, 1e-6, 1.0), clamp(h * th / h_px, 1e-6, 1.0),
+                          clamp(score, 0.0, 1.0)])
     bad = np.flatnonzero(np.isnan(boxes).any(axis=0)).tolist()
     class_ids = [int(cid) for cid in cids[:bad[0] + 1 if bad else len(cids)]]
     if bad:  # raises the box's own error for the first bad row

@@ -15,7 +15,17 @@ from sceneplan.clustering import (
     transform_y,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
-from sceneplan.ppo import collect, init_mlp, keep_policy, mlp_forward, rollout
+from sceneplan.ppo import (
+    Hyperparams,
+    PolicyCheckpoint,
+    collect,
+    greedy_policy,
+    init_mlp,
+    keep_policy,
+    mlp_forward,
+    random_policy,
+    rollout,
+)
 from sceneplan.rl_env import (
     KEEP,
     MERGE,
@@ -365,6 +375,89 @@ def test_all_keep_episode_return(rng):
 def test_rollout_rejects_environments_of_other_horizons(rng):
     with pytest.raises(ValueError, match="t_max"):
         rollout([make_test_env(rng, t_max=5), make_test_env(rng, t_max=7)], keep_policy)
+
+
+def test_rollout_rejects_no_environments():
+    with pytest.raises(ValueError, match="at least one environment"):
+        rollout([], keep_policy)
+
+
+STRATA = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+
+
+def desk_frames(n):
+    return [generate_scene(SceneSpec(1280, 1280, 14, 20, STRATA, seed)) for seed in range(n)]
+
+
+def desk_env(frame, t_max):
+    return ClusterEnv(frame, EnvConfig(weights=DESK, transform=TransformParams(0.5),
+                                       bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8),
+                      t_max)
+
+
+def greedy_chooser(policy_seed):
+    """The greedy chooser of a random 8-slot policy. On the first 8 desk
+    frames, seed 3 never repeats a configuration on some and repeats one
+    after 14-19 steps on the others; seed 5 repeats one after 2-7 steps."""
+    n_pad = 8
+    policy = init_mlp(np.random.default_rng(policy_seed),
+                      [state_dim(n_pad), 16, n_actions(n_pad)])
+    return greedy_policy(PolicyCheckpoint(n_pad, True, policy, policy, DESK, Hyperparams()))
+
+
+def episode_record(episodes):
+    """Everything an episode shows, with each outcome's reward read."""
+    return ([[(out.config, out.info, out.reward, out.components, out.state.tolist())
+              for out in trace] for trace in episodes.traces],
+            episodes.states.tolist(), episodes.masks.tolist(), episodes.actions.tolist())
+
+
+def stepped_outcomes(trace):
+    """How many of a trace's steps were stepped, not replayed."""
+    return len({id(out) for out in trace})
+
+
+@pytest.mark.parametrize("policy_seed", [3, 5, None])
+def test_stationary_rollout_replays_what_stepping_gives(policy_seed):
+    # a stationary chooser's replayed cycle equals the full t_max steps of
+    # the same chooser without the mark, alone and in a lockstep batch;
+    # no policy seed means keep_policy
+    choose = keep_policy if policy_seed is None else greedy_chooser(policy_seed)
+    unmarked = lambda states, masks, rng: choose(states, masks, rng)  # noqa: E731
+    assert choose.stationary and not hasattr(unmarked, "stationary")
+    t_max, frames = 30, desk_frames(8)
+    for batch in [[frame] for frame in frames] + [frames]:
+        envs = [desk_env(frame, t_max) for frame in batch]
+        replayed = rollout(envs, choose)
+        stepped = rollout([desk_env(frame, t_max) for frame in batch], unmarked)
+        assert episode_record(replayed) == episode_record(stepped)
+        for env, trace in zip(envs, replayed.traces):
+            assert env.config == trace[-1].config
+        assert all(stepped_outcomes(trace) == t_max for trace in stepped.traces)
+    counts = [stepped_outcomes(trace) for trace in replayed.traces]
+    if policy_seed is None:
+        assert counts == [1] * 8
+    else:  # the batch's episodes close their cycles at different steps
+        assert len(set(counts)) >= 3 and min(counts) < t_max
+    if policy_seed == 3:
+        assert t_max in counts
+
+
+@pytest.mark.parametrize("chooser, calls", [("keep", 1), ("unmarked", 7), ("random", 7)])
+def test_rollout_step_calls_per_episode(monkeypatch, chooser, calls):
+    import sceneplan.rl_env as rl_env
+
+    choose = {"keep": keep_policy,
+              "unmarked": lambda states, masks, rng: keep_policy(states, masks, rng),
+              "random": random_policy}[chooser]
+    steps, real_step = [], rl_env.step
+    monkeypatch.setattr(rl_env, "step", lambda *a: steps.append(a) or real_step(*a))
+    envs = [desk_env(frame, 7) for frame in desk_frames(3)]
+    episodes = rollout(envs, choose, np.random.default_rng(0))
+    assert len(steps) == 3 * calls
+    assert [len(trace) for trace in episodes.traces] == [7] * 3
+    for env, trace in zip(envs, episodes.traces):
+        assert env.config == trace[-1].config
 
 
 def test_split_then_merge_restores_reward(rng):

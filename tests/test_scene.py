@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -383,6 +384,22 @@ def test_aggregate_signed_zeros_and_clamps_match_reference():
     assert any(math.copysign(1.0, b.score) < 0.0 for b in got)
     assert {b.score for b in got} <= {0.0, 1.0}
     assert any(b.w == 1e-6 for b in got) and any(b.h == 1.0 for b in got)
+
+
+def test_aggregate_overflowing_rows_clamp_to_the_frame_without_warnings():
+    # a jitter of 1e308 overflows the remap to +-inf; the clamps send it to
+    # the frame's edges, as the reference's Python floats do
+    grid = tile_frame(Frame(3840, 2160), 1, 4)
+    huge_rows = [(1e308, -1e308, 1e308, 0.2, 0.9, 0), (-1e308, 1e308, 0.1, 1e308, 0.8, 1),
+                 (0.5, 0.5, 1e308, 1e308, 1e308, 2)]
+    per_tile = [list(huge_rows) for _ in grid.tiles]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = aggregate_rows(per_tile, grid)
+    want = aggregate_tiles_reference(per_tile, grid)
+    assert [tuple(map(repr, astuple(b))) for b in got] == \
+        [tuple(map(repr, astuple(b))) for b in want]
+    assert {b.cx for b in got} >= {0.0, 1.0} and any(b.w == 1.0 for b in got)
 
 
 def aggregate_rows(per_tile, grid):
