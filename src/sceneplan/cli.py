@@ -147,7 +147,8 @@ def _config(args: argparse.Namespace) -> dict:
                         "episodes_per_iter", "epochs")),
             ("train.iterations", hyper["iterations"] >= 0, ">= 0"),
             ("seed", cfg["seed"] >= 0, ">= 0"),
-            ("n_pad", cfg["n_pad"] >= 1, ">= 1"),
+            *((k, cfg[k] >= 1, ">= 1")
+              for k in ("n", "e", "t_max", "n_pad", "num_scenes", "episodes")),
             ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
             ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
             ("transform_alpha", 0.0 < cfg["transform_alpha"] < 1.0, "in (0, 1)"),
@@ -160,13 +161,6 @@ def _config(args: argparse.Namespace) -> dict:
             raise ValueError(f"config key {key!r} must be {want}, "
                              f"got {cfg[block][sub] if block else cfg[key]!r}")
     return cfg
-
-
-def _positive(cfg: dict, key: str) -> int:
-    """``cfg[key]``, a count that must be at least 1."""
-    if cfg[key] < 1:
-        raise ValueError(f"config key {key!r} must be >= 1, got {cfg[key]!r}")
-    return cfg[key]
 
 
 def _env_config(cfg: dict) -> EnvConfig:
@@ -358,7 +352,7 @@ def cmd_pipeline(args) -> None:
     else:
         spec = _scene_spec(cfg)
         frames = [(cfg["seed"] + k, generate_scene(spec.with_seed(cfg["seed"] + k)))
-                  for k in range(_positive(cfg, "num_scenes"))]
+                  for k in range(cfg["num_scenes"])]
     policy = _policy(cfg)
     scenes = []
     rows = []
@@ -393,7 +387,7 @@ def cmd_eval(args) -> None:
     spec = _scene_spec(cfg)
     base = cfg["seed"] + 10_000
     frames = [(base + k, generate_scene(spec.with_seed(base + k)))
-              for k in range(_positive(cfg, "episodes"))]
+              for k in range(cfg["episodes"])]
     policies = [
         ("trained", greedy_policy(ckpt)),
         ("random", random_policy),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterConfig, box_columns, expand_ranges, make_cluster
+from .core import ClusterConfig, as_boxes, expand_ranges, make_cluster
 
 
 @dataclass(frozen=True)
@@ -478,8 +478,9 @@ class ClusterGeometry:
 
     Every detection's centre in that space ((x, y**alpha) under a
     transform, raw (x, y) without one) and its box area are laid out once
-    from their columns; every function reading the space takes it from here, and
-    rejects a geometry built for another frame. Per-cluster statistics are
+    from the frame's ``Boxes`` columns; every function reading the space
+    takes it from here, and rejects a geometry built for another frame's
+    ``Boxes``. Per-cluster statistics are
     memoised by member tuple: the centroid of the member centres, their
     mean distance to it, and the population variance of the member areas.
     The centroid, a row-by-row sum in Python floats at every size, has its
@@ -489,12 +490,12 @@ class ClusterGeometry:
     """
 
     def __init__(self, detections, transform: TransformParams | None):
-        self.detections = detections
+        self.detections = as_boxes(detections)
         self.transform = transform
-        columns = box_columns(detections)
-        pts = columns[:, :2]  # copied to C order: axis-0 means add row by row
-        self.points = pts.copy() if transform is None else transform_y(pts, transform)
-        self.areas = columns[:, 2] * columns[:, 3]
+        cx, cy, w, h, _ = self.detections.columns
+        pts = np.stack([cx, cy], axis=1)  # C order: axis-0 means add row by row
+        self.points = pts if transform is None else transform_y(pts, transform)
+        self.areas = w * h
         self._x, self._y = self.points.T.tolist()
         self._area = self.areas.tolist()
         self._stats: dict = {}
@@ -553,19 +554,16 @@ class ClusterGeometry:
         return hit
 
 
-def _near(dist, cut: float, upper: bool = False) -> list[tuple[int, int]]:
+def _near(dist, cut: float) -> list[tuple[int, int]]:
     """The (i, j) of the entries of ``dist = _distances(a, b)`` within 4 ulp
-    of ``cut``, in row-major order; with ``upper``, those with i < j only,
-    for a caller that reads one triangle of a symmetric ``dist``. Callers
-    settle them by ``np.linalg.norm(a[i] - b[j])``; why this equals the
-    per-pair norms of ``reward_per_cluster_reference`` in
-    ``tests/oracles.py`` sits beside it.
+    of ``cut``, in row-major order. Callers settle them by
+    ``np.linalg.norm(a[i] - b[j])``; why this equals the per-pair norms of
+    ``reward_per_cluster_reference`` in ``tests/oracles.py`` sits beside it.
     """
     cols = dist.shape[1]
     gap = dist - cut
-    near = [divmod(int(k), cols)
+    return [divmod(int(k), cols)
             for k in np.flatnonzero(np.abs(gap, out=gap) <= 4.0 * math.ulp(cut))]
-    return [(i, j) for i, j in near if i < j] if upper else near
 
 
 def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple[int, int]:
@@ -598,7 +596,7 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     # every entry is at least m, so this is _near's test; 2 are the pair's own
     if np.count_nonzero(dist - m <= 4.0 * math.ulp(m)) == 2:
         return divmod(k, n)
-    near = _near(dist, m, upper=True)
+    near = [(i, j) for i, j in _near(dist, m) if i < j]  # one triangle of the symmetric dist
     for i, j in near:
         dist[i, j] = np.linalg.norm(cents[i] - cents[j])
     # min keeps the first of equals in (i, j) order

@@ -3,10 +3,11 @@ the file layer every input JSON and every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
-Generated and coarse frames carry their detections as ``Boxes``, columns
-that build a box only where one is read, which no op does; loaded frames
-and plain tuples of boxes are read box by box. All operations here
-but the file layer's are pure functions over immutable values.
+Every frame and configuration carries its detections as ``Boxes``: one
+read-only (5, n) array of columns, which builds a box only where one is
+read. ``as_boxes`` lays any other sequence of boxes out once, where it
+enters. All operations here but the file layer's are pure functions over
+immutable values.
 """
 
 from __future__ import annotations
@@ -118,19 +119,19 @@ class DetectionBox:
 
 
 class Boxes(Sequence):
-    """A generated or coarse frame's detections, read-only: (5, n) rows of
-    cx, cy, w, h and score, each passing ``DetectionBox``'s checks (trusted,
-    not checked here), as float lists in ``fields``, their int
-    ``class_ids``, and their read-only (n, 4) cx, cy, w, h ``columns``. A
-    box is built only when an element is read; ``len``, indexing,
-    iteration, ``==`` and ``hash`` are the box tuple's."""
+    """A frame's detections, read-only: the (5, n) cx, cy, w, h and score
+    rows they are built from as ``columns`` (C-ordered, so copied only if
+    they are not), the same rows as float lists in ``fields``, and their
+    int ``class_ids``. Each row passes ``DetectionBox``'s checks (trusted,
+    not checked here). A box is built only when an element is read;
+    ``len``, indexing, iteration, ``==`` and ``hash`` are the box tuple's."""
 
     __slots__ = ("columns", "fields", "class_ids")
 
     def __init__(self, rows: np.ndarray, class_ids: list[int]):
-        self.fields, self.class_ids = rows.tolist(), class_ids
-        self.columns = rows[:4].T.copy()
+        self.columns = np.ascontiguousarray(rows)
         self.columns.setflags(write=False)
+        self.fields, self.class_ids = self.columns.tolist(), class_ids
 
     def __len__(self) -> int:
         return len(self.class_ids)
@@ -147,29 +148,27 @@ class Boxes(Sequence):
         return hash(tuple(self))
 
 
-def box_columns(detections) -> np.ndarray:
-    """``detections``' (n, 4) cx, cy, w, h columns: those they carry, else
-    laid out from the boxes on every call."""
-    columns = getattr(detections, "columns", None)
-    if columns is None:
-        columns = np.array([(d.cx, d.cy, d.w, d.h) for d in detections], dtype=float).reshape(-1, 4)
-    return columns
+def as_boxes(detections) -> Boxes:
+    """``detections`` if a ``Boxes``, else its boxes laid out as one."""
+    if isinstance(detections, Boxes):
+        return detections
+    boxes = tuple(detections)
+    rows = np.array([(b.cx, b.cy, b.w, b.h, b.score) for b in boxes], dtype=float)
+    return Boxes(rows.reshape(-1, 5).T, [b.class_id for b in boxes])
 
 
 @dataclass(frozen=True)
 class Frame:
-    """A frame's pixel size plus its detections: the ``Boxes`` of a
-    generated or coarse frame, else a tuple of boxes."""
+    """A frame's pixel size plus its detections, as ``Boxes``."""
 
     width_px: int
     height_px: int
-    detections: tuple[DetectionBox, ...] | Boxes = ()
+    detections: Boxes = ()
 
     def __post_init__(self) -> None:
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError(f"frame size {self.width_px}x{self.height_px} not positive")
-        if not isinstance(self.detections, Boxes):  # a tuple, keeping a frame's columns
-            object.__setattr__(self, "detections", tuple(self.detections))
+        object.__setattr__(self, "detections", as_boxes(self.detections))
 
 
 @dataclass(frozen=True)
@@ -189,14 +188,17 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """A set of clusters partitioning a frame's detection indices.
+    """A set of clusters partitioning the indices of a frame's ``Boxes``.
 
     Cluster order is creation order: merges append the new cluster, splits
     replace in place and append, so downstream state encodings are stable.
     """
 
     clusters: tuple[Cluster, ...]
-    detections: tuple[DetectionBox, ...]
+    detections: Boxes
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detections", as_boxes(self.detections))
 
     @property
     def count(self) -> int:
@@ -207,29 +209,21 @@ def make_cluster(members, detections) -> Cluster:
     """Build a Cluster from detection indices, stats recomputed from scratch.
 
     Members are kept sorted and their centers and sizes (from
-    ``Boxes.fields`` for columns) added one at a time in that order, so equal
-    member sets give bitwise equal means however the set was assembled.
+    ``Boxes.fields``) added one at a time in that order, so equal member
+    sets give bitwise equal means however the set was assembled.
     """
     members = tuple(sorted(members))
     if not members:
         raise ValueError("empty cluster")
     if len(set(members)) != len(members):
         raise ValueError("duplicate member indices")
+    xs, ys, ws, hs, _ = as_boxes(detections).fields
     sx = sy = sw = sh = 0.0
-    if isinstance(detections, Boxes):  # the lists a generated or coarse frame lays out once
-        xs, ys, ws, hs, _ = detections.fields
-        for i in members:
-            sx += xs[i]
-            sy += ys[i]
-            sw += ws[i]
-            sh += hs[i]
-    else:
-        for i in members:
-            d = detections[i]
-            sx += d.cx
-            sy += d.cy
-            sw += d.w
-            sh += d.h
+    for i in members:
+        sx += xs[i]
+        sy += ys[i]
+        sw += ws[i]
+        sh += hs[i]
     n = len(members)
     return Cluster(members, sx / n, sy / n, sw / n, sh / n)
 
@@ -325,7 +319,7 @@ def bounding_blocks(config: ClusterConfig, margin: float,
     sizes = [c.size for c in config.clusters]
     if 0 in sizes:
         raise ValueError("empty cluster")
-    cx, cy, w, h = box_columns(config.detections).T
+    cx, cy, w, h, _ = config.detections.columns
     extents = np.stack([np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0),
                         np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0)])
     extents = extents[:, [i for c in config.clusters for i in c.members]]

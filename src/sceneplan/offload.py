@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, box_columns, bounding_blocks, read_json
+from .core import ClusterConfig, Frame, bounding_blocks, read_json
 
 
 class InfeasiblePlanError(Exception):
@@ -156,7 +156,7 @@ def partitions_from_config(config: ClusterConfig, frame: Frame) -> list[Partitio
 def partitions_from_blocks(config: ClusterConfig, frame: Frame,
                            blocks) -> list[PartitionDescriptor]:
     """Each cluster's partition, cut as its pixel block in ``blocks``."""
-    _, _, w, h = box_columns(config.detections).T
+    _, _, w, h, _ = config.detections.columns
     areas = (w * frame.width_px * h * frame.height_px).tolist()
     return [PartitionDescriptor(pid, x1 - x0, y1 - y0, tuple([areas[i] for i in cluster.members]))
             for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks))]

@@ -14,10 +14,11 @@ Invalid (masked) actions degrade to keep so episodes always run their full
 length; sampling-time masking makes that a safety net rather than the rule.
 
 A step does not score its configuration: ``StepOutcome.reward`` and
-``.components`` call ``reward`` the first time either is read, and keep the
-result. Training scores all steps of an iteration in one ``rewards`` pass
-(``score_steps``); greedy inference reads none and so computes none.
-``reward`` is the one-configuration case of ``rewards``.
+``.components`` score it through ``score_steps`` the first time either is
+read, and keep the result. Training scores all steps of an iteration in one
+``score_steps`` pass; greedy inference reads none and so computes none.
+Both score with ``rewards``; ``reward`` is its one-configuration case, in a
+fresh geometry.
 """
 
 from __future__ import annotations
@@ -117,19 +118,11 @@ def action_mask(config: ClusterConfig, n_pad: int) -> np.ndarray:
 
 def reward(config: ClusterConfig, weights: RewardWeights,
            transform: TransformParams | None = None,
-           geometry: ClusterGeometry | None = None,
            ) -> tuple[float, float, float, float, float]:
     """(R1, R2, R3, R4, R_total) for a configuration: the one-configuration
-    case of ``rewards``.
-
-    ``geometry`` is the episode's ``ClusterGeometry``, which must be built
-    for this frame and ``transform``; a fresh one when omitted.
-    """
-    if geometry is None:
-        geometry = ClusterGeometry(config.detections, transform)
-    elif geometry.transform != transform:
-        raise ValueError("geometry was built for another transform")
-    return rewards([(config, weights, geometry)])[0]
+    case of ``rewards``, in a fresh ``ClusterGeometry`` of its frame under
+    ``transform``."""
+    return rewards([(config, weights, ClusterGeometry(config.detections, transform))])[0]
 
 
 def rewards(scored) -> list[tuple[float, float, float, float, float]]:
@@ -234,22 +227,22 @@ class StepOutcome:
     """Everything observable after one environment step.
 
     ``reward`` (R_total) and ``components`` (R1-R4) score ``config`` with
-    ``reward`` the first time either is read; the result is kept, so later
-    reads cost nothing. ``reward`` is a pure function of the configuration
-    (the geometry memo only caches), so a late read returns the floats an
-    eager one would have.
+    ``score_steps`` the first time either is read; the result is kept, so
+    later reads cost nothing. The score is a pure function of the
+    configuration (the geometry memo only caches), so a late read returns
+    the floats an eager one would have.
     """
 
     config: ClusterConfig
     state: np.ndarray
     info: dict
-    # reward's arguments after the configuration: (weights, transform, geometry)
+    # rewards' entries after the configuration: (weights, geometry)
     scoring: tuple = field(repr=False, compare=False)
     _scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _score(self) -> tuple[float, float, float, float, float]:
         if self._scored is None:
-            self._scored = reward(self.config, *self.scoring)
+            score_steps([self])
         return self._scored
 
     @property
@@ -265,7 +258,7 @@ def score_steps(outcomes) -> None:
     """Score every outcome not yet scored in one ``rewards`` pass; each
     then reads what its own first read would have computed."""
     todo = [out for out in outcomes if out._scored is None]
-    scored = rewards([(out.config, out.scoring[0], out.scoring[2]) for out in todo])
+    scored = rewards([(out.config, *out.scoring) for out in todo])
     for out, score in zip(todo, scored):
         out._scored = score
 
@@ -287,7 +280,7 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
         state=encode_state(nxt, n_pad, len(geometry.detections), include_count),
         info={"action": action, "action_valid": valid, "applied": applied,
               "n": nxt.count},
-        scoring=(weights, geometry.transform, geometry),
+        scoring=(weights, geometry),
     )
 
 

@@ -5,8 +5,9 @@ Real detector inference is out of scope: scenes come either from detection
 files (JSON/CSV) or from a stratified synthetic generator, and the per-tile
 "detector" simply observes ground-truth boxes, optionally dropping and
 jittering them to mimic a low-confidence, high-recall first pass.
-Tile observations stay arrays in ``TileRows`` and the rows NMS keeps stay
-columns in ``Boxes``: a row's tuple or box is built only when it is read.
+Every frame, generated, loaded or coarse, carries its detections as
+``Boxes`` columns, and tile observations stay arrays in ``TileRows``: a
+row's tuple or box is built only when it is read.
 """
 
 from __future__ import annotations
@@ -200,9 +201,10 @@ def load_detections(path) -> Frame:
     """Read a detection file into a validated Frame: CSV when the path ends
     in ``.csv``, JSON otherwise.
 
-    Invalid rows are rejected with their position in the file. JSON files
-    embed their frame size; the CSV format carries none, so a CSV file is
-    read as a ``CSV_FRAME_PX`` frame.
+    Invalid rows are rejected with their position in the file; the valid
+    ones are laid out once as the frame's ``Boxes``. JSON files embed their
+    frame size; the CSV format carries none, so a CSV file is read as a
+    ``CSV_FRAME_PX`` frame.
     """
     path = str(path)
     if path.endswith(".csv"):
@@ -214,7 +216,7 @@ def load_detections(path) -> Frame:
                 boxes = [_box_from_row(r, f"row {i}") for i, r in enumerate(reader, start=2)]
             except (ValueError, csv.Error) as e:  # a bad row, header or encoding
                 raise ValueError(f"{path}: {e}") from None
-        return Frame(*CSV_FRAME_PX, tuple(boxes))
+        return Frame(*CSV_FRAME_PX, boxes)
     data = read_json(path)
     try:
         width, height = int(data["width_px"]), int(data["height_px"])
@@ -224,18 +226,15 @@ def load_detections(path) -> Frame:
     if not isinstance(rows, list):
         raise ValueError(f"{path}: \"detections\" must be a list, got {rows!r}")
     boxes = [_box_from_row(r, f"{path}: detection {i}") for i, r in enumerate(rows)]
-    return Frame(width, height, tuple(boxes))
+    return Frame(width, height, boxes)
 
 
 def save_detections(frame: Frame, path) -> None:
-    """Write a Frame atomically in the CSV detection format when the path
-    ends in ``.csv``, in the JSON one otherwise."""
+    """Write a Frame's ``Boxes`` atomically, one row per box, in the CSV
+    detection format when the path ends in ``.csv``, in the JSON one
+    otherwise."""
     dets = frame.detections
-    if isinstance(dets, Boxes):  # the columns a generated or coarse frame carries
-        values = zip(*dets.fields, dets.class_ids)
-    else:
-        values = ((d.cx, d.cy, d.w, d.h, d.score, d.class_id) for d in dets)
-    rows = [dict(zip(CSV_HEADER, v)) for v in values]
+    rows = [dict(zip(CSV_HEADER, v)) for v in zip(*dets.fields, dets.class_ids)]
     if str(path).endswith(".csv"):
         write_csv(path, CSV_HEADER, rows)
     else:
@@ -311,9 +310,10 @@ def observe_tiles(
 ) -> list[TileRows]:
     """Emulate per-tile coarse detection against ground-truth boxes.
 
-    Every tile reports each box whose intersection with the tile covers at
-    least ``min_visible`` of the box area, as a raw (cx, cy, w, h, score,
-    class_id) row of its ``TileRows``, in tile-local normalized coordinates.
+    Every tile reports each box of the frame's ``Boxes`` whose intersection
+    with the tile covers at least ``min_visible`` of the box area, as a raw
+    (cx, cy, w, h, score, class_id) row of its ``TileRows``, in tile-local
+    normalized coordinates, taken from the columns as arrays.
     Boxes straddling a boundary are reported by several tiles; NMS
     aggregation resolves the duplicates. In noisy mode each observation is
     dropped with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
@@ -330,14 +330,8 @@ def observe_tiles(
     noisy = drop_prob > 0.0 or jitter_sigma > 0.0
     rng = np.random.default_rng(seed) if noisy else None
     w_px, h_px = frame.width_px, frame.height_px
-    dets = frame.detections
-    if isinstance(dets, Boxes):  # the columns a generated or coarse frame carries
-        (cx, cy, w, h), score = dets.columns.T, np.array(dets.fields[4])
-        class_ids = dets.class_ids
-    else:
-        cx, cy, w, h, score = np.array([(d.cx, d.cy, d.w, d.h, d.score)
-                                        for d in dets]).reshape(-1, 5).T
-        class_ids = [d.class_id for d in dets]
+    cx, cy, w, h, score = frame.detections.columns
+    class_ids = frame.detections.class_ids
     # extent(): max(0.0, v) gives 0.0 unless v > 0.0, min(1.0, v) 1.0 unless v < 1.0
     bx0, by0 = cx - w / 2.0, cy - h / 2.0
     bx1, by1 = cx + w / 2.0, cy + h / 2.0
@@ -352,7 +346,7 @@ def observe_tiles(
         tw, th = tx1 - tx0, ty1 - ty0
         inter = np.maximum(0.0, np.minimum(bx1, tx1) - np.maximum(bx0, tx0)) * \
             np.maximum(0.0, np.minimum(by1, ty1) - np.maximum(by0, ty0))
-        share = np.divide(inter, box_area, out=np.zeros(len(dets)),
+        share = np.divide(inter, box_area, out=np.zeros(len(class_ids)),
                           where=box_area > 0.0)
         visible = np.flatnonzero(share >= min_visible)
         noise = []
@@ -413,7 +407,8 @@ def aggregate_tiles(per_tile, grid: TileGrid, iou_threshold: float = 0.5) -> Box
     if bad:  # raises the box's own error for the first bad row
         DetectionBox(*boxes[:, bad[0]].tolist(), class_ids[-1])
     keep = nms_rows(*boxes, class_ids, iou_threshold)
-    return Boxes(boxes[:, keep], [class_ids[k] for k in keep])
+    # take keeps the rows C-ordered, so Boxes copies nothing; boxes[:, keep] would not
+    return Boxes(boxes.take(keep, axis=1), [class_ids[k] for k in keep])
 
 
 def coarse_detect(

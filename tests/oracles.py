@@ -33,8 +33,8 @@ members, also the centroid that ``ClusterGeometry.centroid`` memoises),
 into zero arrays) are the training step before it went to Python floats;
 ``policy_sample_rows_reference`` draws a batch row by row on one stream,
 as sampling went before the episodes of an iteration stepped together.
-``make_cluster_reference`` walks each member box's fields, before a generated
-or coarse frame's cluster means read the lists its ``Boxes`` lays out once.
+``make_cluster_reference`` walks each member box's fields, before cluster
+means read the lists that every frame's ``Boxes`` lays out once.
 The library must return exactly what these return.
 """
 

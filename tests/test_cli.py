@@ -472,7 +472,8 @@ def test_pipeline_metrics_reward_equals_final_configuration(tmp_path):
                                         ("jitter_sigma", -0.1), ("nms_iou", 1.5),
                                         ("block_margin", -1.0), ("transform_alpha", 1.5),
                                         ("d_max", -5), ("bandwidth_value", 0.0),
-                                        ("reward.n_min", 0), ("seed", -1), ("n_pad", -3)])
+                                        ("reward.n_min", 0), ("seed", -1), ("n_pad", -3),
+                                        ("n", 0), ("e", 0)])
 def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, value):
     block, _, sub = key.rpartition(".")
     overrides = {key: value}

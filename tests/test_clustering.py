@@ -30,7 +30,7 @@ from sceneplan.core import (
     make_cluster,
     validate_partition,
 )
-from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, reward, step
+from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, step
 from sceneplan.scene import SceneSpec, Stratum, coarse_detect, generate_scene
 
 from oracles import (
@@ -606,8 +606,6 @@ def test_geometry_for_another_frame_rejected(rng):
             apply_action(cfg, action, other)
         with pytest.raises(ValueError, match="another frame"):
             step(cfg, action, RewardWeights(), 4, True, other)
-    with pytest.raises(ValueError, match="another transform"):
-        reward(cfg, RewardWeights(), TransformParams(0.5), geometry_of(cfg))
 
 
 def test_split_singleton_rejected(rng):

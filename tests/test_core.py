@@ -106,8 +106,8 @@ KEPT_ROW = st.tuples(KEPT_COORD, KEPT_COORD, KEPT_SIDE, KEPT_SIDE,
 @given(st.lists(KEPT_ROW, max_size=12), st.data())
 @settings(max_examples=200, deadline=None)
 def test_kept_boxes_equal_validated_boxes(rows, data):
-    kept = Boxes(np.array([row[:5] for row in rows]).reshape(-1, 5).T,
-                 [row[5] for row in rows])
+    columns = np.array([row[:5] for row in rows]).reshape(-1, 5).T.copy()
+    kept = Boxes(columns, [row[5] for row in rows])
     boxes = tuple(DetectionBox(*row) for row in rows)
     assert len(kept) == len(rows)
     for k, want in enumerate(boxes):
@@ -133,7 +133,12 @@ def test_kept_boxes_equal_validated_boxes(rows, data):
     assert kept == Boxes(np.array([row[:5] for row in rows]).reshape(-1, 5).T,
                          [row[5] for row in rows])
     assert kept != list(boxes) and (not rows or kept != boxes[1:])
-    assert kept.columns.shape == (len(rows), 4) and not kept.columns.flags.writeable
+    # the (5, n) array it was built from, now read-only; an F-ordered one is copied to C order
+    assert kept.columns is columns and columns.shape == (5, len(rows))
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    assert kept.fields == columns.tolist()
+    transposed = Boxes(columns.T.copy().T, kept.class_ids).columns
+    assert transposed.flags.c_contiguous and transposed.tobytes() == columns.tobytes()
 
 
 def test_nms_suppresses_at_exact_threshold():

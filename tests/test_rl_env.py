@@ -38,6 +38,7 @@ from sceneplan.rl_env import (
     encode_state,
     n_actions,
     reward,
+    rewards,
     state_dim,
     step,
 )
@@ -220,7 +221,7 @@ def test_reward_equals_per_cluster_reference(seed, sizes, grid, copies, alpha, p
     assert reward(cfg, w, transform) == want
     geometry = ClusterGeometry(cfg.detections, transform)
     for _ in range(2):  # memo filled, then read
-        assert reward(cfg, w, transform, geometry) == want
+        assert rewards([(cfg, w, geometry)]) == [want]
 
 
 def test_reward_counts_pairs_at_exactly_d_m():
@@ -609,14 +610,15 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
     transform = TransformParams(0.5)
     env_config = EnvConfig(weights=DESK, transform=transform,
                            bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8)
-    calls, original = [], rl_env.reward
-    monkeypatch.setattr(rl_env, "reward", lambda *a: calls.append(a) or original(*a))
+    calls, original = [], rl_env.rewards
+    monkeypatch.setattr(rl_env, "rewards", lambda scored: calls.append(scored) or original(scored))
     (trace,) = rollout([ClusterEnv(frame, env_config, t_max=30)], random_policy,
                        np.random.default_rng(seed)).traces
     assert {out.info["applied"] for out in trace} >= {"merge", "split"}
     assert calls == []  # nothing scored while stepping
     for k, out in enumerate(trace):
-        r1, r2, r3, r4, total = original(out.config, DESK, transform)
+        r1, r2, r3, r4, total = original(
+            [(out.config, DESK, ClusterGeometry(frame.detections, transform))])[0]
         if k % 2:
             assert out.components == (r1, r2, r3, r4)
             assert out.reward == total
@@ -624,6 +626,7 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
             assert out.reward == total
             assert out.components == (r1, r2, r3, r4)
         assert len(calls) == k + 1  # one call per outcome, on its first read
+        assert len(calls[k]) == 1 and calls[k][0][0] is out.config
         assert out.reward == total and out.components == (r1, r2, r3, r4)
         assert len(calls) == k + 1
 

@@ -17,7 +17,7 @@ from sceneplan.clustering import (
     initial_clusters,
     transform_y,
 )
-from sceneplan.core import Boxes, DetectionBox, Frame, box_columns
+from sceneplan.core import Boxes, ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.scene import (
     SceneSpec,
     Stratum,
@@ -502,15 +502,16 @@ CROWD_STRATA = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06
 
 
 def field_bits(boxes):
-    """Each box's (cx, cy, w, h) as reprs, which tell -0.0 from 0.0."""
-    return [tuple(repr(v) for v in (b.cx, b.cy, b.w, b.h)) for b in boxes]
+    """Each box's (cx, cy, w, h, score) as reprs, which tell -0.0 from 0.0."""
+    return [tuple(repr(v) for v in (b.cx, b.cy, b.w, b.h, b.score)) for b in boxes]
 
 
 def column_bits(columns):
-    """A coarse frame's columns as reprs, checking their layout first."""
-    assert columns.dtype == np.float64 and columns.shape == (len(columns), 4)
+    """A frame's (5, n) columns as each box's reprs, checking their layout
+    first."""
+    assert columns.dtype == np.float64 and columns.shape == (5, columns.shape[1])
     assert columns.flags.c_contiguous and not columns.flags.writeable
-    return [tuple(repr(v) for v in row) for row in columns.tolist()]
+    return [tuple(repr(v) for v in box) for box in columns.T.tolist()]
 
 
 @pytest.mark.parametrize("noise", [{}, {"drop_prob": 0.2, "jitter_sigma": 0.03, "seed": 4}])
@@ -522,8 +523,8 @@ def test_coarse_frame_columns_are_its_boxes_fields(noise):
     assert column_bits(coarse.detections.columns) == field_bits(coarse.detections)
     # each box is built from its row on reading, as a validated DetectionBox
     boxes = coarse.detections
-    want = tuple(DetectionBox(*row, score, cid) for row, score, cid in
-                 zip(boxes.columns.tolist(), boxes.fields[4], boxes.class_ids))
+    want = tuple(DetectionBox(*box, cid) for box, cid in
+                 zip(boxes.columns.T.tolist(), boxes.class_ids))
     assert [(type(b), repr(b)) for b in boxes] == [(type(b), repr(b)) for b in want]
     assert boxes == want and hash(boxes) == hash(want) and len(boxes) == len(want)
     assert boxes[5:-3:7] == want[5:-3:7] and boxes[-1] == want[-1]
@@ -533,7 +534,6 @@ def test_generated_frame_columns_are_its_boxes_fields():
     boxes = generate_scene(SceneSpec(seed=2, strata=CROWD_STRATA)).detections
     assert type(boxes) is Boxes and boxes.class_ids == [0] * len(boxes)
     assert column_bits(boxes.columns) == field_bits(boxes)
-    assert box_columns(boxes) is boxes.columns
     assert [tuple(map(repr, f)) for f in zip(*boxes.fields)] == \
         [tuple(map(repr, astuple(b)[:5])) for b in boxes]
 
@@ -548,7 +548,7 @@ def box_bits(boxes):
 def test_generated_frame_observes_as_its_plain_boxes(noise):
     frame = generate_scene(SceneSpec(3840, 2160, 600, 600, CROWD_STRATA, seed=6))
     plain = Frame(frame.width_px, frame.height_px, tuple(frame.detections))
-    assert type(plain.detections) is tuple
+    assert type(plain.detections) is Boxes and plain.detections is not frame.detections
     grid = tile_frame(frame, 2, 4)
     got, want = observe_tiles(frame, grid, **noise), observe_tiles(plain, grid, **noise)
     assert list(map(box_bits, got)) == list(map(box_bits, want))
@@ -577,21 +577,36 @@ def test_noiseless_observation_builds_no_generator(monkeypatch):
     assert coarse_detect(frame, 2, 4).detections == tuple(want)
 
 
+BOXES_TO_SAVE = (DetectionBox(-0.0, 0.0, 1.0, 0.5, 0.9), DetectionBox(1.0, -0.0, 1e-6, 1.0, -0.0),
+                 DetectionBox(0.25, 0.75, 0.125, 0.5, 0.5, 2))
+
+
+def assert_boxes_as_columns(dets, boxes):
+    assert type(dets) is Boxes and dets == boxes and dets.class_ids == [0, 0, 2]
+    assert column_bits(dets.columns) == field_bits(boxes)
+    assert [tuple(map(repr, box)) for box in zip(*dets.fields)] == field_bits(boxes)
+
+
 @pytest.mark.parametrize("name", ["dets.json", "dets.csv"])
 def test_other_frames_lay_out_their_columns_per_call(tmp_path, name):
-    boxes = (DetectionBox(-0.0, 0.0, 1.0, 0.5, 0.9), DetectionBox(1.0, -0.0, 1e-6, 1.0, -0.0),
-             DetectionBox(0.25, 0.75, 0.125, 0.5, 0.5, 2))
-    frames = [Frame(3840, 2160, boxes)]
-    save_detections(frames[0], tmp_path / name)
-    frames.append(load_detections(tmp_path / name))
-    assert field_bits(frames[1].detections) == field_bits(boxes)
-    for frame in frames:
-        assert type(frame.detections) is tuple  # nothing laid out at construction
-        columns = box_columns(frame.detections)
-        assert columns.dtype == np.float64 and columns.shape == (len(frame.detections), 4)
-        assert [tuple(map(repr, row)) for row in columns.tolist()] == \
-            field_bits(frame.detections)
-        assert box_columns(frame.detections) is not columns  # and none kept
+    # a loaded frame lays its boxes out as columns once, when it is built
+    save_detections(Frame(3840, 2160, BOXES_TO_SAVE), tmp_path / name)
+    loaded = load_detections(tmp_path / name)
+    assert_boxes_as_columns(loaded.detections, BOXES_TO_SAVE)
+    assert loaded.detections.columns is loaded.detections.columns  # and keeps them
+
+
+def test_every_frame_carries_its_boxes_as_columns():
+    boxes = BOXES_TO_SAVE
+    assert_boxes_as_columns(Frame(3840, 2160, boxes).detections, boxes)
+    # a configuration lays its plain boxes out once; a geometry of it shares them
+    config = ClusterConfig(tuple(make_cluster([i], boxes) for i in range(3)), boxes)
+    geometry = ClusterGeometry(config.detections, None)
+    assert type(config.detections) is Boxes and geometry.detections is config.detections
+    geometry.check(config)
+    geometry = ClusterGeometry(list(boxes), None)
+    start = initial_clusters(geometry, BandwidthSpec("fixed", 0.1))
+    assert start.detections is geometry.detections and start.detections == boxes
 
 
 @pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
