@@ -130,11 +130,13 @@ def load_config(path) -> dict:
 
 
 def _config(args: argparse.Namespace) -> dict:
-    """Flags over file values over defaults, out-of-range values named by key."""
+    """Flags over file values over defaults, each typed and ranged by key."""
     cfg = load_config(args.config)
     for key, value in vars(args).items():
         if value is not None and (key in cfg or key == "iterations"):
-            (cfg["train"] if key == "iterations" else cfg)[key] = value
+            block = cfg["train"] if key == "iterations" else cfg
+            _check_value(key, block[key], value)
+            block[key] = value
     bandwidth, reward, hyper = cfg["bandwidth_value"], cfg["reward"], cfg["train"]
     top = 1.0 if cfg["bandwidth_mode"] == "quantile" else float("inf")  # quantiles below 1
     for key, ok, want in (
@@ -302,7 +304,7 @@ def _plan_payload(parts, profiles, d_max: int, e: int) -> dict:
 def cmd_gen_scene(args) -> None:
     spec = load_scene_spec(args.spec)
     if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+        spec = spec.with_seed(check_number(args.seed, "seed", True))
     frame = generate_scene(spec)
     save_detections(frame, args.out)
     print(f"wrote {len(frame.detections)} detections to {args.out}")

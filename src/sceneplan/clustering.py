@@ -7,14 +7,16 @@ so one bandwidth works across the whole frame. A frame's clustering space
 is one ``ClusterGeometry``: MeanShift seeds the clusters in it, and every
 merge and split of the refinement is judged in it.
 
-MeanShift has two loops with equal labels. The dense loop pairs every
-active mode with every point of its frame and iterates the modes of many
-frames together (``meanshift_frames``, which resets all of a training
-iteration's episodes at once). The y-band loop pairs a mode only with the
-points in the bands near it, and lets modes that meet share a trajectory;
-that pays off on large frames only. So the size rule: a frame of at most
+MeanShift has two loops with equal labels, which differ only in how they
+pair modes with points; both then take the same step, ``_shift``. The dense
+loop pairs every active mode with every point of its frame and iterates the
+modes of many frames together (``meanshift_frames``, which resets all of a
+training iteration's episodes at once). The y-band loop, ``meanshift``,
+pairs a mode only with the points in the bands near it, and lets modes that
+meet share a trajectory; that pays off on large frames only. So
+``meanshift_frames`` applies the size rule: a frame of at most
 ``DENSE_MAX`` points takes the dense loop, a larger one the y-band loop,
-one ``meanshift`` call per frame, in a batch too.
+one ``meanshift`` call per frame.
 """
 
 from __future__ import annotations
@@ -75,15 +77,21 @@ def transform_y(points, params: TransformParams = TransformParams()):
 BANDWIDTH_FLOOR = 1e-3
 
 
-def _distances(a, b):
-    """Euclidean distances between the rows of ``a`` and of ``b``, (len(a),
-    len(b)), built per coordinate and in place: bitwise equal to the norm
-    of the broadcast (len(a), len(b), 2) difference, without building it."""
-    d = np.subtract.outer(a[:, 0], b[:, 0])
+def squared_distances(ax, ay, bx, by):
+    """``(ax - bx)**2 + (ay - by)**2``, broadcast, computed in place."""
+    d = ax - bx
     d *= d
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    dy = ay - by
     dy *= dy
     d += dy
+    return d
+
+
+def _distances(a, b):
+    """Euclidean distances between the rows of ``a`` and of ``b``, (len(a),
+    len(b)), from ``squared_distances``: bitwise equal to the norm of the
+    broadcast (len(a), len(b), 2) difference, without building it."""
+    d = squared_distances(a[:, :1], a[:, 1:2], b[:, 0], b[:, 1])
     return np.sqrt(d, out=d)
 
 
@@ -144,7 +152,7 @@ def _within(bandwidth: float) -> float:
 
 
 def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
-    """Flat-kernel MeanShift; returns an integer cluster label per point.
+    """Flat-kernel MeanShift by the y-band loop: an integer cluster label per point.
 
     Each point seeds a mode that iterates to the mean of all points within
     the bandwidth until it moves less than ``tol`` (or ``max_iter`` caps).
@@ -152,28 +160,25 @@ def meanshift(points, bandwidth: float, tol: float = 1e-4, max_iter: int = 300):
     one, and every point joins its nearest surviving mode. Labels equal
     ``meanshift_reference`` in ``tests/oracles.py``; the notes beside it show
     why the y-band pairs, squared-distance windows and window sums keep them
-    equal. A frame of at most ``DENSE_MAX`` points takes the dense loop of
-    ``meanshift_frames``, a larger one the y-band loop.
+    equal. ``meanshift_frames`` sends a frame here only when it is larger
+    than ``DENSE_MAX`` points.
     """
     pts = _checked_points(points, bandwidth)
     with np.errstate(over="ignore"):  # an infinite squared distance is never within
-        if len(pts) <= DENSE_MAX:
-            [(mode_x, mode_y)] = _dense_modes([pts], [bandwidth], tol, max_iter)
-        else:
-            mode_x, mode_y = _band_modes(pts, bandwidth, tol, max_iter)
-        return _collapse_and_label(pts, mode_x, mode_y, bandwidth)
+        return _collapse_and_label(pts, *_band_modes(pts, bandwidth, tol, max_iter),
+                                   bandwidth)
 
 
 def meanshift_frames(point_sets, bandwidths, tol: float = 1e-4, max_iter: int = 300):
     """``meanshift`` of every frame, each with its own bandwidth; returns
     one label array per frame.
 
-    The frames of at most ``DENSE_MAX`` points iterate together: each
-    active mode is paired with every point of its own frame in input order,
-    then windowed and summed by the steps of the y-band loop, so each
-    mode's window sums add the same values in the same order and the labels
-    equal ``meanshift``'s. Larger frames go through ``meanshift``, one call
-    each.
+    The size rule: the frames of at most ``DENSE_MAX`` points iterate
+    together in the dense loop, where each active mode is paired with every
+    point of its own frame in input order and stepped by ``_shift``, as in
+    the y-band loop, so each mode's window sums add the same values in the
+    same order and the labels equal ``meanshift``'s. Larger frames go
+    through ``meanshift``, one call each.
     """
     frames = [_checked_points(p, b) for p, b in zip(point_sets, bandwidths, strict=True)]
     small = [k for k, pts in enumerate(frames) if len(pts) <= DENSE_MAX]
@@ -186,6 +191,23 @@ def meanshift_frames(point_sets, bandwidths, tol: float = 1e-4, max_iter: int = 
                 labels[k] = _collapse_and_label(frames[k], mode_x, mode_y, bandwidths[k])
     return [meanshift(pts, bandwidth, tol, max_iter) if got is None else got
             for pts, bandwidth, got in zip(frames, bandwidths, labels)]
+
+
+def _shift(x, y, pos, sub_x, sub_y, within, tol: float):
+    """One MeanShift step of the k active modes (sub_x, sub_y): pair p joins
+    point (x[p], y[p]) to mode pos[p], under the squared window ``within``
+    (per pair, or one scalar). Returns the (k, 2) means of each mode's points
+    within its window, and whether each mode moved by at least ``tol``."""
+    d = squared_distances(x, y, sub_x[pos], sub_y[pos])
+    # integer gathers: a boolean-mask gather costs about four times more
+    inside = np.flatnonzero(d <= within)
+    pos = pos[inside]
+    k = len(sub_x)
+    # one (modes, 2) division: a 1-D float/int division maps 64 KB of
+    # numpy code that the desk paths load nowhere else (peak RSS)
+    new = np.stack([np.bincount(pos, x[inside], k), np.bincount(pos, y[inside], k)],
+                   axis=1) / np.bincount(pos, minlength=k)[:, None]
+    return new, np.sqrt(squared_distances(new[:, 0], new[:, 1], sub_x, sub_y)) >= tol
 
 
 def _dense_modes(frames, bandwidths, tol: float, max_iter: int):
@@ -204,23 +226,12 @@ def _dense_modes(frames, bandwidths, tol: float, max_iter: int):
     for _ in range(max_iter):
         if not len(active):
             break
-        sub_x, sub_y = mode_x[active], mode_y[active]
         idx, counts = expand_ranges(lo[active], hi[active])
-        k = len(active)
-        pos = np.arange(k).repeat(counts)
-        x, y = px[idx], py[idx]
-        d = x - sub_x.repeat(counts)
-        d *= d
-        dy = y - sub_y.repeat(counts)
-        dy *= dy
-        d += dy
-        inside = np.flatnonzero(d <= within[active].repeat(counts))
-        pos = pos[inside]
-        new = np.stack([np.bincount(pos, x[inside], k), np.bincount(pos, y[inside], k)],
-                       axis=1) / np.bincount(pos, minlength=k)[:, None]
+        pos = np.arange(len(active)).repeat(counts)
+        new, moving = _shift(px[idx], py[idx], pos, mode_x[active], mode_y[active],
+                             within[active][pos], tol)
         mode_x[active], mode_y[active] = new[:, 0], new[:, 1]
-        dx, dy = new[:, 0] - sub_x, new[:, 1] - sub_y
-        active = active[np.sqrt(dx * dx + dy * dy) >= tol]
+        active = active[moving]
     return list(zip(np.split(mode_x, ends[:-1]), np.split(mode_y, ends[:-1])))
 
 
@@ -286,23 +297,11 @@ def _band_modes(pts, bandwidth: float, tol: float, max_iter: int):
             left[left_order] = key.searchsorted(q_left)
             right[right_order] = key.searchsorted(q_right, "right")
             pos, counts = expand_ranges(left, right)
+            # bound here, the pairs outlive the step: freed with its arrays, they let
+            # malloc trim the heap top and fault it back in (2x the faults, crowd frames)
             x, y = qx.repeat(counts), qy.repeat(counts)
-            d = x - sub_x[pos]
-            d *= d
-            dy = y - sub_y[pos]
-            dy *= dy
-            d += dy
-            # integer gathers: a boolean-mask gather costs about four times more
-            inside = np.flatnonzero(d <= within)
-            pos = pos[inside]
-            k = len(active)
-            # one (modes, 2) division: a 1-D float/int division maps 64 KB of
-            # numpy code that the desk paths load nowhere else (peak RSS)
-            new = np.stack([np.bincount(pos, x[inside], k), np.bincount(pos, y[inside], k)],
-                           axis=1) / np.bincount(pos, minlength=k)[:, None]
+            new, moving = _shift(x, y, pos, sub_x, sub_y, within, tol)
             mode_x[active], mode_y[active] = new[:, 0], new[:, 1]
-            dx, dy = new[:, 0] - sub_x, new[:, 1] - sub_y
-            moving = np.sqrt(dx * dx + dy * dy) >= tol
             active = active[moving]
             if share and it < max_iter:
                 # record each new position as it * n + mode; a mode finding

@@ -25,10 +25,10 @@ import numpy as np
 
 
 def check_number(value, where: str, integer: bool = False):
-    """``value`` when it is a non-bool int, or (unless ``integer``) a finite
-    non-bool real; otherwise a ValueError naming ``where``."""
+    """``value`` when it is a non-bool 64-bit int, or (unless ``integer``)
+    a finite non-bool real; otherwise a ValueError naming ``where``."""
     if integer:
-        ok, want = isinstance(value, int), "an integer"
+        ok, want = isinstance(value, int) and -2 ** 63 <= value < 2 ** 63, "a 64-bit integer"
     else:
         # an int past the float range overflows float(), so it is not finite here
         ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
@@ -252,6 +252,13 @@ def expand_ranges(lo, hi):
     return np.arange(counts.sum()) + np.repeat(hi - counts.cumsum(), counts), counts
 
 
+def extents(cx, cy, w, h):
+    """``DetectionBox.extent`` of box columns: the (x0, y0, x1, y1) corner
+    columns, clamped to the unit frame."""
+    return (np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0),
+            np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0))
+
+
 def nms(boxes, iou_threshold: float = 0.5) -> list[DetectionBox]:
     """Greedy class-wise non-maximum suppression: the boxes that
     ``nms_rows`` keeps, in its order, laid out from the boxes' fields."""
@@ -276,8 +283,7 @@ def nms_rows(cx, cy, w, h, score, class_ids, iou_threshold: float = 0.5) -> list
     # stable: ties keep their positions; 0.0 - score sorts as -score (peak RSS)
     order = (0.0 - score).argsort(kind="stable")
     cx, cy, w, h = cx[order], cy[order], w[order], h[order]
-    x0, y0 = np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0)
-    x1, y1 = np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0)
+    x0, y0, x1, y1 = extents(cx, cy, w, h)
     area = (x1 - x0) * (y1 - y0)
     cls = np.array(class_ids)[order]
 
@@ -319,13 +325,11 @@ def bounding_blocks(config: ClusterConfig, margin: float,
     sizes = [c.size for c in config.clusters]
     if 0 in sizes:
         raise ValueError("empty cluster")
-    cx, cy, w, h, _ = config.detections.columns
-    extents = np.stack([np.maximum(0.0, cx - w / 2.0), np.maximum(0.0, cy - h / 2.0),
-                        np.minimum(1.0, cx + w / 2.0), np.minimum(1.0, cy + h / 2.0)])
-    extents = extents[:, [i for c in config.clusters for i in c.members]]
+    corners = np.stack(extents(*config.detections.columns[:4]))
+    corners = corners[:, [i for c in config.clusters for i in c.members]]
     starts = np.cumsum([0] + sizes)[:-1]
-    lows = np.minimum.reduceat(extents[:2], starts, axis=1).T.tolist()
-    highs = np.maximum.reduceat(extents[2:], starts, axis=1).T.tolist()
+    lows = np.minimum.reduceat(corners[:2], starts, axis=1).T.tolist()
+    highs = np.maximum.reduceat(corners[2:], starts, axis=1).T.tolist()
     blocks = []
     for (x0, y0), (x1, y1) in zip(lows, highs):
         pad = margin * max(x1 - x0, y1 - y0)

@@ -3,10 +3,10 @@ the composite clustering-quality reward, and ``ClusterEnv``, which is
 built from a frame, an ``EnvConfig`` and the horizon t_max.
 
 A frame's clustering space is its ``ClusterGeometry``: ``apply_action`` and
-``step`` take it and read the transform and the detection count from it,
-and an episode's MeanShift start, merges, splits and rewards all use the
-one geometry its reset builds. ``reset_all`` resets many environments with
-one batched MeanShift; ``ClusterEnv.reset`` is its one-environment case.
+``step`` take it and read the transform from it, and an episode's
+MeanShift start, merges, splits and rewards all use the one geometry its
+reset builds. ``reset_all`` resets many environments with one batched
+MeanShift; ``ClusterEnv.reset`` is its one-environment case.
 
 Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
@@ -36,6 +36,7 @@ from .clustering import (
     merge_clusters,
     select_merge_pair,
     split_cluster,
+    squared_distances,
 )
 from .core import ClusterConfig, Frame, expand_ranges
 
@@ -78,14 +79,14 @@ def n_actions(n_pad: int) -> int:
     return SPLIT_BASE + n_pad
 
 
-def encode_state(config: ClusterConfig, n_pad: int, total_detections: int,
-                 include_count: bool = True) -> np.ndarray:
+def encode_state(config: ClusterConfig, n_pad: int, include_count: bool = True) -> np.ndarray:
     """Flatten the configuration into a fixed-length feature vector.
 
     One (mu_x, mu_y, mu_w, mu_h, S_i / total) slot per cluster in index
-    order, zero-padded (or truncated) to n_pad slots, then the normalized
-    cluster count N / n_pad clipped to 1 (zeroed if ``include_count`` is
-    off; the vector length never changes).
+    order, total being the frame's detection count, zero-padded (or
+    truncated) to n_pad slots, then the normalized cluster count N / n_pad
+    clipped to 1 (zeroed if ``include_count`` is off; the vector length
+    never changes).
 
     The features are laid out in one Python list and converted by one
     ``np.array``; the vector equals ``encode_state_reference`` in
@@ -93,8 +94,7 @@ def encode_state(config: ClusterConfig, n_pad: int, total_detections: int,
     """
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
-    feats = []
-    total = total_detections or math.inf  # no detections: every share is 0.0
+    feats, total = [], len(config.detections)
     for c in config.clusters[:n_pad]:
         feats += (c.mu_x, c.mu_y, c.mu_w, c.mu_h, len(c.members) / total)
     feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
@@ -140,9 +140,9 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     Per-cluster statistics come from each geometry's memo, so only
     clusters new since its last scoring are reduced. R4 counts, for every
     configuration at once, over one flat array of the centroid pairs
-    (i, j), i < j, within each configuration: the distances take the
-    operations of ``_distances``, and those within a few ulp of d_m are
-    decided by ``np.linalg.norm``. Results equal
+    (i, j), i < j, within each configuration: the distances are square
+    roots of ``squared_distances``, as in ``_distances``, and those within
+    a few ulp of d_m are decided by ``np.linalg.norm``. Results equal
     ``reward_per_cluster_reference`` in ``tests/oracles.py``. A total that
     is not finite raises ``ValueError`` naming the weights whose terms
     overflowed, or all four when only their sum did.
@@ -175,11 +175,7 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     j, partners = expand_ranges(np.arange(1, len(cents) + 1), ends)
     i = np.arange(len(cents)).repeat(partners)
     owner = np.arange(len(rows)).repeat(sizes).repeat(partners)
-    d = cents[i, 0] - cents[j, 0]
-    d *= d
-    dy = cents[i, 1] - cents[j, 1]
-    dy *= dy
-    d += dy
+    d = squared_distances(cents[i, 0], cents[i, 1], cents[j, 0], cents[j, 1])
     np.sqrt(d, out=d)
     cut = np.array([w.d_m for *_, w in rows])[owner]
     slack = np.array([4.0 * math.ulp(w.d_m) for *_, w in rows])[owner]
@@ -277,7 +273,7 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
     nxt, valid, applied = apply_action(config, action, geometry)
     return StepOutcome(
         config=nxt,
-        state=encode_state(nxt, n_pad, len(geometry.detections), include_count),
+        state=encode_state(nxt, n_pad, include_count),
         info={"action": action, "action_valid": valid, "applied": applied,
               "n": nxt.count},
         scoring=(weights, geometry),
@@ -352,6 +348,5 @@ def reset_all(envs: list[ClusterEnv]) -> list[np.ndarray]:
     for env, geometry, config in zip(envs, geometries, configs):
         ec = env.env_config
         env.geometry, env.config = geometry, config
-        states.append(encode_state(config, ec.n_pad, len(env.frame.detections),
-                                   ec.include_count))
+        states.append(encode_state(config, ec.n_pad, ec.include_count))
     return states

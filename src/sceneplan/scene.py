@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Boxes, DetectionBox, Frame, check_number, nms_rows, read_json,
+from .core import (Boxes, DetectionBox, Frame, check_number, extents, nms_rows, read_json,
                    write_csv, write_json)
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
@@ -53,7 +53,8 @@ class Stratum:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parameters for one synthetic scene distribution (seed included)."""
+    """Parameters for one synthetic scene distribution (seed included).
+    Each error message starts with the JSON field at fault."""
 
     width_px: int = 3840
     height_px: int = 2160
@@ -63,16 +64,17 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError("frame size must be positive")
+        for name in ("width_px", "height_px"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (1 <= self.count_min <= self.count_max):
-            raise ValueError(f"count range [{self.count_min}, {self.count_max}] invalid")
+            raise ValueError(f"count_range [{self.count_min}, {self.count_max}] invalid")
         if len(self.strata) == 0:
-            raise ValueError("scene spec needs at least one stratum")
+            raise ValueError("strata must hold at least one stratum")
         if not math.isfinite(sum(s.density for s in self.strata)):
-            raise ValueError("stratum density values must have a finite sum")
+            raise ValueError("strata density values must have a finite sum")
         if self.seed < 0:
-            raise ValueError(f"scene seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "strata", tuple(self.strata))
 
     def with_seed(self, seed: int) -> "SceneSpec":
@@ -90,8 +92,9 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
     """The SceneSpec of a JSON scene spec object.
 
     Frame size, count range and seed must be non-bool ints, and stratum
-    bounds and densities finite non-bool reals; anything else raises a
-    ValueError naming the field, e.g. ``scene_spec.strata[0].y_band``.
+    bounds and densities finite non-bool reals; anything else, and any
+    value out of range, raises a ValueError naming the field, e.g.
+    ``scene_spec.strata[0].y_band`` or ``scene_spec.count_range``.
     """
     if not isinstance(d, dict):
         raise ValueError(f"scene_spec must be an object, got {d!r}")
@@ -110,16 +113,14 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
             parsed.append(Stratum(y0, y1, size_min, size_max, density))
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
-    count_min, count_max = _spec_pair(d.get("count_range", [20, 40]),
-                                      "scene_spec.count_range", True)
-    return SceneSpec(
-        width_px=check_number(d.get("width_px", 3840), "scene_spec.width_px", True),
-        height_px=check_number(d.get("height_px", 2160), "scene_spec.height_px", True),
-        count_min=count_min,
-        count_max=count_max,
-        strata=tuple(parsed),
-        seed=check_number(d.get("seed", 0), "scene_spec.seed", True),
-    )
+    count_range = _spec_pair(d.get("count_range", [20, 40]), "scene_spec.count_range", True)
+    width_px = check_number(d.get("width_px", 3840), "scene_spec.width_px", True)
+    height_px = check_number(d.get("height_px", 2160), "scene_spec.height_px", True)
+    seed = check_number(d.get("seed", 0), "scene_spec.seed", True)
+    try:
+        return SceneSpec(width_px, height_px, *count_range, tuple(parsed), seed)
+    except ValueError as e:  # its message starts with the field's name
+        raise ValueError(f"scene_spec.{e}") from None
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -313,7 +314,9 @@ def observe_tiles(
     Every tile reports each box of the frame's ``Boxes`` whose intersection
     with the tile covers at least ``min_visible`` of the box area, as a raw
     (cx, cy, w, h, score, class_id) row of its ``TileRows``, in tile-local
-    normalized coordinates, taken from the columns as arrays.
+    normalized coordinates, taken from the columns as arrays. The box
+    extents are ``core.extents``', scaled to pixels; a ``-0.0`` corner may
+    keep its sign there, which no area or intersection it enters shows.
     Boxes straddling a boundary are reported by several tiles; NMS
     aggregation resolves the duplicates. In noisy mode each observation is
     dropped with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
@@ -332,13 +335,8 @@ def observe_tiles(
     w_px, h_px = frame.width_px, frame.height_px
     cx, cy, w, h, score = frame.detections.columns
     class_ids = frame.detections.class_ids
-    # extent(): max(0.0, v) gives 0.0 unless v > 0.0, min(1.0, v) 1.0 unless v < 1.0
-    bx0, by0 = cx - w / 2.0, cy - h / 2.0
-    bx1, by1 = cx + w / 2.0, cy + h / 2.0
-    bx0 = np.where(bx0 > 0.0, bx0, 0.0) * w_px
-    by0 = np.where(by0 > 0.0, by0, 0.0) * h_px
-    bx1 = np.where(bx1 < 1.0, bx1, 1.0) * w_px
-    by1 = np.where(by1 < 1.0, by1, 1.0) * h_px
+    bx0, by0, bx1, by1 = extents(cx, cy, w, h)
+    bx0, by0, bx1, by1 = bx0 * w_px, by0 * h_px, bx1 * w_px, by1 * h_px
     box_area = (bx1 - bx0) * (by1 - by0)
     cx_px, cy_px, bw_px, bh_px = cx * w_px, cy * h_px, w * w_px, h * h_px
     per_tile = []

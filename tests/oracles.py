@@ -40,7 +40,6 @@ The library must return exactly what these return.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import sys
@@ -239,11 +238,15 @@ def estimate_bandwidth_reference(points, quantile: float = 0.2) -> float:
     return max(float(np.quantile(nn, quantile)), BANDWIDTH_FLOOR)
 
 
-# ``observe_tiles`` computes the box extents as one array with the operations
-# of ``DetectionBox.extent``, and each tile's visibility test and tile-local
-# coordinates as array expressions over all boxes. Only the visible boxes are
-# visited in Python, drawing from the generator in box order (drop draw, then
-# four jitter draws), so a seed gives the observations of the loop below.
+# ``observe_tiles`` computes the box extents as ``core.extents``' columns,
+# with the operations of ``DetectionBox.extent``. Where ``np.maximum`` keeps
+# the sign of a ``-0.0`` corner, the box's area and its intersections come
+# out equal all the same (``x - -0.0 == x - 0.0`` bit for bit for every
+# x > 0 and for 0.0, and a box's upper corners are never ``-0.0``). Each
+# tile's visibility test and tile-local coordinates are array expressions
+# over all boxes. Only the visible boxes are visited in Python, drawing from
+# the generator in box order (drop draw, then four jitter draws), so a seed
+# gives the observations of the loop below.
 def observe_tiles_reference(frame, grid, min_visible: float = 0.25,
                             drop_prob: float = 0.0, jitter_sigma: float = 0.0,
                             seed: int | None = None):
@@ -965,17 +968,15 @@ def tied_config(rng, sizes, grid: int | None = None, copies=()) -> ClusterConfig
     return ClusterConfig(tuple(clusters), tuple(boxes))
 
 
-# ``clustering.DENSE_MAX`` values that send every frame through MeanShift's
-# y-band loop, and every frame through its dense loop
-BAND_LOOP, DENSE_LOOP = 0, sys.maxsize
-
-
-@contextlib.contextmanager
-def dense_max(limit: int):
-    """``clustering.DENSE_MAX`` set to ``limit`` inside the block."""
+def meanshift_both_loops(points, bandwidth: float, tol: float = 1e-4,
+                         max_iter: int = 300) -> list:
+    """MeanShift's labels of one frame on the y-band loop (``meanshift``),
+    then on the dense loop: a one-frame ``meanshift_frames`` under a
+    ``clustering.DENSE_MAX`` that sends a frame of any size there."""
     saved = clustering.DENSE_MAX
-    clustering.DENSE_MAX = limit
+    clustering.DENSE_MAX = sys.maxsize
     try:
-        yield
+        dense = clustering.meanshift_frames([points], [bandwidth], tol, max_iter)[0]
     finally:
         clustering.DENSE_MAX = saved
+    return [clustering.meanshift(points, bandwidth, tol, max_iter), dense]

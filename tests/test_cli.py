@@ -578,6 +578,10 @@ def test_unknown_config_key(tmp_path, capsys):
     ("train.hidden", [64, 64]), ("train.seed", 1), ("reward.nmin", 2),
     ("profile", 5), ("scene_spec", 5), ("checkpoint", ["a"]), ("out_dir", 1),
     pytest.param("reward.alpha", 10 ** 400, id="reward.alpha-int_past_float_range"),
+    pytest.param("reward.n_min", 10 ** 400, id="reward.n_min-int_past_int64"),
+    pytest.param("reward.n_max", 10 ** 400, id="reward.n_max-int_past_int64"),
+    pytest.param("seed", 2 ** 63, id="seed-int_past_int64"),
+    pytest.param("d_max", 2 ** 63, id="d_max-int_past_int64"),
 ])
 def test_pipeline_mistyped_config_value_names_key(tmp_path, capsys, key, value):
     block, _, sub = key.partition(".")
@@ -609,6 +613,13 @@ def stratum(**fields):
     ("strata", stratum(density=-10 ** 400), "scene_spec.strata[0].density"),
     ("strata", stratum(y_band=[0.9, 0.1]), "scene_spec.strata[0]"),
     ("strata", [5], "scene_spec.strata[0]"),
+    pytest.param("width_px", 10 ** 400, "scene_spec.width_px", id="width_px-int_past_int64"),
+    ("count_range", [10 ** 400, 10 ** 400], "scene_spec.count_range"),
+    ("count_range", [40, 20], "scene_spec.count_range"),
+    ("width_px", 0, "scene_spec.width_px"),
+    ("strata", [], "scene_spec.strata"),
+    ("seed", -1, "scene_spec.seed"),
+    ("strata", stratum(density=1e308)[:1] * 2, "scene_spec.strata"),
 ])
 def test_pipeline_bad_scene_spec_field_names_it(tmp_path, capsys, field, value, where):
     cfg_path, _ = base_config(tmp_path, scene_spec={**SPEC, field: value})
@@ -644,6 +655,20 @@ def test_nonpositive_count_names_it(tmp_path, capsys, command, key, source, valu
         argv += ["--" + key.replace("_", "-"), str(value)]
     assert main(argv) == 2
     assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("pipeline", "--seed", "seed"), ("pipeline", "--d-max", "d_max"),
+    ("gen-scene", "--seed", "seed")])
+def test_flag_past_int64_names_key(tmp_path, capsys, command, flag, key):
+    if command == "gen-scene":
+        argv = [command, "--spec", str(write_spec(tmp_path)),
+                "--out", str(tmp_path / "out" / "d.json")]
+    else:
+        argv = [command, "--config", str(base_config(tmp_path)[0])]
+    assert main([*argv, flag, str(2 ** 63)]) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -34,13 +34,11 @@ from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_actio
 from sceneplan.scene import SceneSpec, Stratum, coarse_detect, generate_scene
 
 from oracles import (
-    BAND_LOOP,
-    DENSE_LOOP,
-    dense_max,
     geometry_of,
     kmeans_1d_best_cost,
     kmeans_1d_reference,
     labels_cost,
+    meanshift_both_loops,
     meanshift_reference,
     random_config,
     select_merge_pair_reference,
@@ -238,9 +236,7 @@ def meanshift_equals_reference(pts, bandwidth, max_iters=(0, 1, 300), tol=1e-4):
         # reference; meanshift raises no warning for them
         with np.errstate(over="ignore", invalid="ignore"):
             want = meanshift_reference(pts, bandwidth, tol, max_iter).tolist()
-        for loop in (BAND_LOOP, DENSE_LOOP):
-            with dense_max(loop):
-                labels = meanshift(pts, bandwidth, tol, max_iter)
+        for labels in meanshift_both_loops(pts, bandwidth, tol, max_iter):
             assert labels.tolist() == want
     return labels
 
@@ -286,9 +282,8 @@ def test_meanshift_points_on_band_edges_match_reference(bandwidth):
 def test_meanshift_far_window_ends_raise_no_float_warning(points, bandwidth):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for loop in (BAND_LOOP, DENSE_LOOP):
-            with dense_max(loop):
-                assert meanshift(np.array(points), bandwidth).tolist() == [0] * len(points)
+        for labels in meanshift_both_loops(np.array(points), bandwidth):
+            assert labels.tolist() == [0] * len(points)
 
 
 def test_meanshift_duplicated_modes_and_signed_zeros_match_reference(rng):

@@ -18,7 +18,6 @@ from sceneplan.clustering import (
     TransformParams,
     estimate_bandwidth,
     kmeans_1d,
-    meanshift,
     meanshift_frames,
     select_merge_pair,
     split_cluster,
@@ -46,19 +45,17 @@ from sceneplan.rl_env import RewardWeights, action_mask, encode_state, rewards
 from sceneplan.scene import TileRows, aggregate_tiles, coarse_detect, observe_tiles, tile_frame
 
 from oracles import (
-    BAND_LOOP,
-    DENSE_LOOP,
     action_mask_reference,
     aggregate_tiles_reference,
     bounding_block_reference,
     centroids_reference,
-    dense_max,
     dp_plan_reference,
     encode_state_reference,
     estimate_bandwidth_reference,
     geometry_stats_reference,
     kmeans_1d_reference,
     make_cluster_reference,
+    meanshift_both_loops,
     meanshift_reference,
     nms_reference,
     observe_tiles_reference,
@@ -322,8 +319,11 @@ def config_args(draw):
 @st.composite
 def state_args(draw):
     config, n_pad = draw(config_args())
-    total = draw(st.sampled_from([len(config.detections), 0]))
-    return config, n_pad, total, draw(st.booleans())
+    return config, n_pad, draw(st.booleans())
+
+
+def state_reference(config, n_pad, include_count):
+    return encode_state_reference(config, n_pad, len(config.detections), include_count)
 
 
 # --- policy_sample --------------------------------------------------------------
@@ -404,18 +404,6 @@ def meanshift_args(draw, points=st.lists(POINT, min_size=1, max_size=60) | share
     repeats = draw(st.lists(st.integers(0, 59), max_size=20))
     points = points + [points[i % len(points)] for i in repeats]
     return np.array(points), draw(bandwidth), draw(TOL), draw(MAX_ITER)
-
-
-def on_both_loops(function):
-    """``function``'s results with every MeanShift frame on the y-band loop,
-    then on the dense loop."""
-    def run(*args):
-        results = []
-        for loop in (BAND_LOOP, DENSE_LOOP):
-            with dense_max(loop):
-                results.append(function(*args))
-        return results
-    return run
 
 
 def twice(reference):
@@ -731,12 +719,12 @@ REGISTRY = [
     ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
     ("partitions_from_blocks", caught(partitions_from_blocks),
      caught(partitions_from_blocks_reference), partition_args(), 200),
-    ("encode_state", encode_state, encode_state_reference, state_args(), 200),
+    ("encode_state", encode_state, state_reference, state_args(), 200),
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_rows_reference),
      sample_args(), 200),
-    ("meanshift", on_both_loops(meanshift), twice(meanshift_reference), meanshift_args(), 150),
-    ("meanshift_shared_paths", on_both_loops(meanshift), twice(meanshift_reference),
+    ("meanshift", meanshift_both_loops, twice(meanshift_reference), meanshift_args(), 150),
+    ("meanshift_shared_paths", meanshift_both_loops, twice(meanshift_reference),
      meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
     ("meanshift_frames", warning_free(meanshift_frames), quiet(frames_reference),
      frames_args(), 60),

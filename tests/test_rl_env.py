@@ -78,7 +78,7 @@ def n_singletons(n):
 
 def test_encode_padding():
     cfg = singleton_config([(0.3, 0.4)])
-    s = encode_state(cfg, n_pad=3, total_detections=1)
+    s = encode_state(cfg, n_pad=3)
     assert len(s) == 16
     assert s[:5] == pytest.approx([0.3, 0.4, 0.05, 0.05, 1.0])
     assert (s[5:15] == 0).all()
@@ -87,7 +87,7 @@ def test_encode_padding():
 
 def test_encode_full():
     cfg = n_singletons(3)
-    s = encode_state(cfg, n_pad=3, total_detections=3)
+    s = encode_state(cfg, n_pad=3)
     slots = s[:-1].reshape(3, 5)
     assert (slots != 0).all()
     assert s[-1] == 1.0
@@ -95,7 +95,7 @@ def test_encode_full():
 
 def test_encode_truncates():
     cfg = n_singletons(5)
-    s = encode_state(cfg, n_pad=3, total_detections=5)
+    s = encode_state(cfg, n_pad=3)
     assert len(s) == 16
     assert s[-1] == 1.0
     assert s[0] == pytest.approx(cfg.clusters[0].mu_x)
@@ -103,14 +103,14 @@ def test_encode_truncates():
 
 def test_encode_count_flag_off():
     cfg = n_singletons(2)
-    s = encode_state(cfg, n_pad=4, total_detections=2, include_count=False)
+    s = encode_state(cfg, n_pad=4, include_count=False)
     assert s[-1] == 0.0
 
 
 def test_encode_entries_in_unit_range(rng):
     for _ in range(10):
         cfg = random_config(rng, 4)
-        s = encode_state(cfg, n_pad=6, total_detections=len(cfg.detections))
+        s = encode_state(cfg, n_pad=6)
         assert (s >= 0).all() and (s <= 1).all()
 
 
@@ -319,7 +319,7 @@ def test_reset_single_detection():
     cfg = initial_clusters(ClusterGeometry((DetectionBox(0.4, 0.6, 0.1, 0.1),),
                                            TransformParams()))
     assert cfg.count == 1
-    s = encode_state(cfg, n_pad=4, total_detections=1)
+    s = encode_state(cfg, n_pad=4)
     assert (s[:5] != 0).all() and (s[5:20] == 0).all()
 
 
@@ -524,7 +524,7 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
     frame = Frame(3840, 2160, tied_config(rng, sizes, grid=(None, 64)[seed % 2],
                                           copies={3, 6}).detections)
     transform = None if alpha is None else TransformParams(alpha)
-    n_pad, n_det = 30, len(frame.detections)
+    n_pad = 30
     cfg = initial_clusters(ClusterGeometry(frame.detections, TransformParams(0.5)),
                            BandwidthSpec("fixed", 0.06))
     geometry = ClusterGeometry(frame.detections, transform)
@@ -547,7 +547,7 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
             assert out.config == nxt
             assert out.reward == total
             assert out.components == (r1, r2, r3, r4)
-            assert np.array_equal(out.state, encode_state(nxt, n_pad, n_det))
+            assert np.array_equal(out.state, encode_state(nxt, n_pad))
         cfg = nxt
 
 
