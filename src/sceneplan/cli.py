@@ -155,6 +155,10 @@ def _config(args: argparse.Namespace) -> dict:
             ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
             ("transform_alpha", 0.0 < cfg["transform_alpha"] < 1.0, "in (0, 1)"),
             ("d_max", cfg["d_max"] >= 0, ">= 0"),
+            ("policy", cfg["policy"] in ("trained", "keep", "random"),
+             "'trained', 'keep' or 'random'"),
+            ("bandwidth_mode", cfg["bandwidth_mode"] in ("fixed", "quantile"),
+             "'fixed' or 'quantile'"),
             ("bandwidth_value", 0.0 < bandwidth < top, f"in (0, {top})"),
             ("reward.n_min", reward["n_min"] >= 1, ">= 1"),
             ("reward.n_max", reward["n_max"] >= reward["n_min"], ">= reward.n_min")):
@@ -201,8 +205,6 @@ def _policy(cfg: dict):
             raise ValueError("trained policy requested but no checkpoint configured")
         ckpt = load_checkpoint(cfg["checkpoint"])
         return greedy_policy(ckpt), ckpt
-    if mode not in ("keep", "random"):
-        raise ValueError(f"unknown policy mode {mode!r}")
     return (keep_policy if mode == "keep" else random_policy), None
 
 
@@ -353,8 +355,8 @@ def cmd_pipeline(args) -> None:
         frames = [(cfg["seed"], load_detections(cfg["detections"]))]
     else:
         spec = _scene_spec(cfg)
-        frames = [(cfg["seed"] + k, generate_scene(spec.with_seed(cfg["seed"] + k)))
-                  for k in range(cfg["num_scenes"])]
+        frames = ((cfg["seed"] + k, generate_scene(spec.with_seed(cfg["seed"] + k)))
+                  for k in range(cfg["num_scenes"]))
     policy = _policy(cfg)
     scenes = []
     rows = []
@@ -387,9 +389,7 @@ def cmd_eval(args) -> None:
         raise ValueError("eval needs a trained checkpoint")
     ckpt = load_checkpoint(cfg["checkpoint"])
     spec = _scene_spec(cfg)
-    base = cfg["seed"] + 10_000
-    frames = [(base + k, generate_scene(spec.with_seed(base + k)))
-              for k in range(cfg["episodes"])]
+    seeds = range(cfg["seed"] + 10_000, cfg["seed"] + 10_000 + cfg["episodes"])
     policies = [
         ("trained", greedy_policy(ckpt)),
         ("random", random_policy),
@@ -398,7 +398,8 @@ def cmd_eval(args) -> None:
     env_config = _env_config(cfg)
     rows = []
     for name, choose in policies:
-        for scene_seed, frame in frames:
+        for scene_seed in seeds:  # regenerated per policy: one frame alive at a time
+            frame = generate_scene(spec.with_seed(scene_seed))
             env = policy_env(frame, env_config, cfg["t_max"], ckpt)
             trace = rollout([env], choose, np.random.default_rng(scene_seed)).traces[0]
             final = trace[-1].config

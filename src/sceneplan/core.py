@@ -4,10 +4,10 @@ the file layer every input JSON and every output goes through.
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
 Every frame and configuration carries its detections as ``Boxes``: one
-read-only (5, n) array of columns, which builds a box only where one is
-read. ``as_boxes`` lays any other sequence of boxes out once, where it
-enters. All operations here but the file layer's are pure functions over
-immutable values.
+read-only (5, n) array of columns, the one store of each coordinate, which
+builds no box until one is read. ``as_boxes`` lays any other sequence of
+boxes out once, where it enters. All operations here but the file layer's
+are pure functions over immutable values.
 """
 
 from __future__ import annotations
@@ -121,17 +121,17 @@ class DetectionBox:
 class Boxes(Sequence):
     """A frame's detections, read-only: the (5, n) cx, cy, w, h and score
     rows they are built from as ``columns`` (C-ordered, so copied only if
-    they are not), the same rows as float lists in ``fields``, and their
-    int ``class_ids``. Each row passes ``DetectionBox``'s checks (trusted,
-    not checked here). A box is built only when an element is read;
-    ``len``, indexing, iteration, ``==`` and ``hash`` are the box tuple's."""
+    they are not), each coordinate's one store, and their int ``class_ids``.
+    Each row passes ``DetectionBox``'s checks (trusted, not checked here).
+    A box is built from its column only when read; ``len``, indexing,
+    iteration, ``==`` and ``hash`` are the box tuple's."""
 
-    __slots__ = ("columns", "fields", "class_ids")
+    __slots__ = ("columns", "class_ids")
 
     def __init__(self, rows: np.ndarray, class_ids: list[int]):
         self.columns = np.ascontiguousarray(rows)
         self.columns.setflags(write=False)
-        self.fields, self.class_ids = self.columns.tolist(), class_ids
+        self.class_ids = class_ids
 
     def __len__(self) -> int:
         return len(self.class_ids)
@@ -139,7 +139,7 @@ class Boxes(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(len(self))[k]))
-        return DetectionBox(*(f[k] for f in self.fields), self.class_ids[k])
+        return DetectionBox(*self.columns[:, k].tolist(), self.class_ids[k])
 
     def __eq__(self, other):
         return tuple(self) == (tuple(other) if isinstance(other, Boxes) else other)
@@ -208,22 +208,21 @@ class ClusterConfig:
 def make_cluster(members, detections) -> Cluster:
     """Build a Cluster from detection indices, stats recomputed from scratch.
 
-    Members are kept sorted and their centers and sizes (from
-    ``Boxes.fields``) added one at a time in that order, so equal member
-    sets give bitwise equal means however the set was assembled.
+    Members are kept sorted, their columns gathered with one ``take``, and
+    their centers and sizes added one at a time from 0.0 in that order, so
+    equal member sets give bitwise equal means however the set was assembled.
     """
     members = tuple(sorted(members))
     if not members:
         raise ValueError("empty cluster")
     if len(set(members)) != len(members):
         raise ValueError("duplicate member indices")
-    xs, ys, ws, hs, _ = as_boxes(detections).fields
     sx = sy = sw = sh = 0.0
-    for i in members:
-        sx += xs[i]
-        sy += ys[i]
-        sw += ws[i]
-        sh += hs[i]
+    for x, y, w, h, _ in as_boxes(detections).columns.take(members, axis=1).T.tolist():
+        sx += x
+        sy += y
+        sw += w
+        sh += h
     n = len(members)
     return Cluster(members, sx / n, sy / n, sw / n, sh / n)
 

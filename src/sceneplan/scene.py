@@ -231,11 +231,11 @@ def load_detections(path) -> Frame:
 
 
 def save_detections(frame: Frame, path) -> None:
-    """Write a Frame's ``Boxes`` atomically, one row per box, in the CSV
-    detection format when the path ends in ``.csv``, in the JSON one
-    otherwise."""
+    """Write a Frame's ``Boxes`` atomically, one row per box read from its
+    columns (no box is built), in the CSV detection format when the path
+    ends in ``.csv``, in the JSON one otherwise."""
     dets = frame.detections
-    rows = [dict(zip(CSV_HEADER, v)) for v in zip(*dets.fields, dets.class_ids)]
+    rows = [dict(zip(CSV_HEADER, v)) for v in zip(*dets.columns.tolist(), dets.class_ids)]
     if str(path).endswith(".csv"):
         write_csv(path, CSV_HEADER, rows)
     else:

@@ -417,6 +417,36 @@ def test_pipeline_loads_the_checkpoint_once(tmp_path, monkeypatch):
     assert len(rows) == 4  # header + three scenes, all refined by the one policy
 
 
+@pytest.mark.parametrize("command, flag, rollouts", [
+    ("pipeline", "--num-scenes=6", 6), ("eval", "--episodes=5", 15)])
+def test_frames_are_generated_where_they_are_refined(tmp_path, monkeypatch, command, flag,
+                                                     rollouts):
+    # memory holds one generated frame at a time, not num_scenes or episodes of them
+    import weakref
+
+    from sceneplan import cli
+    from sceneplan.ppo import save_checkpoint
+
+    ckpt_path = tmp_path / "policy.ckpt"
+    save_checkpoint(count_driven_checkpoint(n_pad=6), ckpt_path)
+    cfg_path, _ = base_config(tmp_path, checkpoint=str(ckpt_path))
+    generate, rollout, frames, alive = cli.generate_scene, cli.rollout, [], []
+
+    def generate_scene(spec):
+        frame = generate(spec)
+        frames.append(weakref.ref(frame))
+        return frame
+
+    def counting_rollout(*args):
+        alive.append(sum(ref() is not None for ref in frames))
+        return rollout(*args)
+
+    monkeypatch.setattr(cli, "generate_scene", generate_scene)
+    monkeypatch.setattr(cli, "rollout", counting_rollout)
+    assert main([command, "--config", str(cfg_path), flag]) == 0
+    assert len(alive) == rollouts and max(alive) <= 2
+
+
 def test_pipeline_metrics_rows_and_models(tmp_path):
     from sceneplan.offload import default_profiles
 
@@ -577,6 +607,7 @@ def test_unknown_config_key(tmp_path, capsys):
     ("train.iterations", True), ("train.lr_policy", float("inf")),
     ("train.hidden", [64, 64]), ("train.seed", 1), ("reward.nmin", 2),
     ("profile", 5), ("scene_spec", 5), ("checkpoint", ["a"]), ("out_dir", 1),
+    ("bandwidth_mode", "x"), ("policy", "x"),
     pytest.param("reward.alpha", 10 ** 400, id="reward.alpha-int_past_float_range"),
     pytest.param("reward.n_min", 10 ** 400, id="reward.n_min-int_past_int64"),
     pytest.param("reward.n_max", 10 ** 400, id="reward.n_max-int_past_int64"),

@@ -136,7 +136,10 @@ def test_kept_boxes_equal_validated_boxes(rows, data):
     # the (5, n) array it was built from, now read-only; an F-ordered one is copied to C order
     assert kept.columns is columns and columns.shape == (5, len(rows))
     assert columns.flags.c_contiguous and not columns.flags.writeable
-    assert kept.fields == columns.tolist()
+    # the columns are the boxes' one store: each row holds its box's bits, -0.0 included
+    assert Boxes.__slots__ == ("columns", "class_ids")
+    assert [tuple(map(repr, row)) for row in columns.T.tolist()] == \
+        [tuple(map(repr, dataclasses.astuple(b)[:5])) for b in boxes]
     transposed = Boxes(columns.T.copy().T, kept.class_ids).columns
     assert transposed.flags.c_contiguous and transposed.tobytes() == columns.tobytes()
 

@@ -515,7 +515,7 @@ def column_bits(columns):
 
 
 @pytest.mark.parametrize("noise", [{}, {"drop_prob": 0.2, "jitter_sigma": 0.03, "seed": 4}])
-def test_coarse_frame_columns_are_its_boxes_fields(noise):
+def test_coarse_frame_columns_are_its_boxes(noise):
     # jittered straddlers clamp onto the frame's edges
     frame = generate_scene(SceneSpec(3840, 2160, 600, 600, CROWD_STRATA, seed=3))
     coarse = coarse_detect(frame, 2, 4, **noise)
@@ -530,18 +530,15 @@ def test_coarse_frame_columns_are_its_boxes_fields(noise):
     assert boxes[5:-3:7] == want[5:-3:7] and boxes[-1] == want[-1]
 
 
-def test_generated_frame_columns_are_its_boxes_fields():
+def test_generated_frame_columns_are_its_boxes():
     boxes = generate_scene(SceneSpec(seed=2, strata=CROWD_STRATA)).detections
     assert type(boxes) is Boxes and boxes.class_ids == [0] * len(boxes)
-    assert column_bits(boxes.columns) == field_bits(boxes)
-    assert [tuple(map(repr, f)) for f in zip(*boxes.fields)] == \
-        [tuple(map(repr, astuple(b)[:5])) for b in boxes]
+    assert column_bits(boxes.columns) == [tuple(map(repr, astuple(b)[:5])) for b in boxes]
 
 
 def box_bits(boxes):
-    """Every field of a ``Boxes`` or ``TileRows`` as reprs, with its class ids."""
-    fields = boxes.fields if isinstance(boxes, Boxes) else boxes.columns.tolist()
-    return [list(map(repr, f)) for f in fields], boxes.class_ids
+    """Every column of a ``Boxes`` or ``TileRows`` as reprs, with its class ids."""
+    return [list(map(repr, f)) for f in boxes.columns.tolist()], boxes.class_ids
 
 
 @pytest.mark.parametrize("noise", [{}, {"drop_prob": 0.2, "jitter_sigma": 0.03, "seed": 4}])
@@ -584,7 +581,7 @@ BOXES_TO_SAVE = (DetectionBox(-0.0, 0.0, 1.0, 0.5, 0.9), DetectionBox(1.0, -0.0,
 def assert_boxes_as_columns(dets, boxes):
     assert type(dets) is Boxes and dets == boxes and dets.class_ids == [0, 0, 2]
     assert column_bits(dets.columns) == field_bits(boxes)
-    assert [tuple(map(repr, box)) for box in zip(*dets.fields)] == field_bits(boxes)
+    assert field_bits(dets) == field_bits(boxes)
 
 
 @pytest.mark.parametrize("name", ["dets.json", "dets.csv"])
