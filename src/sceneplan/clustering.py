@@ -89,8 +89,8 @@ def squared_distances(ax, ay, bx, by):
 
 def _distances(a, b):
     """Euclidean distances between the rows of ``a`` and of ``b``, (len(a),
-    len(b)), from ``squared_distances``: bitwise equal to the norm of the
-    broadcast (len(a), len(b), 2) difference, without building it."""
+    len(b)), as square roots of ``squared_distances``: the one rounding of a
+    pair distance, which every cut and tie compares as it is."""
     d = squared_distances(a[:, :1], a[:, 1:2], b[:, 0], b[:, 1])
     return np.sqrt(d, out=d)
 
@@ -124,10 +124,8 @@ def resolve_bandwidth(spec: BandwidthSpec, points) -> float:
 
 
 # Frames of at most this many points take the dense loop, each mode paired
-# with every point of its frame; larger frames take the y-band loop. On crowd
-# frames subsampled to n points (bandwidth 0.12 or the 0.2 quantile, one
-# frame or 16 together) the dense loop took 0.4-0.8 of the band loop's time
-# at n = 64, 0.7-1.2 at 96 and 1.05-2.0 at 128 (2-CPU machine).
+# with every point of its frame; larger frames take the y-band loop, as on
+# crowd frames the dense loop is the faster one up to about this size.
 DENSE_MAX = 96
 
 
@@ -340,11 +338,12 @@ def _collapse_and_label(pts, mode_x, mode_y, bandwidth: float):
     """Labels from one frame's converged modes.
 
     The mode collapse runs over the distinct converged modes only, taken
-    in first-seen order: one distance array between them, then the
-    first-seen loop over its rows. This is exact, as a copy of a mode lies
-    at distance 0 (at most bandwidth/2) from it and at the same distance
-    from every other mode, so it is covered exactly when the mode is.
-    Every point then joins its nearest representative, as one array.
+    in first-seen order: one ``_distances`` array between them, compared
+    with bandwidth/2 as it rounds, then the first-seen loop over its rows.
+    This is exact, as a copy of a mode lies at distance 0 (at most
+    bandwidth/2) from it and at the same distance from every other mode,
+    so it is covered exactly when the mode is. Every point then joins its
+    nearest representative, as one array.
     """
     # distinct modes in first-seen order (the reversed dict keeps each
     # mode's first index); float keys, so -0.0 and 0.0 are one mode
@@ -352,11 +351,7 @@ def _collapse_and_label(pts, mode_x, mode_y, bandwidth: float):
     first = sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
     modes = np.stack([mode_x[first], mode_y[first]], axis=1)
     # collapse near-duplicate modes, first-seen representative wins
-    half = bandwidth / 2.0
-    near = _distances(modes, modes)
-    for i, j in _near(near, half):
-        near[i, j] = np.linalg.norm(modes[i] - modes[j])
-    near = near <= half  # drops the float array before the labelling's
+    near = _distances(modes, modes) <= bandwidth / 2.0
     covered = np.zeros(len(modes), dtype=bool)
     reps = []
     for i in range(len(modes)):
@@ -553,18 +548,6 @@ class ClusterGeometry:
         return hit
 
 
-def _near(dist, cut: float) -> list[tuple[int, int]]:
-    """The (i, j) of the entries of ``dist = _distances(a, b)`` within 4 ulp
-    of ``cut``, in row-major order. Callers settle them by
-    ``np.linalg.norm(a[i] - b[j])``; why this equals the per-pair norms of
-    ``reward_per_cluster_reference`` in ``tests/oracles.py`` sits beside it.
-    """
-    cols = dist.shape[1]
-    gap = dist - cut
-    return [divmod(int(k), cols)
-            for k in np.flatnonzero(np.abs(gap, out=gap) <= 4.0 * math.ulp(cut))]
-
-
 def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple[int, int]:
     """Indices of the two clusters with minimum centroid distance in the
     geometry's space.
@@ -573,13 +556,10 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
 
     Array method: the centroids come from the episode's ``ClusterGeometry``
     memo, in raw space too, where they equal the clusters' own ``mu_x,
-    mu_y`` (both add the member centres in member order). All pairwise
-    distances come from one ``_distances`` array, which is symmetric; one
-    count of the entries within 4 ulp of its minimum tells whether the
-    argmin's pair, found at i < j as the first minimum in row-major order,
-    stands alone. Otherwise the pairs i < j within those ulp are decided by
-    ``np.linalg.norm``, first in (i, j) order. Results equal
-    ``select_merge_pair_reference`` in ``tests/oracles.py``.
+    mu_y`` (both add the member centres in member order). Their distances,
+    one ``_distances`` array compared as it rounds, are symmetric, so its
+    first minimum in row-major order is the smallest (i, j) with i < j.
+    Results equal ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     geometry.check(config)
     n = config.count
@@ -590,16 +570,7 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     dist.flat[::n + 1] = np.inf  # the diagonal
     # argmin, not min: the first min call maps 64 KB of numpy code that desk
     # training loads nowhere else (peak RSS)
-    k = int(dist.argmin())
-    m = float(dist.flat[k])
-    # every entry is at least m, so this is _near's test; 2 are the pair's own
-    if np.count_nonzero(dist - m <= 4.0 * math.ulp(m)) == 2:
-        return divmod(k, n)
-    near = [(i, j) for i, j in _near(dist, m) if i < j]  # one triangle of the symmetric dist
-    for i, j in near:
-        dist[i, j] = np.linalg.norm(cents[i] - cents[j])
-    # min keeps the first of equals in (i, j) order
-    return min(near, key=lambda p: dist[p])
+    return divmod(int(dist.argmin()), n)
 
 
 def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:

@@ -166,8 +166,9 @@ class Frame:
     detections: Boxes = ()
 
     def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError(f"frame size {self.width_px}x{self.height_px} not positive")
+        for name in ("width_px", "height_px"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         object.__setattr__(self, "detections", as_boxes(self.detections))
 
 

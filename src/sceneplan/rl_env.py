@@ -140,9 +140,8 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     Per-cluster statistics come from each geometry's memo, so only
     clusters new since its last scoring are reduced. R4 counts, for every
     configuration at once, over one flat array of the centroid pairs
-    (i, j), i < j, within each configuration: the distances are square
-    roots of ``squared_distances``, as in ``_distances``, and those within
-    a few ulp of d_m are decided by ``np.linalg.norm``. Results equal
+    (i, j), i < j, within each configuration: each distance rounds as in
+    ``_distances`` and is compared with d_m as it is. Results equal
     ``reward_per_cluster_reference`` in ``tests/oracles.py``. A total that
     is not finite raises ``ValueError`` naming the weights whose terms
     overflowed, or all four when only their sum did.
@@ -178,9 +177,6 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     d = squared_distances(cents[i, 0], cents[i, 1], cents[j, 0], cents[j, 1])
     np.sqrt(d, out=d)
     cut = np.array([w.d_m for *_, w in rows])[owner]
-    slack = np.array([4.0 * math.ulp(w.d_m) for *_, w in rows])[owner]
-    for k in np.flatnonzero(np.abs(d - cut) <= slack).tolist():
-        d[k] = np.linalg.norm(cents[i[k]] - cents[j[k]])
     close = np.bincount(owner[d < cut], minlength=len(rows)).tolist()
     out = []
     for (r1, r2, r3, w), pairs in zip(rows, close):

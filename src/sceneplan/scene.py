@@ -220,14 +220,18 @@ def load_detections(path) -> Frame:
         return Frame(*CSV_FRAME_PX, boxes)
     data = read_json(path)
     try:
-        width, height = int(data["width_px"]), int(data["height_px"])
+        width, height = (check_number(data[k], f"{path}: {k}", True)
+                         for k in ("width_px", "height_px"))
         rows = data["detections"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: missing or malformed field ({e})") from None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: \"detections\" must be a list, got {rows!r}")
     boxes = [_box_from_row(r, f"{path}: detection {i}") for i, r in enumerate(rows)]
-    return Frame(width, height, boxes)
+    try:
+        return Frame(width, height, boxes)
+    except ValueError as e:  # a size that is not positive
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_detections(frame: Frame, path) -> None:

@@ -209,7 +209,7 @@ def meanshift_reference(points, bandwidth: float, tol: float = 1e-4,
     # collapse near-duplicate modes, first-seen representative wins
     reps: list[np.ndarray] = []
     for m in modes:
-        if not any(np.linalg.norm(m - r) <= bandwidth / 2.0 for r in reps):
+        if not any(pair_distance(m, r) <= bandwidth / 2.0 for r in reps):
             reps.append(m)
     rep_arr = np.array(reps)
     d = np.sqrt(((pts[:, None, :] - rep_arr[None, :, :]) ** 2).sum(axis=2))
@@ -368,14 +368,19 @@ def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):
     return r1, r2, float(r3), float(r4), total
 
 
-# ``select_merge_pair`` takes all centroid distances from one ``_distances``
-# array, and ``rewards`` takes them with its operations over a flat array of
-# each configuration's pairs. ``np.linalg.norm`` of a 2-vector, as below, goes
-# through a dot kernel that may round the last bit differently (fused
-# multiply-add). The two differ by at most one ulp, so only entries within a
-# few ulp of the cut (``d_m``, or the smallest distance) can fall on its
-# other side; both settle those by ``np.linalg.norm``, as the per-pair loops
-# below do.
+# A pair distance has one rounding: ``sqrt(dx * dx + dy * dy)``, each
+# operation correctly rounded, which is what ``_distances`` computes in
+# arrays. The oracles take it from ``pair_distance`` in their own per-pair
+# loops, never from ``np.linalg.norm``: a 2-vector norm goes through a BLAS
+# dot kernel chosen for the CPU at run time, which may round the last bit
+# differently (fused multiply-add), so a tie or a cut at a distance would
+# fall on either side depending on the machine.
+def pair_distance(a, b) -> float:
+    """The distance between 2-D points ``a`` and ``b``, in Python floats."""
+    dx, dy = float(a[0]) - float(b[0]), float(a[1]) - float(b[1])
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None):
     """(R1, R2, R3, R4, R_total) with every cluster's centres rebuilt and
     transformed on each call, and a per-pair centroid-distance loop."""
@@ -406,7 +411,7 @@ def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None)
     close = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if np.linalg.norm(centroids[i] - centroids[j]) < weights.d_m:
+            if pair_distance(centroids[i], centroids[j]) < weights.d_m:
                 close += 1
     r4 = float(-close)
     total = weights.alpha * r1 + weights.beta * r2 + weights.gamma * r3 + weights.delta * r4
@@ -435,7 +440,7 @@ def select_merge_pair_reference(config: ClusterConfig, transform=None):
     best_d = np.inf
     for i in range(config.count):
         for j in range(i + 1, config.count):
-            d = float(np.linalg.norm(cents[i] - cents[j]))
+            d = pair_distance(cents[i], cents[j])
             if d < best_d:
                 best, best_d = (i, j), d
     return best

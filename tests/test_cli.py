@@ -350,6 +350,31 @@ def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, conte
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("width_px", 2 ** 70), ("width_px", 0), ("height_px", -5), ("width_px", 3840.7),
+    ("width_px", True), ("height_px", "2160"),
+])
+def test_detections_bad_frame_size_exits_2_naming_file_and_field(tmp_path, capsys, field,
+                                                                  value):
+    # read like a scene spec's size: a positive 64-bit integer, not a bool or text
+    cfg_path, _ = base_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"width_px": 3840, "height_px": 2160, "detections": [],
+                               field: value}))
+    assert main(["partition", "--config", str(cfg_path), "--detections", str(bad),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert f"{bad}: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_detections_int64_frame_size_loads(tmp_path):
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps({"width_px": 2 ** 63 - 1, "height_px": 2 ** 63 - 1,
+                                "detections": []}))
+    frame = load_detections(path)
+    assert frame.width_px == frame.height_px == 2 ** 63 - 1
+
+
 NOT_JSON, NOT_UTF8 = b"{seed: 1}", b'{"seed": "\xff"}'
 CSV_HEADER = b"cx,cy,w,h,score,class_id\n"
 

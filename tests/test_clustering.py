@@ -30,7 +30,7 @@ from sceneplan.core import (
     make_cluster,
     validate_partition,
 )
-from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, step
+from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, reward, step
 from sceneplan.scene import SceneSpec, Stratum, coarse_detect, generate_scene
 
 from oracles import (
@@ -40,7 +40,9 @@ from oracles import (
     labels_cost,
     meanshift_both_loops,
     meanshift_reference,
+    pair_distance,
     random_config,
+    reward_per_cluster_reference,
     select_merge_pair_reference,
     tied_config,
 )
@@ -183,12 +185,12 @@ def test_meanshift_collapses_modes_exactly_half_bandwidth_apart():
 
 def test_meanshift_collapse_near_half_bandwidth_matches_reference(rng):
     # with no iterations the modes are the points. (p, q) sits exactly
-    # bandwidth/2 from (0.5, 0.5); (q, p) ties with it in dx*dx + dy*dy, but
-    # np.linalg.norm may round it one ulp to either side of bandwidth/2
+    # bandwidth/2 from (0.5, 0.5), and (q, p) ties with it exactly under the
+    # one rounding of a pair distance, so both are covered
     for _ in range(300):
         p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
         pts = np.array([(0.5, 0.5), (p, q), (q, p)])
-        bandwidth = 2.0 * float(np.linalg.norm(pts[1] - pts[0]))
+        bandwidth = 2.0 * pair_distance(pts[1], pts[0])
         assert meanshift(pts, bandwidth, max_iter=0).tolist() == \
             meanshift_reference(pts, bandwidth, max_iter=0).tolist()
 
@@ -448,8 +450,7 @@ def test_select_merge_pair_matches_bruteforce(rng):
         best, best_d = None, np.inf
         for i in range(10):
             for j in range(i + 1, 10):
-                d = np.hypot(centers[i][0] - centers[j][0],
-                             centers[i][1] - centers[j][1])
+                d = pair_distance(centers[i], centers[j])
                 if d < best_d:
                     best, best_d = (i, j), d
         assert select_merge_pair(cfg, geometry_of(cfg)) == best
@@ -457,8 +458,8 @@ def test_select_merge_pair_matches_bruteforce(rng):
 
 @pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
 def test_select_merge_pair_swapped_offsets_match_reference(rng, transform):
-    # (0.5, 0.5) + (dx, dy) and + (dy, dx) tie in dx*dx + dy*dy, but the
-    # dot kernel of np.linalg.norm may round the two apart by one ulp
+    # (0.5, 0.5) + (dx, dy) and + (dy, dx) tie exactly under the one
+    # rounding of a pair distance; when theirs is the smallest, (0, 1) wins
     for _ in range(300):
         p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
         cfg = config_from_centers([(0.5, 0.5), (p, q), (q, p)])
@@ -466,21 +467,37 @@ def test_select_merge_pair_swapped_offsets_match_reference(rng, transform):
             select_merge_pair_reference(cfg, transform)
 
 
-@pytest.mark.parametrize("ulps, settled", [(4, True), (5, False)])
-def test_select_merge_pair_settles_a_second_pair_within_4_ulp(monkeypatch, ulps, settled):
-    # pair (0, 1) lies 0.25 apart, pair (0, 2) exactly ``ulps`` ulp of 0.25
-    # further; a unique minimum returns without the near-tie scan
-    calls = []
-
-    def near(*args, **kwargs):
-        calls.append(args[1])
-        return near_scan(*args, **kwargs)
-
-    near_scan = clustering._near
-    monkeypatch.setattr(clustering, "_near", near)
+@pytest.mark.parametrize("ulps", [-1, 0, 1, 4, 5])
+def test_select_merge_pair_breaks_an_exact_tie_toward_the_smallest_pair(ulps):
+    # pair (0, 1) lies 0.25 apart, pair (0, 2) ``ulps`` ulp of 0.25 further
+    # (closer at -1); at 0 the two tie exactly and the smaller (i, j) wins
     cfg = config_from_centers([(0.5, 0.5), (0.75, 0.5), (0.25 - ulps * math.ulp(0.25), 0.5)])
-    assert select_merge_pair(cfg, geometry_of(cfg)) == (0, 1)
-    assert calls == ([0.25] if settled else [])
+    want = (0, 2) if ulps < 0 else (0, 1)
+    assert select_merge_pair(cfg, geometry_of(cfg)) == want == select_merge_pair_reference(cfg)
+
+
+def test_no_pair_distance_goes_through_the_dot_kernel(monkeypatch, rng):
+    # np.linalg.norm of a 2-vector runs in the BLAS dot kernel picked for the
+    # CPU, which may round a tie apart; the per-member spreads' axis=1 norms
+    # are not pair distances and pass
+    norm = np.linalg.norm
+
+    def guarded(x, ord=None, axis=None, keepdims=False):
+        if np.ndim(x) == 1 and axis is None:
+            raise AssertionError("a pair distance went through np.linalg.norm")
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", guarded)
+    for _ in range(300):
+        p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
+        pts = np.array([(0.5, 0.5), (p, q), (q, p)])
+        cfg = config_from_centers(pts.tolist())
+        assert select_merge_pair(cfg, geometry_of(cfg)) == select_merge_pair_reference(cfg)
+        d = pair_distance(pts[0], pts[1])
+        w = RewardWeights(d_m=d)
+        assert reward(cfg, w) == reward_per_cluster_reference(cfg, w)
+        assert meanshift(pts, 2.0 * d, max_iter=0).tolist() == \
+            meanshift_reference(pts, 2.0 * d, max_iter=0).tolist()
 
 
 def test_select_merge_pair_needs_two():

@@ -59,6 +59,7 @@ from oracles import (
     meanshift_reference,
     nms_reference,
     observe_tiles_reference,
+    pair_distance,
     partitions_from_blocks_reference,
     policy_sample_rows_reference,
     precision_table_reference,
@@ -218,7 +219,7 @@ def scored_args(draw):
         d_m, cents = 0.2, centroids_reference(config, transform)
         if config.count >= 2:
             i, j = draw(st.permutations(range(config.count)))[:2]
-            d = float(np.linalg.norm(cents[i] - cents[j]))
+            d = pair_distance(cents[i], cents[j])
             step = draw(st.sampled_from([-1, 0, 1]))
             if d > 0.0:
                 d_m = d if step == 0 else math.nextafter(d, step * math.inf)

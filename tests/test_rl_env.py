@@ -48,6 +48,7 @@ from oracles import (
     action_mask_reference,
     encode_state_reference,
     geometry_of,
+    pair_distance,
     policy_sample_reference,
     random_config,
     reward_per_cluster_reference,
@@ -212,7 +213,7 @@ def test_reward_equals_per_cluster_reference(seed, sizes, grid, copies, alpha, p
     if cfg.count >= 2:
         i, j = pair % cfg.count, (pair // 8) % cfg.count
         cents = reward_centroids(cfg, transform)
-        d = float(np.linalg.norm(cents[i] - cents[j]))
+        d = pair_distance(cents[i], cents[j])
         if d > 0.0:
             d_m = d if ulps == 0 else math.nextafter(d, ulps * math.inf)
     w = RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
@@ -235,14 +236,14 @@ def test_reward_counts_pairs_at_exactly_d_m():
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
 def test_reward_swapped_offsets_at_d_m_match_reference(rng, alpha):
-    # with d_m the norm of (0.5, 0.5) - (p, q), the pairs to (p, q) and
-    # (q, p) tie in dx*dx + dy*dy but np.linalg.norm may round them apart
+    # with d_m the distance of (0.5, 0.5) to (p, q), the pairs to (p, q) and
+    # (q, p) both sit exactly on it under the one rounding, so neither counts
     transform = None if alpha is None else TransformParams(alpha)
     for _ in range(300):
         p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
         cfg = singleton_config([(0.5, 0.5), (p, q), (q, p)])
         cents = reward_centroids(cfg, transform)
-        w = RewardWeights(d_m=float(np.linalg.norm(cents[0] - cents[1])))
+        w = RewardWeights(d_m=pair_distance(cents[0], cents[1]))
         assert reward(cfg, w, transform) == reward_per_cluster_reference(cfg, w, transform)
 
 
