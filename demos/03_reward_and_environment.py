@@ -6,13 +6,14 @@ through one episode and prints the reward decomposition at every step.
 
 from sceneplan import (
     BandwidthSpec,
-    ClusterEnv,
+    ClusterGeometry,
     EnvConfig,
     RewardWeights,
     SceneSpec,
     Stratum,
     TransformParams,
     generate_scene,
+    initial_clusters,
     rollout,
 )
 from sceneplan.rl_env import KEEP, MERGE
@@ -25,28 +26,29 @@ spec = SceneSpec(
 )
 weights = RewardWeights(alpha=2.0, beta=0.2, gamma=1.0, delta=0.4,
                         n_min=2, n_max=4, d_m=0.05)
-env = ClusterEnv(
-    generate_scene(spec),
-    EnvConfig(weights=weights, transform=TransformParams(0.5),
-              bandwidth=BandwidthSpec("fixed", 0.16), n_pad=8),
-    t_max=10,
-)
+frame = generate_scene(spec)
+env_config = EnvConfig(weights=weights, transform=TransformParams(0.5),
+                       bandwidth=BandwidthSpec("fixed", 0.16), n_pad=8)
 
-state = env.reset()
-print(f"initial clusters: {env.config.count} "
+start = initial_clusters(ClusterGeometry(frame.detections, env_config.transform),
+                         env_config.bandwidth)
+print(f"initial clusters: {start.count} "
       f"(target band [{weights.n_min}, {weights.n_max}])")
-print(f"state vector: length {len(state)} "
-      f"(5 features x 8 slots + normalized count)")
 
 
 def merge_down(states, masks, rng):
-    """Merge while over the count band, then keep (one action per row of
-    the stacked states; here the one episode's)."""
-    return [MERGE if env.config.count > weights.n_max else KEEP]
+    """Merge while over the count band, then keep, one action per row of
+    the stacked states. The state's last entry is N / n_pad clipped to 1,
+    and n_pad (8) is above n_max (4), so the clip hides no count above it."""
+    return [MERGE if state[-1] * env_config.n_pad > weights.n_max else KEEP
+            for state in states]
 
 
-# rollout restarts from the same MeanShift clustering and runs t_max steps
-trace = rollout([env], merge_down).traces[0]
+# rollout starts from the same MeanShift clustering and runs t_max steps
+episodes = rollout([frame], env_config, 10, merge_down)
+print(f"state vector: length {episodes.states.shape[-1]} "
+      f"(5 features x 8 slots + normalized count)")
+trace = episodes.traces[0]
 final = trace[-1].config
 
 print()

@@ -12,7 +12,6 @@ import numpy as np
 
 from sceneplan import (
     BandwidthSpec,
-    ClusterEnv,
     EnvConfig,
     Hyperparams,
     RewardWeights,
@@ -54,8 +53,8 @@ held_out = [(10_000 + k, generate_scene(spec.with_seed(10_000 + k)))
 def evaluate(name, policy_fn):
     finals, ns = [], []
     for seed, frame in held_out:
-        env = ClusterEnv(frame, env_cfg, hyper.t_max)
-        trace = rollout([env], policy_fn, np.random.default_rng(seed)).traces[0]
+        trace = rollout([frame], env_cfg, hyper.t_max, policy_fn,
+                        np.random.default_rng(seed)).traces[0]
         finals.append(trace[-1].reward)
         ns.append(trace[-1].config.count)
     finals, ns = np.array(finals), np.array(ns)

@@ -23,7 +23,7 @@ from .clustering import (
     split_cluster,
     transform_y,
 )
-from .rl_env import ClusterEnv, EnvConfig, RewardWeights
+from .rl_env import EnvConfig, RewardWeights
 from .ppo import (
     Hyperparams,
     greedy_policy,

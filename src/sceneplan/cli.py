@@ -36,7 +36,7 @@ from .ppo import (
     greedy_policy,
     keep_policy,
     load_checkpoint,
-    policy_env,
+    policy_config,
     random_policy,
     rollout,
     sampler_from_spec,
@@ -222,8 +222,8 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
     if len(coarse.detections) == 0:
         raise ValueError("empty scene after coarse detection")
     choose, ckpt = policy
-    env = policy_env(coarse, _env_config(cfg), cfg["t_max"], ckpt)
-    trace = rollout([env], choose, np.random.default_rng(scene_seed + 1)).traces[0]
+    trace = rollout([coarse], policy_config(_env_config(cfg), ckpt), cfg["t_max"], choose,
+                    np.random.default_rng(scene_seed + 1)).traces[0]
     final = trace[-1].config
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     parts = partitions_from_blocks(final, coarse, blocks)
@@ -395,13 +395,13 @@ def cmd_eval(args) -> None:
         ("random", random_policy),
         ("keep", keep_policy),
     ]
-    env_config = _env_config(cfg)
+    env_config = policy_config(_env_config(cfg), ckpt)
     rows = []
     for name, choose in policies:
         for scene_seed in seeds:  # regenerated per policy: one frame alive at a time
             frame = generate_scene(spec.with_seed(scene_seed))
-            env = policy_env(frame, env_config, cfg["t_max"], ckpt)
-            trace = rollout([env], choose, np.random.default_rng(scene_seed)).traces[0]
+            trace = rollout([frame], env_config, cfg["t_max"], choose,
+                            np.random.default_rng(scene_seed)).traces[0]
             final = trace[-1].config
             in_range = ckpt.weights.n_min <= final.count <= ckpt.weights.n_max
             rows.append({

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, bounding_blocks, read_json
+from .core import ClusterConfig, Frame, bounding_blocks, check_number, read_json
 
 
 class InfeasiblePlanError(Exception):
@@ -60,16 +60,18 @@ class ModelProfile:
 
 
 def profile_from_dict(d: dict) -> ModelProfile:
-    """Build a profile from its JSON form; fractional latencies round up and
-    the precision curve must not decrease with area."""
+    """Build a profile from its JSON form: the input size a 64-bit integer,
+    the latency a finite number (fractions round up), and a precision curve
+    that does not decrease with area."""
+    name = d.get("name", "?")
     curve = tuple((float(e), float(m)) for e, m in d["curve"])
     maps = [m for _, m in curve]
     if any(b < a for a, b in zip(maps, maps[1:])):
-        raise ValueError(f"{d.get('name', '?')}: precision curve decreases with area")
+        raise ValueError(f"{name}: precision curve decreases with area")
     return ModelProfile(
         name=str(d["name"]),
-        input_size=int(d["input_size"]),
-        latency_ms=math.ceil(float(d["latency_ms"])),
+        input_size=check_number(d["input_size"], f"{name}: input_size", integer=True),
+        latency_ms=math.ceil(check_number(d["latency_ms"], f"{name}: latency_ms")),
         curve=curve,
     )
 

@@ -6,15 +6,15 @@ implemented directly in numpy with exact backpropagation; updates are the
 plain gradient steps of the training algorithm (ascent on the clipped
 surrogate for the policy, descent on the value MSE for the critic).
 Training, inference and the command line all roll episodes through one
-loop, ``rollout``, over environments from ``policy_env``. It resets its
-environments together, their MeanShift starts in one
-``clustering.meanshift_frames`` call, and steps them in lockstep: each step
-stacks their states and masks into one batch, so one policy call chooses
-every episode's action, and each environment then steps on its own.
-Training rolls an iteration's ``episodes_per_iter`` episodes together
-(``collect``) and scores all their steps in one ``rl_env.rewards`` pass;
-inference and the command line roll one. Everything is deterministic for a
-fixed seed.
+driver, ``rollout``, which owns them: it takes frames, one ``EnvConfig``
+(``policy_config`` fits it to a checkpoint) and a horizon, starts every
+episode's clustering in one ``clustering.initial_clusters_frames`` call,
+and steps the episodes in lockstep: each step stacks their states and masks
+into one batch, so one policy call chooses every episode's action, and each
+configuration then steps on its own through ``rl_env.step``. Training rolls
+an iteration's ``episodes_per_iter`` episodes together (``collect``) and
+scores all their steps in one ``rl_env.rewards`` pass; inference and the
+command line roll one. Everything is deterministic for a fixed seed.
 
 A chooser that declares itself ``stationary`` (its actions depend on the
 states and masks alone: ``greedy_policy``'s and ``keep_policy``) lets an
@@ -32,18 +32,19 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .clustering import BandwidthSpec, TransformParams
+from .clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters_frames
 from .core import ClusterConfig, Frame, write_csv, write_file
 from .rl_env import (
     KEEP,
-    ClusterEnv,
     EnvConfig,
     RewardWeights,
     StepOutcome,
+    action_mask,
+    encode_state,
     n_actions,
-    reset_all,
     score_steps,
     state_dim,
+    step,
 )
 
 
@@ -333,15 +334,14 @@ class PolicyCheckpoint:
     meta: dict = field(default_factory=dict)
 
 
-def policy_env(frame: Frame, env_config: EnvConfig, t_max: int,
-               ckpt: PolicyCheckpoint | None = None) -> ClusterEnv:
-    """The environment over ``frame``. A checkpoint, when given, supplies
-    n_pad, the reward weights and include_count, so its policy sees the
-    state layout it was trained on."""
-    if ckpt is not None:
-        env_config = replace(env_config, weights=ckpt.weights, n_pad=ckpt.n_pad,
-                             include_count=ckpt.include_count)
-    return ClusterEnv(frame, env_config, t_max)
+def policy_config(env_config: EnvConfig, ckpt: PolicyCheckpoint | None) -> EnvConfig:
+    """``env_config`` with a checkpoint's n_pad, reward weights and
+    include_count, so its policy sees the state layout it was trained on;
+    unchanged when there is no checkpoint."""
+    if ckpt is None:
+        return env_config
+    return replace(env_config, weights=ckpt.weights, n_pad=ckpt.n_pad,
+                   include_count=ckpt.include_count)
 
 
 @dataclass
@@ -356,15 +356,18 @@ class Episodes:
     actions: np.ndarray  # (E, T) int
 
 
-def rollout(envs: list[ClusterEnv], choose,
+def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
             rng: np.random.Generator | None = None) -> Episodes:
-    """Roll one fixed-length episode per environment, each from its
-    MeanShift start (all reset by one ``reset_all``), in lockstep.
+    """Roll one episode of t_max >= 1 steps per frame under ``env_config``,
+    in lockstep: the one episode driver.
 
-    At each step ``choose(states, masks, rng)`` gets the E states and
-    masks as (E, state_dim) and (E, n_actions) arrays and returns the E
-    actions; then each environment steps on its own, in order. The
-    environments share t_max and n_pad; at least one is needed.
+    Every episode starts from the MeanShift clustering in its frame's
+    ``ClusterGeometry`` (all from one ``initial_clusters_frames`` call) and
+    merges, splits and scores in that geometry. At each step
+    ``choose(states, masks, rng)`` gets the E states and masks as
+    (E, state_dim) and (E, n_actions) arrays and returns the E actions;
+    then each configuration steps on its own, in order. Episode arrays too
+    large to allocate raise ``ValueError`` naming t_max and n_pad.
 
     A chooser with a true ``stationary`` attribute promises that its
     actions depend on nothing but the states and masks it is given;
@@ -374,43 +377,47 @@ def rollout(envs: list[ClusterEnv], choose,
     step ``first`` repeats that cycle to its end: every step ``u`` from
     ``first + p`` on is step ``first + (u - first) % p`` replayed. Its trace
     entry is that step's own ``StepOutcome`` object, its state, mask and
-    action are copies, and the environment does not step again. ``choose``
-    still sees every row while any environment steps, so no other
-    episode's actions change, and is not called once all have closed their
-    cycles. Each ``env.config`` ends at its trace's last configuration.
+    action are copies, and the episode does not step again. ``choose``
+    still sees every row while any episode steps, so no other episode's
+    actions change, and is not called once all have closed their cycles.
     Other choosers (training's sampler, ``random_policy``) step all t_max
     steps.
     """
-    if not envs:
-        raise ValueError("rollout needs at least one environment")
-    t_max, n_pad = envs[0].t_max, envs[0].env_config.n_pad
-    if any((env.t_max, env.env_config.n_pad) != (t_max, n_pad) for env in envs):
-        raise ValueError("environments rolled together must share t_max and n_pad")
-    n = len(envs)
-    states = np.empty((n, t_max, state_dim(n_pad)))
-    masks = np.empty((n, t_max, n_actions(n_pad)), dtype=bool)
-    actions = np.empty((n, t_max), dtype=int)
-    traces = [[] for _ in envs]
-    for e, (env, state) in enumerate(zip(envs, reset_all(envs))):
-        states[e, 0] = state
-        masks[e, 0] = env.mask()
+    if not frames:
+        raise ValueError("rollout needs at least one frame")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    n, ec = len(frames), env_config
+    try:
+        states = np.empty((n, t_max, state_dim(ec.n_pad)))
+        masks = np.empty((n, t_max, n_actions(ec.n_pad)), dtype=bool)
+        actions = np.empty((n, t_max), dtype=int)
+    except (MemoryError, ValueError) as e:  # numpy's "array is too big" is a ValueError
+        raise ValueError(f"episodes of t_max={t_max}, n_pad={ec.n_pad} do not fit: {e}") from None
+    geometries = [ClusterGeometry(frame.detections, ec.transform) for frame in frames]
+    configs = initial_clusters_frames(geometries, [ec.bandwidth] * n)
+    for e, config in enumerate(configs):
+        states[e, 0] = encode_state(config, ec.n_pad, ec.include_count)
+        masks[e, 0] = action_mask(config, ec.n_pad)
+    traces = [[] for _ in frames]
     stationary = getattr(choose, "stationary", False)
-    # per environment, the step at which each configuration was first reached
-    seen = [{_members(env.config): 0} for env in envs] if stationary else None
-    live = range(n)  # environments that have not closed a cycle
+    # per episode, the step at which each configuration was first reached
+    seen = [{_members(config): 0} for config in configs] if stationary else None
+    live = range(n)  # episodes that have not closed a cycle
     for t in range(t_max):
         if not live:
             break
         chosen = choose(states[:, t], masks[:, t], rng)
         stepping = []
         for e in live:
-            env = envs[e]
             actions[e, t] = chosen[e]
-            out = env.step(int(actions[e, t]))
+            out = step(configs[e], int(actions[e, t]), ec.weights, ec.n_pad,
+                       ec.include_count, geometries[e])
+            configs[e] = out.config
             traces[e].append(out)
             if t + 1 < t_max:
                 states[e, t + 1] = out.state
-                masks[e, t + 1] = env.mask()
+                masks[e, t + 1] = action_mask(out.config, ec.n_pad)
             first = t + 1
             if stationary:
                 first = seen[e].setdefault(_members(out.config), first)
@@ -423,8 +430,6 @@ def rollout(envs: list[ClusterEnv], choose,
                 rows[later] = rows[src]
             traces[e] += [traces[e][s] for s in src.tolist()]
         live = stepping
-    for env, trace in zip(envs, traces):
-        env.config = trace[-1].config
     return Episodes(traces, states, masks, actions)
 
 
@@ -435,15 +440,15 @@ def _members(config: ClusterConfig) -> tuple:
     return tuple(c.members for c in config.clusters)
 
 
-def collect(policy: MlpParams, critic: MlpParams, envs: list[ClusterEnv],
-            gamma: float, rng: np.random.Generator
+def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],
+            env_config: EnvConfig, hyper: Hyperparams, rng: np.random.Generator
             ) -> tuple[TrajectoryBatch, Episodes, dict]:
-    """Roll ``envs`` in lockstep under the policy, each step's actions drawn
-    by one ``policy_sample`` over the batched logits, score every step in
-    one ``score_steps`` pass, and lay the transitions out episode-major for
-    the update.
+    """Roll an episode of ``hyper.t_max`` steps per frame in lockstep under
+    the policy, each step's actions drawn by one ``policy_sample`` over the
+    batched logits, score every step in one ``score_steps`` pass, and lay
+    the transitions out episode-major for the update.
 
-    Returns are discounted per episode; the advantages take one critic pass
+    Returns are discounted per episode by ``hyper.gamma``; the advantages take one critic pass
     over all E·T states and are standardised over the batch. Also returns
     the episodes and the collection's training-log figures: the mean
     episode return, the mean final cluster count, and the critic's
@@ -456,14 +461,14 @@ def collect(policy: MlpParams, critic: MlpParams, envs: list[ClusterEnv],
         logps.append(logp)
         return actions
 
-    episodes = rollout(envs, sample, rng)
+    episodes = rollout(frames, env_config, hyper.t_max, sample, rng)
     n = episodes.actions.size
     states = episodes.states.reshape(n, -1)
     score_steps(out for trace in episodes.traces for out in trace)
     rewards = np.array([[out.reward for out in trace] for trace in episodes.traces])
     values = mlp_forward(critic, states)[:, 0]
     returns, advantages = compute_returns_advantages(
-        rewards, gamma, values.reshape(rewards.shape))
+        rewards, hyper.gamma, values.reshape(rewards.shape))
     returns = returns.ravel()
     batch = TrajectoryBatch(
         states=states,
@@ -525,9 +530,8 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
     mean_return = float("nan")
     for it in range(hyper.iterations):
         seeds = rng.integers(0, 2 ** 31 - 1, size=hyper.episodes_per_iter)
-        envs = [policy_env(scene_sampler(int(seed)), env_config, hyper.t_max)
-                for seed in seeds]
-        batch, _, figures = collect(policy, critic, envs, hyper.gamma, rng)
+        frames = [scene_sampler(int(seed)) for seed in seeds]
+        batch, _, figures = collect(policy, critic, frames, env_config, hyper, rng)
         steps = []
         for _ in range(hyper.epochs):
             perm = rng.permutation(len(batch))
@@ -593,9 +597,9 @@ def infer_clusters(
     if n_pad is not None and n_pad != ckpt.n_pad:
         raise CheckpointError(
             f"checkpoint built for n_pad={ckpt.n_pad}, requested {n_pad}")
-    env = policy_env(frame, EnvConfig(transform=transform, bandwidth=bandwidth),
-                     ckpt.hyper.t_max if t_max is None else t_max, ckpt)
-    return rollout([env], greedy_policy(ckpt)).traces[0][-1].config
+    env_config = policy_config(EnvConfig(transform=transform, bandwidth=bandwidth), ckpt)
+    return rollout([frame], env_config, ckpt.hyper.t_max if t_max is None else t_max,
+                   greedy_policy(ckpt)).traces[0][-1].config
 
 
 # ---------------------------------------------------------------------------

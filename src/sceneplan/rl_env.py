@@ -1,12 +1,12 @@
 """Cluster-refinement environment: state encoding, keep/merge/split actions,
-the composite clustering-quality reward, and ``ClusterEnv``, which is
-built from a frame, an ``EnvConfig`` and the horizon t_max.
+the composite clustering-quality reward, the one-transition ``step``, and
+``EnvConfig``, everything an episode needs besides its frame and horizon.
 
 A frame's clustering space is its ``ClusterGeometry``: ``apply_action`` and
-``step`` take it and read the transform from it, and an episode's
-MeanShift start, merges, splits and rewards all use the one geometry its
-reset builds. ``reset_all`` resets many environments with one batched
-MeanShift; ``ClusterEnv.reset`` is its one-environment case.
+``step`` take it and read the transform from it. ``ppo.rollout`` owns the
+episode: it builds each frame's geometry, starts from the MeanShift
+clustering in it, and steps with these functions, so an episode's merges,
+splits and rewards all use that one geometry.
 
 Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
@@ -32,13 +32,12 @@ from .clustering import (
     BandwidthSpec,
     ClusterGeometry,
     TransformParams,
-    initial_clusters_frames,
     merge_clusters,
     select_merge_pair,
     split_cluster,
     squared_distances,
 )
-from .core import ClusterConfig, Frame, expand_ranges
+from .core import ClusterConfig, expand_ranges
 
 KEEP, MERGE = 0, 1
 SPLIT_BASE = 2
@@ -278,7 +277,8 @@ def step(config: ClusterConfig, action: int, weights: RewardWeights,
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Everything an environment needs besides its frame and horizon.
+    """Everything an episode needs besides its frame and horizon;
+    ``ppo.rollout`` rolls frames under one.
 
     The transform sets the frame's clustering space, the ``ClusterGeometry``
     that the MeanShift start, the reward, merge and split all read.
@@ -289,60 +289,3 @@ class EnvConfig:
     bandwidth: BandwidthSpec = BandwidthSpec()
     n_pad: int = 30
     include_count: bool = True
-
-
-class ClusterEnv:
-    """Stateful wrapper bundling the pure functions into a gym-style loop.
-
-    Built from a frame, an EnvConfig and the horizon t_max (at least 1,
-    so every episode has a last step); one instance per worker, and
-    instances share nothing. ``reset`` builds the episode's one
-    ``ClusterGeometry`` and starts from the MeanShift clustering in it;
-    every step then merges, splits and scores in that geometry, so
-    per-cluster statistics are memoised for one episode only.
-    ``ppo.rollout`` drives episodes of t_max steps with a policy, stepping
-    several environments in lockstep; under a stationary policy an
-    environment stops stepping once its configuration repeats, and the
-    rest of its episode is replayed.
-    """
-
-    def __init__(self, frame: Frame, env_config: EnvConfig, t_max: int):
-        if t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {t_max!r}")
-        self.frame = frame
-        self.env_config = env_config
-        self.t_max = t_max
-        self.config: ClusterConfig | None = None
-        self.geometry: ClusterGeometry | None = None
-
-    def reset(self) -> np.ndarray:
-        return reset_all([self])[0]
-
-    def mask(self) -> np.ndarray:
-        if self.config is None:
-            raise RuntimeError("reset() before mask()")
-        return action_mask(self.config, self.env_config.n_pad)
-
-    def step(self, action: int) -> StepOutcome:
-        if self.config is None:
-            raise RuntimeError("reset() before step()")
-        ec = self.env_config
-        out = step(self.config, action, ec.weights, ec.n_pad, ec.include_count,
-                   self.geometry)
-        self.config = out.config
-        return out
-
-
-def reset_all(envs: list[ClusterEnv]) -> list[np.ndarray]:
-    """Reset every environment: each builds its episode's geometry, and all
-    their MeanShift starts run in one ``initial_clusters_frames`` call.
-    Returns the initial states."""
-    geometries = [ClusterGeometry(env.frame.detections, env.env_config.transform)
-                  for env in envs]
-    configs = initial_clusters_frames(geometries, [env.env_config.bandwidth for env in envs])
-    states = []
-    for env, geometry, config in zip(envs, geometries, configs):
-        ec = env.env_config
-        env.geometry, env.config = geometry, config
-        states.append(encode_state(config, ec.n_pad, ec.include_count))
-    return states

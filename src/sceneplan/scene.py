@@ -164,7 +164,11 @@ def generate_scene(spec: SceneSpec) -> Frame:
     cdf = weights.cumsum()
     cdf /= cdf[-1]
     # the 6 * count doubles of 6 draws per object, one column per draw
-    u_pick, u_y, u_t, u_w, u_x, u_score = rng.random((count, 6)).T
+    try:
+        draws = rng.random((count, 6))
+    except (MemoryError, ValueError) as e:  # numpy's "array is too big" is a ValueError
+        raise ValueError(f"count_range: cannot draw {count} objects: {e}") from None
+    u_pick, u_y, u_t, u_w, u_x, u_score = draws.T
     bounds = np.array([(s.y0, s.y1, s.size_min, s.size_max) for s in spec.strata], dtype=float)
     y0, y1, size_min, size_max = bounds[cdf.searchsorted(u_pick, side="right")].T
     cy = _uniform(y0, y1, u_y)

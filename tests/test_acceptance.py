@@ -48,7 +48,7 @@ from sceneplan.ppo import (
     save_checkpoint,
     train,
 )
-from sceneplan.rl_env import ClusterEnv, RewardWeights, n_actions, reward, state_dim
+from sceneplan.rl_env import RewardWeights, n_actions, reward, state_dim
 from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 from oracles import (
@@ -282,8 +282,8 @@ def test_07_training_efficacy():
     def evaluate(policy_fn):
         finals, ns = [], []
         for seed, frame in frames:
-            env = ClusterEnv(frame, DESK_ENV, DESK_HYPER.t_max)
-            trace = rollout([env], policy_fn, np.random.default_rng(seed)).traces[0]
+            trace = rollout([frame], DESK_ENV, DESK_HYPER.t_max, policy_fn,
+                            np.random.default_rng(seed)).traces[0]
             finals.append(trace[-1].reward)
             ns.append(trace[-1].config.count)
         return np.array(finals), np.array(ns)

@@ -328,6 +328,7 @@ MODEL = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], 
     ("plan", "--clusters", {"clusters": [{**CLUSTERS["clusters"][0],
                                           "block_px": [0, 0, float("inf"), 100]}]}),
     ("plan", "--profile", {"models": [{**MODEL, "input_size": float("inf")}]}),
+    ("plan", "--profile", {"models": [{**MODEL, "input_size": 10 ** 160}]}),
     ("partition", "--detections", {"width_px": 100, "height_px": 100, "detections": 7}),
     ("partition", "--detections", {"width_px": "wide", "height_px": 100, "detections": []}),
     ("partition", "--detections", {"width_px": float("inf"), "height_px": 100,
@@ -335,8 +336,8 @@ MODEL = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], 
     ("plan", "--clusters", {"clusters": CLUSTERS["clusters"] * 2}),
 ], ids=["clusters-list", "clusters-number", "cluster-without-block", "profile-list",
         "model-without-curve", "cluster-infinite-block", "model-infinite-size",
-        "detections-number", "detections-text-width", "detections-infinite-width",
-        "clusters-repeated-id"])
+        "model-size-past-int64", "detections-number", "detections-text-width",
+        "detections-infinite-width", "clusters-repeated-id"])
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, content):
     cfg_path, _ = base_config(tmp_path)
     clusters, bad = tmp_path / "clusters.json", tmp_path / "bad.json"
@@ -569,6 +570,26 @@ def test_pipeline_reward_that_overflows_exits_2_naming_the_weight(tmp_path, caps
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert "reward.gamma" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value, named", [
+    ("pipeline", "t_max", 2 ** 40, "t_max=1099511627776"),
+    ("pipeline", "t_max", 2 ** 62, "t_max=4611686018427387904"),
+    ("pipeline", "n_pad", 2 ** 40, "n_pad=1099511627776"),
+    ("pipeline", "scene_spec", {**SPEC, "count_range": [2 ** 40, 2 ** 40]}, "count_range"),
+    ("gen-scene", "scene_spec", {**SPEC, "count_range": [2 ** 40, 2 ** 40]}, "count_range"),
+], ids=["t_max-2**40", "t_max-2**62", "n_pad-2**40", "count-pipeline", "count-gen-scene"])
+def test_size_that_cannot_be_allocated_exits_2_naming_it(tmp_path, capsys, command, key,
+                                                         value, named):
+    # each asks for 48 TiB or more, so the allocation fails at once; a size
+    # like 10**7 steps might be allocated lazily and then stepped
+    cfg_path, cfg = base_config(tmp_path, **{key: value})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(cfg["scene_spec"]))
+    argv = (["gen-scene", "--spec", str(spec), "--out", str(tmp_path / "dets.json")]
+            if command == "gen-scene" else [command, "--config", str(cfg_path)])
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

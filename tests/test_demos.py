@@ -38,6 +38,8 @@ def test_fast_demo_runs(demo, tmp_path):
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     # the demo's temp files (demo 06 keeps its artifacts) go to tmp_path
     env.update(TMPDIR=str(tmp_path), TEMP=str(tmp_path), TMP=str(tmp_path))
+    # as CI runs the benchmark and the CLI: a RuntimeWarning fails the demo
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     system_tmp = pathlib.Path(tempfile.gettempdir())
     before = set(system_tmp.glob("sceneplan_demo_*"))
     out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,22 @@ def test_profile_monotonicity_enforced(tmp_path):
            "curve": [[16, 0.5], [64, 0.3]]}
     with pytest.raises(ValueError, match="decreases"):
         profile_from_dict(bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_size", 10 ** 160), ("input_size", 3.7), ("input_size", "640"),
+    ("input_size", True), ("latency_ms", 10 ** 400), ("latency_ms", "10"),
+    ("latency_ms", True)], ids=["size-past-int64", "size-fraction", "size-text", "size-bool",
+                                "latency-past-float", "latency-text", "latency-bool"])
+def test_profile_numbers_are_checked_naming_them(tmp_path, field, value):
+    # no overflow, truncation, text or bool gets through
+    model = {"name": "m", "input_size": 320, "latency_ms": 10,
+             "curve": [[16, 0.1], [64, 0.3]], field: value}
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({"models": [model]}))
+    named = f"{path}: malformed model entry (m: {field} must be"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_profiles(path)
 
 
 def test_profile_validation():

@@ -514,6 +514,7 @@ def test_infer_deterministic(rng):
 
 def test_infer_scores_no_step(rng, monkeypatch):
     # greedy refinement reads no reward, so no step computes one
+    import sceneplan.ppo as ppo
     import sceneplan.rl_env as rl_env
     from sceneplan.rl_env import MERGE
 
@@ -523,9 +524,9 @@ def test_infer_scores_no_step(rng, monkeypatch):
         [np.zeros((state_dim(n_pad), 8)), np.zeros((8, n_actions(n_pad)))],
         [np.zeros(8), np.eye(n_actions(n_pad))[MERGE]])  # merge while it can
     calls = []
-    real_reward, real_step = rl_env.reward, rl_env.step
+    real_reward, real_step = rl_env.reward, ppo.step
     monkeypatch.setattr(rl_env, "reward", lambda *a: calls.append("reward") or real_reward(*a))
-    monkeypatch.setattr(rl_env, "step", lambda *a: calls.append("step") or real_step(*a))
+    monkeypatch.setattr(ppo, "step", lambda *a: calls.append("step") or real_step(*a))
     frame = small_frame(rng)
     transform, bandwidth = TransformParams(0.5), BandwidthSpec("fixed", 0.2)
     out = infer_clusters(frame, ckpt, transform, bandwidth, t_max=6)

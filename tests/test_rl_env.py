@@ -30,7 +30,6 @@ from sceneplan.rl_env import (
     KEEP,
     MERGE,
     SPLIT_BASE,
-    ClusterEnv,
     EnvConfig,
     RewardWeights,
     action_mask,
@@ -354,34 +353,33 @@ def test_reset_empty_scene():
 # environment invariants
 # ---------------------------------------------------------------------------
 
-def make_test_env(rng, t_max=5, n_points=20):
+TEST_ENV = EnvConfig(weights=RewardWeights(alpha=5, beta=1, gamma=10, delta=2,
+                                           n_min=2, n_max=4, d_m=0.05),
+                     bandwidth=BandwidthSpec("fixed", 0.15), n_pad=8)
+
+
+def make_test_frame(rng, n_points=20):
     boxes = tuple(DetectionBox(float(x), float(y), 0.03, 0.03)
                   for x, y in rng.uniform(0.1, 0.9, (n_points, 2)))
-    frame = Frame(1000, 1000, boxes)
-    env_config = EnvConfig(weights=RewardWeights(alpha=5, beta=1, gamma=10,
-                                                 delta=2, n_min=2, n_max=4,
-                                                 d_m=0.05),
-                           bandwidth=BandwidthSpec("fixed", 0.15), n_pad=8)
-    return ClusterEnv(frame, env_config, t_max)
+    return Frame(1000, 1000, boxes)
 
 
 def test_all_keep_episode_return(rng):
-    env = make_test_env(rng, t_max=7)
-    env.reset()
-    base = reward(env.config, env.env_config.weights, env.env_config.transform)[4]
-    (trace,) = rollout([env], keep_policy).traces
+    frame = make_test_frame(rng)
+    start = initial_clusters(ClusterGeometry(frame.detections, TEST_ENV.transform),
+                             TEST_ENV.bandwidth)
+    base = reward(start, TEST_ENV.weights, TEST_ENV.transform)[4]
+    (trace,) = rollout([frame], TEST_ENV, 7, keep_policy).traces
     assert len(trace) == 7
     assert sum(out.reward for out in trace) == pytest.approx(7 * base, abs=1e-9)
 
 
-def test_rollout_rejects_environments_of_other_horizons(rng):
-    with pytest.raises(ValueError, match="t_max"):
-        rollout([make_test_env(rng, t_max=5), make_test_env(rng, t_max=7)], keep_policy)
-
-
-def test_rollout_rejects_no_environments():
-    with pytest.raises(ValueError, match="at least one environment"):
-        rollout([], keep_policy)
+@pytest.mark.parametrize("n_frames, t_max, named", [
+    (0, 5, "at least one frame"), (1, 0, "t_max must be >= 1")], ids=["no-frames", "no-steps"])
+def test_rollout_rejects_no_frames_or_no_steps(rng, n_frames, t_max, named):
+    frames = [make_test_frame(rng) for _ in range(n_frames)]
+    with pytest.raises(ValueError, match=named):
+        rollout(frames, TEST_ENV, t_max, keep_policy)
 
 
 STRATA = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
@@ -391,10 +389,8 @@ def desk_frames(n):
     return [generate_scene(SceneSpec(1280, 1280, 14, 20, STRATA, seed)) for seed in range(n)]
 
 
-def desk_env(frame, t_max):
-    return ClusterEnv(frame, EnvConfig(weights=DESK, transform=TransformParams(0.5),
-                                       bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8),
-                      t_max)
+DESK_ENV = EnvConfig(weights=DESK, transform=TransformParams(0.5),
+                     bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8)
 
 
 def greedy_chooser(policy_seed):
@@ -429,12 +425,9 @@ def test_stationary_rollout_replays_what_stepping_gives(policy_seed):
     assert choose.stationary and not hasattr(unmarked, "stationary")
     t_max, frames = 30, desk_frames(8)
     for batch in [[frame] for frame in frames] + [frames]:
-        envs = [desk_env(frame, t_max) for frame in batch]
-        replayed = rollout(envs, choose)
-        stepped = rollout([desk_env(frame, t_max) for frame in batch], unmarked)
+        replayed = rollout(batch, DESK_ENV, t_max, choose)
+        stepped = rollout(batch, DESK_ENV, t_max, unmarked)
         assert episode_record(replayed) == episode_record(stepped)
-        for env, trace in zip(envs, replayed.traces):
-            assert env.config == trace[-1].config
         assert all(stepped_outcomes(trace) == t_max for trace in stepped.traces)
     counts = [stepped_outcomes(trace) for trace in replayed.traces]
     if policy_seed is None:
@@ -447,19 +440,16 @@ def test_stationary_rollout_replays_what_stepping_gives(policy_seed):
 
 @pytest.mark.parametrize("chooser, calls", [("keep", 1), ("unmarked", 7), ("random", 7)])
 def test_rollout_step_calls_per_episode(monkeypatch, chooser, calls):
-    import sceneplan.rl_env as rl_env
+    import sceneplan.ppo as ppo
 
     choose = {"keep": keep_policy,
               "unmarked": lambda states, masks, rng: keep_policy(states, masks, rng),
               "random": random_policy}[chooser]
-    steps, real_step = [], rl_env.step
-    monkeypatch.setattr(rl_env, "step", lambda *a: steps.append(a) or real_step(*a))
-    envs = [desk_env(frame, 7) for frame in desk_frames(3)]
-    episodes = rollout(envs, choose, np.random.default_rng(0))
+    steps, real_step = [], ppo.step
+    monkeypatch.setattr(ppo, "step", lambda *a: steps.append(a) or real_step(*a))
+    episodes = rollout(desk_frames(3), DESK_ENV, 7, choose, np.random.default_rng(0))
     assert len(steps) == 3 * calls
     assert [len(trace) for trace in episodes.traces] == [7] * 3
-    for env, trace in zip(envs, episodes.traces):
-        assert env.config == trace[-1].config
 
 
 def test_split_then_merge_restores_reward(rng):
@@ -494,15 +484,12 @@ def test_split_never_worsens_cluster_spread(rng):
         assert weighted <= orig + 1e-12, f"trial {trial}"
 
 
-def test_masked_step_is_noop_on_config(rng):
-    env = make_test_env(rng)
-    env.reset()
-    # force the config to one singleton cluster, then try splitting it
+def test_masked_step_is_noop_on_config():
+    # one singleton cluster: splitting it is masked and keeps the config
     boxes = (DetectionBox(0.5, 0.5, 0.05, 0.05),)
-    env.frame = Frame(100, 100, boxes)
-    env.reset()
-    before = env.config
-    out = env.step(SPLIT_BASE + 0)
+    geometry = ClusterGeometry(boxes, TEST_ENV.transform)
+    before = initial_clusters(geometry, TEST_ENV.bandwidth)
+    out = step(before, SPLIT_BASE + 0, TEST_ENV.weights, TEST_ENV.n_pad, True, geometry)
     assert out.config is before
 
 
@@ -529,26 +516,17 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
     cfg = initial_clusters(ClusterGeometry(frame.detections, TransformParams(0.5)),
                            BandwidthSpec("fixed", 0.06))
     geometry = ClusterGeometry(frame.detections, transform)
-    env = None
-    if transform is not None:
-        env = ClusterEnv(frame, EnvConfig(weights=DESK, transform=transform,
-                                          bandwidth=BandwidthSpec("fixed", 0.06),
-                                          n_pad=n_pad), t_max=30)
-        env.reset()
     for _ in range(30):
         # merges and splits, plus masked ids that degrade to keep
         action = int(rng.choice([MERGE, SPLIT_BASE + rng.integers(0, min(cfg.count, n_pad)),
                                  rng.integers(0, SPLIT_BASE + n_pad)], p=[0.4, 0.4, 0.2]))
         nxt = reference_step(cfg, action, transform)
         r1, r2, r3, r4, total = reward_per_cluster_reference(nxt, DESK, transform)
-        outs = [step(cfg, action, DESK, n_pad, True, geometry)]
-        if env is not None:
-            outs.append(env.step(action))
-        for out in outs:
-            assert out.config == nxt
-            assert out.reward == total
-            assert out.components == (r1, r2, r3, r4)
-            assert np.array_equal(out.state, encode_state(nxt, n_pad))
+        out = step(cfg, action, DESK, n_pad, True, geometry)
+        assert out.config == nxt
+        assert out.reward == total
+        assert out.components == (r1, r2, r3, r4)
+        assert np.array_equal(out.state, encode_state(nxt, n_pad))
         cfg = nxt
 
 
@@ -560,15 +538,13 @@ def test_sampled_rollout_equals_reference_chain(seed):
     frames = [generate_scene(SceneSpec(1280, 1280, 14, 20, strata, seed + 10 * e))
               for e in range(3)]
     transform, n_pad, t_max = TransformParams(0.5), 8, 30
-    env_config = EnvConfig(weights=DESK, transform=transform,
-                           bandwidth=BandwidthSpec("fixed", 0.06), n_pad=n_pad)
+    env_config = DESK_ENV
     policy = init_mlp(np.random.default_rng(100 + seed),
                       [state_dim(n_pad), 16, n_actions(n_pad)])
     critic = init_mlp(np.random.default_rng(200 + seed), [state_dim(n_pad), 16, 1])
     roll_rng = np.random.default_rng(seed)
-    batch, episodes, _ = collect(policy, critic,
-                                 [ClusterEnv(frame, env_config, t_max) for frame in frames],
-                                 0.9, roll_rng)
+    batch, episodes, _ = collect(policy, critic, frames, env_config,
+                                 Hyperparams(gamma=0.9, t_max=t_max), roll_rng)
     assert len(batch) == 3 * t_max
     assert [len(trace) for trace in episodes.traces] == [t_max] * 3
 
@@ -613,7 +589,7 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
                            bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8)
     calls, original = [], rl_env.rewards
     monkeypatch.setattr(rl_env, "rewards", lambda scored: calls.append(scored) or original(scored))
-    (trace,) = rollout([ClusterEnv(frame, env_config, t_max=30)], random_policy,
+    (trace,) = rollout([frame], env_config, 30, random_policy,
                        np.random.default_rng(seed)).traces
     assert {out.info["applied"] for out in trace} >= {"merge", "split"}
     assert calls == []  # nothing scored while stepping
