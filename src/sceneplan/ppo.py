@@ -363,11 +363,13 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
 
     Every episode starts from the MeanShift clustering in its frame's
     ``ClusterGeometry`` (all from one ``initial_clusters_frames`` call) and
-    merges, splits and scores in that geometry. At each step
-    ``choose(states, masks, rng)`` gets the E states and masks as
-    (E, state_dim) and (E, n_actions) arrays and returns the E actions;
-    then each configuration steps on its own, in order. Episode arrays too
-    large to allocate raise ``ValueError`` naming t_max and n_pad.
+    merges, splits and scores in that geometry. At each step the rollout
+    encodes the state and mask of each configuration about to step (no
+    state after the last step), ``choose(states, masks, rng)`` gets the E
+    states and masks as (E, state_dim) and (E, n_actions) arrays and
+    returns the E actions, and each configuration steps on its own, in
+    order. Episode arrays too large to allocate raise ``ValueError`` naming
+    t_max and n_pad.
 
     A chooser with a true ``stationary`` attribute promises that its
     actions depend on nothing but the states and masks it is given;
@@ -396,9 +398,6 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
         raise ValueError(f"episodes of t_max={t_max}, n_pad={ec.n_pad} do not fit: {e}") from None
     geometries = [ClusterGeometry(frame.detections, ec.transform) for frame in frames]
     configs = initial_clusters_frames(geometries, [ec.bandwidth] * n)
-    for e, config in enumerate(configs):
-        states[e, 0] = encode_state(config, ec.n_pad, ec.include_count)
-        masks[e, 0] = action_mask(config, ec.n_pad)
     traces = [[] for _ in frames]
     stationary = getattr(choose, "stationary", False)
     # per episode, the step at which each configuration was first reached
@@ -407,17 +406,16 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
     for t in range(t_max):
         if not live:
             break
+        for e in live:  # a closed episode's rows are already replayed
+            states[e, t] = encode_state(configs[e], ec.n_pad, ec.include_count)
+            masks[e, t] = action_mask(configs[e], ec.n_pad)
         chosen = choose(states[:, t], masks[:, t], rng)
         stepping = []
         for e in live:
             actions[e, t] = chosen[e]
-            out = step(configs[e], int(actions[e, t]), ec.weights, ec.n_pad,
-                       ec.include_count, geometries[e])
+            out = step(configs[e], int(actions[e, t]), ec.weights, ec.n_pad, geometries[e])
             configs[e] = out.config
             traces[e].append(out)
-            if t + 1 < t_max:
-                states[e, t + 1] = out.state
-                masks[e, t + 1] = action_mask(out.config, ec.n_pad)
             first = t + 1
             if stationary:
                 first = seen[e].setdefault(_members(out.config), first)

@@ -225,7 +225,6 @@ class StepOutcome:
     """
 
     config: ClusterConfig
-    state: np.ndarray
     info: dict
     # rewards' entries after the configuration: (weights, geometry)
     scoring: tuple = field(repr=False, compare=False)
@@ -255,20 +254,20 @@ def score_steps(outcomes) -> None:
 
 
 def step(config: ClusterConfig, action: int, weights: RewardWeights,
-         n_pad: int, include_count: bool, geometry: ClusterGeometry) -> StepOutcome:
-    """One transition: apply the action and encode the new configuration.
+         n_pad: int, geometry: ClusterGeometry) -> StepOutcome:
+    """One transition: apply an action id of the n_pad-slot action space
+    and record the outcome.
 
     The reward belongs to the post-action configuration and is computed
     when the outcome's ``reward`` or ``components`` is first read, in the
-    geometry's space and from its memo. Episode length is the caller's
-    business (see ``ppo.rollout``).
+    geometry's space and from its memo. Episode length and the states a
+    policy sees are the caller's business (see ``ppo.rollout``).
     """
     if not (0 <= action < n_actions(n_pad)):
         raise ValueError(f"action {action} out of range")
     nxt, valid, applied = apply_action(config, action, geometry)
     return StepOutcome(
         config=nxt,
-        state=encode_state(nxt, n_pad, include_count),
         info={"action": action, "action_valid": valid, "applied": applied,
               "n": nxt.count},
         scoring=(weights, geometry),
@@ -289,3 +288,7 @@ class EnvConfig:
     bandwidth: BandwidthSpec = BandwidthSpec()
     n_pad: int = 30
     include_count: bool = True
+
+    def __post_init__(self) -> None:
+        if self.n_pad < 1:
+            raise ValueError(f"n_pad must be >= 1, got {self.n_pad!r}")

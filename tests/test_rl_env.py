@@ -269,28 +269,28 @@ def test_reward_decomposition_identity(rng):
 
 def test_step_keep_is_identity(rng):
     cfg = random_config(rng, 3)
-    out = step(cfg, KEEP, DESK, 8, True, geometry_of(cfg))
+    out = step(cfg, KEEP, DESK, 8, geometry_of(cfg))
     assert out.config is cfg
     assert out.info["action_valid"] and out.info["applied"] == "keep"
 
 
 def test_step_merge_decrements(rng):
     cfg = random_config(rng, 2)
-    out = step(cfg, MERGE, DESK, 8, True, geometry_of(cfg))
+    out = step(cfg, MERGE, DESK, 8, geometry_of(cfg))
     assert out.config.count == 1
     assert out.info["applied"] == "merge"
 
 
 def test_step_split_conserves(rng):
     cfg = random_config(rng, 2, min_size=4, max_size=4)
-    out = step(cfg, SPLIT_BASE + 0, DESK, 8, True, geometry_of(cfg))
+    out = step(cfg, SPLIT_BASE + 0, DESK, 8, geometry_of(cfg))
     assert out.config.count == 3
     assert sum(c.size for c in out.config.clusters) == 8
 
 
 def test_step_masked_action_degrades_to_keep():
     cfg = singleton_config([(0.5, 0.5)])
-    out = step(cfg, MERGE, DESK, 4, True, geometry_of(cfg))
+    out = step(cfg, MERGE, DESK, 4, geometry_of(cfg))
     assert out.config is cfg
     assert not out.info["action_valid"]
     assert out.info["applied"] == "keep"
@@ -298,7 +298,7 @@ def test_step_masked_action_degrades_to_keep():
 
 def test_step_reward_is_post_action(rng):
     cfg = random_config(rng, 3, min_size=2, max_size=4)
-    out = step(cfg, MERGE, DESK, 8, True, geometry_of(cfg))
+    out = step(cfg, MERGE, DESK, 8, geometry_of(cfg))
     assert out.reward == pytest.approx(
         reward(out.config, DESK, transform=None)[4], abs=1e-12)
 
@@ -306,7 +306,14 @@ def test_step_reward_is_post_action(rng):
 def test_step_rejects_out_of_range_action(rng):
     cfg = random_config(rng, 2)
     with pytest.raises(ValueError):
-        step(cfg, 99, DESK, 4, True, geometry_of(cfg))
+        step(cfg, 99, DESK, 4, geometry_of(cfg))
+
+
+def test_env_config_rejects_n_pad_below_one():
+    # both fail where the config is built, before any rollout's MeanShift
+    for n_pad in (0, -1):
+        with pytest.raises(ValueError, match=rf"^n_pad must be >= 1, got {n_pad}$"):
+            EnvConfig(n_pad=n_pad)
 
 
 def test_apply_action_split_invalid_index(rng):
@@ -405,7 +412,7 @@ def greedy_chooser(policy_seed):
 
 def episode_record(episodes):
     """Everything an episode shows, with each outcome's reward read."""
-    return ([[(out.config, out.info, out.reward, out.components, out.state.tolist())
+    return ([[(out.config, out.info, out.reward, out.components)
               for out in trace] for trace in episodes.traces],
             episodes.states.tolist(), episodes.masks.tolist(), episodes.actions.tolist())
 
@@ -489,7 +496,7 @@ def test_masked_step_is_noop_on_config():
     boxes = (DetectionBox(0.5, 0.5, 0.05, 0.05),)
     geometry = ClusterGeometry(boxes, TEST_ENV.transform)
     before = initial_clusters(geometry, TEST_ENV.bandwidth)
-    out = step(before, SPLIT_BASE + 0, TEST_ENV.weights, TEST_ENV.n_pad, True, geometry)
+    out = step(before, SPLIT_BASE + 0, TEST_ENV.weights, TEST_ENV.n_pad, geometry)
     assert out.config is before
 
 
@@ -522,11 +529,10 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
                                  rng.integers(0, SPLIT_BASE + n_pad)], p=[0.4, 0.4, 0.2]))
         nxt = reference_step(cfg, action, transform)
         r1, r2, r3, r4, total = reward_per_cluster_reference(nxt, DESK, transform)
-        out = step(cfg, action, DESK, n_pad, True, geometry)
+        out = step(cfg, action, DESK, n_pad, geometry)
         assert out.config == nxt
         assert out.reward == total
         assert out.components == (r1, r2, r3, r4)
-        assert np.array_equal(out.state, encode_state(nxt, n_pad))
         cfg = nxt
 
 
@@ -571,8 +577,6 @@ def test_sampled_rollout_equals_reference_chain(seed):
             assert out.config == cfgs[e]
             assert out.reward == reward_per_cluster_reference(cfgs[e], DESK, transform)[4]
     for trace, cfg in zip(episodes.traces, cfgs):
-        assert np.array_equal(trace[-1].state,
-                              encode_state_reference(cfg, n_pad, len(cfg.detections)))
         assert trace[-1].config == cfg
     assert roll_rng.random() == rng.random()  # same draws from one stream
 
