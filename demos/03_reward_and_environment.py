@@ -53,11 +53,10 @@ final = trace[-1].config
 
 print()
 print("step  action  N   R1(tight)  R2(areavar)  R3(count)  R4(close)  reward")
-for t, out in enumerate(trace):
-    r1, r2, r3, r4 = out.components
-    name = out.info["applied"]
-    print(f"{t + 1:4d}  {name:6s} {out.info['n']:2d}   {r1:9.4f}  {r2:11.6f}"
-          f"  {r3:9.1f}  {r4:9.1f}  {out.reward:7.3f}")
+# stepping scores nothing; every step is scored here, in one pass
+for t, (out, (r1, r2, r3, r4, total)) in enumerate(zip(trace, episodes.scores()[0].tolist())):
+    print(f"{t + 1:4d}  {out.applied:6s} {out.config.count:2d}   {r1:9.4f}  {r2:11.6f}"
+          f"  {r3:9.1f}  {r4:9.1f}  {total:7.3f}")
 
 print(f"\nfinal N = {final.count}; merging stopped once the count "
       "penalty R3 hit zero")

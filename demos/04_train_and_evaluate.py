@@ -26,6 +26,7 @@ from sceneplan import (
     sampler_from_spec,
     train,
 )
+from sceneplan.rl_env import reward
 
 spec = SceneSpec(
     width_px=1280, height_px=1280, count_min=14, count_max=20,
@@ -53,10 +54,10 @@ held_out = [(10_000 + k, generate_scene(spec.with_seed(10_000 + k)))
 def evaluate(name, policy_fn):
     finals, ns = [], []
     for seed, frame in held_out:
-        trace = rollout([frame], env_cfg, hyper.t_max, policy_fn,
-                        np.random.default_rng(seed)).traces[0]
-        finals.append(trace[-1].reward)
-        ns.append(trace[-1].config.count)
+        final = rollout([frame], env_cfg, hyper.t_max, policy_fn,
+                        np.random.default_rng(seed)).traces[0][-1].config
+        finals.append(reward(final, weights, env_cfg.transform)[4])
+        ns.append(final.count)
     finals, ns = np.array(finals), np.array(ns)
     in_band = np.mean((ns >= weights.n_min) & (ns <= weights.n_max))
     print(f"  {name:8s} mean final reward {finals.mean():8.3f}   "

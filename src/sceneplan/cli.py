@@ -43,7 +43,7 @@ from .ppo import (
     save_checkpoint,
     train,
 )
-from .rl_env import EnvConfig, RewardWeights
+from .rl_env import EnvConfig, RewardWeights, reward
 from .scene import (
     coarse_detect,
     generate_scene,
@@ -222,8 +222,9 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
     if len(coarse.detections) == 0:
         raise ValueError("empty scene after coarse detection")
     choose, ckpt = policy
-    trace = rollout([coarse], policy_config(_env_config(cfg), ckpt), cfg["t_max"], choose,
-                    np.random.default_rng(scene_seed + 1)).traces[0]
+    episodes = rollout([coarse], policy_config(_env_config(cfg), ckpt), cfg["t_max"], choose,
+                       np.random.default_rng(scene_seed + 1))
+    trace, scores = episodes.traces[0], episodes.scores()[0].tolist()
     final = trace[-1].config
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     parts = partitions_from_blocks(final, coarse, blocks)
@@ -244,11 +245,10 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
         "t_max": cfg["t_max"],
         "n_final": final.count,
         "trace": [
-            {"step": t + 1, "action": out.info["action"],
-             "applied": out.info["applied"], "valid": out.info["action_valid"],
-             "n": out.info["n"], "reward": out.reward,
-             "components": list(out.components)}
-            for t, out in enumerate(trace)
+            {"step": t + 1, "action": action, "applied": out.applied, "valid": out.valid,
+             "n": out.config.count, "reward": score[4], "components": score[:4]}
+            for t, (out, action, score) in enumerate(
+                zip(trace, episodes.actions[0].tolist(), scores))
         ],
         "clusters": clusters,
     }
@@ -256,17 +256,25 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
 
 
 def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
-    """Re-read a clusters report and rebuild its partition descriptors."""
+    """Re-read a clusters report and rebuild its partition descriptors; a
+    cluster's id and block corners must be 64-bit integers and its areas
+    numbers, or the error names ``<path>: clusters[k].<field>``."""
     report = read_json(path)
     parts = []
     try:
-        for c in report["clusters"]:
-            x0, y0, x1, y1 = c["block_px"]
+        for k, c in enumerate(report["clusters"]):
+            where = f"clusters[{k}]."
+            x0, y0, x1, y1 = (check_number(v, where + "block_px", True) for v in c["block_px"])
+            # PartitionDescriptor checks a float area's range, naming the partition
+            areas = tuple(a if isinstance(a, float) else
+                          float(check_number(a, where + "member_areas_px2"))
+                          for a in c["member_areas_px2"])
             parts.append(PartitionDescriptor(
-                int(c["id"]), int(x1 - x0), int(y1 - y0),
-                tuple(float(a) for a in c["member_areas_px2"])))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+                check_number(c["id"], where + "id", True), x1 - x0, y1 - y0, areas))
+    except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed clusters report ({e})") from None
+    except ValueError as e:  # a value of the wrong type or range, or a block not of four
+        raise ValueError(f"{path}: {e}") from None
     if len({part.id for part in parts}) < len(parts):
         raise ValueError(f"{path}: clusters report repeats a cluster id")
     return report, parts
@@ -400,14 +408,13 @@ def cmd_eval(args) -> None:
     for name, choose in policies:
         for scene_seed in seeds:  # regenerated per policy: one frame alive at a time
             frame = generate_scene(spec.with_seed(scene_seed))
-            trace = rollout([frame], env_config, cfg["t_max"], choose,
-                            np.random.default_rng(scene_seed)).traces[0]
-            final = trace[-1].config
+            final = rollout([frame], env_config, cfg["t_max"], choose,
+                            np.random.default_rng(scene_seed)).traces[0][-1].config
             in_range = ckpt.weights.n_min <= final.count <= ckpt.weights.n_max
             rows.append({
                 "policy": name,
                 "scene_seed": scene_seed,
-                "final_reward": trace[-1].reward,
+                "final_reward": reward(final, env_config.weights, env_config.transform)[4],
                 "final_n": final.count,
                 "in_range": int(in_range),
             })

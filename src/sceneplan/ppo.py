@@ -11,16 +11,17 @@ driver, ``rollout``, which owns them: it takes frames, one ``EnvConfig``
 episode's clustering in one ``clustering.initial_clusters_frames`` call,
 and steps the episodes in lockstep: each step stacks their states and masks
 into one batch, so one policy call chooses every episode's action, and each
-configuration then steps on its own through ``rl_env.step``. Training rolls
-an iteration's ``episodes_per_iter`` episodes together (``collect``) and
-scores all their steps in one ``rl_env.rewards`` pass; inference and the
-command line roll one. Everything is deterministic for a fixed seed.
+configuration then steps on its own through ``rl_env.step``, which scores
+nothing: ``Episodes.scores`` scores every step in one ``rl_env.rewards``
+pass when asked. Training rolls an iteration's ``episodes_per_iter``
+episodes together (``collect``); inference and the command line roll one.
+Everything is deterministic for a fixed seed.
 
 A chooser that declares itself ``stationary`` (its actions depend on the
 states and masks alone: ``greedy_policy``'s and ``keep_policy``) lets an
 episode stop stepping once its configuration repeats; the rest of the
 episode replays that cycle, its trace entries the same ``StepOutcome``
-objects. Training's sampler and ``random_policy`` are not stationary and
+records. Training's sampler and ``random_policy`` are not stationary and
 step every step.
 """
 
@@ -42,7 +43,7 @@ from .rl_env import (
     action_mask,
     encode_state,
     n_actions,
-    score_steps,
+    rewards,
     state_dim,
     step,
 )
@@ -354,6 +355,16 @@ class Episodes:
     states: np.ndarray   # (E, T, state_dim)
     masks: np.ndarray    # (E, T, n_actions) bool
     actions: np.ndarray  # (E, T) int
+    geometries: list[ClusterGeometry]  # each episode's, for scores
+    weights: RewardWeights
+
+    def scores(self) -> np.ndarray:
+        """Every step's (R1, R2, R3, R4, R_total) as an (E, T, 5) array,
+        from one ``rl_env.rewards`` pass over the post-action
+        configurations in their episodes' geometries."""
+        scored = [(out.config, self.weights, geometry)
+                  for trace, geometry in zip(self.traces, self.geometries) for out in trace]
+        return np.array(rewards(scored)).reshape(*self.actions.shape, 5)
 
 
 def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
@@ -363,12 +374,12 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
 
     Every episode starts from the MeanShift clustering in its frame's
     ``ClusterGeometry`` (all from one ``initial_clusters_frames`` call) and
-    merges, splits and scores in that geometry. At each step the rollout
-    encodes the state and mask of each configuration about to step (no
-    state after the last step), ``choose(states, masks, rng)`` gets the E
-    states and masks as (E, state_dim) and (E, n_actions) arrays and
-    returns the E actions, and each configuration steps on its own, in
-    order. Episode arrays too large to allocate raise ``ValueError`` naming
+    merges and splits in that geometry, scoring nothing (``Episodes.scores``
+    does). At each step the rollout encodes the state and mask of each
+    configuration about to step (no state after the last step),
+    ``choose(states, masks, rng)`` gets the E states and masks as
+    (E, state_dim) and (E, n_actions) arrays and returns the E actions, and
+    each configuration steps on its own, in order. Episode arrays too large to allocate raise ``ValueError`` naming
     t_max and n_pad.
 
     A chooser with a true ``stationary`` attribute promises that its
@@ -378,7 +389,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
     episode whose configuration before step ``first + p`` is the one before
     step ``first`` repeats that cycle to its end: every step ``u`` from
     ``first + p`` on is step ``first + (u - first) % p`` replayed. Its trace
-    entry is that step's own ``StepOutcome`` object, its state, mask and
+    entry is that step's own ``StepOutcome``, its state, mask and
     action are copies, and the episode does not step again. ``choose``
     still sees every row while any episode steps, so no other episode's
     actions change, and is not called once all have closed their cycles.
@@ -413,7 +424,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
         stepping = []
         for e in live:
             actions[e, t] = chosen[e]
-            out = step(configs[e], int(actions[e, t]), ec.weights, ec.n_pad, geometries[e])
+            out = step(configs[e], int(actions[e, t]), ec.n_pad, geometries[e])
             configs[e] = out.config
             traces[e].append(out)
             first = t + 1
@@ -428,7 +439,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
                 rows[later] = rows[src]
             traces[e] += [traces[e][s] for s in src.tolist()]
         live = stepping
-    return Episodes(traces, states, masks, actions)
+    return Episodes(traces, states, masks, actions, geometries, ec.weights)
 
 
 def _members(config: ClusterConfig) -> tuple:
@@ -443,7 +454,7 @@ def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],
             ) -> tuple[TrajectoryBatch, Episodes, dict]:
     """Roll an episode of ``hyper.t_max`` steps per frame in lockstep under
     the policy, each step's actions drawn by one ``policy_sample`` over the
-    batched logits, score every step in one ``score_steps`` pass, and lay
+    batched logits, score every step in one ``Episodes.scores`` pass, and lay
     the transitions out episode-major for the update.
 
     Returns are discounted per episode by ``hyper.gamma``; the advantages take one critic pass
@@ -462,11 +473,10 @@ def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],
     episodes = rollout(frames, env_config, hyper.t_max, sample, rng)
     n = episodes.actions.size
     states = episodes.states.reshape(n, -1)
-    score_steps(out for trace in episodes.traces for out in trace)
-    rewards = np.array([[out.reward for out in trace] for trace in episodes.traces])
+    totals = episodes.scores()[:, :, 4]
     values = mlp_forward(critic, states)[:, 0]
     returns, advantages = compute_returns_advantages(
-        rewards, hyper.gamma, values.reshape(rewards.shape))
+        totals, hyper.gamma, values.reshape(totals.shape))
     returns = returns.ravel()
     batch = TrajectoryBatch(
         states=states,
@@ -478,7 +488,7 @@ def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],
     )
     spread = returns.var()
     return batch, episodes, {
-        "mean_return": float(rewards.sum(axis=1).mean()),
+        "mean_return": float(totals.sum(axis=1).mean()),
         "mean_N_final": float(np.mean([trace[-1].config.count
                                        for trace in episodes.traces])),
         "explained_variance": (float(1.0 - (returns - values).var() / spread)

@@ -13,18 +13,18 @@ Action ids are fixed-size regardless of the live cluster count N:
 Invalid (masked) actions degrade to keep so episodes always run their full
 length; sampling-time masking makes that a safety net rather than the rule.
 
-A step does not score its configuration: ``StepOutcome.reward`` and
-``.components`` score it through ``score_steps`` the first time either is
-read, and keep the result. Training scores all steps of an iteration in one
-``score_steps`` pass; greedy inference reads none and so computes none.
-Both score with ``rewards``; ``reward`` is its one-configuration case, in a
-fresh geometry.
+A step does not score its configuration: it returns the plain record
+``StepOutcome``. Scores are computed when asked, by ``rewards`` over any
+number of (configuration, weights, geometry) triples at once;
+``ppo.Episodes.scores`` scores a whole rollout in one such pass, and
+``reward`` is its one-configuration case, in a fresh geometry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,86 +192,45 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     return out
 
 
-def apply_action(config: ClusterConfig, action: int,
-                 geometry: ClusterGeometry) -> tuple[ClusterConfig, bool, str]:
-    """Apply an action id in the geometry's space; invalid ones degrade to
-    keep.
-
-    Returns (next config, whether the action was valid, what ran).
-    """
-    geometry.check(config)
-    if action == KEEP:
-        return config, True, "keep"
-    if action == MERGE:
-        if config.count < 2:
-            return config, False, "keep"
-        i, j = select_merge_pair(config, geometry)
-        return merge_clusters(config, i, j), True, "merge"
-    idx = action - SPLIT_BASE
-    if 0 <= idx < config.count and config.clusters[idx].size >= 2:
-        return split_cluster(config, idx, geometry), True, "split"
-    return config, False, "keep"
-
-
-@dataclass
-class StepOutcome:
-    """Everything observable after one environment step.
-
-    ``reward`` (R_total) and ``components`` (R1-R4) score ``config`` with
-    ``score_steps`` the first time either is read; the result is kept, so
-    later reads cost nothing. The score is a pure function of the
-    configuration (the geometry memo only caches), so a late read returns
-    the floats an eager one would have.
-    """
+class StepOutcome(NamedTuple):
+    """One transition's result: the next configuration, whether the action
+    was valid, and what ran ("keep", "merge" or "split")."""
 
     config: ClusterConfig
-    info: dict
-    # rewards' entries after the configuration: (weights, geometry)
-    scoring: tuple = field(repr=False, compare=False)
-    _scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def _score(self) -> tuple[float, float, float, float, float]:
-        if self._scored is None:
-            score_steps([self])
-        return self._scored
-
-    @property
-    def reward(self) -> float:
-        return self._score()[4]
-
-    @property
-    def components(self) -> tuple[float, float, float, float]:
-        return self._score()[:4]
+    valid: bool
+    applied: str
 
 
-def score_steps(outcomes) -> None:
-    """Score every outcome not yet scored in one ``rewards`` pass; each
-    then reads what its own first read would have computed."""
-    todo = [out for out in outcomes if out._scored is None]
-    scored = rewards([(out.config, *out.scoring) for out in todo])
-    for out, score in zip(todo, scored):
-        out._scored = score
+def apply_action(config: ClusterConfig, action: int,
+                 geometry: ClusterGeometry) -> StepOutcome:
+    """Apply an action id in the geometry's space; invalid ones degrade to
+    keep."""
+    geometry.check(config)
+    if action == KEEP:
+        return StepOutcome(config, True, "keep")
+    if action == MERGE:
+        if config.count < 2:
+            return StepOutcome(config, False, "keep")
+        i, j = select_merge_pair(config, geometry)
+        return StepOutcome(merge_clusters(config, i, j), True, "merge")
+    idx = action - SPLIT_BASE
+    if 0 <= idx < config.count and config.clusters[idx].size >= 2:
+        return StepOutcome(split_cluster(config, idx, geometry), True, "split")
+    return StepOutcome(config, False, "keep")
 
 
-def step(config: ClusterConfig, action: int, weights: RewardWeights,
-         n_pad: int, geometry: ClusterGeometry) -> StepOutcome:
-    """One transition: apply an action id of the n_pad-slot action space
-    and record the outcome.
+def step(config: ClusterConfig, action: int, n_pad: int,
+         geometry: ClusterGeometry) -> StepOutcome:
+    """One transition: apply an action id of the n_pad-slot action space.
 
-    The reward belongs to the post-action configuration and is computed
-    when the outcome's ``reward`` or ``components`` is first read, in the
-    geometry's space and from its memo. Episode length and the states a
-    policy sees are the caller's business (see ``ppo.rollout``).
+    Nothing is scored; the caller scores the post-action configuration
+    when it needs the reward (``ppo.Episodes.scores``). Episode length and
+    the states a policy sees are the caller's business (see
+    ``ppo.rollout``).
     """
     if not (0 <= action < n_actions(n_pad)):
         raise ValueError(f"action {action} out of range")
-    nxt, valid, applied = apply_action(config, action, geometry)
-    return StepOutcome(
-        config=nxt,
-        info={"action": action, "action_valid": valid, "applied": applied,
-              "n": nxt.count},
-        scoring=(weights, geometry),
-    )
+    return apply_action(config, action, geometry)
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,15 @@ def pair_distance(a, b) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
+def reward_centroids(config: ClusterConfig, transform=None) -> list:
+    """Each cluster's centroid as ``reward_per_cluster_reference`` computes it."""
+    cents = []
+    for c in config.clusters:
+        pts = np.array([[config.detections[i].cx, config.detections[i].cy] for i in c.members])
+        cents.append((pts if transform is None else transform_y(pts, transform)).mean(axis=0))
+    return cents
+
+
 def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None):
     """(R1, R2, R3, R4, R_total) with every cluster's centres rebuilt and
     transformed on each call, and a per-pair centroid-distance loop."""

@@ -284,7 +284,7 @@ def test_07_training_efficacy():
         for seed, frame in frames:
             trace = rollout([frame], DESK_ENV, DESK_HYPER.t_max, policy_fn,
                             np.random.default_rng(seed)).traces[0]
-            finals.append(trace[-1].reward)
+            finals.append(reward(trace[-1].config, DESK_WEIGHTS, DESK_ENV.transform)[4])
             ns.append(trace[-1].config.count)
         return np.array(finals), np.array(ns)
 

@@ -1,8 +1,16 @@
 import argparse
 import json
+import math
+import os
+import pathlib
+import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sceneplan.cli import DEFAULTS, _config, build_parser, load_clusters, main
 from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters
@@ -352,6 +360,25 @@ def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, conte
 
 
 @pytest.mark.parametrize("field, value", [
+    ("id", 1.5), ("id", True), ("id", "3"), ("id", 2 ** 70), ("block_px", 100.9),
+    ("block_px", False), ("member_areas_px2", "400"), ("member_areas_px2", True),
+], ids=["id-fraction", "id-bool", "id-text", "id-past-int64", "corner-fraction",
+        "corner-bool", "area-text", "area-bool"])
+def test_plan_reads_cluster_numbers_strictly(tmp_path, capsys, field, value):
+    # nothing is coerced or truncated: the second cluster's bad value is named
+    cluster = {"id": 1, "block_px": [0, 0, 100, 100], "member_areas_px2": [400.0]}
+    cluster[field] = {"id": value, "block_px": [0, 0, value, 100],
+                      "member_areas_px2": [value]}[field]
+    cfg_path, _ = base_config(tmp_path)
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text(json.dumps({"clusters": [*CLUSTERS["clusters"], cluster]}))
+    assert main(["plan", "--config", str(cfg_path), "--clusters", str(clusters),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert f"{clusters}: clusters[1].{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
     ("width_px", 2 ** 70), ("width_px", 0), ("height_px", -5), ("width_px", 3840.7),
     ("width_px", True), ("height_px", "2160"),
 ])
@@ -489,9 +516,9 @@ def test_pipeline_metrics_rows_and_models(tmp_path):
 
 
 def test_pipeline_metrics_reward_equals_final_configuration(tmp_path):
-    # r1-r4 and reward are read from the last step's outcome, which scores
-    # its configuration only when read; they must equal rl_env.reward of
-    # the final configuration the report lists
+    # r1-r4 and reward are read from the last step's scores, which the
+    # episode computes in one pass when the report asks; they must equal
+    # rl_env.reward of the final configuration the report lists
     from sceneplan.cli import load_config
     from sceneplan.core import ClusterConfig, make_cluster
     from sceneplan.rl_env import RewardWeights, reward
@@ -796,3 +823,110 @@ def test_every_config_flag_beats_the_file(tmp_path, command, flag, key):
         [command, "--config", str(path), *required, flag, str(flag_value)])
     cfg = _config(args)
     assert (cfg[block] if block else cfg)[key] == flag_value
+
+
+# ---------------------------------------------------------------------------
+# hostile config values
+# ---------------------------------------------------------------------------
+
+TINY_SPEC = {**SPEC, "width_px": 640, "height_px": 640, "count_range": [6, 10]}
+HOSTILE_KEYS = [*DEFAULTS] + [
+    f"{block}.{sub}" for block in ("reward", "train") for sub in DEFAULTS[block]]
+# no value is an integer >= 1, so each fails the keys that size an
+# allocation (n, e, t_max, n_pad, num_scenes, episodes) at once
+HOSTILE_VALUES = [float("nan"), float("inf"), -float("inf"), 0, 0.0, -1, -0.5, -2 ** 63,
+                  2 ** 63, 1e308, -1e308, True, False, "", "x", [], [1.0]]
+HOSTILE_COMMANDS = ("partition", "plan", "pipeline", "eval")
+
+
+@pytest.fixture(scope="module")
+def hostile_inputs(tmp_path_factory):
+    """A tiny scene's detections, its clusters report, an untrained
+    checkpoint (``iterations: 0``), and the base config naming them."""
+    folder = tmp_path_factory.mktemp("hostile")
+    cfg = {"seed": 1, "out_dir": str(folder), "scene_spec": TINY_SPEC, "t_max": 3, "n_pad": 6,
+           "d_max": 100000, "episodes": 2, "bandwidth_mode": "fixed", "bandwidth_value": 0.14,
+           "policy": "random", "train": {"iterations": 0}}
+    path = folder / "config.json"
+    path.write_text(json.dumps(cfg))
+    spec = folder / "spec.json"
+    spec.write_text(json.dumps(TINY_SPEC))
+    dets, clusters = folder / "dets.json", folder / "clusters.json"
+    assert main(["gen-scene", "--spec", str(spec), "--out", str(dets)]) == 0
+    assert main(["train", "--config", str(path)]) == 0
+    cfg.update(detections=str(dets), checkpoint=str(folder / "policy.ckpt"), out_dir="out")
+    path.write_text(json.dumps(cfg))
+    assert main(["partition", "--config", str(path), "--out", str(clusters)]) == 0
+    return cfg, str(clusters)
+
+
+def finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_numbers, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def written_numbers_finite(folder) -> bool:
+    """Every number in the JSON and CSV files under ``folder`` is finite."""
+    for path in pathlib.Path(folder).rglob("*"):
+        if path.suffix == ".json":
+            if not finite_numbers(json.loads(path.read_text())):
+                return False
+        elif path.suffix == ".csv":
+            for cell in path.read_text().replace("\n", ",").split(","):
+                try:
+                    if not math.isfinite(float(cell)):
+                        return False
+                except ValueError:
+                    pass
+    return True
+
+
+def run_hostile(base, clusters, key, value, command, capsys):
+    """Run ``command`` in a fresh folder on ``base`` with ``key`` set to
+    ``value``; returns (exit code, stderr, whether the outputs are finite)."""
+    block, _, sub = key.rpartition(".")
+    cfg = json.loads(json.dumps(base))
+    if block:
+        cfg[block] = {**cfg.get(block, {}), sub: value}
+    else:
+        cfg[key] = value
+    required = ["--clusters", clusters] if command == "plan" else []
+    argv = [command, "--config", "config.json", *required]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        os.chdir(folder)
+        try:
+            pathlib.Path("config.json").write_text(json.dumps(cfg))
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            return code, capsys.readouterr().err, code != 0 or written_numbers_finite(folder)
+        finally:
+            os.chdir(home)
+
+
+def names(err, key, value) -> bool:
+    """Whether an error names the key, or the path a path key was set to."""
+    if DEFAULTS.get(key, "") is None and isinstance(value, str):
+        return value in err
+    return re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err) is not None
+
+
+@given(st.sampled_from(HOSTILE_KEYS), st.sampled_from(HOSTILE_VALUES))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_config_value_exits_0_2_or_3(hostile_inputs, capsys, key, value):
+    # finite outputs, or an error naming the key, or an infeasible plan;
+    # never a runtime failure (exit 1) or a traceback
+    base, clusters = hostile_inputs
+    for command in HOSTILE_COMMANDS:
+        code, err, finite = run_hostile(base, clusters, key, value, command, capsys)
+        assert code in (0, 2, 3), (command, err)
+        assert "Traceback" not in err
+        assert finite, command
+        if code == 2:
+            assert names(err, key, value), (command, err)

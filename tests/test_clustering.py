@@ -617,7 +617,7 @@ def test_geometry_for_another_frame_rejected(rng):
         with pytest.raises(ValueError, match="another frame"):
             apply_action(cfg, action, other)
         with pytest.raises(ValueError, match="another frame"):
-            step(cfg, action, RewardWeights(), 4, other)
+            step(cfg, action, 4, other)
 
 
 def test_split_singleton_rejected(rng):

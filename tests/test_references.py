@@ -41,7 +41,7 @@ from sceneplan.offload import (
     precision_table,
 )
 from sceneplan.ppo import masked_log_softmax, policy_sample
-from sceneplan.rl_env import RewardWeights, action_mask, encode_state, rewards
+from sceneplan.rl_env import RewardWeights, action_mask, encode_state, reward, rewards
 from sceneplan.scene import TileRows, aggregate_tiles, coarse_detect, observe_tiles, tile_frame
 
 from oracles import (
@@ -65,6 +65,7 @@ from oracles import (
     precision_table_reference,
     random_boxes,
     random_config,
+    reward_centroids,
     reward_per_cluster_reference,
     select_merge_pair_reference,
     split_cluster_reference,
@@ -233,6 +234,41 @@ def scored_args(draw):
 def rewards_reference(scored):
     return [reward_per_cluster_reference(config, weights, geometry.transform)
             for config, weights, geometry in scored]
+
+
+@st.composite
+def reward_args(draw):
+    """A tied configuration of 1-8 clusters of 1-40 members, in raw space
+    or transformed, weighted with a d_m at, or one ulp either side of, one
+    pair's centroid distance, or 0.2."""
+    config = tied_config(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                         draw(st.lists(st.integers(1, 40), min_size=1, max_size=8)),
+                         draw(st.sampled_from([None, 4, 16, 64])),
+                         draw(st.sets(st.integers(1, 7), max_size=3)))
+    alpha, pair, ulps = (draw(st.sampled_from([None, 0.5])), draw(st.integers(0, 63)),
+                         draw(st.sampled_from([-1, 0, 1])))
+    transform = None if alpha is None else TransformParams(alpha)
+    d_m = 0.2
+    if config.count >= 2:
+        i, j = pair % config.count, (pair // 8) % config.count
+        cents = reward_centroids(config, transform)
+        d = pair_distance(cents[i], cents[j])
+        if d > 0.0:
+            d_m = d if ulps == 0 else math.nextafter(d, ulps * math.inf)
+    weights = RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
+                            n_min=2, n_max=4, d_m=d_m)
+    return config, weights, transform
+
+
+def reward_three_ways(config, weights, transform):
+    """``reward``, then ``rewards`` twice on one geometry: memo filled, then read."""
+    geometry = ClusterGeometry(config.detections, transform)
+    return [reward(config, weights, transform),
+            *(rewards([(config, weights, geometry)])[0] for _ in range(2))]
+
+
+def reward_reference_three_ways(config, weights, transform):
+    return [reward_per_cluster_reference(config, weights, transform)] * 3
 
 
 # --- kmeans_1d ----------------------------------------------------------------------
@@ -730,6 +766,7 @@ REGISTRY = [
     ("meanshift_frames", warning_free(meanshift_frames), quiet(frames_reference),
      frames_args(), 60),
     ("rewards", rewards, rewards_reference, scored_args(), 150),
+    ("reward", reward_three_ways, reward_reference_three_ways, reward_args(), 200),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_new, aggregate_tiles_reference, aggregate_args(), 100),
     ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),

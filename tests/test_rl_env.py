@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sceneplan.clustering import (
     BandwidthSpec,
@@ -12,7 +10,6 @@ from sceneplan.clustering import (
     initial_clusters,
     merge_clusters,
     split_cluster,
-    transform_y,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.ppo import (
@@ -50,6 +47,7 @@ from oracles import (
     pair_distance,
     policy_sample_reference,
     random_config,
+    reward_centroids,
     reward_per_cluster_reference,
     reward_reference,
     select_merge_pair_reference,
@@ -191,39 +189,6 @@ def test_reward_matches_reference_transformed(rng):
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def reward_centroids(cfg, transform):
-    """Each cluster's centroid as the reward computes it."""
-    cents = []
-    for c in cfg.clusters:
-        pts = np.array([[cfg.detections[i].cx, cfg.detections[i].cy] for i in c.members])
-        cents.append((pts if transform is None else transform_y(pts, transform)).mean(axis=0))
-    return cents
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8),
-       st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3),
-       st.sampled_from([None, 0.5]), st.integers(0, 63), st.sampled_from([-1, 0, 1]))
-@settings(max_examples=200, deadline=None)
-def test_reward_equals_per_cluster_reference(seed, sizes, grid, copies, alpha, pair, ulps):
-    cfg = tied_config(np.random.default_rng(seed), sizes, grid, copies)
-    transform = None if alpha is None else TransformParams(alpha)
-    # d_m at, or one ulp either side of, one pair's centroid distance
-    d_m = 0.2
-    if cfg.count >= 2:
-        i, j = pair % cfg.count, (pair // 8) % cfg.count
-        cents = reward_centroids(cfg, transform)
-        d = pair_distance(cents[i], cents[j])
-        if d > 0.0:
-            d_m = d if ulps == 0 else math.nextafter(d, ulps * math.inf)
-    w = RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
-                      n_min=2, n_max=4, d_m=d_m)
-    want = reward_per_cluster_reference(cfg, w, transform)
-    assert reward(cfg, w, transform) == want
-    geometry = ClusterGeometry(cfg.detections, transform)
-    for _ in range(2):  # memo filled, then read
-        assert rewards([(cfg, w, geometry)]) == [want]
-
-
 def test_reward_counts_pairs_at_exactly_d_m():
     # centroid distances 0.125 (exactly d_m, not closer) and 0.0 (coincident)
     cfg = singleton_config([(0.25, 0.5), (0.375, 0.5), (0.375, 0.5)])
@@ -269,44 +234,49 @@ def test_reward_decomposition_identity(rng):
 
 def test_step_keep_is_identity(rng):
     cfg = random_config(rng, 3)
-    out = step(cfg, KEEP, DESK, 8, geometry_of(cfg))
+    out = step(cfg, KEEP, 8, geometry_of(cfg))
     assert out.config is cfg
-    assert out.info["action_valid"] and out.info["applied"] == "keep"
+    assert out.valid and out.applied == "keep"
 
 
 def test_step_merge_decrements(rng):
     cfg = random_config(rng, 2)
-    out = step(cfg, MERGE, DESK, 8, geometry_of(cfg))
+    out = step(cfg, MERGE, 8, geometry_of(cfg))
     assert out.config.count == 1
-    assert out.info["applied"] == "merge"
+    assert out.applied == "merge"
 
 
 def test_step_split_conserves(rng):
     cfg = random_config(rng, 2, min_size=4, max_size=4)
-    out = step(cfg, SPLIT_BASE + 0, DESK, 8, geometry_of(cfg))
+    out = step(cfg, SPLIT_BASE + 0, 8, geometry_of(cfg))
     assert out.config.count == 3
     assert sum(c.size for c in out.config.clusters) == 8
 
 
 def test_step_masked_action_degrades_to_keep():
     cfg = singleton_config([(0.5, 0.5)])
-    out = step(cfg, MERGE, DESK, 4, geometry_of(cfg))
+    out = step(cfg, MERGE, 4, geometry_of(cfg))
     assert out.config is cfg
-    assert not out.info["action_valid"]
-    assert out.info["applied"] == "keep"
+    assert not out.valid
+    assert out.applied == "keep"
 
 
 def test_step_reward_is_post_action(rng):
-    cfg = random_config(rng, 3, min_size=2, max_size=4)
-    out = step(cfg, MERGE, DESK, 8, geometry_of(cfg))
-    assert out.reward == pytest.approx(
-        reward(out.config, DESK, transform=None)[4], abs=1e-12)
+    # a step's score is its post-action configuration's, not the one it left
+    frame = make_test_frame(rng)
+    episodes = rollout([frame], TEST_ENV, 1, lambda states, masks, rng: [MERGE])
+    start = initial_clusters(ClusterGeometry(frame.detections, TEST_ENV.transform),
+                             TEST_ENV.bandwidth)
+    (out,) = episodes.traces[0]
+    assert out.applied == "merge" and out.config.count == start.count - 1
+    assert episodes.scores()[0, 0].tolist() == list(
+        reward(out.config, TEST_ENV.weights, TEST_ENV.transform))
 
 
 def test_step_rejects_out_of_range_action(rng):
     cfg = random_config(rng, 2)
     with pytest.raises(ValueError):
-        step(cfg, 99, DESK, 4, geometry_of(cfg))
+        step(cfg, 99, 4, geometry_of(cfg))
 
 
 def test_env_config_rejects_n_pad_below_one():
@@ -376,9 +346,9 @@ def test_all_keep_episode_return(rng):
     start = initial_clusters(ClusterGeometry(frame.detections, TEST_ENV.transform),
                              TEST_ENV.bandwidth)
     base = reward(start, TEST_ENV.weights, TEST_ENV.transform)[4]
-    (trace,) = rollout([frame], TEST_ENV, 7, keep_policy).traces
-    assert len(trace) == 7
-    assert sum(out.reward for out in trace) == pytest.approx(7 * base, abs=1e-9)
+    episodes = rollout([frame], TEST_ENV, 7, keep_policy)
+    assert len(episodes.traces[0]) == 7
+    assert episodes.scores()[0, :, 4].sum() == pytest.approx(7 * base, abs=1e-9)
 
 
 @pytest.mark.parametrize("n_frames, t_max, named", [
@@ -411,10 +381,15 @@ def greedy_chooser(policy_seed):
 
 
 def episode_record(episodes):
-    """Everything an episode shows, with each outcome's reward read."""
-    return ([[(out.config, out.info, out.reward, out.components)
-              for out in trace] for trace in episodes.traces],
+    """Everything an episode shows, with every step's scores."""
+    return (episodes.traces, episodes.scores().tolist(),
             episodes.states.tolist(), episodes.masks.tolist(), episodes.actions.tolist())
+
+
+def reference_scores(episodes, transform):
+    """Every step's scores, each configuration scored alone by the oracle."""
+    return [[list(reward_per_cluster_reference(out.config, episodes.weights, transform))
+             for out in trace] for trace in episodes.traces]
 
 
 def stepped_outcomes(trace):
@@ -435,6 +410,7 @@ def test_stationary_rollout_replays_what_stepping_gives(policy_seed):
         replayed = rollout(batch, DESK_ENV, t_max, choose)
         stepped = rollout(batch, DESK_ENV, t_max, unmarked)
         assert episode_record(replayed) == episode_record(stepped)
+        assert replayed.scores().tolist() == reference_scores(replayed, DESK_ENV.transform)
         assert all(stepped_outcomes(trace) == t_max for trace in stepped.traces)
     counts = [stepped_outcomes(trace) for trace in replayed.traces]
     if policy_seed is None:
@@ -496,7 +472,7 @@ def test_masked_step_is_noop_on_config():
     boxes = (DetectionBox(0.5, 0.5, 0.05, 0.05),)
     geometry = ClusterGeometry(boxes, TEST_ENV.transform)
     before = initial_clusters(geometry, TEST_ENV.bandwidth)
-    out = step(before, SPLIT_BASE + 0, TEST_ENV.weights, TEST_ENV.n_pad, geometry)
+    out = step(before, SPLIT_BASE + 0, TEST_ENV.n_pad, geometry)
     assert out.config is before
 
 
@@ -528,11 +504,11 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
         action = int(rng.choice([MERGE, SPLIT_BASE + rng.integers(0, min(cfg.count, n_pad)),
                                  rng.integers(0, SPLIT_BASE + n_pad)], p=[0.4, 0.4, 0.2]))
         nxt = reference_step(cfg, action, transform)
-        r1, r2, r3, r4, total = reward_per_cluster_reference(nxt, DESK, transform)
-        out = step(cfg, action, DESK, n_pad, geometry)
+        out = step(cfg, action, n_pad, geometry)
         assert out.config == nxt
-        assert out.reward == total
-        assert out.components == (r1, r2, r3, r4)
+        # scored in the episode's geometry, its memo filled by the steps so far
+        assert rewards([(out.config, DESK, geometry)]) == [
+            reward_per_cluster_reference(nxt, DESK, transform)]
         cfg = nxt
 
 
@@ -573,9 +549,8 @@ def test_sampled_rollout_equals_reference_chain(seed):
             assert np.array_equal(mask, ref_masks[e]) and mask.dtype == ref_masks[e].dtype
             assert (action, logp) == (ref_action, ref_logp)
             cfgs[e] = reference_step(cfgs[e], action, transform)
-            out = episodes.traces[e][t]
-            assert out.config == cfgs[e]
-            assert out.reward == reward_per_cluster_reference(cfgs[e], DESK, transform)[4]
+            assert episodes.traces[e][t].config == cfgs[e]
+    assert episodes.scores().tolist() == reference_scores(episodes, transform)
     for trace, cfg in zip(episodes.traces, cfgs):
         assert trace[-1].config == cfg
     assert roll_rng.random() == rng.random()  # same draws from one stream
@@ -583,33 +558,24 @@ def test_sampled_rollout_equals_reference_chain(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
+    # stepping scores nothing, under a stationary chooser or not; the steps
+    # are scored when asked, all in one rewards pass
+    import sceneplan.ppo as ppo
     import sceneplan.rl_env as rl_env
-    from sceneplan.ppo import random_policy
 
-    strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
-    frame = generate_scene(SceneSpec(1280, 1280, 14, 20, strata, seed))
-    transform = TransformParams(0.5)
-    env_config = EnvConfig(weights=DESK, transform=transform,
-                           bandwidth=BandwidthSpec("fixed", 0.06), n_pad=8)
+    frame = generate_scene(SceneSpec(1280, 1280, 14, 20, STRATA, seed))
     calls, original = [], rl_env.rewards
-    monkeypatch.setattr(rl_env, "rewards", lambda scored: calls.append(scored) or original(scored))
-    (trace,) = rollout([frame], env_config, 30, random_policy,
-                       np.random.default_rng(seed)).traces
-    assert {out.info["applied"] for out in trace} >= {"merge", "split"}
-    assert calls == []  # nothing scored while stepping
-    for k, out in enumerate(trace):
-        r1, r2, r3, r4, total = original(
-            [(out.config, DESK, ClusterGeometry(frame.detections, transform))])[0]
-        if k % 2:
-            assert out.components == (r1, r2, r3, r4)
-            assert out.reward == total
-        else:
-            assert out.reward == total
-            assert out.components == (r1, r2, r3, r4)
-        assert len(calls) == k + 1  # one call per outcome, on its first read
-        assert len(calls[k]) == 1 and calls[k][0][0] is out.config
-        assert out.reward == total and out.components == (r1, r2, r3, r4)
-        assert len(calls) == k + 1
+    spy = lambda scored: calls.append(scored) or original(scored)  # noqa: E731
+    for module in (ppo, rl_env):
+        monkeypatch.setattr(module, "rewards", spy)
+    for choose in (keep_policy, greedy_chooser(3), random_policy):
+        episodes = rollout([frame], DESK_ENV, 30, choose, np.random.default_rng(seed))
+        assert calls == []
+        scores = episodes.scores()
+        assert len(calls) == 1 and len(calls[0]) == 30
+        assert scores.tolist() == reference_scores(episodes, DESK_ENV.transform)
+        calls.clear()
+    assert {out.applied for out in episodes.traces[0]} >= {"merge", "split"}
 
 
 @pytest.mark.parametrize("weights, named", [
