@@ -39,22 +39,23 @@ print(f"  transformed y span (top strata): {np.ptp(pts_t[top, 1]):.3f}")
 
 config = initial_clusters(geometry, BandwidthSpec("fixed", 0.16))
 print(f"\nMeanShift initial clustering: {config.count} clusters, "
-      f"sizes {[c.size for c in config.clusters]}")
+      f"sizes {[len(c) for c in config.clusters]}")
 
 i, j = select_merge_pair(config, geometry)
-ci, cj = config.clusters[i], config.clusters[j]
-d = np.hypot(ci.mu_x - cj.mu_x, ci.mu_y - cj.mu_y)
+(xi, yi, *_), (xj, yj, *_) = (geometry.means(config.clusters[k]) for k in (i, j))
+d = np.hypot(xi - xj, yi - yj)
 print(f"\nclosest centroid pair: clusters {i} and {j} "
       f"(raw centroid distance {d:.3f})")
 
 merged = merge_clusters(config, i, j)
-print(f"after merge: {merged.count} clusters, sizes {[c.size for c in merged.clusters]}")
+print(f"after merge: {merged.count} clusters, sizes {[len(c) for c in merged.clusters]}")
 
 # split the biggest cluster back apart
-big = max(range(merged.count), key=lambda k: merged.clusters[k].size)
+big = max(range(merged.count), key=lambda k: len(merged.clusters[k]))
 split = split_cluster(merged, big, geometry)
 a, b = split.clusters[big], split.clusters[-1]
-print(f"\nsplit cluster {big} (size {merged.clusters[big].size}) along its "
+print(f"\nsplit cluster {big} (size {len(merged.clusters[big])}) along its "
       f"wider-variance dimension:")
-print(f"  -> sizes {a.size} + {b.size}, centroids "
-      f"({a.mu_x:.2f}, {a.mu_y:.2f}) and ({b.mu_x:.2f}, {b.mu_y:.2f})")
+(ax, ay, *_), (bx, by, *_) = geometry.means(a), geometry.means(b)
+print(f"  -> sizes {len(a)} + {len(b)}, centroids "
+      f"({ax:.2f}, {ay:.2f}) and ({bx:.2f}, {by:.2f})")

@@ -228,12 +228,13 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
     final = trace[-1].config
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     parts = partitions_from_blocks(final, coarse, blocks)
+    means = episodes.geometries[0].means
     clusters = [{
         "id": part.id,
-        "members": list(cluster.members),
-        "size": cluster.size,
-        "centroid": [cluster.mu_x, cluster.mu_y],
-        "mean_wh": [cluster.mu_w, cluster.mu_h],
+        "members": list(cluster),
+        "size": len(cluster),
+        "centroid": list(means(cluster)[:2]),
+        "mean_wh": list(means(cluster)[2:]),
         "block_px": list(block),
         "member_areas_px2": list(part.areas_px2),
     } for part, cluster, block in zip(parts, final.clusters, blocks)]

@@ -468,19 +468,18 @@ def _variance(vals: list[float]) -> float:
 
 class ClusterGeometry:
     """One frame's clustering space, shared by the MeanShift start and the
-    reward, merge and split of an episode.
+    state, reward, merge and split of an episode.
 
     Every detection's centre in that space ((x, y**alpha) under a
-    transform, raw (x, y) without one) and its box area are laid out once
-    from the frame's ``Boxes`` columns; every function reading the space
-    takes it from here, and rejects a geometry built for another frame's
-    ``Boxes``. Per-cluster statistics are
-    memoised by member tuple: the centroid of the member centres, their
-    mean distance to it, and the population variance of the member areas.
-    The centroid, a row-by-row sum in Python floats at every size, has its
-    own memo, so a merge reads it without the other two reductions, which
-    are numpy's from 8 members on. A step creates at most two clusters, so
-    it computes statistics for at most two. Build one per episode.
+    transform, raw (x, y) without one), its box area and its raw cy, w and
+    h are laid out once from the frame's ``Boxes`` columns; every function
+    reading the space takes it from here, and rejects a geometry built for
+    another frame's ``Boxes``. Per-cluster statistics are memoised by
+    cluster (its member tuple): one member loop, ``means``, gives the raw
+    (cx, cy, w, h) means and the ``centroid`` in this space; ``stats`` adds
+    the mean member distance to it and the variance of the member areas,
+    numpy reductions from 8 members on. A step creates at most two
+    clusters, so it computes statistics for at most two. Build one per episode.
     """
 
     def __init__(self, detections, transform: TransformParams | None):
@@ -491,8 +490,10 @@ class ClusterGeometry:
         self.points = pts if transform is None else transform_y(pts, transform)
         self.areas = w * h
         self._x, self._y = self.points.T.tolist()
+        self._cy, self._w, self._h = cy.tolist(), w.tolist(), h.tolist()
         self._area = self.areas.tolist()
         self._stats: dict = {}
+        self._means: dict = {}
         self._centroid: dict = {}
 
     def check(self, config: ClusterConfig) -> None:
@@ -500,22 +501,35 @@ class ClusterGeometry:
         if self.detections is not config.detections:
             raise ValueError("geometry was built for another frame")
 
-    def centroid(self, members: tuple[int, ...]) -> tuple[float, float]:
-        """(x, y) mean of the member centres: each coordinate added in
-        member order from 0.0 (no builtin sum, compensated from Python 3.12,
-        nor math.fsum), then divided by the member count. numpy's axis-0
-        ``mean`` over the gathered C-order (k, 2) centres adds them row by
-        row at every size, so the two are equal bit for bit."""
-        hit = self._centroid.get(members)
+    def means(self, members: tuple[int, ...]) -> tuple[float, float, float, float]:
+        """Raw (cx, cy, w, h) means of the members; the same loop memoises
+        their ``centroid``. Each value is added in member order from 0.0
+        (no builtin sum, compensated from Python 3.12, nor math.fsum), then
+        divided by the member count, so equal member tuples give bitwise
+        equal means. numpy's axis-0 ``mean`` over the gathered C-order
+        (k, 2) centres adds them row by row at every size, so the centroid
+        equals it bit for bit."""
+        hit = self._means.get(members)
         if hit is None:
-            xs, ys = self._x, self._y
-            sx = sy = 0.0
+            xs, ys, cys, ws, hs = self._x, self._y, self._cy, self._w, self._h
+            sx = sy = scy = sw = sh = 0.0
             for i in members:
                 sx += xs[i]
                 sy += ys[i]
+                scy += cys[i]
+                sw += ws[i]
+                sh += hs[i]
             k = len(members)
-            hit = self._centroid[members] = (sx / k, sy / k)
+            self._centroid[members] = (sx / k, sy / k)
+            hit = self._means[members] = (sx / k, scy / k, sw / k, sh / k)
         return hit
+
+    def centroid(self, members: tuple[int, ...]) -> tuple[float, float]:
+        """(x, y) mean of the member centres in the geometry's space, from
+        ``means``' member loop."""
+        if members not in self._centroid:
+            self.means(members)
+        return self._centroid[members]
 
     def stats(self, members: tuple[int, ...]) -> tuple[tuple[float, float], float, float]:
         """((centroid x, y), mean member distance to it, area variance).
@@ -555,17 +569,16 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     Ties break toward the lexicographically smallest (i, j).
 
     Array method: the centroids come from the episode's ``ClusterGeometry``
-    memo, in raw space too, where they equal the clusters' own ``mu_x,
-    mu_y`` (both add the member centres in member order). Their distances,
-    one ``_distances`` array compared as it rounds, are symmetric, so its
-    first minimum in row-major order is the smallest (i, j) with i < j.
+    memo. Their distances, one ``_distances`` array compared as it rounds,
+    are symmetric, so its first minimum in row-major order is the smallest
+    (i, j) with i < j.
     Results equal ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     geometry.check(config)
     n = config.count
     if n < 2:
         raise ValueError("merge unavailable: fewer than 2 clusters")
-    cents = np.array([geometry.centroid(c.members) for c in config.clusters])
+    cents = np.array([geometry.centroid(c) for c in config.clusters])
     dist = _distances(cents, cents)
     dist.flat[::n + 1] = np.inf  # the diagonal
     # argmin, not min: the first min call maps 64 KB of numpy code that desk
@@ -581,7 +594,7 @@ def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
         raise ValueError(f"cluster index out of range: ({i}, {j})")
     i, j = min(i, j), max(i, j)
     clusters = config.clusters
-    merged = make_cluster(clusters[i].members + clusters[j].members, config.detections)
+    merged = make_cluster(clusters[i] + clusters[j], config.detections)
     return ClusterConfig(clusters[:i] + clusters[i + 1:j] + clusters[j + 1:] + (merged,),
                          config.detections)
 
@@ -604,10 +617,9 @@ def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> C
     geometry.check(config)
     if not (0 <= i < config.count):
         raise ValueError(f"cluster index {i} out of range")
-    cluster = config.clusters[i]
-    if cluster.size < 2:
+    members = config.clusters[i]
+    if len(members) < 2:
         raise ValueError("split unavailable: cluster has fewer than 2 members")
-    members = cluster.members
     xs = [geometry._x[m] for m in members]
     ys = [geometry._y[m] for m in members]
     order, split = _best_split(xs if _variance(xs) > _variance(ys) else ys)

@@ -1,5 +1,5 @@
-"""Geometry primitives, detection-box operations, cluster statistics, and
-the file layer every input JSON and every output goes through.
+"""Geometry primitives, detection-box operations, clusters, and the file
+layer every input JSON and every output goes through.
 
 Coordinates are stored normalized to [0, 1] relative to the frame; pixel
 conversion happens only when a cluster is turned into an image block.
@@ -173,29 +173,16 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """A group of detection indices with cached centroid/size statistics."""
-
-    members: tuple[int, ...]
-    mu_x: float
-    mu_y: float
-    mu_w: float
-    mu_h: float
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """A set of clusters partitioning the indices of a frame's ``Boxes``.
 
+    A cluster is the sorted tuple of its member indices (``make_cluster``);
+    its statistics are its frame's ``clustering.ClusterGeometry``'s.
     Cluster order is creation order: merges append the new cluster, splits
     replace in place and append, so downstream state encodings are stable.
     """
 
-    clusters: tuple[Cluster, ...]
+    clusters: tuple[tuple[int, ...], ...]
     detections: Boxes
 
     def __post_init__(self) -> None:
@@ -206,26 +193,19 @@ class ClusterConfig:
         return len(self.clusters)
 
 
-def make_cluster(members, detections) -> Cluster:
-    """Build a Cluster from detection indices, stats recomputed from scratch.
-
-    Members are kept sorted, their columns gathered with one ``take``, and
-    their centers and sizes added one at a time from 0.0 in that order, so
-    equal member sets give bitwise equal means however the set was assembled.
-    """
+def make_cluster(members, detections) -> tuple[int, ...]:
+    """A cluster of ``detections``: its member indices, sorted, so equal
+    member sets give equal clusters however the set was assembled. Raises
+    unless they are distinct indices in ``[0, len(detections))``."""
     members = tuple(sorted(members))
     if not members:
         raise ValueError("empty cluster")
     if len(set(members)) != len(members):
         raise ValueError("duplicate member indices")
-    sx = sy = sw = sh = 0.0
-    for x, y, w, h, _ in as_boxes(detections).columns.take(members, axis=1).T.tolist():
-        sx += x
-        sy += y
-        sw += w
-        sh += h
-    n = len(members)
-    return Cluster(members, sx / n, sy / n, sw / n, sh / n)
+    if members[0] < 0 or members[-1] >= len(detections):
+        raise ValueError(f"member indices {members[0]}..{members[-1]} outside "
+                         f"[0, {len(detections)})")
+    return members
 
 
 def validate_partition(config: ClusterConfig) -> None:
@@ -234,9 +214,9 @@ def validate_partition(config: ClusterConfig) -> None:
         raise ValueError("configuration has no clusters")
     seen: list[int] = []
     for c in config.clusters:
-        if c.size < 1:
+        if not c:
             raise ValueError("empty cluster")
-        seen.extend(c.members)
+        seen.extend(c)
     if len(seen) != len(set(seen)):
         raise ValueError("clusters overlap")
     if set(seen) != set(range(len(config.detections))):
@@ -322,11 +302,11 @@ def bounding_blocks(config: ClusterConfig, margin: float,
     """
     if margin < 0.0:
         raise ValueError(f"margin {margin} negative")
-    sizes = [c.size for c in config.clusters]
+    sizes = [len(c) for c in config.clusters]
     if 0 in sizes:
         raise ValueError("empty cluster")
     corners = np.stack(extents(*config.detections.columns[:4]))
-    corners = corners[:, [i for c in config.clusters for i in c.members]]
+    corners = corners[:, [i for c in config.clusters for i in c]]
     starts = np.cumsum([0] + sizes)[:-1]
     lows = np.minimum.reduceat(corners[:2], starts, axis=1).T.tolist()
     highs = np.maximum.reduceat(corners[2:], starts, axis=1).T.tolist()

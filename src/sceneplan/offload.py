@@ -160,7 +160,7 @@ def partitions_from_blocks(config: ClusterConfig, frame: Frame,
     """Each cluster's partition, cut as its pixel block in ``blocks``."""
     _, _, w, h, _ = config.detections.columns
     areas = (w * frame.width_px * h * frame.height_px).tolist()
-    return [PartitionDescriptor(pid, x1 - x0, y1 - y0, tuple([areas[i] for i in cluster.members]))
+    return [PartitionDescriptor(pid, x1 - x0, y1 - y0, tuple([areas[i] for i in cluster]))
             for pid, (cluster, (x0, y0, x1, y1)) in enumerate(zip(config.clusters, blocks))]
 
 

@@ -361,10 +361,14 @@ class Episodes:
     def scores(self) -> np.ndarray:
         """Every step's (R1, R2, R3, R4, R_total) as an (E, T, 5) array,
         from one ``rl_env.rewards`` pass over the post-action
-        configurations in their episodes' geometries."""
-        scored = [(out.config, self.weights, geometry)
-                  for trace, geometry in zip(self.traces, self.geometries) for out in trace]
-        return np.array(rewards(scored)).reshape(*self.actions.shape, 5)
+        configurations in their episodes' geometries. A replayed step's
+        trace entry is the record it repeats, so each distinct record is
+        scored once."""
+        scored = {id(out): (out.config, self.weights, geometry)
+                  for trace, geometry in zip(self.traces, self.geometries) for out in trace}
+        row = {key: r for r, key in enumerate(scored)}
+        at = [row[id(out)] for trace in self.traces for out in trace]
+        return np.array(rewards(list(scored.values())))[at].reshape(*self.actions.shape, 5)
 
 
 def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
@@ -411,14 +415,14 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
     configs = initial_clusters_frames(geometries, [ec.bandwidth] * n)
     traces = [[] for _ in frames]
     stationary = getattr(choose, "stationary", False)
-    # per episode, the step at which each configuration was first reached
-    seen = [{_members(config): 0} for config in configs] if stationary else None
+    # per episode, the step at which each configuration (its clusters) was first reached
+    seen = [{config.clusters: 0} for config in configs] if stationary else None
     live = range(n)  # episodes that have not closed a cycle
     for t in range(t_max):
         if not live:
             break
         for e in live:  # a closed episode's rows are already replayed
-            states[e, t] = encode_state(configs[e], ec.n_pad, ec.include_count)
+            states[e, t] = encode_state(configs[e], geometries[e], ec.n_pad, ec.include_count)
             masks[e, t] = action_mask(configs[e], ec.n_pad)
         chosen = choose(states[:, t], masks[:, t], rng)
         stepping = []
@@ -429,7 +433,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
             traces[e].append(out)
             first = t + 1
             if stationary:
-                first = seen[e].setdefault(_members(out.config), first)
+                first = seen[e].setdefault(out.config.clusters, first)
             if first == t + 1:
                 stepping.append(e)
                 continue
@@ -440,13 +444,6 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
             traces[e] += [traces[e][s] for s in src.tolist()]
         live = stepping
     return Episodes(traces, states, masks, actions, geometries, ec.weights)
-
-
-def _members(config: ClusterConfig) -> tuple:
-    """A configuration's key: its clusters' members in order. Every cluster's
-    statistics are a function of its members (``make_cluster``), so equal
-    keys mean equal configurations."""
-    return tuple(c.members for c in config.clusters)
 
 
 def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],

@@ -2,11 +2,11 @@
 the composite clustering-quality reward, the one-transition ``step``, and
 ``EnvConfig``, everything an episode needs besides its frame and horizon.
 
-A frame's clustering space is its ``ClusterGeometry``: ``apply_action`` and
-``step`` take it and read the transform from it. ``ppo.rollout`` owns the
-episode: it builds each frame's geometry, starts from the MeanShift
-clustering in it, and steps with these functions, so an episode's merges,
-splits and rewards all use that one geometry.
+A frame's clustering space is its ``ClusterGeometry``: ``encode_state``,
+``apply_action`` and ``step`` take it. ``ppo.rollout`` owns the episode: it
+builds each frame's geometry, starts from the MeanShift clustering in it,
+and steps with these functions, so an episode's states, merges, splits and
+rewards all use that one geometry.
 
 Action ids are fixed-size regardless of the live cluster count N:
 0 = keep, 1 = merge the closest centroid pair, 2 + i = split cluster i.
@@ -78,14 +78,15 @@ def n_actions(n_pad: int) -> int:
     return SPLIT_BASE + n_pad
 
 
-def encode_state(config: ClusterConfig, n_pad: int, include_count: bool = True) -> np.ndarray:
+def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int,
+                 include_count: bool = True) -> np.ndarray:
     """Flatten the configuration into a fixed-length feature vector.
 
-    One (mu_x, mu_y, mu_w, mu_h, S_i / total) slot per cluster in index
-    order, total being the frame's detection count, zero-padded (or
-    truncated) to n_pad slots, then the normalized cluster count N / n_pad
-    clipped to 1 (zeroed if ``include_count`` is off; the vector length
-    never changes).
+    One (cx, cy, w, h, S_i / total) slot per cluster in index order: the
+    raw means of its members' boxes (``geometry.means``), then its share of
+    the frame's detections; zero-padded (or truncated) to n_pad slots, then
+    the normalized cluster count N / n_pad clipped to 1 (zeroed if
+    ``include_count`` is off; the vector length never changes).
 
     The features are laid out in one Python list and converted by one
     ``np.array``; the vector equals ``encode_state_reference`` in
@@ -93,9 +94,10 @@ def encode_state(config: ClusterConfig, n_pad: int, include_count: bool = True) 
     """
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
+    geometry.check(config)
     feats, total = [], len(config.detections)
     for c in config.clusters[:n_pad]:
-        feats += (c.mu_x, c.mu_y, c.mu_w, c.mu_h, len(c.members) / total)
+        feats += (*geometry.means(c), len(c) / total)
     feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
     feats.append(min(config.count / n_pad, 1.0) if include_count else 0.0)
     return np.array(feats, dtype=float)
@@ -110,7 +112,7 @@ def action_mask(config: ClusterConfig, n_pad: int) -> np.ndarray:
     """
     shown = config.clusters[:n_pad]
     mask = [True, config.count >= 2]  # KEEP, MERGE; SPLIT_BASE + i follow
-    mask += [len(c.members) >= 2 for c in shown]
+    mask += [len(c) >= 2 for c in shown]
     mask += [False] * (n_pad - len(shown))
     return np.array(mask, dtype=bool)
 
@@ -151,7 +153,7 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
         if n == 0:
             raise ValueError("reward of an empty configuration: it has no clusters")
         geometry.check(config)
-        stats = [geometry.stats(c.members) for c in config.clusters]
+        stats = [geometry.stats(c) for c in config.clusters]
         # fsum keeps the cross-cluster means insensitive to cluster order, so
         # reversing a split restores the reward bit for bit
         r1 = -math.fsum(s[1] for s in stats) / n
@@ -214,7 +216,7 @@ def apply_action(config: ClusterConfig, action: int,
         i, j = select_merge_pair(config, geometry)
         return StepOutcome(merge_clusters(config, i, j), True, "merge")
     idx = action - SPLIT_BASE
-    if 0 <= idx < config.count and config.clusters[idx].size >= 2:
+    if 0 <= idx < config.count and len(config.clusters[idx]) >= 2:
         return StepOutcome(split_cluster(config, idx, geometry), True, "split")
     return StepOutcome(config, False, "keep")
 

@@ -27,14 +27,15 @@ precision pass per plan and a value-only table capped at the reachable
 budget; ``generate_scene_reference`` draws each stratum with
 ``Generator.choice`` and each uniform with ``Generator.uniform``.
 ``geometry_stats_reference`` (numpy reductions over the gathered
-members, also the centroid that ``ClusterGeometry.centroid`` memoises),
+members, also the centroid that ``ClusterGeometry.means`` memoises),
 ``policy_sample_reference`` (``Generator.choice``),
 ``encode_state_reference`` and ``action_mask_reference`` (slot writes
 into zero arrays) are the training step before it went to Python floats;
 ``policy_sample_rows_reference`` draws a batch row by row on one stream,
 as sampling went before the episodes of an iteration stepped together.
-``make_cluster_reference`` walks each member box's fields, before cluster
-means read the lists that every frame's ``Boxes`` lays out once.
+``make_cluster_reference`` sorts and checks the members, and
+``cluster_means_reference`` walks each member box's fields, before cluster
+means read the lists that every frame's ``ClusterGeometry`` lays out once.
 The library must return exactly what these return.
 """
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from sceneplan import clustering
 from sceneplan.clustering import BANDWIDTH_FLOOR, ClusterGeometry, transform_y
-from sceneplan.core import Cluster, ClusterConfig, DetectionBox, Frame, make_cluster
+from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.offload import InfeasiblePlanError, OffloadPlan, PartitionDescriptor, scale_area
 from sceneplan.ppo import masked_log_softmax
 from sceneplan.rl_env import (
@@ -330,7 +331,7 @@ def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):
     r1_terms = []
     cents = []
     for c in config.clusters:
-        pts = [pt(i) for i in c.members]
+        pts = [pt(i) for i in c]
         mx = sum(p[0] for p in pts) / len(pts)
         my = sum(p[1] for p in pts) / len(pts)
         cents.append((mx, my))
@@ -341,7 +342,7 @@ def reward_reference(config: ClusterConfig, weights, alpha_t: float | None):
     # R2: mean over clusters of population variance of member areas
     r2_terms = []
     for c in config.clusters:
-        areas = [dets[i].w * dets[i].h for i in c.members]
+        areas = [dets[i].w * dets[i].h for i in c]
         mu = sum(areas) / len(areas)
         r2_terms.append(sum((a - mu) ** 2 for a in areas) / len(areas))
     r2 = -sum(r2_terms) / n
@@ -385,7 +386,7 @@ def reward_centroids(config: ClusterConfig, transform=None) -> list:
     """Each cluster's centroid as ``reward_per_cluster_reference`` computes it."""
     cents = []
     for c in config.clusters:
-        pts = np.array([[config.detections[i].cx, config.detections[i].cy] for i in c.members])
+        pts = np.array([[config.detections[i].cx, config.detections[i].cy] for i in c])
         cents.append((pts if transform is None else transform_y(pts, transform)).mean(axis=0))
     return cents
 
@@ -398,13 +399,13 @@ def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None)
     area_vars = []
     centroids = []
     for c in config.clusters:
-        pts = np.array([[dets[i].cx, dets[i].cy] for i in c.members])
+        pts = np.array([[dets[i].cx, dets[i].cy] for i in c])
         if transform is not None:
             pts = transform_y(pts, transform)
         centroid = pts.mean(axis=0)
         centroids.append(centroid)
         spreads.append(float(np.linalg.norm(pts - centroid, axis=1).mean()))
-        areas = np.array([dets[i].area for i in c.members])
+        areas = np.array([dets[i].area for i in c])
         area_vars.append(float(areas.var()))
     # fsum keeps the cross-cluster means insensitive to cluster order, so
     # reversing a split restores the reward bit for bit
@@ -430,11 +431,11 @@ def reward_per_cluster_reference(config: ClusterConfig, weights, transform=None)
 def centroids_reference(config: ClusterConfig, transform=None):
     """Cluster centroids, in raw space or as means of transformed centers."""
     if transform is None:
-        return np.array([[c.mu_x, c.mu_y] for c in config.clusters])
+        return np.array([cluster_means_reference(c, config.detections)[:2]
+                         for c in config.clusters])
     cents = []
     for c in config.clusters:
-        pts = np.array([[config.detections[i].cx, config.detections[i].cy]
-                        for i in c.members])
+        pts = np.array([[config.detections[i].cx, config.detections[i].cy] for i in c])
         cents.append(transform_y(pts, transform).mean(axis=0))
     return np.array(cents)
 
@@ -461,16 +462,15 @@ def split_cluster_reference(config: ClusterConfig, i: int, transform=None):
     if not (0 <= i < config.count):
         raise ValueError(f"cluster index {i} out of range")
     cluster = config.clusters[i]
-    if cluster.size < 2:
+    if len(cluster) < 2:
         raise ValueError("split unavailable: cluster has fewer than 2 members")
-    pts = np.array([[config.detections[m].cx, config.detections[m].cy]
-                    for m in cluster.members])
+    pts = np.array([[config.detections[m].cx, config.detections[m].cy] for m in cluster])
     if transform is not None:
         pts = transform_y(pts, transform)
     var_x, var_y = pts.var(axis=0)
     coord = pts[:, 0] if var_x > var_y else pts[:, 1]
     labels = kmeans_1d_reference(coord)
-    members = np.array(cluster.members)
+    members = np.array(cluster)
     low = make_cluster(members[labels == 0].tolist(), config.detections)
     high = make_cluster(members[labels == 1].tolist(), config.detections)
     clusters = list(config.clusters)
@@ -509,13 +509,23 @@ def kmeans_1d_reference(values):
     return labels
 
 
-def make_cluster_reference(members, detections) -> Cluster:
-    """A Cluster from detection indices by a walk over the member boxes."""
+def make_cluster_reference(members, detections) -> tuple[int, ...]:
+    """A cluster from detection indices: the sorted members, each checked
+    against the number of detections."""
     members = tuple(sorted(members))
     if not members:
         raise ValueError("empty cluster")
     if len(set(members)) != len(members):
         raise ValueError("duplicate member indices")
+    n = len(detections)
+    if not all(0 <= i < n for i in members):
+        raise ValueError(f"member indices {members[0]}..{members[-1]} outside [0, {n})")
+    return members
+
+
+def cluster_means_reference(members, detections) -> tuple[float, float, float, float]:
+    """The raw (cx, cy, w, h) means of a cluster by a walk over its member
+    boxes, each field added in member order from 0.0."""
     sx = sy = sw = sh = 0.0
     for i in members:
         d = detections[i]
@@ -524,7 +534,7 @@ def make_cluster_reference(members, detections) -> Cluster:
         sw += d.w
         sh += d.h
     n = len(members)
-    return Cluster(members, sx / n, sy / n, sw / n, sh / n)
+    return sx / n, sy / n, sw / n, sh / n
 
 
 # ``bounding_blocks`` computes the extents of all detections once, as
@@ -538,11 +548,11 @@ def bounding_block_reference(cluster, detections, margin: float, frame):
     ``DetectionBox.extent``."""
     if margin < 0.0:
         raise ValueError(f"margin {margin} negative")
-    if cluster.size < 1:
+    if len(cluster) < 1:
         raise ValueError("empty cluster")
     x0 = y0 = 1.0
     x1 = y1 = 0.0
-    for i in cluster.members:
+    for i in cluster:
         bx0, by0, bx1, by1 = detections[i].extent()
         x0, y0 = min(x0, bx0), min(y0, by0)
         x1, y1 = max(x1, bx1), max(y1, by1)
@@ -569,16 +579,17 @@ def partitions_from_blocks_reference(config: ClusterConfig, frame: Frame,
         areas = tuple(
             config.detections[i].w * frame.width_px *
             config.detections[i].h * frame.height_px
-            for i in cluster.members
+            for i in cluster
         )
         parts.append(PartitionDescriptor(pid, x1 - x0, y1 - y0, areas))
     return parts
 
 
-# ``ClusterGeometry.centroid`` adds the member centres in Python floats one
-# at a time from 0.0 and divides by the member count, at every size: the
-# axis-0 ``mean`` below adds the gathered C-order (k, 2) rows one row at a
-# time at every length. Up to 7 members ``ClusterGeometry.stats`` adds the
+# ``ClusterGeometry.means``' loop, which fills the ``centroid`` memo, adds
+# the member centres in Python floats one at a time from 0.0 and divides by
+# the member count, at every size: the axis-0 ``mean`` below adds the
+# gathered C-order (k, 2) rows one row at a time at every length. Up to 7
+# members ``ClusterGeometry.stats`` adds the
 # spread, the mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass
 # population variance (mean first, then the mean of the squared deviations)
 # the same way. numpy's 1-D ``add.reduce`` adds fewer than 8 elements in
@@ -607,8 +618,8 @@ def encode_state_reference(config: ClusterConfig, n_pad: int, total_detections: 
     for slot, c in enumerate(config.clusters[:n_pad]):
         base = slot * FEATURES_PER_CLUSTER
         s[base:base + FEATURES_PER_CLUSTER] = (
-            c.mu_x, c.mu_y, c.mu_w, c.mu_h,
-            c.size / total_detections if total_detections else 0.0,
+            *cluster_means_reference(c, config.detections),
+            len(c) / total_detections if total_detections else 0.0,
         )
     if include_count:
         s[-1] = min(config.count / n_pad, 1.0)
@@ -621,7 +632,7 @@ def action_mask_reference(config: ClusterConfig, n_pad: int) -> np.ndarray:
     mask[KEEP] = True
     mask[MERGE] = config.count >= 2
     for i, c in enumerate(config.clusters[:n_pad]):
-        mask[SPLIT_BASE + i] = c.size >= 2
+        mask[SPLIT_BASE + i] = len(c) >= 2
     return mask
 
 
@@ -965,7 +976,7 @@ def tied_config(rng, sizes, grid: int | None = None, copies=()) -> ClusterConfig
     clusters = []
     for k, size in enumerate(sizes):
         if k in copies and k > 0:
-            new = [boxes[i] for i in clusters[-1].members]
+            new = [boxes[i] for i in clusters[-1]]
         else:
             new = []
             for _ in range(size):

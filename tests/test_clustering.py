@@ -30,10 +30,20 @@ from sceneplan.core import (
     make_cluster,
     validate_partition,
 )
-from sceneplan.rl_env import KEEP, MERGE, SPLIT_BASE, RewardWeights, apply_action, reward, step
+from sceneplan.rl_env import (
+    KEEP,
+    MERGE,
+    SPLIT_BASE,
+    RewardWeights,
+    apply_action,
+    encode_state,
+    reward,
+    step,
+)
 from sceneplan.scene import SceneSpec, Stratum, coarse_detect, generate_scene
 
 from oracles import (
+    cluster_means_reference,
     geometry_of,
     kmeans_1d_best_cost,
     kmeans_1d_reference,
@@ -511,13 +521,13 @@ def test_merge_two_singletons():
     merged = merge_clusters(cfg, 0, 1)
     assert merged.count == 1
     c = merged.clusters[0]
-    assert (c.mu_x, c.mu_y, c.size) == (0.5, 0.5, 2)
+    assert (*geometry_of(merged).means(c)[:2], len(c)) == (0.5, 0.5, 2)
 
 
 def test_merge_conserves_members(rng):
     cfg = random_config(rng, 5)
     merged = merge_clusters(cfg, 1, 3)
-    assert sum(c.size for c in merged.clusters) == len(cfg.detections)
+    assert sum(len(c) for c in merged.clusters) == len(cfg.detections)
     validate_partition(merged)
 
 
@@ -528,14 +538,16 @@ def test_merge_centroid_weighted_mean(rng):
         a, b = cfg.clusters[i], cfg.clusters[j]
         merged = merge_clusters(cfg, i, j)
         c = merged.clusters[-1]
+        means = geometry_of(cfg).means
         # oracle: recompute from the raw member boxes
-        members = sorted(a.members + b.members)
+        members = sorted(a + b)
         xs = [cfg.detections[m].cx for m in members]
         ys = [cfg.detections[m].cy for m in members]
-        assert c.mu_x == pytest.approx(sum(xs) / len(xs), abs=1e-12)
-        assert c.mu_y == pytest.approx(sum(ys) / len(ys), abs=1e-12)
-        ws = a.size + b.size
-        assert c.mu_x == pytest.approx((a.mu_x * a.size + b.mu_x * b.size) / ws, abs=1e-9)
+        assert means(c)[0] == pytest.approx(sum(xs) / len(xs), abs=1e-12)
+        assert means(c)[1] == pytest.approx(sum(ys) / len(ys), abs=1e-12)
+        ws = len(a) + len(b)
+        assert means(c)[0] == pytest.approx(
+            (means(a)[0] * len(a) + means(b)[0] * len(b)) / ws, abs=1e-9)
 
 
 def test_merge_clusters_either_order_keeps_the_others_in_order(rng):
@@ -545,7 +557,7 @@ def test_merge_clusters_either_order_keeps_the_others_in_order(rng):
         assert merge_clusters(cfg, j, i) == merged
         assert merged.detections is cfg.detections
         assert merged.clusters == tuple(c for k, c in enumerate(cfg.clusters) if k not in (i, j)) \
-            + (make_cluster(cfg.clusters[i].members + cfg.clusters[j].members, cfg.detections),)
+            + (make_cluster(cfg.clusters[i] + cfg.clusters[j], cfg.detections),)
 
 
 def test_merge_rejects_bad_indices(rng):
@@ -557,7 +569,7 @@ def test_merge_rejects_bad_indices(rng):
 
 
 def test_raw_geometry_centroid_is_the_clusters_mean(rng):
-    # both add the member centres in member order, at every cluster size
+    # the centroid's sums are the raw means' in raw space, at every cluster size
     frame = generate_scene(SceneSpec(3840, 2160, 600, 600, (
         Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=5))
     boxes = coarse_detect(frame, 2, 4).detections
@@ -569,7 +581,8 @@ def test_raw_geometry_centroid_is_the_clusters_mean(rng):
     for detections, clusters in [(boxes, coarse)] + [(c.detections, c.clusters) for c in configs]:
         geometry = ClusterGeometry(detections, None)
         for c in clusters:
-            assert geometry.centroid(c.members) == (c.mu_x, c.mu_y)
+            assert geometry.centroid(c) == geometry.means(c)[:2] \
+                == cluster_means_reference(c, detections)[:2]
 
 
 def test_split_along_x():
@@ -577,15 +590,15 @@ def test_split_along_x():
     cfg = ClusterConfig((make_cluster([0, 1, 2, 3], boxes),), tuple(boxes))
     out = split_cluster(cfg, 0, geometry_of(cfg))
     assert out.count == 2
-    assert out.clusters[0].members == (0, 1)
-    assert out.clusters[1].members == (2, 3)
+    assert out.clusters[0] == (0, 1)
+    assert out.clusters[1] == (2, 3)
 
 
 def test_split_forced_pair():
     boxes = [DetectionBox(0.2, 0.5, 0.05, 0.05), DetectionBox(0.8, 0.5, 0.05, 0.05)]
     cfg = ClusterConfig((make_cluster([0, 1], boxes),), tuple(boxes))
     out = split_cluster(cfg, 0, geometry_of(cfg))
-    assert [c.size for c in out.clusters] == [1, 1]
+    assert [len(c) for c in out.clusters] == [1, 1]
 
 
 def test_split_conserves_partition(rng):
@@ -593,7 +606,7 @@ def test_split_conserves_partition(rng):
         cfg = random_config(rng, 3, min_size=2, max_size=8)
         out = split_cluster(cfg, 1, geometry_of(cfg))
         assert out.count == cfg.count + 1
-        assert sum(c.size for c in out.clusters) == len(cfg.detections)
+        assert sum(len(c) for c in out.clusters) == len(cfg.detections)
         validate_partition(out)
 
 
@@ -601,8 +614,8 @@ def test_split_then_merge_restores_members(rng):
     cfg = random_config(rng, 2, min_size=3, max_size=8)
     out = split_cluster(cfg, 0, geometry_of(cfg))
     restored = merge_clusters(out, 0, out.count - 1)
-    restored_sets = sorted(c.members for c in restored.clusters)
-    original_sets = sorted(c.members for c in cfg.clusters)
+    restored_sets = sorted(restored.clusters)
+    original_sets = sorted(cfg.clusters)
     assert restored_sets == original_sets
 
 
@@ -613,6 +626,8 @@ def test_geometry_for_another_frame_rejected(rng):
         select_merge_pair(cfg, other)
     with pytest.raises(ValueError, match="another frame"):
         split_cluster(cfg, 0, other)
+    with pytest.raises(ValueError, match="another frame"):
+        encode_state(cfg, other, 4)
     for action in (KEEP, MERGE, SPLIT_BASE):
         with pytest.raises(ValueError, match="another frame"):
             apply_action(cfg, action, other)
@@ -631,8 +646,8 @@ def test_split_ties_go_to_y():
     boxes = [DetectionBox(c, r, 0.05, 0.05) for r in (0.2, 0.8) for c in (0.2, 0.8)]
     cfg = ClusterConfig((make_cluster([0, 1, 2, 3], boxes),), tuple(boxes))
     out = split_cluster(cfg, 0, geometry_of(cfg))
-    assert out.clusters[0].members == (0, 1)
-    assert out.clusters[1].members == (2, 3)
+    assert out.clusters[0] == (0, 1)
+    assert out.clusters[1] == (2, 3)
 
 
 # ---------------------------------------------------------------------------

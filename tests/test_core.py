@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneplan.clustering import ClusterGeometry, TransformParams
 from sceneplan.core import (
-    Cluster,
     ClusterConfig,
     DetectionBox,
     Frame,
@@ -21,7 +21,7 @@ from sceneplan.core import (
     write_file,
 )
 
-from oracles import iou_exact, iou_raster, random_boxes
+from oracles import cluster_means_reference, iou_exact, iou_raster, random_boxes
 
 
 def test_box_validation():
@@ -180,23 +180,28 @@ def test_nms_threshold_validation():
         nms([], 1.0)
 
 
-def stats_of(c: Cluster):
-    return c.mu_x, c.mu_y, c.mu_w, c.mu_h, c.size
+def stats_of(members, boxes):
+    """The cluster of ``members``: its raw means in a transformed geometry
+    of ``boxes``, which must equal the reference's, and its size."""
+    c = make_cluster(members, boxes)
+    means = ClusterGeometry(boxes, TransformParams(0.5)).means(c)
+    assert means == cluster_means_reference(c, boxes)
+    return (*means, len(c))
 
 
 def test_cluster_stats_singleton():
     box = DetectionBox(0.3, 0.4, 0.1, 0.2)
-    assert stats_of(make_cluster([0], [box])) == (0.3, 0.4, 0.1, 0.2, 1)
+    assert stats_of([0], [box]) == (0.3, 0.4, 0.1, 0.2, 1)
 
 
 def test_cluster_stats_symmetry():
     boxes = [DetectionBox(0.0, 0.0, 0.1, 0.1), DetectionBox(1.0, 1.0, 0.1, 0.1)]
-    assert stats_of(make_cluster([0, 1], boxes)) == (0.5, 0.5, 0.1, 0.1, 2)
+    assert stats_of([0, 1], boxes) == (0.5, 0.5, 0.1, 0.1, 2)
 
 
 def test_cluster_stats_matches_naive_mean(rng):
     boxes = random_boxes(rng, 20)
-    mx, my, mw, mh, n = stats_of(make_cluster(range(20), boxes))
+    mx, my, mw, mh, n = stats_of(range(20), boxes)
     assert n == 20
     assert mx == pytest.approx(math.fsum(b.cx for b in boxes) / 20, abs=1e-12)
     assert my == pytest.approx(math.fsum(b.cy for b in boxes) / 20, abs=1e-12)
@@ -212,17 +217,23 @@ def test_cluster_stats_empty_rejected():
 def test_make_cluster_recomputable(rng):
     boxes = random_boxes(rng, 8)
     c = make_cluster([5, 1, 3], boxes)
-    assert c.members == (1, 3, 5)
-    mx, my, mw, mh, _ = stats_of(make_cluster([3, 5, 1], boxes))
-    for got, want in zip((c.mu_x, c.mu_y, c.mu_w, c.mu_h), (mx, my, mw, mh)):
-        assert got == want
-    for got, attr in zip((c.mu_x, c.mu_y, c.mu_w, c.mu_h), ("cx", "cy", "w", "h")):
-        assert abs(got - math.fsum(getattr(boxes[i], attr) for i in c.members) / 3) < 1e-9
+    assert c == (1, 3, 5)
+    got = stats_of([5, 1, 3], boxes)[:4]
+    assert stats_of([3, 5, 1], boxes)[:4] == got  # bitwise: any order, one sum
+    for mean, attr in zip(got, ("cx", "cy", "w", "h")):
+        assert abs(mean - math.fsum(getattr(boxes[i], attr) for i in c) / 3) < 1e-9
 
 
 def test_make_cluster_rejects_duplicates(rng):
     with pytest.raises(ValueError):
         make_cluster([1, 1], random_boxes(rng, 3))
+
+
+@pytest.mark.parametrize("outside", [-1, 5])
+def test_make_cluster_rejects_members_outside_the_frame(rng, outside):
+    boxes = random_boxes(rng, 5)
+    with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+        make_cluster([0, outside], boxes)
 
 
 def test_validate_partition(rng):
@@ -279,7 +290,7 @@ def test_bounding_block_contains_members(rng):
 
 def test_bounding_block_empty_cluster_rejected():
     frame = Frame(100, 100)
-    c = Cluster((), 0, 0, 0, 0)
+    c = ()
     with pytest.raises(ValueError):
         bounding_block(c, [], 0.0, frame)
 

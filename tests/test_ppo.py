@@ -501,7 +501,7 @@ def test_infer_single_cluster_scene_safe(rng):
     ckpt = make_ckpt(rng)
     out = infer_clusters(frame, ckpt, t_max=5)
     assert out.count == 1
-    assert out.clusters[0].members == (0,)
+    assert out.clusters[0] == (0,)
 
 
 def test_infer_deterministic(rng):

@@ -49,6 +49,7 @@ from oracles import (
     aggregate_tiles_reference,
     bounding_block_reference,
     centroids_reference,
+    cluster_means_reference,
     dp_plan_reference,
     encode_state_reference,
     estimate_bandwidth_reference,
@@ -158,7 +159,7 @@ def geometries(config, transform):
     holds every cluster's statistics."""
     fresh, filled = (ClusterGeometry(config.detections, transform) for _ in range(2))
     for c in config.clusters:
-        filled.stats(c.members)
+        filled.stats(c)
     return fresh, filled
 
 
@@ -171,7 +172,7 @@ def merge_pair_reference(config, transform):
 
 
 def splittable(config):
-    return [i for i, c in enumerate(config.clusters) if c.size >= 2]
+    return [i for i, c in enumerate(config.clusters) if len(c) >= 2]
 
 
 def split_clusters(config, split):
@@ -359,8 +360,15 @@ def state_args(draw):
     return config, n_pad, draw(st.booleans())
 
 
+def state_new(config, n_pad, include_count):
+    """The state in a raw and in a transformed geometry: both read the raw
+    means."""
+    return [encode_state(config, ClusterGeometry(config.detections, transform), n_pad,
+                         include_count) for transform in (None, TransformParams(0.5))]
+
+
 def state_reference(config, n_pad, include_count):
-    return encode_state_reference(config, n_pad, len(config.detections), include_count)
+    return [encode_state_reference(config, n_pad, len(config.detections), include_count)] * 2
 
 
 # --- policy_sample --------------------------------------------------------------
@@ -569,6 +577,18 @@ def cluster_args(draw):
     return members, detections
 
 
+def cluster_new(members, detections):
+    """The cluster and its raw means in a raw and in a transformed geometry."""
+    cluster = make_cluster(members, detections)
+    return cluster, [ClusterGeometry(detections, transform).means(cluster)
+                     for transform in (None, TransformParams(0.5))]
+
+
+def cluster_reference(members, detections):
+    cluster = make_cluster_reference(members, detections)
+    return cluster, [cluster_means_reference(cluster, detections)] * 2
+
+
 # --- estimate_bandwidth -------------------------------------------------------------
 
 @st.composite
@@ -756,7 +776,7 @@ REGISTRY = [
     ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
     ("partitions_from_blocks", caught(partitions_from_blocks),
      caught(partitions_from_blocks_reference), partition_args(), 200),
-    ("encode_state", encode_state, state_reference, state_args(), 200),
+    ("encode_state", state_new, state_reference, state_args(), 200),
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_rows_reference),
      sample_args(), 200),
@@ -770,7 +790,7 @@ REGISTRY = [
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_new, aggregate_tiles_reference, aggregate_args(), 100),
     ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),
-    ("make_cluster", caught(make_cluster), caught(make_cluster_reference), cluster_args(), 200),
+    ("make_cluster", caught(cluster_new), caught(cluster_reference), cluster_args(), 200),
     ("estimate_bandwidth", at_quantiles(estimate_bandwidth),
      at_quantiles(estimate_bandwidth_reference), bandwidth_points(), 24),
     ("nms_random_boxes", kept_ids(nms), kept_ids(nms_reference),

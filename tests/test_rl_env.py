@@ -76,7 +76,7 @@ def n_singletons(n):
 
 def test_encode_padding():
     cfg = singleton_config([(0.3, 0.4)])
-    s = encode_state(cfg, n_pad=3)
+    s = encode_state(cfg, geometry_of(cfg), n_pad=3)
     assert len(s) == 16
     assert s[:5] == pytest.approx([0.3, 0.4, 0.05, 0.05, 1.0])
     assert (s[5:15] == 0).all()
@@ -85,7 +85,7 @@ def test_encode_padding():
 
 def test_encode_full():
     cfg = n_singletons(3)
-    s = encode_state(cfg, n_pad=3)
+    s = encode_state(cfg, geometry_of(cfg), n_pad=3)
     slots = s[:-1].reshape(3, 5)
     assert (slots != 0).all()
     assert s[-1] == 1.0
@@ -93,22 +93,22 @@ def test_encode_full():
 
 def test_encode_truncates():
     cfg = n_singletons(5)
-    s = encode_state(cfg, n_pad=3)
+    s = encode_state(cfg, geometry_of(cfg), n_pad=3)
     assert len(s) == 16
     assert s[-1] == 1.0
-    assert s[0] == pytest.approx(cfg.clusters[0].mu_x)
+    assert s[0] == pytest.approx(cfg.detections[cfg.clusters[0][0]].cx)
 
 
 def test_encode_count_flag_off():
     cfg = n_singletons(2)
-    s = encode_state(cfg, n_pad=4, include_count=False)
+    s = encode_state(cfg, geometry_of(cfg), n_pad=4, include_count=False)
     assert s[-1] == 0.0
 
 
 def test_encode_entries_in_unit_range(rng):
     for _ in range(10):
         cfg = random_config(rng, 4)
-        s = encode_state(cfg, n_pad=6)
+        s = encode_state(cfg, geometry_of(cfg), n_pad=6)
         assert (s >= 0).all() and (s <= 1).all()
 
 
@@ -250,7 +250,7 @@ def test_step_split_conserves(rng):
     cfg = random_config(rng, 2, min_size=4, max_size=4)
     out = step(cfg, SPLIT_BASE + 0, 8, geometry_of(cfg))
     assert out.config.count == 3
-    assert sum(c.size for c in out.config.clusters) == 8
+    assert sum(len(c) for c in out.config.clusters) == 8
 
 
 def test_step_masked_action_degrades_to_keep():
@@ -293,10 +293,10 @@ def test_apply_action_split_invalid_index(rng):
 
 
 def test_reset_single_detection():
-    cfg = initial_clusters(ClusterGeometry((DetectionBox(0.4, 0.6, 0.1, 0.1),),
-                                           TransformParams()))
+    geometry = ClusterGeometry((DetectionBox(0.4, 0.6, 0.1, 0.1),), TransformParams())
+    cfg = initial_clusters(geometry)
     assert cfg.count == 1
-    s = encode_state(cfg, n_pad=4)
+    s = encode_state(cfg, geometry, n_pad=4)
     assert (s[:5] != 0).all() and (s[5:20] == 0).all()
 
 
@@ -454,16 +454,14 @@ def test_split_never_worsens_cluster_spread(rng):
     for trial in range(50):
         cfg = random_config(rng, 1, min_size=3, max_size=12)
         cluster = cfg.clusters[0]
-        pts = np.array([[cfg.detections[i].cx, cfg.detections[i].cy]
-                        for i in cluster.members])
+        pts = np.array([[cfg.detections[i].cx, cfg.detections[i].cy] for i in cluster])
         orig = np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean()
         out = split_cluster(cfg, 0, geometry_of(cfg))
         weighted = 0.0
         for c in out.clusters:
-            sub = np.array([[cfg.detections[i].cx, cfg.detections[i].cy]
-                            for i in c.members])
+            sub = np.array([[cfg.detections[i].cx, cfg.detections[i].cy] for i in c])
             weighted += len(sub) * np.linalg.norm(sub - sub.mean(axis=0), axis=1).mean()
-        weighted /= cluster.size
+        weighted /= len(cluster)
         assert weighted <= orig + 1e-12, f"trial {trial}"
 
 
@@ -482,7 +480,7 @@ def reference_step(cfg, action, transform):
     if action == MERGE and cfg.count >= 2:
         return merge_clusters(cfg, *select_merge_pair_reference(cfg, transform))
     idx = action - SPLIT_BASE
-    if 0 <= idx < cfg.count and cfg.clusters[idx].size >= 2:
+    if 0 <= idx < cfg.count and len(cfg.clusters[idx]) >= 2:
         return split_cluster_reference(cfg, idx, transform)
     return cfg
 
@@ -572,10 +570,23 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
         episodes = rollout([frame], DESK_ENV, 30, choose, np.random.default_rng(seed))
         assert calls == []
         scores = episodes.scores()
-        assert len(calls) == 1 and len(calls[0]) == 30
+        assert len(calls) == 1 and len(calls[0]) == stepped_outcomes(episodes.traces[0])
         assert scores.tolist() == reference_scores(episodes, DESK_ENV.transform)
         calls.clear()
     assert {out.applied for out in episodes.traces[0]} >= {"merge", "split"}
+
+
+def test_scores_score_each_distinct_record_once(monkeypatch):
+    # a replayed step's trace entry is the record it repeats: scored once
+    import sceneplan.ppo as ppo
+
+    episodes = rollout(desk_frames(8), TEST_ENV, 30, greedy_chooser(5))
+    calls, original = [], ppo.rewards
+    monkeypatch.setattr(ppo, "rewards", lambda scored: calls.append(scored) or original(scored))
+    scores = episodes.scores()
+    assert sum(map(len, episodes.traces)) == 240
+    assert [len(scored) for scored in calls] == [88]
+    assert scores.tolist() == reference_scores(episodes, TEST_ENV.transform)
 
 
 @pytest.mark.parametrize("weights, named", [

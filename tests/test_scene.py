@@ -476,7 +476,7 @@ def test_crowd_frame_matches_reference_path(bandwidth):
     bw = bandwidth.value if bandwidth.mode == "fixed" else \
         estimate_bandwidth_reference(pts, bandwidth.value)
     labels = meanshift_reference(pts, bw)
-    assert [c.members for c in config.clusters] == \
+    assert list(config.clusters) == \
         [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1)]
 
 
@@ -490,7 +490,7 @@ def test_crowd_frame_of_500_detections_matches_reference_clustering():
     pts = transform_y([[b.cx, b.cy] for b in frame.detections], TransformParams(0.5))
     labels = meanshift_reference(pts, 0.12)
     assert config.count > 10
-    assert [c.members for c in config.clusters] == \
+    assert list(config.clusters) == \
         [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max() + 1)]
 
 
@@ -619,6 +619,7 @@ def test_geometry_of_a_coarse_frame_equals_one_of_its_plain_boxes(transform):
     config = initial_clusters(laid_out, BandwidthSpec("fixed", 0.12))
     assert config.count > 10
     assert config.clusters == initial_clusters(walked, BandwidthSpec("fixed", 0.12)).clusters
-    members = [c.members for c in config.clusters] + [tuple(range(k)) for k in (1, 7, 8, 64)]
+    members = list(config.clusters) + [tuple(range(k)) for k in (1, 7, 8, 64)]
     for m in members:
         assert repr(laid_out.stats(m)) == repr(walked.stats(m))
+        assert repr(laid_out.means(m)) == repr(walked.means(m))

@@ -1,0 +1,107 @@
+"""Alternating pairs of benchmark runs: a revision against this tree.
+
+    python3 tools/pairs.py REV --workload W [--pairs 10] [--seconds 5] [--seed S]
+
+REV's side is a temporary tree of REV's src/ (from ``git archive``) beside a
+copy of this tree's bench/, so both sides run the same benchmark, each on its
+own program. Pair k runs ``bench/run.py --trace 0`` with seed S + k on both
+sides, REV first in even pairs and this tree first in odd ones, so a drift in
+the machine's speed favours neither. For each end-to-end metric named in
+BENCHMARK.json it prints both sides' medians with their quartiles, and in how
+many pairs this tree reads lower, higher or equal. A run that exits non-zero
+or reports ``"correct": false`` stops the tool, naming the side, the seed and
+the exit code. Compare trees on one machine, with nothing else running.
+"""
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of ``values``, interpolated
+    between the closest ranks (``statistics.quantiles``' inclusive method)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs, metrics, rev: str) -> list[str]:
+    """One line per metric of ``metrics`` (BENCHMARK.json's ``end_to_end``
+    entries) over ``pairs``, a list of (REV's metrics, this tree's metrics)
+    dicts of metric name to value, one per pair of runs."""
+    lines = []
+    for metric in metrics:
+        name = metric["name"]
+        theirs = [a[name] for a, _ in pairs]
+        ours = [b[name] for _, b in pairs]
+        diffs = [b - a for a, b in zip(theirs, ours)]
+        counts = (sum(d < 0 for d in diffs), sum(d > 0 for d in diffs), sum(d == 0 for d in diffs))
+        sides = [f"{side} {m:.6g} [{q1:.6g}, {q3:.6g}]"
+                 for side, (q1, m, q3) in ((rev, quartiles(theirs)),
+                                           ("this tree", quartiles(ours)))]
+        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): median "
+                     f"[quartiles] {sides[0]}, {sides[1]}; this tree lower in {counts[0]}, "
+                     f"higher in {counts[1]}, equal in {counts[2]} of {len(pairs)} pairs")
+    return lines
+
+
+def run(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """The end-to-end metrics of one ``bench/run.py --trace 0`` run in ``root``."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    if proc.returncode or not result.get("correct"):
+        sys.exit(f"{side}: seed {seed}: bench/run.py exited {proc.returncode}"
+                 f" with correct={result.get('correct')}\n{proc.stderr.strip()}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the git revision to compare this tree with")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=5.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    tree = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT, capture_output=True)
+    if tree.returncode:
+        sys.exit(f"git archive {args.rev} src: {tree.stderr.decode().strip()}")
+    pairs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        shutil.copytree(ROOT / "bench", Path(tmp) / "bench",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sides = [(Path(tmp), args.rev), (ROOT, "this tree")]
+        for k in range(args.pairs):
+            seed, got = args.seed + k, [None, None]
+            for i in ((0, 1) if k % 2 == 0 else (1, 0)):
+                got[i] = run(*sides[i], args.workload, seed, args.seconds)
+            pairs.append(tuple(got))
+            print(f"pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    print(f"{args.workload}: {args.rev} against this tree, {args.pairs} pairs from seed "
+          f"{args.seed}, --seconds {args.seconds:g}")
+    print("\n".join(summarize(pairs, metrics, args.rev)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
