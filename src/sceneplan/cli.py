@@ -20,7 +20,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .clustering import BandwidthSpec, TransformParams
-from .core import Frame, bounding_blocks, check_number, read_json, write_csv, write_json
+from .core import (
+    Frame, bounding_blocks, check_fields, check_number, read_json, write_csv, write_json)
 from .offload import (
     InfeasiblePlanError,
     PartitionDescriptor,
@@ -130,43 +131,40 @@ def load_config(path) -> dict:
 
 
 def _config(args: argparse.Namespace) -> dict:
-    """Flags over file values over defaults, each typed and ranged by key."""
+    """Flags over file values over defaults, each typed and ranged by key:
+    here if no type takes the key, else by the type it fills, built here once;
+    the field a type's error starts with gives the key: ``reward.<field>``,
+    ``train.<field>`` (but top-level ``t_max``, ``seed``) or ``EnvConfig``'s."""
     cfg = load_config(args.config)
     for key, value in vars(args).items():
         if value is not None and (key in cfg or key == "iterations"):
             block = cfg["train"] if key == "iterations" else cfg
             _check_value(key, block[key], value)
             block[key] = value
-    bandwidth, reward, hyper = cfg["bandwidth_value"], cfg["reward"], cfg["train"]
-    top = 1.0 if cfg["bandwidth_mode"] == "quantile" else float("inf")  # quantiles below 1
-    for key, ok, want in (
-            *((f"reward.{k}", reward[k] >= 0.0, ">= 0")
-              for k in ("alpha", "beta", "gamma", "delta")),
-            ("reward.d_m", reward["d_m"] > 0.0, "> 0"),
-            ("train.gamma", 0.0 < hyper["gamma"] < 1.0, "in (0, 1)"),
-            *((f"train.{k}", hyper[k] > 0, "> 0")
-              for k in ("clip_eps", "lr_policy", "lr_critic", "batch_size",
-                        "episodes_per_iter", "epochs")),
-            ("train.iterations", hyper["iterations"] >= 0, ">= 0"),
-            ("seed", cfg["seed"] >= 0, ">= 0"),
-            *((k, cfg[k] >= 1, ">= 1")
-              for k in ("n", "e", "t_max", "n_pad", "num_scenes", "episodes")),
-            ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
-            ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
-            ("transform_alpha", 0.0 < cfg["transform_alpha"] < 1.0, "in (0, 1)"),
-            ("d_max", cfg["d_max"] >= 0, ">= 0"),
-            ("policy", cfg["policy"] in ("trained", "keep", "random"),
-             "'trained', 'keep' or 'random'"),
-            ("bandwidth_mode", cfg["bandwidth_mode"] in ("fixed", "quantile"),
-             "'fixed' or 'quantile'"),
-            ("bandwidth_value", 0.0 < bandwidth < top, f"in (0, {top})"),
-            ("reward.n_min", reward["n_min"] >= 1, ">= 1"),
-            ("reward.n_max", reward["n_max"] >= reward["n_min"], ">= reward.n_min")):
-        if not ok:
-            block, _, sub = key.rpartition(".")
-            raise ValueError(f"config key {key!r} must be {want}, "
-                             f"got {cfg[block][sub] if block else cfg[key]!r}")
+    for build, prefix, keys in (
+            (lambda: check_fields(cfg, [
+                ("seed", cfg["seed"] >= 0, ">= 0"),
+                *((k, cfg[k] >= 1, ">= 1") for k in ("n", "e", "num_scenes", "episodes")),
+                ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
+                ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
+                ("d_max", cfg["d_max"] >= 0, ">= 0"),
+                ("policy", cfg["policy"] in ("trained", "keep", "random"),
+                 "'trained', 'keep' or 'random'")]), "", {}),
+            (lambda: RewardWeights(**cfg["reward"]), "reward.", {}),
+            (lambda: _hyper(cfg), "train.", {"t_max": "t_max", "seed": "seed"}),
+            (lambda: _env_config(cfg), "", {"alpha": "transform_alpha", "mode": "bandwidth_mode",
+                                            "value": "bandwidth_value"})):
+        try:
+            build()
+        except ValueError as e:  # "<field> must be <want>, got <value>"
+            field, _, want = str(e).partition(" must be ")
+            key = keys.get(field, prefix + field)
+            raise ValueError(f"config key {key!r} must be {want}") from None
     return cfg
+
+
+def _hyper(cfg: dict) -> Hyperparams:
+    return Hyperparams(seed=cfg["seed"], t_max=cfg["t_max"], **cfg["train"])
 
 
 def _env_config(cfg: dict) -> EnvConfig:
@@ -328,8 +326,7 @@ def cmd_train(args) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "policy.ckpt")
     log_path = os.path.join(out_dir, "training_log.csv")
-    hyper = Hyperparams(seed=cfg["seed"], t_max=cfg["t_max"], **cfg["train"])
-    ckpt = train(sampler_from_spec(spec), _env_config(cfg), hyper, log_path=log_path)
+    ckpt = train(sampler_from_spec(spec), _env_config(cfg), _hyper(cfg), log_path=log_path)
     save_checkpoint(ckpt, ckpt_path)
     print(f"wrote {ckpt_path} (final mean return "
           f"{ckpt.meta.get('final_mean_return')})")

@@ -28,18 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterConfig, as_boxes, expand_ranges, make_cluster
+from .core import ClusterConfig, as_boxes, check_fields, expand_ranges, make_cluster
 
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Exponent applied to normalized y before clustering; in (0, 1)."""
+    """Exponent of normalized y before clustering; an error starts with its field."""
 
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
+        check_fields(vars(self), [("alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")])
 
 
 def _check_bandwidth(value) -> None:
@@ -50,17 +49,17 @@ def _check_bandwidth(value) -> None:
 
 @dataclass(frozen=True)
 class BandwidthSpec:
-    """MeanShift bandwidth: a fixed radius or a nearest-neighbor quantile."""
+    """MeanShift bandwidth, fixed or a neighbor quantile; an error starts with its field."""
 
     mode: str = "quantile"
     value: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "quantile"):
-            raise ValueError(f"bandwidth mode {self.mode!r} not fixed/quantile")
-        _check_bandwidth(self.value)
-        if self.mode == "quantile" and self.value >= 1.0:
-            raise ValueError(f"quantile {self.value} must be below 1")
+        top = 1.0 if self.mode == "quantile" else math.inf
+        real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
+        check_fields(vars(self), [
+            ("mode", self.mode in ("fixed", "quantile"), "'fixed' or 'quantile'"),
+            ("value", real and 0.0 < self.value < top, f"in (0, {top:g})")])
 
 
 def transform_y(points, params: TransformParams = TransformParams()):

@@ -38,6 +38,14 @@ def check_number(value, where: str, integer: bool = False):
     return value
 
 
+def check_fields(values, checks) -> None:
+    """Raise ``ValueError("<field> must be <want>, got <values[field]!r>")`` at the
+    first ``(field, ok, want)`` not ok; write ``ok`` as ``x > 0``, so NaN fails it."""
+    for field, ok, want in checks:
+        if not ok:
+            raise ValueError(f"{field} must be {want}, got {values[field]!r}")
+
+
 def write_file(path, data) -> None:
     """Replace ``path`` with ``data``, a str written as UTF-8 or bytes.
 

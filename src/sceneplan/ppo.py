@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters_frames
-from .core import ClusterConfig, Frame, write_csv, write_file
+from .core import ClusterConfig, Frame, check_fields, write_csv, write_file
 from .rl_env import (
     KEEP,
     EnvConfig,
@@ -67,7 +67,7 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Training knobs; defaults follow common clipped-surrogate practice."""
+    """Training knobs, after clipped-surrogate practice; an error starts with its field."""
 
     gamma: float = 0.99
     clip_eps: float = 0.2
@@ -83,16 +83,13 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"discount {self.gamma} outside (0, 1)")
-        if self.clip_eps <= 0.0:
-            raise ValueError("clip parameter must be positive")
-        for name in ("lr_policy", "lr_critic", "batch_size", "t_max",
-                     "episodes_per_iter", "epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        check_fields(vars(self), [
+            ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
+            *((name, getattr(self, name) > 0, "> 0")
+              for name in ("clip_eps", "lr_policy", "lr_critic", "batch_size", "t_max",
+                           "episodes_per_iter", "epochs")),
+            ("iterations", self.iterations >= 0, ">= 0"),
+            ("entropy_coef", self.entropy_coef >= 0.0, ">= 0")])
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
 

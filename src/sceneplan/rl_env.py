@@ -37,7 +37,7 @@ from .clustering import (
     split_cluster,
     squared_distances,
 )
-from .core import ClusterConfig, expand_ranges
+from .core import ClusterConfig, check_fields, expand_ranges
 
 KEEP, MERGE = 0, 1
 SPLIT_BASE = 2
@@ -47,7 +47,7 @@ REWARD_TERMS = ("alpha", "beta", "gamma", "delta")  # the weights of R1-R4
 
 @dataclass(frozen=True)
 class RewardWeights:
-    """Weights and bounds of the four reward components.
+    """Weights and bounds of the four reward components; an error starts with its field.
 
     alpha scales cluster tightness, beta the object-area variance, gamma
     the cluster-count band penalty, delta the close-centroid penalty.
@@ -62,12 +62,11 @@ class RewardWeights:
     d_m: float = 0.03
 
     def __post_init__(self) -> None:
-        if min(self.alpha, self.beta, self.gamma, self.delta) < 0.0:
-            raise ValueError("reward weights must be nonnegative")
-        if not (1 <= self.n_min <= self.n_max):
-            raise ValueError(f"cluster-count band [{self.n_min}, {self.n_max}] invalid")
-        if self.d_m <= 0.0:
-            raise ValueError("d_m must be positive")
+        check_fields(vars(self), [
+            *((name, getattr(self, name) >= 0.0, ">= 0") for name in REWARD_TERMS),
+            ("n_min", self.n_min >= 1, ">= 1"),
+            ("n_max", self.n_max >= self.n_min, ">= n_min"),
+            ("d_m", self.d_m > 0.0, "> 0")])
 
 
 def state_dim(n_pad: int) -> int:
@@ -238,7 +237,7 @@ def step(config: ClusterConfig, action: int, n_pad: int,
 @dataclass(frozen=True)
 class EnvConfig:
     """Everything an episode needs besides its frame and horizon;
-    ``ppo.rollout`` rolls frames under one.
+    ``ppo.rollout`` rolls frames under one. An error starts with its field.
 
     The transform sets the frame's clustering space, the ``ClusterGeometry``
     that the MeanShift start, the reward, merge and split all read.
@@ -251,5 +250,4 @@ class EnvConfig:
     include_count: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_pad < 1:
-            raise ValueError(f"n_pad must be >= 1, got {self.n_pad!r}")
+        check_fields(vars(self), [("n_pad", self.n_pad >= 1, ">= 1")])

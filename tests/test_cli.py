@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from sceneplan.cli import DEFAULTS, _config, build_parser, load_clusters, main
 from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters
+from sceneplan.ppo import Hyperparams
+from sceneplan.rl_env import EnvConfig, RewardWeights
 from sceneplan.scene import load_detections
 
 SPEC = {
@@ -572,13 +574,39 @@ def test_pipeline_out_of_range_coarse_input_names_key(tmp_path, capsys, key, val
     ("reward.d_m", 0), ("reward.d_m", -0.05), ("train.gamma", 1.5), ("train.gamma", 0.0),
     ("train.gamma", 1), ("train.clip_eps", 0.0), ("train.lr_policy", 0), ("train.lr_critic", -1e-3),
     ("train.batch_size", 0), ("train.episodes_per_iter", -2), ("train.epochs", 0),
-    ("train.iterations", -1)])
+    ("train.iterations", -1), ("train.entropy_coef", -1.0)])
 def test_train_out_of_range_reward_or_train_value_names_key(tmp_path, capsys, key, value):
     block, _, sub = key.partition(".")
     cfg_path, _ = base_config(tmp_path, **{block: {**base_config(tmp_path)[1][block], sub: value}})
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert f"config key {key!r} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+NAN = float("nan")
+# every range-checked field of the types the CLI builds, with values out of
+# its range; NaN is out of every float field's range
+OUT_OF_RANGE = {
+    RewardWeights: {"alpha": [-1.0, NAN], "beta": [-0.5, NAN], "gamma": [-1, NAN],
+                    "delta": [-1e-9, NAN], "n_min": [0], "n_max": [9], "d_m": [0.0, NAN]},
+    Hyperparams: {"gamma": [0.0, 1.0, NAN], "clip_eps": [0.0, NAN], "lr_policy": [0, NAN],
+                  "lr_critic": [-1e-3, NAN], "batch_size": [0], "t_max": [0],
+                  "iterations": [-1], "episodes_per_iter": [-2], "epochs": [0],
+                  "entropy_coef": [-1.0, NAN]},
+    TransformParams: {"alpha": [0.0, 1.0, NAN]},
+    BandwidthSpec: {"mode": ["x"], "value": [0.0, 1.0, NAN, True, "0.2"]},
+    EnvConfig: {"n_pad": [0, -1, NAN]},
+}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    pytest.param(kind, field, value, id=f"{kind.__name__}.{field}={value!r}")
+    for kind, ranges in OUT_OF_RANGE.items() for field, values in ranges.items()
+    for value in values])
+def test_out_of_range_field_error_starts_with_the_field(kind, field, value):
+    # _config names a key by the field each message starts with
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        kind(**{field: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.14"])

@@ -42,7 +42,16 @@ from sceneplan.offload import (
 )
 from sceneplan.ppo import masked_log_softmax, policy_sample
 from sceneplan.rl_env import RewardWeights, action_mask, encode_state, reward, rewards
-from sceneplan.scene import TileRows, aggregate_tiles, coarse_detect, observe_tiles, tile_frame
+from sceneplan.scene import (
+    SceneSpec,
+    Stratum,
+    TileRows,
+    aggregate_tiles,
+    coarse_detect,
+    generate_scene,
+    observe_tiles,
+    tile_frame,
+)
 
 from oracles import (
     action_mask_reference,
@@ -53,6 +62,7 @@ from oracles import (
     dp_plan_reference,
     encode_state_reference,
     estimate_bandwidth_reference,
+    generate_scene_reference,
     geometry_stats_reference,
     kmeans_1d_reference,
     make_cluster_reference,
@@ -765,6 +775,62 @@ def plan_args(draw):
     return parts, profiles, d_max
 
 
+# --- generate_scene ----------------------------------------------------------
+
+DENSITY_SETS = {
+    1: [(1.0,), (0.3,)],
+    2: [(0.65, 0.35), (1.0, 1.0), (1e-6, 5.0)],
+    3: [(0.2, 0.5, 0.3), (3.0, 1e-9, 3.0), (1.0, 2.0, 4.0)],
+    4: [(1.0, 1.0, 1.0, 1.0), (0.1, 0.2, 0.3, 0.4), (7.0, 1e-3, 0.5, 100.0)],
+}
+
+
+def density_specs(n_strata):
+    """25 seeds of each density set of ``n_strata`` strata over equal y bands."""
+    bands = np.linspace(0.0, 1.0, n_strata + 1)
+    specs = []
+    for densities in DENSITY_SETS[n_strata]:
+        strata = tuple(Stratum(float(bands[k]), float(bands[k + 1]), 0.005 * (k + 1),
+                               0.02 * (k + 1), d) for k, d in enumerate(densities))
+        specs += [SceneSpec(1280, 1280, 1, 60, strata, seed) for seed in range(25)]
+    return specs
+
+
+def bench_specs(count):
+    """10 seeds of the benchmark's desk strata at ``count`` objects."""
+    strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65),
+              Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+    return [SceneSpec(3840, 2160, count, count, strata, seed) for seed in range(10)]
+
+
+def each(generate):
+    """``generate`` over a list of specs: a fixed list is one example."""
+    return lambda specs: [generate(spec) for spec in specs]
+
+
+UNIT = st.floats(0.0, 1.0)
+SIZE = st.floats(5e-324, 1.0)
+
+
+@st.composite
+def any_stratum(draw):
+    """A stratum with a y band from one ulp wide to [0, 1], sizes from the
+    smallest subnormal to 1, and a density from 1e-9 to 1e3."""
+    y0, y1 = sorted((draw(UNIT), draw(UNIT)))
+    if y0 == y1:  # one ulp wide
+        y0, y1 = (y0, math.nextafter(y0, 2.0)) if y0 < 1.0 else (math.nextafter(1.0, 0.0), 1.0)
+    size_min, size_max = sorted((draw(SIZE), draw(SIZE)))
+    return Stratum(y0, y1, size_min, size_max, draw(st.floats(1e-9, 1e3)))
+
+
+def fixed_count_spec(strata, count, seed):
+    return SceneSpec(1280, 720, count, count, tuple(strata), seed)
+
+
+any_spec = st.builds(fixed_count_spec, st.lists(any_stratum(), min_size=1, max_size=4),
+                     st.integers(1, 2000), st.integers(0, 2 ** 32))
+
+
 REGISTRY = [
     ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
     ("geometry_centroid", centroid_new, centroid_reference, geometry_args(MANY_MEMBERS), 200),
@@ -787,6 +853,12 @@ REGISTRY = [
      frames_args(), 60),
     ("rewards", rewards, rewards_reference, scored_args(), 150),
     ("reward", reward_three_ways, reward_reference_three_ways, reward_args(), 200),
+    *((f"generate_scene_density_sets_{n}", each(generate_scene), each(generate_scene_reference),
+       st.just((density_specs(n),)), 1) for n in DENSITY_SETS),
+    *((f"generate_scene_bench_strata_{count}", each(generate_scene),
+       each(generate_scene_reference), st.just((bench_specs(count),)), 1) for count in (1, 700)),
+    ("generate_scene_any_spec", generate_scene, generate_scene_reference,
+     st.tuples(any_spec), 40),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
     ("aggregate_tiles", aggregate_new, aggregate_tiles_reference, aggregate_args(), 100),
     ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),
