@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterConfig, as_boxes, check_fields, expand_ranges, make_cluster
+from .core import (ClusterConfig, as_boxes, check_fields, check_number, expand_ranges,
+                   make_cluster)
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,7 @@ class TransformParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        check_fields(vars(self), [("alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")])
-
-
-def _check_bandwidth(value) -> None:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"bandwidth {value!r} must be a finite positive number")
+        check_fields(self, [("alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")])
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class BandwidthSpec:
     def __post_init__(self) -> None:
         top = 1.0 if self.mode == "quantile" else math.inf
         real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
-        check_fields(vars(self), [
+        check_fields(self, [
             ("mode", self.mode in ("fixed", "quantile"), "'fixed' or 'quantile'"),
             ("value", real and 0.0 < self.value < top, f"in (0, {top:g})")])
 
@@ -99,12 +94,11 @@ def estimate_bandwidth(points, quantile: float = 0.2) -> float:
 
     Subsampled to at most 1000 points (evenly spaced, deterministic).
     Degenerate inputs (all points coincident) fall back to a fixed floor.
+    The quantile is ``BandwidthSpec.value``, which checks it is in (0, 1).
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise ValueError("need at least 2 points to estimate a bandwidth")
-    if not (0.0 < quantile < 1.0):
-        raise ValueError(f"quantile {quantile} outside (0, 1)")
     if len(pts) > 1000:
         idx = np.linspace(0, len(pts) - 1, 1000).astype(int)
         pts = pts[idx]
@@ -132,7 +126,8 @@ def _checked_points(points, bandwidth: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 1:
         raise ValueError("points must be a non-empty (n, 2) array")
-    _check_bandwidth(bandwidth)
+    check_number(bandwidth, "bandwidth")
+    check_fields({"bandwidth": bandwidth}, [("bandwidth", bandwidth > 0.0, "> 0")])
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts

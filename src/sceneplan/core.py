@@ -8,6 +8,10 @@ read-only (5, n) array of columns, the one store of each coordinate, which
 builds no box until one is read. ``as_boxes`` lays any other sequence of
 boxes out once, where it enters. All operations here but the file layer's
 are pure functions over immutable values.
+
+A value is checked one way across the package: ``check_number`` for its
+type (every number read from a file goes through it), ``check_fields`` for
+its range, written as the condition that must hold, so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -39,11 +43,14 @@ def check_number(value, where: str, integer: bool = False):
 
 
 def check_fields(values, checks) -> None:
-    """Raise ``ValueError("<field> must be <want>, got <values[field]!r>")`` at the
-    first ``(field, ok, want)`` not ok; write ``ok`` as ``x > 0``, so NaN fails it."""
+    """Raise ``ValueError("<field> must be <want>, got <value>")`` at the
+    first ``(field, ok, want)`` not ok; write ``ok`` as ``x > 0``, so NaN
+    fails it. The value is ``values[field]`` of a dict, else the attribute
+    of an object: ``vars`` would leave a dataclass instance a dict it keeps."""
     for field, ok, want in checks:
         if not ok:
-            raise ValueError(f"{field} must be {want}, got {values[field]!r}")
+            value = values[field] if isinstance(values, dict) else getattr(values, field)
+            raise ValueError(f"{field} must be {want}, got {value!r}")
 
 
 def write_file(path, data) -> None:
@@ -174,9 +181,8 @@ class Frame:
     detections: Boxes = ()
 
     def __post_init__(self) -> None:
-        for name in ("width_px", "height_px"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_fields(self, [("width_px", self.width_px > 0, "> 0"),
+                            ("height_px", self.height_px > 0, "> 0")])
         object.__setattr__(self, "detections", as_boxes(self.detections))
 
 
@@ -263,8 +269,8 @@ def nms_rows(cx, cy, w, h, score, class_ids, iou_threshold: float = 0.5) -> list
     results equal ``nms_reference`` in ``tests/oracles.py``, beside which
     the sweep's argument sits.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1)")
+    check_fields({"iou_threshold": iou_threshold},
+                 [("iou_threshold", 0.0 < iou_threshold < 1.0, "in (0, 1)")])
     n = len(score)
     if n == 0:
         return []
@@ -308,8 +314,7 @@ def bounding_blocks(config: ClusterConfig, margin: float,
     Results equal ``bounding_block_reference`` in ``tests/oracles.py`` for
     every cluster; the argument sits beside it.
     """
-    if margin < 0.0:
-        raise ValueError(f"margin {margin} negative")
+    check_fields({"margin": margin}, [("margin", margin >= 0.0, ">= 0")])
     sizes = [len(c) for c in config.clusters]
     if 0 in sizes:
         raise ValueError("empty cluster")

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, bounding_blocks, check_number, read_json
+from .core import ClusterConfig, Frame, bounding_blocks, check_fields, check_number, read_json
 
 
 class InfeasiblePlanError(Exception):
@@ -38,10 +38,11 @@ class ModelProfile:
     maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.input_size <= 0:
-            raise ValueError(f"{self.name}: input size must be positive")
-        if self.latency_ms <= 0:
-            raise ValueError(f"{self.name}: latency must be positive")
+        try:
+            check_fields(self, [("input_size", self.input_size > 0, "> 0"),
+                                ("latency_ms", self.latency_ms > 0, "> 0")])
+        except ValueError as e:
+            raise ValueError(f"{self.name}: {e}") from None
         if len(self.curve) == 0:
             raise ValueError(f"{self.name}: empty precision curve")
         edges = [e for e, _ in self.curve]
@@ -62,9 +63,10 @@ class ModelProfile:
 def profile_from_dict(d: dict) -> ModelProfile:
     """Build a profile from its JSON form: the input size a 64-bit integer,
     the latency a finite number (fractions round up), and a precision curve
-    that does not decrease with area."""
+    of finite-number pairs that does not decrease with area."""
     name = d.get("name", "?")
-    curve = tuple((float(e), float(m)) for e, m in d["curve"])
+    where = f"{name}: curve"
+    curve = tuple((check_number(e, where), check_number(m, where)) for e, m in d["curve"])
     maps = [m for _, m in curve]
     if any(b < a for a, b in zip(maps, maps[1:])):
         raise ValueError(f"{name}: precision curve decreases with area")
@@ -102,8 +104,11 @@ class PartitionDescriptor:
     areas_px2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError(f"partition {self.id}: size must be positive")
+        try:
+            check_fields(self, [("width_px", self.width_px > 0, "> 0"),
+                                ("height_px", self.height_px > 0, "> 0")])
+        except ValueError as e:
+            raise ValueError(f"partition {self.id}: {e}") from None
         if len(self.areas_px2) == 0:
             raise ValueError(f"partition {self.id}: needs at least one box")
         if not all(math.isfinite(a) and a > 0 for a in self.areas_px2):
@@ -117,8 +122,9 @@ class PartitionDescriptor:
 def scale_area(area_px2: float, width_px: float, height_px: float,
                input_size: float) -> float:
     """Box area after the block is resized to the model's square input."""
-    if min(area_px2, width_px, height_px, input_size) <= 0:
-        raise ValueError("scale_area inputs must be positive")
+    values = {"area_px2": area_px2, "width_px": width_px, "height_px": height_px,
+              "input_size": input_size}
+    check_fields(values, [(name, v > 0, "> 0") for name, v in values.items()])
     return area_px2 * input_size ** 2 / (width_px * height_px)
 
 
@@ -189,10 +195,9 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
     columns (L the largest latency within the budget). Plans equal
     ``dp_plan_reference`` in ``tests/oracles.py``; the argument sits there.
     """
-    if isinstance(d_max, bool) or not isinstance(d_max, (int, np.integer)):
-        raise ValueError(f"d_max must be an integer number of ms, got {d_max!r}")
-    if d_max < 0:
-        raise ValueError("latency budget must be >= 0")
+    integer = isinstance(d_max, (int, np.integer)) and not isinstance(d_max, bool)
+    check_fields({"d_max": d_max},
+                 [("d_max", integer and d_max >= 0, "an integer number of ms >= 0")])
     if not partitions:
         raise ValueError("no partitions to plan")
     if not profiles:
@@ -266,8 +271,7 @@ def assign_servers(plan: OffloadPlan, e: int) -> ServerSchedule:
     Blocks are placed by descending latency (partition id breaks ties) onto
     the currently least-loaded lane (lowest index breaks ties).
     """
-    if e < 1:
-        raise ValueError("need at least one server")
+    check_fields({"e": e}, [("e", e >= 1, ">= 1")])
     tasks = sorted(plan.assignments, key=lambda a: (-a[2], a[0]))
     loads = [0] * e
     lanes: list[list[ScheduledTask]] = [[] for _ in range(e)]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters_frames
-from .core import ClusterConfig, Frame, check_fields, write_csv, write_file
+from .core import ClusterConfig, Frame, check_fields, check_number, write_csv, write_file
 from .rl_env import (
     KEEP,
     EnvConfig,
@@ -83,7 +83,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(vars(self), [
+        check_fields(self, [
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             *((name, getattr(self, name) > 0, "> 0")
               for name in ("clip_eps", "lr_policy", "lr_critic", "batch_size", "t_max",
@@ -399,8 +399,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
     """
     if not frames:
         raise ValueError("rollout needs at least one frame")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    check_fields({"t_max": t_max}, [("t_max", t_max > 0, "> 0")])
     n, ec = len(frames), env_config
     try:
         states = np.empty((n, t_max, state_dim(ec.n_pad)))
@@ -677,8 +676,9 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     off += hlen
     try:
         manifest = header["arrays"]
-        n_pad = int(header["n_pad"])
-        include_count = bool(header["include_count"])
+        n_pad = check_number(header["n_pad"], "n_pad", integer=True)
+        include_count = header["include_count"]
+        check_fields(header, [("include_count", isinstance(include_count, bool), "a bool")])
         weights = RewardWeights(**header["weights"])
         hyper = Hyperparams(**header["hyper"])
         meta = header["meta"]

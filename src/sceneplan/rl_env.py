@@ -62,7 +62,7 @@ class RewardWeights:
     d_m: float = 0.03
 
     def __post_init__(self) -> None:
-        check_fields(vars(self), [
+        check_fields(self, [
             *((name, getattr(self, name) >= 0.0, ">= 0") for name in REWARD_TERMS),
             ("n_min", self.n_min >= 1, ">= 1"),
             ("n_max", self.n_max >= self.n_min, ">= n_min"),
@@ -85,14 +85,13 @@ def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int,
     raw means of its members' boxes (``geometry.means``), then its share of
     the frame's detections; zero-padded (or truncated) to n_pad slots, then
     the normalized cluster count N / n_pad clipped to 1 (zeroed if
-    ``include_count`` is off; the vector length never changes).
+    ``include_count`` is off; the vector length never changes). ``n_pad``
+    is ``EnvConfig.n_pad``, which checks it is at least 1.
 
     The features are laid out in one Python list and converted by one
     ``np.array``; the vector equals ``encode_state_reference`` in
     ``tests/oracles.py``, which writes each slot into a zero array.
     """
-    if n_pad < 1:
-        raise ValueError("n_pad must be >= 1")
     geometry.check(config)
     feats, total = [], len(config.detections)
     for c in config.clusters[:n_pad]:
@@ -250,4 +249,4 @@ class EnvConfig:
     include_count: bool = True
 
     def __post_init__(self) -> None:
-        check_fields(vars(self), [("n_pad", self.n_pad >= 1, ">= 1")])
+        check_fields(self, [("n_pad", self.n_pad >= 1, ">= 1")])

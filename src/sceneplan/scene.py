@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Boxes, DetectionBox, Frame, check_number, extents, nms_rows, read_json,
-                   write_csv, write_json)
+from .core import (Boxes, DetectionBox, Frame, check_fields, check_number, extents, nms_rows,
+                   read_json, write_csv, write_json)
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -64,17 +64,15 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("width_px", "height_px"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_fields(self, [("width_px", self.width_px > 0, "> 0"),
+                            ("height_px", self.height_px > 0, "> 0"),
+                            ("seed", self.seed >= 0, ">= 0")])
         if not (1 <= self.count_min <= self.count_max):
             raise ValueError(f"count_range [{self.count_min}, {self.count_max}] invalid")
         if len(self.strata) == 0:
             raise ValueError("strata must hold at least one stratum")
         if not math.isfinite(sum(s.density for s in self.strata)):
             raise ValueError("strata density values must have a finite sum")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "strata", tuple(self.strata))
 
     def with_seed(self, seed: int) -> "SceneSpec":
@@ -191,15 +189,22 @@ def generate_scene(spec: SceneSpec) -> Frame:
 # ---------------------------------------------------------------------------
 
 def _box_from_row(row: dict, where: str) -> DetectionBox:
+    """The box of a row of numbers: finite reals, and an int class_id."""
     try:
-        vals = {k: float(row[k]) for k in ("cx", "cy", "w", "h", "score")}
-        cid = int(row["class_id"])
-    except (KeyError, TypeError, ValueError) as e:
+        return DetectionBox(*(check_number(row[k], k, k == "class_id") for k in CSV_HEADER))
+    except (KeyError, TypeError) as e:
         raise ValueError(f"{where}: malformed detection row ({e})") from None
-    try:
-        return DetectionBox(vals["cx"], vals["cy"], vals["w"], vals["h"], vals["score"], cid)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+
+
+def _box_from_text(row: dict, where: str) -> DetectionBox:
+    """``_box_from_row`` of a CSV row, its text read as floats and an int class_id."""
+    try:
+        row = {k: int(row[k]) if k == "class_id" else float(row[k]) for k in CSV_HEADER}
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{where}: malformed detection row ({e})") from None
+    return _box_from_row(row, where)
 
 
 def load_detections(path) -> Frame:
@@ -218,7 +223,7 @@ def load_detections(path) -> Frame:
                 reader = csv.DictReader(f)
                 if reader.fieldnames != CSV_HEADER:
                     raise ValueError(f"CSV header must be exactly {','.join(CSV_HEADER)}")
-                boxes = [_box_from_row(r, f"row {i}") for i, r in enumerate(reader, start=2)]
+                boxes = [_box_from_text(r, f"row {i}") for i, r in enumerate(reader, start=2)]
             except (ValueError, csv.Error) as e:  # a bad row, header or encoding
                 raise ValueError(f"{path}: {e}") from None
         return Frame(*CSV_FRAME_PX, boxes)
@@ -277,8 +282,7 @@ def grid_shape(total: int) -> tuple[int, int]:
 
 def tile_frame(frame: Frame, n: int, e: int) -> TileGrid:
     """Split the frame into n*E equal tiles (no gaps, no overlap)."""
-    if n < 1 or e < 1:
-        raise ValueError(f"n={n}, E={e} must both be >= 1")
+    check_fields({"n": n, "e": e}, [("n", n >= 1, ">= 1"), ("e", e >= 1, ">= 1")])
     total = n * e
     rows, cols = grid_shape(total)
     xs = [round(k * frame.width_px / cols) for k in range(cols + 1)]
@@ -332,12 +336,11 @@ def observe_tiles(
     A seed gives the same observations as ``observe_tiles_reference`` in
     ``tests/oracles.py``, beside which the argument sits.
     """
-    if not (0.0 < min_visible <= 1.0):
-        raise ValueError(f"min_visible {min_visible} outside (0, 1]")
-    if not (0.0 <= drop_prob < 1.0):
-        raise ValueError(f"drop_prob {drop_prob} outside [0, 1)")
-    if not (jitter_sigma >= 0.0):
-        raise ValueError(f"jitter_sigma {jitter_sigma} negative")
+    check_fields({"min_visible": min_visible, "drop_prob": drop_prob,
+                  "jitter_sigma": jitter_sigma},
+                 [("min_visible", 0.0 < min_visible <= 1.0, "in (0, 1]"),
+                  ("drop_prob", 0.0 <= drop_prob < 1.0, "in [0, 1)"),
+                  ("jitter_sigma", jitter_sigma >= 0.0, ">= 0")])
     noisy = drop_prob > 0.0 or jitter_sigma > 0.0
     rng = np.random.default_rng(seed) if noisy else None
     w_px, h_px = frame.width_px, frame.height_px

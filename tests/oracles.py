@@ -546,8 +546,8 @@ def cluster_means_reference(members, detections) -> tuple[float, float, float, f
 def bounding_block_reference(cluster, detections, margin: float, frame):
     """One cluster's pixel block from a per-member loop over
     ``DetectionBox.extent``."""
-    if margin < 0.0:
-        raise ValueError(f"margin {margin} negative")
+    if not margin >= 0.0:
+        raise ValueError(f"margin must be >= 0, got {margin!r}")
     if len(cluster) < 1:
         raise ValueError("empty cluster")
     x0 = y0 = 1.0
@@ -699,8 +699,8 @@ def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
     """Multiple-choice knapsack over a full (d_max + 1)-column table with a
     per-cell choice array; ties prefer smaller latency, then smaller model
     input, and the optimal column is the first t attaining the maximum."""
-    if d_max < 0:
-        raise ValueError("latency budget must be >= 0")
+    if not d_max >= 0:
+        raise ValueError(f"d_max must be an integer number of ms >= 0, got {d_max!r}")
     if not partitions:
         raise ValueError("no partitions to plan")
     if not profiles:

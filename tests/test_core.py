@@ -21,6 +21,12 @@ from sceneplan.core import (
     write_file,
 )
 
+from sceneplan.offload import (ModelProfile, OffloadPlan, PartitionDescriptor, assign_servers,
+                               scale_area)
+from sceneplan.ppo import keep_policy, rollout
+from sceneplan.rl_env import EnvConfig
+from sceneplan.scene import SceneSpec, Stratum, tile_frame
+
 from oracles import cluster_means_reference, iou_exact, iou_raster, random_boxes
 
 
@@ -310,3 +316,41 @@ def test_write_file_honours_the_umask(tmp_path, umask, mode):
     assert first == stat.S_IMODE(os.stat(path).st_mode) == mode
     assert path.read_bytes() == b"second"
     assert os.listdir(path.parent) == ["out.txt"]
+
+
+NAN = float("nan")
+FRAME = Frame(100, 100, (DetectionBox(0.5, 0.5, 0.1, 0.1),))
+STRATA = (Stratum(0.1, 0.9, 0.01, 0.02),)
+CURVE = ((64.0, 0.5),)
+PLAN = OffloadPlan(((0, "m", 10, 0.5),), 0.5, 10, 10)
+# each (type or function, field) of the package API that takes a number,
+# given NaN there
+NAN_CALLS = {
+    "Frame.width_px": lambda: Frame(NAN, 5),
+    "Frame.height_px": lambda: Frame(5, NAN),
+    "SceneSpec.width_px": lambda: SceneSpec(width_px=NAN, strata=STRATA),
+    "SceneSpec.height_px": lambda: SceneSpec(height_px=NAN, strata=STRATA),
+    "SceneSpec.seed": lambda: SceneSpec(strata=STRATA, seed=NAN),
+    "ModelProfile.input_size": lambda: ModelProfile("m", NAN, 10, CURVE),
+    "ModelProfile.latency_ms": lambda: ModelProfile("m", 640, NAN, CURVE),
+    "PartitionDescriptor.width_px": lambda: PartitionDescriptor(3, NAN, 10, (4.0,)),
+    "PartitionDescriptor.height_px": lambda: PartitionDescriptor(3, 10, NAN, (4.0,)),
+    "bounding_blocks.margin": lambda: bounding_blocks(
+        ClusterConfig(((0,),), FRAME.detections), NAN, FRAME),
+    "scale_area.area_px2": lambda: scale_area(NAN, 1, 1, 1),
+    "scale_area.width_px": lambda: scale_area(1, NAN, 1, 1),
+    "scale_area.height_px": lambda: scale_area(1, 1, NAN, 1),
+    "scale_area.input_size": lambda: scale_area(1, 1, 1, NAN),
+    "tile_frame.n": lambda: tile_frame(FRAME, NAN, 1),
+    "tile_frame.e": lambda: tile_frame(FRAME, 1, NAN),
+    "assign_servers.e": lambda: assign_servers(PLAN, NAN),
+    "rollout.t_max": lambda: rollout([FRAME], EnvConfig(), NAN, keep_policy),
+}
+
+
+@pytest.mark.parametrize("where", NAN_CALLS)
+def test_nan_is_refused_naming_the_field(where):
+    # a profile's or a partition's error starts with its name, then the field
+    field = where.split(".")[1]
+    with pytest.raises(ValueError, match=rf"(^|: ){field} must be [^,]*, got nan$"):
+        NAN_CALLS[where]()

@@ -173,6 +173,18 @@ def test_profile_numbers_are_checked_naming_them(tmp_path, field, value):
         load_profiles(path)
 
 
+@pytest.mark.parametrize("curve", [
+    [["100", "0.5"], ["200", True]], [[16, 0.1], ["100", 0.5]], [[16, 0.1], [100, "0.5"]],
+    [[16, 0.1], [100, True]]], ids=["issue-example", "edge-text", "map-text", "map-bool"])
+def test_profile_curve_values_are_not_coerced(tmp_path, curve):
+    model = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": curve}
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({"models": [model]}))
+    named = f"{path}: malformed model entry (m: curve must be a finite number"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_profiles(path)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ModelProfile("m", 0, 10, ((16.0, 0.1),))

@@ -3,12 +3,15 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_pairs():
+    if str(ROOT / "tools") not in sys.path:  # pairs.py imports outputs.py beside it
+        sys.path.insert(0, str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

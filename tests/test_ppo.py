@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters
 from sceneplan.core import DetectionBox, Frame
 from sceneplan.ppo import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     EnvConfig,
     Hyperparams,
@@ -467,6 +471,28 @@ def test_checkpoint_bad_version_rejected(tmp_path, rng):
     blob[11] = 99  # version field
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def rewrite_header(path, **fields):
+    """Rewrite the checkpoint at ``path`` with ``fields`` set in its JSON header."""
+    blob = path.read_bytes()
+    off = len(CHECKPOINT_MAGIC)
+    version, hlen = struct.unpack_from("<II", blob, off)
+    header = json.loads(blob[off + 8:off + 8 + hlen])
+    new = json.dumps({**header, **fields}).encode("utf-8")
+    path.write_bytes(blob[:off] + struct.pack("<II", version, len(new)) + new
+                     + blob[off + 8 + hlen:])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_pad", 4.5), ("n_pad", "4"), ("include_count", "no"), ("include_count", 1)])
+def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    rewrite_header(path, **{field: value})
+    named = f"{path}: invalid header: {field} must be a"
+    with pytest.raises(CheckpointError, match=re.escape(named)):
         load_checkpoint(path)
 
 

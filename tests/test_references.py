@@ -338,8 +338,8 @@ def block_args(draw):
 
 
 def blocks_reference(config, margin, frame):
-    if margin < 0.0:  # the reference checks the margin per cluster
-        raise ValueError(f"margin {margin} negative")
+    if not margin >= 0.0:  # the reference checks the margin per cluster
+        raise ValueError(f"margin must be >= 0, got {margin!r}")
     return [bounding_block_reference(c, config.detections, margin, frame)
             for c in config.clusters]
 

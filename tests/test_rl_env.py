@@ -352,7 +352,7 @@ def test_all_keep_episode_return(rng):
 
 
 @pytest.mark.parametrize("n_frames, t_max, named", [
-    (0, 5, "at least one frame"), (1, 0, "t_max must be >= 1")], ids=["no-frames", "no-steps"])
+    (0, 5, "at least one frame"), (1, 0, "t_max must be > 0, got 0")], ids=["no-frames", "no-steps"])
 def test_rollout_rejects_no_frames_or_no_steps(rng, n_frames, t_max, named):
     frames = [make_test_frame(rng) for _ in range(n_frames)]
     with pytest.raises(ValueError, match=named):

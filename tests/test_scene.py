@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import astuple
 
@@ -115,6 +116,25 @@ def test_json_bad_coordinate_names_entry(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="detection 1"):
+        load_detections(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cx", "0.5"), ("score", True), ("class_id", "3"), ("class_id", 1.9),
+    ("class_id", 2 ** 70)], ids=["cx-text", "score-bool", "class-text", "class-fraction",
+                                  "class-past-int64"])
+def test_json_detection_values_are_not_coerced(tmp_path, field, value):
+    row = {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1, "score": 0.9, "class_id": 0, field: value}
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps({"width_px": 100, "height_px": 100, "detections": [row]}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: detection 0: {field} must be a ")):
+        load_detections(path)
+
+
+def test_csv_class_id_past_int64_is_refused(tmp_path):
+    path = tmp_path / "dets.csv"
+    path.write_text(f"cx,cy,w,h,score,class_id\n0.5,0.5,0.1,0.1,0.9,{2 ** 70}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 2: class_id must be a ")):
         load_detections(path)
 
 

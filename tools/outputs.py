@@ -16,6 +16,7 @@ build, so compare trees on one machine. A change reports "``tools/outputs.py
 """
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -123,23 +124,31 @@ def run(src: Path, out: Path, tree: str) -> dict:
     return manifest
 
 
+@contextlib.contextmanager
+def archived_src(rev: str):
+    """A temporary directory holding ``rev``'s src/, from ``git archive``;
+    a bad revision exits naming it."""
+    tree = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True)
+    if tree.returncode:
+        sys.exit(f"git archive {rev} src: {tree.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory for the outputs and manifest.json")
     parser.add_argument("--against", metavar="REV", help="a git revision to compare with")
     args = parser.parse_args()
     rev = args.against
-    if rev is not None:  # a bad revision fails before any case runs
-        tree = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True)
-        if tree.returncode:
-            sys.exit(f"git archive {rev} src: {tree.stderr.decode().strip()}")
-    ours = run(ROOT / "src", args.out, "this tree")
-    if rev is None:
-        return 0
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        theirs = run(Path(tmp) / "src", Path(tmp) / "out", rev)
+    # a bad revision fails before any case runs
+    with contextlib.nullcontext() if rev is None else archived_src(rev) as tmp:
+        ours = run(ROOT / "src", args.out, "this tree")
+        if rev is None:
+            return 0
+        theirs = run(tmp / "src", tmp / "out", rev)
     differ = [("differs" if f in ours and f in theirs else "only here" if f in ours
                else f"only in {rev}") + f": {f}"
               for f in sorted(ours.keys() | theirs.keys()) if ours.get(f) != theirs.get(f)]

@@ -2,7 +2,7 @@
 
     python3 tools/pairs.py REV --workload W [--pairs 10] [--seconds 5] [--seed S]
 
-REV's side is a temporary tree of REV's src/ (from ``git archive``) beside a
+REV's side is a temporary tree of REV's src/ (``outputs.archived_src``) beside a
 copy of this tree's bench/, so both sides run the same benchmark, each on its
 own program. Pair k runs ``bench/run.py --trace 0`` with seed S + k on both
 sides, REV first in even pairs and this tree first in odd ones, so a drift in
@@ -14,17 +14,14 @@ the exit code. Compare trees on one machine, with nothing else running.
 """
 
 import argparse
-import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from outputs import ROOT, archived_src
 
 
 def quartiles(values):
@@ -81,16 +78,11 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    tree = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT, capture_output=True)
-    if tree.returncode:
-        sys.exit(f"git archive {args.rev} src: {tree.stderr.decode().strip()}")
     pairs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(tree.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        shutil.copytree(ROOT / "bench", Path(tmp) / "bench",
+    with archived_src(args.rev) as tmp:
+        shutil.copytree(ROOT / "bench", tmp / "bench",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        sides = [(Path(tmp), args.rev), (ROOT, "this tree")]
+        sides = [(tmp, args.rev), (ROOT, "this tree")]
         for k in range(args.pairs):
             seed, got = args.seed + k, [None, None]
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
