@@ -4,7 +4,8 @@ training, greedy inference, and checkpoint persistence.
 Both networks are plain two-hidden-layer MLPs (128 units, rectifier)
 implemented directly in numpy with exact backpropagation; updates are the
 plain gradient steps of the training algorithm (ascent on the clipped
-surrogate for the policy, descent on the value MSE for the critic).
+surrogate for the policy, descent on the value MSE for the critic), each
+written into the gradient arrays it computed.
 Training, inference and the command line all roll episodes through one
 driver, ``rollout``, which owns them: it takes frames, one ``EnvConfig``
 (``policy_config`` fits it to a checkpoint) and a horizon, starts every
@@ -28,6 +29,7 @@ step every step.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict, replace
 
@@ -110,7 +112,8 @@ def _forward_cache(params: MlpParams, x: np.ndarray):
     a = x
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre.append(z)
         a = z if k == last else np.maximum(z, 0.0)
         acts.append(a)
@@ -134,7 +137,8 @@ def _backward(params: MlpParams, acts, pre, dout):
         dws[k] = acts[k].T @ grad
         dbs[k] = grad.sum(axis=0)
         if k > 0:
-            grad = (grad @ params.weights[k].T) * (pre[k - 1] > 0.0)
+            grad = grad @ params.weights[k].T
+            grad *= pre[k - 1] > 0.0
     return dws, dbs
 
 
@@ -295,6 +299,11 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
     descends the value MSE. Returns the new networks and the step's
     figures, taken before it: ``value_loss`` and the terms of
     ``_policy_objective_grad``. Raises FloatingPointError on non-finite loss.
+    The input networks are left as they are. Each new array is written
+    into the gradient array this step computed for it (``dw *= lr;
+    dw += w`` for the policy, ``w - lr * dw`` into ``dw`` for the critic),
+    so the step allocates no parameter array; the bytes equal
+    ``w + lr * dw`` and ``w - lr * dw``.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -304,15 +313,13 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
     if not (np.isfinite(l_clip) and np.isfinite(l_value)):
         raise FloatingPointError(
             f"non-finite loss (clip={l_clip}, value={l_value}); update aborted")
-    new_policy = MlpParams(
-        [w + hyper.lr_policy * dw for w, dw in zip(policy.weights, pdw)],
-        [b + hyper.lr_policy * db for b, db in zip(policy.biases, pdb)],
-    )
-    new_critic = MlpParams(
-        [w - hyper.lr_critic * dw for w, dw in zip(critic.weights, cdw)],
-        [b - hyper.lr_critic * db for b, db in zip(critic.biases, cdb)],
-    )
-    return new_policy, new_critic, {**terms, "value_loss": l_value}
+    for w, dw in zip(policy.weights + policy.biases, pdw + pdb):
+        dw *= hyper.lr_policy
+        dw += w
+    for w, dw in zip(critic.weights + critic.biases, cdw + cdb):
+        dw *= hyper.lr_critic
+        np.subtract(w, dw, out=dw)
+    return MlpParams(pdw, pdb), MlpParams(cdw, cdb), {**terms, "value_loss": l_value}
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +689,16 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
         weights = RewardWeights(**header["weights"])
         hyper = Hyperparams(**header["hyper"])
         meta = header["meta"]
+        for name, shape in manifest:
+            for dim in shape:
+                where = f"{name} shape dim"
+                check_number(dim, where, integer=True)
+                check_fields({where: dim}, [(where, dim >= 0, ">= 0")])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"invalid header: {e}") from None
     arrays = {}
     for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if len(data) < off + nbytes:
             raise CheckpointError(f"checkpoint truncated inside array {name}")

@@ -588,24 +588,25 @@ def partitions_from_blocks_reference(config: ClusterConfig, frame: Frame,
 # ``ClusterGeometry.means``' loop, which fills the ``centroid`` memo, adds
 # the member centres in Python floats one at a time from 0.0 and divides by
 # the member count, at every size: the axis-0 ``mean`` below adds the
-# gathered C-order (k, 2) rows one row at a time at every length. Up to 7
-# members ``ClusterGeometry.stats`` adds the
-# spread, the mean of ``math.sqrt(dx*dx + dy*dy)``, and the two-pass
-# population variance (mean first, then the mean of the squared deviations)
-# the same way. numpy's 1-D ``add.reduce`` adds fewer than 8 elements in
-# exactly this sequence (pairwise summation starts at 8), so those equal
-# ``linalg.norm(axis=1).mean()`` and ``var`` below; from 8 members on those
-# numpy calls run.
+# gathered C-order (k, 2) rows one row at a time at every length.
+# ``ClusterGeometry.stats`` takes the spread, the mean of
+# ``math.sqrt(dx*dx + dy*dy)``, and the two-pass population variance (mean
+# first, then the mean of the squared deviations) in Python floats at every
+# member count, each sum added by ``clustering._pairwise_sum`` in the order
+# of numpy's 1-D ``add.reduce``: one at a time below 8 values, eight running
+# sums up to 128, halves beyond. So they equal ``linalg.norm(axis=1).mean()``
+# and ``var`` below, which reduce a contiguous 1-D array.
 def geometry_stats_reference(geometry, members):
     """A ``ClusterGeometry``'s (centroid, mean member distance, area
     variance) by numpy reductions over the gathered member arrays."""
     idx = list(members)
     pts = geometry.points[idx]
     centroid = pts.mean(axis=0)
+    _, _, w, h, _ = geometry.detections.columns
     return (
         centroid,
         float(np.linalg.norm(pts - centroid, axis=1).mean()),
-        float(geometry.areas[idx].var()),
+        float((w * h)[idx].var()),
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -45,6 +46,7 @@ from sceneplan.scene import SceneSpec, Stratum, coarse_detect, generate_scene
 from oracles import (
     cluster_means_reference,
     geometry_of,
+    geometry_stats_reference,
     kmeans_1d_best_cost,
     kmeans_1d_reference,
     labels_cost,
@@ -115,6 +117,11 @@ def test_transform_invertible(rng):
 def test_transform_rejects_out_of_range():
     with pytest.raises(ValueError):
         transform_y([(0.5, 1.2)])
+
+
+def test_transform_rejects_nan():
+    with pytest.raises(ValueError, match=re.escape("y coordinates outside [0, 1]")):
+        transform_y([(0.5, 0.5), (0.5, float("nan"))])
 
 
 def test_transform_params_validated():
@@ -510,6 +517,31 @@ def test_no_pair_distance_goes_through_the_dot_kernel(monkeypatch, rng):
             meanshift_reference(pts, 2.0 * d, max_iter=0).tolist()
 
 
+# singleton clusters at least 1/3 from each other and 0.3 from [0.3, 0.7]^2,
+# farther than any swapped-offset tie there (at most 0.2 * sqrt(2))
+FAR = [(0.0, 0.0), (1 / 3, 0.0), (2 / 3, 0.0), (1.0, 0.0), (0.0, 1.0), (1 / 3, 1.0),
+       (2 / 3, 1.0), (1.0, 1.0), (0.0, 0.5), (1.0, 0.5)]
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("tie_first", [True, False])
+def test_select_merge_pair_breaks_a_swapped_offset_tie_on_both_sides_of_the_loop(
+        rng, n, tie_first):
+    # below 13 clusters the pair loop decides, from 13 on the distance array
+    assert (n < clustering.PAIR_LOOP_BELOW) == (n == 12)
+    far = FAR[:n - 3]
+    for _ in range(100):
+        p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
+        tied = [(0.5, 0.5), (p, q), (q, p)]
+        centers = tied + far if tie_first else far + tied
+        cfg = config_from_centers(centers)
+        got = select_merge_pair(cfg, geometry_of(cfg))
+        assert got == select_merge_pair_reference(cfg)
+        at = centers.index((0.5, 0.5))
+        if pair_distance((p, q), (q, p)) > pair_distance((0.5, 0.5), (p, q)):
+            assert got == (at, at + 1)  # the smaller of the two tied pairs
+
+
 def test_select_merge_pair_needs_two():
     cfg = config_from_centers([(0.5, 0.5)])
     with pytest.raises(ValueError, match="merge unavailable"):
@@ -583,6 +615,27 @@ def test_raw_geometry_centroid_is_the_clusters_mean(rng):
         for c in clusters:
             assert geometry.centroid(c) == geometry.means(c)[:2] \
                 == cluster_means_reference(c, detections)[:2]
+
+
+def test_pairwise_sum_is_numpys_1d_sum(rng):
+    # a numpy release that changes its 1-D sum order fails here by name
+    for n in [*range(1, 301), 511, 1000, 1025, 4099]:
+        for _ in range(5):
+            vals = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+            assert clustering._pairwise_sum(vals.tolist()).hex() == \
+                float(np.add.reduce(vals)).hex(), f"{n} values"
+
+
+@pytest.mark.parametrize("transform", [None, TransformParams(0.5)])
+def test_stats_equal_numpys_reductions_at_every_sum_order(rng, transform):
+    frame = generate_scene(SceneSpec(3840, 2160, 300, 300, (
+        Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35)), seed=3))
+    geometry = ClusterGeometry(frame.detections, transform)
+    for k in (1, 7, 8, 9, 128, 129, 300):
+        members = tuple(sorted(rng.permutation(300)[:k].tolist()))
+        centroid, spread, area_var = geometry_stats_reference(geometry, members)
+        assert geometry.stats(members) == ((float(centroid[0]), float(centroid[1])),
+                                           spread, area_var)
 
 
 def test_split_along_x():

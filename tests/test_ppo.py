@@ -271,6 +271,31 @@ def test_update_aborts_on_nonfinite(rng):
         ppo_update(policy, critic, batch, tiny_hyper())
 
 
+def test_update_leaves_its_inputs_and_takes_plain_steps(rng):
+    from sceneplan.ppo import _critic_loss_grad, _policy_objective_grad
+
+    policy = init_mlp(rng, [6, 8, 8, 4])
+    critic = init_mlp(rng, [6, 8, 8, 1])
+    for b in policy.biases + critic.biases:  # nonzero, so each bias step shows
+        b += rng.normal(size=b.shape)
+    nets = (policy, critic)
+    before = [[a.copy() for a in net.weights + net.biases] for net in nets]
+    batch = make_batch(rng, policy)
+    hyper = tiny_hyper()
+    _, pdw, pdb = _policy_objective_grad(policy, batch, hyper)
+    _, cdw, cdb = _critic_loss_grad(critic, batch)
+    new_policy, new_critic, _ = ppo_update(policy, critic, batch, hyper)
+    for net, old in zip(nets, before):
+        assert [a.tobytes() for a in net.weights + net.biases] == [a.tobytes() for a in old]
+    want = ([w + hyper.lr_policy * dw for w, dw in
+             zip(policy.weights + policy.biases, pdw + pdb)],
+            [w - hyper.lr_critic * dw for w, dw in
+             zip(critic.weights + critic.biases, cdw + cdb)])
+    for net, arrays in zip((new_policy, new_critic), want):
+        assert [a.tobytes() for a in net.weights + net.biases] == \
+            [a.tobytes() for a in arrays]
+
+
 # ---------------------------------------------------------------------------
 # gradient checks (finite-difference oracle)
 # ---------------------------------------------------------------------------
@@ -493,6 +518,24 @@ def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value):
     rewrite_header(path, **{field: value})
     named = f"{path}: invalid header: {field} must be a"
     with pytest.raises(CheckpointError, match=re.escape(named)):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape, named", [
+    ([21.0, 8], "must be a 64-bit integer, got 21.0"),
+    (["21", 8], "must be a 64-bit integer, got '21'"),
+    ([-21, -8], "must be >= 0, got -21"),
+    ([True, 168], "must be a 64-bit integer, got True")])
+def test_checkpoint_array_shapes_are_checked(tmp_path, rng, shape, named):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    blob = path.read_bytes()
+    hlen = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))[1]
+    arrays = json.loads(blob[len(CHECKPOINT_MAGIC) + 8:len(CHECKPOINT_MAGIC) + 8 + hlen])["arrays"]
+    arrays[0][1] = shape
+    rewrite_header(path, arrays=arrays)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: invalid header: {arrays[0][0]} shape dim {named}")):
         load_checkpoint(path)
 
 

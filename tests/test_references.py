@@ -111,18 +111,17 @@ TRANSFORM = st.sampled_from([None, TransformParams(0.5), TransformParams(0.3)])
 
 
 # numpy's 1-D sums go pairwise from 8 values, in blocks of 128
-FEW_MEMBERS = st.one_of(st.sampled_from([7, 8]), st.integers(1, 12))
-MANY_MEMBERS = st.one_of(st.sampled_from([8, 127, 128, 129]), st.integers(1, 64),
-                         st.integers(1, 1000))
+MEMBERS = st.one_of(st.sampled_from([7, 8, 127, 128, 129]), st.integers(1, 64),
+                    st.integers(1, 1000))
 
 
 @st.composite
-def geometry_args(draw, sizes=FEW_MEMBERS):
+def geometry_args(draw):
     """Frames whose boxes repeat a small pool (duplicated centres, zero
-    coordinates), and a cluster of a ``sizes`` count of members; a drawn
+    coordinates), and a cluster of a ``MEMBERS`` count of members; a drawn
     seed lays the pool's boxes out and picks the members, so a frame of
     1,000 boxes stays a few draws."""
-    k = draw(sizes)
+    k = draw(MEMBERS)
     pool = draw(st.lists(BOX, min_size=1, max_size=min(k, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dets = tuple(pool[i] for i in rng.integers(len(pool), size=k + draw(st.integers(0, 3))))
@@ -154,13 +153,21 @@ def centroid_reference(dets, transform, members):
 
 # --- select_merge_pair and split_cluster -------------------------------------
 
-# a tied configuration: a seed, cluster sizes, an optional grid that makes
-# distances tie exactly, and clusters that repeat their predecessor's boxes
-tied_configs = st.builds(
-    lambda seed, sizes, grid, copies: tied_config(np.random.default_rng(seed),
-                                                  sizes, grid, copies),
-    st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 100), min_size=1, max_size=8),
-    st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3))
+def tied_configs_of(clusters: int, members: int):
+    """Tied configurations of 1 to ``clusters`` clusters of 1 to ``members``
+    members: a seed, cluster sizes, an optional grid that makes distances
+    tie exactly, and clusters that repeat their predecessor's boxes."""
+    return st.builds(
+        lambda seed, sizes, grid, copies: tied_config(np.random.default_rng(seed),
+                                                      sizes, grid, copies),
+        st.integers(0, 2 ** 32 - 1),
+        st.lists(st.integers(1, members), min_size=1, max_size=clusters),
+        st.sampled_from([None, 4, 16, 64]), st.sets(st.integers(1, 7), max_size=3))
+
+
+tied_configs = tied_configs_of(8, 100)
+# the merge pair's pair loop runs below 13 clusters, its distance array from 13 on
+merge_configs = tied_configs_of(20, 12)
 transforms = st.sampled_from([None, TransformParams(0.5)])
 
 
@@ -833,9 +840,12 @@ any_spec = st.builds(fixed_count_spec, st.lists(any_stratum(), min_size=1, max_s
 
 REGISTRY = [
     ("geometry_stats", stats_new, stats_reference, geometry_args(), 200),
-    ("geometry_centroid", centroid_new, centroid_reference, geometry_args(MANY_MEMBERS), 200),
+    ("geometry_centroid", centroid_new, centroid_reference, geometry_args(), 200),
     ("select_merge_pair", caught(merge_pair_new), caught(merge_pair_reference),
      st.tuples(tied_configs, transforms), 150),
+    ("select_merge_pair_both_sides_of_the_loop", caught(merge_pair_new),
+     caught(merge_pair_reference),
+     st.tuples(merge_configs, transforms), 150),
     ("split_cluster", splits_new, splits_reference, st.tuples(tied_configs, transforms), 100),
     ("split_cluster_swapped_axes", splits_new, splits_reference, swapped_axis_args(), 100),
     ("kmeans_1d", quiet(kmeans_1d), quiet(kmeans_1d_reference), kmeans_args(), 300),
