@@ -194,16 +194,16 @@ def _profiles(cfg: dict):
 # pipeline pieces shared by partition / pipeline / eval
 # ---------------------------------------------------------------------------
 
-def _policy(cfg: dict):
-    """(choose, checkpoint) for the policy mode, the checkpoint None unless
-    the policy is trained; a command loads it once, for all its frames."""
-    mode = cfg["policy"]
-    if mode == "trained":
-        if cfg["checkpoint"] is None:
-            raise ValueError("trained policy requested but no checkpoint configured")
-        ckpt = load_checkpoint(cfg["checkpoint"])
-        return greedy_policy(ckpt), ckpt
-    return (keep_policy if mode == "keep" else random_policy), None
+def _policy(cfg: dict, mode: str):
+    """(choose, env_config) for a policy mode. A trained policy's checkpoint
+    is loaded here, once for all the command's frames, and the environment
+    fitted to it (``policy_config``)."""
+    if mode != "trained":
+        return (keep_policy if mode == "keep" else random_policy), _env_config(cfg)
+    if cfg["checkpoint"] is None:
+        raise ValueError("trained policy requested but no checkpoint configured")
+    ckpt = load_checkpoint(cfg["checkpoint"])
+    return greedy_policy(ckpt), policy_config(_env_config(cfg), ckpt)
 
 
 def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
@@ -219,8 +219,8 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
     )
     if len(coarse.detections) == 0:
         raise ValueError("empty scene after coarse detection")
-    choose, ckpt = policy
-    episodes = rollout([coarse], policy_config(_env_config(cfg), ckpt), cfg["t_max"], choose,
+    choose, env_config = policy
+    episodes = rollout([coarse], env_config, cfg["t_max"], choose,
                        np.random.default_rng(scene_seed + 1))
     trace, scores = episodes.traces[0], episodes.scores()[0].tolist()
     final = trace[-1].config
@@ -274,6 +274,8 @@ def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
         raise ValueError(f"{path}: malformed clusters report ({e})") from None
     except ValueError as e:  # a value of the wrong type or range, or a block not of four
         raise ValueError(f"{path}: {e}") from None
+    if not parts:
+        raise ValueError(f"{path}: clusters report holds no cluster")
     if len({part.id for part in parts}) < len(parts):
         raise ValueError(f"{path}: clusters report repeats a cluster id")
     return report, parts
@@ -337,7 +339,7 @@ def cmd_partition(args) -> None:
     if cfg["detections"] is None:
         raise ValueError("no detections file configured")
     frame = load_detections(cfg["detections"])
-    report, _ = _partition_frame(frame, cfg, cfg["seed"], _policy(cfg))
+    report, _ = _partition_frame(frame, cfg, cfg["seed"], _policy(cfg, cfg["policy"]))
     out = args.out or os.path.join(cfg["out_dir"], "clusters.json")
     write_json(out, report)
     print(f"wrote {out} ({report['n_final']} clusters)")
@@ -363,7 +365,7 @@ def cmd_pipeline(args) -> None:
         spec = _scene_spec(cfg)
         frames = ((cfg["seed"] + k, generate_scene(spec.with_seed(cfg["seed"] + k)))
                   for k in range(cfg["num_scenes"]))
-    policy = _policy(cfg)
+    policy = _policy(cfg, cfg["policy"])
     scenes = []
     rows = []
     for scene_seed, frame in frames:
@@ -391,30 +393,23 @@ def cmd_pipeline(args) -> None:
 
 def cmd_eval(args) -> None:
     cfg = _config(args)
-    if cfg["checkpoint"] is None:
-        raise ValueError("eval needs a trained checkpoint")
-    ckpt = load_checkpoint(cfg["checkpoint"])
+    trained, env_config = _policy(cfg, "trained")  # every row in the checkpoint's environment
     spec = _scene_spec(cfg)
     seeds = range(cfg["seed"] + 10_000, cfg["seed"] + 10_000 + cfg["episodes"])
-    policies = [
-        ("trained", greedy_policy(ckpt)),
-        ("random", random_policy),
-        ("keep", keep_policy),
-    ]
-    env_config = policy_config(_env_config(cfg), ckpt)
+    policies = [("trained", trained), ("random", random_policy), ("keep", keep_policy)]
+    weights = env_config.weights
     rows = []
     for name, choose in policies:
         for scene_seed in seeds:  # regenerated per policy: one frame alive at a time
             frame = generate_scene(spec.with_seed(scene_seed))
             final = rollout([frame], env_config, cfg["t_max"], choose,
                             np.random.default_rng(scene_seed)).traces[0][-1].config
-            in_range = ckpt.weights.n_min <= final.count <= ckpt.weights.n_max
             rows.append({
                 "policy": name,
                 "scene_seed": scene_seed,
-                "final_reward": reward(final, env_config.weights, env_config.transform)[4],
+                "final_reward": reward(final, weights, env_config.transform)[4],
                 "final_n": final.count,
-                "in_range": int(in_range),
+                "in_range": int(weights.n_min <= final.count <= weights.n_max),
             })
     out = os.path.join(cfg["out_dir"], "eval.csv")
     write_csv(out, ["policy", "scene_seed", "final_reward", "final_n",
@@ -435,11 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="RL scene partitioning and latency-budgeted model planning",
     )
     sub = parser.add_subparsers(dest="command")
+    # flags that several subcommands take, each with one help text
+    shared = {
+        "--scene-spec": {"help": "scene spec JSON"},
+        "--checkpoint": {"help": "policy checkpoint"},
+        "--policy": {"choices": ["trained", "keep", "random"], "help": "policy mode"},
+        "--d-max": {"type": int, "help": "latency budget (ms)"},
+    }
 
-    def common(p):
+    def common(p, *flags):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
+        p.add_argument("--out-dir", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("gen-scene", help="generate a synthetic detection file")
     p.add_argument("--seed", type=int, help="scene seed (default: the spec's)")
@@ -448,44 +452,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_scene)
 
     p = sub.add_parser("train", help="train the refinement policy")
-    common(p)
-    p.add_argument("--scene-spec", dest="scene_spec", help="scene spec JSON")
+    common(p, "--scene-spec")
     p.add_argument("--iterations", type=int, help="training iterations")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("partition", help="cluster one detection file")
-    common(p)
+    common(p, "--checkpoint", "--policy")
     p.add_argument("--detections", help="detection file (JSON or CSV)")
-    p.add_argument("--checkpoint", help="policy checkpoint")
-    p.add_argument("--policy", choices=["trained", "keep", "random"],
-                   help="policy mode")
-    p.add_argument("--t-max", dest="t_max", type=int, help="refinement steps")
+    p.add_argument("--t-max", type=int, help="refinement steps")
     p.add_argument("--out", help="clusters JSON path")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("plan", help="assign models to a clusters report")
-    common(p)
+    common(p, "--d-max")
     p.add_argument("--clusters", required=True, help="clusters JSON")
     p.add_argument("--profile", help="model profile JSON (default: bundled)")
-    p.add_argument("--d-max", dest="d_max", type=int, help="latency budget (ms)")
     p.add_argument("--e", type=int, help="edge server count")
     p.add_argument("--out", help="plan JSON path")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("pipeline", help="generate/load, partition, plan, simulate")
-    common(p)
-    p.add_argument("--scene-spec", dest="scene_spec", help="scene spec JSON")
+    common(p, "--scene-spec", "--checkpoint", "--policy", "--d-max")
     p.add_argument("--detections", help="detection file instead of generation")
-    p.add_argument("--checkpoint", help="policy checkpoint")
-    p.add_argument("--policy", choices=["trained", "keep", "random"])
-    p.add_argument("--num-scenes", dest="num_scenes", type=int)
-    p.add_argument("--d-max", dest="d_max", type=int)
+    p.add_argument("--num-scenes", type=int, help="scenes to generate")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("eval", help="trained vs random vs keep-only baselines")
-    common(p)
-    p.add_argument("--scene-spec", dest="scene_spec")
-    p.add_argument("--checkpoint", help="policy checkpoint")
+    common(p, "--scene-spec", "--checkpoint")
     p.add_argument("--episodes", type=int, help="held-out episodes per policy")
     p.set_defaults(func=cmd_eval)
 

@@ -299,11 +299,11 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
     descends the value MSE. Returns the new networks and the step's
     figures, taken before it: ``value_loss`` and the terms of
     ``_policy_objective_grad``. Raises FloatingPointError on non-finite loss.
-    The input networks are left as they are. Each new array is written
-    into the gradient array this step computed for it (``dw *= lr;
-    dw += w`` for the policy, ``w - lr * dw`` into ``dw`` for the critic),
-    so the step allocates no parameter array; the bytes equal
-    ``w + lr * dw`` and ``w - lr * dw``.
+    The input networks are left as they are. Both networks step in one
+    loop, each new array written into the gradient array this step computed
+    for it (``dw *= rate; dw += w``, the critic's rate negated), so the step
+    allocates no parameter array; the bytes equal ``w + lr * dw`` and
+    ``w - lr * dw``.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -313,12 +313,11 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
     if not (np.isfinite(l_clip) and np.isfinite(l_value)):
         raise FloatingPointError(
             f"non-finite loss (clip={l_clip}, value={l_value}); update aborted")
-    for w, dw in zip(policy.weights + policy.biases, pdw + pdb):
-        dw *= hyper.lr_policy
-        dw += w
-    for w, dw in zip(critic.weights + critic.biases, cdw + cdb):
-        dw *= hyper.lr_critic
-        np.subtract(w, dw, out=dw)
+    for net, grads, rate in ((policy, pdw + pdb, hyper.lr_policy),
+                             (critic, cdw + cdb, -hyper.lr_critic)):
+        for w, dw in zip(net.weights + net.biases, grads):
+            dw *= rate
+            dw += w
     return MlpParams(pdw, pdb), MlpParams(cdw, cdb), {**terms, "value_loss": l_value}
 
 
@@ -708,28 +707,30 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     if off != len(data):
         raise CheckpointError("trailing bytes after final array")
 
-    def network(net_name: str) -> MlpParams:
-        ws, bs = [], []
-        for k in range(len(manifest)):
-            if f"{net_name}.w{k}" not in arrays:
-                break
-            ws.append(arrays[f"{net_name}.w{k}"])
-            bs.append(arrays[f"{net_name}.b{k}"])
-        if not ws:
-            raise CheckpointError(f"no {net_name} arrays in checkpoint")
-        return MlpParams(ws, bs)
+    def network(net_name: str, out: int) -> MlpParams:
+        """Layers k = 0, 1, ... in one walk while ``<net_name>.w<k>`` exists:
+        weight k is 2-D and takes the previous width (the state's first),
+        bias k has shape (width,), and the last width is ``out``."""
+        net, width = MlpParams([], []), state_dim(n_pad)
+        while not net.weights or f"{net_name}.w{len(net.weights)}" in arrays:
+            w, b = (f"{net_name}.{kind}{len(net.weights)}" for kind in "wb")
+            for name in (w, b):
+                if name not in arrays:
+                    raise ValueError(f"no array {name}")
+            shape = {w: arrays[w].shape, b: arrays[b].shape}
+            check_fields(shape, [(w, len(shape[w]) == 2 and shape[w][0] == width,
+                                  f"a 2-D array of fan-in {width}")])
+            width = shape[w][1]
+            check_fields(shape, [(b, shape[b] == (width,), f"of shape ({width},)")])
+            net.weights.append(arrays[w])
+            net.biases.append(arrays[b])
+        check_fields(shape, [(w, width == out, f"of fan-out {out} for n_pad={n_pad}")])
+        return net
 
-    policy = network("policy")
-    critic = network("critic")
-    expected_dim = state_dim(n_pad)
-    if policy.weights[0].shape[0] != expected_dim:
-        raise CheckpointError(
-            f"policy input dim {policy.weights[0].shape[0]} != "
-            f"state dim {expected_dim} for n_pad={n_pad}")
-    if policy.weights[-1].shape[1] != n_actions(n_pad):
-        raise CheckpointError("policy output dim inconsistent with n_pad")
-    if critic.weights[0].shape[0] != expected_dim or critic.weights[-1].shape[1] != 1:
-        raise CheckpointError("critic dims inconsistent with header")
+    try:
+        policy, critic = network("policy", n_actions(n_pad)), network("critic", 1)
+    except ValueError as e:
+        raise CheckpointError(str(e)) from None
     return PolicyCheckpoint(
         n_pad=n_pad,
         include_count=include_count,

@@ -344,10 +344,11 @@ MODEL = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], 
     ("partition", "--detections", {"width_px": float("inf"), "height_px": 100,
                                    "detections": []}),
     ("plan", "--clusters", {"clusters": CLUSTERS["clusters"] * 2}),
+    ("plan", "--clusters", {"clusters": []}),
 ], ids=["clusters-list", "clusters-number", "cluster-without-block", "profile-list",
         "model-without-curve", "cluster-infinite-block", "model-infinite-size",
         "model-size-past-int64", "detections-number", "detections-text-width",
-        "detections-infinite-width", "clusters-repeated-id"])
+        "detections-infinite-width", "clusters-repeated-id", "clusters-empty"])
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, content):
     cfg_path, _ = base_config(tmp_path)
     clusters, bad = tmp_path / "clusters.json", tmp_path / "bad.json"
@@ -681,9 +682,43 @@ def test_eval_baselines(tmp_path):
         assert int(row[3]) == init.count
 
 
+def test_eval_runs_every_policy_in_the_checkpoints_environment(tmp_path):
+    # the config's n_pad, weights and band are not the checkpoint's (6, alpha 10, [2, 4])
+    from sceneplan.ppo import keep_policy, policy_config, random_policy, rollout, save_checkpoint
+    from sceneplan.rl_env import reward
+    from sceneplan.scene import generate_scene, scene_spec_from_dict
+
+    ckpt = count_driven_checkpoint(n_pad=6)
+    ckpt_path = tmp_path / "policy.ckpt"
+    save_checkpoint(ckpt, ckpt_path)
+    cfg_path, cfg = base_config(tmp_path, n_pad=9, checkpoint=str(ckpt_path), episodes=4,
+                                reward={"alpha": 3.0, "beta": 1.0, "gamma": 5.0, "delta": 2.0,
+                                        "n_min": 8, "n_max": 12, "d_m": 0.05})
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "out" / "eval.csv").read_text().strip().splitlines()[1:]]
+    transform = TransformParams(0.5)
+    env_config = policy_config(EnvConfig(transform=transform,
+                                         bandwidth=BandwidthSpec("fixed", 0.14)), ckpt)
+    spec = scene_spec_from_dict(cfg["scene_spec"])
+    for name, seed, final_reward, final_n, in_range in rows:
+        assert int(in_range) == (2 <= int(final_n) <= 4)
+        if name == "trained":
+            continue
+        frame = generate_scene(spec.with_seed(int(seed)))
+        choose = keep_policy if name == "keep" else random_policy
+        final = rollout([frame], env_config, cfg["t_max"], choose,
+                        np.random.default_rng(int(seed))).traces[0][-1].config
+        assert final.count == int(final_n)
+        assert float(final_reward) == reward(final, ckpt.weights, transform)[4]
+    # the config's band would have judged these rows otherwise
+    assert any(8 <= int(final_n) <= 12 for _, _, _, final_n, _ in rows)
+
+
 def test_eval_requires_checkpoint(tmp_path, capsys):
     cfg_path, _ = base_config(tmp_path, episodes=2)
     assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert "checkpoint" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -499,13 +499,19 @@ def test_checkpoint_bad_version_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+def read_header(path) -> dict:
+    """The JSON header of the checkpoint at ``path``."""
+    blob = path.read_bytes()
+    hlen = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))[1]
+    return json.loads(blob[len(CHECKPOINT_MAGIC) + 8:len(CHECKPOINT_MAGIC) + 8 + hlen])
+
+
 def rewrite_header(path, **fields):
     """Rewrite the checkpoint at ``path`` with ``fields`` set in its JSON header."""
     blob = path.read_bytes()
     off = len(CHECKPOINT_MAGIC)
     version, hlen = struct.unpack_from("<II", blob, off)
-    header = json.loads(blob[off + 8:off + 8 + hlen])
-    new = json.dumps({**header, **fields}).encode("utf-8")
+    new = json.dumps({**read_header(path), **fields}).encode("utf-8")
     path.write_bytes(blob[:off] + struct.pack("<II", version, len(new)) + new
                      + blob[off + 8 + hlen:])
 
@@ -529,13 +535,30 @@ def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value):
 def test_checkpoint_array_shapes_are_checked(tmp_path, rng, shape, named):
     path = tmp_path / "p.ckpt"
     save_checkpoint(make_ckpt(rng, n_pad=4), path)
-    blob = path.read_bytes()
-    hlen = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))[1]
-    arrays = json.loads(blob[len(CHECKPOINT_MAGIC) + 8:len(CHECKPOINT_MAGIC) + 8 + hlen])["arrays"]
+    arrays = read_header(path)["arrays"]
     arrays[0][1] = shape
     rewrite_header(path, arrays=arrays)
     with pytest.raises(CheckpointError, match=re.escape(
             f"{path}: invalid header: {arrays[0][0]} shape dim {named}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("layer, entry, named", [
+    ("policy.b0", ["policy.b0", [2, 4]], "policy.b0 must be of shape (8,), got (2, 4)"),
+    ("policy.b0", ["policy.bias0", [8]], "no array policy.b0"),
+    ("policy.w1", ["policy.w1", [4, 16]],
+     "policy.w1 must be a 2-D array of fan-in 8, got (4, 16)"),
+    # without its last weight the critic ends on a hidden layer
+    ("critic.w2", ["critic.v2", [8, 1]], "critic.w1 must be of fan-out 1 for n_pad=4, got (8, 8)"),
+], ids=["bias-reshaped", "bias-renamed", "weight-fan-in", "critic-cut-short"])
+def test_checkpoint_layers_are_checked_in_order(tmp_path, rng, layer, entry, named):
+    # each manifest keeps the payload's size, so only the layer walk can refuse it
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    arrays = read_header(path)["arrays"]
+    arrays[[name for name, _ in arrays].index(layer)] = entry
+    rewrite_header(path, arrays=arrays)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {named}")):
         load_checkpoint(path)
 
 

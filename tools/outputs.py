@@ -52,8 +52,16 @@ CROWD = {"d_max": 16000, "bandwidth_mode": "fixed", "bandwidth_value": 0.12}
 TRAIN = cli("train", "--config", "config.json", "--out-dir", ".", "--iterations", "2")
 
 
-def pipeline(policy, out=".", *args):
-    return cli("pipeline", "--config", "config.json", "--policy", policy, "--out-dir", out, *args)
+def pipeline(policy, out=".", *args, config="config.json"):
+    return cli("pipeline", "--config", config, "--policy", policy, "--out-dir", out, *args)
+
+
+def trained_runs(config):
+    """eval and a trained pipeline on the checkpoint a case trained."""
+    return [cli("eval", "--config", config, "--out-dir", ".", "--checkpoint", "policy.ckpt",
+                "--episodes", "5"),
+            pipeline("trained", ".", "--num-scenes", "3", "--checkpoint", "policy.ckpt",
+                     config=config)]
 
 
 def gen_scene(*exts):
@@ -62,11 +70,12 @@ def gen_scene(*exts):
 
 # (name, input files as JSON objects, commands run in the case's directory)
 CASES = [
-    ("desk-train", {"config.json": DESK}, [
-        TRAIN,
-        cli("eval", "--config", "config.json", "--out-dir", ".",
-            "--checkpoint", "policy.ckpt", "--episodes", "5"),
-        pipeline("trained", ".", "--num-scenes", "3", "--checkpoint", "policy.ckpt")]),
+    ("desk-train", {"config.json": DESK}, [TRAIN, *trained_runs("config.json")]),
+    # the built-in n_pad and reward block: eval and the trained pipeline run in
+    # the environment fitted to the checkpoint, so they write desk-train's bytes
+    ("desk-fitted", {"config.json": DESK, "builtin.json": {
+        key: value for key, value in DESK.items() if key not in ("n_pad", "reward")}},
+     [TRAIN, *trained_runs("builtin.json")]),
     ("both-loops-train", {"config.json": {**DESK, "scene_spec": spec(64, 128, 1280, 1280)}},
      [TRAIN]),
     ("crowd-keep", {"config.json": {"seed": 7, **CROWD, "scene_spec": spec(2000, 2000)}},
@@ -97,8 +106,10 @@ CASES = [
      + [pipeline("random", ext, "--detections", f"dets.{ext}") for ext in ("json", "csv")]),
     ("ties", {}, [[str(ROOT / "tools" / "ties.py"), "ties.json"]]),
 ]
-SAME = [[f"loaded-frame/{src}/{name}" for src in ("generated", "json", "csv")]
-        for name in ("report.json", "metrics.csv")]
+SAME = [*([f"loaded-frame/{src}/{name}" for src in ("generated", "json", "csv")]
+          for name in ("report.json", "metrics.csv")),
+        *([f"{case}/{name}" for case in ("desk-train", "desk-fitted")]
+          for name in ("eval.csv", "report.json", "metrics.csv"))]
 
 
 def run(src: Path, out: Path, tree: str) -> dict:
