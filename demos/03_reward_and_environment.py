@@ -49,7 +49,7 @@ episodes = rollout([frame], env_config, 10, merge_down)
 print(f"state vector: length {episodes.states.shape[-1]} "
       f"(5 features x 8 slots + normalized count)")
 trace = episodes.traces[0]
-final = trace[-1].config
+(final,) = episodes.answers()
 
 print()
 print("step  action  N   R1(tight)  R2(areavar)  R3(count)  R4(close)  reward")

@@ -54,8 +54,8 @@ held_out = [(10_000 + k, generate_scene(spec.with_seed(10_000 + k)))
 def evaluate(name, policy_fn):
     finals, ns = [], []
     for seed, frame in held_out:
-        final = rollout([frame], env_cfg, hyper.t_max, policy_fn,
-                        np.random.default_rng(seed)).traces[0][-1].config
+        (final,) = rollout([frame], env_cfg, hyper.t_max, policy_fn,
+                           np.random.default_rng(seed)).answers()
         finals.append(reward(final, weights, env_cfg.transform)[4])
         ns.append(final.count)
     finals, ns = np.array(finals), np.array(ns)

@@ -208,7 +208,8 @@ def _policy(cfg: dict, mode: str):
 
 def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
     """Coarse-detect and refine one frame's clusters with a ``_policy``
-    pair; returns the clusters report and the partitions."""
+    pair; returns the clusters report, the partitions, and the scores
+    (R1, R2, R3, R4, R_total) of the episode's answer (``Episodes.answers``)."""
     if len(frame.detections) == 0:
         raise ValueError("empty scene")
     coarse = coarse_detect(
@@ -223,7 +224,7 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
     episodes = rollout([coarse], env_config, cfg["t_max"], choose,
                        np.random.default_rng(scene_seed + 1))
     trace, scores = episodes.traces[0], episodes.scores()[0].tolist()
-    final = trace[-1].config
+    (step,), (final,) = episodes.answer_steps(), episodes.answers()
     blocks = bounding_blocks(final, cfg["block_margin"], coarse)
     parts = partitions_from_blocks(final, coarse, blocks)
     means = episodes.geometries[0].means
@@ -251,19 +252,22 @@ def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
         ],
         "clusters": clusters,
     }
-    return report, parts
+    return report, parts, scores[step]
 
 
 def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
     """Re-read a clusters report and rebuild its partition descriptors; a
-    cluster's id and block corners must be 64-bit integers and its areas
-    numbers, or the error names ``<path>: clusters[k].<field>``."""
+    cluster's id and its four block corners must be 64-bit integers and its
+    areas numbers, or the error names ``<path>: clusters[k].<field>``."""
     report = read_json(path)
     parts = []
     try:
         for k, c in enumerate(report["clusters"]):
             where = f"clusters[{k}]."
-            x0, y0, x1, y1 = (check_number(v, where + "block_px", True) for v in c["block_px"])
+            block = [check_number(v, where + "block_px", True) for v in c["block_px"]]
+            check_fields({where + "block_px": block}, [
+                (where + "block_px", len(block) == 4, "four corners")])
+            x0, y0, x1, y1 = block
             # PartitionDescriptor checks a float area's range, naming the partition
             areas = tuple(a if isinstance(a, float) else
                           float(check_number(a, where + "member_areas_px2"))
@@ -272,7 +276,7 @@ def load_clusters(path) -> tuple[dict, list[PartitionDescriptor]]:
                 check_number(c["id"], where + "id", True), x1 - x0, y1 - y0, areas))
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed clusters report ({e})") from None
-    except ValueError as e:  # a value of the wrong type or range, or a block not of four
+    except ValueError as e:  # a value of the wrong type or range
         raise ValueError(f"{path}: {e}") from None
     if not parts:
         raise ValueError(f"{path}: clusters report holds no cluster")
@@ -339,7 +343,7 @@ def cmd_partition(args) -> None:
     if cfg["detections"] is None:
         raise ValueError("no detections file configured")
     frame = load_detections(cfg["detections"])
-    report, _ = _partition_frame(frame, cfg, cfg["seed"], _policy(cfg, cfg["policy"]))
+    report, _, _ = _partition_frame(frame, cfg, cfg["seed"], _policy(cfg, cfg["policy"]))
     out = args.out or os.path.join(cfg["out_dir"], "clusters.json")
     write_json(out, report)
     print(f"wrote {out} ({report['n_final']} clusters)")
@@ -369,16 +373,13 @@ def cmd_pipeline(args) -> None:
     scenes = []
     rows = []
     for scene_seed, frame in frames:
-        clusters, parts = _partition_frame(frame, cfg, scene_seed, policy)
+        clusters, parts, score = _partition_frame(frame, cfg, scene_seed, policy)
         plan = _plan_payload(parts, profiles, cfg["d_max"], cfg["e"])
-        last = clusters["trace"][-1]
-        r1, r2, r3, r4 = last["components"]
         scenes.append({"scene_seed": scene_seed, "clusters": clusters, "plan": plan})
         rows.append({
             "scene_id": scene_seed,
             "n_final": clusters["n_final"],
-            "r1": r1, "r2": r2, "r3": r3, "r4": r4,
-            "reward": last["reward"],
+            **dict(zip(("r1", "r2", "r3", "r4", "reward"), score)),
             "plan_precision": plan["total_precision"],
             "sum_latency_ms": plan["total_latency_ms"],
             "makespan_ms": plan["makespan_ms"],
@@ -402,8 +403,8 @@ def cmd_eval(args) -> None:
     for name, choose in policies:
         for scene_seed in seeds:  # regenerated per policy: one frame alive at a time
             frame = generate_scene(spec.with_seed(scene_seed))
-            final = rollout([frame], env_config, cfg["t_max"], choose,
-                            np.random.default_rng(scene_seed)).traces[0][-1].config
+            (final,) = rollout([frame], env_config, cfg["t_max"], choose,
+                               np.random.default_rng(scene_seed)).answers()
             rows.append({
                 "policy": name,
                 "scene_seed": scene_seed,

@@ -18,6 +18,11 @@ pass when asked. Training rolls an iteration's ``episodes_per_iter``
 episodes together (``collect``); inference and the command line roll one.
 Everything is deterministic for a fixed seed.
 
+An episode's answer, the configuration that inference, the command line
+and training's log take as its result, is chosen in one place:
+``Episodes.answer_steps`` names the step each episode answers with (its
+last), and ``Episodes.answers`` reads the configurations after those steps.
+
 A chooser that declares itself ``stationary`` (its actions depend on the
 states and masks alone: ``greedy_policy``'s and ``keep_policy``) lets an
 episode stop stepping once its configuration repeats; the rest of the
@@ -338,12 +343,9 @@ class PolicyCheckpoint:
     meta: dict = field(default_factory=dict)
 
 
-def policy_config(env_config: EnvConfig, ckpt: PolicyCheckpoint | None) -> EnvConfig:
+def policy_config(env_config: EnvConfig, ckpt: PolicyCheckpoint) -> EnvConfig:
     """``env_config`` with a checkpoint's n_pad, reward weights and
-    include_count, so its policy sees the state layout it was trained on;
-    unchanged when there is no checkpoint."""
-    if ckpt is None:
-        return env_config
+    include_count, so its policy sees the state layout it was trained on."""
     return replace(env_config, weights=ckpt.weights, n_pad=ckpt.n_pad,
                    include_count=ckpt.include_count)
 
@@ -352,7 +354,9 @@ def policy_config(env_config: EnvConfig, ckpt: PolicyCheckpoint | None) -> EnvCo
 class Episodes:
     """Episodes rolled in lockstep. Entry [e, t] of each array belongs to
     step t of episode e: the state and mask its action was chosen in, and
-    the action; ``traces[e][t]`` is that step's outcome."""
+    the action; ``traces[e][t]`` is that step's outcome. Each episode
+    answers with the configuration after one of its steps: read it through
+    ``answers``, never from a trace."""
 
     traces: list[list[StepOutcome]]
     states: np.ndarray   # (E, T, state_dim)
@@ -367,11 +371,21 @@ class Episodes:
         configurations in their episodes' geometries. A replayed step's
         trace entry is the record it repeats, so each distinct record is
         scored once."""
-        scored = {id(out): (out.config, self.weights, geometry)
+        scored = {id(out): (out.config, geometry)
                   for trace, geometry in zip(self.traces, self.geometries) for out in trace}
         row = {key: r for r, key in enumerate(scored)}
         at = [row[id(out)] for trace in self.traces for out in trace]
-        return np.array(rewards(list(scored.values())))[at].reshape(*self.actions.shape, 5)
+        scores = rewards(list(scored.values()), self.weights)
+        return np.array(scores)[at].reshape(*self.actions.shape, 5)
+
+    def answer_steps(self) -> list[int]:
+        """The step each episode answers with: its last. The one statement
+        of the rule; every reader of an episode's result goes through it."""
+        return [len(trace) - 1 for trace in self.traces]
+
+    def answers(self) -> list[ClusterConfig]:
+        """Each episode's answer: its configuration after its ``answer_steps`` step."""
+        return [trace[t].config for trace, t in zip(self.traces, self.answer_steps())]
 
 
 def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
@@ -459,8 +473,9 @@ def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],
     Returns are discounted per episode by ``hyper.gamma``; the advantages take one critic pass
     over all E·T states and are standardised over the batch. Also returns
     the episodes and the collection's training-log figures: the mean
-    episode return, the mean final cluster count, and the critic's
-    explained variance of the returns (NaN when the returns do not vary).
+    episode return, the mean cluster count of the episodes' answers
+    (``Episodes.answers``), and the critic's explained variance of the
+    returns (NaN when the returns do not vary).
     """
     logps = []
 
@@ -488,8 +503,7 @@ def collect(policy: MlpParams, critic: MlpParams, frames: list[Frame],
     spread = returns.var()
     return batch, episodes, {
         "mean_return": float(totals.sum(axis=1).mean()),
-        "mean_N_final": float(np.mean([trace[-1].config.count
-                                       for trace in episodes.traces])),
+        "mean_N_final": float(np.mean([config.count for config in episodes.answers()])),
         "explained_variance": (float(1.0 - (returns - values).var() / spread)
                                if spread > 0 else float("nan")),
     }
@@ -600,13 +614,14 @@ def infer_clusters(
 ) -> ClusterConfig:
     """Greedy refinement: MeanShift reset, then t_max masked-argmax steps
     (the checkpoint's own t_max by default), stepped until the configuration
-    repeats and then replayed (see ``rollout``). Deterministic."""
+    repeats and then replayed (see ``rollout``); returns the episode's
+    answer (``Episodes.answers``). Deterministic."""
     if n_pad is not None and n_pad != ckpt.n_pad:
         raise CheckpointError(
             f"checkpoint built for n_pad={ckpt.n_pad}, requested {n_pad}")
     env_config = policy_config(EnvConfig(transform=transform, bandwidth=bandwidth), ckpt)
     return rollout([frame], env_config, ckpt.hyper.t_max if t_max is None else t_max,
-                   greedy_policy(ckpt)).traces[0][-1].config
+                   greedy_policy(ckpt)).answers()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +716,8 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
         nbytes = count * 8
         if len(data) < off + nbytes:
             raise CheckpointError(f"checkpoint truncated inside array {name}")
+        if name in arrays:  # the later payload would replace this one
+            raise CheckpointError(f"array {name} is listed twice")
         arrays[name] = np.frombuffer(
             data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
         off += nbytes
@@ -710,7 +727,8 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     def network(net_name: str, out: int) -> MlpParams:
         """Layers k = 0, 1, ... in one walk while ``<net_name>.w<k>`` exists:
         weight k is 2-D and takes the previous width (the state's first),
-        bias k has shape (width,), and the last width is ``out``."""
+        bias k has shape (width,), and the last width is ``out``; each array
+        taken is removed from ``arrays``."""
         net, width = MlpParams([], []), state_dim(n_pad)
         while not net.weights or f"{net_name}.w{len(net.weights)}" in arrays:
             w, b = (f"{net_name}.{kind}{len(net.weights)}" for kind in "wb")
@@ -722,13 +740,15 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
                                   f"a 2-D array of fan-in {width}")])
             width = shape[w][1]
             check_fields(shape, [(b, shape[b] == (width,), f"of shape ({width},)")])
-            net.weights.append(arrays[w])
-            net.biases.append(arrays[b])
+            net.weights.append(arrays.pop(w))
+            net.biases.append(arrays.pop(b))
         check_fields(shape, [(w, width == out, f"of fan-out {out} for n_pad={n_pad}")])
         return net
 
     try:
         policy, critic = network("policy", n_actions(n_pad)), network("critic", 1)
+        if arrays:  # what is left no walk reached, and saving would drop it
+            raise ValueError(f"array {next(iter(arrays))} belongs to no layer")
     except ValueError as e:
         raise CheckpointError(str(e)) from None
     return PolicyCheckpoint(

@@ -15,9 +15,9 @@ length; sampling-time masking makes that a safety net rather than the rule.
 
 A step does not score its configuration: it returns the plain record
 ``StepOutcome``. Scores are computed when asked, by ``rewards`` over any
-number of (configuration, weights, geometry) triples at once;
-``ppo.Episodes.scores`` scores a whole rollout in one such pass, and
-``reward`` is its one-configuration case, in a fresh geometry.
+number of (configuration, geometry) pairs at once under one set of
+``RewardWeights``; ``ppo.Episodes.scores`` scores a whole rollout in one
+such pass, and ``reward`` is its one-configuration case, in a fresh geometry.
 """
 
 from __future__ import annotations
@@ -121,12 +121,13 @@ def reward(config: ClusterConfig, weights: RewardWeights,
     """(R1, R2, R3, R4, R_total) for a configuration: the one-configuration
     case of ``rewards``, in a fresh ``ClusterGeometry`` of its frame under
     ``transform``."""
-    return rewards([(config, weights, ClusterGeometry(config.detections, transform))])[0]
+    return rewards([(config, ClusterGeometry(config.detections, transform))], weights)[0]
 
 
-def rewards(scored) -> list[tuple[float, float, float, float, float]]:
-    """(R1, R2, R3, R4, R_total) of each (configuration, weights, geometry)
-    in ``scored``, every geometry built for its configuration's frame.
+def rewards(scored, weights: RewardWeights) -> list[tuple[float, float, float, float, float]]:
+    """(R1, R2, R3, R4, R_total) under ``weights`` of each (configuration,
+    geometry) pair in ``scored``, every geometry built for its
+    configuration's frame.
 
     R1: minus the mean over clusters of the mean member-center distance to
         the cluster centroid, in the geometry's space.
@@ -146,7 +147,7 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     overflowed, or all four when only their sum did.
     """
     rows, cents, sizes = [], [], []
-    for config, weights, geometry in scored:
+    for config, geometry in scored:
         n = config.count
         if n == 0:
             raise ValueError("reward of an empty configuration: it has no clusters")
@@ -156,13 +157,8 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
         # reversing a split restores the reward bit for bit
         r1 = -math.fsum(s[1] for s in stats) / n
         r2 = -math.fsum(s[2] for s in stats) / n
-        if n < weights.n_min:
-            r3 = -float(weights.n_min - n)
-        elif n > weights.n_max:
-            r3 = -float(n - weights.n_max)
-        else:
-            r3 = 0.0
-        rows.append((r1, r2, r3, weights))
+        # minus the distance to the band; at most one difference is negative
+        rows.append((r1, r2, float(min(n - weights.n_min, weights.n_max - n, 0))))
         cents += [s[0] for s in stats]
         sizes.append(n)
     if not rows:
@@ -175,12 +171,12 @@ def rewards(scored) -> list[tuple[float, float, float, float, float]]:
     owner = np.arange(len(rows)).repeat(sizes).repeat(partners)
     d = squared_distances(cents[i, 0], cents[i, 1], cents[j, 0], cents[j, 1])
     np.sqrt(d, out=d)
-    cut = np.array([w.d_m for *_, w in rows])[owner]
-    close = np.bincount(owner[d < cut], minlength=len(rows)).tolist()
+    close = np.bincount(owner[d < weights.d_m], minlength=len(rows)).tolist()
     out = []
-    for (r1, r2, r3, w), pairs in zip(rows, close):
+    for (r1, r2, r3), pairs in zip(rows, close):
         r4 = float(-pairs)  # an int, so no close pair reads 0.0, not -0.0
-        terms = (w.alpha * r1, w.beta * r2, w.gamma * r3, w.delta * r4)
+        terms = (weights.alpha * r1, weights.beta * r2, weights.gamma * r3,
+                 weights.delta * r4)
         total = terms[0] + terms[1] + terms[2] + terms[3]
         if not math.isfinite(total):
             over = [name for name, term in zip(REWARD_TERMS, terms) if not math.isfinite(term)]

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -363,15 +364,14 @@ def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, conte
 
 
 @pytest.mark.parametrize("field, value", [
-    ("id", 1.5), ("id", True), ("id", "3"), ("id", 2 ** 70), ("block_px", 100.9),
-    ("block_px", False), ("member_areas_px2", "400"), ("member_areas_px2", True),
+    ("id", 1.5), ("id", True), ("id", "3"), ("id", 2 ** 70), ("block_px", [0, 0, 100.9, 100]),
+    ("block_px", [0, 0, False, 100]), ("member_areas_px2", ["400"]),
+    ("member_areas_px2", [True]), ("block_px", [0, 0, 100]),
 ], ids=["id-fraction", "id-bool", "id-text", "id-past-int64", "corner-fraction",
-        "corner-bool", "area-text", "area-bool"])
+        "corner-bool", "area-text", "area-bool", "corner-missing"])
 def test_plan_reads_cluster_numbers_strictly(tmp_path, capsys, field, value):
     # nothing is coerced or truncated: the second cluster's bad value is named
-    cluster = {"id": 1, "block_px": [0, 0, 100, 100], "member_areas_px2": [400.0]}
-    cluster[field] = {"id": value, "block_px": [0, 0, value, 100],
-                      "member_areas_px2": [value]}[field]
+    cluster = {"id": 1, "block_px": [0, 0, 100, 100], "member_areas_px2": [400.0], field: value}
     cfg_path, _ = base_config(tmp_path)
     clusters = tmp_path / "clusters.json"
     clusters.write_text(json.dumps({"clusters": [*CLUSTERS["clusters"], cluster]}))
@@ -713,6 +713,84 @@ def test_eval_runs_every_policy_in_the_checkpoints_environment(tmp_path):
         assert float(final_reward) == reward(final, ckpt.weights, transform)[4]
     # the config's band would have judged these rows otherwise
     assert any(8 <= int(final_n) <= 12 for _, _, _, final_n, _ in rows)
+
+
+def csv_rows(path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_every_result_is_the_step_that_episodes_answers_with(tmp_path, monkeypatch):
+    # with the rule on Episodes patched to step 0, partition, pipeline, eval,
+    # infer_clusters and training's log all report the first step's configuration
+    from dataclasses import replace
+
+    from sceneplan import cli, ppo
+    from sceneplan.rl_env import reward
+    from sceneplan.scene import generate_scene, scene_spec_from_dict
+
+    # raising=False: a tree without the rule fails on what its readers report
+    monkeypatch.setattr(ppo.Episodes, "answer_steps", lambda self: [0] * len(self.traces),
+                        raising=False)
+    rollout, rolled = ppo.rollout, []
+
+    def recording(*args):
+        rolled.append(rollout(*args))
+        return rolled[-1]
+
+    monkeypatch.setattr(cli, "rollout", recording)
+    monkeypatch.setattr(ppo, "rollout", recording)
+
+    def first_config(episodes):
+        trace = episodes.traces[0]
+        assert trace[0].config != trace[-1].config  # the rule decides what is reported
+        return trace[0].config
+
+    # a greedy policy that merges at every step it can
+    ckpt = replace(count_driven_checkpoint(n_pad=6), include_count=True)
+    ckpt_path = tmp_path / "policy.ckpt"
+    ppo.save_checkpoint(ckpt, ckpt_path)
+    dets = make_detections(tmp_path)
+    cfg_path, cfg = base_config(tmp_path, detections=str(dets), policy="random", t_max=8,
+                                checkpoint=str(ckpt_path), episodes=2)
+
+    out = tmp_path / "clusters.json"
+    assert main(["partition", "--config", str(cfg_path), "--out", str(out)]) == 0
+    first = first_config(rolled.pop())
+    report, _ = load_clusters(out)
+    assert report["n_final"] == first.count
+    assert [c["members"] for c in report["clusters"]] == [list(c) for c in first.clusters]
+
+    assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    (row,) = csv_rows(tmp_path / "out" / "metrics.csv")
+    first = first_config(rolled[0])
+    assert int(row["n_final"]) == first.count
+    assert [float(row[k]) for k in ("r1", "r2", "r3", "r4", "reward")] == \
+        rolled.pop().scores()[0][0].tolist()
+
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    rows = csv_rows(tmp_path / "out" / "eval.csv")
+    assert [r["policy"] for r in rows] == ["trained"] * 2 + ["random"] * 2 + ["keep"] * 2
+    for row, episodes in zip(rows[:4], rolled):  # a keep episode never changes
+        first = first_config(episodes)
+        assert int(row["final_n"]) == first.count
+        assert float(row["final_reward"]) == reward(first, ckpt.weights, TransformParams(0.5))[4]
+    rolled.clear()
+
+    spec = scene_spec_from_dict(cfg["scene_spec"])
+    frame = generate_scene(spec.with_seed(cfg["seed"]))
+    final = ppo.infer_clusters(frame, ckpt, TransformParams(0.5), BandwidthSpec("fixed", 0.14), 8)
+    assert final == first_config(rolled.pop())
+
+    env_config = ppo.policy_config(EnvConfig(transform=TransformParams(0.5),
+                                             bandwidth=BandwidthSpec("fixed", 0.14)), ckpt)
+    frames = [generate_scene(spec.with_seed(seed)) for seed in (1, 2)]
+    _, episodes, figures = ppo.collect(ckpt.policy, ckpt.critic, frames, env_config,
+                                       Hyperparams(t_max=8), np.random.default_rng(0))
+    assert figures["mean_N_final"] == np.mean([trace[0].config.count
+                                               for trace in episodes.traces])
+    assert figures["mean_N_final"] != np.mean([trace[-1].config.count
+                                               for trace in episodes.traces])
 
 
 def test_eval_requires_checkpoint(tmp_path, capsys):

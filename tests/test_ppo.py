@@ -562,6 +562,20 @@ def test_checkpoint_layers_are_checked_in_order(tmp_path, rng, layer, entry, nam
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("entry, named", [
+    (["policy.w7", [3]], "array policy.w7 belongs to no layer"),
+    (["policy.b0", [8]], "array policy.b0 is listed twice"),
+], ids=["extra", "repeated"])
+def test_checkpoint_refuses_an_array_no_layer_reaches(tmp_path, rng, entry, named):
+    # an entry appended with its payload: saving the loaded networks again would drop one
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    rewrite_header(path, arrays=[*read_header(path)["arrays"], entry])
+    path.write_bytes(path.read_bytes() + np.arange(entry[1][0], dtype="<f8").tobytes())
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {named}")):
+        load_checkpoint(path)
+
+
 def test_infer_rejects_mismatched_n_pad(tmp_path, rng):
     ckpt = make_ckpt(rng, n_pad=4)
     frame = small_frame(rng)

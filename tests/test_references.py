@@ -230,28 +230,28 @@ def swapped_axis_args(draw):
 def scored_args(draw):
     """1-6 tied configurations, each of its own frame and under its own
     transform, with a fresh geometry or one whose memo holds every
-    cluster, sometimes scored twice in one batch; each weighted with a d_m
-    at, or an ulp either side of, one of its centroid distances, or 0.2."""
-    scored = []
+    cluster, sometimes scored twice in one batch; all weighted with a d_m
+    at, or an ulp either side of, a centroid distance of one of them, or 0.2."""
+    scored, distances = [], []
     for _ in range(draw(st.integers(1, 6))):
         config, transform = draw(tied_configs), draw(transforms)
-        d_m, cents = 0.2, centroids_reference(config, transform)
+        cents = centroids_reference(config, transform)
         if config.count >= 2:
             i, j = draw(st.permutations(range(config.count)))[:2]
-            d = pair_distance(cents[i], cents[j])
-            step = draw(st.sampled_from([-1, 0, 1]))
-            if d > 0.0:
-                d_m = d if step == 0 else math.nextafter(d, step * math.inf)
-        weights = RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
-                                n_min=2, n_max=4, d_m=d_m)
-        item = (config, weights, geometries(config, transform)[draw(st.integers(0, 1))])
+            distances.append(pair_distance(cents[i], cents[j]))
+        item = (config, geometries(config, transform)[draw(st.integers(0, 1))])
         scored += [item] * draw(st.integers(1, 2))
-    return (scored,)
+    d_m, d = 0.2, draw(st.sampled_from(distances)) if distances else 0.0
+    step = draw(st.sampled_from([-1, 0, 1]))
+    if d > 0.0:
+        d_m = d if step == 0 else math.nextafter(d, step * math.inf)
+    return scored, RewardWeights(alpha=3.0, beta=7.0, gamma=11.0, delta=2.0,
+                                 n_min=2, n_max=4, d_m=d_m)
 
 
-def rewards_reference(scored):
+def rewards_reference(scored, weights):
     return [reward_per_cluster_reference(config, weights, geometry.transform)
-            for config, weights, geometry in scored]
+            for config, geometry in scored]
 
 
 @st.composite
@@ -282,7 +282,7 @@ def reward_three_ways(config, weights, transform):
     """``reward``, then ``rewards`` twice on one geometry: memo filled, then read."""
     geometry = ClusterGeometry(config.detections, transform)
     return [reward(config, weights, transform),
-            *(rewards([(config, weights, geometry)])[0] for _ in range(2))]
+            *(rewards([(config, geometry)], weights)[0] for _ in range(2))]
 
 
 def reward_reference_three_ways(config, weights, transform):

@@ -505,7 +505,7 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
         out = step(cfg, action, n_pad, geometry)
         assert out.config == nxt
         # scored in the episode's geometry, its memo filled by the steps so far
-        assert rewards([(out.config, DESK, geometry)]) == [
+        assert rewards([(out.config, geometry)], DESK) == [
             reward_per_cluster_reference(nxt, DESK, transform)]
         cfg = nxt
 
@@ -563,7 +563,7 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
 
     frame = generate_scene(SceneSpec(1280, 1280, 14, 20, STRATA, seed))
     calls, original = [], rl_env.rewards
-    spy = lambda scored: calls.append(scored) or original(scored)  # noqa: E731
+    spy = lambda scored, weights: calls.append(scored) or original(scored, weights)  # noqa: E731
     for module in (ppo, rl_env):
         monkeypatch.setattr(module, "rewards", spy)
     for choose in (keep_policy, greedy_chooser(3), random_policy):
@@ -582,7 +582,8 @@ def test_scores_score_each_distinct_record_once(monkeypatch):
 
     episodes = rollout(desk_frames(8), TEST_ENV, 30, greedy_chooser(5))
     calls, original = [], ppo.rewards
-    monkeypatch.setattr(ppo, "rewards", lambda scored: calls.append(scored) or original(scored))
+    monkeypatch.setattr(ppo, "rewards", lambda scored, weights: calls.append(scored)
+                        or original(scored, weights))
     scores = episodes.scores()
     assert sum(map(len, episodes.traces)) == 240
     assert [len(scored) for scored in calls] == [88]
