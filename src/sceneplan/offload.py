@@ -8,6 +8,7 @@ reported so either budget can be inspected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -134,26 +135,37 @@ def precision_table(partitions, profiles) -> np.ndarray:
     ends, averaged over the block's boxes.
 
     One ``np.interp`` per profile looks up every member area of every
-    block. Every cell equals ``partition_precision_reference`` in
-    ``tests/oracles.py`` bit for bit, beside which the argument sits.
+    block. Member k of block b lands at ``grid[1 + k, b]`` of a (members x
+    blocks x profiles) grid of 0.0, and one ``np.add.accumulate`` down the
+    members adds each block's values in member order, starting from the
+    0.0 row. A scaled area that underflows to 0 raises a ValueError naming
+    the first such block and its first such model. Every cell equals
+    ``partition_precision_reference`` in ``tests/oracles.py`` bit for bit,
+    beside which the argument sits.
     """
     counts = [part.count for part in partitions]
     areas = np.array([a for part in partitions for a in part.areas_px2], dtype=float)
     pixels = np.repeat(np.array([part.width_px * part.height_px for part in partitions],
                                 dtype=float), counts)
-    table = np.empty((len(partitions), len(profiles)))
+    blocks = np.repeat(np.arange(len(counts)), counts)
+    ranks = np.arange(1, len(areas) + 1) - np.repeat(np.cumsum([0] + counts)[:-1], counts)
+    values = np.empty((len(areas), len(profiles)))
+    underflow = None  # (block, profile) of the first underflow, row-major
     for j, profile in enumerate(profiles):
         scaled = areas * profile.input_size ** 2
         scaled /= pixels
         if not scaled.all():  # underflow to 0: the only way to lose positivity
-            raise ValueError("area must be positive")
-        values = iter(np.interp(scaled, profile.centers, profile.maps).tolist())
-        for i, count in enumerate(counts):
-            total = 0.0
-            for _ in range(count):
-                total += next(values)
-            table[i, j] = total / count
-    return table
+            first = (int(blocks[scaled.argmin()]), j)  # the first 0 lies in the first block
+            underflow = first if underflow is None else min(underflow, first)
+        values[:, j] = np.interp(scaled, profile.centers, profile.maps)
+    if underflow is not None:
+        b, j = underflow
+        raise ValueError(f"partition {partitions[b].id}: model {profiles[j].name} scales a "
+                         "box area to 0 (area must be positive)")
+    grid = np.zeros((max(counts, default=0) + 1, len(counts), len(profiles)))
+    grid[ranks, blocks] = values
+    np.add.accumulate(grid, axis=0, out=grid)
+    return grid[-1] / np.array(counts, dtype=float)[:, None]
 
 
 def partitions_from_config(config: ClusterConfig, frame: Frame) -> list[PartitionDescriptor]:
@@ -187,13 +199,18 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
     Table semantics: dp[i][t] is the best precision over the first i
     partitions with latency sum within t (the zero row spreads 0 across
     every t, so each row folds the previous row shifted by each model's
-    latency). Unreachable cells hold -inf as the explicit invalid marker.
-    Ties prefer smaller latency, then smaller model input; the optimal
-    column is the first t attaining the maximum.
+    latency), and -inf where no plan fits within t. Ties prefer smaller
+    latency, then smaller model input; the optimal column is the first t
+    attaining the maximum.
 
-    The table keeps values only, capped at ``min(d_max, n * L) + 1``
-    columns (L the largest latency within the budget). Plans equal
-    ``dp_plan_reference`` in ``tests/oracles.py``; the argument sits there.
+    The table keeps values only. With lo and hi the smallest and largest
+    latency within the budget, row i is stored from column i * lo and
+    filled only over its band ``[i * lo, min(i * hi, d_max - (n - i) *
+    lo)]``: the cheapest model writes it, each other model folds in by
+    ``np.maximum``, and the row's value at i * hi, where every plan fits,
+    is copied past the band into the cells row i + 1 reads. The backtrack
+    reads the bands in Python floats. Plans equal ``dp_plan_reference`` in
+    ``tests/oracles.py``; the argument sits there.
     """
     integer = isinstance(d_max, (int, np.integer)) and not isinstance(d_max, bool)
     check_fields({"d_max": d_max},
@@ -202,45 +219,54 @@ def dp_plan(partitions, profiles, d_max: int) -> OffloadPlan:
         raise ValueError("no partitions to plan")
     if not profiles:
         raise ValueError("no model profiles")
-    n = len(partitions)
+    n, d_max = len(partitions), int(d_max)
     # canonical model order realizes the tie-break under strict improvement
     order = sorted(range(len(profiles)),
                    key=lambda j: (profiles[j].latency_ms, profiles[j].input_size))
     lats = [p.latency_ms for p in profiles]
     fits = [j for j in order if lats[j] <= d_max]
-    prec = precision_table(partitions, profiles)
-    width = min(int(d_max), n * max((lats[j] for j in fits), default=0)) + 1
-    rows = [np.zeros(width)]
-    tmp = np.empty(width)
-    for i in range(n):
-        prev, best = rows[-1], np.full(width, -np.inf)
-        for j in fits:
-            d = lats[j]
-            np.add(prev[:width - d], prec[i, j], out=tmp[d:])
-            np.fmax(best[d:], tmp[d:], out=best[d:])
-        rows.append(best)
-    last = rows[n]
-    if not np.isfinite(last).any():
+    precs = precision_table(partitions, profiles).tolist()
+    if not fits or n * lats[fits[0]] > d_max:
         cheapest = sum(min(p.latency_ms for p in profiles) for _ in partitions)
         raise InfeasiblePlanError(
             f"budget {d_max} ms infeasible: cheapest assignment needs "
             f"{cheapest} ms (short by {cheapest - d_max} ms)")
-    opt_t = int(np.argmax(last))
-    total_precision = float(last[opt_t])
+    lo, hi = lats[fits[0]], lats[fits[-1]]
+    # row i holds t from i * lo: its band, then the copies row i + 1 reads
+    bands = [min(i * hi, d_max - (n - i) * lo) + 1 - i * lo for i in range(n + 1)] + [0]
+    sizes = [max(m, m_next) for m, m_next in zip(bands, bands[1:])] + [max(bands)]
+    ends = list(itertools.accumulate(sizes))
+    cells = np.empty(ends[-1])  # one block: rows of many sizes would fragment the heap
+    *rows, tmp = [cells[e - k:e] for k, e in zip(sizes, ends)]
+    rows[0][0] = 0.0
+    for i in range(1, n + 1):
+        prev, row, m = rows[i - 1], rows[i], bands[i]
+        prev[bands[i - 1]:m] = prev[bands[i - 1] - 1]  # flat past (i - 1) * hi
+        p = precs[i - 1]
+        first, *rest = [j for j in fits if lats[j] - lo < m]
+        np.add(prev[:m], p[first], out=row[:m])
+        for j in rest:
+            s = lats[j] - lo
+            np.add(prev[:m - s], p[j], out=tmp[:m - s])
+            np.maximum(row[s:m], tmp[:m - s], out=row[s:m])
+    k = int(np.argmax(rows[n][:bands[n]]))
+    opt_t, total_precision = n * lo + k, rows[n][k].item()
     t = opt_t
     picks = []
     for i in range(n - 1, -1, -1):
-        best, pick = -np.inf, -1
+        row, m = rows[i], bands[i]
+        best, pick = -math.inf, -1
         for j in fits:
-            if lats[j] <= t:
-                cand = rows[i][t - lats[j]] + prec[i, j]
+            u = t - lats[j] - i * lo  # row i is flat past its band
+            if u >= 0:
+                cand = row[min(u, m - 1)].item() + precs[i][j]
                 if cand > best:
                     best, pick = cand, j
         picks.append(pick)
         t -= lats[pick]
     picks.reverse()
     assignments = tuple(
-        (part.id, profiles[j].name, profiles[j].latency_ms, float(prec[i, j]))
+        (part.id, profiles[j].name, profiles[j].latency_ms, precs[i][j])
         for i, (part, j) in enumerate(zip(partitions, picks))
     )
     total_latency = sum(lat for _, _, lat, _ in assignments)

@@ -24,6 +24,7 @@ from .core import (Boxes, DetectionBox, Frame, check_fields, check_number, exten
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
+OBSERVE_CELLS = 8192  # (tile, box) cells that observe_tiles scores at once
 
 
 @dataclass(frozen=True)
@@ -326,13 +327,18 @@ def observe_tiles(
     Every tile reports each box of the frame's ``Boxes`` whose intersection
     with the tile covers at least ``min_visible`` of the box area, as a raw
     (cx, cy, w, h, score, class_id) row of its ``TileRows``, in tile-local
-    normalized coordinates, taken from the columns as arrays. The box
+    normalized coordinates. Boxes straddling a boundary are reported by
+    several tiles; NMS aggregation resolves the duplicates. In noisy mode
+    each observation is dropped with ``drop_prob`` and its coordinates
+    jittered with Gaussian sigma.
+
+    Array method: tiles go in chunks of at most ``OBSERVE_CELLS`` (tile,
+    box) cells (one tile at least), so memory stays O(boxes +
+    observations). A chunk scores visibility as one (tiles x boxes) array
+    and lays its observations out in (tile, box) order, the order in which
+    noisy mode draws; each tile's ``TileRows`` is a slice of them. The box
     extents are ``core.extents``', scaled to pixels; a ``-0.0`` corner may
     keep its sign there, which no area or intersection it enters shows.
-    Boxes straddling a boundary are reported by several tiles; NMS
-    aggregation resolves the duplicates. In noisy mode each observation is
-    dropped with ``drop_prob`` and its coordinates jittered with Gaussian sigma.
-
     A seed gives the same observations as ``observe_tiles_reference`` in
     ``tests/oracles.py``, beside which the argument sits.
     """
@@ -350,31 +356,38 @@ def observe_tiles(
     bx0, by0, bx1, by1 = bx0 * w_px, by0 * h_px, bx1 * w_px, by1 * h_px
     box_area = (bx1 - bx0) * (by1 - by0)
     cx_px, cy_px, bw_px, bh_px = cx * w_px, cy * h_px, w * w_px, h * h_px
+    tiles = np.array(grid.tiles, dtype=float)
+    step = max(1, OBSERVE_CELLS // max(len(class_ids), 1))
     per_tile = []
-    for (tx0, ty0, tx1, ty1) in grid.tiles:
-        tw, th = tx1 - tx0, ty1 - ty0
+    for c in range(0, len(tiles), step):
+        chunk = tiles[c:c + step]
+        tx0, ty0, tx1, ty1 = chunk.T[:, :, None]  # (tiles, 1) columns
         inter = np.maximum(0.0, np.minimum(bx1, tx1) - np.maximum(bx0, tx0)) * \
             np.maximum(0.0, np.minimum(by1, ty1) - np.maximum(by0, ty0))
-        share = np.divide(inter, box_area, out=np.zeros(len(class_ids)),
-                          where=box_area > 0.0)
-        visible = np.flatnonzero(share >= min_visible)
+        share = np.divide(inter, box_area, out=np.zeros(inter.shape), where=box_area > 0.0)
+        tile, box = np.nonzero(share >= min_visible)  # (tile, box) order
         noise = []
         if noisy:  # draws in observation order
             kept = []
-            for k in range(len(visible)):
+            for k in range(len(box)):
                 if drop_prob > 0.0 and rng.random() < drop_prob:
                     continue
                 kept.append(k)
                 if jitter_sigma > 0.0:
                     noise.append([float(rng.normal(0.0, jitter_sigma)) for _ in range(4)])
-            visible = visible[kept]
+            tile, box = tile[kept], box[kept]
+        tx0, ty0, tx1, ty1 = chunk[tile].T  # each observation's tile
+        tw, th = tx1 - tx0, ty1 - ty0
         # full boxes in tile-local units; they may poke outside [0, 1] locally
-        rows = np.stack([(cx_px[visible] - tx0) / tw, (cy_px[visible] - ty0) / th,
-                         bw_px[visible] / tw, bh_px[visible] / th, score[visible]])
+        rows = np.stack([(cx_px[box] - tx0) / tw, (cy_px[box] - ty0) / th,
+                         bw_px[box] / tw, bh_px[box] / th, score[box]])
         if noise:  # max(1e-4, v) gives 1e-4 unless v > 1e-4
             rows[:4] += np.array(noise).T
             rows[2:4] = np.where(rows[2:4] > 1e-4, rows[2:4], 1e-4)
-        per_tile.append(TileRows(rows, [class_ids[i] for i in visible.tolist()]))
+        cids = [class_ids[i] for i in box.tolist()]
+        ends = np.searchsorted(tile, np.arange(1, len(chunk) + 1)).tolist()
+        for s, e in zip([0] + ends, ends):
+            per_tile.append(TileRows(rows[:, s:e], cids[s:e]))
     return per_tile
 
 

@@ -23,8 +23,8 @@ each member box's fields, before the partitions read the frame's
 columns. ``partition_precision_reference`` (one scalar lookup per box,
 rebuilding the curve each time) and ``dp_plan_reference`` (a full-width
 table with an int choice array) are the planner before it went to one
-precision pass per plan and a value-only table capped at the reachable
-budget; ``generate_scene_reference`` draws each stratum with
+precision pass per plan and a value-only table filled only over each row's
+reachable band; ``generate_scene_reference`` draws each stratum with
 ``Generator.choice`` and each uniform with ``Generator.uniform``.
 ``geometry_stats_reference`` (numpy reductions over the gathered
 members, also the centroid that ``ClusterGeometry.means`` memoises),
@@ -243,11 +243,15 @@ def estimate_bandwidth_reference(points, quantile: float = 0.2) -> float:
 # with the operations of ``DetectionBox.extent``. Where ``np.maximum`` keeps
 # the sign of a ``-0.0`` corner, the box's area and its intersections come
 # out equal all the same (``x - -0.0 == x - 0.0`` bit for bit for every
-# x > 0 and for 0.0, and a box's upper corners are never ``-0.0``). Each
-# tile's visibility test and tile-local coordinates are array expressions
-# over all boxes. Only the visible boxes are visited in Python, drawing from
-# the generator in box order (drop draw, then four jitter draws), so a seed
-# gives the observations of the loop below.
+# x > 0 and for 0.0, and a box's upper corners are never ``-0.0``). A chunk
+# of tiles takes the visibility test and the tile-local coordinates below
+# as (tiles x boxes) array expressions, each tile's corners entering as
+# floats, which hold their ints exactly, so every pair gets this loop's
+# operations. ``np.nonzero`` lists the visible pairs tile by tile and, within
+# a tile, in box order, and chunks go in tile order: the noisy loop visits
+# the observations in this loop's order and draws from the generator as it
+# does (drop draw, then four jitter draws), so a seed gives the observations
+# of the loop below.
 def observe_tiles_reference(frame, grid, min_visible: float = 0.25,
                             drop_prob: float = 0.0, jitter_sigma: float = 0.0,
                             seed: int | None = None):
@@ -667,17 +671,32 @@ def precision_lookup_reference(profile, area_px2: float) -> float:
 # ``precision_table`` makes one pass per profile. Every member area of every
 # block is scaled by the operations of ``scale_area`` in their order (each
 # block's pixel count enters as a float, as Python's division converts it),
-# one ``np.interp`` looks them all up, and each block's values are added one
-# by one in member order: neither ``np.sum``, which adds 8 or more values
-# pairwise, nor builtin ``sum``, which compensates from Python 3.12. So every
-# cell equals the loop below over ``precision_lookup_reference`` bit for bit.
+# and one ``np.interp`` looks them all up. Member k of block b goes to row
+# 1 + k of a (members x blocks x profiles) grid whose other cells hold 0.0,
+# and one ``np.add.accumulate`` down the rows adds each block's values one
+# by one in member order, starting from row 0's 0.0, as the loop below does.
+# An accumulate runs in order at every shape; ``np.sum``, or an axis sum
+# that numpy lays out as one contiguous run (a single block), adds 8 or more
+# values pairwise, and builtin ``sum`` compensates from Python 3.12. The
+# table reads the grid's last row: a sum from 0.0 is never -0.0, so each
+# padding ``+ 0.0`` keeps every bit, and the division by the count as a
+# float is Python's ``total / count``. No NaN precision reaches the table:
+# ``ModelProfile`` admits only finite increasing bin edges and mAP values
+# in [0, 1], and a scaled area is positive (an underflow to 0 raises first,
+# naming the first block that has one and that block's first such model, as
+# the row-major loop below does) and at most +inf, which ``np.interp``
+# clamps to the last mAP. So every cell equals the loop below bit for bit.
 def partition_precision_reference(part, profile) -> float:
     """Mean per-box precision of the block under one model, one scalar
     lookup per box."""
     total = 0.0
     for a in part.areas_px2:
-        total += precision_lookup_reference(
-            profile, scale_area(a, part.width_px, part.height_px, profile.input_size))
+        scaled = scale_area(a, part.width_px, part.height_px, profile.input_size)
+        try:
+            total += precision_lookup_reference(profile, scaled)
+        except ValueError as e:  # the scaled area underflowed to 0
+            raise ValueError(f"partition {part.id}: model {profile.name} scales a box "
+                             f"area to 0 ({e})") from None
     return total / part.count
 
 
@@ -687,15 +706,31 @@ def precision_table_reference(partitions, profiles) -> np.ndarray:
                      for part in partitions])
 
 
-# ``dp_plan``'s table keeps values only, (n+1) rows by ``min(d_max, n * L) + 1``
-# columns, L the largest latency within the budget. That cap is exact: every
-# row is nondecreasing in t and every assignment fits within n * L, so the
-# first column that reaches the maximum never lies beyond it. Each model
-# folds in as one shifted ``np.add`` and one ``np.fmax``, which, like the
-# strict ``>`` below, never lets a NaN precision win. Backtracking recomputes
-# the choice at the one column t of each row with the same strict ``>`` over
-# the canonical model order, so every tie settles as in the full choice
-# table below.
+# ``dp_plan``'s table keeps values only. With lo and hi the smallest and
+# largest latency within the budget, a plan of the first i blocks costs
+# between i * lo and i * hi, so row i is -inf below i * lo and flat from
+# i * hi on (every plan fits there); and a cell past d_max - (n - i) * lo
+# leaves the other n - i blocks no room. Row i is therefore stored from
+# column i * lo and filled only over its band [i * lo, min(i * hi,
+# d_max - (n - i) * lo)], which is never empty once n * lo <= d_max. Row
+# i + 1 reads row i at t - d for t in its own band and d >= lo: each model's
+# slice starts at row i's first cell, so no read falls below it; no read
+# passes d_max - (n - i) * lo; and a read past i * hi lands in the cells
+# that the copy of the value at i * hi fills. The budget is infeasible
+# exactly when no model fits or n * lo > d_max: every precision is finite,
+# so those are the budgets where the full table's last row has no finite
+# cell. The cheapest model writes each band cell (``np.fmax`` against -inf
+# returns it), and each other model folds in by ``np.maximum``, which gives
+# what ``np.fmax`` and the strict ``>`` below give, as no NaN precision
+# reaches the table (see ``precision_table_reference``) and no cell is
+# -0.0 (each is a sum from row 0's 0.0). The first t attaining the maximum
+# lies in row n's band, below which the row is -inf. Backtracking
+# recomputes the choice at the one column t of each row with the same
+# strict ``>`` over the canonical model order, in Python floats (the
+# additions of numpy's float64 scalars): t at row i + 1 is at most d_max
+# less the latencies picked after it, so its reads of row i stay within
+# d_max - (n - i) * lo, and a read past i * hi takes the band's last
+# (flat) cell. So every tie settles as in the full choice table below.
 def dp_plan_reference(partitions, profiles, d_max: int) -> OffloadPlan:
     """Multiple-choice knapsack over a full (d_max + 1)-column table with a
     per-cell choice array; ties prefer smaller latency, then smaller model

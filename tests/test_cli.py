@@ -312,6 +312,17 @@ def test_plan_non_finite_area_names_partition(tmp_path, capsys, area):
         capsys.readouterr().err
 
 
+def test_plan_underflowing_area_names_partition_and_model(tmp_path, capsys):
+    # 5e-324 px² scales to 0 in a 4000 x 4000 block under every bundled model
+    clusters = tmp_path / "r.json"
+    clusters.write_text(json.dumps({"clusters": [{"id": 7, "block_px": [0, 0, 4000, 4000],
+                                                  "member_areas_px2": [400.0, 5e-324]}]}))
+    code = main(["plan", "--clusters", str(clusters), "--out", str(tmp_path / "plan.json")])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        "error: partition 7: model yolov8n scales a box area to 0 (area must be positive)"
+
+
 def test_plan_respects_budget(tmp_path):
     cfg_path, clusters = make_clusters_report(tmp_path)
     _, parts = load_clusters(clusters)

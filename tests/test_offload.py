@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from oracles import (
     mckp_enumerate,
     optimal_makespan,
     precision_lookup_reference as precision_lookup,
+    precision_table_reference,
     random_config,
 )
 
@@ -336,6 +338,71 @@ def test_dp_plan_accepts_numpy_integer_budget():
     parts = [one_partition(0), one_partition(1)]
     assert dp_plan(parts, profs, np.int64(30)) == dp_plan(parts, profs, 30)
     assert dp_plan(parts, profs, np.int32(30)) == dp_plan_reference(parts, profs, 30)
+
+
+# ---------------------------------------------------------------------------
+# exactness traps of the precision table and the banded DP table
+# ---------------------------------------------------------------------------
+
+def bits(table):
+    """A table's shape and the bits of its cells, so -0.0 differs from 0.0."""
+    return table.shape, table.tobytes()
+
+
+@pytest.mark.parametrize("areas", [(1.0,) * 7 + (25.0,), (1.0,) * 6 + (25.0,) * 2])
+def test_precision_table_adds_in_member_order_where_pairwise_differs(areas):
+    # numpy's pairwise sum of the eight values (np.sum, or an axis sum over
+    # a single block), or of 0.0 and the eight, rounds differently in the
+    # last bit from adding them in member order
+    prof = ModelProfile("m", 320, 10, ((4.0, 0.0), (16.0, 0.0), (65536.0, 0.125)))
+    part = PartitionDescriptor(0, 1, 4, areas)
+    values = np.interp(np.array(areas) * 320 ** 2 / 4, prof.centers, prof.maps)
+    in_order = 0.0
+    for v in values.tolist():
+        in_order += v
+    pairwise = {float(np.sum(values)), float(np.sum(np.r_[0.0, values]))}
+    assert pairwise - {in_order}  # the trap is live
+    table = precision_table([part], [prof])
+    assert bits(table) == bits(precision_table_reference([part], [prof]))
+    assert table[0, 0] == in_order / 8
+
+
+def test_precision_table_negative_zero_map_matches_reference():
+    profs = [ModelProfile("z", 640, 10, ((16.0, -0.0), (64.0, -0.0))),
+             ModelProfile("h", 640, 12, ((16.0, -0.0), (64.0, 0.5)))]
+    parts = [one_partition(0, areas=(1.0,)), one_partition(1, areas=(1.0, 5e4, 2.0))]
+    table = precision_table(parts, profs)
+    assert bits(table) == bits(precision_table_reference(parts, profs))
+    assert math.copysign(1.0, table[0, 0]) == 1.0  # the sum starts from 0.0
+
+
+def test_precision_table_of_no_partitions_has_a_column_per_model():
+    profs = default_profiles()
+    table = precision_table([], profs)
+    assert table.shape == (0, len(profs)) and table.dtype == np.float64
+
+
+def test_dp_plan_budget_inside_the_bands_matches_reference():
+    # n * lo < d_max < n * hi, so the budget cuts the top of the later rows;
+    # two models share each of the two smaller latencies, and a and b also
+    # tie in precision (b, the smaller input, wins)
+    profs = [flat_profile("a", 640, 20, 0.4), flat_profile("b", 320, 20, 0.4),
+             flat_profile("c", 896, 35, 0.55), flat_profile("d", 1280, 35, 0.5),
+             flat_profile("e", 1024, 90, 0.6)]
+    parts = [one_partition(i, areas=(400.0 * (i + 1),)) for i in range(6)]
+    for d_max in (6 * 20 + 1, 6 * 20 + 15, 150, 200, 300, 6 * 90 - 1):
+        assert 6 * 20 < d_max < 6 * 90
+        assert dp_plan(parts, profs, d_max) == dp_plan_reference(parts, profs, d_max)
+
+
+def test_dp_plan_one_below_the_cheapest_plan_fails_like_reference():
+    profs = make_profiles([30, 12, 12, 50], [0.3, 0.2, 0.25, 0.9])
+    parts = [one_partition(i) for i in range(5)]
+    d_max = 5 * 12 - 1
+    got = outcome(dp_plan, parts, profs, d_max)
+    assert got == outcome(dp_plan_reference, parts, profs, d_max)
+    assert got == (InfeasiblePlanError,
+                   "budget 59 ms infeasible: cheapest assignment needs 60 ms (short by 1 ms)")
 
 
 # ---------------------------------------------------------------------------

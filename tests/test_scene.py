@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -324,6 +325,46 @@ def test_observe_accepts_range_edges(rng):
     frame = Frame(1000, 1000, tuple(random_boxes(rng, 5)))
     grid = tile_frame(frame, 1, 1)
     assert len(observe_tiles(frame, grid, min_visible=1.0, drop_prob=0.0)[0]) == 5
+
+
+def test_noisy_observation_equals_reference_draw_for_draw(rng):
+    # drops and jitter spread over twelve tiles, many boxes seen by several
+    frame = Frame(1200, 900, tuple(random_boxes(rng, 60, 3)))
+    grid = tile_frame(frame, 3, 4)
+    got = observe_tiles(frame, grid, 0.1, drop_prob=0.3, jitter_sigma=0.02, seed=11)
+    want = observe_tiles_reference(frame, grid, 0.1, drop_prob=0.3, jitter_sigma=0.02, seed=11)
+    assert list(map(box_bits, got)) == [box_bits(tile_rows(rows)) for rows in want]
+    clean = observe_tiles(frame, grid, 0.1)
+    assert sum(len(t) > 0 for t in got) == 12
+    assert sum(1 for t, c in zip(got, clean) if len(t) < len(c)) >= 6
+
+
+def test_tiles_that_see_no_box_keep_empty_rows():
+    # boxes only in the top-left tile of a 4 x 4 grid
+    frame = Frame(1000, 1000, (DetectionBox(0.1, 0.1, 0.05, 0.05, 0.9),
+                               DetectionBox(0.15, 0.12, 0.04, 0.06, 0.7, 1)))
+    grid = tile_frame(frame, 4, 4)
+    for noise in ({}, {"drop_prob": 0.1, "jitter_sigma": 0.01, "seed": 2}):
+        got = observe_tiles(frame, grid, **noise)
+        assert got == observe_tiles_reference(frame, grid, **noise)
+        assert [len(t) for t in got] == [2] + [0] * 15
+        assert all(t.columns.shape == (5, 0) and t.class_ids == [] for t in got[1:])
+
+
+def test_observation_memory_stays_linear_in_boxes_and_observations():
+    # 1,024 tiles over 2,000 boxes: one (tiles x boxes) float array of the
+    # whole grid would hold 16 MB
+    frame = generate_scene(two_strata_spec(2000, seed=3))
+    grid = tile_frame(frame, 256, 4)
+    observe_tiles(frame, grid)  # numpy's lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        per_tile = observe_tiles(frame, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(per_tile) == 1024 and sum(map(len, per_tile)) > 1000
+    assert peak < 2 * 1024 * 1024
 
 
 def test_aggregate_signed_zeros_and_clamps_match_reference():

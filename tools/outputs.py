@@ -64,6 +64,28 @@ def trained_runs(config):
                      config=config)]
 
 
+# two models of equal latency, which tie where their curves clamp alike (the
+# smaller input wins), and a slower one; budgets one ms above the cheapest plan
+# (20 ms a block) and part way to the widest cut the top of the planner's rows
+TIGHT_PROFILE = {"models": [
+    {"name": "even-320", "input_size": 320, "latency_ms": 20,
+     "curve": [[64, 0.2], [1024, 0.4], [65536, 0.6]]},
+    {"name": "even-640", "input_size": 640, "latency_ms": 20,
+     "curve": [[64, 0.2], [1024, 0.3], [65536, 0.6]]},
+    {"name": "slow-1280", "input_size": 1280, "latency_ms": 45,
+     "curve": [[64, 0.3], [1024, 0.5], [65536, 0.7]]}]}
+TIGHT_CLUSTERS = {"clusters": [
+    {"id": k, "block_px": [0, 0, w, h], "member_areas_px2": areas}
+    for k, (w, h, areas) in enumerate([(100, 100, [5000.0]), (4000, 4000, [1.0, 2.0]),
+                                       (640, 480, [300.0, 1200.0, 90.0]), (50, 70, [40.0]),
+                                       (1920, 1080, [2500.0, 16.0])])]}
+
+
+def tight_plan(d_max, out):
+    return cli("plan", "--clusters", "clusters.json", "--profile", "profile.json",
+               "--d-max", str(d_max), "--out", out)
+
+
 def gen_scene(*exts):
     return [cli("gen-scene", "--spec", "spec.json", "--out", f"dets.{ext}") for ext in exts]
 
@@ -105,6 +127,8 @@ CASES = [
      gen_scene("json", "csv") + [pipeline("random", "generated", "--scene-spec", "spec.json")]
      + [pipeline("random", ext, "--detections", f"dets.{ext}") for ext in ("json", "csv")]),
     ("ties", {}, [[str(ROOT / "tools" / "ties.py"), "ties.json"]]),
+    ("tight-plan", {"clusters.json": TIGHT_CLUSTERS, "profile.json": TIGHT_PROFILE},
+     [tight_plan(5 * 20 + 1, "plan.json"), tight_plan(5 * 20 + 2 * 25 + 3, "plan-mid.json")]),
 ]
 SAME = [*([f"loaded-frame/{src}/{name}" for src in ("generated", "json", "csv")]
           for name in ("report.json", "metrics.csv")),
