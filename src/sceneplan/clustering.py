@@ -169,18 +169,23 @@ def meanshift_frames(point_sets, bandwidths, tol: float = 1e-4, max_iter: int = 
     together in the dense loop, where each active mode is paired with every
     point of its own frame in input order and stepped by ``_shift``, as in
     the y-band loop, so each mode's window sums add the same values in the
-    same order and the labels equal ``meanshift``'s. Larger frames go
-    through ``meanshift``, one call each.
+    same order and the labels equal ``meanshift``'s. Their modes collapse in
+    one ``_collapse_and_label_frames`` pass, or through
+    ``_collapse_and_label`` when only one frame is dense, as a lone frame
+    collapses faster there. Larger frames go through ``meanshift``, one call
+    each.
     """
     frames = [_checked_points(p, b) for p, b in zip(point_sets, bandwidths, strict=True)]
     small = [k for k, pts in enumerate(frames) if len(pts) <= DENSE_MAX]
     labels = [None] * len(frames)
     if small:
+        dense, widths = [frames[k] for k in small], [bandwidths[k] for k in small]
         with np.errstate(over="ignore"):
-            modes = _dense_modes([frames[k] for k in small], [bandwidths[k] for k in small],
-                                 tol, max_iter)
-            for k, (mode_x, mode_y) in zip(small, modes):
-                labels[k] = _collapse_and_label(frames[k], mode_x, mode_y, bandwidths[k])
+            modes = _dense_modes(dense, widths, tol, max_iter)
+            labelled = (_collapse_and_label_frames(dense, modes, widths) if len(small) > 1
+                        else [_collapse_and_label(dense[0], *modes[0], widths[0])])
+        for k, got in zip(small, labelled):
+            labels[k] = got
     return [meanshift(pts, bandwidth, tol, max_iter) if got is None else got
             for pts, bandwidth, got in zip(frames, bandwidths, labels)]
 
@@ -356,6 +361,69 @@ def _collapse_and_label(pts, mode_x, mode_y, bandwidth: float):
     # drop representatives that attracted no points, keep label order stable
     used = np.bincount(labels, minlength=len(reps)) > 0
     return (np.cumsum(used, dtype=int) - 1)[labels]
+
+
+def _collapse_and_label_frames(frames, modes, bandwidths):
+    """``_collapse_and_label`` of every frame, with its (x, y) modes and its
+    bandwidth, in one pass over all frames; returns one label array per frame.
+
+    Each frame's distinct modes keep their first-seen order, and the frames
+    follow one another. One ``expand_ranges`` pass pairs each distinct mode
+    with the later ones of its frame; a pair is near when its distance,
+    rounded as in ``_distances``, is at most its frame's bandwidth/2. The
+    first-seen cover needs only those pairs, walked once in order: a mode
+    is a representative unless an earlier representative is near it, and
+    every pair that could cover mode i comes before i's own pairs. Each
+    point then takes the first nearest representative of its frame in one
+    (points x widest frame's representatives) distance array, the columns
+    past its frame's own set to inf; unused representatives are dropped
+    per frame. Each frame's labels equal ``_collapse_and_label``'s.
+    """
+    sizes = [len(pts) for pts in frames]
+    owner = np.arange(len(frames)).repeat(sizes)
+    # + 0.0 turns -0.0 into 0.0, so the two are one mode, as float keys are;
+    # no distance changes, as only squared differences see a zero's sign
+    mode_x = np.concatenate([x for x, _ in modes]) + 0.0
+    mode_y = np.concatenate([y for _, y in modes]) + 0.0
+    # distinct modes in first-seen order: the stable sort puts a mode's
+    # copies right after its first index; NaN != NaN keeps NaN modes apart,
+    # as float keys do
+    order = np.lexsort((mode_y, mode_x, owner))
+    copy = np.arange(len(order)) > 0  # whether the mode sorted before is the same
+    for column in (owner, mode_x, mode_y):
+        column = column[order]
+        copy[1:] &= column[1:] == column[:-1]
+    # flagged, not sorted: np.sort of ints maps code no other desk path loads (peak RSS)
+    first = np.zeros(len(order), dtype=bool)
+    first[order[~copy]] = True
+    first = np.flatnonzero(first)
+    mx, my, frame = mode_x[first], mode_y[first], owner[first]
+    # each distinct mode's pairs with the later ones of its frame
+    per_frame = np.bincount(frame, minlength=len(frames))
+    j, partners = expand_ranges(np.arange(1, len(first) + 1), per_frame.cumsum().repeat(per_frame))
+    i = np.arange(len(first)).repeat(partners)
+    d = squared_distances(mx[i], my[i], mx[j], my[j])
+    near = np.flatnonzero(np.sqrt(d, out=d) <= np.array([b / 2.0 for b in bandwidths])[frame[i]])
+    covered = set()
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        if a not in covered:
+            covered.add(b)
+    reps = np.ones(len(first), dtype=bool)
+    reps[list(covered)] = False
+    reps = np.flatnonzero(reps)
+    # each point against its frame's representatives, from column 0
+    count = np.bincount(frame[reps], minlength=len(frames))
+    lo = (count.cumsum() - count)[owner]
+    column = np.arange(count.max())
+    at = reps[np.minimum(lo[:, None] + column, len(reps) - 1)]
+    pts = np.concatenate(frames)
+    d = squared_distances(pts[:, :1], pts[:, 1:], mx[at], my[at])
+    np.sqrt(d, out=d)[column >= count[owner][:, None]] = np.inf
+    labels = lo + d.argmin(axis=1)
+    # drop representatives that attracted no points, keep label order stable
+    kept = np.zeros(len(reps) + 1, dtype=int)
+    np.cumsum(np.bincount(labels, minlength=len(reps)) > 0, out=kept[1:])
+    return np.split(kept[labels] - kept[lo], np.cumsum(sizes)[:-1])
 
 
 def initial_clusters(geometry: ClusterGeometry,

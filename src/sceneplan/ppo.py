@@ -59,6 +59,11 @@ from .rl_env import (
 # ``Generator.choice``'s tolerance on the sum of its probabilities
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
+# The longest episode: ``rollout`` lays out every step's state and mask up
+# front, and the clusters report holds a row per step, so a longer one is
+# refused before anything is allocated.
+T_MAX_LIMIT = 10_000
+
 
 class CheckpointError(ValueError):
     """Raised for unreadable, corrupt, or dimensionally incompatible checkpoints."""
@@ -95,6 +100,7 @@ class Hyperparams:
             *((name, getattr(self, name) > 0, "> 0")
               for name in ("clip_eps", "lr_policy", "lr_critic", "batch_size", "t_max",
                            "episodes_per_iter", "epochs")),
+            ("t_max", self.t_max <= T_MAX_LIMIT, f"<= {T_MAX_LIMIT}"),
             ("iterations", self.iterations >= 0, ">= 0"),
             ("entropy_coef", self.entropy_coef >= 0.0, ">= 0")])
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -375,8 +381,7 @@ class Episodes:
                   for trace, geometry in zip(self.traces, self.geometries) for out in trace}
         row = {key: r for r, key in enumerate(scored)}
         at = [row[id(out)] for trace in self.traces for out in trace]
-        scores = rewards(list(scored.values()), self.weights)
-        return np.array(scores)[at].reshape(*self.actions.shape, 5)
+        return rewards(list(scored.values()), self.weights)[at].reshape(*self.actions.shape, 5)
 
     def answer_steps(self) -> list[int]:
         """The step each episode answers with: its last. The one statement
@@ -390,8 +395,8 @@ class Episodes:
 
 def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
             rng: np.random.Generator | None = None) -> Episodes:
-    """Roll one episode of t_max >= 1 steps per frame under ``env_config``,
-    in lockstep: the one episode driver.
+    """Roll one episode of t_max steps (1 to ``T_MAX_LIMIT``) per frame under
+    ``env_config``, in lockstep: the one episode driver.
 
     Every episode starts from the MeanShift clustering in its frame's
     ``ClusterGeometry`` (all from one ``initial_clusters_frames`` call) and
@@ -419,7 +424,8 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
     """
     if not frames:
         raise ValueError("rollout needs at least one frame")
-    check_fields({"t_max": t_max}, [("t_max", t_max > 0, "> 0")])
+    check_fields({"t_max": t_max}, [("t_max", t_max > 0, "> 0"),
+                                    ("t_max", t_max <= T_MAX_LIMIT, f"<= {T_MAX_LIMIT}")])
     n, ec = len(frames), env_config
     try:
         states = np.empty((n, t_max, state_dim(ec.n_pad)))

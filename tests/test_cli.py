@@ -640,8 +640,9 @@ def test_pipeline_reward_that_overflows_exits_2_naming_the_weight(tmp_path, caps
 
 
 @pytest.mark.parametrize("command, key, value, named", [
-    ("pipeline", "t_max", 2 ** 40, "t_max=1099511627776"),
-    ("pipeline", "t_max", 2 ** 62, "t_max=4611686018427387904"),
+    # past ppo.T_MAX_LIMIT, t_max is refused by its range before any allocation
+    ("pipeline", "t_max", 2 ** 40, "'t_max' must be <= 10000, got 1099511627776"),
+    ("pipeline", "t_max", 2 ** 62, "'t_max' must be <= 10000, got 4611686018427387904"),
     ("pipeline", "n_pad", 2 ** 40, "n_pad=1099511627776"),
     ("pipeline", "scene_spec", {**SPEC, "count_range": [2 ** 40, 2 ** 40]}, "count_range"),
     ("gen-scene", "scene_spec", {**SPEC, "count_range": [2 ** 40, 2 ** 40]}, "count_range"),
@@ -894,6 +895,19 @@ def test_nonpositive_t_max_names_it(tmp_path, capsys, command, t_max):
                               checkpoint=str(ckpt_path))
     assert main([command, "--config", str(cfg_path)]) == 2
     assert "t_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["partition", "pipeline", "eval"])
+def test_t_max_past_its_bound_exits_2_before_rolling(tmp_path, capsys, monkeypatch, command):
+    # one step past ppo.T_MAX_LIMIT (10,000) is refused by range, before any
+    # episode is rolled; 10**7 steps would reserve about 11 GiB on one frame
+    from sceneplan import cli
+
+    monkeypatch.setattr(cli, "rollout", lambda *args, **kw: pytest.fail("rolled"))
+    cfg_path, _ = base_config(tmp_path, t_max=10_001, episodes=2, policy="random")
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: config key 't_max' must be <= 10000, got 10001\n"
+    assert Hyperparams(t_max=10_000).t_max == 10_000
 
 
 @pytest.mark.parametrize("value", [0, -3])

@@ -370,6 +370,87 @@ def test_meanshift_frames_checks_each_frame():
         meanshift_frames([np.zeros((3, 2)), np.full((2, 2), np.nan)], [0.1, 0.1])
 
 
+# converged modes near (0.625, 0.69), (0.34, 0.625) and (0.06, 0.56) at
+# bandwidth 0.5: more than bandwidth/2 apart, and the middle one is no
+# point's nearest
+UNUSED_REP_FRAME = np.array([(0.625, 0.875), (0.625, 0.5), (0.125, 0.5), (0.0, 0.625)])
+
+
+def representatives(points, bandwidth, max_iter: int = 300) -> list:
+    """The first-seen cover of one frame's converged dense-loop modes."""
+    (mode_x, mode_y), = clustering._dense_modes([points], [bandwidth], 1e-4, max_iter)
+    reps = []
+    for mode in zip(mode_x.tolist(), mode_y.tolist()):
+        if not any(pair_distance(mode, r) <= bandwidth / 2.0 for r in reps):
+            reps.append(mode)
+    return reps
+
+
+def tie_frame(rng):
+    """As in ``tools/ties.py``: (0.5, 0.5), (p, q) and (q, p), whose pairs with
+    the first tie at distance d; with bandwidth 2d and no iterations, two
+    modes sit exactly bandwidth/2 from the first."""
+    p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
+    points = [(0.5, 0.5), (p, q), (q, p)]
+    return points, 2.0 * pair_distance(points[1], points[0])
+
+
+def dense_frame(rng, kind: str):
+    """One frame of at most DENSE_MAX points and its bandwidth."""
+    if kind == "ties":
+        points, bandwidth = tie_frame(rng)
+    elif kind == "unused":
+        points, bandwidth = UNUSED_REP_FRAME.tolist(), 0.5
+    elif kind == "one-mode":  # every mode within bandwidth/2 of the first
+        n = int(rng.integers(1, 20))
+        points, bandwidth = (0.4 + rng.uniform(0.0, 0.01, (n, 2))).tolist(), 0.5
+    else:  # grid points with copies and signed zeros
+        n = int(rng.integers(1, clustering.DENSE_MAX - 7))
+        points = (np.round(rng.uniform(-0.5, 0.5, (n, 2)) * 8) / 8).tolist()
+        bandwidth = float(rng.choice([0.125, 0.25, 0.375, 1.0]))
+    points += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)][:int(rng.integers(0, 5))]
+    points += [points[i] for i in rng.integers(0, len(points), int(rng.integers(0, 4)))]
+    return np.array(points[:clustering.DENSE_MAX]), bandwidth
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 300])
+@pytest.mark.parametrize("seed", range(6))
+def test_meanshift_frames_collapses_a_batch_as_frame_by_frame(seed, max_iter):
+    # 2-20 dense frames in one call: the one-pass collapse gives each frame
+    # the labels of a one-frame call, of the y-band loop and of the reference
+    rng = np.random.default_rng(seed)
+    kinds = ["ties", "unused", "one-mode", "grid"]
+    frames, bandwidths = zip(*[dense_frame(rng, kinds[k % 4] if k < 4 else str(rng.choice(kinds)))
+                               for k in range(int(rng.integers(2, 21)))])
+    labels = meanshift_frames(frames, bandwidths, max_iter=max_iter)
+    assert len(labels) == len(frames)
+    for points, bandwidth, got in zip(frames, bandwidths, labels):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = meanshift_reference(points, bandwidth, max_iter=max_iter).tolist()
+        assert got.tolist() == want
+        assert meanshift_frames([points], [bandwidth], max_iter=max_iter)[0].tolist() == want
+        assert meanshift(points, bandwidth, max_iter=max_iter).tolist() == want
+
+
+def test_meanshift_frames_batch_covers_pairs_exactly_half_bandwidth_apart(rng):
+    # each tie frame under its own bandwidth: both tied modes sit exactly at
+    # their frame's bandwidth/2 from the first, so each frame is one cluster
+    frames, bandwidths = zip(*[tie_frame(rng) for _ in range(20)])
+    for points, bandwidth in zip(frames, bandwidths):
+        assert pair_distance(points[1], points[0]) == pair_distance(points[2], points[0]) \
+            == bandwidth / 2.0
+    labels = meanshift_frames([np.array(p) for p in frames], bandwidths, max_iter=0)
+    assert [l.tolist() for l in labels] == [[0, 0, 0]] * 20
+
+
+def test_meanshift_frames_batch_drops_a_representative_that_attracts_no_point():
+    assert len(representatives(UNUSED_REP_FRAME, 0.5)) == 3
+    frames = [UNUSED_REP_FRAME, np.full((5, 2), 0.3), UNUSED_REP_FRAME]
+    labels = meanshift_frames(frames, [0.5, 0.1, 0.5])
+    assert [l.tolist() for l in labels] == [[0, 0, 1, 1], [0] * 5, [0, 0, 1, 1]]
+    assert meanshift_reference(UNUSED_REP_FRAME, 0.5).tolist() == [0, 0, 1, 1]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1, "0.2", True])
 def test_bandwidth_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match=r"^value must be in \(0, inf\), got "):

@@ -282,7 +282,7 @@ def reward_three_ways(config, weights, transform):
     """``reward``, then ``rewards`` twice on one geometry: memo filled, then read."""
     geometry = ClusterGeometry(config.detections, transform)
     return [reward(config, weights, transform),
-            *(rewards([(config, geometry)], weights)[0] for _ in range(2))]
+            *(rewards([(config, geometry)], weights)[0].tolist() for _ in range(2))]
 
 
 def reward_reference_three_ways(config, weights, transform):
@@ -861,7 +861,7 @@ REGISTRY = [
      meanshift_args(shared_path_points(), st.sampled_from([0.2, 0.125, 0.25, 0.05])), 300),
     ("meanshift_frames", warning_free(meanshift_frames), quiet(frames_reference),
      frames_args(), 60),
-    ("rewards", rewards, rewards_reference, scored_args(), 150),
+    ("rewards", lambda *args: rewards(*args).tolist(), rewards_reference, scored_args(), 150),
     ("reward", reward_three_ways, reward_reference_three_ways, reward_args(), 200),
     *((f"generate_scene_density_sets_{n}", each(generate_scene), each(generate_scene_reference),
        st.just((density_specs(n),)), 1) for n in DENSITY_SETS),

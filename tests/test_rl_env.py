@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -505,8 +506,8 @@ def test_rollout_outcomes_equal_reference_chain(alpha, seed):
         out = step(cfg, action, n_pad, geometry)
         assert out.config == nxt
         # scored in the episode's geometry, its memo filled by the steps so far
-        assert rewards([(out.config, geometry)], DESK) == [
-            reward_per_cluster_reference(nxt, DESK, transform)]
+        assert rewards([(out.config, geometry)], DESK).tolist() == [
+            list(reward_per_cluster_reference(nxt, DESK, transform))]
         cfg = nxt
 
 
@@ -603,3 +604,40 @@ def test_reward_that_overflows_names_its_weights(weights, named):
     w = RewardWeights(**{"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0, **weights})
     with pytest.raises(ValueError, match=f"^reward is not finite: {named}$"):
         reward(cfg, w)
+
+
+def test_rewards_returns_one_float_row_per_pair(rng):
+    scored = [(cfg, geometry_of(cfg)) for cfg in
+              (random_config(rng, int(rng.integers(1, 7))) for _ in range(5))]
+    got = rewards(scored, DESK)
+    assert got.dtype == np.float64 and got.shape == (5, 5)
+    assert got.tolist() == [list(reward_per_cluster_reference(cfg, DESK)) for cfg, _ in scored]
+    assert rewards([], DESK).shape == (0, 5)
+
+
+def test_rewards_without_close_pairs_clear_r4s_sign_bit():
+    far = singleton_config([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])
+    close = singleton_config([(0.5, 0.5), (0.51, 0.5)])
+    got = rewards([(far, geometry_of(far)), (close, geometry_of(close))], DESK)
+    assert not np.signbit(got[0, 3]) and got[0, 3] == 0.0
+    assert got[1, 3] == -1.0
+
+
+@pytest.mark.parametrize("order, named", [
+    ((0, 1, 2), "the term weighted by reward.gamma overflows"),
+    ((0, 2, 1), "the terms weighted by reward.gamma, reward.delta overflow"),
+    ((2, 1, 0), "the terms weighted by reward.gamma, reward.delta overflow"),
+])
+def test_rewards_name_the_first_row_that_overflows(order, named):
+    # gamma = delta = 1e308 and the band [3, 3]: three far singletons score
+    # 0.0; one singleton has R3 = -2, so gamma's term overflows; five
+    # coincident ones have R3 = -2 and R4 = -10, so both terms overflow
+    w = RewardWeights(gamma=1e308, delta=1e308, n_min=3, n_max=3)
+    configs = [singleton_config([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)]),
+               singleton_config([(0.5, 0.5)]),
+               singleton_config([(0.25, 0.5)] * 5)]
+    scored = [(configs[k], geometry_of(configs[k])) for k in order]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^reward is not finite: {named}$"):
+            rewards(scored, w)

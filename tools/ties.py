@@ -3,7 +3,9 @@ Swapped offsets (0.5 + dx, 0.5 + dy) and (0.5 + dy, 0.5 + dx) tie in the one
 rounding of a pair distance; d_m and bandwidth/2 sit exactly on it. The merge
 pair is taken on the three clusters, where its pair loop decides, and again
 with ten distant singletons added: from 13 clusters on (``PAIR_LOOP_BELOW``),
-its distance array does. CI checks that the bytes are the same under
+its distance array does. The mode collapse is taken on each frame alone
+(``meanshift``), and again with the frames 16 to a ``meanshift_frames`` call,
+which collapses them in one pass. CI checks that the bytes are the same under
 ``OPENBLAS_CORETYPE=Prescott``."""
 
 import json
@@ -12,7 +14,7 @@ import sys
 
 import numpy as np
 
-from sceneplan.clustering import ClusterGeometry, meanshift, select_merge_pair
+from sceneplan.clustering import ClusterGeometry, meanshift, meanshift_frames, select_merge_pair
 from sceneplan.core import ClusterConfig, DetectionBox, make_cluster
 from sceneplan.rl_env import RewardWeights, reward
 
@@ -31,7 +33,7 @@ def merge_pair(cfg):
 
 
 rng = np.random.default_rng(0)
-out = []
+out, frames, bandwidths = [], [], []
 for _ in range(2000):
     p, q = (float(v) for v in rng.uniform(0.3, 0.7, size=2))
     centers = [(0.5, 0.5), (p, q), (q, p)]
@@ -42,5 +44,12 @@ for _ in range(2000):
                 reward(cfg, RewardWeights(d_m=d))[3],
                 meanshift(np.array(centers), 2.0 * d, max_iter=0).tolist(),
                 merge_pair(singletons(centers + FAR))])
+    frames.append(np.array(centers))
+    bandwidths.append(2.0 * d)
+for start in range(0, len(frames), 16):
+    labelled = meanshift_frames(frames[start:start + 16], bandwidths[start:start + 16],
+                                max_iter=0)
+    for row, labels in zip(out[start:], labelled):
+        row.append(labels.tolist())
 with open(sys.argv[1], "w") as f:
     print(json.dumps(out), file=f)
