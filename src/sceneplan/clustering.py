@@ -89,7 +89,7 @@ def _distances(a, b):
     return np.sqrt(d, out=d)
 
 
-def estimate_bandwidth(points, quantile: float = 0.2) -> float:
+def estimate_bandwidth(points, quantile: float) -> float:
     """Quantile of the nearest-neighbor distance distribution.
 
     Subsampled to at most 1000 points (evenly spaced, deterministic).
@@ -430,19 +430,18 @@ def initial_clusters(geometry: ClusterGeometry,
                      bandwidth: BandwidthSpec = BandwidthSpec()) -> ClusterConfig:
     """MeanShift over the geometry's object centres; the starting
     configuration. The one-frame case of ``initial_clusters_frames``."""
-    return initial_clusters_frames([geometry], [bandwidth])[0]
+    return initial_clusters_frames([geometry], bandwidth)[0]
 
 
-def initial_clusters_frames(geometries, bandwidths) -> list[ClusterConfig]:
-    """The starting configuration of each geometry's frame under its own
+def initial_clusters_frames(geometries, bandwidth: BandwidthSpec) -> list[ClusterConfig]:
+    """The starting configuration of each geometry's frame under one
     bandwidth spec, every frame's MeanShift in one ``meanshift_frames``
     call."""
     if any(len(geometry.detections) == 0 for geometry in geometries):
         raise ValueError("empty scene")
     labelled = meanshift_frames(
         [geometry.points for geometry in geometries],
-        [resolve_bandwidth(spec, geometry.points)
-         for geometry, spec in zip(geometries, bandwidths, strict=True)])
+        [resolve_bandwidth(bandwidth, geometry.points) for geometry in geometries])
     configs = []
     for geometry, labels in zip(geometries, labelled):
         # stable: each label's members stay in index order (every label is used)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -338,7 +338,9 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
 
 @dataclass
 class PolicyCheckpoint:
-    """Trained (or freshly initialized) networks plus their context."""
+    """Trained (or freshly initialized) networks plus their context; every
+    state encodes the cluster count, so ``include_count``, which the file
+    header records, must be true."""
 
     n_pad: int
     include_count: bool
@@ -348,12 +350,15 @@ class PolicyCheckpoint:
     hyper: Hyperparams
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        check_fields(self, [("include_count", self.include_count is True, "true")])
+
 
 def policy_config(env_config: EnvConfig, ckpt: PolicyCheckpoint) -> EnvConfig:
-    """``env_config`` with a checkpoint's n_pad, reward weights and
-    include_count, so its policy sees the state layout it was trained on."""
-    return replace(env_config, weights=ckpt.weights, n_pad=ckpt.n_pad,
-                   include_count=ckpt.include_count)
+    """``env_config`` with a checkpoint's n_pad and reward weights, so its
+    policy sees the state layout it was trained on: n_pad slots, then the
+    cluster count, which every state encodes."""
+    return replace(env_config, weights=ckpt.weights, n_pad=ckpt.n_pad)
 
 
 @dataclass
@@ -374,13 +379,13 @@ class Episodes:
     def scores(self) -> np.ndarray:
         """Every step's (R1, R2, R3, R4, R_total) as an (E, T, 5) array,
         from one ``rl_env.rewards`` pass over the post-action
-        configurations in their episodes' geometries. A replayed step's
-        trace entry is the record it repeats, so each distinct record is
-        scored once."""
-        scored = {id(out): (out.config, geometry)
+        configurations in their episodes' geometries. Rows are keyed by the
+        configuration object, which a keep, an invalid step and a replayed
+        step all carry on unchanged, so each is scored once."""
+        scored = {id(out.config): (out.config, geometry)
                   for trace, geometry in zip(self.traces, self.geometries) for out in trace}
         row = {key: r for r, key in enumerate(scored)}
-        at = [row[id(out)] for trace in self.traces for out in trace]
+        at = [row[id(out.config)] for trace in self.traces for out in trace]
         return rewards(list(scored.values()), self.weights)[at].reshape(*self.actions.shape, 5)
 
     def answer_steps(self) -> list[int]:
@@ -434,7 +439,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
     except (MemoryError, ValueError) as e:  # numpy's "array is too big" is a ValueError
         raise ValueError(f"episodes of t_max={t_max}, n_pad={ec.n_pad} do not fit: {e}") from None
     geometries = [ClusterGeometry(frame.detections, ec.transform) for frame in frames]
-    configs = initial_clusters_frames(geometries, [ec.bandwidth] * n)
+    configs = initial_clusters_frames(geometries, ec.bandwidth)
     traces = [[] for _ in frames]
     stationary = getattr(choose, "stationary", False)
     # per episode, the step at which each configuration (its clusters) was first reached
@@ -444,7 +449,7 @@ def rollout(frames: list[Frame], env_config: EnvConfig, t_max: int, choose,
         if not live:
             break
         for e in live:  # a closed episode's rows are already replayed
-            states[e, t] = encode_state(configs[e], geometries[e], ec.n_pad, ec.include_count)
+            states[e, t] = encode_state(configs[e], geometries[e], ec.n_pad)
             masks[e, t] = action_mask(configs[e], ec.n_pad)
         chosen = choose(states[:, t], masks[:, t], rng)
         stepping = []
@@ -573,7 +578,7 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
         write_csv(log_path, TRAINING_LOG_COLUMNS, log_rows)
     return PolicyCheckpoint(
         n_pad=env_config.n_pad,
-        include_count=env_config.include_count,
+        include_count=True,
         policy=policy,
         critic=critic,
         weights=env_config.weights,
@@ -683,8 +688,37 @@ def load_checkpoint(path) -> PolicyCheckpoint:
         raise CheckpointError(f"{path}: {e}") from None
 
 
+def _header_block(header: dict, name: str, cls):
+    """``cls`` built from the header's ``name`` block, read as strictly as a
+    config file's: every field present and none else, each value a
+    ``check_number`` (integer where the field's default is an int; ``hidden``
+    a list of ints), then ranged by ``cls``. An error starts with
+    ``<name>.<field>``, since ``gamma`` is a field of both blocks."""
+    block = header[name]
+    if not isinstance(block, dict):
+        raise ValueError(f"{name} must be an object, got {block!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    odd = sorted(block.keys() ^ defaults.keys())
+    if odd:
+        raise ValueError(f"{name}.{odd[0]} is {'missing' if odd[0] in defaults else 'not a field'}")
+    for key, default in defaults.items():
+        where, value = f"{name}.{key}", block[key]
+        if isinstance(default, tuple):
+            check_fields({where: value}, [(where, isinstance(value, list), "a list")])
+            for k, v in enumerate(value):
+                check_number(v, f"{where}[{k}]", integer=True)
+        else:
+            check_number(value, where, isinstance(default, int))
+    try:
+        return cls(**block)
+    except ValueError as e:  # "<field> must be <want>, got <value>"
+        raise ValueError(f"{name}.{e}") from None
+
+
 def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
-    """The checkpoint a file holds; any inconsistency raises CheckpointError."""
+    """The checkpoint a file holds; any inconsistency raises CheckpointError.
+    ``_header_block`` reads the weights and hyper blocks, and
+    ``PolicyCheckpoint`` checks ``include_count``."""
     if len(data) < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError("checkpoint truncated before header")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -705,9 +739,8 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
         manifest = header["arrays"]
         n_pad = check_number(header["n_pad"], "n_pad", integer=True)
         include_count = header["include_count"]
-        check_fields(header, [("include_count", isinstance(include_count, bool), "a bool")])
-        weights = RewardWeights(**header["weights"])
-        hyper = Hyperparams(**header["hyper"])
+        weights = _header_block(header, "weights", RewardWeights)
+        hyper = _header_block(header, "hyper", Hyperparams)
         meta = header["meta"]
         for name, shape in manifest:
             for dim in shape:
@@ -757,12 +790,7 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
             raise ValueError(f"array {next(iter(arrays))} belongs to no layer")
     except ValueError as e:
         raise CheckpointError(str(e)) from None
-    return PolicyCheckpoint(
-        n_pad=n_pad,
-        include_count=include_count,
-        policy=policy,
-        critic=critic,
-        weights=weights,
-        hyper=hyper,
-        meta=meta,
-    )
+    try:
+        return PolicyCheckpoint(n_pad, include_count, policy, critic, weights, hyper, meta)
+    except ValueError as e:
+        raise CheckpointError(f"invalid header: {e}") from None

@@ -77,15 +77,13 @@ def n_actions(n_pad: int) -> int:
     return SPLIT_BASE + n_pad
 
 
-def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int,
-                 include_count: bool = True) -> np.ndarray:
+def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int) -> np.ndarray:
     """Flatten the configuration into a fixed-length feature vector.
 
     One (cx, cy, w, h, S_i / total) slot per cluster in index order: the
     raw means of its members' boxes (``geometry.means``), then its share of
     the frame's detections; zero-padded (or truncated) to n_pad slots, then
-    the normalized cluster count N / n_pad clipped to 1 (zeroed if
-    ``include_count`` is off; the vector length never changes). ``n_pad``
+    always the normalized cluster count N / n_pad clipped to 1. ``n_pad``
     is ``EnvConfig.n_pad``, which checks it is at least 1.
 
     The features are laid out in one Python list and converted by one
@@ -97,7 +95,7 @@ def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int,
     for c in config.clusters[:n_pad]:
         feats += (*geometry.means(c), len(c) / total)
     feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
-    feats.append(min(config.count / n_pad, 1.0) if include_count else 0.0)
+    feats.append(min(config.count / n_pad, 1.0))
     return np.array(feats, dtype=float)
 
 
@@ -244,13 +242,13 @@ class EnvConfig:
 
     The transform sets the frame's clustering space, the ``ClusterGeometry``
     that the MeanShift start, the reward, merge and split all read.
+    ``n_pad`` sets the state layout, which always ends with the cluster count.
     """
 
     weights: RewardWeights = RewardWeights()
     transform: TransformParams = TransformParams()
     bandwidth: BandwidthSpec = BandwidthSpec()
     n_pad: int = 30
-    include_count: bool = True
 
     def __post_init__(self) -> None:
         check_fields(self, [("n_pad", self.n_pad >= 1, ">= 1")])

@@ -282,18 +282,26 @@ def grid_shape(total: int) -> tuple[int, int]:
 
 
 def tile_frame(frame: Frame, n: int, e: int) -> TileGrid:
-    """Split the frame into n*E equal tiles (no gaps, no overlap)."""
+    """Split the frame into n*E equal tiles (no gaps, no overlap).
+
+    A grid finer than the frame's pixels is refused, naming ``n * e``,
+    before its shape is sought and before any tile is built."""
     check_fields({"n": n, "e": e}, [("n", n >= 1, ">= 1"), ("e", e >= 1, ">= 1")])
-    total = n * e
+    total, width, height = n * e, frame.width_px, frame.height_px
+    check_fields({"n * e": total}, [("n * e", total <= width * height,
+                                     f"at most {width * height}, the {width}x{height} frame's pixels")])
     rows, cols = grid_shape(total)
-    xs = [round(k * frame.width_px / cols) for k in range(cols + 1)]
-    ys = [round(k * frame.height_px / rows) for k in range(rows + 1)]
+    check_fields({"n * e": total}, [("n * e", rows <= height and cols <= width,
+                                     f"a grid of at most {height} rows and {width} columns "
+                                     f"({rows}x{cols} here)")])
+    xs = [round(k * width / cols) for k in range(cols + 1)]
+    ys = [round(k * height / rows) for k in range(rows + 1)]
     tiles = tuple(
         (xs[c], ys[r], xs[c + 1], ys[r + 1])
         for r in range(rows)
         for c in range(cols)
     )
-    return TileGrid(rows, cols, frame.width_px, frame.height_px, tiles)
+    return TileGrid(rows, cols, width, height, tiles)
 
 
 class TileRows(Sequence):

@@ -221,7 +221,7 @@ def meanshift_reference(points, bandwidth: float, tol: float = 1e-4,
     return np.array([remap[int(l)] for l in labels], dtype=int)
 
 
-def estimate_bandwidth_reference(points, quantile: float = 0.2) -> float:
+def estimate_bandwidth_reference(points, quantile: float) -> float:
     """Nearest-neighbour distance quantile over a broadcast (n, n, 2)
     difference array."""
     pts = np.asarray(points, dtype=float)
@@ -614,8 +614,7 @@ def geometry_stats_reference(geometry, members):
     )
 
 
-def encode_state_reference(config: ClusterConfig, n_pad: int, total_detections: int,
-                           include_count: bool = True) -> np.ndarray:
+def encode_state_reference(config: ClusterConfig, n_pad: int, total_detections: int) -> np.ndarray:
     """The state vector written slot by slot into a zero array."""
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
@@ -626,8 +625,7 @@ def encode_state_reference(config: ClusterConfig, n_pad: int, total_detections: 
             *cluster_means_reference(c, config.detections),
             len(c) / total_detections if total_detections else 0.0,
         )
-    if include_count:
-        s[-1] = min(config.count / n_pad, 1.0)
+    s[-1] = min(config.count / n_pad, 1.0)
     return s
 
 

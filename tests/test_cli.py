@@ -204,8 +204,8 @@ def test_partition_with_trained_checkpoint(tmp_path):
 
 
 def count_driven_checkpoint(n_pad):
-    """A checkpoint trained without the count feature whose greedy policy
-    merges iff that feature is positive, and keeps otherwise."""
+    """A checkpoint whose merge logit is the count feature N / n_pad, so its
+    greedy policy merges at every step it can, and keeps otherwise."""
     from sceneplan.ppo import Hyperparams, MlpParams, PolicyCheckpoint
     from sceneplan.rl_env import MERGE, RewardWeights, n_actions, state_dim
 
@@ -214,7 +214,7 @@ def count_driven_checkpoint(n_pad):
     w1[-1, 0] = 1.0      # the count feature N / n_pad
     w2[0, MERGE] = 1.0   # drives only the merge logit
     return PolicyCheckpoint(
-        n_pad=n_pad, include_count=False,
+        n_pad=n_pad, include_count=True,
         policy=MlpParams([w1, w2], [np.zeros(1), np.zeros(acts)]),
         critic=MlpParams([np.zeros((dim, 1))], [np.zeros(1)]),
         weights=RewardWeights(alpha=10.0, beta=1.0, gamma=5.0, delta=2.0,
@@ -222,9 +222,10 @@ def count_driven_checkpoint(n_pad):
         hyper=Hyperparams(t_max=4, hidden=(1,)))
 
 
-def test_partition_honours_checkpoint_include_count(tmp_path):
-    # the CLI must build its environment from the checkpoint, as
-    # infer_clusters does: with the count feature off, this policy keeps
+def test_partition_fits_its_environment_to_checkpoint_n_pad(tmp_path):
+    # the CLI must build its environment from the checkpoint's header, as
+    # infer_clusters does: in the config's n_pad of 9 this 6-slot policy
+    # could not read a state
     from sceneplan.ppo import infer_clusters, save_checkpoint
     from sceneplan.scene import coarse_detect
 
@@ -232,7 +233,7 @@ def test_partition_honours_checkpoint_include_count(tmp_path):
     ckpt_path = tmp_path / "policy.ckpt"
     save_checkpoint(ckpt, ckpt_path)
     dets = make_detections(tmp_path)
-    cfg_path, cfg = base_config(tmp_path, detections=str(dets), policy="trained",
+    cfg_path, cfg = base_config(tmp_path, detections=str(dets), policy="trained", n_pad=9,
                                 checkpoint=str(ckpt_path))
     out = tmp_path / "clusters.json"
     assert main(["partition", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -241,7 +242,8 @@ def test_partition_honours_checkpoint_include_count(tmp_path):
     coarse = coarse_detect(load_detections(dets), cfg["n"], cfg["e"], seed=cfg["seed"])
     want = infer_clusters(coarse, ckpt, TransformParams(0.5),
                           BandwidthSpec("fixed", 0.14), cfg["t_max"])
-    assert want.count >= 2  # a merge was possible at every step
+    merges = [step["applied"] for step in report["trace"]]
+    assert merges == ["merge"] * cfg["t_max"]  # the policy read every state
     assert report["n_final"] == want.count
     got = [tuple(c["members"]) for c in report["clusters"]]
     assert got == list(want.clusters)
@@ -735,8 +737,6 @@ def csv_rows(path) -> list[dict]:
 def test_every_result_is_the_step_that_episodes_answers_with(tmp_path, monkeypatch):
     # with the rule on Episodes patched to step 0, partition, pipeline, eval,
     # infer_clusters and training's log all report the first step's configuration
-    from dataclasses import replace
-
     from sceneplan import cli, ppo
     from sceneplan.rl_env import reward
     from sceneplan.scene import generate_scene, scene_spec_from_dict
@@ -759,7 +759,7 @@ def test_every_result_is_the_step_that_episodes_answers_with(tmp_path, monkeypat
         return trace[0].config
 
     # a greedy policy that merges at every step it can
-    ckpt = replace(count_driven_checkpoint(n_pad=6), include_count=True)
+    ckpt = count_driven_checkpoint(n_pad=6)
     ckpt_path = tmp_path / "policy.ckpt"
     ppo.save_checkpoint(ckpt, ckpt_path)
     dets = make_detections(tmp_path)
@@ -882,6 +882,18 @@ def test_pipeline_bad_scene_spec_field_names_it(tmp_path, capsys, field, value, 
     cfg_path, _ = base_config(tmp_path, scene_spec={**SPEC, field: value})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_pipeline_refuses_more_tiles_than_pixels(tmp_path, capsys, monkeypatch):
+    # 2**42 tiles of a 1280x1280 frame: refused before its grid shape is sought
+    from sceneplan import scene
+
+    monkeypatch.setattr(scene, "grid_shape", lambda total: pytest.fail("scanned"))
+    cfg_path, _ = base_config(tmp_path, n=1099511627776)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == ("error: n * e must be at most 1638400, the 1280x1280 "
+                                       "frame's pixels, got 4398046511104\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("t_max", [0, -3])

@@ -516,14 +516,37 @@ def rewrite_header(path, **fields):
                      + blob[off + 8 + hlen:])
 
 
-@pytest.mark.parametrize("field, value", [
-    ("n_pad", 4.5), ("n_pad", "4"), ("include_count", "no"), ("include_count", 1)])
-def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value):
+@pytest.mark.parametrize("field, value, named", [
+    ("n_pad", 4.5, "n_pad must be a 64-bit integer, got 4.5"),
+    ("n_pad", "4", "n_pad must be a 64-bit integer, got '4'"),
+    ("include_count", "no", "include_count must be true, got 'no'"),
+    ("include_count", 1, "include_count must be true, got 1"),
+    ("include_count", False, "include_count must be true, got False"),
+    # each weights and hyper value is typed like its config key, and named with its block
+    ("weights.alpha", True, "weights.alpha must be a finite number, got True"),
+    ("weights.alpha", "5", "weights.alpha must be a finite number, got '5'"),
+    ("weights.n_min", 2.5, "weights.n_min must be a 64-bit integer, got 2.5"),
+    ("weights.gamma", -1.0, "weights.gamma must be >= 0, got -1.0"),
+    ("weights.zeta", 1.0, "weights.zeta is not a field"),
+    ("weights", {}, "weights.alpha is missing"),
+    ("weights", [], "weights must be an object, got []"),
+    ("hyper.t_max", True, "hyper.t_max must be a 64-bit integer, got True"),
+    ("hyper.t_max", 2.5, "hyper.t_max must be a 64-bit integer, got 2.5"),
+    ("hyper.batch_size", 1e300, "hyper.batch_size must be a 64-bit integer, got 1e+300"),
+    ("hyper.gamma", 1.5, "hyper.gamma must be in (0, 1), got 1.5"),
+    ("hyper.hidden", ["x"], "hyper.hidden[0] must be a 64-bit integer, got 'x'"),
+    ("hyper.hidden", 8, "hyper.hidden must be a list, got 8"),
+], ids=["n_pad-4.5", "n_pad-4", "include_count-no", "include_count-1", "include_count-false",
+        "weights.alpha-true", "weights.alpha-text", "weights.n_min-fraction",
+        "weights.gamma-negative", "weights.zeta-unknown", "weights-empty", "weights-list",
+        "hyper.t_max-true", "hyper.t_max-fraction", "hyper.batch_size-1e300",
+        "hyper.gamma-1.5", "hyper.hidden-text", "hyper.hidden-int"])
+def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value, named):
     path = tmp_path / "p.ckpt"
     save_checkpoint(make_ckpt(rng, n_pad=4), path)
-    rewrite_header(path, **{field: value})
-    named = f"{path}: invalid header: {field} must be a"
-    with pytest.raises(CheckpointError, match=re.escape(named)):
+    block, _, key = field.partition(".")
+    rewrite_header(path, **{block: {**read_header(path)[block], key: value} if key else value})
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: invalid header: {named}')}$"):
         load_checkpoint(path)
 
 

@@ -371,21 +371,15 @@ def config_args(draw):
     return config, draw(st.integers(1, 15))
 
 
-@st.composite
-def state_args(draw):
-    config, n_pad = draw(config_args())
-    return config, n_pad, draw(st.booleans())
-
-
-def state_new(config, n_pad, include_count):
+def state_new(config, n_pad):
     """The state in a raw and in a transformed geometry: both read the raw
     means."""
-    return [encode_state(config, ClusterGeometry(config.detections, transform), n_pad,
-                         include_count) for transform in (None, TransformParams(0.5))]
+    return [encode_state(config, ClusterGeometry(config.detections, transform), n_pad)
+            for transform in (None, TransformParams(0.5))]
 
 
-def state_reference(config, n_pad, include_count):
-    return [encode_state_reference(config, n_pad, len(config.detections), include_count)] * 2
+def state_reference(config, n_pad):
+    return [encode_state_reference(config, n_pad, len(config.detections))] * 2
 
 
 # --- policy_sample --------------------------------------------------------------
@@ -852,7 +846,7 @@ REGISTRY = [
     ("bounding_blocks", caught(bounding_blocks), caught(blocks_reference), block_args(), 200),
     ("partitions_from_blocks", caught(partitions_from_blocks),
      caught(partitions_from_blocks_reference), partition_args(), 200),
-    ("encode_state", state_new, state_reference, state_args(), 200),
+    ("encode_state", state_new, state_reference, config_args(), 200),
     ("action_mask", action_mask, action_mask_reference, config_args(), 200),
     ("policy_sample", seeded(policy_sample), seeded(policy_sample_rows_reference),
      sample_args(), 200),

@@ -100,12 +100,6 @@ def test_encode_truncates():
     assert s[0] == pytest.approx(cfg.detections[cfg.clusters[0][0]].cx)
 
 
-def test_encode_count_flag_off():
-    cfg = n_singletons(2)
-    s = encode_state(cfg, geometry_of(cfg), n_pad=4, include_count=False)
-    assert s[-1] == 0.0
-
-
 def test_encode_entries_in_unit_range(rng):
     for _ in range(10):
         cfg = random_config(rng, 4)
@@ -571,14 +565,16 @@ def test_step_reward_scored_on_first_read_only(monkeypatch, seed):
         episodes = rollout([frame], DESK_ENV, 30, choose, np.random.default_rng(seed))
         assert calls == []
         scores = episodes.scores()
-        assert len(calls) == 1 and len(calls[0]) == stepped_outcomes(episodes.traces[0])
+        configs = {id(out.config) for out in episodes.traces[0]}
+        assert len(calls) == 1 and len(calls[0]) == len(configs)
         assert scores.tolist() == reference_scores(episodes, DESK_ENV.transform)
         calls.clear()
     assert {out.applied for out in episodes.traces[0]} >= {"merge", "split"}
 
 
-def test_scores_score_each_distinct_record_once(monkeypatch):
-    # a replayed step's trace entry is the record it repeats: scored once
+def test_scores_score_each_distinct_configuration_once(monkeypatch):
+    # a keep, an invalid step and a replayed step carry their configuration
+    # object on: its 88 distinct records hold 81 configurations, scored once each
     import sceneplan.ppo as ppo
 
     episodes = rollout(desk_frames(8), TEST_ENV, 30, greedy_chooser(5))
@@ -587,7 +583,8 @@ def test_scores_score_each_distinct_record_once(monkeypatch):
                         or original(scored, weights))
     scores = episodes.scores()
     assert sum(map(len, episodes.traces)) == 240
-    assert [len(scored) for scored in calls] == [88]
+    assert len({id(out) for trace in episodes.traces for out in trace}) == 88
+    assert [len(scored) for scored in calls] == [81]
     assert scores.tolist() == reference_scores(episodes, TEST_ENV.transform)
 
 

@@ -249,6 +249,26 @@ def test_tile_frame_validation():
         tile_frame(Frame(100, 100), 0, 4)
 
 
+@pytest.mark.parametrize("size, n, e, named", [
+    # 7,919 is prime: one row of 7,919 columns, 4,079 of them zero-area
+    ((3840, 2160), 7919, 1, "a grid of at most 2160 rows and 3840 columns (1x7919 here), got 7919"),
+    ((2, 4), 8, 1, "a grid of at most 4 rows and 2 columns (2x4 here), got 8"),
+    ((3840, 2160), 2 ** 40, 4, "at most 8294400, the 3840x2160 frame's pixels, got 4398046511104"),
+    ((4, 2), 9, 1, "at most 8, the 4x2 frame's pixels, got 9"),
+], ids=["prime-row", "columns", "2**42", "pixels"])
+def test_tile_frame_refuses_a_grid_finer_than_the_pixels(monkeypatch, size, n, e, named):
+    if "pixels" in named:  # refused before the divisor scan
+        monkeypatch.setattr(scene, "grid_shape", lambda total: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'n * e must be {named}')}$"):
+        tile_frame(Frame(*size), n, e)
+
+
+def test_tile_frame_takes_a_grid_of_one_pixel_tiles():
+    grid = tile_frame(Frame(4, 2), 8, 1)
+    assert (grid.rows, grid.cols) == (2, 4)
+    assert {(x1 - x0, y1 - y0) for x0, y0, x1, y1 in grid.tiles} == {(1, 1)}
+
+
 # ---------------------------------------------------------------------------
 # observation + aggregation
 # ---------------------------------------------------------------------------
