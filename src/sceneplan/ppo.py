@@ -1,8 +1,10 @@
 """Policy/critic networks, the lockstep episode rollout, clipped-surrogate
 training, greedy inference, and checkpoint persistence.
 
-Both networks are plain two-hidden-layer MLPs (128 units, rectifier)
-implemented directly in numpy with exact backpropagation; updates are the
+Both networks are plain rectifier MLPs whose hidden widths are
+``Hyperparams.hidden`` (two layers of 128 units by default), implemented
+directly in numpy with exact backpropagation; a checkpoint's critic may
+have other hidden widths than its policy. Updates are the
 plain gradient steps of the training algorithm (ascent on the clipped
 surrogate for the policy, descent on the value MSE for the critic), each
 written into the gradient arrays it computed.
@@ -95,6 +97,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         check_fields(self, [
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             *((name, getattr(self, name) > 0, "> 0")
@@ -102,8 +105,8 @@ class Hyperparams:
                            "episodes_per_iter", "epochs")),
             ("t_max", self.t_max <= T_MAX_LIMIT, f"<= {T_MAX_LIMIT}"),
             ("iterations", self.iterations >= 0, ">= 0"),
-            ("entropy_coef", self.entropy_coef >= 0.0, ">= 0")])
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+            ("entropy_coef", self.entropy_coef >= 0.0, ">= 0"),
+            ("hidden", all(width >= 1 for width in self.hidden), "widths >= 1")])
 
 
 def init_mlp(rng: np.random.Generator, sizes) -> MlpParams:
@@ -338,9 +341,9 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
 
 @dataclass
 class PolicyCheckpoint:
-    """Trained (or freshly initialized) networks plus their context; every
-    state encodes the cluster count, so ``include_count``, which the file
-    header records, must be true."""
+    """Trained (or freshly initialized) networks plus their context. Every
+    state encodes the cluster count, so ``include_count`` must be true;
+    ``n_pad`` is at least 1 and ``meta`` is a dict."""
 
     n_pad: int
     include_count: bool
@@ -351,7 +354,9 @@ class PolicyCheckpoint:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_fields(self, [("include_count", self.include_count is True, "true")])
+        check_fields(self, [("n_pad", self.n_pad >= 1, ">= 1"),
+                            ("include_count", self.include_count is True, "true"),
+                            ("meta", isinstance(self.meta, dict), "an object")])
 
 
 def policy_config(env_config: EnvConfig, ckpt: PolicyCheckpoint) -> EnvConfig:
@@ -642,38 +647,33 @@ def infer_clusters(
 #   bytes 0..10   magic "REPOSE-CKPT"
 #   uint32 LE     format version
 #   uint32 LE     header length in bytes
-#   header        UTF-8 JSON: dims, weights, hyper, meta, array manifest
-#   payload       row-major float64 LE arrays, in manifest order
+#   header        UTF-8 JSON object of exactly five keys: n_pad, weights,
+#                 hyper, meta, and widths = {"policy": [...], "critic": [...]},
+#                 each network's layer widths from the state's to its output's
+#   payload       row-major float64 LE arrays: the policy's w0, b0, w1, b1,
+#                 ..., then the critic's; layer k's weight has shape
+#                 (widths[k], widths[k + 1]) and its bias (widths[k + 1],)
 
 CHECKPOINT_MAGIC = b"REPOSE-CKPT"
-CHECKPOINT_VERSION = 1
-
-
-def _array_manifest(ckpt: PolicyCheckpoint):
-    arrays = []
-    for net_name, net in (("policy", ckpt.policy), ("critic", ckpt.critic)):
-        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays.append((f"{net_name}.w{k}", w))
-            arrays.append((f"{net_name}.b{k}", b))
-    return arrays
+CHECKPOINT_VERSION = 2
+NETWORKS = ("policy", "critic")  # in payload order
 
 
 def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
     """Write the versioned, self-describing checkpoint container."""
-    arrays = _array_manifest(ckpt)
+    nets = [getattr(ckpt, name) for name in NETWORKS]
     header = {
         "n_pad": ckpt.n_pad,
-        "include_count": ckpt.include_count,
-        "state_dim": state_dim(ckpt.n_pad),
-        "n_actions": n_actions(ckpt.n_pad),
         "weights": asdict(ckpt.weights),
         "hyper": asdict(ckpt.hyper),
         "meta": ckpt.meta,
-        "arrays": [[name, list(a.shape)] for name, a in arrays],
+        "widths": {name: [net.weights[0].shape[0], *(w.shape[1] for w in net.weights)]
+                   for name, net in zip(NETWORKS, nets)},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
-    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays]
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes()
+              for net in nets for layer in zip(net.weights, net.biases) for a in layer]
     write_file(path, b"".join(parts))
 
 
@@ -688,19 +688,25 @@ def load_checkpoint(path) -> PolicyCheckpoint:
         raise CheckpointError(f"{path}: {e}") from None
 
 
+def _check_keys(block, name: str, keys) -> dict:
+    """``block`` when it is a dict of exactly ``keys``; else a ValueError
+    naming ``name``, or its first missing or extra key as ``<name>.<key>``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{name} must be an object, got {block!r}")
+    odd = sorted(block.keys() ^ set(keys))
+    if odd:
+        raise ValueError(f"{name}.{odd[0]} is {'missing' if odd[0] in keys else 'not a field'}")
+    return block
+
+
 def _header_block(header: dict, name: str, cls):
     """``cls`` built from the header's ``name`` block, read as strictly as a
     config file's: every field present and none else, each value a
     ``check_number`` (integer where the field's default is an int; ``hidden``
     a list of ints), then ranged by ``cls``. An error starts with
     ``<name>.<field>``, since ``gamma`` is a field of both blocks."""
-    block = header[name]
-    if not isinstance(block, dict):
-        raise ValueError(f"{name} must be an object, got {block!r}")
     defaults = {f.name: f.default for f in fields(cls)}
-    odd = sorted(block.keys() ^ defaults.keys())
-    if odd:
-        raise ValueError(f"{name}.{odd[0]} is {'missing' if odd[0] in defaults else 'not a field'}")
+    block = _check_keys(header[name], name, defaults)
     for key, default in defaults.items():
         where, value = f"{name}.{key}", block[key]
         if isinstance(default, tuple):
@@ -717,8 +723,13 @@ def _header_block(header: dict, name: str, cls):
 
 def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     """The checkpoint a file holds; any inconsistency raises CheckpointError.
-    ``_header_block`` reads the weights and hyper blocks, and
-    ``PolicyCheckpoint`` checks ``include_count``."""
+
+    The header alone builds the checkpoint, its networks still empty:
+    ``_header_block`` reads the weights and hyper blocks, ``PolicyCheckpoint``
+    ranges n_pad and meta, and each width list must run from
+    ``state_dim(n_pad)`` to the network's output through ints >= 1, the
+    policy's hidden widths being ``hyper.hidden``. The payload then fills the
+    layers in order, and must end where the last array ends."""
     if len(data) < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError("checkpoint truncated before header")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -736,61 +747,37 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
         raise CheckpointError(f"corrupt header: {e}") from None
     off += hlen
     try:
-        manifest = header["arrays"]
+        _check_keys(header, "header", ("hyper", "meta", "n_pad", "weights", "widths"))
         n_pad = check_number(header["n_pad"], "n_pad", integer=True)
-        include_count = header["include_count"]
-        weights = _header_block(header, "weights", RewardWeights)
-        hyper = _header_block(header, "hyper", Hyperparams)
-        meta = header["meta"]
-        for name, shape in manifest:
-            for dim in shape:
-                where = f"{name} shape dim"
-                check_number(dim, where, integer=True)
-                check_fields({where: dim}, [(where, dim >= 0, ">= 0")])
-    except (KeyError, TypeError, ValueError) as e:
+        ckpt = PolicyCheckpoint(n_pad, True, MlpParams([], []), MlpParams([], []),
+                                _header_block(header, "weights", RewardWeights),
+                                _header_block(header, "hyper", Hyperparams), header["meta"])
+        widths = _check_keys(header["widths"], "widths", NETWORKS)
+        for name, out in zip(NETWORKS, (n_actions(n_pad), 1)):
+            where, sizes = f"widths.{name}", widths[name]
+            check_fields({where: sizes}, [(where, isinstance(sizes, list) and len(sizes) >= 2,
+                                           "a list of two or more widths")])
+            for k, size in enumerate(sizes):
+                at = f"{where}[{k}]"
+                check_fields({at: check_number(size, at, integer=True)}, [(at, size >= 1, ">= 1")])
+            check_fields({where: sizes}, [(where, sizes[0] == state_dim(n_pad) and sizes[-1] == out,
+                                           f"from {state_dim(n_pad)} to {out} for n_pad={n_pad}")])
+        hidden = list(ckpt.hyper.hidden)
+        check_fields({"hyper.hidden": hidden}, [
+            ("hyper.hidden", hidden == widths["policy"][1:-1],
+             f"the policy's hidden widths {widths['policy'][1:-1]}")])
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid header: {e}") from None
-    arrays = {}
-    for name, shape in manifest:
-        count = math.prod(shape)
-        nbytes = count * 8
-        if len(data) < off + nbytes:
-            raise CheckpointError(f"checkpoint truncated inside array {name}")
-        if name in arrays:  # the later payload would replace this one
-            raise CheckpointError(f"array {name} is listed twice")
-        arrays[name] = np.frombuffer(
-            data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += nbytes
+    for name in NETWORKS:
+        net, sizes = getattr(ckpt, name), widths[name]
+        for k, shape in enumerate(zip(sizes[:-1], sizes[1:])):
+            for arrays, kind, dims in ((net.weights, "w", shape), (net.biases, "b", shape[1:])):
+                count = math.prod(dims)
+                if len(data) < off + 8 * count:
+                    raise CheckpointError(f"checkpoint truncated inside array {name}.{kind}{k}")
+                arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=off)
+                              .reshape(dims).copy())
+                off += 8 * count
     if off != len(data):
         raise CheckpointError("trailing bytes after final array")
-
-    def network(net_name: str, out: int) -> MlpParams:
-        """Layers k = 0, 1, ... in one walk while ``<net_name>.w<k>`` exists:
-        weight k is 2-D and takes the previous width (the state's first),
-        bias k has shape (width,), and the last width is ``out``; each array
-        taken is removed from ``arrays``."""
-        net, width = MlpParams([], []), state_dim(n_pad)
-        while not net.weights or f"{net_name}.w{len(net.weights)}" in arrays:
-            w, b = (f"{net_name}.{kind}{len(net.weights)}" for kind in "wb")
-            for name in (w, b):
-                if name not in arrays:
-                    raise ValueError(f"no array {name}")
-            shape = {w: arrays[w].shape, b: arrays[b].shape}
-            check_fields(shape, [(w, len(shape[w]) == 2 and shape[w][0] == width,
-                                  f"a 2-D array of fan-in {width}")])
-            width = shape[w][1]
-            check_fields(shape, [(b, shape[b] == (width,), f"of shape ({width},)")])
-            net.weights.append(arrays.pop(w))
-            net.biases.append(arrays.pop(b))
-        check_fields(shape, [(w, width == out, f"of fan-out {out} for n_pad={n_pad}")])
-        return net
-
-    try:
-        policy, critic = network("policy", n_actions(n_pad)), network("critic", 1)
-        if arrays:  # what is left no walk reached, and saving would drop it
-            raise ValueError(f"array {next(iter(arrays))} belongs to no layer")
-    except ValueError as e:
-        raise CheckpointError(str(e)) from None
-    try:
-        return PolicyCheckpoint(n_pad, include_count, policy, critic, weights, hyper, meta)
-    except ValueError as e:
-        raise CheckpointError(f"invalid header: {e}") from None
+    return ckpt

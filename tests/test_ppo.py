@@ -3,6 +3,7 @@ import math
 import os
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,13 @@ def scene_sampler(seed):
     return small_frame(np.random.default_rng(seed % 50))
 
 
+@pytest.mark.parametrize("hidden", [(0,), (-1,), (8, 0)])
+def test_hyperparams_hidden_widths_are_at_least_one(hidden):
+    # a zero width would build an empty layer, a negative one fail inside numpy
+    with pytest.raises(ValueError, match=f"^{re.escape(f'hidden must be widths >= 1, got {hidden!r}')}$"):
+        Hyperparams(hidden=hidden)
+
+
 def test_train_zero_iterations_returns_init():
     ckpt = train(scene_sampler, tiny_env_config(), tiny_hyper(iterations=0))
     assert ckpt.meta["iterations"] == 0
@@ -490,13 +498,16 @@ def test_checkpoint_bad_magic_rejected(tmp_path, rng):
 
 
 def test_checkpoint_bad_version_rejected(tmp_path, rng):
+    # version 1, the format of named arrays, is refused by its number alone
     path = tmp_path / "p.ckpt"
-    save_checkpoint(make_ckpt(rng), path)
-    blob = bytearray(path.read_bytes())
-    blob[11] = 99  # version field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+    for version in (1, 99):
+        save_checkpoint(make_ckpt(rng), path)
+        blob = bytearray(path.read_bytes())
+        blob[11] = version  # version field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: unsupported checkpoint version {version}")):
+            load_checkpoint(path)
 
 
 def read_header(path) -> dict:
@@ -506,22 +517,53 @@ def read_header(path) -> dict:
     return json.loads(blob[len(CHECKPOINT_MAGIC) + 8:len(CHECKPOINT_MAGIC) + 8 + hlen])
 
 
-def rewrite_header(path, **fields):
-    """Rewrite the checkpoint at ``path`` with ``fields`` set in its JSON header."""
+def write_header(path, header):
+    """Rewrite the checkpoint at ``path`` with ``header`` as its JSON header."""
     blob = path.read_bytes()
     off = len(CHECKPOINT_MAGIC)
     version, hlen = struct.unpack_from("<II", blob, off)
-    new = json.dumps({**read_header(path), **fields}).encode("utf-8")
+    new = json.dumps(header).encode("utf-8")
     path.write_bytes(blob[:off] + struct.pack("<II", version, len(new)) + new
                      + blob[off + 8 + hlen:])
+
+
+def rewrite_header(path, **fields):
+    """Rewrite the checkpoint at ``path`` with ``fields`` set in its JSON header."""
+    write_header(path, {**read_header(path), **fields})
+
+
+def assert_header_edit_refused(path, rng, field, value, named):
+    """Save a checkpoint at ``path`` with ``field`` (``<key>`` or
+    ``<block>.<key>``) of its header set to ``value``: loading it must fail
+    with exactly ``<path>: invalid header: <named>``."""
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    block, _, key = field.partition(".")
+    rewrite_header(path, **{block: {**read_header(path)[block], key: value} if key else value})
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: invalid header: {named}')}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_holds_five_keys(tmp_path, rng):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    header = read_header(path)
+    assert sorted(header) == ["hyper", "meta", "n_pad", "weights", "widths"]
+    assert header["widths"] == {"policy": [21, 8, 8, 6], "critic": [21, 8, 8, 1]}
+    for written, named in [([], "header must be an object, got []"),
+                           ({k: v for k, v in header.items() if k != "meta"},
+                            "header.meta is missing")]:
+        write_header(path, written)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: invalid header: {named}')}$"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field, value, named", [
     ("n_pad", 4.5, "n_pad must be a 64-bit integer, got 4.5"),
     ("n_pad", "4", "n_pad must be a 64-bit integer, got '4'"),
-    ("include_count", "no", "include_count must be true, got 'no'"),
-    ("include_count", 1, "include_count must be true, got 1"),
-    ("include_count", False, "include_count must be true, got False"),
+    ("n_pad", 0, "n_pad must be >= 1, got 0"),
+    ("meta", [1, 2], "meta must be an object, got [1, 2]"),
+    # the header's keys are its five, and no other: the layout follows from n_pad
+    ("state_dim", 21, "header.state_dim is not a field"),
     # each weights and hyper value is typed like its config key, and named with its block
     ("weights.alpha", True, "weights.alpha must be a finite number, got True"),
     ("weights.alpha", "5", "weights.alpha must be a finite number, got '5'"),
@@ -536,66 +578,65 @@ def rewrite_header(path, **fields):
     ("hyper.gamma", 1.5, "hyper.gamma must be in (0, 1), got 1.5"),
     ("hyper.hidden", ["x"], "hyper.hidden[0] must be a 64-bit integer, got 'x'"),
     ("hyper.hidden", 8, "hyper.hidden must be a list, got 8"),
-], ids=["n_pad-4.5", "n_pad-4", "include_count-no", "include_count-1", "include_count-false",
+    ("hyper.hidden", [8, 0], "hyper.hidden must be widths >= 1, got (8, 0)"),
+], ids=["n_pad-4.5", "n_pad-4", "n_pad-0", "meta-list", "state_dim-stray",
         "weights.alpha-true", "weights.alpha-text", "weights.n_min-fraction",
         "weights.gamma-negative", "weights.zeta-unknown", "weights-empty", "weights-list",
         "hyper.t_max-true", "hyper.t_max-fraction", "hyper.batch_size-1e300",
-        "hyper.gamma-1.5", "hyper.hidden-text", "hyper.hidden-int"])
+        "hyper.gamma-1.5", "hyper.hidden-text", "hyper.hidden-int", "hyper.hidden-zero"])
 def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value, named):
-    path = tmp_path / "p.ckpt"
-    save_checkpoint(make_ckpt(rng, n_pad=4), path)
-    block, _, key = field.partition(".")
-    rewrite_header(path, **{block: {**read_header(path)[block], key: value} if key else value})
-    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: invalid header: {named}')}$"):
-        load_checkpoint(path)
+    assert_header_edit_refused(tmp_path / "p.ckpt", rng, field, value, named)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("include_count", "no", "include_count must be true, got 'no'"),
+    ("include_count", 1, "include_count must be true, got 1"),
+    ("include_count", False, "include_count must be true, got False"),
+    ("n_pad", 0, "n_pad must be >= 1, got 0"),
+    ("meta", [1, 2], "meta must be an object, got [1, 2]"),
+], ids=["include_count-no", "include_count-1", "include_count-false", "n_pad-0", "meta-list"])
+def test_checkpoint_fields_are_ranged(rng, field, value, named):
+    # no file records include_count, but every state encodes the cluster count
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        replace(make_ckpt(rng), **{field: value})
 
 
 @pytest.mark.parametrize("shape, named", [
-    ([21.0, 8], "must be a 64-bit integer, got 21.0"),
-    (["21", 8], "must be a 64-bit integer, got '21'"),
-    ([-21, -8], "must be >= 0, got -21"),
-    ([True, 168], "must be a 64-bit integer, got True")])
+    ([21.0, 8, 8, 6], "must be a 64-bit integer, got 21.0"),
+    (["21", 8, 8, 6], "must be a 64-bit integer, got '21'"),
+    ([0, 8, 8, 6], "must be >= 1, got 0"),
+    ([True, 8, 8, 6], "must be a 64-bit integer, got True")])
 def test_checkpoint_array_shapes_are_checked(tmp_path, rng, shape, named):
+    # every array's shape follows from its network's widths, each an int >= 1
+    assert_header_edit_refused(tmp_path / "p.ckpt", rng, "widths.policy", shape,
+                               f"widths.policy[0] {named}")
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("widths.policy", [21, 8, 8, 5], "widths.policy must be from 21 to 6 for n_pad=4, got [21, 8, 8, 5]"),
+    # without its last layer the critic ends on a hidden width
+    ("widths.critic", [21, 8, 8], "widths.critic must be from 21 to 1 for n_pad=4, got [21, 8, 8]"),
+    # a first layer whose fan-in is not the state's width
+    ("widths.critic", [20, 8, 8, 1], "widths.critic must be from 21 to 1 for n_pad=4, got [20, 8, 8, 1]"),
+    ("widths.critic", [21], "widths.critic must be a list of two or more widths, got [21]"),
+    ("widths", {"policy": [21, 8, 8, 6]}, "widths.critic is missing"),
+    ("hyper.hidden", [3], "hyper.hidden must be the policy's hidden widths [8, 8], got [3]"),
+], ids=["policy-output", "critic-cut-short", "weight-fan-in", "critic-one-width",
+        "critic-missing", "hidden-unequal"])
+def test_checkpoint_layers_are_checked_in_order(tmp_path, rng, field, value, named):
+    # each edit keeps the payload's size or is refused before it is read,
+    # so only the width rules can refuse it
+    assert_header_edit_refused(tmp_path / "p.ckpt", rng, field, value, named)
+
+
+@pytest.mark.parametrize("extra", [np.arange(3, dtype="<f8").tobytes(), b"\x00"],
+                         ids=["extra", "stray-byte"])
+def test_checkpoint_refuses_an_array_no_layer_reaches(tmp_path, rng, extra):
+    # bytes appended to the payload: saving the loaded networks again would drop them
     path = tmp_path / "p.ckpt"
     save_checkpoint(make_ckpt(rng, n_pad=4), path)
-    arrays = read_header(path)["arrays"]
-    arrays[0][1] = shape
-    rewrite_header(path, arrays=arrays)
-    with pytest.raises(CheckpointError, match=re.escape(
-            f"{path}: invalid header: {arrays[0][0]} shape dim {named}")):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("layer, entry, named", [
-    ("policy.b0", ["policy.b0", [2, 4]], "policy.b0 must be of shape (8,), got (2, 4)"),
-    ("policy.b0", ["policy.bias0", [8]], "no array policy.b0"),
-    ("policy.w1", ["policy.w1", [4, 16]],
-     "policy.w1 must be a 2-D array of fan-in 8, got (4, 16)"),
-    # without its last weight the critic ends on a hidden layer
-    ("critic.w2", ["critic.v2", [8, 1]], "critic.w1 must be of fan-out 1 for n_pad=4, got (8, 8)"),
-], ids=["bias-reshaped", "bias-renamed", "weight-fan-in", "critic-cut-short"])
-def test_checkpoint_layers_are_checked_in_order(tmp_path, rng, layer, entry, named):
-    # each manifest keeps the payload's size, so only the layer walk can refuse it
-    path = tmp_path / "p.ckpt"
-    save_checkpoint(make_ckpt(rng, n_pad=4), path)
-    arrays = read_header(path)["arrays"]
-    arrays[[name for name, _ in arrays].index(layer)] = entry
-    rewrite_header(path, arrays=arrays)
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {named}")):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("entry, named", [
-    (["policy.w7", [3]], "array policy.w7 belongs to no layer"),
-    (["policy.b0", [8]], "array policy.b0 is listed twice"),
-], ids=["extra", "repeated"])
-def test_checkpoint_refuses_an_array_no_layer_reaches(tmp_path, rng, entry, named):
-    # an entry appended with its payload: saving the loaded networks again would drop one
-    path = tmp_path / "p.ckpt"
-    save_checkpoint(make_ckpt(rng, n_pad=4), path)
-    rewrite_header(path, arrays=[*read_header(path)["arrays"], entry])
-    path.write_bytes(path.read_bytes() + np.arange(entry[1][0], dtype="<f8").tobytes())
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {named}")):
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: trailing bytes after final array")):
         load_checkpoint(path)
 
 

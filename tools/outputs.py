@@ -133,7 +133,7 @@ CASES = [
 SAME = [*([f"loaded-frame/{src}/{name}" for src in ("generated", "json", "csv")]
           for name in ("report.json", "metrics.csv")),
         *([f"{case}/{name}" for case in ("desk-train", "desk-fitted")]
-          for name in ("eval.csv", "report.json", "metrics.csv"))]
+          for name in ("policy.ckpt", "eval.csv", "report.json", "metrics.csv"))]
 
 
 def run(src: Path, out: Path, tree: str) -> dict:
