@@ -54,6 +54,10 @@ from .scene import (
     load_scene_spec,
 )
 
+# policy modes besides "trained" (a checkpoint's), in eval.csv's row order
+BASELINES = {"random": random_policy, "keep": keep_policy}
+POLICY_MODES = ("trained", *sorted(BASELINES))
+
 # keys filling a dataclass field read its default; coarse keys mirror coarse_detect
 DEFAULTS = {
     "seed": 0,
@@ -148,8 +152,8 @@ def _config(args: argparse.Namespace) -> dict:
                 ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
                 ("block_margin", cfg["block_margin"] >= 0.0, ">= 0"),
                 ("d_max", cfg["d_max"] >= 0, ">= 0"),
-                ("policy", cfg["policy"] in ("trained", "keep", "random"),
-                 "'trained', 'keep' or 'random'")]), "", {}),
+                ("policy", cfg["policy"] in POLICY_MODES,
+                 f"{', '.join(map(repr, POLICY_MODES[:-1]))} or {POLICY_MODES[-1]!r}")]), "", {}),
             (lambda: RewardWeights(**cfg["reward"]), "reward.", {}),
             (lambda: _hyper(cfg), "train.", {"t_max": "t_max", "seed": "seed"}),
             (lambda: _env_config(cfg), "", {"alpha": "transform_alpha", "mode": "bandwidth_mode",
@@ -198,8 +202,8 @@ def _policy(cfg: dict, mode: str):
     """(choose, env_config) for a policy mode. A trained policy's checkpoint
     is loaded here, once for all the command's frames, and the environment
     fitted to it (``policy_config``)."""
-    if mode != "trained":
-        return (keep_policy if mode == "keep" else random_policy), _env_config(cfg)
+    if mode in BASELINES:
+        return BASELINES[mode], _env_config(cfg)
     if cfg["checkpoint"] is None:
         raise ValueError("trained policy requested but no checkpoint configured")
     ckpt = load_checkpoint(cfg["checkpoint"])
@@ -397,7 +401,7 @@ def cmd_eval(args) -> None:
     trained, env_config = _policy(cfg, "trained")  # every row in the checkpoint's environment
     spec = _scene_spec(cfg)
     seeds = range(cfg["seed"] + 10_000, cfg["seed"] + 10_000 + cfg["episodes"])
-    policies = [("trained", trained), ("random", random_policy), ("keep", keep_policy)]
+    policies = [("trained", trained), *BASELINES.items()]
     weights = env_config.weights
     rows = []
     for name, choose in policies:
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--scene-spec": {"help": "scene spec JSON"},
         "--checkpoint": {"help": "policy checkpoint"},
-        "--policy": {"choices": ["trained", "keep", "random"], "help": "policy mode"},
+        "--policy": {"choices": POLICY_MODES, "help": "policy mode"},
         "--d-max": {"type": int, "help": "latency budget (ms)"},
     }
 

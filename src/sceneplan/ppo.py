@@ -3,11 +3,11 @@ training, greedy inference, and checkpoint persistence.
 
 Both networks are plain rectifier MLPs whose hidden widths are
 ``Hyperparams.hidden`` (two layers of 128 units by default), implemented
-directly in numpy with exact backpropagation; a checkpoint's critic may
-have other hidden widths than its policy. Updates are the
-plain gradient steps of the training algorithm (ascent on the clipped
-surrogate for the policy, descent on the value MSE for the critic), each
-written into the gradient arrays it computed.
+directly in numpy with exact backpropagation. The critic serves only
+training's advantages, so a checkpoint file holds the policy alone.
+Updates are the plain gradient steps of the training algorithm (ascent
+on the clipped surrogate for the policy, descent on the value MSE for the
+critic), each written into the gradient arrays it computed.
 Training, inference and the command line all roll episodes through one
 driver, ``rollout``, which owns them: it takes frames, one ``EnvConfig``
 (``policy_config`` fits it to a checkpoint) and a horizon, starts every
@@ -39,6 +39,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields, asdict, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -107,6 +108,13 @@ class Hyperparams:
             ("iterations", self.iterations >= 0, ">= 0"),
             ("entropy_coef", self.entropy_coef >= 0.0, ">= 0"),
             ("hidden", all(width >= 1 for width in self.hidden), "widths >= 1")])
+
+
+def policy_widths(n_pad: int, hidden) -> list[int]:
+    """The policy's layer widths, state to action logits (layer k maps
+    widths[k] inputs to widths[k + 1]): the layout ``train`` builds and a
+    checkpoint stores."""
+    return [state_dim(n_pad), *hidden, n_actions(n_pad)]
 
 
 def init_mlp(rng: np.random.Generator, sizes) -> MlpParams:
@@ -341,14 +349,15 @@ def ppo_update(policy: MlpParams, critic: MlpParams, batch: TrajectoryBatch,
 
 @dataclass
 class PolicyCheckpoint:
-    """Trained (or freshly initialized) networks plus their context. Every
-    state encodes the cluster count, so ``include_count`` must be true;
-    ``n_pad`` is at least 1 and ``meta`` is a dict."""
+    """A trained (or freshly initialized) policy plus its context, and
+    ``train``'s critic (None once loaded: a file holds the policy alone).
+    Every state encodes the cluster count, so ``include_count`` must be
+    true; ``n_pad`` is at least 1 and ``meta`` is a dict."""
 
     n_pad: int
     include_count: bool
     policy: MlpParams
-    critic: MlpParams
+    critic: MlpParams | None
     weights: RewardWeights
     hyper: Hyperparams
     meta: dict = field(default_factory=dict)
@@ -559,10 +568,9 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
     iteration's minibatch steps of the figures ``ppo_update`` returns.
     """
     rng = np.random.default_rng(hyper.seed)
-    dim = state_dim(env_config.n_pad)
-    acts = n_actions(env_config.n_pad)
-    policy = init_mlp(rng, [dim, *hyper.hidden, acts])
-    critic = init_mlp(rng, [dim, *hyper.hidden, 1])
+    widths = policy_widths(env_config.n_pad, hyper.hidden)
+    policy = init_mlp(rng, widths)
+    critic = init_mlp(rng, [*widths[:-1], 1])
     log_rows = []
     mean_return = float("nan")
     for it in range(hyper.iterations):
@@ -647,33 +655,41 @@ def infer_clusters(
 #   bytes 0..10   magic "REPOSE-CKPT"
 #   uint32 LE     format version
 #   uint32 LE     header length in bytes
-#   header        UTF-8 JSON object of exactly five keys: n_pad, weights,
-#                 hyper, meta, and widths = {"policy": [...], "critic": [...]},
-#                 each network's layer widths from the state's to its output's
-#   payload       row-major float64 LE arrays: the policy's w0, b0, w1, b1,
-#                 ..., then the critic's; layer k's weight has shape
+#   header        UTF-8 JSON object of exactly four keys: n_pad, weights,
+#                 hyper and meta
+#   payload       row-major float64 LE arrays of the policy alone: w0, b0,
+#                 w1, b1, ...; with widths = policy_widths(n_pad,
+#                 hyper.hidden), layer k's weight has shape
 #                 (widths[k], widths[k + 1]) and its bias (widths[k + 1],)
 
 CHECKPOINT_MAGIC = b"REPOSE-CKPT"
-CHECKPOINT_VERSION = 2
-NETWORKS = ("policy", "critic")  # in payload order
+CHECKPOINT_VERSION = 3
+
+
+def _payload_shapes(ckpt: PolicyCheckpoint) -> list[tuple[int, ...]]:
+    """The shapes of the payload's arrays in order: array k is layer
+    k // 2's weight (k even) or bias (k odd)."""
+    widths = policy_widths(ckpt.n_pad, ckpt.hyper.hidden)
+    return [shape for fan_in, fan_out in zip(widths[:-1], widths[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
 
 
 def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
-    """Write the versioned, self-describing checkpoint container."""
-    nets = [getattr(ckpt, name) for name in NETWORKS]
-    header = {
-        "n_pad": ckpt.n_pad,
-        "weights": asdict(ckpt.weights),
-        "hyper": asdict(ckpt.hyper),
-        "meta": ckpt.meta,
-        "widths": {name: [net.weights[0].shape[0], *(w.shape[1] for w in net.weights)]
-                   for name, net in zip(NETWORKS, nets)},
-    }
+    """Write the versioned checkpoint container of the policy (not the
+    critic). A policy off the layout of n_pad and ``hyper.hidden`` raises
+    ValueError naming its first array at fault, and nothing is written."""
+    net = ckpt.policy
+    arrays = [a for layer in zip_longest(net.weights, net.biases) for a in layer]
+    for k, (want, a) in enumerate(zip_longest(_payload_shapes(ckpt), arrays)):
+        got = None if a is None else np.shape(a)
+        if got != want:
+            raise ValueError(f"policy.{'wb'[k % 2]}{k // 2} must be "
+                             f"{'absent' if want is None else f'of shape {want}'}, got {got}")
+    header = {"n_pad": ckpt.n_pad, "weights": asdict(ckpt.weights),
+              "hyper": asdict(ckpt.hyper), "meta": ckpt.meta}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
-    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes()
-              for net in nets for layer in zip(net.weights, net.biases) for a in layer]
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
     write_file(path, b"".join(parts))
 
 
@@ -724,12 +740,11 @@ def _header_block(header: dict, name: str, cls):
 def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     """The checkpoint a file holds; any inconsistency raises CheckpointError.
 
-    The header alone builds the checkpoint, its networks still empty:
-    ``_header_block`` reads the weights and hyper blocks, ``PolicyCheckpoint``
-    ranges n_pad and meta, and each width list must run from
-    ``state_dim(n_pad)`` to the network's output through ints >= 1, the
-    policy's hidden widths being ``hyper.hidden``. The payload then fills the
-    layers in order, and must end where the last array ends."""
+    The header alone builds the checkpoint, its policy still empty:
+    ``_header_block`` reads the weights and hyper blocks, and
+    ``PolicyCheckpoint`` ranges n_pad and meta. The payload must then be
+    exactly as long as the arrays n_pad and ``hyper.hidden`` lay out, which
+    it fills in order."""
     if len(data) < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError("checkpoint truncated before header")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -747,37 +762,22 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
         raise CheckpointError(f"corrupt header: {e}") from None
     off += hlen
     try:
-        _check_keys(header, "header", ("hyper", "meta", "n_pad", "weights", "widths"))
+        _check_keys(header, "header", ("hyper", "meta", "n_pad", "weights"))
         n_pad = check_number(header["n_pad"], "n_pad", integer=True)
-        ckpt = PolicyCheckpoint(n_pad, True, MlpParams([], []), MlpParams([], []),
+        ckpt = PolicyCheckpoint(n_pad, True, MlpParams([], []), None,
                                 _header_block(header, "weights", RewardWeights),
                                 _header_block(header, "hyper", Hyperparams), header["meta"])
-        widths = _check_keys(header["widths"], "widths", NETWORKS)
-        for name, out in zip(NETWORKS, (n_actions(n_pad), 1)):
-            where, sizes = f"widths.{name}", widths[name]
-            check_fields({where: sizes}, [(where, isinstance(sizes, list) and len(sizes) >= 2,
-                                           "a list of two or more widths")])
-            for k, size in enumerate(sizes):
-                at = f"{where}[{k}]"
-                check_fields({at: check_number(size, at, integer=True)}, [(at, size >= 1, ">= 1")])
-            check_fields({where: sizes}, [(where, sizes[0] == state_dim(n_pad) and sizes[-1] == out,
-                                           f"from {state_dim(n_pad)} to {out} for n_pad={n_pad}")])
-        hidden = list(ckpt.hyper.hidden)
-        check_fields({"hyper.hidden": hidden}, [
-            ("hyper.hidden", hidden == widths["policy"][1:-1],
-             f"the policy's hidden widths {widths['policy'][1:-1]}")])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid header: {e}") from None
-    for name in NETWORKS:
-        net, sizes = getattr(ckpt, name), widths[name]
-        for k, shape in enumerate(zip(sizes[:-1], sizes[1:])):
-            for arrays, kind, dims in ((net.weights, "w", shape), (net.biases, "b", shape[1:])):
-                count = math.prod(dims)
-                if len(data) < off + 8 * count:
-                    raise CheckpointError(f"checkpoint truncated inside array {name}.{kind}{k}")
-                arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=off)
-                              .reshape(dims).copy())
-                off += 8 * count
-    if off != len(data):
-        raise CheckpointError("trailing bytes after final array")
+    shapes = _payload_shapes(ckpt)
+    need, have = 8 * sum(math.prod(shape) for shape in shapes), len(data) - off
+    if have != need:
+        fault = "checkpoint truncated" if have < need else "trailing bytes after final array"
+        raise CheckpointError(f"{fault}: n_pad={n_pad} and hyper.hidden="
+                              f"{list(ckpt.hyper.hidden)} lay out {need} payload bytes, "
+                              f"the file holds {have}")
+    for k, shape in enumerate(shapes):
+        a = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=off)
+        (ckpt.policy.biases if k % 2 else ckpt.policy.weights).append(a.reshape(shape).copy())
+        off += a.nbytes
     return ckpt

@@ -107,15 +107,16 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
             raise ValueError(f"{where} must be an object, got {s!r}")
         y0, y1 = _spec_pair(s.get("y_band"), where + ".y_band", False)
         size_min, size_max = _spec_pair(s.get("size_range"), where + ".size_range", False)
-        density = check_number(s.get("density", 1.0), where + ".density", False)
+        density = check_number(s.get("density", Stratum.density), where + ".density", False)
         try:
             parsed.append(Stratum(y0, y1, size_min, size_max, density))
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
-    count_range = _spec_pair(d.get("count_range", [20, 40]), "scene_spec.count_range", True)
-    width_px = check_number(d.get("width_px", 3840), "scene_spec.width_px", True)
-    height_px = check_number(d.get("height_px", 2160), "scene_spec.height_px", True)
-    seed = check_number(d.get("seed", 0), "scene_spec.seed", True)
+    count_range = _spec_pair(d.get("count_range", [SceneSpec.count_min, SceneSpec.count_max]),
+                             "scene_spec.count_range", True)
+    width_px = check_number(d.get("width_px", SceneSpec.width_px), "scene_spec.width_px", True)
+    height_px = check_number(d.get("height_px", SceneSpec.height_px), "scene_spec.height_px", True)
+    seed = check_number(d.get("seed", SceneSpec.seed), "scene_spec.seed", True)
     try:
         return SceneSpec(width_px, height_px, *count_range, tuple(parsed), seed)
     except ValueError as e:  # its message starts with the field's name

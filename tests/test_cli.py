@@ -852,6 +852,19 @@ def test_pipeline_mistyped_config_value_names_key(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+def test_policy_modes_are_listed_in_one_order(tmp_path, capsys):
+    # the config's error and every --policy flag list trained, keep, random
+    cfg_path, _ = base_config(tmp_path, policy="x")
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: config key 'policy' must be 'trained', 'keep' or 'random', got 'x'\n"
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert {command: list(action.choices) for command, sub in commands.choices.items()
+            for action in sub._actions if action.dest == "policy"} == \
+        {command: ["trained", "keep", "random"] for command in ("partition", "pipeline")}
+
+
 def stratum(**fields):
     return [{**SPEC["strata"][0], **fields}, SPEC["strata"][1]]
 

@@ -470,12 +470,42 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, rng):
     assert back.weights == ckpt.weights
     assert back.hyper == ckpt.hyper
     assert back.meta == ckpt.meta
-    for a, b in zip(ckpt.policy.weights + ckpt.policy.biases +
-                    ckpt.critic.weights + ckpt.critic.biases,
-                    back.policy.weights + back.policy.biases +
-                    back.critic.weights + back.critic.biases):
+    assert back.critic is None  # a file holds the policy alone
+    for a, b in zip(ckpt.policy.weights + ckpt.policy.biases,
+                    back.policy.weights + back.policy.biases, strict=True):
         assert a.shape == b.shape
         assert (a == b).all()
+
+
+def test_checkpoint_saved_from_its_load_is_the_same_bytes(tmp_path, rng):
+    path, again = tmp_path / "p.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(make_ckpt(rng), path)
+    save_checkpoint(load_checkpoint(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edit, named", [
+    # a bias one entry short of its layer's width
+    (lambda net: MlpParams(net.weights, [net.biases[0][:7], *net.biases[1:]]),
+     "policy.b0 must be of shape (8,), got (7,)"),
+    (lambda net: MlpParams(net.weights[:-1], net.biases[:-1]),
+     "policy.w2 must be of shape (8, 6), got None"),
+    (lambda net: MlpParams(net.weights + [np.zeros((6, 6))], net.biases + [np.zeros(6)]),
+     "policy.w3 must be absent, got (6, 6)"),
+    # a weight list one longer than its bias list
+    (lambda net: MlpParams(net.weights, net.biases[:-1]),
+     "policy.b2 must be of shape (6,), got None"),
+], ids=["bias-short", "last-layer-missing", "extra-layer", "bias-missing"])
+def test_save_refuses_a_policy_off_its_layout(tmp_path, rng, edit, named):
+    # the layout is [state_dim(4), *hyper.hidden, n_actions(4)] = [21, 8, 8, 6];
+    # a refused save leaves the file it would replace as it was
+    ckpt = make_ckpt(rng, n_pad=4)
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        save_checkpoint(replace(ckpt, policy=edit(ckpt.policy)), path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.ckpt"]
 
 
 def test_checkpoint_truncated_rejected(tmp_path, rng):
@@ -498,9 +528,10 @@ def test_checkpoint_bad_magic_rejected(tmp_path, rng):
 
 
 def test_checkpoint_bad_version_rejected(tmp_path, rng):
-    # version 1, the format of named arrays, is refused by its number alone
+    # version 1 (named arrays) and 2 (width lists and a critic) are refused
+    # by their numbers alone
     path = tmp_path / "p.ckpt"
-    for version in (1, 99):
+    for version in (1, 2, 99):
         save_checkpoint(make_ckpt(rng), path)
         blob = bytearray(path.read_bytes())
         blob[11] = version  # version field
@@ -543,15 +574,17 @@ def assert_header_edit_refused(path, rng, field, value, named):
         load_checkpoint(path)
 
 
-def test_checkpoint_header_holds_five_keys(tmp_path, rng):
+def test_checkpoint_header_holds_four_keys(tmp_path, rng):
     path = tmp_path / "p.ckpt"
     save_checkpoint(make_ckpt(rng, n_pad=4), path)
     header = read_header(path)
-    assert sorted(header) == ["hyper", "meta", "n_pad", "weights", "widths"]
-    assert header["widths"] == {"policy": [21, 8, 8, 6], "critic": [21, 8, 8, 1]}
+    assert sorted(header) == ["hyper", "meta", "n_pad", "weights"]
     for written, named in [([], "header must be an object, got []"),
                            ({k: v for k, v in header.items() if k != "meta"},
-                            "header.meta is missing")]:
+                            "header.meta is missing"),
+                           # version 2's width lists: the layout follows from n_pad and hyper
+                           ({**header, "widths": {"policy": [21, 8, 8, 6]}},
+                            "header.widths is not a field")]:
         write_header(path, written)
         with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: invalid header: {named}')}$"):
             load_checkpoint(path)
@@ -562,7 +595,7 @@ def test_checkpoint_header_holds_five_keys(tmp_path, rng):
     ("n_pad", "4", "n_pad must be a 64-bit integer, got '4'"),
     ("n_pad", 0, "n_pad must be >= 1, got 0"),
     ("meta", [1, 2], "meta must be an object, got [1, 2]"),
-    # the header's keys are its five, and no other: the layout follows from n_pad
+    # the header's keys are its four, and no other: the layout follows from n_pad
     ("state_dim", 21, "header.state_dim is not a field"),
     # each weights and hyper value is typed like its config key, and named with its block
     ("weights.alpha", True, "weights.alpha must be a finite number, got True"),
@@ -601,32 +634,24 @@ def test_checkpoint_fields_are_ranged(rng, field, value, named):
         replace(make_ckpt(rng), **{field: value})
 
 
-@pytest.mark.parametrize("shape, named", [
-    ([21.0, 8, 8, 6], "must be a 64-bit integer, got 21.0"),
-    (["21", 8, 8, 6], "must be a 64-bit integer, got '21'"),
-    ([0, 8, 8, 6], "must be >= 1, got 0"),
-    ([True, 8, 8, 6], "must be a 64-bit integer, got True")])
-def test_checkpoint_array_shapes_are_checked(tmp_path, rng, shape, named):
-    # every array's shape follows from its network's widths, each an int >= 1
-    assert_header_edit_refused(tmp_path / "p.ckpt", rng, "widths.policy", shape,
-                               f"widths.policy[0] {named}")
-
-
-@pytest.mark.parametrize("field, value, named", [
-    ("widths.policy", [21, 8, 8, 5], "widths.policy must be from 21 to 6 for n_pad=4, got [21, 8, 8, 5]"),
-    # without its last layer the critic ends on a hidden width
-    ("widths.critic", [21, 8, 8], "widths.critic must be from 21 to 1 for n_pad=4, got [21, 8, 8]"),
-    # a first layer whose fan-in is not the state's width
-    ("widths.critic", [20, 8, 8, 1], "widths.critic must be from 21 to 1 for n_pad=4, got [20, 8, 8, 1]"),
-    ("widths.critic", [21], "widths.critic must be a list of two or more widths, got [21]"),
-    ("widths", {"policy": [21, 8, 8, 6]}, "widths.critic is missing"),
-    ("hyper.hidden", [3], "hyper.hidden must be the policy's hidden widths [8, 8], got [3]"),
-], ids=["policy-output", "critic-cut-short", "weight-fan-in", "critic-one-width",
-        "critic-missing", "hidden-unequal"])
-def test_checkpoint_layers_are_checked_in_order(tmp_path, rng, field, value, named):
-    # each edit keeps the payload's size or is refused before it is read,
-    # so only the width rules can refuse it
-    assert_header_edit_refused(tmp_path / "p.ckpt", rng, field, value, named)
+@pytest.mark.parametrize("n_pad, hidden, named", [
+    # [26, 3, 7]'s arrays are shorter than the saved [21, 8, 8, 6]'s
+    (5, [3], "trailing bytes after final array: n_pad=5 and hyper.hidden=[3] "
+             "lay out 872 payload bytes, the file holds 2416"),
+    (4, [8, 8, 8], "checkpoint truncated: n_pad=4 and hyper.hidden=[8, 8, 8] "
+                   "lay out 2992 payload bytes, the file holds 2416"),
+    (5, [8, 8], "checkpoint truncated: n_pad=5 and hyper.hidden=[8, 8] "
+                "lay out 2808 payload bytes, the file holds 2416"),
+], ids=["hidden-unequal", "hidden-deeper", "n_pad-wider"])
+def test_checkpoint_layers_are_checked_in_order(tmp_path, rng, n_pad, hidden, named):
+    # each edit leaves a header that reads well; the payload is then
+    # measured against the layout it gives, before any array is read
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(make_ckpt(rng, n_pad=4), path)
+    header = read_header(path)
+    write_header(path, {**header, "n_pad": n_pad, "hyper": {**header["hyper"], "hidden": hidden}})
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("extra", [np.arange(3, dtype="<f8").tobytes(), b"\x00"],

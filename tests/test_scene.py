@@ -208,6 +208,14 @@ def test_spec_from_dict():
     assert spec.strata[0].y1 == 0.9
 
 
+def test_spec_from_dict_reads_the_dataclass_defaults():
+    # every key but the strata and a stratum's bands may be left out
+    spec = scene_spec_from_dict({"strata": [{"y_band": [0.1, 0.9], "size_range": [0.01, 0.02]}]})
+    assert spec == SceneSpec(strata=(Stratum(0.1, 0.9, 0.01, 0.02),))
+    assert (spec.width_px, spec.height_px, spec.count_min, spec.count_max, spec.seed,
+            spec.strata[0].density) == (3840, 2160, 20, 40, 0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # tiling
 # ---------------------------------------------------------------------------
