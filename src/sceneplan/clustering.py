@@ -436,21 +436,28 @@ def initial_clusters(geometry: ClusterGeometry,
 def initial_clusters_frames(geometries, bandwidth: BandwidthSpec) -> list[ClusterConfig]:
     """The starting configuration of each geometry's frame under one
     bandwidth spec, every frame's MeanShift in one ``meanshift_frames``
-    call."""
+    call. A start of ``PAIR_LOOP_BELOW`` clusters or more is held on its
+    geometry with its ``label_rows``."""
     if any(len(geometry.detections) == 0 for geometry in geometries):
         raise ValueError("empty scene")
     labelled = meanshift_frames(
         [geometry.points for geometry in geometries],
         [resolve_bandwidth(bandwidth, geometry.points) for geometry in geometries])
-    configs = []
-    for geometry, labels in zip(geometries, labelled):
-        # stable: each label's members stay in index order (every label is used)
-        order = labels.argsort(kind="stable").tolist()
-        ends = np.bincount(labels).cumsum().tolist()
-        configs.append(ClusterConfig(
-            tuple(make_cluster(order[a:b], geometry.detections)
-                  for a, b in zip([0] + ends, ends)), geometry.detections))
-    return configs
+    return [start_config(geometry, labels) for geometry, labels in zip(geometries, labelled)]
+
+
+def start_config(geometry: ClusterGeometry, labels: np.ndarray) -> ClusterConfig:
+    """The configuration whose cluster k holds the points labelled k, every
+    label in 0..max used; held on the geometry with its rows from
+    ``PAIR_LOOP_BELOW`` clusters up."""
+    # stable: each label's members stay in index order
+    order = labels.argsort(kind="stable").tolist()
+    ends = np.bincount(labels).cumsum().tolist()
+    config = ClusterConfig(tuple(make_cluster(order[a:b], geometry.detections)
+                                 for a, b in zip([0] + ends, ends)), geometry.detections)
+    if config.count >= PAIR_LOOP_BELOW:
+        geometry.hold(config, geometry.label_rows(labels))
+    return config
 
 
 def kmeans_1d(values):
@@ -566,6 +573,15 @@ class ClusterGeometry:
     the mean member distance to it and the variance of the member areas,
     in Python floats summed in numpy's order. A step creates at most two
     clusters, so it computes statistics for at most two. Build one per episode.
+
+    From ``PAIR_LOOP_BELOW`` (13) clusters up, the state and the merge pair
+    read a configuration's ``rows``: one float (N, 7) array of each
+    cluster's ``row``. One slot holds the rows of the live configuration
+    with the configuration itself, so a reused ``id`` never matches:
+    ``initial_clusters_frames`` fills it for a start, ``rl_env.apply_action``
+    with the rows it derives from the parent's for a merge or a split, and
+    ``rows`` builds them for any other configuration on first use. Below 13
+    clusters nothing reads or fills the slot.
     """
 
     def __init__(self, detections, transform: TransformParams | None):
@@ -580,11 +596,52 @@ class ClusterGeometry:
         self._stats: dict = {}
         self._means: dict = {}
         self._centroid: dict = {}
+        self._held: tuple = (None, None)  # (configuration, its rows)
 
     def check(self, config: ClusterConfig) -> None:
         """Raise unless this geometry was built for ``config``'s frame."""
         if self.detections is not config.detections:
             raise ValueError("geometry was built for another frame")
+
+    def row(self, members: tuple[int, ...]) -> tuple[float, ...]:
+        """A cluster's row: its raw (cx, cy, w, h) ``means``, its share of
+        the frame's detections, and its ``centroid`` (x, y)."""
+        return (*self.means(members), len(members) / len(self.detections),
+                *self.centroid(members))
+
+    def rows(self, config: ClusterConfig) -> np.ndarray:
+        """The (N, 7) array of ``config``'s cluster rows, in cluster order:
+        the held one if the slot holds ``config``, else built from ``row``
+        and held. Callers only read it."""
+        held, rows = self._held
+        if held is not config:
+            rows = np.array([self.row(c) for c in config.clusters])
+            self._held = (config, rows)
+        return rows
+
+    def hold(self, config: ClusterConfig, rows: np.ndarray) -> None:
+        """Hold ``rows`` as ``config``'s, in place of the slot's last ones."""
+        self._held = (config, rows)
+
+    def label_rows(self, labels: np.ndarray) -> np.ndarray:
+        """The rows of the clusters that ``labels`` gives (cluster k the
+        points labelled k, every label used), one ``np.bincount`` a
+        column. bincount adds in index order from 0.0, which is each
+        cluster's member order, and each sum is then divided by its count,
+        so the rows equal ``row``'s bit for bit."""
+        _, cy, w, h, _ = self.detections.columns
+        counts = np.bincount(labels)
+        # one (clusters, 5) division by the counts, as in ``_shift``
+        means = np.stack([np.bincount(labels, column, len(counts)) for column in
+                          (self.points[:, 0], cy, w, h, self.points[:, 1])],
+                         axis=1) / counts[:, None]
+        rows = np.empty((len(counts), 7))
+        rows[:, :4] = means[:, :4]
+        rows[:, 4] = counts
+        rows[:, 4] /= len(self.detections)
+        rows[:, 5] = means[:, 0]
+        rows[:, 6] = means[:, 4]
+        return rows
 
     def means(self, members: tuple[int, ...]) -> tuple[float, float, float, float]:
         """Raw (cx, cy, w, h) means of the members; the same loop memoises
@@ -655,21 +712,22 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
 
     Ties break toward the lexicographically smallest (i, j).
 
-    The centroids come from the episode's ``ClusterGeometry`` memo, and
-    each pair's distance is the one rounding of ``_distances``,
+    The centroids come from the episode's ``ClusterGeometry``, and each
+    pair's distance is the one rounding of ``_distances``,
     ``sqrt(dx * dx + dy * dy)``, compared as it rounds. Below
     ``PAIR_LOOP_BELOW`` clusters a loop over every i < j in Python floats
-    keeps the first strict minimum; from there on, one ``_distances`` array
-    does, whose first minimum in row-major order is the smallest (i, j),
-    the distances being symmetric. Both equal
+    keeps the first strict minimum, over the centroid memo; from there on,
+    one ``_distances`` array over the centroid columns of the geometry's
+    ``rows`` does, whose first minimum in row-major order is the smallest
+    (i, j), the distances being symmetric. Both equal
     ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     geometry.check(config)
     n = config.count
     if n < 2:
         raise ValueError("merge unavailable: fewer than 2 clusters")
-    cents = [geometry.centroid(c) for c in config.clusters]
     if n < PAIR_LOOP_BELOW:
+        cents = [geometry.centroid(c) for c in config.clusters]
         best, pair = math.inf, (0, 1)
         for i, (xi, yi) in enumerate(cents):
             for j in range(i + 1, n):
@@ -679,7 +737,7 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
                 if d < best:
                     best, pair = d, (i, j)
         return pair
-    cents = np.array(cents)
+    cents = geometry.rows(config)[:, 5:]
     dist = _distances(cents, cents)
     dist.flat[::n + 1] = np.inf  # the diagonal
     # argmin, not min: the first min call maps 64 KB of numpy code that desk

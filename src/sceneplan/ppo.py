@@ -31,6 +31,15 @@ episode stop stepping once its configuration repeats; the rest of the
 episode replays that cycle, its trace entries the same ``StepOutcome``
 records. Training's sampler and ``random_policy`` are not stationary and
 step every step.
+
+Which outputs depend on the OpenBLAS kernel picked for the CPU: training's
+checkpoint and log bytes do, through the MLP's ``gemm`` (matrix products
+round differently per kernel). Clustering, rewards, the merge pair,
+MeanShift and the keep- and random-policy outputs do not: their pair
+distances round one way, ``clustering.squared_distances``. Outputs of a
+trained policy (its evaluation, report and metrics) read the same under
+three kernels on the committed cases, as greedy argmax absorbed the
+last-ulp differences there, but nothing guarantees that.
 """
 
 from __future__ import annotations
@@ -566,13 +575,15 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
     ``log_path`` receives one CSV row per iteration (TRAINING_LOG_COLUMNS):
     the collection's figures from ``collect``, and the means over the
     iteration's minibatch steps of the figures ``ppo_update`` returns.
+    The checkpoint's ``meta.final_mean_return`` is the last iteration's
+    mean return, or None after 0 iterations.
     """
     rng = np.random.default_rng(hyper.seed)
     widths = policy_widths(env_config.n_pad, hyper.hidden)
     policy = init_mlp(rng, widths)
     critic = init_mlp(rng, [*widths[:-1], 1])
     log_rows = []
-    mean_return = float("nan")
+    mean_return = None  # no iteration, no return: JSON null in the checkpoint
     for it in range(hyper.iterations):
         seeds = rng.integers(0, 2 ** 31 - 1, size=hyper.episodes_per_iter)
         frames = [scene_sampler(int(seed)) for seed in seeds]
@@ -677,7 +688,9 @@ def _payload_shapes(ckpt: PolicyCheckpoint) -> list[tuple[int, ...]]:
 def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
     """Write the versioned checkpoint container of the policy (not the
     critic). A policy off the layout of n_pad and ``hyper.hidden`` raises
-    ValueError naming its first array at fault, and nothing is written."""
+    ValueError naming its first array at fault, and a ``meta`` value that
+    strict JSON cannot hold (NaN or an infinity) one naming its key; either
+    way nothing is written."""
     net = ckpt.policy
     arrays = [a for layer in zip_longest(net.weights, net.biases) for a in layer]
     for k, (want, a) in enumerate(zip_longest(_payload_shapes(ckpt), arrays)):
@@ -685,9 +698,14 @@ def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
         if got != want:
             raise ValueError(f"policy.{'wb'[k % 2]}{k // 2} must be "
                              f"{'absent' if want is None else f'of shape {want}'}, got {got}")
+    for key, value in ckpt.meta.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"meta.{key} must be finite, got {value!r}") from None
     header = {"n_pad": ckpt.n_pad, "weights": asdict(ckpt.weights),
               "hyper": asdict(ckpt.hyper), "meta": ckpt.meta}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
     parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
     write_file(path, b"".join(parts))

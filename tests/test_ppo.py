@@ -394,7 +394,7 @@ def test_hyperparams_hidden_widths_are_at_least_one(hidden):
 def test_train_zero_iterations_returns_init():
     ckpt = train(scene_sampler, tiny_env_config(), tiny_hyper(iterations=0))
     assert ckpt.meta["iterations"] == 0
-    assert math.isnan(ckpt.meta["final_mean_return"])
+    assert ckpt.meta["final_mean_return"] is None
     assert ckpt.n_pad == 4
     assert ckpt.policy.weights[0].shape == (state_dim(4), 8)
 
@@ -541,11 +541,35 @@ def test_checkpoint_bad_version_rejected(tmp_path, rng):
             load_checkpoint(path)
 
 
-def read_header(path) -> dict:
-    """The JSON header of the checkpoint at ``path``."""
+def read_header(path, **loads) -> dict:
+    """The JSON header of the checkpoint at ``path``, read by ``json.loads``
+    with ``loads``."""
     blob = path.read_bytes()
     hlen = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))[1]
-    return json.loads(blob[len(CHECKPOINT_MAGIC) + 8:len(CHECKPOINT_MAGIC) + 8 + hlen])
+    return json.loads(blob[len(CHECKPOINT_MAGIC) + 8:len(CHECKPOINT_MAGIC) + 8 + hlen], **loads)
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_zero_iteration_checkpoint_header_is_strict_json(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(train(scene_sampler, tiny_env_config(), tiny_hyper(iterations=0)), path)
+    header = read_header(path, parse_constant=refuse_constant)
+    assert header["meta"] == {"iterations": 0, "final_mean_return": None}
+    assert load_checkpoint(path).meta["final_mean_return"] is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+def test_save_refuses_a_meta_value_strict_json_cannot_hold(tmp_path, rng, value):
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(b"old")
+    ckpt = make_ckpt(rng)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'meta.note must be finite, got {value!r}')}$"):
+        save_checkpoint(replace(ckpt, meta={**ckpt.meta, "note": value}), path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.ckpt"]
 
 
 def write_header(path, header):

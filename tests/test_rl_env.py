@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.clustering import (
+    PAIR_LOOP_BELOW,
     BandwidthSpec,
     ClusterGeometry,
     TransformParams,
     initial_clusters,
     merge_clusters,
+    select_merge_pair,
     split_cluster,
+    start_config,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.ppo import (
@@ -105,6 +110,61 @@ def test_encode_entries_in_unit_range(rng):
         cfg = random_config(rng, 4)
         s = encode_state(cfg, geometry_of(cfg), n_pad=6)
         assert (s >= 0).all() and (s <= 1).all()
+
+
+@st.composite
+def gate_walks(draw):
+    """A frame started at 11-16 clusters by labels (each cluster's members in
+    index order, as MeanShift's starts are), a transform, n_pad, and a walk
+    of runs of merges or splits (split ``pick`` modulo the splittable
+    clusters) that crosses ``PAIR_LOOP_BELOW`` both ways. On a grid,
+    centroid distances tie exactly."""
+    k = draw(st.integers(11, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = k + draw(st.integers(k, 3 * k))
+    grid = draw(st.sampled_from([None, 8, 32]))
+    boxes = []
+    for cx, cy, w, h in rng.uniform(0.05, 0.95, size=(n, 4)).tolist():
+        if grid is not None:
+            cx, cy = round(cx * grid) / grid, round(cy * grid) / grid
+        boxes.append(DetectionBox(cx, cy, w / 8, h / 8))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    rng.shuffle(labels)
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=2, max_size=5))
+    walk = [draw(st.none() if merge else st.integers(0, 99)) for merge, length in runs
+            for _ in range(length)]
+    transform = draw(st.sampled_from([None, TransformParams(0.5), TransformParams(0.3)]))
+    return tuple(boxes), labels, transform, draw(st.sampled_from([1, 8, 13, 20, 30])), walk
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_walks())
+def test_rows_carried_across_the_gate_equal_rows_built_afresh(args):
+    boxes, labels, transform, n_pad, walk = args
+    geometry = ClusterGeometry(boxes, transform)
+    config, carried = start_config(geometry, labels), True
+    for pick in [*walk, None]:
+        if config.count >= PAIR_LOOP_BELOW:
+            # a start and every step from 13 clusters up hold the rows before any read
+            assert (geometry._held[0] is config) == carried
+            fresh = ClusterGeometry(boxes, transform).rows(config)
+            assert geometry.rows(config).tobytes() == fresh.tobytes()
+        assert encode_state(config, geometry, n_pad).tobytes() == \
+            encode_state_reference(config, n_pad, len(boxes)).tobytes()
+        if config.count >= 2:
+            assert select_merge_pair(config, geometry) == \
+                select_merge_pair_reference(config, transform)
+        # below 13 clusters nothing reads or fills the slot
+        assert (geometry._held[0] is config) == (config.count >= PAIR_LOOP_BELOW)
+        splittable = [i for i, c in enumerate(config.clusters) if len(c) >= 2]
+        if pick is None and config.count >= 2:
+            action = MERGE
+        elif pick is not None and splittable:
+            action = SPLIT_BASE + splittable[pick % len(splittable)]
+        else:
+            action = KEEP
+        carried = config.count >= PAIR_LOOP_BELOW
+        config = apply_action(config, action, geometry).config
 
 
 # ---------------------------------------------------------------------------
