@@ -436,28 +436,21 @@ def initial_clusters(geometry: ClusterGeometry,
 def initial_clusters_frames(geometries, bandwidth: BandwidthSpec) -> list[ClusterConfig]:
     """The starting configuration of each geometry's frame under one
     bandwidth spec, every frame's MeanShift in one ``meanshift_frames``
-    call. A start of ``PAIR_LOOP_BELOW`` clusters or more is held on its
-    geometry with its ``label_rows``."""
+    call."""
     if any(len(geometry.detections) == 0 for geometry in geometries):
         raise ValueError("empty scene")
     labelled = meanshift_frames(
         [geometry.points for geometry in geometries],
         [resolve_bandwidth(bandwidth, geometry.points) for geometry in geometries])
-    return [start_config(geometry, labels) for geometry, labels in zip(geometries, labelled)]
-
-
-def start_config(geometry: ClusterGeometry, labels: np.ndarray) -> ClusterConfig:
-    """The configuration whose cluster k holds the points labelled k, every
-    label in 0..max used; held on the geometry with its rows from
-    ``PAIR_LOOP_BELOW`` clusters up."""
-    # stable: each label's members stay in index order
-    order = labels.argsort(kind="stable").tolist()
-    ends = np.bincount(labels).cumsum().tolist()
-    config = ClusterConfig(tuple(make_cluster(order[a:b], geometry.detections)
-                                 for a, b in zip([0] + ends, ends)), geometry.detections)
-    if config.count >= PAIR_LOOP_BELOW:
-        geometry.hold(config, geometry.label_rows(labels))
-    return config
+    configs = []
+    for geometry, labels in zip(geometries, labelled):
+        # stable: each label's members stay in index order (every label is used)
+        order = labels.argsort(kind="stable").tolist()
+        ends = np.bincount(labels).cumsum().tolist()
+        configs.append(ClusterConfig(
+            tuple(make_cluster(order[a:b], geometry.detections)
+                  for a, b in zip([0] + ends, ends)), geometry.detections))
+    return configs
 
 
 def kmeans_1d(values):
@@ -577,10 +570,12 @@ class ClusterGeometry:
     From ``PAIR_LOOP_BELOW`` (13) clusters up, the state and the merge pair
     read a configuration's ``rows``: one float (N, 7) array of each
     cluster's ``row``. One slot holds the rows of the live configuration
-    with the configuration itself, so a reused ``id`` never matches:
-    ``initial_clusters_frames`` fills it for a start, ``rl_env.apply_action``
-    with the rows it derives from the parent's for a merge or a split, and
-    ``rows`` builds them for any other configuration on first use. Below 13
+    with the configuration itself, so a reused ``id`` never matches.
+    ``rows`` builds them on a configuration's first read (an episode's
+    start, a loaded configuration, one that climbs back to 13); a merge or
+    split from a held configuration to 13 clusters or more holds the
+    child's, sliced from the parent's, so only the one or two new clusters
+    get a fresh ``row`` (``merge_clusters``, ``split_cluster``). Below 13
     clusters nothing reads or fills the slot.
     """
 
@@ -619,29 +614,13 @@ class ClusterGeometry:
             self._held = (config, rows)
         return rows
 
+    def holds(self, config: ClusterConfig) -> bool:
+        """Whether the slot holds ``config``'s rows."""
+        return self._held[0] is config
+
     def hold(self, config: ClusterConfig, rows: np.ndarray) -> None:
         """Hold ``rows`` as ``config``'s, in place of the slot's last ones."""
         self._held = (config, rows)
-
-    def label_rows(self, labels: np.ndarray) -> np.ndarray:
-        """The rows of the clusters that ``labels`` gives (cluster k the
-        points labelled k, every label used), one ``np.bincount`` a
-        column. bincount adds in index order from 0.0, which is each
-        cluster's member order, and each sum is then divided by its count,
-        so the rows equal ``row``'s bit for bit."""
-        _, cy, w, h, _ = self.detections.columns
-        counts = np.bincount(labels)
-        # one (clusters, 5) division by the counts, as in ``_shift``
-        means = np.stack([np.bincount(labels, column, len(counts)) for column in
-                          (self.points[:, 0], cy, w, h, self.points[:, 1])],
-                         axis=1) / counts[:, None]
-        rows = np.empty((len(counts), 7))
-        rows[:, :4] = means[:, :4]
-        rows[:, 4] = counts
-        rows[:, 4] /= len(self.detections)
-        rows[:, 5] = means[:, 0]
-        rows[:, 6] = means[:, 4]
-        return rows
 
     def means(self, members: tuple[int, ...]) -> tuple[float, float, float, float]:
         """Raw (cx, cy, w, h) means of the members; the same loop memoises
@@ -745,8 +724,11 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     return divmod(int(dist.argmin()), n)
 
 
-def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
-    """Replace clusters i and j with their union, appended at the end."""
+def merge_clusters(config: ClusterConfig, i: int, j: int,
+                   geometry: ClusterGeometry | None = None) -> ClusterConfig:
+    """Replace clusters i and j with their union, appended at the end.
+    A ``geometry`` holding ``config``'s rows holds the result's too, from
+    ``PAIR_LOOP_BELOW`` clusters up (see ``ClusterGeometry``)."""
     if i == j:
         raise ValueError("cannot merge a cluster with itself")
     if not (0 <= i < config.count and 0 <= j < config.count):
@@ -754,8 +736,13 @@ def merge_clusters(config: ClusterConfig, i: int, j: int) -> ClusterConfig:
     i, j = min(i, j), max(i, j)
     clusters = config.clusters
     merged = make_cluster(clusters[i] + clusters[j], config.detections)
-    return ClusterConfig(clusters[:i] + clusters[i + 1:j] + clusters[j + 1:] + (merged,),
-                         config.detections)
+    clusters = clusters[:i] + clusters[i + 1:j] + clusters[j + 1:] + (merged,)
+    out = ClusterConfig(clusters, config.detections)
+    if len(clusters) >= PAIR_LOOP_BELOW and geometry is not None and geometry.holds(config):
+        rows = geometry.rows(config)
+        geometry.hold(out, np.concatenate(
+            (rows[:i], rows[i + 1:j], rows[j + 1:], [geometry.row(merged)])))
+    return out
 
 
 def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> ClusterConfig:
@@ -764,7 +751,9 @@ def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> C
     Variance is population variance over the member centres in the
     geometry's space (ties go to y since vertical stratification
     dominates). The lower sub-cluster takes the split cluster's slot and
-    the upper one is appended.
+    the upper one is appended. A geometry holding ``config``'s rows holds
+    the result's too, from ``PAIR_LOOP_BELOW`` clusters up (see
+    ``ClusterGeometry``).
 
     The member centres are read from the geometry's lists, and each
     coordinate's variance is taken by ``_variance`` in member order, as
@@ -787,4 +776,9 @@ def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> C
     clusters = list(config.clusters)
     clusters[i] = low
     clusters.append(high)
-    return ClusterConfig(tuple(clusters), config.detections)
+    out = ClusterConfig(tuple(clusters), config.detections)
+    if len(clusters) >= PAIR_LOOP_BELOW and geometry.holds(config):
+        rows = np.concatenate((geometry.rows(config), [geometry.row(high)]))
+        rows[i] = geometry.row(low)
+        geometry.hold(out, rows)
+    return out

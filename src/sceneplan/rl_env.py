@@ -94,17 +94,18 @@ def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int) -
     ``tests/oracles.py``, which writes each slot into a zero array.
     """
     geometry.check(config)
-    if config.count >= PAIR_LOOP_BELOW:
+    n = config.count
+    if n >= PAIR_LOOP_BELOW:
         state = np.zeros(state_dim(n_pad))
         shown = geometry.rows(config)[:n_pad, :FEATURES_PER_CLUSTER]
         state[:shown.size].reshape(shown.shape)[...] = shown
-        state[-1] = min(config.count / n_pad, 1.0)
+        state[-1] = min(n / n_pad, 1.0)
         return state
     feats, total = [], len(config.detections)
     for c in config.clusters[:n_pad]:
         feats += (*geometry.means(c), len(c) / total)
     feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
-    feats.append(min(config.count / n_pad, 1.0))
+    feats.append(min(n / n_pad, 1.0))
     return np.array(feats, dtype=float)
 
 
@@ -215,34 +216,18 @@ class StepOutcome(NamedTuple):
 def apply_action(config: ClusterConfig, action: int,
                  geometry: ClusterGeometry) -> StepOutcome:
     """Apply an action id in the geometry's space; invalid ones degrade to
-    keep.
-
-    A merge or split from ``PAIR_LOOP_BELOW`` clusters up to as many holds
-    the new configuration on the geometry with rows sliced from the
-    parent's ``rows``: only the one or two new clusters get a fresh
-    ``row``."""
+    keep."""
     geometry.check(config)
     if action == KEEP:
         return StepOutcome(config, True, "keep")
-    n = config.count
     if action == MERGE:
-        if n < 2:
+        if config.count < 2:
             return StepOutcome(config, False, "keep")
-        i, j = select_merge_pair(config, geometry)  # i < j
-        merged = merge_clusters(config, i, j)
-        if n > PAIR_LOOP_BELOW:
-            rows = geometry.rows(config)
-            geometry.hold(merged, np.concatenate(
-                (rows[:i], rows[i + 1:j], rows[j + 1:], [geometry.row(merged.clusters[-1])])))
-        return StepOutcome(merged, True, "merge")
+        i, j = select_merge_pair(config, geometry)
+        return StepOutcome(merge_clusters(config, i, j, geometry), True, "merge")
     idx = action - SPLIT_BASE
-    if 0 <= idx < n and len(config.clusters[idx]) >= 2:
-        split = split_cluster(config, idx, geometry)
-        if n >= PAIR_LOOP_BELOW:
-            rows = np.concatenate((geometry.rows(config), [geometry.row(split.clusters[-1])]))
-            rows[idx] = geometry.row(split.clusters[idx])
-            geometry.hold(split, rows)
-        return StepOutcome(split, True, "split")
+    if 0 <= idx < config.count and len(config.clusters[idx]) >= 2:
+        return StepOutcome(split_cluster(config, idx, geometry), True, "split")
     return StepOutcome(config, False, "keep")
 
 

@@ -345,10 +345,7 @@ def observe_tiles(
     box) cells (one tile at least), so memory stays O(boxes +
     observations). A chunk scores visibility as one (tiles x boxes) array
     and lays its observations out in (tile, box) order, the order in which
-    noisy mode draws; each tile's ``TileRows`` is a slice of them. With only
-    one of dropping and jitter on, a chunk draws in one batched call, whose
-    doubles are the successive scalar draws'; with both, each observation
-    draws its drop and then its four jitters in turn. The box
+    noisy mode draws; each tile's ``TileRows`` is a slice of them. The box
     extents are ``core.extents``', scaled to pixels; a ``-0.0`` corner may
     keep its sign there, which no area or intersection it enters shows.
     A seed gives the same observations as ``observe_tiles_reference`` in
@@ -379,25 +376,21 @@ def observe_tiles(
         share = np.divide(inter, box_area, out=np.zeros(inter.shape), where=box_area > 0.0)
         tile, box = np.nonzero(share >= min_visible)  # (tile, box) order
         noise = []
-        if drop_prob > 0.0 and jitter_sigma > 0.0:  # draws interleaved in observation order
+        if noisy:  # draws in observation order
             kept = []
             for k in range(len(box)):
-                if rng.random() < drop_prob:
+                if drop_prob > 0.0 and rng.random() < drop_prob:
                     continue
                 kept.append(k)
-                noise.append([float(rng.normal(0.0, jitter_sigma)) for _ in range(4)])
+                if jitter_sigma > 0.0:
+                    noise.append([float(rng.normal(0.0, jitter_sigma)) for _ in range(4)])
             tile, box = tile[kept], box[kept]
-        elif drop_prob > 0.0:  # one batch gives the successive draws' doubles
-            kept = np.flatnonzero(rng.random(len(box)) >= drop_prob)
-            tile, box = tile[kept], box[kept]
-        elif jitter_sigma > 0.0:
-            noise = rng.normal(0.0, jitter_sigma, 4 * len(box)).reshape(-1, 4)
         tx0, ty0, tx1, ty1 = chunk[tile].T  # each observation's tile
         tw, th = tx1 - tx0, ty1 - ty0
         # full boxes in tile-local units; they may poke outside [0, 1] locally
         rows = np.stack([(cx_px[box] - tx0) / tw, (cy_px[box] - ty0) / th,
                          bw_px[box] / tw, bh_px[box] / th, score[box]])
-        if len(noise):  # max(1e-4, v) gives 1e-4 unless v > 1e-4
+        if noise:  # max(1e-4, v) gives 1e-4 unless v > 1e-4
             rows[:4] += np.array(noise).T
             rows[2:4] = np.where(rows[2:4] > 1e-4, rows[2:4], 1e-4)
         cids = [class_ids[i] for i in box.tolist()]

@@ -527,18 +527,12 @@ OBSERVING = (st.floats(0.01, 1.0), st.just(0.0) | st.floats(0.01, 0.9),
              st.just(0.0) | st.floats(1e-4, 0.05), st.integers(0, 2 ** 32 - 1))
 
 
-# one of dropping and jitter on: the draws come in one batch
-ONE_NOISE = st.one_of(
-    st.tuples(OBSERVING[0], st.floats(0.01, 0.9), st.just(0.0), OBSERVING[3]),
-    st.tuples(OBSERVING[0], st.just(0.0), st.floats(1e-4, 0.05), OBSERVING[3]))
-
-
 @st.composite
-def observe_args(draw, observing=st.tuples(*OBSERVING)):
+def observe_args(draw):
     """Frames of 0-40 boxes of two classes, a grid, and the observation
     settings."""
     frame = draw(FRAMES)
-    return (frame, tile_frame(frame, *draw(TILES)), *draw(observing))
+    return (frame, tile_frame(frame, *draw(TILES)), *draw(st.tuples(*OBSERVING)))
 
 
 # tile-local rows past the frame's edges, sides to clamp, signed zeros
@@ -870,8 +864,6 @@ REGISTRY = [
     ("generate_scene_any_spec", generate_scene, generate_scene_reference,
      st.tuples(any_spec), 40),
     ("observe_tiles", observe_tiles, observe_tiles_reference, observe_args(), 100),
-    ("observe_tiles_one_noise_on", observe_tiles, observe_tiles_reference,
-     observe_args(ONE_NOISE), 100),
     ("aggregate_tiles", aggregate_new, aggregate_tiles_reference, aggregate_args(), 100),
     ("coarse_detect", coarse_new, coarse_reference, coarse_args, 100),
     ("make_cluster", caught(cluster_new), caught(cluster_reference), cluster_args(), 200),

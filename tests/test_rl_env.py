@@ -15,7 +15,6 @@ from sceneplan.clustering import (
     merge_clusters,
     select_merge_pair,
     split_cluster,
-    start_config,
 )
 from sceneplan.core import ClusterConfig, DetectionBox, Frame, make_cluster
 from sceneplan.ppo import (
@@ -114,8 +113,8 @@ def test_encode_entries_in_unit_range(rng):
 
 @st.composite
 def gate_walks(draw):
-    """A frame started at 11-16 clusters by labels (each cluster's members in
-    index order, as MeanShift's starts are), a transform, n_pad, and a walk
+    """A frame started at 11-16 clusters (each cluster's members in index
+    order, as MeanShift's starts are), a transform, n_pad, and a walk
     of runs of merges or splits (split ``pick`` modulo the splittable
     clusters) that crosses ``PAIR_LOOP_BELOW`` both ways. On a grid,
     centroid distances tie exactly."""
@@ -130,22 +129,25 @@ def gate_walks(draw):
         boxes.append(DetectionBox(cx, cy, w / 8, h / 8))
     labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
     rng.shuffle(labels)
+    start = ClusterConfig(tuple(make_cluster(np.flatnonzero(labels == c).tolist(), boxes)
+                                for c in range(k)), boxes)
     runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=2, max_size=5))
     walk = [draw(st.none() if merge else st.integers(0, 99)) for merge, length in runs
             for _ in range(length)]
     transform = draw(st.sampled_from([None, TransformParams(0.5), TransformParams(0.3)]))
-    return tuple(boxes), labels, transform, draw(st.sampled_from([1, 8, 13, 20, 30])), walk
+    return start, transform, draw(st.sampled_from([1, 8, 13, 20, 30])), walk
 
 
 @settings(max_examples=150, deadline=None)
 @given(gate_walks())
 def test_rows_carried_across_the_gate_equal_rows_built_afresh(args):
-    boxes, labels, transform, n_pad, walk = args
-    geometry = ClusterGeometry(boxes, transform)
-    config, carried = start_config(geometry, labels), True
+    config, transform, n_pad, walk = args
+    boxes = config.detections
+    geometry, carried = ClusterGeometry(boxes, transform), False
     for pick in [*walk, None]:
         if config.count >= PAIR_LOOP_BELOW:
-            # a start and every step from 13 clusters up hold the rows before any read
+            # a step from 13 clusters up to as many holds the rows before any
+            # read; a start, or a climb back from 12, builds them on first read
             assert (geometry._held[0] is config) == carried
             fresh = ClusterGeometry(boxes, transform).rows(config)
             assert geometry.rows(config).tobytes() == fresh.tobytes()
