@@ -560,23 +560,25 @@ class ClusterGeometry:
     transform, raw (x, y) without one), its box area and its raw cy, w and
     h are laid out once from the frame's ``Boxes`` columns; every function
     reading the space takes it from here, and rejects a geometry built for
-    another frame's ``Boxes``. Per-cluster statistics are memoised by
-    cluster (its member tuple): one member loop, ``means``, gives the raw
-    (cx, cy, w, h) means and the ``centroid`` in this space; ``stats`` adds
-    the mean member distance to it and the variance of the member areas,
-    in Python floats summed in numpy's order. A step creates at most two
-    clusters, so it computes statistics for at most two. Build one per episode.
+    another frame's ``Boxes``. Each cluster (its member tuple) has one
+    memoised record, its ``row``: the raw (cx, cy, w, h) means, its share
+    of the frame's detections and its centroid (x, y) in this space, from
+    one member loop; ``means`` and ``centroid`` are views of it. ``stats``
+    adds the mean member distance to the centroid and the variance of the
+    member areas, in Python floats summed in numpy's order. A step creates
+    at most two clusters, so it computes records for at most two. Build
+    one per episode.
 
     From ``PAIR_LOOP_BELOW`` (13) clusters up, the state and the merge pair
-    read a configuration's ``rows``: one float (N, 7) array of each
-    cluster's ``row``. One slot holds the rows of the live configuration
-    with the configuration itself, so a reused ``id`` never matches.
-    ``rows`` builds them on a configuration's first read (an episode's
-    start, a loaded configuration, one that climbs back to 13); a merge or
-    split from a held configuration to 13 clusters or more holds the
-    child's, sliced from the parent's, so only the one or two new clusters
-    get a fresh ``row`` (``merge_clusters``, ``split_cluster``). Below 13
-    clusters nothing reads or fills the slot.
+    read a configuration's ``rows``, one float (N, 7) array of its
+    clusters' records. The slot ``_held`` holds the live configuration
+    with its rows, so a reused ``id`` never matches. ``rows`` builds them
+    on a configuration's first read (an episode's start, a loaded
+    configuration, one that climbs back to 13); a merge or split from the
+    held configuration to 13 clusters or more holds the child's, sliced
+    from the parent's, so only the one or two new clusters get a fresh
+    ``row`` (``merge_clusters``, ``split_cluster``). Below 13 clusters
+    nothing reads or fills the slot.
     """
 
     def __init__(self, detections, transform: TransformParams | None):
@@ -589,8 +591,7 @@ class ClusterGeometry:
         self._cy, self._w, self._h = cy.tolist(), w.tolist(), h.tolist()
         self._area = (w * h).tolist()
         self._stats: dict = {}
-        self._means: dict = {}
-        self._centroid: dict = {}
+        self._row: dict = {}
         self._held: tuple = (None, None)  # (configuration, its rows)
 
     def check(self, config: ClusterConfig) -> None:
@@ -599,10 +600,26 @@ class ClusterGeometry:
             raise ValueError("geometry was built for another frame")
 
     def row(self, members: tuple[int, ...]) -> tuple[float, ...]:
-        """A cluster's row: its raw (cx, cy, w, h) ``means``, its share of
-        the frame's detections, and its ``centroid`` (x, y)."""
-        return (*self.means(members), len(members) / len(self.detections),
-                *self.centroid(members))
+        """A cluster's record (cx, cy, w, h, share, x, y), memoised. Each
+        sum is added in member order from 0.0 (no builtin sum, compensated
+        from Python 3.12, nor math.fsum), then divided by the member count,
+        so equal member tuples give bitwise equal rows. numpy's axis-0
+        ``mean`` over the gathered C-order (k, 2) centres adds them row by
+        row at every size, so the centroid (x, y) equals it bit for bit."""
+        hit = self._row.get(members)
+        if hit is None:
+            xs, ys, cys, ws, hs = self._x, self._y, self._cy, self._w, self._h
+            sx = sy = scy = sw = sh = 0.0
+            for i in members:
+                sx += xs[i]
+                sy += ys[i]
+                scy += cys[i]
+                sw += ws[i]
+                sh += hs[i]
+            k = len(members)
+            hit = self._row[members] = (sx / k, scy / k, sw / k, sh / k,
+                                        k / len(self.detections), sx / k, sy / k)
+        return hit
 
     def rows(self, config: ClusterConfig) -> np.ndarray:
         """The (N, 7) array of ``config``'s cluster rows, in cluster order:
@@ -614,43 +631,14 @@ class ClusterGeometry:
             self._held = (config, rows)
         return rows
 
-    def holds(self, config: ClusterConfig) -> bool:
-        """Whether the slot holds ``config``'s rows."""
-        return self._held[0] is config
-
-    def hold(self, config: ClusterConfig, rows: np.ndarray) -> None:
-        """Hold ``rows`` as ``config``'s, in place of the slot's last ones."""
-        self._held = (config, rows)
-
     def means(self, members: tuple[int, ...]) -> tuple[float, float, float, float]:
-        """Raw (cx, cy, w, h) means of the members; the same loop memoises
-        their ``centroid``. Each value is added in member order from 0.0
-        (no builtin sum, compensated from Python 3.12, nor math.fsum), then
-        divided by the member count, so equal member tuples give bitwise
-        equal means. numpy's axis-0 ``mean`` over the gathered C-order
-        (k, 2) centres adds them row by row at every size, so the centroid
-        equals it bit for bit."""
-        hit = self._means.get(members)
-        if hit is None:
-            xs, ys, cys, ws, hs = self._x, self._y, self._cy, self._w, self._h
-            sx = sy = scy = sw = sh = 0.0
-            for i in members:
-                sx += xs[i]
-                sy += ys[i]
-                scy += cys[i]
-                sw += ws[i]
-                sh += hs[i]
-            k = len(members)
-            self._centroid[members] = (sx / k, sy / k)
-            hit = self._means[members] = (sx / k, scy / k, sw / k, sh / k)
-        return hit
+        """Raw (cx, cy, w, h) means of the members: ``row``'s first four."""
+        return self.row(members)[:4]
 
     def centroid(self, members: tuple[int, ...]) -> tuple[float, float]:
-        """(x, y) mean of the member centres in the geometry's space, from
-        ``means``' member loop."""
-        if members not in self._centroid:
-            self.means(members)
-        return self._centroid[members]
+        """(x, y) mean of the member centres in the geometry's space:
+        ``row``'s last two."""
+        return self.row(members)[5:]
 
     def stats(self, members: tuple[int, ...]) -> tuple[tuple[float, float], float, float]:
         """((centroid x, y), mean member distance to it, area variance).
@@ -695,10 +683,10 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
     pair's distance is the one rounding of ``_distances``,
     ``sqrt(dx * dx + dy * dy)``, compared as it rounds. Below
     ``PAIR_LOOP_BELOW`` clusters a loop over every i < j in Python floats
-    keeps the first strict minimum, over the centroid memo; from there on,
-    one ``_distances`` array over the centroid columns of the geometry's
-    ``rows`` does, whose first minimum in row-major order is the smallest
-    (i, j), the distances being symmetric. Both equal
+    keeps the first strict minimum over each cluster's ``centroid``; from
+    there on, one ``_distances`` array over the centroid columns of the
+    geometry's ``rows`` does, whose first minimum in row-major order is the
+    smallest (i, j), the distances being symmetric. Both equal
     ``select_merge_pair_reference`` in ``tests/oracles.py``.
     """
     geometry.check(config)
@@ -738,9 +726,9 @@ def merge_clusters(config: ClusterConfig, i: int, j: int,
     merged = make_cluster(clusters[i] + clusters[j], config.detections)
     clusters = clusters[:i] + clusters[i + 1:j] + clusters[j + 1:] + (merged,)
     out = ClusterConfig(clusters, config.detections)
-    if len(clusters) >= PAIR_LOOP_BELOW and geometry is not None and geometry.holds(config):
-        rows = geometry.rows(config)
-        geometry.hold(out, np.concatenate(
+    if len(clusters) >= PAIR_LOOP_BELOW and geometry is not None and geometry._held[0] is config:
+        rows = geometry._held[1]
+        geometry._held = (out, np.concatenate(
             (rows[:i], rows[i + 1:j], rows[j + 1:], [geometry.row(merged)])))
     return out
 
@@ -777,8 +765,8 @@ def split_cluster(config: ClusterConfig, i: int, geometry: ClusterGeometry) -> C
     clusters[i] = low
     clusters.append(high)
     out = ClusterConfig(tuple(clusters), config.detections)
-    if len(clusters) >= PAIR_LOOP_BELOW and geometry.holds(config):
-        rows = np.concatenate((geometry.rows(config), [geometry.row(high)]))
+    if len(clusters) >= PAIR_LOOP_BELOW and geometry._held[0] is config:
+        rows = np.concatenate((geometry._held[1], [geometry.row(high)]))
         rows[i] = geometry.row(low)
-        geometry.hold(out, rows)
+        geometry._held = (out, rows)
     return out

@@ -755,6 +755,12 @@ def _header_block(header: dict, name: str, cls):
         raise ValueError(f"{name}.{e}") from None
 
 
+def _refuse_constant(token: str):
+    """``json.loads``' hook for ``NaN``, ``Infinity`` and ``-Infinity``: strict
+    JSON (RFC 8259) has no such token, and ``save_checkpoint`` writes none."""
+    raise CheckpointError(f"invalid header: {token} is not a JSON number")
+
+
 def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     """The checkpoint a file holds; any inconsistency raises CheckpointError.
 
@@ -775,7 +781,8 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     if len(data) < off + hlen:
         raise CheckpointError("checkpoint truncated inside header")
     try:
-        header = json.loads(data[off:off + hlen].decode("utf-8"))
+        header = json.loads(data[off:off + hlen].decode("utf-8"),
+                            parse_constant=_refuse_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt header: {e}") from None
     off += hlen

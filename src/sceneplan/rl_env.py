@@ -82,10 +82,10 @@ def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int) -
     """Flatten the configuration into a fixed-length feature vector.
 
     One (cx, cy, w, h, S_i / total) slot per cluster in index order: the
-    raw means of its members' boxes (``geometry.means``), then its share of
-    the frame's detections; zero-padded (or truncated) to n_pad slots, then
-    always the normalized cluster count N / n_pad clipped to 1. ``n_pad``
-    is ``EnvConfig.n_pad``, which checks it is at least 1.
+    raw means of its members' boxes, then its share of the frame's
+    detections (``geometry.row``'s first five); zero-padded (or truncated)
+    to n_pad slots, then always the normalized cluster count N / n_pad
+    clipped to 1. ``n_pad`` is ``EnvConfig.n_pad``, which checks it is >= 1.
 
     From ``PAIR_LOOP_BELOW`` clusters up the slots are the first n_pad of
     the geometry's ``rows``, copied into a zero array; below it the
@@ -99,14 +99,14 @@ def encode_state(config: ClusterConfig, geometry: ClusterGeometry, n_pad: int) -
         state = np.zeros(state_dim(n_pad))
         shown = geometry.rows(config)[:n_pad, :FEATURES_PER_CLUSTER]
         state[:shown.size].reshape(shown.shape)[...] = shown
-        state[-1] = min(n / n_pad, 1.0)
-        return state
-    feats, total = [], len(config.detections)
-    for c in config.clusters[:n_pad]:
-        feats += (*geometry.means(c), len(c) / total)
-    feats += [0.0] * (FEATURES_PER_CLUSTER * n_pad - len(feats))
-    feats.append(min(n / n_pad, 1.0))
-    return np.array(feats, dtype=float)
+    else:
+        feats = []
+        for c in config.clusters[:n_pad]:
+            feats += geometry.row(c)[:FEATURES_PER_CLUSTER]
+        feats += [0.0] * (state_dim(n_pad) - len(feats))
+        state = np.array(feats, dtype=float)
+    state[-1] = min(n / n_pad, 1.0)
+    return state
 
 
 def action_mask(config: ClusterConfig, n_pad: int) -> np.ndarray:

@@ -939,29 +939,6 @@ def finite_diff_grads(params, loss_fn, h: float = 1e-5):
     return dws, dbs
 
 
-def finite_diff_grads_sampled(params, loss_fn, rng, per_array: int = 40,
-                              h: float = 1e-5):
-    """Central differences on a random subset of entries per array.
-
-    Returns a list of (array_kind, array_index, entry_index, fd_value).
-    """
-    out = []
-    for kind, arrays in (("w", params.weights), ("b", params.biases)):
-        for ai, arr in enumerate(arrays):
-            flat = arr.reshape(-1)
-            take = min(per_array, flat.size)
-            picks = rng.choice(flat.size, size=take, replace=False)
-            for ix in picks:
-                old = flat[ix]
-                flat[ix] = old + h
-                up = loss_fn(params)
-                flat[ix] = old - h
-                down = loss_fn(params)
-                flat[ix] = old
-                out.append((kind, ai, int(ix), (up - down) / (2 * h)))
-    return out
-
-
 def random_boxes(rng, n: int, classes: int = 1):
     boxes = []
     for _ in range(n):

@@ -696,6 +696,10 @@ def test_raw_geometry_centroid_is_the_clusters_mean(rng):
         for c in clusters:
             assert geometry.centroid(c) == geometry.means(c)[:2] \
                 == cluster_means_reference(c, detections)[:2]
+            # one memoised record per cluster, of which means and centroid are views
+            assert geometry.row(c) is geometry.row(c)
+            assert geometry.row(c) == (*geometry.means(c), len(c) / len(detections),
+                                       *geometry.centroid(c))
 
 
 def test_pairwise_sum_is_numpys_1d_sum(rng):

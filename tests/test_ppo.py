@@ -636,11 +636,15 @@ def test_checkpoint_header_holds_four_keys(tmp_path, rng):
     ("hyper.hidden", ["x"], "hyper.hidden[0] must be a 64-bit integer, got 'x'"),
     ("hyper.hidden", 8, "hyper.hidden must be a list, got 8"),
     ("hyper.hidden", [8, 0], "hyper.hidden must be widths >= 1, got (8, 0)"),
+    # json.dumps writes these as the bare tokens NaN and Infinity, which strict JSON lacks
+    ("meta.x", math.nan, "NaN is not a JSON number"),
+    ("weights.alpha", math.inf, "Infinity is not a JSON number"),
 ], ids=["n_pad-4.5", "n_pad-4", "n_pad-0", "meta-list", "state_dim-stray",
         "weights.alpha-true", "weights.alpha-text", "weights.n_min-fraction",
         "weights.gamma-negative", "weights.zeta-unknown", "weights-empty", "weights-list",
         "hyper.t_max-true", "hyper.t_max-fraction", "hyper.batch_size-1e300",
-        "hyper.gamma-1.5", "hyper.hidden-text", "hyper.hidden-int", "hyper.hidden-zero"])
+        "hyper.gamma-1.5", "hyper.hidden-text", "hyper.hidden-int", "hyper.hidden-zero",
+        "meta.x-nan", "weights.alpha-infinity"])
 def test_checkpoint_header_values_are_not_coerced(tmp_path, rng, field, value, named):
     assert_header_edit_refused(tmp_path / "p.ckpt", rng, field, value, named)
 

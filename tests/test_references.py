@@ -141,7 +141,7 @@ def stats_reference(dets, transform, members):
 
 
 def centroid_new(dets, transform, members):
-    # the centroid memo first, then the statistics that read it
+    # the row memo first, then the statistics that read its centroid
     geometry = ClusterGeometry(dets, transform)
     return geometry.centroid(members), geometry.stats(members)[0]
 

@@ -5,7 +5,9 @@ pair is taken on the three clusters, where its pair loop decides, and again
 with ten distant singletons added: from 13 clusters on (``PAIR_LOOP_BELOW``),
 its distance array does. The mode collapse is taken on each frame alone
 (``meanshift``), and again with the frames 16 to a ``meanshift_frames`` call,
-which collapses them in one pass. CI checks that the bytes are the same under
+which collapses them in one pass. ``tools/outputs.py`` runs it as its ``ties``
+case, so CI's step "Only training bytes of tools/outputs.py depend on the
+OpenBLAS kernel" checks that the bytes are the same under
 ``OPENBLAS_CORETYPE=Prescott``."""
 
 import json
