@@ -53,6 +53,18 @@ def check_fields(values, checks) -> None:
             raise ValueError(f"{field} must be {want}, got {value!r}")
 
 
+def check_keys(block, name: str, keys, optional=()) -> dict:
+    """``block`` when it is a dict of ``keys``, each present unless it is
+    ``optional``; else a ValueError naming ``name``, or its first missing
+    or extra key as ``<name>.<key>``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{name} must be an object, got {block!r}")
+    odd = sorted((block.keys() ^ set(keys)) - set(optional))
+    if odd:
+        raise ValueError(f"{name}.{odd[0]} is {'missing' if odd[0] in keys else 'not a field'}")
+    return block
+
+
 def write_file(path, data) -> None:
     """Replace ``path`` with ``data``, a str written as UTF-8 or bytes.
 
@@ -92,11 +104,13 @@ def write_csv(path, fieldnames, rows) -> None:
 
 def read_json(path):
     """The JSON value in the file at ``path``; a file that is not UTF-8
-    JSON raises a ValueError naming it."""
+    JSON, or nests deeper than json's recursion allows, raises a ValueError
+    naming it."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError among them
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        except (ValueError, RecursionError) as e:
             raise ValueError(f"{path}: not a UTF-8 JSON file ({e})") from None
 
 

@@ -15,7 +15,8 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ClusterConfig, Frame, bounding_blocks, check_fields, check_number, read_json
+from .core import (ClusterConfig, Frame, bounding_blocks, check_fields, check_keys, check_number,
+                   read_json)
 
 
 class InfeasiblePlanError(Exception):
@@ -62,10 +63,11 @@ class ModelProfile:
 
 
 def profile_from_dict(d: dict) -> ModelProfile:
-    """Build a profile from its JSON form: the input size a 64-bit integer,
-    the latency a finite number (fractions round up), and a precision curve
-    of finite-number pairs that does not decrease with area."""
-    name = d.get("name", "?")
+    """Build a profile from its JSON form, an object of four keys: the name,
+    the input size a 64-bit integer, the latency a finite number (fractions
+    round up), and a precision curve of finite-number pairs that does not
+    decrease with area."""
+    name = check_keys(d, "model", ("name", "input_size", "latency_ms", "curve"))["name"]
     where = f"{name}: curve"
     curve = tuple((check_number(e, where), check_number(m, where)) for e, m in d["curve"])
     maps = [m for _, m in curve]

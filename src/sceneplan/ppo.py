@@ -53,7 +53,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .clustering import BandwidthSpec, ClusterGeometry, TransformParams, initial_clusters_frames
-from .core import ClusterConfig, Frame, check_fields, check_number, write_csv, write_file
+from .core import (ClusterConfig, Frame, check_fields, check_keys, check_number, write_csv,
+                   write_file)
 from .rl_env import (
     KEEP,
     EnvConfig,
@@ -136,19 +137,16 @@ def init_mlp(rng: np.random.Generator, sizes) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def _forward_cache(params: MlpParams, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
+def _forward_cache(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping every layer's activation for backprop: the
+    input, each hidden layer's product rectified in place, the output."""
     acts = [x]
-    pre = []
-    a = x
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w
+        z = acts[-1] @ w
         z += b
-        pre.append(z)
-        a = z if k == last else np.maximum(z, 0.0)
-        acts.append(a)
-    return acts, pre
+        acts.append(z if k == last else np.maximum(z, 0.0, out=z))
+    return acts
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
@@ -156,11 +154,12 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
     x, fan_in = np.asarray(x, dtype=float), params.weights[0].shape[0]
     if x.ndim != 2 or x.shape[1] != fan_in:
         raise ValueError(f"input shape {x.shape} is not (B, {fan_in})")
-    return _forward_cache(params, x)[0][-1]
+    return _forward_cache(params, x)[-1]
 
 
-def _backward(params: MlpParams, acts, pre, dout):
-    """Gradients of every weight/bias given dL/d(output)."""
+def _backward(params: MlpParams, acts, dout):
+    """Gradients of every weight/bias given dL/d(output); a hidden unit
+    passes gradient where its rectified activation is positive."""
     dws = [None] * len(params.weights)
     dbs = [None] * len(params.biases)
     grad = dout
@@ -169,7 +168,7 @@ def _backward(params: MlpParams, acts, pre, dout):
         dbs[k] = grad.sum(axis=0)
         if k > 0:
             grad = grad @ params.weights[k].T
-            grad *= pre[k - 1] > 0.0
+            grad *= acts[k] > 0.0
     return dws, dbs
 
 
@@ -182,8 +181,8 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ValueError("mask leaves no valid action")
     neg = np.where(mask, logits, -np.inf)
     m = neg.max(axis=-1, keepdims=True)
-    shifted = neg - m
-    lse = np.log(np.exp(np.where(mask, shifted, -np.inf)).sum(axis=-1, keepdims=True))
+    shifted = neg - m  # -inf at every masked action, so exp gives 0 there
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
 
 
@@ -275,7 +274,7 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
     ``entropy`` of the masked policy.
     """
     b = len(batch)
-    acts, pre = _forward_cache(policy, batch.states)
+    acts = _forward_cache(policy, batch.states)
     logits = acts[-1]
     logp_all = masked_log_softmax(logits, batch.masks)
     p = np.exp(logp_all)
@@ -291,7 +290,7 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
 
     # gradient flows only where the unclipped branch is active
     active = (unclipped <= clipped).astype(float)
-    dlogp = ratio * adv * active / b
+    dlogp = unclipped * active / b
 
     onehot = np.zeros_like(p)
     onehot[rows, batch.actions] = 1.0
@@ -300,7 +299,7 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
     if hyper.entropy_coef > 0.0:
         dent = -p * (safe_logp + entropy[:, None])
         dlogits = dlogits + hyper.entropy_coef * dent / b
-    dws, dbs = _backward(policy, acts, pre, dlogits)
+    dws, dbs = _backward(policy, acts, dlogits)
     terms = {
         "policy_loss": l_clip,
         "approx_kl": float(((ratio - 1.0) - log_ratio).mean()),
@@ -313,12 +312,12 @@ def _policy_objective_grad(policy: MlpParams, batch: TrajectoryBatch,
 def _critic_loss_grad(critic: MlpParams, batch: TrajectoryBatch):
     """Mean-squared value error and its exact gradient (descent direction)."""
     b = len(batch)
-    acts, pre = _forward_cache(critic, batch.states)
+    acts = _forward_cache(critic, batch.states)
     v = acts[-1][:, 0]
     err = v - batch.returns
     l_value = float((err ** 2).mean())
     dout = (2.0 * err / b)[:, None]
-    dws, dbs = _backward(critic, acts, pre, dout)
+    dws, dbs = _backward(critic, acts, dout)
     return l_value, dws, dbs
 
 
@@ -722,17 +721,6 @@ def load_checkpoint(path) -> PolicyCheckpoint:
         raise CheckpointError(f"{path}: {e}") from None
 
 
-def _check_keys(block, name: str, keys) -> dict:
-    """``block`` when it is a dict of exactly ``keys``; else a ValueError
-    naming ``name``, or its first missing or extra key as ``<name>.<key>``."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{name} must be an object, got {block!r}")
-    odd = sorted(block.keys() ^ set(keys))
-    if odd:
-        raise ValueError(f"{name}.{odd[0]} is {'missing' if odd[0] in keys else 'not a field'}")
-    return block
-
-
 def _header_block(header: dict, name: str, cls):
     """``cls`` built from the header's ``name`` block, read as strictly as a
     config file's: every field present and none else, each value a
@@ -740,7 +728,7 @@ def _header_block(header: dict, name: str, cls):
     a list of ints), then ranged by ``cls``. An error starts with
     ``<name>.<field>``, since ``gamma`` is a field of both blocks."""
     defaults = {f.name: f.default for f in fields(cls)}
-    block = _check_keys(header[name], name, defaults)
+    block = check_keys(header[name], name, defaults)
     for key, default in defaults.items():
         where, value = f"{name}.{key}", block[key]
         if isinstance(default, tuple):
@@ -783,11 +771,11 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     try:
         header = json.loads(data[off:off + hlen].decode("utf-8"),
                             parse_constant=_refuse_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"corrupt header: {e}") from None
     off += hlen
     try:
-        _check_keys(header, "header", ("hyper", "meta", "n_pad", "weights"))
+        check_keys(header, "header", ("hyper", "meta", "n_pad", "weights"))
         n_pad = check_number(header["n_pad"], "n_pad", integer=True)
         ckpt = PolicyCheckpoint(n_pad, True, MlpParams([], []), None,
                                 _header_block(header, "weights", RewardWeights),

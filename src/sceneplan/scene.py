@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Boxes, DetectionBox, Frame, check_fields, check_number, extents, nms_rows,
-                   read_json, write_csv, write_json)
+from .core import (Boxes, DetectionBox, Frame, check_fields, check_keys, check_number, extents,
+                   nms_rows, read_json, write_csv, write_json)
 
 CSV_HEADER = ["cx", "cy", "w", "h", "score", "class_id"]
 CSV_FRAME_PX = (3840, 2160)  # width, height of a frame read from CSV
@@ -91,22 +91,22 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
     """The SceneSpec of a JSON scene spec object.
 
     Frame size, count range and seed must be non-bool ints, and stratum
-    bounds and densities finite non-bool reals; anything else, and any
-    value out of range, raises a ValueError naming the field, e.g.
+    bounds and densities finite non-bool reals; anything else, any value
+    out of range, a missing stratum list or band, and any key not read
+    here raises a ValueError naming the field, e.g.
     ``scene_spec.strata[0].y_band`` or ``scene_spec.count_range``.
     """
-    if not isinstance(d, dict):
-        raise ValueError(f"scene_spec must be an object, got {d!r}")
-    strata = d.get("strata", [])
+    check_keys(d, "scene_spec", ("width_px", "height_px", "count_range", "strata", "seed"),
+               optional=("width_px", "height_px", "count_range", "seed"))
+    strata = d["strata"]
     if not isinstance(strata, list):
         raise ValueError(f"scene_spec.strata must be a list, got {strata!r}")
     parsed = []
     for k, s in enumerate(strata):
         where = f"scene_spec.strata[{k}]"
-        if not isinstance(s, dict):
-            raise ValueError(f"{where} must be an object, got {s!r}")
-        y0, y1 = _spec_pair(s.get("y_band"), where + ".y_band", False)
-        size_min, size_max = _spec_pair(s.get("size_range"), where + ".size_range", False)
+        check_keys(s, where, ("y_band", "size_range", "density"), optional=("density",))
+        y0, y1 = _spec_pair(s["y_band"], where + ".y_band", False)
+        size_min, size_max = _spec_pair(s["size_range"], where + ".size_range", False)
         density = check_number(s.get("density", Stratum.density), where + ".density", False)
         try:
             parsed.append(Stratum(y0, y1, size_min, size_max, density))

@@ -837,6 +837,19 @@ def mlp_reference(params, x):
     return np.array(a)
 
 
+def hidden_preactivations(params, x) -> list[np.ndarray]:
+    """Each hidden layer's product before its rectifier, over a (B, fan_in)
+    batch, rounded as ``mlp_forward`` rounds it (``z = a @ w; z += b``), for
+    tests that keep their inputs off the rectifier's kink."""
+    pre, a = [], x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w
+        z += b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+    return pre
+
+
 def kmeans_1d_best_cost(values) -> float:
     """Minimum 2-way within-cluster SSE over contiguous sorted splits."""
     s = sorted(values)

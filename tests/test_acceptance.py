@@ -33,7 +33,6 @@ from sceneplan.ppo import (
     Hyperparams,
     TrajectoryBatch,
     _critic_loss_grad,
-    _forward_cache,
     _policy_objective_grad,
     greedy_policy,
     init_mlp,
@@ -52,6 +51,7 @@ from sceneplan.rl_env import RewardWeights, n_actions, reward, state_dim
 from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 from oracles import (
+    hidden_preactivations,
     kmeans_1d_best_cost,
     labels_cost,
     mckp_enumerate,
@@ -208,7 +208,7 @@ def test_04_gradient_correctness():
                                     rng.normal(size=5), rng.normal(size=5),
                                     masks)
             kink = min(
-                min(np.abs(z).min() for z in _forward_cache(net, states)[1][:-1])
+                min(np.abs(z).min() for z in hidden_preactivations(net, states))
                 for net in (policy, critic))
             ratio = np.exp(masked_log_softmax(mlp_forward(policy, states),
                                               masks)[np.arange(5),

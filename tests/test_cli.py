@@ -359,10 +359,14 @@ MODEL = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], 
                                    "detections": []}),
     ("plan", "--clusters", {"clusters": CLUSTERS["clusters"] * 2}),
     ("plan", "--clusters", {"clusters": []}),
+    # a misspelt key used to be ignored, and a model that is no object to stop the run
+    ("plan", "--profile", {"models": [{**MODEL, "latncy_ms": 9}]}),
+    ("plan", "--profile", {"models": [5]}),
 ], ids=["clusters-list", "clusters-number", "cluster-without-block", "profile-list",
         "model-without-curve", "cluster-infinite-block", "model-infinite-size",
         "model-size-past-int64", "detections-number", "detections-text-width",
-        "detections-infinite-width", "clusters-repeated-id", "clusters-empty"])
+        "detections-infinite-width", "clusters-repeated-id", "clusters-empty",
+        "model-unknown-key", "model-number"])
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, content):
     cfg_path, _ = base_config(tmp_path)
     clusters, bad = tmp_path / "clusters.json", tmp_path / "bad.json"
@@ -420,6 +424,7 @@ def test_detections_int64_frame_size_loads(tmp_path):
 
 
 NOT_JSON, NOT_UTF8 = b"{seed: 1}", b'{"seed": "\xff"}'
+NESTED = b"[" * 100_000 + b"]" * 100_000  # deeper than json's recursion allows
 CSV_HEADER = b"cx,cy,w,h,score,class_id\n"
 
 
@@ -438,10 +443,12 @@ CSV_HEADER = b"cx,cy,w,h,score,class_id\n"
     ("plan", "--profile", "bad.json", NOT_UTF8),
     ("pipeline", "--checkpoint", "bad.ckpt", b"not a checkpoint file at all"),
     ("partition", "--detections", "plain/bad.json", None),
+    ("pipeline", "--config", "bad.json", NESTED),
+    ("pipeline", "--scene-spec", "bad.json", NESTED),
 ], ids=["config-not-json", "config-not-utf8", "spec-not-json", "spec-not-utf8",
         "detections-not-json", "detections-not-utf8", "csv-not-utf8", "csv-bad-row",
         "clusters-not-json", "clusters-not-utf8", "profile-not-json", "profile-not-utf8",
-        "checkpoint-corrupt", "path-under-regular-file"])
+        "checkpoint-corrupt", "path-under-regular-file", "config-nested", "spec-nested"])
 def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command, flag, name, content):
     cfg_path, _ = base_config(tmp_path)
     clusters, bad = tmp_path / "clusters.json", tmp_path / name
@@ -453,6 +460,19 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command, flag
     policy = ["--policy", "trained"] if flag == "--checkpoint" else []
     assert main([command, "--config", str(cfg_path), *required, *policy, flag, str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("pipeline", {"scene_spec": None}, "no scene spec configured (scene_spec)"),
+    ("partition", {}, "no detections file configured"),
+    # every observation of seed 3's scene dropped
+    ("pipeline", {"drop_prob": 0.999999}, "empty scene after coarse detection"),
+], ids=["no-scene-spec", "no-detections", "empty-after-coarse-detection"])
+def test_missing_input_exits_2_naming_it(tmp_path, capsys, command, overrides, message):
+    cfg_path, _ = base_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +910,8 @@ def stratum(**fields):
     ("strata", [], "scene_spec.strata"),
     ("seed", -1, "scene_spec.seed"),
     ("strata", stratum(density=1e308)[:1] * 2, "scene_spec.strata"),
+    ("count_rnage", [5, 9], "scene_spec.count_rnage is not a field"),
+    ("strata", stratum(densty=5), "scene_spec.strata[0].densty is not a field"),
 ])
 def test_pipeline_bad_scene_spec_field_names_it(tmp_path, capsys, field, value, where):
     cfg_path, _ = base_config(tmp_path, scene_spec={**SPEC, field: value})

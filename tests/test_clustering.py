@@ -155,6 +155,17 @@ def test_bandwidth_identical_points_floor():
     assert estimate_bandwidth(pts, 0.5) == 1e-3
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: estimate_bandwidth([(0.5, 0.5)], 0.5),
+     "need at least 2 points to estimate a bandwidth"),
+    (lambda: meanshift(np.empty((0, 2)), 0.1), r"points must be a non-empty \(n, 2\) array"),
+    (lambda: meanshift(np.array([0.2, 0.3]), 0.1), r"points must be a non-empty \(n, 2\) array"),
+], ids=["bandwidth-one-point", "meanshift-no-points", "meanshift-flat-points"])
+def test_too_few_points_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_bandwidth_spec_validation():
     with pytest.raises(ValueError):
         BandwidthSpec("quantile", 1.5)
@@ -777,6 +788,13 @@ def test_split_singleton_rejected(rng):
     cfg = config_from_centers([(0.5, 0.5), (0.2, 0.2)])
     with pytest.raises(ValueError, match="split unavailable"):
         split_cluster(cfg, 0, geometry_of(cfg))
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_split_index_out_of_range_rejected(i):
+    cfg = config_from_centers([(0.5, 0.5), (0.2, 0.2)])
+    with pytest.raises(ValueError, match=f"^cluster index {i} out of range$"):
+        split_cluster(cfg, i, geometry_of(cfg))
 
 
 def test_split_ties_go_to_y():

@@ -259,6 +259,15 @@ def test_validate_partition(rng):
         validate_partition(missing)
 
 
+@pytest.mark.parametrize("clusters, message", [
+    ((), "configuration has no clusters"),
+    (((0, 1, 2, 3, 4, 5), ()), "empty cluster"),
+], ids=["no-clusters", "empty-cluster"])
+def test_validate_partition_names_the_fault(rng, clusters, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_partition(ClusterConfig(clusters, tuple(random_boxes(rng, 6))))
+
+
 def bounding_block(cluster, boxes, margin, frame):
     """The block of a one-cluster configuration."""
     [block] = bounding_blocks(ClusterConfig((cluster,), tuple(boxes)), margin, frame)

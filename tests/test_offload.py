@@ -449,6 +449,40 @@ def test_lpt_bound_random(rng):
             assert max(lats) <= sched.makespan_ms <= sum(lats)
 
 
+def test_empty_plan_inputs_are_refused():
+    parts = [PartitionDescriptor(0, 64, 64, (100.0,))]
+    with pytest.raises(ValueError, match="^no partitions to plan$"):
+        dp_plan([], default_profiles(), 1000)
+    with pytest.raises(ValueError, match="^no model profiles$"):
+        dp_plan(parts, [], 1000)
+    with pytest.raises(ValueError, match="^partition 0: needs at least one box$"):
+        PartitionDescriptor(0, 64, 64, ())
+
+
+@pytest.mark.parametrize("lanes, makespan, message", [
+    (((0, 5, 5, 10),), 10, "lane gap/overlap at partition 0"),
+    (((0, 5, 0, 4),), 4, "span != latency for partition 0"),
+    (((0, 5, 0, 5), (1, 3, 0, 3)), 7, "recorded makespan disagrees with replay"),
+], ids=["gap", "span", "makespan"])
+def test_simulate_refuses_a_schedule_its_replay_contradicts(lanes, makespan, message):
+    from sceneplan.offload import ScheduledTask, ServerSchedule
+
+    schedule = ServerSchedule(tuple((ScheduledTask(pid, "m", lat, start, end),)
+                                    for pid, lat, start, end in lanes), makespan)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate(schedule)
+
+
+def test_profile_refuses_a_key_it_does_not_read():
+    model = {"name": "m", "input_size": 320, "latency_ms": 10, "curve": [[16, 0.1], [64, 0.3]]}
+    with pytest.raises(ValueError, match=r"^model\.latncy_ms is not a field$"):
+        profile_from_dict({**model, "latncy_ms": 9})
+    with pytest.raises(ValueError, match=r"^model\.latency_ms is missing$"):
+        profile_from_dict({k: v for k, v in model.items() if k != "latency_ms"})
+    with pytest.raises(ValueError, match=r"^model must be an object, got 5$"):
+        profile_from_dict(5)
+
+
 def test_simulate_empty():
     from sceneplan.offload import ServerSchedule
 

@@ -35,6 +35,7 @@ from sceneplan.rl_env import RewardWeights, n_actions, state_dim
 
 from oracles import (
     finite_diff_grads,
+    hidden_preactivations,
     mlp_reference,
     returns_reference,
 )
@@ -343,10 +344,7 @@ def relative_errors(analytic, fd):
 
 
 def assert_no_kink_inputs(params, states):
-    from sceneplan.ppo import _forward_cache
-
-    _, pre = _forward_cache(params, states)
-    for z in pre[:-1]:
+    for z in hidden_preactivations(params, states):
         assert np.abs(z).min() > 1e-6, "pre-activation too close to rectifier kink"
 
 
@@ -539,6 +537,33 @@ def test_checkpoint_bad_version_rejected(tmp_path, rng):
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: unsupported checkpoint version {version}")):
             load_checkpoint(path)
+
+
+def container(header: bytes, hlen: int | None = None) -> bytes:
+    """A version-3 checkpoint file of ``header`` and no payload, its header
+    length field ``hlen`` (the header's own length by default)."""
+    return CHECKPOINT_MAGIC + struct.pack("<II", 3, len(header) if hlen is None else hlen) + header
+
+
+@pytest.mark.parametrize("blob, named", [
+    (CHECKPOINT_MAGIC + b"\x03\x00\x00", "checkpoint truncated before header"),
+    (container(b'{"n_pad": 4}', hlen=13), "checkpoint truncated inside header"),
+    (container(b"\xff"), "corrupt header: 'utf-8' codec can't decode byte 0xff"),
+    (container(b"{"), "corrupt header: Expecting property name enclosed in double quotes"),
+    # json recurses once per level: this depth overflows the interpreter's stack limit
+    (container(b"[" * 50_000 + b"]" * 50_000), "corrupt header: maximum recursion depth exceeded"),
+], ids=["cut-before-header", "cut-inside-header", "not-utf8", "not-json", "nested-too-deep"])
+def test_checkpoint_container_faults_name_the_file(tmp_path, blob, named):
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unreadable_path_names_it(tmp_path):
+    with pytest.raises(CheckpointError, match="^cannot read checkpoint: ") as caught:
+        load_checkpoint(tmp_path)  # a directory
+    assert str(tmp_path) in str(caught.value)
 
 
 def read_header(path, **loads) -> dict:

@@ -604,10 +604,11 @@ def cluster_reference(members, detections):
 
 @st.composite
 def bandwidth_points(draw):
-    """2 to 1,000 uniform points in the unit square (1,000 is the most that
-    is not subsampled), or their copies on a 1/8 grid, which add coincident
-    points and exact distance ties."""
-    n = draw(st.sampled_from([2, 3, 17, 250, 999, 1000]))
+    """2 to 2,000 uniform points in the unit square (1,000 is the most that
+    is not subsampled; 1,001 and 2,000 take the 1,000-point subsample), or
+    their copies on a 1/8 grid, which add coincident points and exact
+    distance ties."""
+    n = draw(st.sampled_from([2, 3, 17, 250, 999, 1000, 1001, 2000]))
     pts = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(size=(n, 2))
     return (np.round(pts * 8) / 8 if draw(st.booleans()) else pts,)
 

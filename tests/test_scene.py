@@ -132,6 +132,25 @@ def test_json_detection_values_are_not_coerced(tmp_path, field, value):
         load_detections(path)
 
 
+ROW = {"cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1, "score": 0.9, "class_id": 0}
+
+
+@pytest.mark.parametrize("name, content, named", [
+    ("dets.json", {"width_px": 100, "detections": [ROW]},
+     "missing or malformed field ('height_px')"),
+    ("dets.json", {"width_px": 100, "height_px": 100,
+                   "detections": [{k: v for k, v in ROW.items() if k != "cy"}]},
+     "detection 0: malformed detection row ('cy')"),
+    ("dets.csv", "cx,cy,w,h,score,class_id\n0.5,0.5\n",
+     "row 2: malformed detection row (float() argument must be"),
+], ids=["json-without-height", "json-row-without-cy", "csv-short-row"])
+def test_detection_file_faults_name_the_file(tmp_path, name, content, named):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {named}')}"):
+        load_detections(path)
+
+
 def test_csv_class_id_past_int64_is_refused(tmp_path):
     path = tmp_path / "dets.csv"
     path.write_text(f"cx,cy,w,h,score,class_id\n0.5,0.5,0.1,0.1,0.9,{2 ** 70}\n")
@@ -186,6 +205,11 @@ def test_generate_draw_on_cdf_boundary_matches_reference():
         assert frame.detections[0].cy >= 0.5
 
 
+def test_stratum_rejects_inverted_size_range():
+    with pytest.raises(ValueError, match=r"^size range \[0.02, 0.01\] invalid$"):
+        Stratum(0.0, 1.0, 0.02, 0.01)
+
+
 @pytest.mark.parametrize("density", [float("nan"), float("inf"), -float("inf"),
                                      0.0, -1.0])
 def test_stratum_rejects_bad_density(density):
@@ -214,6 +238,25 @@ def test_spec_from_dict_reads_the_dataclass_defaults():
     assert spec == SceneSpec(strata=(Stratum(0.1, 0.9, 0.01, 0.02),))
     assert (spec.width_px, spec.height_px, spec.count_min, spec.count_max, spec.seed,
             spec.strata[0].density) == (3840, 2160, 20, 40, 0, 1.0)
+
+
+STRATUM = {"y_band": [0.1, 0.9], "size_range": [0.01, 0.02]}
+
+
+@pytest.mark.parametrize("d, message", [
+    ([STRATUM], "scene_spec must be an object, got [{'y_band': [0.1, 0.9], "
+                "'size_range': [0.01, 0.02]}]"),
+    ({"strata": STRATUM}, "scene_spec.strata must be a list, got {'y_band': [0.1, 0.9], "
+                          "'size_range': [0.01, 0.02]}"),
+    ({"width_px": 1000}, "scene_spec.strata is missing"),
+    ({"strata": [{"y_band": [0.1, 0.9]}]}, "scene_spec.strata[0].size_range is missing"),
+    # a misspelt key used to leave its field at the default
+    ({"strata": [STRATUM], "count_rnage": [5, 9]}, "scene_spec.count_rnage is not a field"),
+    ({"strata": [{**STRATUM, "densty": 5}]}, "scene_spec.strata[0].densty is not a field"),
+], ids=["spec-list", "strata-object", "no-strata", "no-size-range", "count_rnage", "densty"])
+def test_spec_from_dict_names_the_fault(d, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scene_spec_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +513,11 @@ def test_aggregate_reports_the_first_bad_row(per_tile, message):
     grid = tile_frame(Frame(1000, 1000), 1, 2)
     assert aggregate_error(aggregate_rows, per_tile, grid) == message
     assert aggregate_error(aggregate_tiles_reference, per_tile, grid) == message
+
+
+def test_aggregate_needs_one_list_per_tile():
+    grid = tile_frame(Frame(1000, 1000), 1, 2)
+    assert aggregate_error(aggregate_rows, [[BOX]], grid) == "1 tile lists for 2 tiles"
 
 
 def test_aggregate_kept_boxes_carry_int_class_ids():

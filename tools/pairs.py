@@ -8,9 +8,12 @@ own program. Pair k runs ``bench/run.py --trace 0`` with seed S + k on both
 sides, REV first in even pairs and this tree first in odd ones, so a drift in
 the machine's speed favours neither. For each end-to-end metric named in
 BENCHMARK.json it prints both sides' medians with their quartiles, and in how
-many pairs this tree reads lower, higher or equal. A run that exits non-zero
-or reports ``"correct": false`` stops the tool, naming the side, the seed and
-the exit code. Compare trees on one machine, with nothing else running.
+many pairs this tree reads lower, higher or equal. A run fails when it exits
+non-zero or reports ``"correct": false``. A pair whose runs both fail is
+printed with its seed and both exit codes, counted in the summary and left
+out of the medians, and the next pair takes the next seed; a pair with one
+failing run stops the tool, naming the side, the seed and the exit code.
+Compare trees on one machine, with nothing else running.
 """
 
 import argparse
@@ -53,8 +56,18 @@ def summarize(pairs, metrics, rev: str) -> list[str]:
     return lines
 
 
+class RunFailed(Exception):
+    """One ``bench/run.py`` run exited non-zero or reported ``"correct": false``."""
+
+    def __init__(self, side: str, seed: int, code: int, correct, stderr: str):
+        super().__init__(f"{side}: seed {seed}: bench/run.py exited {code}"
+                         f" with correct={correct}\n{stderr}")
+        self.code = code
+
+
 def run(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one ``bench/run.py --trace 0`` run in ``root``."""
+    """The end-to-end metrics of one ``bench/run.py --trace 0`` run in
+    ``root``; a failing run raises ``RunFailed``."""
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -62,9 +75,35 @@ def run(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     if proc.returncode or not result.get("correct"):
-        sys.exit(f"{side}: seed {seed}: bench/run.py exited {proc.returncode}"
-                 f" with correct={result.get('correct')}\n{proc.stderr.strip()}")
+        raise RunFailed(side, seed, proc.returncode, result.get("correct"), proc.stderr.strip())
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def play(sides, workload: str, n: int, first_seed: int, seconds: float):
+    """Run ``n`` alternating pairs over ``sides``, [(REV's root, REV), (this
+    tree's root, "this tree")], pair k with seed ``first_seed + k``. Returns
+    the (REV's, this tree's) metrics of each pair both sides ran, and the
+    (seed, REV's exit code, this tree's exit code) of each pair both sides
+    failed; a pair one side alone failed exits the tool."""
+    pairs, failed = [], []
+    for k in range(n):
+        seed, got = first_seed + k, [None, None]
+        for i in ((0, 1) if k % 2 == 0 else (1, 0)):
+            try:
+                got[i] = run(*sides[i], workload, seed, seconds)
+            except RunFailed as e:
+                got[i] = e
+        broken = [g for g in got if isinstance(g, RunFailed)]
+        if len(broken) == 1:
+            sys.exit(str(broken[0]))
+        if broken:
+            failed.append((seed, got[0].code, got[1].code))
+            print(f"pair {k + 1}/{n} (seed {seed}) failed on both sides: {sides[0][1]} "
+                  f"exited {got[0].code}, this tree exited {got[1].code}", file=sys.stderr)
+        else:
+            pairs.append(tuple(got))
+            print(f"pair {k + 1}/{n} (seed {seed}) done", file=sys.stderr)
+    return pairs, failed
 
 
 def main() -> int:
@@ -78,20 +117,18 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = []
     with archived_src(args.rev) as tmp:
         shutil.copytree(ROOT / "bench", tmp / "bench",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        sides = [(tmp, args.rev), (ROOT, "this tree")]
-        for k in range(args.pairs):
-            seed, got = args.seed + k, [None, None]
-            for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                got[i] = run(*sides[i], args.workload, seed, args.seconds)
-            pairs.append(tuple(got))
-            print(f"pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+        pairs, failed = play([(tmp, args.rev), (ROOT, "this tree")], args.workload,
+                             args.pairs, args.seed, args.seconds)
     print(f"{args.workload}: {args.rev} against this tree, {args.pairs} pairs from seed "
           f"{args.seed}, --seconds {args.seconds:g}")
-    print("\n".join(summarize(pairs, metrics, args.rev)))
+    print(f"failed on both sides in {len(failed)} of {args.pairs} pairs"
+          + "".join(f"; seed {seed}: {args.rev} exited {a}, this tree exited {b}"
+                    for seed, a, b in failed))
+    if pairs:
+        print("\n".join(summarize(pairs, metrics, args.rev)))
     return 0
 
 
