@@ -71,11 +71,14 @@ def transform_y(points, params: TransformParams = TransformParams()):
 BANDWIDTH_FLOOR = 1e-3
 
 
-def squared_distances(ax, ay, bx, by):
-    """``(ax - bx)**2 + (ay - by)**2``, broadcast, computed in place."""
-    d = ax - bx
+def squared_distances(ax, ay, bx, by, overwrite_b: bool = False):
+    """``(ax - bx)**2 + (ay - by)**2``, broadcast: the one rounding of a pair
+    distance. It is computed in two new arrays, or with ``overwrite_b`` in
+    ``bx`` and ``by`` themselves, arrays of the result's shape that the
+    caller gives up; the result is then ``bx``, and ``by`` is spoilt."""
+    d = np.subtract(ax, bx, out=bx) if overwrite_b else ax - bx
     d *= d
-    dy = ay - by
+    dy = np.subtract(ay, by, out=by) if overwrite_b else ay - by
     dy *= dy
     d += dy
     return d
@@ -194,10 +197,12 @@ def _shift(x, y, pos, sub_x, sub_y, within, tol: float):
     """One MeanShift step of the k active modes (sub_x, sub_y): pair p joins
     point (x[p], y[p]) to mode pos[p], under the squared window ``within``
     (per pair, or one scalar). Returns the (k, 2) means of each mode's points
-    within its window, and whether each mode moved by at least ``tol``."""
-    d = squared_distances(x, y, sub_x[pos], sub_y[pos])
+    within its window, and whether each mode moved by at least ``tol``.
+    The pair distances are computed inside the step's own ``sub_x[pos]`` and
+    ``sub_y[pos]`` gathers; ``x``, ``y`` and ``pos`` are only read."""
     # integer gathers: a boolean-mask gather costs about four times more
-    inside = np.flatnonzero(d <= within)
+    inside = np.flatnonzero(
+        squared_distances(x, y, sub_x[pos], sub_y[pos], overwrite_b=True) <= within)
     pos = pos[inside]
     k = len(sub_x)
     # one (modes, 2) division: a 1-D float/int division maps 64 KB of

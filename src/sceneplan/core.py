@@ -255,9 +255,12 @@ def expand_ranges(lo, hi):
     """``(positions, counts)``: the positions ``lo[k] .. hi[k] - 1`` of
     every range k in turn, and each range's length, so that
     ``np.repeat(v, counts)`` lines a per-range value up with the positions.
-    Needs ``hi >= lo`` elementwise."""
+    Needs ``hi >= lo`` elementwise. The positions are ``intp``, each range's
+    start repeated and ``arange`` added into that array in place."""
     counts = hi - lo
-    return np.arange(counts.sum()) + np.repeat(hi - counts.cumsum(), counts), counts
+    pos = np.repeat(hi - counts.cumsum(), counts)
+    pos += np.arange(len(pos))
+    return pos, counts
 
 
 def extents(cx, cy, w, h):
@@ -281,7 +284,9 @@ def nms_rows(cx, cy, w, h, score, class_ids, iou_threshold: float = 0.5) -> list
     the same class stays below the threshold. Candidate pairs come from a
     sweep over the boxes sorted by ``x0``, so no n x n array is built;
     results equal ``nms_reference`` in ``tests/oracles.py``, beside which
-    the sweep's argument sits.
+    the sweep's argument sits. The pairs' y-overlaps are computed inside
+    their own ``y1[i]`` and ``y0[i]`` gathers, and the candidate positions
+    are freed once ``j`` is gathered.
     """
     check_fields({"iou_threshold": iou_threshold},
                  [("iou_threshold", 0.0 < iou_threshold < 1.0, "in (0, 1)")])
@@ -301,7 +306,11 @@ def nms_rows(cx, cy, w, h, score, class_ids, iou_threshold: float = 0.5) -> list
     # a box whose width rounds to 0 (x0 == x1) may end its range before it
     pos, counts = expand_ranges(after, np.maximum(x0_sorted.searchsorted(x1[by_x]), after))
     i, j = np.repeat(by_x, counts), by_x[pos]
-    ih = np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j])
+    del pos
+    ih, bottom = y1[i], y0[i]
+    np.minimum(ih, y1[j], out=ih)
+    ih -= np.maximum(bottom, y0[j], out=bottom)
+    del bottom
     near = np.flatnonzero(ih > 0.0)  # most pairs that overlap in x lie apart in y
     i, j, ih = i[near], j[near], ih[near]
     iw = np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j])

@@ -124,7 +124,12 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    return scene_spec_from_dict(read_json(path))
+    """The SceneSpec of a JSON scene spec file; errors name the file."""
+    data = read_json(path)  # its own errors name the file already
+    try:
+        return scene_spec_from_dict(data)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _uniform(low, high, u):

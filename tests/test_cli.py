@@ -919,6 +919,23 @@ def test_pipeline_bad_scene_spec_field_names_it(tmp_path, capsys, field, value, 
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, where", [
+    ("width_px", 0, "scene_spec.width_px must be > 0, got 0"),
+    ("strata", stratum(densty=5), "scene_spec.strata[0].densty is not a field"),
+], ids=["zero-width", "misspelt-stratum-key"])
+@pytest.mark.parametrize("command", ["gen-scene", "pipeline"])
+def test_bad_scene_spec_file_field_names_the_file_and_field(tmp_path, capsys, command, field,
+                                                             value, where):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, field: value}))
+    cfg_path, _ = base_config(tmp_path)
+    argv = (["gen-scene", "--spec", str(spec), "--out", str(tmp_path / "dets.json")]
+            if command == "gen-scene"
+            else ["pipeline", "--config", str(cfg_path), "--scene-spec", str(spec)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {spec}: {where}\n"
+
+
 def test_pipeline_refuses_more_tiles_than_pixels(tmp_path, capsys, monkeypatch):
     # 2**42 tiles of a 1280x1280 frame: refused before its grid shape is sought
     from sceneplan import scene

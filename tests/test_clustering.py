@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -369,6 +370,28 @@ def test_meanshift_frames_sends_only_large_frames_through_the_band_loop(rng, mon
     assert calls[0] is not calls[1] and np.array_equal(calls[1], frames[4])
     want = [meanshift_reference(f, b).tolist() for f, b in zip(frames, bandwidths)]
     assert [l.tolist() for l in labels] == want
+
+
+def test_meanshift_memory_stays_within_seven_doubles_per_pair(monkeypatch):
+    # a 600-detection crowd frame of the benchmark's strata: the y-band step
+    # computes its pair distances inside its own gathers and expands its
+    # ranges in place, so a call peaks near six doubles a pair of its
+    # largest step
+    strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+    frame = generate_scene(SceneSpec(3840, 2160, 600, 600, strata, seed=1))
+    pts = ClusterGeometry(frame.detections, TransformParams(0.5)).points
+    pairs, shift = [], clustering._shift
+    monkeypatch.setattr(clustering, "_shift",
+                        lambda x, y, pos, *rest: pairs.append(len(pos)) or shift(x, y, pos, *rest))
+    meanshift(pts, 0.12)  # numpy's lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        meanshift(pts, 0.12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(pairs) > 10_000
+    assert peak <= 7 * 8 * max(pairs)
 
 
 def test_meanshift_frames_checks_each_frame():

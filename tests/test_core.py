@@ -15,6 +15,7 @@ from sceneplan.core import (
     Frame,
     Boxes,
     bounding_blocks,
+    expand_ranges,
     make_cluster,
     nms,
     validate_partition,
@@ -184,6 +185,20 @@ def test_nms_empty():
 def test_nms_threshold_validation():
     with pytest.raises(ValueError):
         nms([], 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([4, 0, 7], [4, 3, 9]),
+    ([0, 5, 2], [2, 5, 6]),
+    ([1, 6, 3], [4, 9, 3]),
+    ([2, 0, 5], [2, 0, 5]),
+    ([], []),
+], ids=["empty-first", "empty-middle", "empty-last", "all-empty", "no-ranges"])
+def test_expand_ranges_lists_every_position_in_turn(lo, hi):
+    pos, counts = expand_ranges(np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp))
+    assert pos.dtype == np.intp
+    assert pos.tolist() == [p for a, b in zip(lo, hi) for p in range(a, b)]
+    assert counts.tolist() == [b - a for a, b in zip(lo, hi)]
 
 
 def stats_of(members, boxes):
