@@ -7,7 +7,7 @@ boxes it can see, and fuses everything back with NMS.
 
 import numpy as np
 
-from sceneplan import (
+from sceneplan.scene import (
     SceneSpec,
     Stratum,
     aggregate_tiles,

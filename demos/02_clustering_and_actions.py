@@ -6,19 +6,17 @@ forming the starting clusters, and how merge/split reshape them.
 
 import numpy as np
 
-from sceneplan import (
+from sceneplan.clustering import (
     BandwidthSpec,
     ClusterGeometry,
-    SceneSpec,
-    Stratum,
     TransformParams,
-    generate_scene,
     initial_clusters,
     merge_clusters,
     select_merge_pair,
     split_cluster,
     transform_y,
 )
+from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 spec = SceneSpec(
     width_px=1280, height_px=1280, count_min=18, count_max=18,

@@ -4,19 +4,15 @@ Walks a hand-scripted policy (merge while over the count band, then keep)
 through one episode and prints the reward decomposition at every step.
 """
 
-from sceneplan import (
+from sceneplan.clustering import (
     BandwidthSpec,
     ClusterGeometry,
-    EnvConfig,
-    RewardWeights,
-    SceneSpec,
-    Stratum,
     TransformParams,
-    generate_scene,
     initial_clusters,
-    rollout,
 )
-from sceneplan.rl_env import KEEP, MERGE
+from sceneplan.ppo import rollout
+from sceneplan.rl_env import KEEP, MERGE, EnvConfig, RewardWeights
+from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 spec = SceneSpec(
     width_px=1280, height_px=1280, count_min=16, count_max=16,

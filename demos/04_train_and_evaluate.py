@@ -10,15 +10,9 @@ import time
 
 import numpy as np
 
-from sceneplan import (
-    BandwidthSpec,
-    EnvConfig,
+from sceneplan.clustering import BandwidthSpec, TransformParams
+from sceneplan.ppo import (
     Hyperparams,
-    RewardWeights,
-    SceneSpec,
-    Stratum,
-    TransformParams,
-    generate_scene,
     greedy_policy,
     keep_policy,
     random_policy,
@@ -26,7 +20,8 @@ from sceneplan import (
     sampler_from_spec,
     train,
 )
-from sceneplan.rl_env import reward
+from sceneplan.rl_env import EnvConfig, RewardWeights, reward
+from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 spec = SceneSpec(
     width_px=1280, height_px=1280, count_min=14, count_max=20,

@@ -5,21 +5,21 @@ the precision/latency trade-off the knapsack solver navigates, and lays the
 chosen plan out on four server lanes.
 """
 
-from sceneplan import (
+from sceneplan.clustering import (
     BandwidthSpec,
     ClusterGeometry,
-    InfeasiblePlanError,
-    SceneSpec,
-    Stratum,
     TransformParams,
+    initial_clusters,
+)
+from sceneplan.offload import (
+    InfeasiblePlanError,
     assign_servers,
     default_profiles,
     dp_plan,
-    generate_scene,
-    initial_clusters,
     partitions_from_config,
     simulate,
 )
+from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 spec = SceneSpec(
     width_px=3840, height_px=2160, count_min=24, count_max=24,

@@ -1,8 +1,10 @@
 """The demos run end to end, and every name they import from sceneplan
-exists. Demos 04 and 06 train a policy, in about 2 s each."""
+exists in the module they name, which defines each class and function of
+them. Demos 04 and 06 train a policy, in about 2 s each."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -29,6 +31,10 @@ def test_demo_imports_resolve(demo):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+            obj = getattr(module, alias.name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == node.module, \
+                    f"{node.module}.{alias.name} is defined in {obj.__module__}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name[:2])
