@@ -45,7 +45,7 @@ d = np.hypot(xi - xj, yi - yj)
 print(f"\nclosest centroid pair: clusters {i} and {j} "
       f"(raw centroid distance {d:.3f})")
 
-merged = merge_clusters(config, i, j)
+merged = merge_clusters(config, i, j, geometry)
 print(f"after merge: {merged.count} clusters, sizes {[len(c) for c in merged.clusters]}")
 
 # split the biggest cluster back apart

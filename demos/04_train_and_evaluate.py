@@ -20,7 +20,7 @@ from sceneplan.ppo import (
     sampler_from_spec,
     train,
 )
-from sceneplan.rl_env import EnvConfig, RewardWeights, reward
+from sceneplan.rl_env import EnvConfig, RewardWeights
 from sceneplan.scene import SceneSpec, Stratum, generate_scene
 
 spec = SceneSpec(
@@ -49,9 +49,10 @@ held_out = [(10_000 + k, generate_scene(spec.with_seed(10_000 + k)))
 def evaluate(name, policy_fn):
     finals, ns = [], []
     for seed, frame in held_out:
-        (final,) = rollout([frame], env_cfg, hyper.t_max, policy_fn,
-                           np.random.default_rng(seed)).answers()
-        finals.append(reward(final, weights, env_cfg.transform)[4])
+        episodes = rollout([frame], env_cfg, hyper.t_max, policy_fn,
+                           np.random.default_rng(seed))
+        (step,), (final,) = episodes.answer_steps(), episodes.answers()
+        finals.append(episodes.scores()[0, step, 4])
         ns.append(final.count)
     finals, ns = np.array(finals), np.array(ns)
     in_band = np.mean((ns >= weights.n_min) & (ns <= weights.n_max))

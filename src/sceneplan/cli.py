@@ -44,7 +44,7 @@ from .ppo import (
     save_checkpoint,
     train,
 )
-from .rl_env import EnvConfig, RewardWeights, reward
+from .rl_env import EnvConfig, RewardWeights
 from .scene import (
     coarse_detect,
     generate_scene,
@@ -136,17 +136,20 @@ def load_config(path) -> dict:
 
 def _config(args: argparse.Namespace) -> dict:
     """Flags over file values over defaults, each typed and ranged by key:
-    here if no type takes the key, else by the type it fills, built here once;
-    the field a type's error starts with gives the key: ``reward.<field>``,
-    ``train.<field>`` (but top-level ``t_max``, ``seed``) or ``EnvConfig``'s."""
+    here if no type takes the key, else by the type it fills, built here once
+    and kept as ``env`` (the ``EnvConfig``, on the ``RewardWeights`` of
+    ``reward``) and ``hyper`` (the ``Hyperparams``); the field a type's error
+    starts with gives the key: ``reward.<field>``, ``train.<field>`` (but
+    top-level ``t_max``, ``seed``) or ``EnvConfig``'s."""
     cfg = load_config(args.config)
     for key, value in vars(args).items():
         if value is not None and (key in cfg or key == "iterations"):
             block = cfg["train"] if key == "iterations" else cfg
             _check_value(key, block[key], value)
             block[key] = value
-    for build, prefix, keys in (
-            (lambda: check_fields(cfg, [
+    built = {}
+    for name, build, prefix, keys in (
+            ("", lambda: check_fields(cfg, [
                 ("seed", cfg["seed"] >= 0, ">= 0"),
                 *((k, cfg[k] >= 1, ">= 1") for k in ("n", "e", "num_scenes", "episodes")),
                 ("nms_iou", 0.0 < cfg["nms_iou"] < 1.0, "in (0, 1)"),
@@ -154,29 +157,21 @@ def _config(args: argparse.Namespace) -> dict:
                 ("d_max", cfg["d_max"] >= 0, ">= 0"),
                 ("policy", cfg["policy"] in POLICY_MODES,
                  f"{', '.join(map(repr, POLICY_MODES[:-1]))} or {POLICY_MODES[-1]!r}")]), "", {}),
-            (lambda: RewardWeights(**cfg["reward"]), "reward.", {}),
-            (lambda: _hyper(cfg), "train.", {"t_max": "t_max", "seed": "seed"}),
-            (lambda: _env_config(cfg), "", {"alpha": "transform_alpha", "mode": "bandwidth_mode",
-                                            "value": "bandwidth_value"})):
+            ("weights", lambda: RewardWeights(**cfg["reward"]), "reward.", {}),
+            ("hyper", lambda: Hyperparams(seed=cfg["seed"], t_max=cfg["t_max"], **cfg["train"]),
+             "train.", {"t_max": "t_max", "seed": "seed"}),
+            ("env", lambda: EnvConfig(
+                built["weights"], TransformParams(cfg["transform_alpha"]),
+                BandwidthSpec(cfg["bandwidth_mode"], cfg["bandwidth_value"]), cfg["n_pad"]),
+             "", {"alpha": "transform_alpha", "mode": "bandwidth_mode",
+                  "value": "bandwidth_value"})):
         try:
-            build()
+            built[name] = build()
         except ValueError as e:  # "<field> must be <want>, got <value>"
             field, _, want = str(e).partition(" must be ")
             key = keys.get(field, prefix + field)
             raise ValueError(f"config key {key!r} must be {want}") from None
-    return cfg
-
-
-def _hyper(cfg: dict) -> Hyperparams:
-    return Hyperparams(seed=cfg["seed"], t_max=cfg["t_max"], **cfg["train"])
-
-
-def _env_config(cfg: dict) -> EnvConfig:
-    return EnvConfig(
-        weights=RewardWeights(**cfg["reward"]),
-        transform=TransformParams(cfg["transform_alpha"]),
-        bandwidth=BandwidthSpec(cfg["bandwidth_mode"], cfg["bandwidth_value"]),
-        n_pad=cfg["n_pad"])
+    return {**cfg, "env": built["env"], "hyper": built["hyper"]}
 
 
 def _scene_spec(cfg: dict):
@@ -203,11 +198,11 @@ def _policy(cfg: dict, mode: str):
     is loaded here, once for all the command's frames, and the environment
     fitted to it (``policy_config``)."""
     if mode in BASELINES:
-        return BASELINES[mode], _env_config(cfg)
+        return BASELINES[mode], cfg["env"]
     if cfg["checkpoint"] is None:
         raise ValueError("trained policy requested but no checkpoint configured")
     ckpt = load_checkpoint(cfg["checkpoint"])
-    return greedy_policy(ckpt), policy_config(_env_config(cfg), ckpt)
+    return greedy_policy(ckpt), policy_config(cfg["env"], ckpt)
 
 
 def _partition_frame(frame: Frame, cfg: dict, scene_seed: int, policy):
@@ -336,7 +331,7 @@ def cmd_train(args) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "policy.ckpt")
     log_path = os.path.join(out_dir, "training_log.csv")
-    ckpt = train(sampler_from_spec(spec), _env_config(cfg), _hyper(cfg), log_path=log_path)
+    ckpt = train(sampler_from_spec(spec), cfg["env"], cfg["hyper"], log_path=log_path)
     save_checkpoint(ckpt, ckpt_path)
     print(f"wrote {ckpt_path} (final mean return "
           f"{ckpt.meta.get('final_mean_return')})")
@@ -407,12 +402,13 @@ def cmd_eval(args) -> None:
     for name, choose in policies:
         for scene_seed in seeds:  # regenerated per policy: one frame alive at a time
             frame = generate_scene(spec.with_seed(scene_seed))
-            (final,) = rollout([frame], env_config, cfg["t_max"], choose,
-                               np.random.default_rng(scene_seed)).answers()
+            episodes = rollout([frame], env_config, cfg["t_max"], choose,
+                               np.random.default_rng(scene_seed))
+            (step,), (final,) = episodes.answer_steps(), episodes.answers()
             rows.append({
                 "policy": name,
                 "scene_seed": scene_seed,
-                "final_reward": reward(final, weights, env_config.transform)[4],
+                "final_reward": float(episodes.scores()[0, step, 4]),
                 "final_n": final.count,
                 "in_range": int(weights.n_min <= final.count <= weights.n_max),
             })

@@ -717,7 +717,7 @@ def select_merge_pair(config: ClusterConfig, geometry: ClusterGeometry) -> tuple
 
 
 def merge_clusters(config: ClusterConfig, i: int, j: int,
-                   geometry: ClusterGeometry | None = None) -> ClusterConfig:
+                   geometry: ClusterGeometry) -> ClusterConfig:
     """Replace clusters i and j with their union, appended at the end.
     A ``geometry`` holding ``config``'s rows holds the result's too, from
     ``PAIR_LOOP_BELOW`` clusters up (see ``ClusterGeometry``)."""
@@ -730,7 +730,7 @@ def merge_clusters(config: ClusterConfig, i: int, j: int,
     merged = make_cluster(clusters[i] + clusters[j], config.detections)
     clusters = clusters[:i] + clusters[i + 1:j] + clusters[j + 1:] + (merged,)
     out = ClusterConfig(clusters, config.detections)
-    if len(clusters) >= PAIR_LOOP_BELOW and geometry is not None and geometry._held[0] is config:
+    if len(clusters) >= PAIR_LOOP_BELOW and geometry._held[0] is config:
         rows = geometry._held[1]
         geometry._held = (out, np.concatenate(
             (rows[:i], rows[i + 1:j], rows[j + 1:], [geometry.row(merged)])))

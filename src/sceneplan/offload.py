@@ -297,12 +297,16 @@ def assign_servers(plan: OffloadPlan, e: int) -> ServerSchedule:
     """Longest-processing-time-first list scheduling onto e server lanes.
 
     Blocks are placed by descending latency (partition id breaks ties) onto
-    the currently least-loaded lane (lowest index breaks ties).
+    the currently least-loaded lane (lowest index breaks ties). Lanes too
+    many to allocate raise ``ValueError`` naming e.
     """
     check_fields({"e": e}, [("e", e >= 1, ">= 1")])
     tasks = sorted(plan.assignments, key=lambda a: (-a[2], a[0]))
-    loads = [0] * e
-    lanes: list[list[ScheduledTask]] = [[] for _ in range(e)]
+    try:
+        loads = [0] * e
+        lanes: list[list[ScheduledTask]] = [[] for _ in range(e)]
+    except MemoryError:
+        raise ValueError(f"e={e} server lanes do not fit in memory") from None
     for pid, model, lat, _ in tasks:
         lane = loads.index(min(loads))
         lanes[lane].append(ScheduledTask(pid, model, lat, loads[lane], loads[lane] + lat))

@@ -575,16 +575,26 @@ def train(scene_sampler, env_config: EnvConfig, hyper: Hyperparams,
     the collection's figures from ``collect``, and the means over the
     iteration's minibatch steps of the figures ``ppo_update`` returns.
     The checkpoint's ``meta.final_mean_return`` is the last iteration's
-    mean return, or None after 0 iterations.
+    mean return, or None after 0 iterations. Networks or scene seeds too
+    large to allocate raise ``ValueError`` naming n_pad and hidden, or
+    episodes_per_iter.
     """
     rng = np.random.default_rng(hyper.seed)
     widths = policy_widths(env_config.n_pad, hyper.hidden)
-    policy = init_mlp(rng, widths)
-    critic = init_mlp(rng, [*widths[:-1], 1])
+    try:
+        policy = init_mlp(rng, widths)
+        critic = init_mlp(rng, [*widths[:-1], 1])
+    except (MemoryError, ValueError) as e:  # numpy's "array is too big" is a ValueError
+        raise ValueError(f"networks of n_pad={env_config.n_pad}, hidden={hyper.hidden} "
+                         f"do not fit: {e}") from None
     log_rows = []
     mean_return = None  # no iteration, no return: JSON null in the checkpoint
     for it in range(hyper.iterations):
-        seeds = rng.integers(0, 2 ** 31 - 1, size=hyper.episodes_per_iter)
+        try:
+            seeds = rng.integers(0, 2 ** 31 - 1, size=hyper.episodes_per_iter)
+        except (MemoryError, ValueError) as e:
+            raise ValueError(f"episodes_per_iter={hyper.episodes_per_iter} scene seeds "
+                             f"do not fit: {e}") from None
         frames = [scene_sampler(int(seed)) for seed in seeds]
         batch, _, figures = collect(policy, critic, frames, env_config, hyper, rng)
         steps = []

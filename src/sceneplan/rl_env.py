@@ -128,7 +128,9 @@ def reward(config: ClusterConfig, weights: RewardWeights,
            ) -> tuple[float, float, float, float, float]:
     """(R1, R2, R3, R4, R_total) for a configuration: the one-configuration
     case of ``rewards``, in a fresh ``ClusterGeometry`` of its frame under
-    ``transform``, as a tuple of floats."""
+    ``transform``, as a tuple of floats. The package scores episodes through
+    ``ppo.Episodes.scores``; this is kept for the benchmark, tools/ties.py
+    and tests."""
     geometry = ClusterGeometry(config.detections, transform)
     return tuple(rewards([(config, geometry)], weights)[0].tolist())
 

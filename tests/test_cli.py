@@ -668,16 +668,22 @@ def test_pipeline_reward_that_overflows_exits_2_naming_the_weight(tmp_path, caps
     ("pipeline", "n_pad", 2 ** 40, "n_pad=1099511627776"),
     ("pipeline", "scene_spec", {**SPEC, "count_range": [2 ** 40, 2 ** 40]}, "count_range"),
     ("gen-scene", "scene_spec", {**SPEC, "count_range": [2 ** 40, 2 ** 40]}, "count_range"),
-], ids=["t_max-2**40", "t_max-2**62", "n_pad-2**40", "count-pipeline", "count-gen-scene"])
+    ("plan", "e", 10 ** 15, "e=1000000000000000"),
+    ("train", "n_pad", 2 ** 40, "n_pad=1099511627776"),
+    ("train", "train", {"episodes_per_iter": 2 ** 40}, "episodes_per_iter=1099511627776"),
+], ids=["t_max-2**40", "t_max-2**62", "n_pad-2**40", "count-pipeline", "count-gen-scene",
+        "e-10**15", "train-n_pad-2**40", "train-episodes-2**40"])
 def test_size_that_cannot_be_allocated_exits_2_naming_it(tmp_path, capsys, command, key,
                                                          value, named):
     # each asks for 48 TiB or more, so the allocation fails at once; a size
     # like 10**7 steps might be allocated lazily and then stepped
     cfg_path, cfg = base_config(tmp_path, **{key: value})
-    spec = tmp_path / "spec.json"
+    spec, clusters = tmp_path / "spec.json", tmp_path / "clusters.json"
     spec.write_text(json.dumps(cfg["scene_spec"]))
+    clusters.write_text(json.dumps(CLUSTERS))
+    required = ["--clusters", str(clusters)] if command == "plan" else []
     argv = (["gen-scene", "--spec", str(spec), "--out", str(tmp_path / "dets.json")]
-            if command == "gen-scene" else [command, "--config", str(cfg_path)])
+            if command == "gen-scene" else [command, "--config", str(cfg_path), *required])
     assert main(argv) == 2
     assert named in capsys.readouterr().err
 
@@ -1053,6 +1059,16 @@ def test_every_config_flag_beats_the_file(tmp_path, command, flag, key):
         [command, "--config", str(path), *required, flag, str(flag_value)])
     cfg = _config(args)
     assert (cfg[block] if block else cfg)[key] == flag_value
+
+
+def test_config_keeps_the_environment_and_hyperparameters_it_checks(tmp_path):
+    cfg_path, cfg = base_config(tmp_path, transform_alpha=0.5)
+    args = build_parser().parse_args(
+        ["train", "--config", str(cfg_path), "--seed", "7", "--iterations", "2"])
+    built = _config(args)
+    assert built["env"] == EnvConfig(RewardWeights(**cfg["reward"]), TransformParams(0.5),
+                                     BandwidthSpec("fixed", 0.14), 6)
+    assert built["hyper"] == Hyperparams(seed=7, t_max=4, **{**cfg["train"], "iterations": 2})
 
 
 # ---------------------------------------------------------------------------

@@ -665,7 +665,7 @@ def test_select_merge_pair_needs_two():
 
 def test_merge_two_singletons():
     cfg = config_from_centers([(0.0, 0.0), (1.0, 1.0)])
-    merged = merge_clusters(cfg, 0, 1)
+    merged = merge_clusters(cfg, 0, 1, geometry_of(cfg))
     assert merged.count == 1
     c = merged.clusters[0]
     assert (*geometry_of(merged).means(c)[:2], len(c)) == (0.5, 0.5, 2)
@@ -673,7 +673,7 @@ def test_merge_two_singletons():
 
 def test_merge_conserves_members(rng):
     cfg = random_config(rng, 5)
-    merged = merge_clusters(cfg, 1, 3)
+    merged = merge_clusters(cfg, 1, 3, geometry_of(cfg))
     assert sum(len(c) for c in merged.clusters) == len(cfg.detections)
     validate_partition(merged)
 
@@ -683,7 +683,7 @@ def test_merge_centroid_weighted_mean(rng):
         cfg = random_config(rng, 4)
         i, j = 0, 2
         a, b = cfg.clusters[i], cfg.clusters[j]
-        merged = merge_clusters(cfg, i, j)
+        merged = merge_clusters(cfg, i, j, geometry_of(cfg))
         c = merged.clusters[-1]
         means = geometry_of(cfg).means
         # oracle: recompute from the raw member boxes
@@ -699,9 +699,10 @@ def test_merge_centroid_weighted_mean(rng):
 
 def test_merge_clusters_either_order_keeps_the_others_in_order(rng):
     cfg = random_config(rng, 5)
+    geometry = geometry_of(cfg)
     for i, j in itertools.combinations(range(cfg.count), 2):
-        merged = merge_clusters(cfg, i, j)
-        assert merge_clusters(cfg, j, i) == merged
+        merged = merge_clusters(cfg, i, j, geometry)
+        assert merge_clusters(cfg, j, i, geometry) == merged
         assert merged.detections is cfg.detections
         assert merged.clusters == tuple(c for k, c in enumerate(cfg.clusters) if k not in (i, j)) \
             + (make_cluster(cfg.clusters[i] + cfg.clusters[j], cfg.detections),)
@@ -710,9 +711,9 @@ def test_merge_clusters_either_order_keeps_the_others_in_order(rng):
 def test_merge_rejects_bad_indices(rng):
     cfg = random_config(rng, 3)
     with pytest.raises(ValueError):
-        merge_clusters(cfg, 1, 1)
+        merge_clusters(cfg, 1, 1, geometry_of(cfg))
     with pytest.raises(ValueError):
-        merge_clusters(cfg, 0, 7)
+        merge_clusters(cfg, 0, 7, geometry_of(cfg))
 
 
 def test_raw_geometry_centroid_is_the_clusters_mean(rng):
@@ -784,8 +785,9 @@ def test_split_conserves_partition(rng):
 
 def test_split_then_merge_restores_members(rng):
     cfg = random_config(rng, 2, min_size=3, max_size=8)
-    out = split_cluster(cfg, 0, geometry_of(cfg))
-    restored = merge_clusters(out, 0, out.count - 1)
+    geometry = geometry_of(cfg)
+    out = split_cluster(cfg, 0, geometry)
+    restored = merge_clusters(out, 0, out.count - 1, geometry)
     restored_sets = sorted(restored.clusters)
     original_sets = sorted(cfg.clusters)
     assert restored_sets == original_sets

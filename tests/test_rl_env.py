@@ -497,11 +497,12 @@ def test_split_then_merge_restores_reward(rng):
     for _ in range(10):
         cfg = random_config(rng, 3, min_size=2, max_size=6)
         before = reward(cfg, w)
-        split = split_cluster(cfg, 1, geometry_of(cfg))
+        geometry = geometry_of(cfg)
+        split = split_cluster(cfg, 1, geometry)
         restored = (split, True)
         merged = None
         from sceneplan.clustering import merge_clusters
-        merged = merge_clusters(split, 1, split.count - 1)
+        merged = merge_clusters(split, 1, split.count - 1, geometry)
         after = reward(merged, w)
         assert after == before  # bitwise restoration via sorted members
 
@@ -535,7 +536,8 @@ def reference_step(cfg, action, transform):
     """The next configuration as apply_action made it from the per-cluster
     reference loops."""
     if action == MERGE and cfg.count >= 2:
-        return merge_clusters(cfg, *select_merge_pair_reference(cfg, transform))
+        return merge_clusters(cfg, *select_merge_pair_reference(cfg, transform),
+                              ClusterGeometry(cfg.detections, transform))
     idx = action - SPLIT_BASE
     if 0 <= idx < cfg.count and len(cfg.clusters[idx]) >= 2:
         return split_cluster_reference(cfg, idx, transform)
