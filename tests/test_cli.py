@@ -5,6 +5,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -247,6 +249,46 @@ def test_partition_fits_its_environment_to_checkpoint_n_pad(tmp_path):
     assert report["n_final"] == want.count
     got = [tuple(c["members"]) for c in report["clusters"]]
     assert got == list(want.clusters)
+
+
+# A 4K desk frame through infer_clusters, then through `sceneplan partition`, both
+# under the quantile bandwidth; numpy.ma must stay unimported (np.quantile's
+# np.unique imports it, 1.2 MB of a desk frame's peak RSS)
+NUMPY_MA_PROBE = """
+import sys
+
+import numpy as np
+
+from sceneplan import cli, ppo
+from sceneplan.clustering import BandwidthSpec
+from sceneplan.rl_env import RewardWeights
+from sceneplan.scene import SceneSpec, Stratum, generate_scene, save_detections
+
+dets, out = sys.argv[1:]
+strata = (Stratum(0.05, 0.45, 0.012, 0.03, 0.65), Stratum(0.55, 0.95, 0.06, 0.12, 0.35))
+frame = generate_scene(SceneSpec(3840, 2160, 30, 30, strata, seed=1))
+hyper = ppo.Hyperparams(t_max=30, hidden=(8,))
+ckpt = ppo.PolicyCheckpoint(
+    n_pad=30, include_count=True,
+    policy=ppo.init_mlp(np.random.default_rng(0), ppo.policy_widths(30, hyper.hidden)),
+    critic=None, weights=RewardWeights(), hyper=hyper)
+ppo.infer_clusters(frame, ckpt, bandwidth=BandwidthSpec("quantile", 0.2))
+save_detections(frame, dets)
+assert cli.main(["partition", "--policy", "keep", "--detections", dets, "--out", out]) == 0
+assert "numpy.ma" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy.ma."))
+"""
+
+
+def test_quantile_bandwidth_frame_never_imports_numpy_ma(tmp_path):
+    # a fresh interpreter, so that pytest's own imports do not count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).parents[1] / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    run = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, str(tmp_path / "dets.json"),
+                          str(tmp_path / "clusters.json")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 # ---------------------------------------------------------------------------

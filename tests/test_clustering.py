@@ -156,6 +156,52 @@ def test_bandwidth_identical_points_floor():
     assert estimate_bandwidth(pts, 0.5) == 1e-3
 
 
+@st.composite
+def bandwidth_cases(draw):
+    """Points and a quantile for ``estimate_bandwidth``. 2 to 1,200 points
+    (past 1,000 the subsample runs), drawn from a pool of at most as many
+    distinct points, at times on a 1/8 grid, so that copies give zero
+    distances and the grid gives ties. Quantiles anywhere in [0, 1], at and
+    next to its ends, at 0.5, where numpy's ``_lerp`` switches sides, and at
+    k / (m - 1) for the m points kept, where the virtual index is whole."""
+    n = draw(st.integers(2, 40) | st.integers(41, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.uniform(size=(draw(st.integers(1, n)), 2))
+    if draw(st.booleans()):
+        pool = np.round(pool * 8) / 8
+    m = min(n, 1000)
+    q = draw(st.floats(0.0, 1.0)
+             | st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 1 - 1e-9, math.nextafter(1.0, 0.0), 1.0])
+             | st.integers(0, m - 1).map(lambda k: k / (m - 1)))
+    return pool[rng.integers(0, len(pool), n)], q
+
+
+@settings(max_examples=200, deadline=None)
+@given(bandwidth_cases())
+def test_bandwidth_quantile_equals_numpy_quantile(case):
+    pts, q = case
+    kept = pts[np.linspace(0, len(pts) - 1, 1000).astype(int)] if len(pts) > 1000 else pts
+    dist = np.sqrt(((kept[:, None] - kept[None]) ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    want = max(float(np.quantile(dist.min(axis=1), q)), BANDWIDTH_FLOOR)
+    assert estimate_bandwidth(pts, q).hex() == want.hex()
+
+
+@pytest.mark.parametrize("q", [-1e-9, -0.5, math.nextafter(1.0, 2.0), 2.0, math.nan,
+                               math.inf, -math.inf])
+def test_bandwidth_quantile_outside_unit_interval_is_refused(q):
+    with pytest.raises(ValueError, match=re.escape(f"quantile {q} outside [0, 1]")):
+        estimate_bandwidth([(0.1, 0.5), (0.3, 0.5), (0.2, 0.9)], q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bandwidth_refuses_non_finite_points(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            estimate_bandwidth([(bad, 0.5), (0.1, 0.2), (0.3, 0.3)], 0.2)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: estimate_bandwidth([(0.5, 0.5)], 0.5),
      "need at least 2 points to estimate a bandwidth"),
