@@ -22,7 +22,6 @@ one ``meanshift`` call per frame.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ class TransformParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        check_fields(self, [("alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")])
+        check_fields(self, [("alpha", 0.0 < check_number(self.alpha, "alpha") < 1.0, "in (0, 1)")])
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,8 @@ class BandwidthSpec:
 
     def __post_init__(self) -> None:
         top = 1.0 if self.mode == "quantile" else math.inf
-        real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
+        # typed here, not by check_number: a value of any type reads "in (0, <top>)"
+        real = isinstance(self.value, (int, float)) and not isinstance(self.value, bool)
         check_fields(self, [
             ("mode", self.mode in ("fixed", "quantile"), "'fixed' or 'quantile'"),
             ("value", real and 0.0 < self.value < top, f"in (0, {top:g})")])
@@ -98,7 +98,9 @@ def estimate_bandwidth(points, quantile: float) -> float:
     Subsampled to at most 1000 points (evenly spaced, deterministic).
     Degenerate inputs (all points coincident) fall back to a fixed floor.
     The points must be finite and the quantile in [0, 1]; the CLI's is
-    ``BandwidthSpec.value``, which checks it is in (0, 1).
+    ``BandwidthSpec.value``, which checks it is in (0, 1). Points so far
+    apart that the quantile's distances overflow the float range are
+    refused.
 
     The quantile is Hyndman & Fan's sample quantile type 7, numpy's
     ``"linear"`` method, taken in Python floats: the n sorted distances,
@@ -119,7 +121,8 @@ def estimate_bandwidth(points, quantile: float) -> float:
     if len(pts) > 1000:
         idx = np.linspace(0, len(pts) - 1, 1000).astype(int)
         pts = pts[idx]
-    dist = _distances(pts, pts)
+    with np.errstate(over="ignore"):  # a squared distance past the float range is inf
+        dist = _distances(pts, pts)
     np.fill_diagonal(dist, np.inf)
     nn = sorted(dist.min(axis=1).tolist())
     v = (len(nn) - 1) * quantile
@@ -127,7 +130,10 @@ def estimate_bandwidth(points, quantile: float) -> float:
     g = v - i
     a, b = nn[i], nn[min(i + 1, len(nn) - 1)]
     d = b - a
-    return max(float(a + d * g if g < 0.5 else b - d * (1 - g)), BANDWIDTH_FLOOR)
+    bandwidth = a + d * g if g < 0.5 else b - d * (1 - g)
+    if not math.isfinite(bandwidth):
+        raise ValueError(f"quantile {quantile} of the nearest-neighbor distances overflows")
+    return max(bandwidth, BANDWIDTH_FLOOR)
 
 
 def resolve_bandwidth(spec: BandwidthSpec, points) -> float:
@@ -148,8 +154,8 @@ def _checked_points(points, bandwidth: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 1:
         raise ValueError("points must be a non-empty (n, 2) array")
-    check_number(bandwidth, "bandwidth")
-    check_fields({"bandwidth": bandwidth}, [("bandwidth", bandwidth > 0.0, "> 0")])
+    check_fields({"bandwidth": bandwidth},
+                 [("bandwidth", check_number(bandwidth, "bandwidth") > 0.0, "> 0")])
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts

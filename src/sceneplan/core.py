@@ -9,9 +9,12 @@ builds no box until one is read. ``as_boxes`` lays any other sequence of
 boxes out once, where it enters. All operations here but the file layer's
 are pure functions over immutable values.
 
-A value is checked one way across the package: ``check_number`` for its
-type (every number read from a file goes through it), ``check_fields`` for
-its range, written as the condition that must hold, so that NaN fails it.
+A value is checked one way across the package, by the type that takes it:
+each ``check_fields`` entry types its field with ``check_number`` and ranges
+it, written as the condition that must hold, so that NaN fails it. A reader
+of a file or of the CLI checks only what no type takes (keys, with
+``check_keys``; shapes such as pairs; units such as a latency rounded up to
+whole ms) and puts where the value came from before a type's error.
 """
 
 from __future__ import annotations
@@ -195,8 +198,8 @@ class Frame:
     detections: Boxes = ()
 
     def __post_init__(self) -> None:
-        check_fields(self, [("width_px", self.width_px > 0, "> 0"),
-                            ("height_px", self.height_px > 0, "> 0")])
+        check_fields(self, [(k, check_number(getattr(self, k), k, True) > 0, "> 0")
+                            for k in ("width_px", "height_px")])
         object.__setattr__(self, "detections", as_boxes(self.detections))
 
 

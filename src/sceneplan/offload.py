@@ -41,8 +41,8 @@ class ModelProfile:
 
     def __post_init__(self) -> None:
         try:
-            check_fields(self, [("input_size", self.input_size > 0, "> 0"),
-                                ("latency_ms", self.latency_ms > 0, "> 0")])
+            check_fields(self, [(k, check_number(getattr(self, k), k, True) > 0, "> 0")
+                                for k in ("input_size", "latency_ms")])
         except ValueError as e:
             raise ValueError(f"{self.name}: {e}") from None
         if len(self.curve) == 0:
@@ -75,7 +75,7 @@ def profile_from_dict(d: dict) -> ModelProfile:
         raise ValueError(f"{name}: precision curve decreases with area")
     return ModelProfile(
         name=str(d["name"]),
-        input_size=check_number(d["input_size"], f"{name}: input_size", integer=True),
+        input_size=d["input_size"],
         latency_ms=math.ceil(check_number(d["latency_ms"], f"{name}: latency_ms")),
         curve=curve,
     )

@@ -108,15 +108,19 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        check_fields(self, [("hidden", isinstance(self.hidden, (list, tuple)), "a list")])
+        object.__setattr__(self, "hidden", tuple(
+            check_number(width, f"hidden[{k}]", True) for k, width in enumerate(self.hidden)))
+        check_number(self.seed, "seed", True)
         check_fields(self, [
-            ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
-            *((name, getattr(self, name) > 0, "> 0")
-              for name in ("clip_eps", "lr_policy", "lr_critic", "batch_size", "t_max",
-                           "episodes_per_iter", "epochs")),
+            ("gamma", 0.0 < check_number(self.gamma, "gamma") < 1.0, "in (0, 1)"),
+            *((name, check_number(getattr(self, name), name) > 0, "> 0")
+              for name in ("clip_eps", "lr_policy", "lr_critic")),
+            *((name, check_number(getattr(self, name), name, True) > 0, "> 0")
+              for name in ("batch_size", "t_max", "episodes_per_iter", "epochs")),
             ("t_max", self.t_max <= T_MAX_LIMIT, f"<= {T_MAX_LIMIT}"),
-            ("iterations", self.iterations >= 0, ">= 0"),
-            ("entropy_coef", self.entropy_coef >= 0.0, ">= 0"),
+            ("iterations", check_number(self.iterations, "iterations", True) >= 0, ">= 0"),
+            ("entropy_coef", check_number(self.entropy_coef, "entropy_coef") >= 0.0, ">= 0"),
             ("hidden", all(width >= 1 for width in self.hidden), "widths >= 1")])
 
 
@@ -371,7 +375,7 @@ class PolicyCheckpoint:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_fields(self, [("n_pad", self.n_pad >= 1, ">= 1"),
+        check_fields(self, [("n_pad", check_number(self.n_pad, "n_pad", True) >= 1, ">= 1"),
                             ("include_count", self.include_count is True, "true"),
                             ("meta", isinstance(self.meta, dict), "an object")])
 
@@ -732,21 +736,10 @@ def load_checkpoint(path) -> PolicyCheckpoint:
 
 
 def _header_block(header: dict, name: str, cls):
-    """``cls`` built from the header's ``name`` block, read as strictly as a
-    config file's: every field present and none else, each value a
-    ``check_number`` (integer where the field's default is an int; ``hidden``
-    a list of ints), then ranged by ``cls``. An error starts with
-    ``<name>.<field>``, since ``gamma`` is a field of both blocks."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    block = check_keys(header[name], name, defaults)
-    for key, default in defaults.items():
-        where, value = f"{name}.{key}", block[key]
-        if isinstance(default, tuple):
-            check_fields({where: value}, [(where, isinstance(value, list), "a list")])
-            for k, v in enumerate(value):
-                check_number(v, f"{where}[{k}]", integer=True)
-        else:
-            check_number(value, where, isinstance(default, int))
+    """``cls`` built from the header's ``name`` block, which must hold every
+    field and none else; ``cls`` types and ranges each value. An error starts
+    with ``<name>.<field>``, since ``gamma`` is a field of both blocks."""
+    block = check_keys(header[name], name, [f.name for f in fields(cls)])
     try:
         return cls(**block)
     except ValueError as e:  # "<field> must be <want>, got <value>"
@@ -764,9 +757,9 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
 
     The header alone builds the checkpoint, its policy still empty:
     ``_header_block`` reads the weights and hyper blocks, and
-    ``PolicyCheckpoint`` ranges n_pad and meta. The payload must then be
-    exactly as long as the arrays n_pad and ``hyper.hidden`` lay out, which
-    it fills in order."""
+    ``PolicyCheckpoint`` types and ranges n_pad and meta. The payload must
+    then be exactly as long as the arrays n_pad and ``hyper.hidden`` lay
+    out, which it fills in order."""
     if len(data) < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointError("checkpoint truncated before header")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -786,8 +779,7 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     off += hlen
     try:
         check_keys(header, "header", ("hyper", "meta", "n_pad", "weights"))
-        n_pad = check_number(header["n_pad"], "n_pad", integer=True)
-        ckpt = PolicyCheckpoint(n_pad, True, MlpParams([], []), None,
+        ckpt = PolicyCheckpoint(header["n_pad"], True, MlpParams([], []), None,
                                 _header_block(header, "weights", RewardWeights),
                                 _header_block(header, "hyper", Hyperparams), header["meta"])
     except (TypeError, ValueError) as e:
@@ -796,7 +788,7 @@ def _parse_checkpoint(data: bytes) -> PolicyCheckpoint:
     need, have = 8 * sum(math.prod(shape) for shape in shapes), len(data) - off
     if have != need:
         fault = "checkpoint truncated" if have < need else "trailing bytes after final array"
-        raise CheckpointError(f"{fault}: n_pad={n_pad} and hyper.hidden="
+        raise CheckpointError(f"{fault}: n_pad={ckpt.n_pad} and hyper.hidden="
                               f"{list(ckpt.hyper.hidden)} lay out {need} payload bytes, "
                               f"the file holds {have}")
     for k, shape in enumerate(shapes):

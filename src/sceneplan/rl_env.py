@@ -38,7 +38,7 @@ from .clustering import (
     split_cluster,
     squared_distances,
 )
-from .core import ClusterConfig, check_fields, expand_ranges
+from .core import ClusterConfig, check_fields, check_number, expand_ranges
 
 KEEP, MERGE = 0, 1
 SPLIT_BASE = 2
@@ -64,10 +64,10 @@ class RewardWeights:
 
     def __post_init__(self) -> None:
         check_fields(self, [
-            *((name, getattr(self, name) >= 0.0, ">= 0") for name in REWARD_TERMS),
-            ("n_min", self.n_min >= 1, ">= 1"),
-            ("n_max", self.n_max >= self.n_min, ">= n_min"),
-            ("d_m", self.d_m > 0.0, "> 0")])
+            *((k, check_number(getattr(self, k), k) >= 0.0, ">= 0") for k in REWARD_TERMS),
+            ("n_min", check_number(self.n_min, "n_min", True) >= 1, ">= 1"),
+            ("n_max", check_number(self.n_max, "n_max", True) >= self.n_min, ">= n_min"),
+            ("d_m", check_number(self.d_m, "d_m") > 0.0, "> 0")])
 
 
 def state_dim(n_pad: int) -> int:
@@ -263,4 +263,4 @@ class EnvConfig:
     n_pad: int = 30
 
     def __post_init__(self) -> None:
-        check_fields(self, [("n_pad", self.n_pad >= 1, ">= 1")])
+        check_fields(self, [("n_pad", check_number(self.n_pad, "n_pad", True) >= 1, ">= 1")])

@@ -65,10 +65,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, [("width_px", self.width_px > 0, "> 0"),
-                            ("height_px", self.height_px > 0, "> 0"),
-                            ("seed", self.seed >= 0, ">= 0")])
-        if not (1 <= self.count_min <= self.count_max):
+        check_fields(self, [*((k, check_number(getattr(self, k), k, True) > 0, "> 0")
+                              for k in ("width_px", "height_px")),
+                            ("seed", check_number(self.seed, "seed", True) >= 0, ">= 0")])
+        if not (1 <= check_number(self.count_min, "count_min", True)
+                <= check_number(self.count_max, "count_max", True)):
             raise ValueError(f"count_range [{self.count_min}, {self.count_max}] invalid")
         if len(self.strata) == 0:
             raise ValueError("strata must hold at least one stratum")
@@ -114,11 +115,9 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
             raise ValueError(f"{where}: {e}") from None
     count_range = _spec_pair(d.get("count_range", [SceneSpec.count_min, SceneSpec.count_max]),
                              "scene_spec.count_range", True)
-    width_px = check_number(d.get("width_px", SceneSpec.width_px), "scene_spec.width_px", True)
-    height_px = check_number(d.get("height_px", SceneSpec.height_px), "scene_spec.height_px", True)
-    seed = check_number(d.get("seed", SceneSpec.seed), "scene_spec.seed", True)
     try:
-        return SceneSpec(width_px, height_px, *count_range, tuple(parsed), seed)
+        return SceneSpec(*(d.get(k, getattr(SceneSpec, k)) for k in ("width_px", "height_px")),
+                         *count_range, tuple(parsed), d.get("seed", SceneSpec.seed))
     except ValueError as e:  # its message starts with the field's name
         raise ValueError(f"scene_spec.{e}") from None
 
@@ -236,9 +235,7 @@ def load_detections(path) -> Frame:
         return Frame(*CSV_FRAME_PX, boxes)
     data = read_json(path)
     try:
-        width, height = (check_number(data[k], f"{path}: {k}", True)
-                         for k in ("width_px", "height_px"))
-        rows = data["detections"]
+        width, height, rows = (data[k] for k in ("width_px", "height_px", "detections"))
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: missing or malformed field ({e})") from None
     if not isinstance(rows, list):
@@ -246,17 +243,24 @@ def load_detections(path) -> Frame:
     boxes = [_box_from_row(r, f"{path}: detection {i}") for i, r in enumerate(rows)]
     try:
         return Frame(width, height, boxes)
-    except ValueError as e:  # a size that is not positive
+    except ValueError as e:  # a size that is not a positive 64-bit integer
         raise ValueError(f"{path}: {e}") from None
 
 
 def save_detections(frame: Frame, path) -> None:
     """Write a Frame's ``Boxes`` atomically, one row per box read from its
     columns (no box is built), in the CSV detection format when the path
-    ends in ``.csv``, in the JSON one otherwise."""
+    ends in ``.csv``, in the JSON one otherwise. A CSV file carries no frame
+    size and reads back as ``CSV_FRAME_PX``, so any other frame is refused
+    there before anything is written."""
+    csv_file = str(path).endswith(".csv")
+    if csv_file and (frame.width_px, frame.height_px) != CSV_FRAME_PX:
+        raise ValueError(f"{path}: a CSV detection file reads back as a "
+                         f"{CSV_FRAME_PX[0]}x{CSV_FRAME_PX[1]} frame, not "
+                         f"{frame.width_px}x{frame.height_px}; save this frame as JSON")
     dets = frame.detections
     rows = [dict(zip(CSV_HEADER, v)) for v in zip(*dets.columns.tolist(), dets.class_ids)]
-    if str(path).endswith(".csv"):
+    if csv_file:
         write_csv(path, CSV_HEADER, rows)
     else:
         write_json(path, {"width_px": frame.width_px, "height_px": frame.height_px,

@@ -110,6 +110,20 @@ def test_gen_scene_output_under_regular_file_exits_2_naming_it(tmp_path, capsys)
     assert str(plain) in capsys.readouterr().err
 
 
+def test_gen_scene_refuses_a_csv_file_for_a_frame_it_would_not_read_back(tmp_path, capsys):
+    # a CSV file carries no frame size and reads back as 3840x2160: the
+    # 1280x1280 frame is refused before anything is written
+    out = tmp_path / "dets.csv"
+    assert main(["gen-scene", "--spec", str(write_spec(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {out}: a CSV detection file reads back as a "
+                                       "3840x2160 frame, not 1280x1280; save this frame as JSON\n")
+    assert not out.exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "width_px": 3840, "height_px": 2160}))
+    assert main(["gen-scene", "--spec", str(spec), "--out", str(out)]) == 0
+    assert load_detections(out).width_px == 3840
+
+
 def test_gen_scene_missing_spec(tmp_path, capsys):
     out = tmp_path / "dets.json"
     code = main(["gen-scene", "--spec", str(tmp_path / "nope.json"),

@@ -202,6 +202,32 @@ def test_bandwidth_refuses_non_finite_points(bad):
             estimate_bandwidth([(bad, 0.5), (0.1, 0.2), (0.3, 0.3)], 0.2)
 
 
+@pytest.mark.parametrize("points, q", [
+    ([(1e200, 0.5), (0.1, 0.2)], 0.2),
+    ([(1e200, 0.5), (0.1, 0.2), (0.1, 0.3)], 1.0),
+    ([(-1e308, 0.5), (1e308, 0.5), (0.1, 0.3)], 0.5),
+], ids=["both-infinite", "top-infinite", "difference-overflows"])
+def test_bandwidth_overflow_is_refused_naming_it(points, q):
+    # finite points whose squared nearest-neighbor distances pass the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(
+                f"quantile {q} of the nearest-neighbor distances overflows")):
+            estimate_bandwidth(points, q)
+
+
+def test_bandwidth_of_far_points_stays_numpys_while_finite():
+    # a quantile below the overflowing distances is numpy's, bit for bit
+    points = [(1e200, 0.5), (0.1, 0.2), (0.1, 0.3), (0.4, 0.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = estimate_bandwidth(points, 0.25)
+    with np.errstate(over="ignore"):
+        d = np.sqrt(((np.array(points)[:, None] - np.array(points)[None]) ** 2).sum(-1))
+    np.fill_diagonal(d, np.inf)
+    assert got.hex() == float(np.quantile(d.min(axis=1), 0.25)).hex()
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: estimate_bandwidth([(0.5, 0.5)], 0.5),
      "need at least 2 points to estimate a bandwidth"),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan.clustering import ClusterGeometry, TransformParams
+from sceneplan.clustering import BandwidthSpec, ClusterGeometry, TransformParams
 from sceneplan.core import (
     ClusterConfig,
     DetectionBox,
@@ -24,8 +25,8 @@ from sceneplan.core import (
 
 from sceneplan.offload import (ModelProfile, OffloadPlan, PartitionDescriptor, assign_servers,
                                scale_area)
-from sceneplan.ppo import keep_policy, rollout
-from sceneplan.rl_env import EnvConfig
+from sceneplan.ppo import Hyperparams, MlpParams, PolicyCheckpoint, keep_policy, rollout
+from sceneplan.rl_env import EnvConfig, RewardWeights
 from sceneplan.scene import SceneSpec, Stratum, tile_frame
 
 from oracles import cluster_means_reference, iou_exact, iou_raster, random_boxes
@@ -378,3 +379,57 @@ def test_nan_is_refused_naming_the_field(where):
     field = where.split(".")[1]
     with pytest.raises(ValueError, match=rf"(^|: ){field} must be [^,]*, got nan$"):
         NAN_CALLS[where]()
+
+
+def checkpoint(n_pad):
+    return PolicyCheckpoint(n_pad, True, MlpParams([], []), None, RewardWeights(), Hyperparams())
+
+
+# each (config type, field) given a value of the wrong type: text, a bool,
+# a float where an int is due, or a ``hidden`` that is not a list; the type
+# checks it, so an API caller hears of it as a file reader does
+MISTYPED_CALLS = {
+    "Frame.width_px-float": lambda: Frame(1280.5, 720),
+    "Frame.height_px-text": lambda: Frame(1280, "720"),
+    "Frame.width_px-bool": lambda: Frame(True, 720),
+    "SceneSpec.width_px-float": lambda: SceneSpec(1280.5, strata=STRATA),
+    "SceneSpec.height_px-text": lambda: SceneSpec(height_px="720", strata=STRATA),
+    "SceneSpec.count_min-float": lambda: SceneSpec(count_min=20.0, strata=STRATA),
+    "SceneSpec.count_max-bool": lambda: SceneSpec(count_min=1, count_max=True, strata=STRATA),
+    "SceneSpec.seed-text": lambda: SceneSpec(strata=STRATA, seed="1"),
+    "ModelProfile.input_size-float": lambda: ModelProfile("m", 640.0, 10, CURVE),
+    "ModelProfile.latency_ms-float": lambda: ModelProfile("m", 640, 12.5, CURVE),
+    "ModelProfile.latency_ms-text": lambda: ModelProfile("m", 640, "10", CURVE),
+    "RewardWeights.alpha-text": lambda: RewardWeights(alpha="x"),
+    "RewardWeights.delta-bool": lambda: RewardWeights(delta=True),
+    "RewardWeights.n_min-float": lambda: RewardWeights(n_min=2.0),
+    "RewardWeights.n_max-text": lambda: RewardWeights(n_max="15"),
+    "RewardWeights.d_m-bool": lambda: RewardWeights(d_m=True),
+    "Hyperparams.gamma-text": lambda: Hyperparams(gamma="0.9"),
+    "Hyperparams.lr_policy-bool": lambda: Hyperparams(lr_policy=True),
+    "Hyperparams.batch_size-float": lambda: Hyperparams(batch_size=8.0),
+    "Hyperparams.t_max-bool": lambda: Hyperparams(t_max=True),
+    "Hyperparams.epochs-float": lambda: Hyperparams(epochs=4.0),
+    "Hyperparams.iterations-text": lambda: Hyperparams(iterations="50"),
+    "Hyperparams.entropy_coef-bool": lambda: Hyperparams(entropy_coef=False),
+    "Hyperparams.seed-float": lambda: Hyperparams(seed=1.0),
+    "Hyperparams.hidden-int": lambda: Hyperparams(hidden=8),
+    "Hyperparams.hidden-text": lambda: Hyperparams(hidden="88"),
+    "Hyperparams.hidden[1]-float": lambda: Hyperparams(hidden=(8, 8.0)),
+    "TransformParams.alpha-text": lambda: TransformParams("0.5"),
+    "TransformParams.alpha-bool": lambda: TransformParams(True),
+    "BandwidthSpec.value-text": lambda: BandwidthSpec("fixed", "0.2"),
+    "BandwidthSpec.value-bool": lambda: BandwidthSpec("fixed", True),
+    "EnvConfig.n_pad-float": lambda: EnvConfig(n_pad=4.0),
+    "EnvConfig.n_pad-bool": lambda: EnvConfig(n_pad=True),
+    "PolicyCheckpoint.n_pad-float": lambda: checkpoint(4.0),
+    "PolicyCheckpoint.n_pad-text": lambda: checkpoint("4"),
+}
+
+
+@pytest.mark.parametrize("where", MISTYPED_CALLS)
+def test_mistyped_value_is_refused_naming_the_field(where):
+    # a profile's error starts with its name, then the field
+    field = where.split(".")[1].split("-")[0]
+    with pytest.raises(ValueError, match=rf"(^|: ){re.escape(field)} must be "):
+        MISTYPED_CALLS[where]()

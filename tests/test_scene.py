@@ -78,6 +78,20 @@ def test_csv_roundtrip_bitwise(tmp_path, rng):
     assert back.detections == frame.detections
 
 
+@pytest.mark.parametrize("size", [(1280, 1280), (2160, 3840), (3840, 2161)])
+def test_csv_refuses_a_frame_it_would_not_read_back(tmp_path, size):
+    # the CSV format carries no frame size: its file reads back as CSV_FRAME_PX
+    path = tmp_path / "dets.csv"
+    frame = Frame(*size, tuple(random_boxes(np.random.default_rng(3), 4)))
+    named = (f"{path}: a CSV detection file reads back as a 3840x2160 frame, "
+             f"not {size[0]}x{size[1]}; save this frame as JSON")
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        save_detections(frame, path)
+    assert list(tmp_path.iterdir()) == []
+    save_detections(frame, tmp_path / "dets.json")
+    assert load_detections(tmp_path / "dets.json") == frame
+
+
 def test_save_detections_failure_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "dets.json"
     save_detections(Frame(640, 480, tuple(random_boxes(np.random.default_rng(2), 3))),

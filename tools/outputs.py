@@ -126,11 +126,18 @@ CASES = [
     ("loaded-frame", {"spec.json": spec(500, 700, seed=23), "config.json": {"seed": 23, **CROWD}},
      gen_scene("json", "csv") + [pipeline("random", "generated", "--scene-spec", "spec.json")]
      + [pipeline("random", ext, "--detections", f"dets.{ext}") for ext in ("json", "csv")]),
+    # the same at desk size, which only JSON carries: a CSV file reads back as 3840x2160
+    ("loaded-desk-frame", {"spec.json": spec(14, 20, 1280, 1280, seed=29),
+                           "config.json": {"seed": 29, "d_max": 4000}},
+     gen_scene("json") + [pipeline("random", "generated", "--scene-spec", "spec.json"),
+                          pipeline("random", "json", "--detections", "dets.json")]),
     ("ties", {}, [[str(ROOT / "tools" / "ties.py"), "ties.json"]]),
     ("tight-plan", {"clusters.json": TIGHT_CLUSTERS, "profile.json": TIGHT_PROFILE},
      [tight_plan(5 * 20 + 1, "plan.json"), tight_plan(5 * 20 + 2 * 25 + 3, "plan-mid.json")]),
 ]
 SAME = [*([f"loaded-frame/{src}/{name}" for src in ("generated", "json", "csv")]
+          for name in ("report.json", "metrics.csv")),
+        *([f"loaded-desk-frame/{src}/{name}" for src in ("generated", "json")]
           for name in ("report.json", "metrics.csv")),
         *([f"{case}/{name}" for case in ("desk-train", "desk-fitted")]
           for name in ("policy.ckpt", "eval.csv", "report.json", "metrics.csv"))]
